@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -47,8 +48,10 @@ import (
 	"time"
 
 	cachegen "repro"
+	"repro/internal/ac"
 	"repro/internal/sched"
 	"repro/internal/streamer"
+	"repro/internal/tensor"
 )
 
 // result is one benchmark's summary.
@@ -85,6 +88,9 @@ type stack struct {
 	codec  *cachegen.Codec
 	tokens []cachegen.Token
 	kv     *cachegen.KV
+	// chunkKV is one paper-sized chunk (1500 tokens), the shape the fetch
+	// pipeline decodes lane by lane.
+	chunkKV *cachegen.KV
 }
 
 // newStack builds the rig. The codec's worker pool is sized from
@@ -107,7 +113,8 @@ func newStack() (*stack, error) {
 		return nil, err
 	}
 	tokens := mk(1024)
-	return &stack{model: model, codec: codec, tokens: tokens, kv: model.CalculateKV(tokens)}, nil
+	return &stack{model: model, codec: codec, tokens: tokens, kv: model.CalculateKV(tokens),
+		chunkKV: model.CalculateKV(mk(1500))}, nil
 }
 
 func kvBytes(kv *cachegen.KV) int64 { return int64(kv.Elems()) * 2 * 4 }
@@ -166,6 +173,30 @@ func runSuite() (map[string]result, error) {
 			}
 		}
 	})
+	// The streaming unit: one coder lane of a 1500-token chunk, decoded
+	// on the calling goroutine into a shared destination.
+	chunk, err := s.codec.EncodeChunk(s.chunkKV, 0, 0, 1)
+	if err != nil {
+		return nil, err
+	}
+	parsed, err := s.codec.ParseChunk(chunk)
+	if err != nil {
+		return nil, err
+	}
+	laneDst := tensor.New(s.chunkKV.Layers, s.chunkKV.Tokens, s.chunkKV.Channels)
+	bg("decode_lane_l1", kvBytes(s.chunkKV)/int64(parsed.Lanes()), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := s.codec.DecodeLaneInto(laneDst, 0, parsed, i%parsed.Lanes(), chunk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	rows, err := newRowsBench()
+	if err != nil {
+		return nil, err
+	}
+	bg("ac_decode_rows_4way", rows.bytes, rows.run)
 	bg("publish_cold", raw, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -252,6 +283,74 @@ func runSuite() (map[string]result, error) {
 		sc.FinishPlan(p, nil, nil)
 	}
 	return out, nil
+}
+
+// rowsBench is the entropy-decode kernel alone: four streams of symbols
+// drawn from delta-shaped models (a sharp peak at the zero delta, one
+// model per channel), decoded in lockstep with the value mapping the codec
+// uses. MB/s counts the float32 values stored.
+type rowsBench struct {
+	tabs    []*ac.FreqTable
+	vals    []float32
+	base    []float32
+	streams [ac.MaxRowStreams][]byte
+	dst     [ac.MaxRowStreams][]float32
+	bytes   int64
+}
+
+func newRowsBench() (*rowsBench, error) {
+	const width, rows, alphabet = 32, 256, 255
+	rb := &rowsBench{vals: make([]float32, alphabet), base: make([]float32, width)}
+	for s := range rb.vals {
+		rb.vals[s] = float32(s-alphabet/2) * 0.5
+	}
+	rng := rand.New(rand.NewSource(11))
+	cdfs := make([][]float64, width)
+	for ch := 0; ch < width; ch++ {
+		spread := 0.6 + 1.2*float64(ch)/width
+		counts := make([]uint64, alphabet)
+		cdf := make([]float64, alphabet)
+		var sum float64
+		for s := range counts {
+			w := math.Exp(-math.Abs(float64(s-alphabet/2)) / spread)
+			counts[s] = uint64(w * 1e9)
+			sum += w
+			cdf[s] = sum
+		}
+		tab, err := ac.NewFreqTable(counts)
+		if err != nil {
+			return nil, err
+		}
+		rb.tabs = append(rb.tabs, tab)
+		cdfs[ch] = cdf
+	}
+	for k := range rb.streams {
+		enc := ac.NewEncoder()
+		for i := 0; i < rows*width; i++ {
+			cdf := cdfs[i%width]
+			sym := sort.SearchFloat64s(cdf, rng.Float64()*cdf[alphabet-1])
+			if err := enc.Encode(min(sym, alphabet-1), rb.tabs[i%width]); err != nil {
+				return nil, err
+			}
+		}
+		rb.streams[k] = enc.Bytes()
+		rb.dst[k] = make([]float32, rows*width)
+	}
+	rb.bytes = int64(len(rb.streams)) * rows * width * 4
+	return rb, nil
+}
+
+func (rb *rowsBench) run(b *testing.B) {
+	var decs [ac.MaxRowStreams]ac.Decoder
+	var streams [ac.MaxRowStreams]ac.RowStream
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for k := range streams {
+			decs[k].Reset(rb.streams[k])
+			streams[k] = ac.RowStream{Dec: &decs[k], Dst: rb.dst[k], Base: rb.base}
+		}
+		ac.DecodeRows(rb.tabs, rb.vals, nil, streams[:])
+	}
 }
 
 // schedInfos annotates the stack's context the way the fetcher would:

@@ -124,14 +124,10 @@ func TestBulkDecodeMatchesScalar(t *testing.T) {
 			want[i] = s
 		}
 
-		bulk := NewDecoder(data)
-		got := make([]int, nSyms)
-		if err := bulk.DecodeSymbolsMulti(perSym, got); err != nil {
-			t.Fatal(err)
-		}
+		got := decodeRowSymbols(NewDecoder(data), perSym)
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d: DecodeSymbolsMulti symbol %d = %d, scalar %d", trial, i, got[i], want[i])
+				t.Fatalf("trial %d: DecodeRows symbol %d = %d, scalar %d", trial, i, got[i], want[i])
 			}
 			if got[i] != syms[i] {
 				t.Fatalf("trial %d: round trip lost symbol %d", trial, i)
@@ -152,16 +148,32 @@ func TestBulkDecodeMatchesScalar(t *testing.T) {
 				}
 				i++
 			} else {
-				chunk := make([]int, 3)
-				if err := mixed.DecodeSymbolsMulti(perSym[i:i+3], chunk); err != nil {
-					t.Fatal(err)
-				}
-				for k, s := range chunk {
+				for k, s := range decodeRowSymbols(mixed, perSym[i:i+3]) {
 					if s != syms[i+k] {
 						t.Fatalf("mixed bulk decode diverged at %d", i+k)
 					}
 				}
 				i += 3
+			}
+		}
+
+		// Single-model variant against scalar Decode, one model.
+		one := tabs[0]
+		oneEnc := NewEncoder()
+		oneSyms := make([]int, nSyms)
+		for i := range oneSyms {
+			oneSyms[i] = rng.Intn(one.N())
+		}
+		if err := oneEnc.EncodeSymbols(one, oneSyms); err != nil {
+			t.Fatal(err)
+		}
+		single := make([]int, nSyms)
+		if err := NewDecoder(oneEnc.Bytes()).DecodeSymbols(one, single); err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range single {
+			if s != oneSyms[i] {
+				t.Fatalf("trial %d: DecodeSymbols symbol %d = %d, want %d", trial, i, s, oneSyms[i])
 			}
 		}
 	}
@@ -278,9 +290,5 @@ func TestBulkAPIValidation(t *testing.T) {
 	}
 	if err := enc.EncodeSymbolsMulti([]*FreqTable{m}, []int{-1}); err == nil {
 		t.Error("EncodeSymbolsMulti accepted negative symbol")
-	}
-	dec := NewDecoder(nil)
-	if err := dec.DecodeSymbolsMulti([]*FreqTable{m}, make([]int, 2)); err == nil {
-		t.Error("DecodeSymbolsMulti accepted mismatched lengths")
 	}
 }

@@ -18,13 +18,19 @@ type FreqTable struct {
 	cum   []uint32 // len N+1; cum[0]=0, cum[N]=total
 	total uint32
 
-	// Decode-side lookup state. lut[f>>lutShift] is the symbol whose
-	// cumulative interval contains frequency (f>>lutShift)<<lutShift — a
-	// starting point at or before the symbol containing f. Decoders scan
-	// forward from it over next16, where next16[s] = cum[s+1]-1 (always
-	// representable: cum[s+1] ∈ [1, 2^16]); the scan condition
-	// cum[s+1] ≤ f is exactly next16[s] < f. Together they replace the
-	// former per-symbol binary search with an O(1) expected lookup.
+	// Decode-side lookup state. lut[f>>lutShift] is a hint: a symbol near
+	// the one whose cumulative interval contains f. Decoders step back
+	// from it while cum[s] > f, then scan forward while cum[s+1] ≤ f, over
+	// next16, where next16[s] = cum[s+1]-1 (always representable:
+	// cum[s+1] ∈ [1, 2^16]), so the two conditions read next16[s-1] ≥ f
+	// and next16[s] < f. The hint of a bucket is the symbol that starts
+	// the scanWindow-symbol window holding most of the bucket's frequency
+	// mass, so nearly every lookup of a real stream ends inside that
+	// window (no step back, at most scanWindow-1 forward) even in the two
+	// outermost buckets, where a trained table's long run of never-seen
+	// symbols sits in front of the symbols that occur. Together they
+	// replace the former per-symbol binary search with an O(1) expected
+	// lookup.
 	//
 	// Both arrays are deliberately tiny — lut is capped at 64 entries and
 	// next16 is 2 bytes per symbol — because the codec banks hold
@@ -93,6 +99,11 @@ func NewFreqTable(counts []uint64) (*FreqTable, error) {
 	return m, nil
 }
 
+// scanWindow is how many symbols from a lut hint onward the decoders reach
+// without a data-dependent branch: the hint itself plus the forward steps
+// the DecodeRows kernel takes arithmetically.
+const scanWindow = 3
+
 // buildLUT constructs the decode lookup state. Must be called whenever
 // cum changes (construction and deserialisation).
 func (m *FreqTable) buildLUT() {
@@ -111,11 +122,21 @@ func (m *FreqTable) buildLUT() {
 	lut := make([]uint16, entries)
 	sym := 0
 	for b := range lut {
-		f := uint32(b) << shift
-		for m.cum[sym+1] <= f {
+		lo := uint32(b) << shift
+		hi := min(lo+1<<shift, m.total)
+		for m.cum[sym+1] <= lo {
 			sym++
 		}
-		lut[b] = uint16(sym)
+		// sym is the first symbol overlapping bucket [lo, hi); weigh every
+		// window that starts inside the bucket by its share of the bucket.
+		hint, best := sym, uint32(0)
+		for h := sym; h < n && m.cum[h] < hi; h++ {
+			mass := min(m.cum[min(h+scanWindow, n)], hi) - max(m.cum[h], lo)
+			if mass > best {
+				hint, best = h, mass
+			}
+		}
+		lut[b] = uint16(hint)
 	}
 	next16 := make([]uint16, n)
 	for s := 0; s < n; s++ {
@@ -171,6 +192,9 @@ func (m *FreqTable) symbolFor(f uint32) (sym int, start, size uint32) {
 	}
 	i := int(m.lut[f>>m.lutShift])
 	cum := m.cum
+	for cum[i] > f {
+		i--
+	}
 	for cum[i+1] <= f {
 		i++
 	}

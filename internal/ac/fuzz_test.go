@@ -1,6 +1,9 @@
 package ac
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // FuzzFreqTableUnmarshal: arbitrary bytes must never panic the table
 // decoder.
@@ -93,16 +96,12 @@ func FuzzDecodeSymbols(f *testing.F) {
 		for i := range perSym {
 			perSym[i] = tabs[i%3]
 		}
-		bulk := NewDecoder(data)
-		got := make([]int, len(perSym))
-		if err := bulk.DecodeSymbolsMulti(perSym, got); err != nil {
-			return
-		}
+		got := decodeRowSymbols(NewDecoder(data), perSym)
 		scalar := NewDecoder(data)
 		for i := range perSym {
 			s, err := scalar.Decode(perSym[i])
 			if err != nil {
-				t.Fatalf("scalar Decode failed at %d where bulk succeeded: %v", i, err)
+				t.Fatalf("scalar Decode failed at %d: %v", i, err)
 			}
 			if s != got[i] {
 				t.Fatalf("bulk/scalar divergence at symbol %d: %d vs %d", i, got[i], s)
@@ -111,5 +110,70 @@ func FuzzDecodeSymbols(f *testing.F) {
 				t.Fatalf("out-of-alphabet symbol %d at %d", s, i)
 			}
 		}
+		// The single-model bulk form, one table at a time.
+		for _, m := range tabs {
+			one := make([]int, 64)
+			if err := NewDecoder(data).DecodeSymbols(m, one); err != nil {
+				t.Fatalf("DecodeSymbols: %v", err)
+			}
+			ref := NewDecoder(data)
+			for i, s := range one {
+				if want, _ := ref.Decode(m); s != want {
+					t.Fatalf("DecodeSymbols/scalar divergence at symbol %d: %d vs %d", i, s, want)
+				}
+			}
+		}
+	})
+}
+
+// FuzzDecodeRows: the lockstep kernel against scalar Decode on arbitrary
+// bytes. The fuzzer picks the table shape (skewed, uniform, one dominant
+// symbol, random — drawn from its seed), the row width, the row count and
+// the number of streams, and supplies the bytes the streams are cut from:
+// stream k starts k·stride bytes in, so the streams of one call differ,
+// overlap, run out at different symbols and include empty ones. Every
+// stored value and every stream's final (pos, code, rng) must match, and
+// nothing may panic.
+func FuzzDecodeRows(f *testing.F) {
+	tab, err := NewFreqTable([]uint64{1000, 200, 50, 10, 2, 1, 1, 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	enc := NewEncoder()
+	for i := 0; i < 200; i++ {
+		if err := enc.Encode(i*i%tab.N(), tab); err != nil {
+			f.Fatal(err)
+		}
+	}
+	valid := enc.Bytes()
+	corrupt := append([]byte{}, valid...)
+	corrupt[len(corrupt)/3] ^= 0x10
+	for streams := uint8(1); streams <= 7; streams++ {
+		f.Add(valid, int64(streams), streams, uint8(8), uint8(3), uint8(0))
+		f.Add(valid[:len(valid)/2], int64(streams), streams, uint8(5), uint8(9), uint8(7))
+		f.Add(corrupt, int64(-streams), streams, uint8(33), uint8(2), uint8(1))
+		f.Add([]byte{}, int64(streams)<<8, streams, uint8(1), uint8(1), uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, tableSeed int64, streams, width, rows, stride uint8) {
+		rng := rand.New(rand.NewSource(tableSeed))
+		c := rowsCase{tabs: make([]*FreqTable, 1+int(width)%48), rows: int(rows) % 16}
+		pool := []*FreqTable{randomTable(t, rng), randomTable(t, rng), randomTable(t, rng)}
+		maxN := 0
+		for i := range c.tabs {
+			c.tabs[i] = pool[rng.Intn(len(pool))]
+			maxN = max(maxN, c.tabs[i].N())
+		}
+		c.vals = symbolVals(maxN)
+		if tableSeed&1 != 0 {
+			c.scale = make([]float32, len(c.tabs))
+			c.base = make([]float32, len(c.tabs))
+			for i := range c.scale {
+				c.scale[i], c.base[i] = float32(i)-3.5, float32(i)*0.125
+			}
+		}
+		for k := 0; k < 1+int(streams)%9; k++ {
+			c.streams = append(c.streams, data[min(k*int(stride), len(data)):])
+		}
+		checkRows(t, c)
 	})
 }

@@ -263,7 +263,9 @@ func (d *Decoder) Decode(m *FreqTable) (int, error) {
 // calls. Tables built by this package give every symbol a nonzero
 // frequency, so a (possibly truncated or corrupt) stream always yields
 // some in-alphabet symbol; corruption surfaces as a caller-side count or
-// checksum mismatch, exactly as with Decode.
+// checksum mismatch, exactly as with Decode — the error result is always
+// nil. The codec decodes through DecodeRows; this single-stream form
+// stays for callers that want the symbols themselves.
 func (d *Decoder) DecodeSymbols(m *FreqTable, dst []int) error {
 	next, total, lut, shift, mul := m.next16, m.total, m.lut, m.lutShift, m.divMul
 	in, pos, code, rng := d.in, d.pos, d.code, d.rng
@@ -274,46 +276,9 @@ func (d *Decoder) DecodeSymbols(m *FreqTable, dst []int) error {
 			f = total - 1
 		}
 		sym := int(lut[f>>shift])
-		for uint32(next[sym]) < f {
-			sym++
+		for sym > 0 && uint32(next[sym-1]) >= f {
+			sym--
 		}
-		var start uint32
-		if sym > 0 {
-			start = uint32(next[sym-1]) + 1
-		}
-		code -= r * start
-		rng = r * (uint32(next[sym]) + 1 - start)
-		for rng < topValue {
-			var b byte
-			if pos < len(in) {
-				b = in[pos]
-			}
-			pos++
-			code = code<<8 | uint32(b)
-			rng <<= 8
-		}
-		dst[i] = sym
-	}
-	d.pos, d.code, d.rng = pos, code, rng
-	return nil
-}
-
-// DecodeSymbolsMulti is DecodeSymbols with a per-symbol model: dst[i] is
-// decoded under tabs[i].
-func (d *Decoder) DecodeSymbolsMulti(tabs []*FreqTable, dst []int) error {
-	if len(tabs) != len(dst) {
-		return fmt.Errorf("ac: %d symbols with %d models", len(dst), len(tabs))
-	}
-	in, pos, code, rng := d.in, d.pos, d.code, d.rng
-	for i := range dst {
-		m := tabs[i]
-		next, total := m.next16, m.total
-		r := divByTotal(rng, m.divMul)
-		f := code / r
-		if f >= total {
-			f = total - 1
-		}
-		sym := int(m.lut[f>>m.lutShift])
 		for uint32(next[sym]) < f {
 			sym++
 		}

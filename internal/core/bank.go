@@ -49,6 +49,18 @@ type ModelBank struct {
 	// arithmetic from the codec's inner loops — a row encodes with one
 	// bulk call over this slice.
 	rowDeltaTables [][][]*ac.FreqTable
+	// rowAnchorTables[kind*layers+layer] is the same shape for anchor rows:
+	// every entry points at the (kind, layer) anchor model, so anchor and
+	// delta rows decode through one kernel.
+	rowAnchorTables [][]*ac.FreqTable
+
+	// Dequantization tables, indexed by AC symbol, so the decode kernel
+	// stores a symbol's reconstruction straight into the destination row.
+	// anchorVals[s] is the anchor quantizer's integer value of s (scaled
+	// per channel at decode); deltaVals[lv][third][s] is the delta
+	// reconstruction of s at level lv for a layer third's bin size.
+	anchorVals []float32
+	deltaVals  [][3][]float32
 
 	// fingerprint cache (the bank is immutable after Train).
 	fpOnce sync.Once
@@ -90,9 +102,39 @@ func (b *ModelBank) rowTables(lv Level, kind tensor.Kind, layer int) []*ac.FreqT
 	return b.rowDeltaTables[lv][int(kind)*b.layers+layer]
 }
 
-// buildRowTables materialises rowDeltaTables from deltaTables. Called once
-// at the end of Train and UnmarshalBank.
+// buildRowTables materialises the per-row table slices and the
+// dequantization tables. Called once at the end of Train and
+// UnmarshalBank.
 func (b *ModelBank) buildRowTables() {
+	b.rowAnchorTables = make([][]*ac.FreqTable, 2*b.layers)
+	for _, kind := range tensor.Kinds {
+		for l := 0; l < b.layers; l++ {
+			row := make([]*ac.FreqTable, b.channels)
+			for ch := range row {
+				row[ch] = b.anchorTables[b.anchorIndex(kind, l)]
+			}
+			b.rowAnchorTables[int(kind)*b.layers+l] = row
+		}
+	}
+	// Entry by entry the arithmetic of quant's DequantizeRow methods, so
+	// decoded tensors keep their exact bits.
+	vq := quant.Vectorwise{Bits: b.cfg.AnchorBits}
+	b.anchorVals = make([]float32, vq.Levels())
+	for s := range b.anchorVals {
+		b.anchorVals[s] = float32(vq.ValueOf(s))
+	}
+	b.deltaVals = make([][3][]float32, len(b.deltaTables))
+	for lv := range b.deltaVals {
+		bins := b.cfg.binsFor(Level(lv))
+		for third, bin := range bins.Bins {
+			u := quant.Uniform{Bin: bin, Clamp: b.cfg.DeltaClamp}
+			vals := make([]float32, u.Levels())
+			for s := range vals {
+				vals[s] = u.Dequantize(u.ValueOf(s))
+			}
+			b.deltaVals[lv][third] = vals
+		}
+	}
 	b.rowDeltaTables = make([][][]*ac.FreqTable, len(b.deltaTables))
 	for lv, tabs := range b.deltaTables {
 		rows := make([][]*ac.FreqTable, 2*b.layers)

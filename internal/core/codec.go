@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/ac"
 	"repro/internal/quant"
@@ -32,6 +34,8 @@ type Codec struct {
 	// EncodeChunk/DecodeChunk calls, keeping the group hot loops
 	// allocation-free.
 	scratch sync.Pool
+	// decodeBusyNanos and decodedElems are DecodeTotals' counters.
+	decodeBusyNanos, decodedElems atomic.Int64
 }
 
 // NewCodec returns a codec over the given trained bank.
@@ -49,13 +53,15 @@ func NewCodec(bank *ModelBank) *Codec {
 }
 
 // groupScratch is the pooled per-batch working state: one row's symbol
-// and anchor buffers plus per-group entropy coders (grown on demand to
-// the batch's group count).
+// and anchor buffers for the encoder, plus per-group entropy coders and
+// the decode kernel's stream descriptors (grown on demand to the batch's
+// group count).
 type groupScratch struct {
 	syms []int     // one row's AC symbols
 	arow []float32 // dequantized anchor row
 	encs []*ac.Encoder
-	decs []*ac.Decoder
+	decs []ac.Decoder
+	rows []ac.RowStream
 }
 
 func (sc *groupScratch) encoders(n int) []*ac.Encoder {
@@ -65,11 +71,17 @@ func (sc *groupScratch) encoders(n int) []*ac.Encoder {
 	return sc.encs[:n]
 }
 
-func (sc *groupScratch) decoders(n int) []*ac.Decoder {
-	for len(sc.decs) < n {
-		sc.decs = append(sc.decs, new(ac.Decoder))
+// decodeStreams returns n stream descriptors, each bound to its own
+// pooled decoder.
+func (sc *groupScratch) decodeStreams(n int) []ac.RowStream {
+	if len(sc.decs) < n {
+		sc.decs = make([]ac.Decoder, n)
+		sc.rows = make([]ac.RowStream, n)
+		for i := range sc.rows {
+			sc.rows[i].Dec = &sc.decs[i]
+		}
 	}
-	return sc.decs[:n]
+	return sc.rows[:n]
 }
 
 // span is one token group's [start, end) range within a chunk.
@@ -137,6 +149,14 @@ func (c *Codec) Config() Config { return c.cfg }
 // Fingerprint returns the trained bank's stable digest (see
 // ModelBank.Fingerprint); the publisher keys its dedup index under it.
 func (c *Codec) Fingerprint() (string, error) { return c.bank.Fingerprint() }
+
+// DecodeTotals returns the cumulative time the codec's workers have spent
+// decoding token groups — measured while holding a coder slot, so time
+// queued for one is not in it — and the K and V elements they produced.
+// Elements per busy second is the decode throughput of one core.
+func (c *Codec) DecodeTotals() (busy time.Duration, elems int64) {
+	return time.Duration(c.decodeBusyNanos.Load()), c.decodedElems.Load()
+}
 
 // Chunk is a decoded context chunk: the KV tensor of a contiguous token
 // range plus its stream metadata.
@@ -794,141 +814,214 @@ func (c *Codec) DecodeLaneInto(dst *tensor.KV, dstOff int, p *ParsedChunk, lane 
 	if len(data) < p.LaneEnd(lane) {
 		return fmt.Errorf("%w: lane %d needs %d bytes, have %d", ErrShortChunk, lane, p.LaneEnd(lane), len(data))
 	}
+	if err := p.verifyLane(lane, data); err != nil {
+		return err
+	}
+	ln := p.lanes[lane]
 	c.groupSem <- struct{}{}
 	defer func() { <-c.groupSem }()
-	return c.decodeLane(dst, dstOff, p, lane, data)
+	c.decodeGroups(dst, dstOff, p, data, ln.start, ln.end)
+	return nil
 }
 
-// decodeLane is DecodeLaneInto after validation: the caller holds a
-// groupSem slot and has checked geometry and data length.
-func (c *Codec) decodeLane(dst *tensor.KV, dstOff int, p *ParsedChunk, lane int, data []byte) error {
+// verifyLane checks a v2 lane's payload against its header CRC; a v1
+// container was verified whole at parse.
+func (p *ParsedChunk) verifyLane(lane int, data []byte) error {
 	ln := p.lanes[lane]
-	start, end := p.groupOff[ln.start], p.groupOff[ln.end]
-	if p.laneCRC != nil && crc32.ChecksumIEEE(data[start:end]) != p.laneCRC[lane] {
+	if p.laneCRC != nil && crc32.ChecksumIEEE(data[p.groupOff[ln.start]:p.groupOff[ln.end]]) != p.laneCRC[lane] {
 		return fmt.Errorf("%w: lane %d checksum mismatch", ErrCorruptChunk, lane)
 	}
-	batch := p.groups[ln.start:ln.end]
-	streams := make([][]byte, len(batch))
-	for i := range batch {
-		gi := ln.start + i
-		streams[i] = data[p.groupOff[gi]:p.groupOff[gi+1]]
-	}
-	return c.decodeGroupBatch(dst, dstOff, batch, p.Header.Level, streams)
+	return nil
 }
 
-// decodeParsed decodes every lane of a parsed chunk into dst at token
-// offset dstOff, in parallel when the codec has more than one worker.
+// decodeParsed decodes a complete parsed chunk into dst at token offset
+// dstOff, in parallel when the codec has more than one worker.
 func (c *Codec) decodeParsed(dst *tensor.KV, dstOff int, p *ParsedChunk, data []byte) error {
+	run := newDecodeRun()
+	if err := c.appendDecodeJobs(run, dst, dstOff, p, data, c.workers()); err != nil {
+		return err
+	}
+	c.runDecodeJobs(dst, run)
+	return nil
+}
+
+// decodeJob is one unit of whole-container decode work: a run of
+// consecutive token groups of one parsed chunk.
+type decodeJob struct {
+	p      *ParsedChunk
+	data   []byte
+	dstOff int
+	groups span // group-index range within p
+}
+
+// decodeRun is the shared state of one runDecodeJobs call: the job list
+// and the counter its workers pull from. One allocation holds both for
+// any single chunk (a 1500-token chunk is 19 jobs).
+type decodeRun struct {
+	jobs   []decodeJob
+	next   atomic.Int64
+	wg     sync.WaitGroup
+	inline [24]decodeJob
+}
+
+func newDecodeRun() *decodeRun {
+	run := new(decodeRun)
+	run.jobs = run.inline[:0]
+	return run
+}
+
+// decodeJobGroups is how many token groups a decodeJob takes: two passes
+// of the lockstep kernel per (kind, layer) block, so a block's tables are
+// pulled through the cache once for eight groups, while a 1500-token chunk
+// still splits into enough jobs to keep the workers level.
+const decodeJobGroups = 2 * ac.MaxRowStreams
+
+// appendDecodeJobs validates a complete chunk (geometry, length, every
+// lane checksum) and appends the jobs that decode it for `parts` workers.
+// With the whole container at hand the lane table is only a checksum
+// boundary: jobs are cut in kernel-width multiples across lanes, so a
+// short chunk with one or two groups per lane still fills the kernel's
+// streams. When several workers share the chunk, its last stretch is cut
+// into single-width jobs, so they finish within one such job of each
+// other.
+func (c *Codec) appendDecodeJobs(run *decodeRun, dst *tensor.KV, dstOff int, p *ParsedChunk, data []byte, parts int) error {
 	if err := c.checkParsed(dst, dstOff, p); err != nil {
 		return err
 	}
 	if len(data) < p.total {
 		return fmt.Errorf("%w: have %d of %d container bytes", ErrShortChunk, len(data), p.total)
 	}
-	if len(p.lanes) == 1 || c.workers() == 1 {
-		// Inline, but still under the codec-wide coder budget (see
-		// encodeChunkRange).
-		for lane := range p.lanes {
-			c.groupSem <- struct{}{}
-			err := c.decodeLane(dst, dstOff, p, lane, data)
-			<-c.groupSem
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, len(p.lanes))
-	var wg sync.WaitGroup
-	sem := c.groupSem
 	for lane := range p.lanes {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(lane int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[lane] = c.decodeLane(dst, dstOff, p, lane, data)
-		}(lane)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+		if err := p.verifyLane(lane, data); err != nil {
 			return err
 		}
+	}
+	n := len(p.groups)
+	for lo := 0; lo < n; {
+		size := decodeJobGroups
+		if parts > 1 && n-lo <= decodeJobGroups*parts {
+			size = ac.MaxRowStreams
+		}
+		hi := min(lo+size, n)
+		run.jobs = append(run.jobs, decodeJob{p: p, data: data, dstOff: dstOff, groups: span{lo, hi}})
+		lo = hi
 	}
 	return nil
 }
 
-// decodeGroupBatch decodes a batch of group streams covering chunk tokens
-// [g.start, g.end) into dst tokens [dstOff+g.start, dstOff+g.end). It is
-// encodeGroupBatch's mirror: decode and dequantize are fused row-wise
-// (one bulk symbol decode into pooled scratch, then one dequantize pass
-// writing the destination row in place), and the batch's groups advance
-// through each (kind, layer) block in lockstep so the block's tables are
-// fetched into cache once per batch.
-func (c *Codec) decodeGroupBatch(dst *tensor.KV, dstOff int, batch []span, lv Level, streams [][]byte) error {
-	b := c.bank
-	vq, err := quant.NewVectorwise(c.cfg.AnchorBits)
-	if err != nil {
-		return err
+// runDecodeJobs decodes every job of run into dst. The caller and up to
+// workers-1 helper goroutines pull jobs off the shared counter, each
+// holding a slot of the codec-wide coder budget while it works. Helpers
+// never queue for a slot: before each of its own jobs the caller recruits
+// one for every slot that is free at that moment, so a busy codec decodes
+// on the caller alone and picks the other cores up as they come free.
+func (c *Codec) runDecodeJobs(dst *tensor.KV, run *decodeRun) {
+	spare := min(c.workers(), len(run.jobs)) - 1
+	c.groupSem <- struct{}{}
+	for {
+		for spare > 0 && int(run.next.Load()) < len(run.jobs) && c.recruitDecoder(dst, run) {
+			spare--
+		}
+		if !c.decodeNextJob(dst, run) {
+			break
+		}
 	}
-	bins := c.cfg.binsFor(lv)
-	channels := dst.Channels
-	sc := c.scratch.Get().(*groupScratch)
-	defer c.scratch.Put(sc)
-	syms := sc.syms
-	decs := sc.decoders(len(batch))
-	for gi := range batch {
-		decs[gi].Reset(streams[gi])
+	<-c.groupSem
+	run.wg.Wait()
+}
+
+// recruitDecoder starts a helper goroutine on run's jobs if a coder slot
+// is free right now, and reports whether it did.
+func (c *Codec) recruitDecoder(dst *tensor.KV, run *decodeRun) bool {
+	select {
+	case c.groupSem <- struct{}{}:
+	default:
+		return false
 	}
-	// Parked scratch must not pin the chunk payload the streams slice
-	// into; drop the references before the scratch returns to the pool.
-	defer func() {
-		for gi := range batch {
-			decs[gi].Reset(nil)
+	run.wg.Add(1)
+	go func() {
+		defer run.wg.Done()
+		defer func() { <-c.groupSem }()
+		for c.decodeNextJob(dst, run) {
 		}
 	}()
+	return true
+}
 
+// decodeNextJob claims and decodes run's next job, or reports that none is
+// left. The caller holds a groupSem slot.
+func (c *Codec) decodeNextJob(dst *tensor.KV, run *decodeRun) bool {
+	i := int(run.next.Add(1)) - 1
+	if i >= len(run.jobs) {
+		return false
+	}
+	j := &run.jobs[i]
+	c.decodeGroups(dst, j.dstOff, j.p, j.data, j.groups.start, j.groups.end)
+	return true
+}
+
+// decodeGroups decodes token groups [lo, hi) of a parsed chunk, whose
+// streams the caller has verified, into dst: group g's chunk tokens
+// [g.start, g.end) land on dst tokens dstOff+g.start onward. It is
+// encodeGroupBatch's mirror. Per (kind, layer) block every group's anchor
+// row, then every group's delta rows, go through ac.DecodeRows, which
+// advances the groups' coders in lockstep and writes dequantized values
+// straight into the destination rows; the block's tables are fetched into
+// cache once for the whole batch.
+func (c *Codec) decodeGroups(dst *tensor.KV, dstOff int, p *ParsedChunk, data []byte, lo, hi int) {
+	begin := time.Now()
+	b := c.bank
+	lv := p.Header.Level
+	batch := p.groups[lo:hi]
+	sc := c.scratch.Get().(*groupScratch)
+	rows := sc.decodeStreams(len(batch))
+	for i := range batch {
+		rows[i].Dec.Reset(data[p.groupOff[lo+i]:p.groupOff[lo+i+1]])
+	}
+	// Lockstep streams decode equally many rows. Only a chunk's last group
+	// can be short; it decodes in a call of its own.
+	full := len(batch)
+	if last := batch[full-1]; last.end-last.start != batch[0].end-batch[0].start {
+		full--
+	}
+
+	channels := dst.Channels
 	for _, kind := range tensor.Kinds {
 		for l := 0; l < dst.Layers; l++ {
-			scales := b.anchorScales[kind][l*channels : (l+1)*channels]
-			u, err := quant.NewUniform(bins.BinFor(l, dst.Layers), c.cfg.DeltaClamp)
-			if err != nil {
-				return err
-			}
-			deltaRow := b.rowTables(lv, kind, l)
+			deltaTabs := b.rowTables(lv, kind, l)
+			deltaVals := b.deltaVals[lv][c.cfg.BaseBins.GroupOf(l, dst.Layers)]
 
 			if c.cfg.DisableDelta {
-				for gi, g := range batch {
-					dec := decs[gi]
-					for t := g.start; t < g.end; t++ {
-						if err := dec.DecodeSymbolsMulti(deltaRow, syms); err != nil {
-							return err
-						}
-						u.DequantizeRow(syms, nil, dst.Row(kind, l, dstOff+t))
-					}
+				// Ablation: every token is a raw row, no anchor, no base.
+				for i, g := range batch {
+					rows[i].Dst = dst.Rows(kind, l, dstOff+g.start, dstOff+g.end)
 				}
-				continue
-			}
-
-			anchorTab := b.anchorTables[b.anchorIndex(kind, l)]
-			for gi, g := range batch {
-				dec := decs[gi]
-				anchorRow := dst.Row(kind, l, dstOff+g.start)
-				if err := dec.DecodeSymbols(anchorTab, syms); err != nil {
-					return err
+			} else {
+				scales := b.anchorScales[kind][l*channels : (l+1)*channels]
+				for i, g := range batch {
+					rows[i].Dst, rows[i].Base = dst.Row(kind, l, dstOff+g.start), nil
 				}
-				vq.DequantizeRow(syms, scales, anchorRow)
-				for t := g.start + 1; t < g.end; t++ {
-					if err := dec.DecodeSymbolsMulti(deltaRow, syms); err != nil {
-						return err
-					}
-					u.DequantizeRow(syms, anchorRow, dst.Row(kind, l, dstOff+t))
+				ac.DecodeRows(b.rowAnchorTables[int(kind)*b.layers+l], b.anchorVals, scales, rows)
+				// Delta rows against the dequantized anchor just written.
+				for i, g := range batch {
+					rows[i].Base = rows[i].Dst
+					rows[i].Dst = dst.Rows(kind, l, dstOff+g.start+1, dstOff+g.end)
 				}
 			}
+			ac.DecodeRows(deltaTabs, deltaVals, nil, rows[:full])
+			ac.DecodeRows(deltaTabs, deltaVals, nil, rows[full:])
 		}
 	}
-	return nil
+
+	// Parked scratch must not pin the chunk payload or the destination;
+	// drop the references before the scratch returns to the pool.
+	for i := range rows {
+		rows[i].Dec.Reset(nil)
+		rows[i].Dst, rows[i].Base = nil, nil
+	}
+	c.scratch.Put(sc)
+	c.decodeBusyNanos.Add(int64(time.Since(begin)))
+	c.decodedElems.Add(int64(2 * dst.Layers * (batch[len(batch)-1].end - batch[0].start) * dst.Channels))
 }
 
 // SplitOffsets returns the chunk boundaries for a context of the given
@@ -1042,54 +1135,19 @@ func (c *Codec) DecodeContext(chunks [][]byte) (*tensor.KV, error) {
 		total += p.Header.Tokens
 	}
 	kv := tensor.New(c.bank.layers, total, c.bank.channels)
-	if c.workers() == 1 {
-		off := 0
-		for i, p := range ps {
-			if err := c.decodeParsed(kv, off, p, chunks[i]); err != nil {
-				return nil, fmt.Errorf("core: chunk %d: %w", i, err)
-			}
-			off += p.Header.Tokens
-		}
-		return kv, nil
-	}
-	// Fan out every (chunk, lane) pair at once rather than walking
-	// chunks serially: each lane writes a disjoint destination range, so
-	// the whole context's lane population — not one chunk's — is what
-	// keeps the cores busy. This is where decode throughput scales with
-	// GOMAXPROCS past a single chunk's lane count.
-	errs := make([]error, len(ps))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := c.groupSem
+	// One job list over every chunk rather than a walk of chunks: each job
+	// writes a disjoint destination range, so the whole context's group
+	// population — not one chunk's — is what keeps the cores busy. This is
+	// where decode throughput scales with GOMAXPROCS past a single chunk.
+	run := newDecodeRun()
+	parts := (c.workers() + len(ps) - 1) / len(ps)
 	off := 0
 	for i, p := range ps {
-		if err := c.checkParsed(kv, off, p); err != nil {
-			errs[i] = err
-			off += p.Header.Tokens
-			continue
-		}
-		for lane := 0; lane < p.Lanes(); lane++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i, lane, off int, p *ParsedChunk) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if err := c.decodeLane(kv, off, p, lane, chunks[i]); err != nil {
-					mu.Lock()
-					if errs[i] == nil {
-						errs[i] = err
-					}
-					mu.Unlock()
-				}
-			}(i, lane, off, p)
+		if err := c.appendDecodeJobs(run, kv, off, p, chunks[i], parts); err != nil {
+			return nil, fmt.Errorf("core: chunk %d: %w", i, err)
 		}
 		off += p.Header.Tokens
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: chunk %d: %w", i, err)
-		}
-	}
+	c.runDecodeJobs(kv, run)
 	return kv, nil
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/llm"
 	"repro/internal/tensor"
 )
 
@@ -162,4 +165,99 @@ func TestEncodeContextParallelMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mistralChunk is the end-to-end benchmark's decode unit: one 1500-token
+// chunk of the Mistral-7B simulator at 32 channels.
+func mistralChunk(b *testing.B) (*Codec, *ParsedChunk, []byte, *tensor.KV) {
+	return mistralShape(b, 32, 1500)
+}
+
+// mistralShape encodes one chunk of the Mistral-7B simulator at L1 with a
+// bank trained the way bench/ trains it, and returns the codec, the parsed
+// container, its bytes and a destination to decode into.
+func mistralShape(b *testing.B, channels, tokens int) (*Codec, *ParsedChunk, []byte, *tensor.KV) {
+	b.Helper()
+	m := llm.MustNew(llm.Mistral7B().WithChannels(channels))
+	bank, err := Train(DefaultConfig(), []*tensor.KV{
+		m.CalculateKV(testTokens(1, 600)), m.CalculateKV(testTokens(2, 600)),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	codec := NewCodec(bank)
+	kv := m.CalculateKV(testTokens(3, tokens))
+	data, err := codec.EncodeChunk(kv, 0, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := codec.ParseChunk(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(kvBytes(kv))
+	return codec, p, data, tensor.New(kv.Layers, kv.Tokens, kv.Channels)
+}
+
+// reportMinOp runs op b.N times and also reports the fastest single run:
+// on a shared host the minimum is what survives CPU steal.
+func reportMinOp(b *testing.B, op func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	best := time.Duration(math.MaxInt64)
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		op()
+		best = min(best, time.Since(t0))
+	}
+	b.ReportMetric(float64(best)/1e6, "min-ms/op")
+}
+
+// BenchmarkDecodeLanesMistral decodes the chunk lane by lane on the
+// calling goroutine — the fetch pipeline's streaming unit, one core.
+func BenchmarkDecodeLanesMistral(b *testing.B) {
+	codec, p, data, dst := mistralChunk(b)
+	reportMinOp(b, func() {
+		for lane := 0; lane < p.Lanes(); lane++ {
+			if err := codec.DecodeLaneInto(dst, 0, p, lane, data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkDecodeParsedMistral decodes the whole container at once, on
+// every core the codec may use.
+func BenchmarkDecodeParsedMistral(b *testing.B) {
+	codec, p, data, dst := mistralChunk(b)
+	reportMinOp(b, func() {
+		if err := codec.DecodeParsedInto(dst, 0, p, data); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkDecodeLanesFleet is the short-chunk shape of the fleet
+// workloads (600 tokens × 16 channels: three or four groups per lane, so
+// most lanes never fill the four-wide kernel), lane by lane.
+func BenchmarkDecodeLanesFleet(b *testing.B) {
+	codec, p, data, dst := mistralShape(b, 16, 600)
+	reportMinOp(b, func() {
+		for lane := 0; lane < p.Lanes(); lane++ {
+			if err := codec.DecodeLaneInto(dst, 0, p, lane, data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkDecodeParsedFleet decodes the same short chunk whole, where
+// jobs are cut across lane boundaries.
+func BenchmarkDecodeParsedFleet(b *testing.B) {
+	codec, p, data, dst := mistralShape(b, 16, 600)
+	reportMinOp(b, func() {
+		if err := codec.DecodeParsedInto(dst, 0, p, data); err != nil {
+			b.Fatal(err)
+		}
+	})
 }

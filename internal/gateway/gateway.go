@@ -323,6 +323,17 @@ func (g *Gateway) register(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
+	// The codec keeps its own totals; elems ÷ busy seconds is the live
+	// per-core decode throughput, the bench ledger's
+	// core.decode_mb_per_s_1core in elements.
+	reg.GaugeFunc("cachegen_codec_decode_busy_seconds_total", "time codec workers spent decoding token groups", func() float64 {
+		busy, _ := g.cfg.Codec.DecodeTotals()
+		return busy.Seconds()
+	})
+	reg.GaugeFunc("cachegen_codec_decoded_elems_total", "K and V elements decoded", func() float64 {
+		_, elems := g.cfg.Codec.DecodeTotals()
+		return float64(elems)
+	})
 	reg.GaugeFunc("cachegen_gateway_queue_depth", "requests queued, not yet scheduled", func() float64 {
 		g.mu.Lock()
 		defer g.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/storage"
 	"repro/internal/streamer"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
@@ -467,10 +469,13 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 
 // TestGatewayStreamingTelemetry: a completed request through the
 // fleet's server-push stream surfaces the bandwidth estimate and
-// per-level byte counters in the tenant stats.
+// per-level byte counters in the tenant stats, and the codec's decode
+// totals on the registry.
 func TestGatewayStreamingTelemetry(t *testing.T) {
 	r := newTestRing(t, 1)
-	g, err := New(r.config(1, false))
+	cfg := r.config(1, false)
+	cfg.Telemetry = telemetry.NewRegistry()
+	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,5 +503,16 @@ func TestGatewayStreamingTelemetry(t *testing.T) {
 	}
 	if eff := ts.EffectiveBandwidth(); eff <= 0 {
 		t.Errorf("effective bandwidth = %v", eff)
+	}
+	var prom strings.Builder
+	cfg.Telemetry.WritePrometheus(&prom)
+	busy, elems := cfg.Codec.DecodeTotals()
+	if busy <= 0 || elems < int64(2*res.KV.Elems()) {
+		t.Errorf("decode totals (%v, %d elems) after delivering %d elems", busy, elems, 2*res.KV.Elems())
+	}
+	for _, name := range []string{"cachegen_codec_decode_busy_seconds_total ", "cachegen_codec_decoded_elems_total "} {
+		if !strings.Contains(prom.String(), "\n"+name) {
+			t.Errorf("exposition lacks %s:\n%s", name, prom.String())
+		}
 	}
 }

@@ -103,6 +103,14 @@ func (kv *KV) Row(kind Kind, layer, token int) []float32 {
 	return kv.Data(kind)[base : base+kv.Channels]
 }
 
+// Rows returns the contiguous rows of tokens [from, to) in one layer, to
+// channel vectors back to back. Mutating the returned slice mutates the
+// cache.
+func (kv *KV) Rows(kind Kind, layer, from, to int) []float32 {
+	base := layer * kv.Tokens
+	return kv.Data(kind)[(base+from)*kv.Channels : (base+to)*kv.Channels]
+}
+
 // SizeBytesFP16 returns the transmission-time size of the uncompressed
 // cache assuming fp16 storage (2 bytes/element, both K and V), the format
 // the paper's "original" sizes refer to (§3).
