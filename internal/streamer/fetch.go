@@ -2,7 +2,6 @@ package streamer
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -38,7 +37,11 @@ const DefaultPipelineDepth = 1
 // Fetcher streams a context's KV cache from a live chunk source:
 // chunk-by-chunk adaptive fetching, decoding pipelined with transmission
 // (§6), and text-fallback recompute through the model. It produces the
-// reassembled KV cache ready for generate_with_kv.
+// reassembled KV cache ready for generate_with_kv. Every fetch runs the
+// one chunk assembler; what varies is the byte-acquirer feeding it — the
+// server-push stream when Source implements StreamSource, the policy did
+// not route chunks at local sources (PathPolicy) and DisableStreaming is
+// unset, per-chunk GetChunkData otherwise.
 type Fetcher struct {
 	// Source serves manifests and chunks (a transport.Client or a
 	// cluster.Pool).
@@ -56,12 +59,13 @@ type Fetcher struct {
 	// metadata with hashes and indices before planning, and honors the
 	// policy's per-chunk Choice.Source routing: "ram" via Local, "disk"
 	// via LocalStore, "peer" via Peers, anything else via Source. A
-	// PathPolicy additionally decides between the streaming and
-	// request/response paths.
+	// PathPolicy additionally decides between the stream and the
+	// per-chunk acquirer.
 	Policy Policy
 	// Local is the gateway-local payload cache ("ram" source). When set,
-	// every payload pulled over the network is written through it. Nil
-	// disables the tier.
+	// every bitstream payload either acquirer pulls from anywhere else is
+	// written through it once it has decoded clean (text payloads never:
+	// nothing routes text to "ram"). Nil disables the tier.
 	Local PayloadCache
 	// LocalStore is a colocated store replica readable without the
 	// network ("disk" source). Nil disables the tier.
@@ -74,20 +78,21 @@ type Fetcher struct {
 	// serving gateway sets it to the request's admission time so queueing
 	// delay burns SLO budget and the per-chunk choices degrade accordingly.
 	Start time.Time
-	// PipelineDepth caps how many chunk transfers may be in flight at
-	// once (0 = DefaultPipelineDepth). At depth K, up to K transfers
+	// PipelineDepth bounds how far the acquirer may run ahead of the
+	// assembler (0 = DefaultPipelineDepth). For the per-chunk acquirer it
+	// caps the chunk transfers in flight: at depth K, up to K transfers
 	// overlap while completed chunks decode out of order (decode never
 	// holds a transfer slot); planner decisions stay sequential — the
 	// choice for chunk i uses the throughput measured from the most
 	// recently completed transfer, which at depths > 1 may be an older
-	// chunk than i−1. On the streaming path the depth bounds how many
+	// chunk than i−1. For the stream acquirer it bounds how many
 	// completed chunks may queue ahead of the in-order finalizer before
 	// backpressure pauses the sender.
 	PipelineDepth int
-	// DisableStreaming forces the per-chunk request/response path even
-	// when Source supports the multiplexed server-push stream — the
-	// chunk-granularity baseline, and the bit-for-bit reference the
-	// harness checks the streamed KV against.
+	// DisableStreaming selects the per-chunk acquirer even when Source
+	// supports the multiplexed server-push stream — the chunk-granularity
+	// baseline, and the bit-for-bit reference the harness checks the
+	// streamed KV against. Both acquirers feed the same assembler.
 	DisableStreaming bool
 	// FrameSize bounds the stream's DATA frames (0 = the transport
 	// default, 64 KiB).
@@ -146,13 +151,6 @@ func (f *Fetcher) annotateChunkInfos(man storage.Manifest, contextID string, inf
 	}
 }
 
-// laneGaugeAdd moves the in-flight lane gauge by d (nil-safe).
-func (f *Fetcher) laneGaugeAdd(d float64) {
-	if f.LanesGauge != nil {
-		f.LanesGauge.Add(d)
-	}
-}
-
 // rejectCorrupt accounts one integrity rejection.
 func (f *Fetcher) rejectCorrupt(report *FetchReport) {
 	report.CorruptRejected++
@@ -197,26 +195,25 @@ type FetchReport struct {
 	// ResidentTokens is the prefix served from the caller's resident KV
 	// instead of the network (FetchFrom); 0 for a cold fetch.
 	ResidentTokens int
-	// Streamed reports the multiplexed server-push path was used (frame-
+	// Streamed reports the stream acquirer fed the fetch (frame-
 	// granularity estimation and mid-stream steering); false means the
-	// per-chunk request/response path.
+	// per-chunk acquirer.
 	Streamed bool
 	// Bandwidth is the live bandwidth estimate at the end of the fetch in
-	// bits per second: the frame estimator's windowed harmonic mean on
-	// the streaming path, the last completed transfer's average otherwise.
+	// bits per second: the frame estimator's windowed harmonic mean from
+	// the stream acquirer, the last completed transfer's average otherwise.
 	Bandwidth float64
 	// LevelBytes counts received payload bytes by delivered configuration
-	// ("L0", "L1", …, "text"), cancel waste included.
+	// ("L0", "L1", …, "text"), cancel waste and corrupt refetches included.
 	LevelBytes map[string]int64
 	// Switches counts mid-stream level switches; Cancels counts in-flight
-	// chunks abandoned and re-sent cheaper. Both are 0 on the
-	// request/response path, which can only adapt at chunk boundaries.
+	// chunks abandoned and re-sent cheaper. Both are 0 with the per-chunk
+	// acquirer, which can only adapt at chunk boundaries.
 	Switches, Cancels int
 	// CorruptRejected counts payloads that failed integrity checks
-	// (CRC/header validation) and were rejected rather than decoded. The
-	// request/response path refetches such a chunk once before failing;
-	// the streaming path fails the fetch, since the stream's frames are
-	// already past.
+	// (CRC/header validation) and were rejected rather than decoded.
+	// However the payload arrived — streamed frames included — the chunk
+	// is refetched once by content hash before the fetch fails.
 	CorruptRejected int
 }
 
@@ -229,11 +226,11 @@ func (r *FetchReport) addLevelBytes(level string, n int64) {
 	r.LevelBytes[level] += n
 }
 
-// Fetch retrieves and reassembles the KV cache of contextID. Up to
-// PipelineDepth chunk transfers run concurrently while completed chunks
-// decode out of order — each chunk's coder lanes fanned across the
-// codec's worker pool — directly into the preallocated destination
-// tensor.
+// Fetch retrieves and reassembles the KV cache of contextID. Bytes
+// arrive from the stream or up to PipelineDepth concurrent chunk
+// transfers while chunks decode out of order — each chunk's coder lanes
+// fanned across the codec's worker pool — directly into the preallocated
+// destination tensor.
 func (f *Fetcher) Fetch(ctx context.Context, contextID string) (*tensor.KV, *FetchReport, error) {
 	return f.FetchFrom(ctx, contextID, nil)
 }
@@ -245,20 +242,36 @@ func (f *Fetcher) Fetch(ctx context.Context, contextID string) (*tensor.KV, *Fet
 // mid-chunk refetches that chunk). With the whole context resident, no
 // chunk moves at all and the call costs one manifest round trip.
 func (f *Fetcher) FetchFrom(ctx context.Context, contextID string, resident *tensor.KV) (*tensor.KV, *FetchReport, error) {
+	start, man, err := f.manifest(ctx, contextID)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f.fetch(ctx, start, man, contextID, resident)
+}
+
+// manifest checks the Fetcher is usable, anchors the request's clock and
+// fetches the context's manifest.
+func (f *Fetcher) manifest(ctx context.Context, contextID string) (time.Time, storage.Manifest, error) {
 	if f.Source == nil || f.Codec == nil || f.Model == nil {
-		return nil, nil, fmt.Errorf("streamer: Fetcher needs Source, Codec and Model")
+		return time.Time{}, storage.Manifest{}, fmt.Errorf("streamer: Fetcher needs Source, Codec and Model")
 	}
 	start := time.Now()
+	manStart := start
 	if !f.Start.IsZero() {
 		start = f.Start
 	}
-	sp := telemetry.FromContext(ctx)
-	manStart := time.Now()
 	man, err := f.Source.GetManifest(ctx, contextID)
 	if err != nil {
-		return nil, nil, fmt.Errorf("streamer: fetching manifest: %w", err)
+		return start, man, fmt.Errorf("streamer: fetching manifest: %w", err)
 	}
-	sp.Record("manifest", manStart, time.Since(manStart))
+	telemetry.FromContext(ctx).Record("manifest", manStart, time.Since(manStart))
+	return start, man, nil
+}
+
+// fetch assembles the context man describes behind the resident prefix.
+func (f *Fetcher) fetch(ctx context.Context, start time.Time, man storage.Manifest, contextID string,
+	resident *tensor.KV) (*tensor.KV, *FetchReport, error) {
+
 	meta := man.Meta
 	infos, err := BuildChunkInfos(meta, f.Model.Config(), f.Device, 1)
 	if err != nil {
@@ -315,310 +328,124 @@ func (f *Fetcher) FetchFrom(ctx context.Context, contextID string, resident *ten
 	}
 
 	// A path-aware policy is consulted before any transfer: it primes its
-	// per-chunk source assignment from the annotated metadata and forces
-	// the request/response path when it routed chunks at sources the
-	// stream cannot serve (cache, colocated disk, peers).
+	// per-chunk source assignment from the annotated metadata and asks for
+	// the per-chunk acquirer when it routed chunks at sources the stream
+	// cannot serve (cache, colocated disk, peers).
 	wantChunks := false
 	if pp, ok := f.policy().(PathPolicy); ok {
 		wantChunks = pp.PlanPath(suffixInfos) == PathChunks
 	}
 
-	// The multiplexed server-push path when the source speaks it: one
-	// stream open, frame-fed bandwidth estimation, mid-chunk steering.
+	a := f.newAssembler(ctx, start, man, suffixInfos, fromChunk, prefixTokens, dest, report)
+	defer a.cancel()
 	if src, ok := f.Source.(StreamSource); ok && !f.DisableStreaming && !wantChunks {
-		if err := f.fetchStreaming(ctx, src, start, man, suffixInfos, fromChunk, prefixTokens, dest, report); err != nil {
-			return nil, nil, err
-		}
-		report.LoadTime = time.Since(start)
-		return dest, report, nil
+		err = f.acquireStream(a, src)
+	} else {
+		err = f.acquireChunks(a, contextID)
 	}
+	if err := a.wait(err); err != nil {
+		return nil, nil, err
+	}
+	return dest, report, nil
+}
 
-	n := len(suffixInfos)
-	depth := f.PipelineDepth
-	if depth < 1 {
-		depth = DefaultPipelineDepth
-	}
-	if depth > n {
-		depth = n
-	}
-
-	// fctx cancels the pipeline as a whole: an error anywhere (decode
-	// worker, transfer, planner) stops further transfers and unblocks
-	// everyone; the deferred cancel reaps in-flight transfers on return.
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	decisions := make([]ChunkDecision, n)
-	// offsets[si] is chunk si's destination token offset — precomputed so
-	// out-of-order decode tasks know where their bytes land without any
-	// running cursor. assembled[si] closes once chunk si has fully landed
-	// in dest: bitstream chunks never wait on it, but a text chunk's
-	// recompute resumes the model from the assembled prefix and so waits
-	// on every predecessor.
-	offsets := make([]int, n)
-	for si, off := 0, prefixTokens; si < n; si++ {
-		offsets[si] = off
-		off += suffixInfos[si].Tokens
-	}
-	assembled := make([]chan struct{}, n)
-	for i := range assembled {
-		assembled[i] = make(chan struct{})
-	}
-
-	// Shared transfer bookkeeping. throughput/lastDone track the most
-	// recently *completed* transfer — with overlapping transfers,
-	// completions can land out of chunk order, and the planner wants the
-	// freshest measurement. Phase intervals (and their trace spans) go
-	// through the fetch timeline, which apply() reduces into the report.
-	tl := &fetchTimeline{}
-	var xfer struct {
+// acquireChunks is the per-chunk byte-acquirer: sequential planner
+// decisions, up to PipelineDepth GetChunkData transfers in flight, each
+// chunk routed at the source its choice names (RAM, colocated disk, a
+// peer's resident KV, the fleet). A transfer slot is released the moment
+// the wire is done, and the payload is fed to the assembler whole.
+func (f *Fetcher) acquireChunks(a *assembler, contextID string) error {
+	// The link estimate tracks the most recently *completed* network
+	// transfer — with overlapping transfers, completions can land out of
+	// chunk order, and the planner wants the freshest measurement.
+	var link struct {
 		sync.Mutex
 		throughput float64
 		lastDone   time.Time
-		bytes      int64
 	}
-
-	// Chunks decode out of order, so the first failure chronologically is
-	// the real one: it cancels the fetch, and the context errors that
-	// cancellation induces in the remaining tasks arrive later and are
-	// dropped.
-	var firstErr struct {
-		sync.Mutex
-		err error
-	}
-	fail := func(err error) {
-		firstErr.Lock()
-		if firstErr.err == nil {
-			firstErr.err = err
-			cancel()
-		}
-		firstErr.Unlock()
-	}
-
-	// finishChunk turns one completed transfer into assembled tokens. It
-	// runs on the transfer's own goroutine after the transfer slot is
-	// released, so chunk decodes overlap each other and later transfers;
-	// within a chunk the codec fans the coder lanes across its worker
-	// pool. Exactly one decode/recompute span per chunk is recorded.
-	finishChunk := func(si int, payload []byte) {
-		i := fromChunk + si
-		choice := decisions[si].Choice
-		if choice.Text {
-			for j := 0; j < si; j++ {
-				select {
-				case <-assembled[j]:
-				case <-fctx.Done():
-					fail(fmt.Errorf("streamer: chunk %d: %w", i, fctx.Err()))
-					return
-				}
-			}
-		}
-		dur, lanes, err := f.decodeInto(dest, offsets[si], i, suffixInfos[si].Tokens, choice, payload)
-		if errors.Is(err, core.ErrCorruptChunk) {
-			// A payload that fails its integrity checks is wire or
-			// storage corruption, not a protocol failure: reject the
-			// bytes and refetch the chunk once by its content hash.
-			f.rejectCorrupt(report)
-			if sp != nil {
-				sp.Event("corrupt-reject", telemetry.Attr{Key: "chunk", Value: i})
-			}
-			level := int(choice.Level)
-			if choice.Text {
-				level = storage.TextLevel
-			}
-			if hash, herr := man.ChunkHash(level, i); herr == nil {
-				if f.Local != nil {
-					// The cached copy may be the corrupt one; never serve
-					// it again.
-					f.Local.Drop(hash)
-				}
-				refetchStart := time.Now()
-				if payload, ferr := f.Source.GetChunkData(fctx, hash); ferr == nil {
-					// The refetch is transfer time and payload bytes like
-					// any other: it must not vanish from the attribution.
-					var attrs []telemetry.Attr
-					if sp != nil {
-						attrs = []telemetry.Attr{{Key: "chunk", Value: i}, {Key: "refetch", Value: true}, {Key: "bytes", Value: len(payload)}}
-					}
-					tl.add(sp, phaseTransfer, "transfer", refetchStart, time.Now(), attrs)
-					xfer.Lock()
-					xfer.bytes += int64(len(payload))
-					xfer.Unlock()
-					dur, lanes, err = f.decodeInto(dest, offsets[si], i, suffixInfos[si].Tokens, choice, payload)
-				}
-			}
-		}
-		if err != nil {
-			fail(fmt.Errorf("streamer: chunk %d: %w", i, err))
-			return
-		}
-		decisions[si].Compute = dur
-		kind, name := phaseDecode, "decode"
-		if choice.Text {
-			kind, name = phaseRecompute, "recompute"
-		}
-		decodeEnd := time.Now()
-		var attrs []telemetry.Attr
-		if sp != nil {
-			attrs = []telemetry.Attr{{Key: "chunk", Value: i}, {Key: "level", Value: choice.String()}}
-			if !choice.Text {
-				attrs = append(attrs, telemetry.Attr{Key: "lanes", Value: lanes})
-			}
-		}
-		tl.add(sp, kind, name, decodeEnd.Add(-dur), decodeEnd, attrs)
-		close(assembled[si])
-	}
-
-	// Issue loop: sequential planner decisions, up to `depth` transfers
-	// in flight. The slot is released the moment the wire is done — the
-	// decode rides the same goroutine but does not hold up later
-	// transfers.
 	var wg sync.WaitGroup
-	inflight := make(chan struct{}, depth)
+	inflight := make(chan struct{}, min(a.depth, len(a.infos)))
 	issue := func(si int) error {
+		i := a.from + si
+		// An abandoned request (deadline hit, user gone) or a failed
+		// earlier chunk must stop issuing transfers, not stream the rest of
+		// the context to a caller that will discard it.
 		select {
 		case inflight <- struct{}{}:
-		case <-fctx.Done():
-			return fmt.Errorf("streamer: cancelled before chunk %d: %w", fromChunk+si, fctx.Err())
+		case <-a.ctx.Done():
 		}
-		if err := fctx.Err(); err != nil {
-			// An abandoned request (deadline hit, user gone) or a failed
-			// earlier chunk must stop issuing transfers, not stream the
-			// rest of the context to a caller that will discard it.
-			<-inflight
-			return fmt.Errorf("streamer: cancelled before chunk %d: %w", fromChunk+si, err)
+		if err := a.ctx.Err(); err != nil {
+			return fmt.Errorf("streamer: cancelled before chunk %d: %w", i, err)
 		}
-		i := fromChunk + si
-		xfer.Lock()
-		tp := xfer.throughput
-		xfer.Unlock()
-		elapsed := time.Since(start)
-		choice, err := f.policy().Choose(si, elapsed, tp, suffixInfos)
+		link.Lock()
+		tp := link.throughput
+		link.Unlock()
+		choice, err := f.policy().Choose(si, time.Since(a.start), tp, a.infos)
 		if err != nil {
-			<-inflight
 			return fmt.Errorf("streamer: %w", err)
 		}
-		level := int(choice.Level)
-		if choice.Text {
-			level = storage.TextLevel
-		}
-		hash, err := man.ChunkHash(level, i)
+		hash, err := a.man.ChunkHash(choiceLevel(choice), i)
 		if err != nil {
-			<-inflight
 			return fmt.Errorf("streamer: %w", err)
 		}
-		decisions[si].Chunk = i
-		decisions[si].Choice = choice
-		decisions[si].Source = sourceLabel(choice)
-		if sp != nil {
-			sp.Event("plan", telemetry.Attr{Key: "chunk", Value: i}, telemetry.Attr{Key: "level", Value: choice.String()},
-				telemetry.Attr{Key: "source", Value: decisions[si].Source})
-		}
+		a.plan(si, choice)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			reqStart := time.Now()
 			if choice.Source == SourcePeer && f.Peers != nil {
-				part, lvl, perr := f.Peers.FetchResident(fctx, contextID, i)
-				if perr == nil {
+				if part, lvl, err := f.Peers.FetchResident(a.ctx, contextID, i); err == nil {
 					<-inflight
-					done := time.Now()
-					if part.Tokens != suffixInfos[si].Tokens {
-						fail(fmt.Errorf("streamer: chunk %d: peer served %d tokens, meta says %d",
-							i, part.Tokens, suffixInfos[si].Tokens))
-						return
-					}
-					if err := dest.CopyTokensAt(offsets[si], part, 0, part.Tokens); err != nil {
-						fail(fmt.Errorf("streamer: chunk %d: adopting peer KV: %w", i, err))
-						return
-					}
 					// The decision records what actually moved: the peer's
 					// resident quality (its original decode level) and the
 					// raw KV bytes of the transfer.
-					dc := levelChoice(lvl)
+					done, dc := time.Now(), levelChoice(lvl)
 					dc.Source = SourcePeer
-					bytes := part.SizeBytesFP16()
-					decisions[si].Choice = dc
-					decisions[si].Bytes = bytes
-					decisions[si].Transfer = done.Sub(reqStart)
-					var attrs []telemetry.Attr
-					if sp != nil {
-						attrs = []telemetry.Attr{{Key: "chunk", Value: i}, {Key: "source", Value: SourcePeer}, {Key: "bytes", Value: bytes}}
-					}
-					tl.add(sp, phaseTransfer, "transfer", reqStart, done, attrs)
-					xfer.Lock()
-					xfer.bytes += bytes
-					xfer.Unlock()
-					close(assembled[si])
+					c := a.begin(si, lvl, 0)
+					a.adopt(c, part)
+					a.finish(c, delivery{choice: dc, from: SourcePeer, start: reqStart, end: done, transfer: done.Sub(reqStart)})
 					return
 				}
 				// No peer holds the chunk anymore: fall through to the
 				// fleet at the planned level.
 			}
-			payload, from, err := f.fetchPayload(fctx, hash, choice)
+			payload, from, err := f.fetchPayload(a.ctx, hash, choice)
 			<-inflight
 			if err != nil {
-				fail(fmt.Errorf("streamer: fetching chunk %d (%s): %w", i, choice, err))
+				a.fail(fmt.Errorf("streamer: fetching chunk %d (%s): %w", i, choice, err))
 				return
 			}
-			decisions[si].Source = from
 			done := time.Now()
-			dur := done.Sub(reqStart)
-			tp := netsim.Throughput(int64(len(payload)), dur)
-			decisions[si].Bytes = int64(len(payload))
-			decisions[si].Transfer = dur
-			decisions[si].Throughput = tp
-			var attrs []telemetry.Attr
-			if sp != nil {
-				attrs = []telemetry.Attr{{Key: "chunk", Value: i}, {Key: "level", Value: choice.String()}, {Key: "bytes", Value: len(payload)}}
-			}
-			tl.add(sp, phaseTransfer, "transfer", reqStart, done, attrs)
-			xfer.Lock()
-			if fromNetwork(from) && done.After(xfer.lastDone) {
+			tp := netsim.Throughput(int64(len(payload)), done.Sub(reqStart))
+			link.Lock()
+			if fromNetwork(from) && done.After(link.lastDone) {
 				// Cache and colocated-disk reads say nothing about the
 				// fleet link; only network deliveries feed the estimate.
-				xfer.lastDone = done
-				xfer.throughput = tp
+				link.lastDone, link.throughput = done, tp
 			}
-			xfer.bytes += int64(len(payload))
-			xfer.Unlock()
-			finishChunk(si, payload)
+			link.Unlock()
+			c := a.begin(si, choiceLevel(choice), int64(len(payload)))
+			a.feed(c, payload)
+			a.finish(c, delivery{choice: choice, from: from, start: reqStart, end: done, transfer: done.Sub(reqStart), throughput: tp})
 		}()
 		return nil
 	}
-	for si := range suffixInfos {
-		if err := issue(si); err != nil {
-			fail(err)
-			break
-		}
+	var err error
+	for si := 0; si < len(a.infos) && err == nil; si++ {
+		err = issue(si)
+	}
+	if err != nil {
+		a.fail(err) // now, so the transfers in flight stop
 	}
 	wg.Wait()
-	firstErr.Lock()
-	err = firstErr.err
-	firstErr.Unlock()
-	if err != nil {
-		return nil, nil, err
-	}
-
-	tl.apply(report)
-	report.BytesReceived = xfer.bytes
-	report.Decisions = decisions
-	for _, d := range decisions {
-		report.addLevelBytes(d.Choice.String(), d.Bytes)
-	}
-	xfer.Lock()
-	report.Bandwidth = xfer.throughput
-	xfer.Unlock()
-	report.LoadTime = time.Since(start)
-	return dest, report, nil
+	a.report.Bandwidth = link.throughput
+	return err
 }
 
 // fetchPayload delivers one chunk payload honoring the choice's source
 // routing. RAM and disk misses (or failures) fall back to the fleet, so
-// a stale plan degrades to a network fetch instead of failing. Every
-// payload pulled over the network (or read off the colocated disk) is
-// written through the local cache. Returns the payload and the source
-// class that actually served it.
+// a stale plan degrades to a network fetch instead of failing. Returns
+// the payload and the source class that actually served it.
 func (f *Fetcher) fetchPayload(ctx context.Context, hash string, choice Choice) ([]byte, string, error) {
 	switch choice.Source {
 	case SourceRAM:
@@ -630,9 +457,6 @@ func (f *Fetcher) fetchPayload(ctx context.Context, hash string, choice Choice) 
 	case SourceDisk:
 		if f.LocalStore != nil {
 			if data, err := f.LocalStore.GetChunkData(ctx, hash); err == nil {
-				if f.Local != nil {
-					f.Local.Put(hash, data)
-				}
 				return data, SourceDisk, nil
 			}
 		}
@@ -640,9 +464,6 @@ func (f *Fetcher) fetchPayload(ctx context.Context, hash string, choice Choice) 
 	data, err := f.Source.GetChunkData(ctx, hash)
 	if err != nil {
 		return nil, "", err
-	}
-	if f.Local != nil {
-		f.Local.Put(hash, data)
 	}
 	from := sourceLabel(choice)
 	if !fromNetwork(from) {
@@ -663,52 +484,4 @@ func fromNetwork(source string) bool {
 		return false
 	}
 	return true
-}
-
-// decodeInto turns one fetched payload into dest's token range
-// [offset, offset+tokens), returning the decode/recompute duration and
-// how many coder lanes the container carried (0 on the text path). The
-// lane count is reflected in LanesGauge for the duration of the decode.
-func (f *Fetcher) decodeInto(dest *tensor.KV, offset, idx, tokens int, choice Choice, payload []byte) (time.Duration, int, error) {
-	begin := time.Now()
-	if choice.Text {
-		toks, err := llm.DecodeTokens(payload)
-		if err != nil {
-			// A text payload that does not parse is corrupt in transit or
-			// at rest; classify it so callers can refetch.
-			return 0, 0, fmt.Errorf("%w: text payload: %v", core.ErrCorruptChunk, err)
-		}
-		if len(toks) != tokens {
-			return 0, 0, fmt.Errorf("%w: text payload has %d tokens, meta says %d", core.ErrCorruptChunk, len(toks), tokens)
-		}
-		// The assembled prefix lives in dest's first `offset` tokens;
-		// ExtendKV resumes the model state from there.
-		part, err := f.Model.ExtendKV(dest, offset, toks)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := dest.CopyTokensAt(offset, part, 0, part.Tokens); err != nil {
-			return 0, 0, err
-		}
-		return time.Since(begin), 0, nil
-	}
-	p, err := f.Codec.ParseChunk(payload)
-	if err != nil {
-		return 0, 0, err
-	}
-	hdr := p.Header
-	if hdr.Index != idx || hdr.TokenOffset != offset {
-		return 0, 0, fmt.Errorf("chunk metadata mismatch: got (%d,%d), want (%d,%d)",
-			hdr.Index, hdr.TokenOffset, idx, offset)
-	}
-	if hdr.Tokens != tokens {
-		return 0, 0, fmt.Errorf("chunk has %d tokens, meta says %d", hdr.Tokens, tokens)
-	}
-	lanes := p.Lanes()
-	f.laneGaugeAdd(float64(lanes))
-	defer f.laneGaugeAdd(-float64(lanes))
-	if err := f.Codec.DecodeParsedInto(dest, offset, p, payload); err != nil {
-		return 0, lanes, err
-	}
-	return time.Since(begin), lanes, nil
 }

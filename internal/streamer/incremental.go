@@ -3,6 +3,7 @@ package streamer
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -11,9 +12,9 @@ import (
 )
 
 // Incremental fetching — the live side of the SVC-style extension
-// (DESIGN.md §5b, paper §9): fetch every chunk at the coarsest level
-// first so generation can start as early as possible, then upgrade the
-// resident cache in place by fetching refinement bitstreams.
+// (paper §9): fetch every chunk at the coarsest level first so
+// generation can start as early as possible, then upgrade the resident
+// cache in place by fetching refinement bitstreams.
 
 // IncrementalFetch is the two-phase result of FetchIncremental.
 type IncrementalFetch struct {
@@ -24,21 +25,21 @@ type IncrementalFetch struct {
 	// time-to-first-usable-cache).
 	BaseReport *FetchReport
 
-	fetcher   *Fetcher
-	contextID string
-	manifest  storage.Manifest
-	target    core.Level
-	chunks    []*core.Chunk
+	fetcher  *Fetcher
+	manifest storage.Manifest
+	target   core.Level
 }
 
 // Upgrade fetches the refinement streams and returns the cache upgraded
 // to the target level's quality. It can run after generation has already
-// started from Base.
+// started from Base, which it reads but does not modify.
 func (inc *IncrementalFetch) Upgrade(ctx context.Context) (*tensor.KV, *FetchReport, error) {
 	start := time.Now()
+	meta := inc.manifest.Meta
 	report := &FetchReport{}
-	parts := make([]*tensor.KV, len(inc.chunks))
-	for i, base := range inc.chunks {
+	parts := make([]*tensor.KV, meta.NumChunks())
+	offset := 0
+	for i, tokens := range meta.ChunkTokens {
 		hash, err := inc.manifest.ChunkHash(storage.RefineLevelKey(int(inc.target)), i)
 		if err != nil {
 			return nil, nil, fmt.Errorf("streamer: %w", err)
@@ -49,11 +50,18 @@ func (inc *IncrementalFetch) Upgrade(ctx context.Context) (*tensor.KV, *FetchRep
 			return nil, nil, fmt.Errorf("streamer: fetching refinement chunk %d: %w", i, err)
 		}
 		dur := time.Since(reqStart)
+		// The chunk's base is its token range of the assembled tensor.
+		kv, err := inc.Base.SliceTokens(offset, offset+tokens)
+		if err != nil {
+			return nil, nil, fmt.Errorf("streamer: %w", err)
+		}
+		base := &core.Chunk{Index: i, TokenOffset: offset, Level: core.Level(meta.Levels - 1), KV: kv}
 		up, err := inc.fetcher.Codec.ApplyRefinement(base, payload)
 		if err != nil {
 			return nil, nil, fmt.Errorf("streamer: applying refinement chunk %d: %w", i, err)
 		}
 		parts[i] = up.KV
+		offset += tokens
 		report.Decisions = append(report.Decisions, ChunkDecision{
 			Chunk: i, Choice: Choice{Level: inc.target}, Bytes: int64(len(payload)), Transfer: dur,
 		})
@@ -71,72 +79,23 @@ func (inc *IncrementalFetch) Upgrade(ctx context.Context) (*tensor.KV, *FetchRep
 // bitstreams now (smallest, fastest first token) and, via the returned
 // handle, refinement streams that upgrade the cache to `target`. The
 // context must have been published with the matching refinement target
-// (PublishOptions.RefineTargets).
+// (PublishOptions.RefineTargets). The base phase is an ordinary fetch
+// pinned at the coarsest level: it streams when the source can, pipelines
+// at PipelineDepth and refetches corrupt payloads like any other.
 func (f *Fetcher) FetchIncremental(ctx context.Context, contextID string, target core.Level) (*IncrementalFetch, error) {
-	if f.Source == nil || f.Codec == nil {
-		return nil, fmt.Errorf("streamer: Fetcher needs Source and Codec")
-	}
-	start := time.Now()
-	man, err := f.Source.GetManifest(ctx, contextID)
+	start, man, err := f.manifest(ctx, contextID)
 	if err != nil {
-		return nil, fmt.Errorf("streamer: fetching manifest: %w", err)
+		return nil, err
 	}
-	meta := man.Meta
-	available := false
-	for _, t := range meta.RefineTargets {
-		if t == int(target) {
-			available = true
-			break
-		}
-	}
-	if !available {
+	if !slices.Contains(man.Meta.RefineTargets, int(target)) {
 		return nil, fmt.Errorf("streamer: context %q has no refinement streams for level %d (published targets: %v)",
-			contextID, target, meta.RefineTargets)
+			contextID, target, man.Meta.RefineTargets)
 	}
-	coarsest := meta.Levels - 1
-
-	report := &FetchReport{}
-	chunks := make([]*core.Chunk, meta.NumChunks())
-	parts := make([]*tensor.KV, meta.NumChunks())
-	offset := 0
-	for i := 0; i < meta.NumChunks(); i++ {
-		hash, err := man.ChunkHash(coarsest, i)
-		if err != nil {
-			return nil, fmt.Errorf("streamer: %w", err)
-		}
-		reqStart := time.Now()
-		payload, err := f.Source.GetChunkData(ctx, hash)
-		if err != nil {
-			return nil, fmt.Errorf("streamer: fetching base chunk %d: %w", i, err)
-		}
-		dur := time.Since(reqStart)
-		ch, err := f.Codec.DecodeChunk(payload)
-		if err != nil {
-			return nil, fmt.Errorf("streamer: decoding base chunk %d: %w", i, err)
-		}
-		if ch.Index != i || ch.TokenOffset != offset || ch.KV.Tokens != meta.ChunkTokens[i] {
-			return nil, fmt.Errorf("streamer: base chunk %d metadata mismatch", i)
-		}
-		chunks[i] = ch
-		parts[i] = ch.KV
-		offset += ch.KV.Tokens
-		report.Decisions = append(report.Decisions, ChunkDecision{
-			Chunk: i, Choice: Choice{Level: core.Level(coarsest)}, Bytes: int64(len(payload)), Transfer: dur,
-		})
-		report.BytesReceived += int64(len(payload))
-	}
-	base, err := tensor.ConcatTokens(parts...)
+	pinned := *f
+	pinned.Policy, pinned.Planner = nil, Planner{DefaultLevel: core.Level(man.Meta.Levels - 1)}
+	base, report, err := pinned.fetch(ctx, start, man, contextID, nil)
 	if err != nil {
-		return nil, fmt.Errorf("streamer: reassembling base cache: %w", err)
+		return nil, err
 	}
-	report.LoadTime = time.Since(start)
-	return &IncrementalFetch{
-		Base:       base,
-		BaseReport: report,
-		fetcher:    f,
-		contextID:  contextID,
-		manifest:   man,
-		target:     target,
-		chunks:     chunks,
-	}, nil
+	return &IncrementalFetch{Base: base, BaseReport: report, fetcher: f, manifest: man, target: target}, nil
 }

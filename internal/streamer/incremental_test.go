@@ -68,15 +68,27 @@ func TestPublishRejectsBadRefineTargets(t *testing.T) {
 	}
 }
 
+// TestFetchIncremental runs the two-phase fetch over both acquirers: the
+// base phase is an ordinary fetch pinned at the coarsest level, so it
+// streams exactly when a plain fetch would.
 func TestFetchIncremental(t *testing.T) {
 	s, man := incStack(t, []core.Level{0})
-	meta := man.Meta
+	for _, streaming := range []bool{true, false} {
+		t.Run(map[bool]string{true: "stream", false: "per-chunk"}[streaming], func(t *testing.T) {
+			testFetchIncremental(t, s, man.Meta, streaming)
+		})
+	}
+}
+
+func testFetchIncremental(t *testing.T, s *testStack, meta storage.ContextMeta, streaming bool) {
 	f := &Fetcher{
-		Source:  s.client,
-		Codec:   s.codec,
-		Model:   s.model,
-		Device:  llm.A40x4(),
-		Planner: Planner{Adapt: false, DefaultLevel: 0},
+		Source:           s.client,
+		Codec:            s.codec,
+		Model:            s.model,
+		Device:           llm.A40x4(),
+		Planner:          Planner{Adapt: false, DefaultLevel: 0},
+		PipelineDepth:    2,
+		DisableStreaming: !streaming,
 	}
 	ctx := context.Background()
 	inc, err := f.FetchIncremental(ctx, "inc-1", 0)
@@ -85,6 +97,9 @@ func TestFetchIncremental(t *testing.T) {
 	}
 	if inc.Base.Tokens != len(s.tokens) {
 		t.Fatalf("base covers %d tokens", inc.Base.Tokens)
+	}
+	if inc.BaseReport.Streamed != streaming {
+		t.Errorf("base phase streamed = %v, want %v", inc.BaseReport.Streamed, streaming)
 	}
 
 	// The base phase must move fewer bytes than a direct finest-level

@@ -3,7 +3,6 @@ package streamer
 import (
 	"context"
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
@@ -62,20 +61,7 @@ func newStack(t *testing.T) *testStack {
 		t.Fatal(err)
 	}
 
-	srv := transport.NewServer(store)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	client, err := transport.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-
-	return &testStack{model: model, codec: codec, store: store, tokens: tokens, kv: kv, man: man, meta: man.Meta, client: client}
+	return &testStack{model: model, codec: codec, store: store, tokens: tokens, kv: kv, man: man, meta: man.Meta, client: serve(t, store)}
 }
 
 func TestPublishStoresAllArtifacts(t *testing.T) {
@@ -195,36 +181,39 @@ func TestFetchEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFetchTextFallbackIsLossless drives the shipped Planner — an SLO so
+// generous that text (lossless) always fits — through a live fetch on
+// either acquirer: the stream is opened at the text level, every decision
+// is text, nothing is decoded, and recompute behind the assembled prefix
+// (ExtendKV resumes from the partially filled destination) gives back the
+// original KV exactly.
 func TestFetchTextFallbackIsLossless(t *testing.T) {
 	s := newStack(t)
-	// A planner that always picks text: set an SLO so generous that text
-	// always fits (recompute estimates are microseconds at this scale).
-	f := &Fetcher{
-		Source: s.client,
-		Codec:  s.codec,
-		Model:  s.model,
-		Device: llm.A40x4(),
-		Planner: Planner{
-			Adapt: true, SLO: time.Hour, DefaultLevel: 1,
-			PriorBandwidth: 1e9,
-		},
-	}
-	kv, report, err := f.Fetch(context.Background(), "ctx-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range report.Decisions {
-		if !d.Choice.Text {
-			t.Fatalf("expected all-text decisions, got %+v", report.Decisions)
+	for _, streaming := range []bool{true, false} {
+		f := &Fetcher{
+			Source: s.client, Codec: s.codec, Model: s.model, Device: llm.A40x4(),
+			Planner:          Planner{Adapt: true, SLO: time.Hour, DefaultLevel: 1, PriorBandwidth: 1e9},
+			PipelineDepth:    3,
+			DisableStreaming: !streaming,
 		}
-	}
-	// Text recompute is exact: the result must equal the original cache.
-	diff, err := s.kv.MaxAbsDiff(kv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff != 0 {
-		t.Errorf("text-recomputed cache differs by %v", diff)
+		kv, rep, err := f.Fetch(context.Background(), "ctx-1")
+		if err != nil {
+			t.Fatalf("streaming=%v: %v", streaming, err)
+		}
+		if rep.Streamed != streaming || len(rep.Decisions) != s.meta.NumChunks() {
+			t.Errorf("streaming=%v: streamed %v, %d decisions", streaming, rep.Streamed, len(rep.Decisions))
+		}
+		for i, d := range rep.Decisions {
+			if !d.Choice.Text {
+				t.Fatalf("streaming=%v: decision %d chose %v, want text", streaming, i, d.Choice)
+			}
+		}
+		if d, err := kv.MaxAbsDiff(s.kv); err != nil || d != 0 {
+			t.Errorf("streaming=%v: text-path fetch differs from the original KV (diff %v, err %v)", streaming, d, err)
+		}
+		if rep.RecomputeTime <= 0 || rep.DecodeTime != 0 {
+			t.Errorf("streaming=%v: recompute %v, decode %v; want recompute only", streaming, rep.RecomputeTime, rep.DecodeTime)
+		}
 	}
 }
 
@@ -294,18 +283,7 @@ func TestFetchOverShapedLink(t *testing.T) {
 	s := newStack(t)
 	// Serve the same store over a heavily shaped link; the fetch must
 	// still succeed and take measurably longer.
-	srv := transport.NewServer(s.store, transport.WithEgressRate(8e6)) // 1 MB/s
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-	client, err := transport.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client := serve(t, s.store, transport.WithEgressRate(8e6)) // 1 MB/s
 
 	f := &Fetcher{
 		Source:  client,

@@ -191,90 +191,3 @@ func TestFetchSingleDestinationAllocation(t *testing.T) {
 		t.Errorf("fetch allocated %d bytes, budget %d (2x the %d-byte KV): reassembly is copying per chunk", allocated, budget, kvBytes)
 	}
 }
-
-// TestFetchFromResidentPipelined: a warm fetch with a resident prefix
-// must produce the same tensor as a cold fetch at every pipeline depth.
-func TestFetchFromResidentPipelined(t *testing.T) {
-	s := newStack(t)
-	ctx := context.Background()
-	cold := mustDecodeReference(t, s)
-	// Resident through the first two chunks (80 tokens each).
-	resident, err := s.kv.SliceTokens(0, 160)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, depth := range []int{1, 3} {
-		f := &Fetcher{
-			Source: s.client, Codec: s.codec, Model: s.model, Device: llm.A40x4(),
-			Planner:       Planner{Adapt: false, DefaultLevel: 1},
-			PipelineDepth: depth,
-		}
-		kv, rep, err := f.FetchFrom(ctx, "ctx-1", resident)
-		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
-		if rep.ResidentTokens != 160 {
-			t.Errorf("depth %d: resident tokens %d, want 160", depth, rep.ResidentTokens)
-		}
-		if len(rep.Decisions) != s.meta.NumChunks()-2 {
-			t.Errorf("depth %d: fetched %d chunks, want %d", depth, len(rep.Decisions), s.meta.NumChunks()-2)
-		}
-		if kv.Tokens != cold.Tokens {
-			t.Fatalf("depth %d: assembled %d tokens, want %d", depth, kv.Tokens, cold.Tokens)
-		}
-		// The resident prefix is exact (it came from the model), so the
-		// warm suffix decodes against it bit-identically — but the
-		// prefix itself is the lossless original rather than the decoded
-		// approximation, so compare the suffix region against cold and
-		// the prefix against the resident source.
-		for _, kind := range tensor.Kinds {
-			for l := 0; l < kv.Layers; l++ {
-				for tok := 0; tok < kv.Tokens; tok++ {
-					for c := 0; c < kv.Channels; c++ {
-						want := cold.At(kind, l, tok, c)
-						if tok < 160 {
-							want = s.kv.At(kind, l, tok, c)
-						}
-						if got := kv.At(kind, l, tok, c); got != want {
-							t.Fatalf("depth %d: mismatch at (%v,%d,%d,%d): %v vs %v", depth, kind, l, tok, c, got, want)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestFetchTextFallbackPipelined: a planner that forces the text path
-// must still assemble bit-identically through the single-destination
-// pipeline (ExtendKV resumes from the partially filled tensor).
-func TestFetchTextFallbackPipelined(t *testing.T) {
-	s := newStack(t)
-	ctx := context.Background()
-	// An absurdly generous SLO with adaptation on selects text (lossless)
-	// for every chunk.
-	f := &Fetcher{
-		Source: s.client, Codec: s.codec, Model: s.model, Device: llm.A40x4(),
-		Planner:       Planner{Adapt: true, SLO: time.Hour, PriorBandwidth: 1e12},
-		PipelineDepth: 3,
-	}
-	kv, rep, err := f.Fetch(ctx, "ctx-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range rep.Decisions {
-		if !d.Choice.Text {
-			t.Fatalf("decision %d chose %v, want text", i, d.Choice)
-		}
-	}
-	// Text recompute is lossless: the result is the original KV exactly.
-	if d, err := kv.MaxAbsDiff(s.kv); err != nil || d != 0 {
-		t.Fatalf("text-path fetch differs from original KV (diff %v, err %v)", d, err)
-	}
-	if rep.RecomputeTime <= 0 {
-		t.Errorf("text fetch reported no recompute time")
-	}
-	if rep.DecodeTime != 0 {
-		t.Errorf("text fetch reported codec decode time %v", rep.DecodeTime)
-	}
-}

@@ -5,11 +5,18 @@
 // loads within a TTFT service-level objective under varying bandwidth.
 //
 // The package separates the decision logic (Planner, pure and unit-
-// testable) from two executors: Simulate, which runs a request on the
+// testable) from what executes it. Simulate runs a request on the
 // virtual-time network simulator with the LLM cost model (the experiment
-// path), and Fetcher, which streams real bitstreams from a transport
-// server, decodes them pipelined with transmission, and recomputes
-// text-mode chunks with the model (the live path).
+// path). Fetcher is the live path, and it is one pipeline: a per-request
+// chunk assembler (assemble.go) owns everything that does not depend on
+// how bytes arrive — destination offsets, header validation, decode
+// pipelined with transmission, the in-order finalizer that recomputes
+// text-mode chunks behind their assembled prefix, corrupt-reject and
+// refetch, cache write-through, time attribution and the report — and
+// two thin byte-acquirers feed it: the stream receive loop
+// (stream_fetch.go: one server-push stream, frame-fed bandwidth
+// estimation, SWITCH/CANCEL mid-chunk) and the per-chunk issuer
+// (fetch.go: depth-bounded GetChunkData with RAM/disk/peer routing).
 package streamer
 
 import (

@@ -21,10 +21,10 @@ type Policy interface {
 type PathHint int
 
 const (
-	// PathAuto keeps the Fetcher's default: the multiplexed server-push
-	// stream when the source speaks it, request/response otherwise.
+	// PathAuto keeps the Fetcher's default: the stream acquirer when the
+	// source speaks the server-push stream, the per-chunk one otherwise.
 	PathAuto PathHint = iota
-	// PathChunks forces the per-chunk request/response path. A policy
+	// PathChunks selects the per-chunk acquirer. A policy
 	// returns it when it routed chunks to sources the stream cannot serve
 	// — the local payload cache, a colocated store, or a peer's resident
 	// KV — which are only reachable at chunk granularity.
@@ -42,8 +42,8 @@ type PathPolicy interface {
 }
 
 // PayloadCache is a gateway-local RAM tier for chunk payloads, keyed by
-// content hash. The Fetcher writes every payload it pulls over the
-// network through it and serves "ram"-routed choices from it. All
+// content hash. The Fetcher writes every bitstream payload it pulls from
+// elsewhere through it and serves "ram"-routed choices from it. All
 // methods must be safe for concurrent use.
 type PayloadCache interface {
 	// Get returns the payload for hash, or false on a miss.

@@ -5,22 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
 // StreamSource is a ChunkSource that additionally speaks the multiplexed
 // server-push stream protocol: a transport.Client (one connection) or a
 // cluster.Pool (a fleet with failover). A Fetcher whose Source implements
-// it streams frame-by-frame and steers mid-chunk; otherwise it falls
-// back to per-chunk request/response.
+// it feeds its assembler from the stream, frame by frame, and steers
+// mid-chunk; otherwise it acquires per chunk with GetChunkData.
 type StreamSource interface {
 	ChunkSource
 	OpenChunkStream(ctx context.Context, req transport.StreamRequest) (transport.ChunkStream, error)
@@ -78,211 +76,44 @@ func streamChunks(man storage.Manifest, fromChunk, n int) ([]transport.StreamChu
 	return chunks, nil
 }
 
-// laneAttempt tracks one delivery attempt's out-of-order lane decodes
-// for a chunk. A mid-stream CANCEL abandons the attempt and starts a new
-// one for the same chunk; both write the same destination token rows, so
-// a new attempt's lanes wait for the abandoned chain to drain first.
-type laneAttempt struct {
-	prev     *laneAttempt // abandoned predecessor attempt, if any
-	nextLane int          // receive-loop cursor: lanes [0,nextLane) dispatched
-	wg       sync.WaitGroup
-
-	mu          sync.Mutex
-	err         error // first lane decode error (abandoned attempts' errors are discarded)
-	first, last time.Time
-	busy        time.Duration // summed lane decode time (can exceed last−first)
-}
-
-// waitChain joins this attempt and every abandoned predecessor.
-// Nil-safe.
-func (a *laneAttempt) waitChain() {
-	for ; a != nil; a = a.prev {
-		a.wg.Wait()
-	}
-}
-
-// chunkDone is one fully received chunk handed to the in-order
-// finalizer. For a bitstream chunk the coder lanes are already decoding
-// (or decoded) out of order — the finalizer only joins them and settles
-// the chunk's accounting. A text chunk recomputes in the finalizer
-// itself, which is what keeps recompute strictly behind the assembled
-// prefix.
-type chunkDone struct {
-	si      int
-	level   int
-	payload []byte
-	att     *laneAttempt // nil for a text chunk with no abandoned bitstream attempt
-}
-
-// fetchStreaming is the multiplexed delivery path: one stream open, the
-// server pushing ~frame-sized slices, a bandwidth estimator fed per
-// frame, and the planner consulted at frame-batch decision points — it
-// can re-level chunks that have not started (SWITCH) and abandon the
-// in-flight chunk when resending it at the planner's fresh choice is
-// cheaper than finishing it (CANCEL). Decode is out of order at lane
-// granularity: the container header parses from the first frames, and
-// every coder lane whose payload bytes have landed is handed to the
-// codec's worker pool immediately — decode of chunk i's early lanes
-// overlaps the transfer of its later ones and of chunk i+1. An in-order
-// finalizer joins each chunk's lanes (text chunks recompute there, after
-// their prefix is assembled), and the bounded hand-off channel plus the
-// stream's credit window make a slow decoder pause the sender instead of
+// acquireStream is the stream byte-acquirer: one stream open, the server
+// pushing ~frame-sized slices, a bandwidth estimator fed per frame, and
+// the planner consulted at frame-batch decision points — it can re-level
+// chunks that have not started (SWITCH) and abandon the in-flight chunk
+// when resending it at the planner's fresh choice is cheaper than
+// finishing it (CANCEL). Every frame is fed to the assembler as it lands;
+// when decode falls PipelineDepth chunks behind, the loop stops receiving
+// and the stream's credit window makes the sender pause instead of
 // buffering the context.
-func (f *Fetcher) fetchStreaming(ctx context.Context, src StreamSource, start time.Time,
-	man storage.Manifest, suffixInfos []ChunkInfo, fromChunk, prefixTokens int,
-	dest *tensor.KV, report *FetchReport) error {
-
-	n := len(suffixInfos)
-	chunks, err := streamChunks(man, fromChunk, n)
+func (f *Fetcher) acquireStream(a *assembler, src StreamSource) error {
+	n := len(a.infos)
+	chunks, err := streamChunks(a.man, a.from, n)
 	if err != nil {
 		return err
 	}
-	sp := telemetry.FromContext(ctx)
-	tl := &fetchTimeline{}
-
 	// The first decision has no measurement; the planner falls back to
 	// its prior or default level.
-	initial, err := f.policy().Choose(0, time.Since(start), 0, suffixInfos)
+	initial, err := f.policy().Choose(0, time.Since(a.start), 0, a.infos)
 	if err != nil {
 		return fmt.Errorf("streamer: %w", err)
 	}
-	if sp != nil {
-		sp.Event("plan", telemetry.Attr{Key: "chunk", Value: fromChunk}, telemetry.Attr{Key: "level", Value: initial.String()})
-	}
+	a.plan(0, initial)
 
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stream, err := src.OpenChunkStream(fctx, transport.StreamRequest{
+	// The frame clock starts before the open is sent: the connection's
+	// reader stamps the first frame as it reads it, which can be before
+	// OpenChunkStream returns, and a clock started after would see a
+	// negative first gap — a sample the estimator drops.
+	lastFrame := time.Now()
+	stream, err := src.OpenChunkStream(a.ctx, transport.StreamRequest{
 		Chunks:    chunks,
 		Level:     choiceLevel(initial),
 		FrameSize: f.FrameSize,
-		Format:    man.Meta.Format,
+		Format:    a.man.Meta.Format,
 	})
 	if err != nil {
 		return fmt.Errorf("streamer: opening chunk stream: %w", err)
 	}
 	defer stream.Close()
-
-	depth := f.PipelineDepth
-	if depth < 1 {
-		depth = DefaultPipelineDepth
-	}
-
-	decisions := make([]ChunkDecision, n)
-	// offsets[si] is chunk si's destination token offset, precomputed so
-	// lanes dispatched out of order know where their rows land.
-	offsets := make([]int, n)
-	for si, off := 0, prefixTokens; si < n; si++ {
-		offsets[si] = off
-		off += suffixInfos[si].Tokens
-	}
-
-	// dispatch hands every lane whose payload has fully landed to the
-	// codec pool. data is a length-snapshot of the chunk's assembly
-	// buffer: its backing array was allocated at the container's full
-	// size, so later appends extend past the snapshot without moving it.
-	// Lane intervals feed the timeline span-less; the finalizer records
-	// the one chunk-level decode span.
-	dispatch := func(si int, att *laneAttempt, p *core.ParsedChunk, data []byte) {
-		for att.nextLane < p.Lanes() && len(data) >= p.LaneEnd(att.nextLane) {
-			lane := att.nextLane
-			att.nextLane++
-			att.wg.Add(1)
-			f.laneGaugeAdd(1)
-			go func() {
-				defer att.wg.Done()
-				defer f.laneGaugeAdd(-1)
-				att.prev.waitChain()
-				begin := time.Now()
-				err := f.Codec.DecodeLaneInto(dest, offsets[si], p, lane, data)
-				end := time.Now()
-				tl.add(nil, phaseDecode, "decode", begin, end, nil)
-				att.mu.Lock()
-				if err != nil && att.err == nil {
-					att.err = err
-				}
-				if att.first.IsZero() || begin.Before(att.first) {
-					att.first = begin
-				}
-				if end.After(att.last) {
-					att.last = end
-				}
-				att.busy += end.Sub(begin)
-				att.mu.Unlock()
-			}()
-		}
-	}
-
-	// In-order finalizer: joins each chunk's lane decodes by index (text
-	// recompute depends on the previously assembled tokens) while frames
-	// — and other chunks' lanes — keep going.
-	completed := make(chan chunkDone, depth)
-	decodeErr := make(chan error, 1)
-	go func() {
-		defer close(decodeErr)
-		for range suffixInfos {
-			var rc chunkDone
-			var ok bool
-			select {
-			case rc, ok = <-completed:
-			case <-fctx.Done():
-				return
-			}
-			if !ok {
-				return // receive loop failed; it reports the error
-			}
-			choice := levelChoice(rc.level)
-			if choice.Text {
-				// Order behind any abandoned bitstream attempt still
-				// writing this chunk's rows, then recompute in place.
-				rc.att.waitChain()
-				dur, _, err := f.decodeInto(dest, offsets[rc.si], fromChunk+rc.si, suffixInfos[rc.si].Tokens, choice, rc.payload)
-				if err != nil {
-					if errors.Is(err, core.ErrCorruptChunk) {
-						// The corrupt bytes are rejected, never decoded. The
-						// stream's frames for this chunk are already consumed,
-						// so the fetch fails here; the caller may retry on the
-						// request/response path, which refetches by content
-						// hash.
-						f.rejectCorrupt(report)
-					}
-					decodeErr <- fmt.Errorf("streamer: chunk %d: %w", fromChunk+rc.si, err)
-					cancel()
-					return
-				}
-				decisions[rc.si].Compute = dur
-				recEnd := time.Now()
-				var attrs []telemetry.Attr
-				if sp != nil {
-					attrs = []telemetry.Attr{{Key: "chunk", Value: fromChunk + rc.si}, {Key: "level", Value: choice.String()}}
-				}
-				tl.add(sp, phaseRecompute, "recompute", recEnd.Add(-dur), recEnd, attrs)
-				continue
-			}
-			rc.att.waitChain()
-			rc.att.mu.Lock()
-			err, first, last, busy := rc.att.err, rc.att.first, rc.att.last, rc.att.busy
-			rc.att.mu.Unlock()
-			if err != nil {
-				if errors.Is(err, core.ErrCorruptChunk) {
-					f.rejectCorrupt(report)
-				}
-				decodeErr <- fmt.Errorf("streamer: chunk %d: %w", fromChunk+rc.si, err)
-				cancel()
-				return
-			}
-			decisions[rc.si].Compute = busy
-			if sp != nil {
-				// One decode span per chunk, covering first lane start to
-				// last lane end; the exclusive time attribution uses the
-				// per-lane intervals already in the timeline.
-				sp.Record("decode", first, last.Sub(first),
-					telemetry.Attr{Key: "chunk", Value: fromChunk + rc.si},
-					telemetry.Attr{Key: "level", Value: choice.String()},
-					telemetry.Attr{Key: "lanes", Value: rc.att.nextLane})
-			}
-		}
-	}()
 
 	window := f.EstimatorWindow
 	if window <= 0 {
@@ -295,236 +126,138 @@ func (f *Fetcher) fetchStreaming(ctx context.Context, src StreamSource, start ti
 		decisionEvery = DefaultDecisionFrames
 	}
 
-	recvErr := func() error { // the receive loop proper
-		curLevel := choiceLevel(initial) // stream level for not-yet-started chunks
-		var (
-			buf           []byte
-			asmLevel      int
-			asmTotal      int64
-			att           *laneAttempt      // current delivery attempt's lane tracker
-			parsed        *core.ParsedChunk // container header, once enough bytes landed
-			chunkFirst    time.Time         // first frame of the chunk, any attempt
-			lastFrame     = time.Now()
-			framesSince   int
-			cancelPending = false // a cancel for the in-flight chunk is in the air
-			abandoned     int64
-			// Time this loop spent blocked handing completed chunks to the
-			// decoder. When decode falls behind PipelineDepth, credit dries
-			// up and the sender pauses; that pause rides on the next
-			// frame's arrival gap and must not be read as link slowness.
-			stall, chunkStall time.Duration
-		)
-		for si := 0; si < n; {
-			frame, err := stream.Recv(fctx)
-			if errors.Is(err, io.EOF) {
-				return fmt.Errorf("streamer: stream ended after %d of %d chunks", si, n)
-			}
-			if err != nil {
-				return fmt.Errorf("streamer: chunk stream: %w", err)
-			}
-			// Wire arrival time, stamped by the connection's reader (frames
-			// queued in the inbox keep accurate timestamps), minus the time
-			// this loop itself spent blocked on the decoder — the sender's
-			// credit pause surfaces in the first gap after a stall, and
-			// over-subtraction only skips the sample (Observe ignores ≤0).
-			now := frame.Arrived
-			if now.IsZero() {
-				now = time.Now()
-			}
-			prev := lastFrame
-			est.Observe(int64(len(frame.Data)), now.Sub(prev)-stall)
-			if frame.Pos != si {
-				return fmt.Errorf("streamer: stream delivered position %d, expected %d", frame.Pos, si)
-			}
-			if buf == nil {
-				// The chunk's transfer clock starts where the previous
-				// frame ended, so its own first frame's wire time counts —
-				// minus any decode-handoff stall inside that first gap.
-				chunkFirst = prev
-				chunkStall = stall
-			}
-			stall = 0
-			lastFrame = now
-			if frame.Offset == 0 {
-				if buf != nil && asmLevel != frame.Level {
-					// The cancel landed: the old level's prefix is waste.
-					abandoned += int64(len(buf))
-				}
-				buf = make([]byte, 0, frame.Total)
-				asmLevel = frame.Level
-				asmTotal = frame.Total
+	curLevel := choiceLevel(initial) // stream level for not-yet-started chunks
+	var (
+		c             *chunkAsm // the chunk in flight
+		handed        bool      // c was finished before its last frame; the rest is dropped
+		chunkFirst    time.Time // first frame of the chunk, any attempt
+		framesSince   int
+		cancelPending bool // a cancel for the in-flight chunk is in the air
+		// Time this loop spent blocked on the finalizer. When decode falls
+		// behind PipelineDepth, credit dries up and the sender pauses; that
+		// pause rides on the next frame's arrival gap and must not be read
+		// as link slowness.
+		stall, chunkStall time.Duration
+	)
+	for si := 0; si < n; {
+		frame, err := stream.Recv(a.ctx)
+		if errors.Is(err, io.EOF) {
+			return fmt.Errorf("streamer: stream ended after %d of %d chunks", si, n)
+		}
+		if err != nil {
+			return fmt.Errorf("streamer: chunk stream: %w", err)
+		}
+		// Wire arrival time, stamped by the connection's reader (frames
+		// queued in the inbox keep accurate timestamps), minus the time
+		// this loop itself spent blocked on the decoder — the sender's
+		// credit pause surfaces in the first gap after a stall, and
+		// over-subtraction only skips the sample (Observe ignores ≤0).
+		now := frame.Arrived
+		if now.IsZero() {
+			now = time.Now()
+		}
+		prev := lastFrame
+		est.Observe(int64(len(frame.Data)), now.Sub(prev)-stall)
+		if frame.Pos != si {
+			return fmt.Errorf("streamer: stream delivered position %d, expected %d", frame.Pos, si)
+		}
+		if c == nil {
+			// The chunk's transfer clock starts where the previous frame
+			// ended, so its own first frame's wire time counts — minus any
+			// decode-handoff stall inside that first gap.
+			chunkFirst = prev
+			chunkStall = stall
+		}
+		stall = 0
+		lastFrame = now
+		if handed {
+			// The finalizer owns the chunk; what the sender still pushes of
+			// it is received, and dropped.
+			a.count(frame.Level, int64(len(frame.Data)))
+		} else {
+			switch {
+			case frame.Offset == 0:
+				// The chunk's first frame — or a cancel landed, and it starts
+				// over at another level.
+				c = a.begin(si, frame.Level, frame.Total)
 				cancelPending = false
-				parsed = nil
-				if asmLevel != storage.TextLevel {
-					// A fresh attempt chains behind any abandoned one:
-					// both write the same destination rows. (A text
-					// restart keeps the old chain as-is; the finalizer
-					// orders the recompute behind it.)
-					att = &laneAttempt{prev: att}
-				}
+			case c == nil:
+				return fmt.Errorf("streamer: stream delivered chunk %d from offset %d", a.from+si, frame.Offset)
 			}
-			buf = append(buf, frame.Data...)
-			report.BytesReceived += int64(len(frame.Data))
-			report.addLevelBytes(levelChoice(frame.Level).String(), int64(len(frame.Data)))
-
-			// Out-of-order lane decode: parse the container header as soon
-			// as its bytes are here, then hand each lane to the codec pool
-			// the moment its payload range has fully landed.
-			if asmLevel != storage.TextLevel {
-				if parsed == nil {
-					p, perr := f.Codec.ParseChunkPrefix(buf, int(asmTotal))
-					switch {
-					case perr == nil:
-						hdr := p.Header
-						if hdr.Index != fromChunk+si || hdr.TokenOffset != offsets[si] {
-							return fmt.Errorf("streamer: chunk %d: chunk metadata mismatch: got (%d,%d), want (%d,%d)",
-								fromChunk+si, hdr.Index, hdr.TokenOffset, fromChunk+si, offsets[si])
-						}
-						if hdr.Tokens != suffixInfos[si].Tokens {
-							return fmt.Errorf("streamer: chunk %d: chunk has %d tokens, meta says %d",
-								fromChunk+si, hdr.Tokens, suffixInfos[si].Tokens)
-						}
-						parsed = p
-					case errors.Is(perr, core.ErrShortChunk):
-						// Header still arriving; try again next frame.
-					default:
-						f.rejectCorrupt(report)
-						return fmt.Errorf("streamer: chunk %d: %w", fromChunk+si, perr)
-					}
-				}
-				if parsed != nil {
-					dispatch(si, att, parsed, buf)
-				}
+			a.feed(c, frame.Data)
+			// A header that failed validation will not get better with more
+			// bytes: the chunk is finished here, so the finalizer fails the
+			// fetch or refetches now, not a chunk transfer later. (Unless a
+			// cancel is in the air — the restart replaces this attempt.)
+			if frame.Last || c.err != nil && !cancelPending {
+				// Decisions[].Transfer is stall-subtracted; the attribution
+				// gets the raw wall interval, first to last frame.
+				lc := levelChoice(c.level)
+				a.finish(c, delivery{choice: lc, from: sourceLabel(lc), start: chunkFirst, end: now,
+					transfer: max(now.Sub(chunkFirst)-chunkStall, 0), throughput: est.Estimate()})
+				handed = true
 			}
-
-			if frame.Last {
-				if asmLevel != storage.TextLevel && parsed == nil {
-					// Every frame landed yet the container never parsed:
-					// the wire total overstated the payload.
-					f.rejectCorrupt(report)
-					return fmt.Errorf("streamer: chunk %d: %w: container shorter than its advertised %d bytes",
-						fromChunk+si, core.ErrCorruptChunk, asmTotal)
-				}
-				transfer := now.Sub(chunkFirst) - chunkStall
-				if transfer < 0 {
-					transfer = 0
-				}
-				// Write-through to the scheduler's RAM tier: the next plan
-				// for a context sharing this chunk prices it locally.
-				if f.Local != nil && asmLevel != storage.TextLevel {
-					if h, herr := man.ChunkHash(asmLevel, fromChunk+si); herr == nil {
-						f.Local.Put(h, buf)
-					}
-				}
-				decisions[si] = ChunkDecision{
-					Chunk:      fromChunk + si,
-					Choice:     levelChoice(asmLevel),
-					Bytes:      int64(len(buf)),
-					Abandoned:  abandoned,
-					Transfer:   transfer,
-					Throughput: est.Estimate(),
-					Source:     sourceLabel(levelChoice(asmLevel)),
-				}
-				// The timeline takes the chunk's raw wall interval (first to
-				// last frame, stall included): any overlap with the decode
-				// worker's intervals — which is what the stall is — comes
-				// back out in apply()'s exclusive attribution. The stall-
-				// subtracted figure stays in Decisions[].Transfer.
-				var attrs []telemetry.Attr
-				if sp != nil {
-					attrs = []telemetry.Attr{
-						{Key: "chunk", Value: fromChunk + si},
-						{Key: "level", Value: levelChoice(asmLevel).String()},
-						{Key: "bytes", Value: len(buf)},
-					}
-				}
-				tl.add(sp, phaseTransfer, "transfer", chunkFirst, now, attrs)
-				pushStart := time.Now()
-				select {
-				case completed <- chunkDone{si: si, level: asmLevel, payload: buf, att: att}:
-				case <-fctx.Done():
-					return fmt.Errorf("streamer: %w", fctx.Err())
-				}
-				stall += time.Since(pushStart)
-				si++
-				buf = nil
-				att = nil
-				parsed = nil
-				abandoned = 0
-				framesSince = 0
-				continue
-			}
-
-			framesSince++
-			if framesSince < decisionEvery {
-				continue
-			}
+		}
+		if frame.Last {
+			stall += a.throttle(si)
+			si++
+			c, handed = nil, false
 			framesSince = 0
-			tput := est.Estimate()
-			if tput <= 0 {
-				continue
-			}
-			elapsed := time.Since(start)
-			// Re-level chunks that have not started.
-			if si+1 < n {
-				next, err := f.policy().Choose(si+1, elapsed, tput, suffixInfos)
-				if err != nil {
-					return fmt.Errorf("streamer: %w", err)
-				}
-				if lv := choiceLevel(next); lv != curLevel {
-					if err := stream.Switch(lv); err != nil {
-						return fmt.Errorf("streamer: switch: %w", err)
-					}
-					curLevel = lv
-					report.Switches++
-					if sp != nil {
-						sp.Event("switch", telemetry.Attr{Key: "level", Value: levelChoice(lv).String()},
-							telemetry.Attr{Key: "bandwidth_bps", Value: tput})
-					}
-				}
-			}
-			// Abandon the in-flight chunk when resending it whole at the
-			// planner's fresh choice is cheaper than finishing it.
-			if !cancelPending && buf != nil {
-				fresh, err := f.policy().Choose(si, elapsed, tput, suffixInfos)
-				if err != nil {
-					return fmt.Errorf("streamer: %w", err)
-				}
-				if lv := choiceLevel(fresh); lv != asmLevel {
-					remaining := asmTotal - int64(len(buf))
-					if choiceBytes(suffixInfos[si], fresh) < remaining {
-						if err := stream.Cancel(si, lv); err != nil {
-							return fmt.Errorf("streamer: cancel: %w", err)
-						}
-						cancelPending = true
-						report.Cancels++
-						if sp != nil {
-							sp.Event("cancel", telemetry.Attr{Key: "chunk", Value: fromChunk + si},
-								telemetry.Attr{Key: "level", Value: levelChoice(lv).String()})
-						}
-					}
-				}
-			}
+			continue
 		}
-		return nil
-	}()
-	if recvErr != nil {
-		cancel()
-		// A decode failure cancels fctx, which surfaces in the receive
-		// loop as a context error; the worker's error is the root cause
-		// and must win over the cancellation it triggered.
-		if derr := <-decodeErr; derr != nil {
-			return derr
+		if handed {
+			continue
 		}
-		return recvErr
-	}
-	if err := <-decodeErr; err != nil {
-		return err
-	}
 
-	tl.apply(report)
-	report.Decisions = decisions
-	report.Bandwidth = est.Estimate()
-	report.Streamed = true
+		framesSince++
+		if framesSince < decisionEvery {
+			continue
+		}
+		framesSince = 0
+		tput := est.Estimate()
+		if tput <= 0 {
+			continue
+		}
+		elapsed := time.Since(a.start)
+		// Re-level chunks that have not started.
+		if si+1 < n {
+			next, err := f.policy().Choose(si+1, elapsed, tput, a.infos)
+			if err != nil {
+				return fmt.Errorf("streamer: %w", err)
+			}
+			if lv := choiceLevel(next); lv != curLevel {
+				if err := stream.Switch(lv); err != nil {
+					return fmt.Errorf("streamer: switch: %w", err)
+				}
+				curLevel = lv
+				a.report.Switches++
+				if a.sp != nil {
+					a.sp.Event("switch", telemetry.Attr{Key: "level", Value: levelChoice(lv).String()},
+						telemetry.Attr{Key: "bandwidth_bps", Value: tput})
+				}
+			}
+		}
+		// Abandon the in-flight chunk when resending it whole at the
+		// planner's fresh choice is cheaper than finishing it.
+		if !cancelPending {
+			fresh, err := f.policy().Choose(si, elapsed, tput, a.infos)
+			if err != nil {
+				return fmt.Errorf("streamer: %w", err)
+			}
+			if lv := choiceLevel(fresh); lv != c.level && choiceBytes(a.infos[si], fresh) < c.total-c.bytes {
+				if err := stream.Cancel(si, lv); err != nil {
+					return fmt.Errorf("streamer: cancel: %w", err)
+				}
+				cancelPending = true
+				a.report.Cancels++
+				if a.sp != nil {
+					a.sp.Event("cancel", telemetry.Attr{Key: "chunk", Value: a.from + si},
+						telemetry.Attr{Key: "level", Value: levelChoice(lv).String()})
+				}
+			}
+		}
+	}
+	a.report.Bandwidth = est.Estimate()
+	a.report.Streamed = true
 	return nil
 }

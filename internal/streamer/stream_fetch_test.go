@@ -3,7 +3,6 @@ package streamer
 import (
 	"context"
 	"errors"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -82,45 +81,6 @@ func TestFetchStreamedBitForBit(t *testing.T) {
 	}
 }
 
-// TestFetchStreamedResident: the warm-prefix path streams only the cold
-// suffix and still matches the cold fetch bit for bit.
-func TestFetchStreamedResident(t *testing.T) {
-	s := newStack(t)
-	f := &Fetcher{
-		Source:  s.client,
-		Codec:   s.codec,
-		Model:   s.model,
-		Device:  llm.A40x4(),
-		Planner: Planner{Adapt: false, DefaultLevel: 0},
-	}
-	ctx := context.Background()
-	cold, _, err := f.Fetch(ctx, "ctx-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resident, err := cold.SliceTokens(0, 160) // two whole chunks of 80
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, rep, err := f.FetchFrom(ctx, "ctx-1", resident)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ResidentTokens != 160 || !rep.Streamed {
-		t.Errorf("warm fetch: resident %d, streamed %v", rep.ResidentTokens, rep.Streamed)
-	}
-	if len(rep.Decisions) != s.meta.NumChunks()-2 {
-		t.Errorf("warm fetch streamed %d chunks, want %d", len(rep.Decisions), s.meta.NumChunks()-2)
-	}
-	diff, err := warm.MaxAbsDiff(cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff != 0 {
-		t.Errorf("warm streamed KV differs from cold: max |Δ| = %g", diff)
-	}
-}
-
 // TestFetchStreamedAdaptiveUnderTrace runs the full adaptive loop over a
 // live traced link: the fetch must succeed and the report must carry the
 // frame-granularity telemetry.
@@ -133,21 +93,8 @@ func TestFetchStreamedAdaptiveUnderTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := transport.NewServer(s.store, transport.WithEgressTrace(trace))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	client, err := transport.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-
 	f := &Fetcher{
-		Source: client,
+		Source: serve(t, s.store, transport.WithEgressTrace(trace)),
 		Codec:  s.codec,
 		Model:  s.model,
 		Device: llm.A40x4(),
@@ -350,28 +297,17 @@ func TestFetchStreamedSmallFramesLaneIdentity(t *testing.T) {
 	}
 }
 
-// TestFetchMixedFormatContext: a store holding both container formats —
-// v1 chunks published before the lane-interleaved v2 shipped next to v2
-// chunks — must fetch transparently on both paths. The manifest is
-// format-agnostic (content addresses only); each payload declares its
-// own format.
-func TestFetchMixedFormatContext(t *testing.T) {
-	s := newStack(t)
-	ctx := context.Background()
-	ref := mustDecodeReference(t, s) // direct decode, all chunks at L1
-
-	// Re-encode chunks 1 and 3 (level 1) as legacy v1 containers and
-	// splice them in under the original content addresses (PutChunk
-	// ignores writes to existing hashes, so the replacements go first
-	// into a fresh store).
-	mixed := storage.NewMemStore()
-	replaced := map[string]bool{}
+// mixedFormatClient serves a copy of s's store holding both container
+// formats — chunks 1 and 3 at level 1 re-encoded as the v1 containers
+// published before the lane-interleaved v2 shipped, under their original
+// content addresses (the manifest is format-agnostic; each payload
+// declares its own format).
+func mixedFormatClient(t *testing.T, s *testStack) *transport.Client {
+	t.Helper()
+	replace := map[string][]byte{}
 	for _, si := range []int{1, 3} {
 		lo := si * 80
-		hi := lo + 80
-		if hi > s.kv.Tokens {
-			hi = s.kv.Tokens
-		}
+		hi := min(lo+80, s.kv.Tokens)
 		part, err := s.kv.SliceTokens(lo, hi)
 		if err != nil {
 			t.Fatal(err)
@@ -384,41 +320,18 @@ func TestFetchMixedFormatContext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mixed.PutChunk(ctx, h, v1); err != nil {
-			t.Fatal(err)
-		}
-		replaced[h] = true
+		replace[h] = v1
 	}
-	for _, row := range s.man.Hashes {
-		for _, h := range row {
-			if replaced[h] {
-				continue
-			}
-			data, err := s.store.GetChunk(ctx, h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := mixed.PutChunk(ctx, h, data); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := mixed.PutManifest(ctx, s.man); err != nil {
-		t.Fatal(err)
-	}
+	return serve(t, storeWith(t, s, replace))
+}
 
-	srv := transport.NewServer(mixed)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	client, err := transport.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
+// TestFetchMixedFormatContext: a store holding both container formats
+// must fetch transparently on both paths.
+func TestFetchMixedFormatContext(t *testing.T) {
+	s := newStack(t)
+	ctx := context.Background()
+	ref := mustDecodeReference(t, s) // direct decode, all chunks at L1
+	client := mixedFormatClient(t, s)
 
 	for _, disable := range []bool{false, true} {
 		f := &Fetcher{
@@ -451,50 +364,16 @@ func TestFetchStreamedDecodeErrorSurfaces(t *testing.T) {
 	s := newStack(t)
 	ctx := context.Background()
 
-	// Rebuild the store with chunk 1's level-0 payload corrupted under
-	// its original content address (PutChunk ignores writes to existing
-	// hashes, so a fresh store is needed).
-	corrupt := storage.NewMemStore()
+	// Chunk 1's level-0 payload is garbage under its original content
+	// address.
 	badHash, err := s.man.ChunkHash(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range s.man.Hashes {
-		for _, h := range row {
-			if h == badHash {
-				if err := corrupt.PutChunk(ctx, h, []byte("garbage bitstream")); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			data, err := s.store.GetChunk(ctx, h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := corrupt.PutChunk(ctx, h, data); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := corrupt.PutManifest(ctx, s.man); err != nil {
-		t.Fatal(err)
-	}
-
-	srv := transport.NewServer(corrupt)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	client, err := transport.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
+	corrupt := storeWith(t, s, map[string][]byte{badHash: []byte("garbage bitstream")})
 
 	f := &Fetcher{
-		Source:  client,
+		Source:  serve(t, corrupt),
 		Codec:   s.codec,
 		Model:   s.model,
 		Device:  llm.A40x4(),

@@ -113,14 +113,33 @@ func TestAttributionNeverExceedsLoadTime(t *testing.T) {
 			if rep.TransferTime <= 0 || rep.DecodeTime <= 0 {
 				t.Errorf("components must be positive: transfer=%v decode=%v", rep.TransferTime, rep.DecodeTime)
 			}
-			var transfers, decodes int
+			var transfers, decodes, plans int
 			for _, r := range tr.Snapshot() {
 				switch r.Name {
 				case "transfer":
 					transfers++
 				case "decode":
 					decodes++
+				case "plan":
+					// One schema on both acquirers.
+					plans++
+					keys := ""
+					for _, a := range r.Attrs {
+						keys += a.Key + " "
+					}
+					if keys != "chunk level source " {
+						t.Errorf("plan event carries attrs [%s], want [chunk level source ]", keys)
+					}
 				}
+			}
+			// The per-chunk acquirer plans every chunk as it issues it; the
+			// stream acquirer plans the open, and SWITCH/CANCEL from there.
+			want := s.meta.NumChunks()
+			if tc.streaming {
+				want = 1
+			}
+			if plans != want {
+				t.Errorf("trace holds %d plan events, want %d", plans, want)
 			}
 			if transfers == 0 || decodes == 0 {
 				t.Errorf("trace missing phase spans: %d transfer, %d decode", transfers, decodes)
