@@ -30,7 +30,7 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall request timeout")
 	pipelineDepth := flag.Int("pipeline-depth", 4, "chunk transfers in flight while decode proceeds in order (1 = strictly sequential)")
 	bwTrace := flag.String("bandwidth-trace", "", "replay a bandwidth trace on the receive path, as RATE[:DUR],... (e.g. 2Gbps:2s,0.2Gbps:2s,1Gbps)")
-	noStream := flag.Bool("no-stream", false, "force per-chunk request/response instead of the server-push stream")
+	noStream := flag.Bool("no-stream", false, "feed the fetch from the per-chunk acquirer (one GetChunkData per chunk) instead of the server-push stream")
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("cachegen-client: ")
@@ -93,7 +93,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("fetching %s: %v", *contextID, err)
 	}
-	path := "request/response"
+	path := "per-chunk acquirer"
 	if report.Streamed {
 		path = "server-push stream"
 	}

@@ -100,8 +100,10 @@ func (s *poolStream) Recv(ctx context.Context) (transport.StreamFrame, error) {
 			// A stale frame from before a splice (shouldn't happen with
 			// in-order runs, but cheap to be safe): skip it.
 			continue
-		case errors.Is(err, io.EOF):
-			// Run complete: splice to the next run (or finish).
+		case err == io.EOF:
+			// Run complete: splice to the next run (or finish). Only the bare
+			// io.EOF of ChunkStream's contract: a connection lost on a frame
+			// boundary wraps one, and that run died.
 			sub.Close()
 			s.mu.Lock()
 			if s.sub == sub {

@@ -32,6 +32,9 @@ type ModelBank struct {
 	// anchorScales[kind][layer*channels+c] is the static vectorwise scale
 	// for anchor quantization.
 	anchorScales [2][]float32
+	// anchorInv holds quant.Reciprocals of anchorScales, the multipliers the
+	// encoder quantizes anchor rows with.
+	anchorInv [2][]float64
 
 	// deltaTables[level][mi] are the per-(kind, layer, channel-bucket)
 	// delta models, mi = modelIndex(kind, layer, bucket).
@@ -115,6 +118,9 @@ func (b *ModelBank) buildRowTables() {
 			}
 			b.rowAnchorTables[int(kind)*b.layers+l] = row
 		}
+	}
+	for kd := range b.anchorScales {
+		b.anchorInv[kd] = quant.Reciprocals(b.anchorScales[kd])
 	}
 	// Entry by entry the arithmetic of quant's DequantizeRow methods, so
 	// decoded tensors keep their exact bits.

@@ -21,14 +21,14 @@ import (
 type Codec struct {
 	bank *ModelBank
 	cfg  Config
-	// groupSem is the codec-wide bound on concurrently running
-	// group-coder goroutines. Sharing one budget across all in-flight
-	// EncodeChunk/DecodeChunk calls keeps the chunk-level fan-out
-	// (EncodeContext, the publish engine) from multiplying with the
-	// per-chunk group fan-out into workers² runnable goroutines. Only
-	// the leaf (group) level acquires it, so the nesting cannot
-	// deadlock.
-	groupSem chan struct{}
+	// workers is the codec's parallelism — Config.Workers, or GOMAXPROCS
+	// when the codec was built. Read once, so the batches an encode cuts,
+	// the helpers a decode recruits and the slots they run on always agree.
+	workers int
+	// slots is the codec-wide budget of `workers` concurrently running group
+	// coders, shared by every in-flight encode and decode call; decodes
+	// (loads) come before encodes (publishes) on it.
+	slots *slots
 	// scratch pools per-group working state (symbol/anchor rows and the
 	// entropy coder with its grown output buffer) across groups and across
 	// EncodeChunk/DecodeChunk calls, keeping the group hot loops
@@ -41,7 +41,11 @@ type Codec struct {
 // NewCodec returns a codec over the given trained bank.
 func NewCodec(bank *ModelBank) *Codec {
 	c := &Codec{bank: bank, cfg: bank.Config()}
-	c.groupSem = make(chan struct{}, c.workers())
+	c.workers = c.cfg.Workers
+	if c.workers <= 0 {
+		c.workers = runtime.GOMAXPROCS(0)
+	}
+	c.slots = newSlots(c.workers)
 	channels := bank.channels
 	c.scratch.New = func() any {
 		return &groupScratch{
@@ -158,6 +162,33 @@ func (c *Codec) DecodeTotals() (busy time.Duration, elems int64) {
 	return time.Duration(c.decodeBusyNanos.Load()), c.decodedElems.Load()
 }
 
+// Load is one load in flight on a codec, from BeginLoad to End.
+type Load struct{ slots *slots }
+
+// BeginLoad registers a load in flight — a request waiting on this codec's
+// decodes, network round trips included — until the returned Load's End.
+// While loads are in flight the codec's encode paths stand back: each load
+// reserves two of the codec's coder slots, so a co-located publisher
+// neither takes the decode's core nor keeps every P too busy to poll the
+// network. The fetch pipeline calls it around manifest, transfer and
+// assembly; decode calls outside any BeginLoad still come before encodes
+// slot by slot.
+func (c *Codec) BeginLoad() Load {
+	c.slots.beginLoad()
+	return Load{c.slots}
+}
+
+// End ends the load. Ending it again, or ending the zero Load, does nothing.
+func (l *Load) End() {
+	if l.slots != nil {
+		l.slots.endLoad()
+		l.slots = nil
+	}
+}
+
+// SlotTotals returns the coder-slot scheduler's counters.
+func (c *Codec) SlotTotals() SlotTotals { return c.slots.totals() }
+
 // Chunk is a decoded context chunk: the KV tensor of a contiguous token
 // range plus its stream metadata.
 type Chunk struct {
@@ -214,9 +245,15 @@ func (c *Codec) EncodeChunkV1(kv *tensor.KV, chunkIndex, tokenOffset int, lv Lev
 	return c.encodeChunkRange(kv, 0, kv.Tokens, chunkIndex, tokenOffset, lv, FormatV1)
 }
 
-// encodeChunkRange encodes tokens [lo, hi) of kv as one chunk, reading
-// rows in place — the context encoders hand it sub-ranges of the full
-// tensor without materialising per-chunk copies.
+// EncodeChunkRange is EncodeChunk for tokens [lo, hi) of kv, read in place:
+// a caller holding the whole context's tensor encodes each chunk without
+// first copying it out. The bitstream is EncodeChunk's of that slice.
+func (c *Codec) EncodeChunkRange(kv *tensor.KV, lo, hi, chunkIndex, tokenOffset int, lv Level) ([]byte, error) {
+	return c.encodeChunkRange(kv, lo, hi, chunkIndex, tokenOffset, lv, FormatV2)
+}
+
+// encodeChunkRange encodes tokens [lo, hi) of kv as one chunk in the given
+// container format.
 func (c *Codec) encodeChunkRange(kv *tensor.KV, lo, hi, chunkIndex, tokenOffset int, lv Level, format int) ([]byte, error) {
 	if err := c.bank.CheckGeometry(kv); err != nil {
 		return nil, err
@@ -236,7 +273,7 @@ func (c *Codec) encodeChunkRange(kv *tensor.KV, lo, hi, chunkIndex, tokenOffset 
 	}
 
 	g := c.cfg.GroupSize
-	groups, batches := groupSpans(tokens, g, c.workers())
+	groups, batches := groupSpans(tokens, g, c.workers)
 	numGroups := len(groups)
 
 	// Encode token groups in parallel batches; each group is an
@@ -246,26 +283,20 @@ func (c *Codec) encodeChunkRange(kv *tensor.KV, lo, hi, chunkIndex, tokenOffset 
 	// locality. A single batch encodes inline: no goroutine, no barrier.
 	streams := make([][]byte, numGroups)
 	if len(batches) == 1 {
-		// Inline, but still under the codec-wide coder budget: without
-		// the semaphore, N concurrent single-batch chunk calls would run
-		// N coder loops instead of `workers`.
-		c.groupSem <- struct{}{}
-		err := c.encodeGroupBatch(kv, lo, batches[0], lv, streams)
-		<-c.groupSem
-		if err != nil {
+		// Inline, but still on a coder slot: without one, N concurrent
+		// single-batch chunk calls would run N coder loops instead of
+		// `workers`.
+		if err := c.encodeGroupBatch(kv, lo, batches[0], lv, streams); err != nil {
 			return nil, err
 		}
 	} else {
 		errs := make([]error, len(batches))
 		var wg sync.WaitGroup
-		sem := c.groupSem
 		gi := 0
 		for bi, batch := range batches {
 			wg.Add(1)
-			sem <- struct{}{}
 			go func(bi, gi int, batch []span) {
 				defer wg.Done()
-				defer func() { <-sem }()
 				errs[bi] = c.encodeGroupBatch(kv, lo, batch, lv, streams[gi:gi+len(batch)])
 			}(bi, gi, batch)
 			gi += len(batch)
@@ -368,13 +399,6 @@ func chunkHeaderSize(groups int) int { return 64 + 4*groups }
 
 func chunkHeaderSizeV2(groups, lanes int) int { return 80 + 5*groups + 4*lanes }
 
-func (c *Codec) workers() int {
-	if c.cfg.Workers > 0 {
-		return c.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // encodeGroupBatch encodes a batch of token groups (whose spans are
 // relative to chunk-base token `base` of kv), each as one independent
 // arithmetic-coded stream written to the matching out slot: per
@@ -390,12 +414,18 @@ func (c *Codec) workers() int {
 //   - the batch's groups advance through each (kind, layer) block
 //     together (one encoder per group), so the block's tables are hot in
 //     cache for every group instead of re-fetched per group.
+//
+// The batch runs on a publish-class coder slot, which it offers back at
+// every block boundary (≈0.3 ms of work on a 1500-token chunk).
 func (c *Codec) encodeGroupBatch(kv *tensor.KV, base int, batch []span, lv Level, out [][]byte) error {
 	b := c.bank
 	vq, err := quant.NewVectorwise(c.cfg.AnchorBits)
 	if err != nil {
 		return err
 	}
+	var standing publishBatch
+	c.slots.acquirePublish(&standing)
+	defer c.slots.release(classPublish)
 	bins := c.cfg.binsFor(lv)
 	channels := kv.Channels
 	sc := c.scratch.Get().(*groupScratch)
@@ -410,7 +440,9 @@ func (c *Codec) encodeGroupBatch(kv *tensor.KV, base int, batch []span, lv Level
 
 	for _, kind := range tensor.Kinds {
 		for l := 0; l < kv.Layers; l++ {
+			c.slots.yieldPublish(&standing)
 			scales := b.anchorScales[kind][l*channels : (l+1)*channels]
+			inv := b.anchorInv[kind][l*channels : (l+1)*channels]
 			u, err := quant.NewUniform(bins.BinFor(l, kv.Layers), c.cfg.DeltaClamp)
 			if err != nil {
 				return err
@@ -435,7 +467,7 @@ func (c *Codec) encodeGroupBatch(kv *tensor.KV, base int, batch []span, lv Level
 			for gi, g := range batch {
 				enc := encs[gi]
 				// Anchor row.
-				vq.QuantizeRow(kv.Row(kind, l, base+g.start), scales, syms, arow)
+				vq.QuantizeRow(kv.Row(kind, l, base+g.start), scales, inv, syms, arow)
 				if err := enc.EncodeSymbols(anchorTab, syms); err != nil {
 					return err
 				}
@@ -623,7 +655,7 @@ func (c *Codec) parseChunkV1(data []byte) (*ParsedChunk, error) {
 		total:    len(data),
 		groups:   tokenGroups(hdr.Tokens, groupSize),
 		groupOff: groupOff,
-		lanes:    laneSpans(numGroups, c.workers()),
+		lanes:    laneSpans(numGroups, c.workers),
 	}
 	pc.Header.Lanes = len(pc.lanes)
 	return pc, nil
@@ -818,8 +850,8 @@ func (c *Codec) DecodeLaneInto(dst *tensor.KV, dstOff int, p *ParsedChunk, lane 
 		return err
 	}
 	ln := p.lanes[lane]
-	c.groupSem <- struct{}{}
-	defer func() { <-c.groupSem }()
+	c.slots.acquireLoad()
+	defer c.slots.release(classLoad)
 	c.decodeGroups(dst, dstOff, p, data, ln.start, ln.end)
 	return nil
 }
@@ -838,7 +870,7 @@ func (p *ParsedChunk) verifyLane(lane int, data []byte) error {
 // dstOff, in parallel when the codec has more than one worker.
 func (c *Codec) decodeParsed(dst *tensor.KV, dstOff int, p *ParsedChunk, data []byte) error {
 	run := newDecodeRun()
-	if err := c.appendDecodeJobs(run, dst, dstOff, p, data, c.workers()); err != nil {
+	if err := c.appendDecodeJobs(run, dst, dstOff, p, data, c.workers); err != nil {
 		return err
 	}
 	c.runDecodeJobs(dst, run)
@@ -916,8 +948,8 @@ func (c *Codec) appendDecodeJobs(run *decodeRun, dst *tensor.KV, dstOff int, p *
 // one for every slot that is free at that moment, so a busy codec decodes
 // on the caller alone and picks the other cores up as they come free.
 func (c *Codec) runDecodeJobs(dst *tensor.KV, run *decodeRun) {
-	spare := min(c.workers(), len(run.jobs)) - 1
-	c.groupSem <- struct{}{}
+	spare := min(c.workers, len(run.jobs)) - 1
+	c.slots.acquireLoad()
 	for {
 		for spare > 0 && int(run.next.Load()) < len(run.jobs) && c.recruitDecoder(dst, run) {
 			spare--
@@ -926,22 +958,20 @@ func (c *Codec) runDecodeJobs(dst *tensor.KV, run *decodeRun) {
 			break
 		}
 	}
-	<-c.groupSem
+	c.slots.release(classLoad)
 	run.wg.Wait()
 }
 
 // recruitDecoder starts a helper goroutine on run's jobs if a coder slot
 // is free right now, and reports whether it did.
 func (c *Codec) recruitDecoder(dst *tensor.KV, run *decodeRun) bool {
-	select {
-	case c.groupSem <- struct{}{}:
-	default:
+	if !c.slots.tryAcquireLoad() {
 		return false
 	}
 	run.wg.Add(1)
 	go func() {
 		defer run.wg.Done()
-		defer func() { <-c.groupSem }()
+		defer c.slots.release(classLoad)
 		for c.decodeNextJob(dst, run) {
 		}
 	}()
@@ -949,7 +979,7 @@ func (c *Codec) recruitDecoder(dst *tensor.KV, run *decodeRun) bool {
 }
 
 // decodeNextJob claims and decodes run's next job, or reports that none is
-// left. The caller holds a groupSem slot.
+// left. The caller holds a coder slot.
 func (c *Codec) decodeNextJob(dst *tensor.KV, run *decodeRun) bool {
 	i := int(run.next.Add(1)) - 1
 	if i >= len(run.jobs) {
@@ -1089,7 +1119,7 @@ func (c *Codec) encodeJobs(kv *tensor.KV, jobs []levelChunkJob) ([][]byte, error
 	out := make([][]byte, len(jobs))
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, c.workers())
+	sem := make(chan struct{}, c.workers)
 	for ji, job := range jobs {
 		wg.Add(1)
 		sem <- struct{}{}
@@ -1140,7 +1170,7 @@ func (c *Codec) DecodeContext(chunks [][]byte) (*tensor.KV, error) {
 	// population — not one chunk's — is what keeps the cores busy. This is
 	// where decode throughput scales with GOMAXPROCS past a single chunk.
 	run := newDecodeRun()
-	parts := (c.workers() + len(ps) - 1) / len(ps)
+	parts := (c.workers + len(ps) - 1) / len(ps)
 	off := 0
 	for i, p := range ps {
 		if err := c.appendDecodeJobs(run, kv, off, p, chunks[i], parts); err != nil {

@@ -18,6 +18,34 @@
 // paper's CUDA one-thread-per-token kernels, §6), and a context chunk of
 // any whole number of groups is independently decodable — the property the
 // streamer's per-chunk adaptation relies on (§5.3).
+//
+// # Concurrency
+//
+// A Codec runs at most Config.Workers group coders at once (GOMAXPROCS
+// when it was built, if unset), whatever mix of encode and decode calls is
+// in flight: each holds one of the codec's coder slots while it works. The
+// paper's interface (§6) has a latency-critical get_kv and an offline
+// store_kv, and a serving process runs both on one codec, so the slots are
+// scheduled in two classes — load, every decode path, and publish, every
+// encode path — by three rules (slots.go):
+//
+//   - R1: a free slot goes to the oldest waiting load lane before any
+//     publish batch.
+//   - R2: a publish batch reads one atomic at every (kind, layer) block
+//     boundary and, while a load lane waits, hands its slot over and
+//     re-queues.
+//   - R3: every load in flight — BeginLoad until its End, which the fetch
+//     pipeline calls around manifest, transfer and assembly — reserves two
+//     slots: its decode, and the P the Go runtime needs idle to poll the
+//     network for the load's round trips promptly. Publish batches
+//     therefore hold at most max(0, workers − 2·loads): none beside a load
+//     on two cores, ten beside three loads on sixteen. A batch that loads
+//     have kept out for publishMaxWait (50 ms) in total is exempt from R3
+//     until it ends, R1 and R2 still binding, so loads that never stop, or
+//     a publish issued from inside a load, slow publishing down but can
+//     neither stop nor deadlock it.
+//
+// SlotTotals reports what the rules cost each class.
 package core
 
 import (

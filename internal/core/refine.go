@@ -92,7 +92,7 @@ func (c *Codec) EncodeRefinement(kv *tensor.KV, chunkIndex, tokenOffset int, fro
 	streams := make([][]byte, numGroups)
 	errs := make([]error, numGroups)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, c.workers())
+	sem := make(chan struct{}, c.workers)
 	for gi := 0; gi < numGroups; gi++ {
 		wg.Add(1)
 		sem <- struct{}{}
@@ -276,7 +276,7 @@ func (c *Codec) ApplyRefinement(base *Chunk, data []byte) (*Chunk, error) {
 	out := base.KV.Clone()
 	errs := make([]error, numGroups)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, c.workers())
+	sem := make(chan struct{}, c.workers)
 	off := 0
 	for gi := 0; gi < numGroups; gi++ {
 		stream := p[off : off+lengths[gi]]

@@ -334,6 +334,23 @@ func (g *Gateway) register(reg *telemetry.Registry) {
 		_, elems := g.cfg.Codec.DecodeTotals()
 		return float64(elems)
 	})
+	// The codec's two-class slot scheduler: how much loads and publishes
+	// wait for each other on the shared coder budget.
+	slot := func(name, help string, read func(core.SlotTotals) float64, labels ...string) {
+		reg.GaugeFunc(name, help, func() float64 { return read(g.cfg.Codec.SlotTotals()) }, labels...)
+	}
+	slot("cachegen_codec_loads_in_flight", "loads registered with the codec, reserving coder slots from publishes",
+		func(t core.SlotTotals) float64 { return float64(t.LoadsInFlight) })
+	slot("cachegen_codec_slot_wait_seconds_total", "time queued for a coder slot",
+		func(t core.SlotTotals) float64 { return t.LoadWait.Seconds() }, "class", "load")
+	slot("cachegen_codec_slot_wait_seconds_total", "time queued for a coder slot",
+		func(t core.SlotTotals) float64 { return t.PublishWait.Seconds() }, "class", "publish")
+	slot("cachegen_codec_publish_yields_total", "coder slots a publish batch handed over at a block boundary",
+		func(t core.SlotTotals) float64 { return float64(t.PublishYields) })
+	slot("cachegen_codec_publish_exempt_total", "publish batches loads kept out past the wait bound",
+		func(t core.SlotTotals) float64 { return float64(t.PublishExempt) })
+	slot("cachegen_codec_publish_blocks_beside_loads_total", "publish blocks begun, within the slot bound, while a load was in flight",
+		func(t core.SlotTotals) float64 { return float64(t.PublishBlocksBesideLoads) })
 	reg.GaugeFunc("cachegen_gateway_queue_depth", "requests queued, not yet scheduled", func() float64 {
 		g.mu.Lock()
 		defer g.mu.Unlock()

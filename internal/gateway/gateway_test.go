@@ -510,7 +510,16 @@ func TestGatewayStreamingTelemetry(t *testing.T) {
 	if busy <= 0 || elems < int64(2*res.KV.Elems()) {
 		t.Errorf("decode totals (%v, %d elems) after delivering %d elems", busy, elems, 2*res.KV.Elems())
 	}
-	for _, name := range []string{"cachegen_codec_decode_busy_seconds_total ", "cachegen_codec_decoded_elems_total "} {
+	for _, name := range []string{
+		"cachegen_codec_decode_busy_seconds_total ", "cachegen_codec_decoded_elems_total ",
+		// The slot scheduler's view; the load has ended, nothing published.
+		"cachegen_codec_loads_in_flight 0\n",
+		`cachegen_codec_slot_wait_seconds_total{class="load"} `,
+		`cachegen_codec_slot_wait_seconds_total{class="publish"} 0` + "\n",
+		"cachegen_codec_publish_yields_total 0\n",
+		"cachegen_codec_publish_exempt_total 0\n",
+		"cachegen_codec_publish_blocks_beside_loads_total 0\n",
+	} {
 		if !strings.Contains(prom.String(), "\n"+name) {
 			t.Errorf("exposition lacks %s:\n%s", name, prom.String())
 		}

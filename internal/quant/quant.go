@@ -206,12 +206,27 @@ func (v Vectorwise) SymbolOf(q int32) int { return int(q + v.MaxQ()) }
 // ValueOf converts a symbol back to the quantized value.
 func (v Vectorwise) ValueOf(sym int) int32 { return int32(sym) - v.MaxQ() }
 
-// QuantizeRow quantizes one row with per-channel static scales, writing
-// the AC symbols into syms and the dequantized reconstructions into recon
-// (the anchor row the codec's delta tokens reference). Channel i with
-// scale 0 quantizes to 0 and reconstructs to 0. The arithmetic is
-// identical to per-channel QuantizeWithScale + SymbolOf + dequantize.
-func (v Vectorwise) QuantizeRow(row, scales []float32, syms []int, recon []float32) {
+// Reciprocals returns QuantizeWithScale's multiplier 1/float64(scale) for
+// every scale (0 for a zero scale, which quantizes to 0 without it). Static
+// scales have static reciprocals: the codec computes them once per bank
+// and hands them to QuantizeRow, so the division leaves the per-element loop.
+func Reciprocals(scales []float32) []float64 {
+	inv := make([]float64, len(scales))
+	for i, scale := range scales {
+		if scale != 0 {
+			inv[i] = 1 / float64(scale)
+		}
+	}
+	return inv
+}
+
+// QuantizeRow quantizes one row with per-channel static scales and their
+// Reciprocals, writing the AC symbols into syms and the dequantized
+// reconstructions into recon (the anchor row the codec's delta tokens
+// reference). Channel i with scale 0 quantizes to 0 and reconstructs to 0.
+// The arithmetic is identical to per-channel QuantizeWithScale + SymbolOf +
+// dequantize.
+func (v Vectorwise) QuantizeRow(row, scales []float32, inv []float64, syms []int, recon []float32) {
 	maxQ := v.MaxQ()
 	for i, x := range row {
 		scale := scales[i]
@@ -220,8 +235,7 @@ func (v Vectorwise) QuantizeRow(row, scales []float32, syms []int, recon []float
 			// Multiply by the reciprocal, as QuantizeWithScale does: x/s
 			// rounds differently from x*(1/s) in corner cases, and the
 			// bitstreams must stay identical.
-			inv := 1 / float64(scale)
-			q = int32(math.RoundToEven(float64(x) * inv))
+			q = int32(math.RoundToEven(float64(x) * inv[i]))
 			if q > maxQ {
 				q = maxQ
 			}

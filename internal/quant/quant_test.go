@@ -339,7 +339,7 @@ func TestVectorwiseRowMatchesScalar(t *testing.T) {
 
 	syms := make([]int, n)
 	recon := make([]float32, n)
-	v.QuantizeRow(row, scales, syms, recon)
+	v.QuantizeRow(row, scales, Reciprocals(scales), syms, recon)
 	q := make([]int32, 1)
 	for i := range row {
 		v.QuantizeWithScale(row[i:i+1], scales[i], q)

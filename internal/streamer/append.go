@@ -21,9 +21,10 @@ import (
 //
 // opts.KV, when set, must be the full cache of the extended context (a
 // live session has it resident after generating the turn); the engine
-// slices out the dirty range. Without it, Append reconstructs the old
-// token stream from the stored text payloads (exact) and recomputes the
-// needed KV — still skipping every prefix re-encode, which dominates.
+// encodes the dirty range out of it in place. Without it, Append
+// reconstructs the old token stream from the stored text payloads (exact)
+// and recomputes the needed KV — still skipping every prefix re-encode,
+// which dominates.
 func Append(ctx context.Context, st storage.Store, codec *core.Codec, model *llm.Model,
 	contextID string, newTokens []llm.Token, opts PublishOptions) (storage.Manifest, *PublishStats, error) {
 
@@ -85,13 +86,13 @@ func Append(ctx context.Context, st storage.Store, codec *core.Codec, model *llm
 	suffix = append(suffix, tail...)
 	suffix = append(suffix, newTokens...)
 
-	var kvFor func() (*tensor.KV, error)
+	var kvFor func() *tensor.KV
 	switch {
 	case opts.KV != nil:
 		if opts.KV.Tokens != total {
 			return storage.Manifest{}, nil, fmt.Errorf("streamer: appended cache covers %d tokens, context grows to %d", opts.KV.Tokens, total)
 		}
-		kvFor = kvProvider(model, nil, opts.KV, dirtyStart)
+		kvFor = kvProvider(model, nil, opts.KV)
 	default:
 		// Exact fallback: rebuild the full token stream from stored text
 		// and recompute. Costs KV compute, never prefix re-encodes.
@@ -106,7 +107,7 @@ func Append(ctx context.Context, st storage.Store, codec *core.Codec, model *llm
 			return storage.Manifest{}, nil, fmt.Errorf("streamer: context %q stored text holds %d tokens, want %d",
 				contextID, len(full), total)
 		}
-		kvFor = kvProvider(model, full, nil, dirtyStart)
+		kvFor = kvProvider(model, full, nil)
 	}
 
 	job := publishJob{

@@ -2,8 +2,13 @@ package streamer
 
 import (
 	"context"
+	"errors"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/storage"
 	"repro/internal/tensor"
@@ -194,6 +199,103 @@ func TestAppendWithoutResidentKV(t *testing.T) {
 			if got, _ := man.ChunkHash(lv, c); got != want {
 				t.Errorf("level %d chunk %d: KV-less append hash differs", lv, c)
 			}
+		}
+	}
+}
+
+// slowPutStore is a MemStore whose PutChunk lets other goroutines run
+// before it lands — time for the publisher to look the next payload up and
+// encode it behind the write — and, from call failAt on, fails instead. It
+// records every fingerprint the publisher indexes.
+type slowPutStore struct {
+	*storage.MemStore
+	failAt int // 1-based PutChunk call to start failing at; 0 = never
+
+	mu      sync.Mutex
+	puts    int
+	indexed []storage.Fingerprint
+}
+
+var errPutFailed = errors.New("put failed")
+
+func (s *slowPutStore) PutChunk(ctx context.Context, hash string, data []byte) error {
+	for i := 0; i < 50; i++ {
+		runtime.Gosched()
+	}
+	s.mu.Lock()
+	s.puts++
+	fail := s.failAt > 0 && s.puts >= s.failAt
+	s.mu.Unlock()
+	if fail {
+		return errPutFailed
+	}
+	return s.MemStore.PutChunk(ctx, hash, data)
+}
+
+func (s *slowPutStore) PutFingerprint(ctx context.Context, key string, fp storage.Fingerprint) error {
+	s.mu.Lock()
+	s.indexed = append(s.indexed, fp)
+	s.mu.Unlock()
+	return s.MemStore.PutFingerprint(ctx, key, fp)
+}
+
+// TestPublishBehindSlowStore: with payload writes running behind the next
+// encode, publish, append and a deduplicated republish leave the stats,
+// the manifests and the stored bytes a store that answers at once gets;
+// and a failed write fails the publish without its payload — or any later
+// one — being indexed by fingerprint.
+func TestPublishBehindSlowStore(t *testing.T) {
+	s := newStack(t)
+	ctx := context.Background()
+	opts := PublishOptions{RefineTargets: []core.Level{0}}
+	type outcome struct {
+		mans  []storage.Manifest
+		stats []PublishStats
+		usage storage.Usage
+	}
+	script := func(st storage.Store) outcome {
+		var out outcome
+		step := func(man storage.Manifest, stats *PublishStats, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.mans, out.stats = append(out.mans, man), append(out.stats, *stats)
+		}
+		step(Publish(ctx, st, s.codec, s.model, "chat", s.tokens[:200], opts))
+		step(Append(ctx, st, s.codec, s.model, "chat", s.tokens[200:250], PublishOptions{KV: s.kv}))
+		step(Append(ctx, st, s.codec, s.model, "chat", s.tokens[:30], PublishOptions{}))
+		step(Publish(ctx, st, s.codec, s.model, "fork", s.tokens, PublishOptions{KV: s.kv, RefineTargets: opts.RefineTargets}))
+		usage, err := st.Usage(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.usage = usage
+		return out
+	}
+	want := script(storage.NewMemStore())
+	slow := &slowPutStore{MemStore: storage.NewMemStore()}
+	got := script(slow)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("behind a slow store:\n got %+v\nwant %+v", got, want)
+	}
+	if slow.puts == 0 {
+		t.Fatal("script wrote no payload")
+	}
+
+	// Fail every write from the third on: the two payloads written before it
+	// are the only ones the index may name.
+	failing := &slowPutStore{MemStore: storage.NewMemStore(), failAt: 3}
+	_, _, err := Publish(ctx, failing, s.codec, s.model, "doomed", s.tokens[:80], opts)
+	if !errors.Is(err, errPutFailed) {
+		t.Fatalf("publish over a failing store: %v", err)
+	}
+	if len(failing.indexed) > 2 {
+		t.Errorf("%d fingerprints indexed around a write that failed third", len(failing.indexed))
+	}
+	for _, fp := range failing.indexed {
+		if ok, err := failing.TouchChunk(ctx, fp.Hash); err != nil || !ok {
+			t.Errorf("fingerprint indexed for payload %s, which was never stored (err %v)", fp.Hash, err)
 		}
 	}
 }

@@ -83,10 +83,11 @@ func (inc *IncrementalFetch) Upgrade(ctx context.Context) (*tensor.KV, *FetchRep
 // pinned at the coarsest level: it streams when the source can, pipelines
 // at PipelineDepth and refetches corrupt payloads like any other.
 func (f *Fetcher) FetchIncremental(ctx context.Context, contextID string, target core.Level) (*IncrementalFetch, error) {
-	start, man, err := f.manifest(ctx, contextID)
+	start, man, load, err := f.open(ctx, contextID)
 	if err != nil {
 		return nil, err
 	}
+	defer load.End()
 	if !slices.Contains(man.Meta.RefineTargets, int(target)) {
 		return nil, fmt.Errorf("streamer: context %q has no refinement streams for level %d (published targets: %v)",
 			contextID, target, man.Meta.RefineTargets)

@@ -3,6 +3,7 @@ package streamer
 import (
 	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,7 +27,11 @@ type testStack struct {
 	client *transport.Client
 }
 
-func newStack(t *testing.T) *testStack {
+func newStack(t *testing.T) *testStack { return newStackWorkers(t, 0) }
+
+// newStackWorkers is newStack with the codec's worker count pinned
+// (0 = GOMAXPROCS).
+func newStackWorkers(t *testing.T, workers int) *testStack {
 	t.Helper()
 	model, err := llm.New(llm.Config{
 		Name: "itest", Layers: 6, KVChannels: 16, Channels: 16,
@@ -37,6 +42,7 @@ func newStack(t *testing.T) *testStack {
 	}
 	cfg := core.DefaultConfig()
 	cfg.ChunkTokens = 80
+	cfg.Workers = workers
 
 	rng := rand.New(rand.NewSource(42))
 	sample := make([]llm.Token, 400)
@@ -235,6 +241,75 @@ func TestFetchMixedLevelsStillAssembles(t *testing.T) {
 	}
 	if kv.Tokens != len(s.tokens) {
 		t.Errorf("assembled %d tokens", kv.Tokens)
+	}
+}
+
+// TestFetchBesidePublisher loops EncodeAllLevels beside Fetch on a
+// 2-worker codec, where one load in flight leaves publish batches no slot:
+// between a fetch's BeginLoad and its End no publish block may start unless
+// its batch had outwaited the exemption, and the KV must be the one a fetch
+// alone delivers.
+func TestFetchBesidePublisher(t *testing.T) {
+	s := newStackWorkers(t, 2)
+	f := &Fetcher{
+		Source: s.client, Codec: s.codec, Model: s.model, Device: llm.A40x4(),
+		Planner: Planner{DefaultLevel: 1}, PipelineDepth: 2,
+	}
+	ctx := context.Background()
+	alone, _, err := f.Fetch(ctx, "ctx-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	published := make(chan error, 1)
+	var rounds atomic.Int64
+	go func() {
+		for {
+			select {
+			case <-stop:
+				published <- nil
+				return
+			default:
+			}
+			if _, err := s.codec.EncodeAllLevels(s.kv); err != nil {
+				published <- err
+				return
+			}
+			rounds.Add(1)
+		}
+	}()
+	// Until the publisher has both finished rounds and been made to wait or
+	// hand a slot over: it really ran beside the loads.
+	met := func() bool {
+		tot := s.codec.SlotTotals()
+		return rounds.Load() >= 2 && (tot.PublishYields > 0 || tot.PublishWait > 0)
+	}
+	for i := 0; i < 8 || !met(); i++ {
+		if i == 5000 {
+			t.Fatalf("publisher never met a load: %d rounds, totals %+v", rounds.Load(), s.codec.SlotTotals())
+		}
+		kv, _, err := f.Fetch(ctx, "ctx-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, err := kv.MaxAbsDiff(alone); err != nil || d != 0 {
+			t.Fatalf("fetch %d beside the publisher differs from a fetch alone (diff %v, err %v)", i, d, err)
+		}
+	}
+	if _, _, err := f.Fetch(ctx, "missing"); err == nil {
+		t.Error("fetching a missing context succeeded")
+	}
+	close(stop)
+	if err := <-published; err != nil {
+		t.Fatal(err)
+	}
+	tot := s.codec.SlotTotals()
+	if tot.PublishBlocksBesideLoads != 0 {
+		t.Errorf("%d publish blocks started under the bound while a load was in flight: %+v", tot.PublishBlocksBesideLoads, tot)
+	}
+	if tot.LoadsInFlight != 0 {
+		t.Errorf("%d loads still in flight", tot.LoadsInFlight)
 	}
 }
 

@@ -26,7 +26,7 @@ type PublishOptions struct {
 	SizeScale float64
 	// KV, if non-nil, is the precomputed cache for the tokens (skips
 	// CalculateKV). For Append it must cover the context's *full* new
-	// token count; the engine slices the suffix it re-encodes.
+	// token count; the engine encodes the dirty suffix out of it in place.
 	KV *tensor.KV
 	// RefineTargets additionally stores incremental-streaming refinement
 	// bitstreams (DESIGN.md §5b) that upgrade the coarsest level to each
@@ -101,7 +101,7 @@ func Publish(ctx context.Context, st storage.Store, codec *core.Codec, model *ll
 		targets:      targets,
 		scale:        normScale(opts.SizeScale),
 	}
-	job.kv = kvProvider(model, tokens, opts.KV, 0)
+	job.kv = kvProvider(model, tokens, opts.KV)
 	frag, err := encodeChunks(ctx, st, codec, model, job)
 	if err != nil {
 		return storage.Manifest{}, nil, err
@@ -133,31 +133,20 @@ func refineTargetInts(codec *core.Codec, targets []core.Level) ([]int, error) {
 	return out, nil
 }
 
-// kvProvider returns a lazy accessor for the KV cache of
-// tokens[startOffset:]: a fully-deduplicated publish never touches it, so
-// CalculateKV only runs when at least one chunk actually encodes.
-func kvProvider(model *llm.Model, tokens []llm.Token, precomputed *tensor.KV, startOffset int) func() (*tensor.KV, error) {
+// kvProvider returns a lazy accessor for the whole context's KV cache —
+// the precomputed one, or the model's for tokens. A fully-deduplicated
+// publish never touches it, so CalculateKV only runs when at least one
+// chunk actually encodes; chunks encode out of it in place.
+func kvProvider(model *llm.Model, tokens []llm.Token, precomputed *tensor.KV) func() *tensor.KV {
 	var once sync.Once
-	var kv *tensor.KV
-	var err error
-	return func() (*tensor.KV, error) {
+	kv := precomputed
+	return func() *tensor.KV {
 		once.Do(func() {
-			if precomputed != nil {
-				if startOffset == 0 {
-					kv = precomputed
-					return
-				}
-				kv, err = precomputed.SliceTokens(startOffset, precomputed.Tokens)
-				return
+			if kv == nil {
+				kv = model.CalculateKV(tokens)
 			}
-			full := model.CalculateKV(tokens)
-			if startOffset == 0 {
-				kv = full
-				return
-			}
-			kv, err = full.SliceTokens(startOffset, full.Tokens)
 		})
-		return kv, err
+		return kv
 	}
 }
 
@@ -174,8 +163,8 @@ type publishJob struct {
 	suffixTokens []llm.Token
 	targets      []int
 	scale        float64
-	// kv lazily yields the cache of suffixTokens.
-	kv func() (*tensor.KV, error)
+	// kv lazily yields the cache of the whole context (all `total` tokens).
+	kv func() *tensor.KV
 }
 
 // chunkFragments is the engine's output: manifest/meta rows for the
@@ -326,7 +315,10 @@ func encodeChunks(ctx context.Context, st storage.Store, codec *core.Codec, mode
 }
 
 // encodeOneChunk resolves every payload of one chunk: fingerprint-index
-// reuse, content-addressed upload dedup, or a fresh encode.
+// reuse, content-addressed upload dedup, or a fresh encode. A freshly
+// encoded payload's store round trips (touch, put, index) run behind the
+// next payload's lookup and encode, one payload at a time; the first error
+// in payload order wins, and nothing outlives the call.
 func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, model *llm.Model,
 	job publishJob, frag *chunkFragments, offs []int, si int, codecFP, modelFP string, coarsest core.Level) (PublishStats, error) {
 
@@ -336,49 +328,68 @@ func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, mo
 	n := hi - lo
 	chain := frag.chains[si]
 
-	// The chunk's KV slice, fetched lazily: if every bitstream payload is
-	// a fingerprint hit, the KV is never materialised.
-	var part *tensor.KV
-	getPart := func() (*tensor.KV, error) {
-		if part != nil {
-			return part, nil
+	// record notes one resolved payload in the manifest rows.
+	record := func(level int, hash string, bytes int64) {
+		frag.hashes[level][si] = hash
+		if level != storage.TextLevel {
+			bytes = int64(math.Round(float64(bytes) * job.scale))
 		}
-		kv, err := job.kv()
-		if err != nil {
-			return nil, err
-		}
-		part, err = kv.SliceTokens(lo-job.startOffset, hi-job.startOffset)
-		if err != nil {
-			return nil, fmt.Errorf("streamer: %w", err)
-		}
-		return part, nil
+		frag.sizes[level][si] = bytes
 	}
 
-	// storePayload records one resolved payload, writing it unless the
-	// store already holds the content.
-	storePayload := func(level int, data []byte) error {
+	// storePayload writes one resolved payload unless the store already
+	// holds the content, indexes it under key (text has none) and returns
+	// what that added to the stats. The index entry is written last: a
+	// payload whose upload failed is never findable by fingerprint.
+	storePayload := func(level int, key string, data []byte) (PublishStats, error) {
+		var st1 PublishStats
 		hash := storage.HashChunk(data)
 		exists, err := st.TouchChunk(ctx, hash)
 		if err != nil {
-			return fmt.Errorf("streamer: touching chunk %d level %d: %w", i, level, err)
+			return st1, fmt.Errorf("streamer: touching chunk %d level %d: %w", i, level, err)
 		}
 		if exists {
-			stats.PayloadsReused++
-			stats.BytesReused += int64(len(data))
+			st1.PayloadsReused++
+			st1.BytesReused += int64(len(data))
 		} else {
 			if err := st.PutChunk(ctx, hash, data); err != nil {
-				return fmt.Errorf("streamer: storing chunk %d level %d: %w", i, level, err)
+				return st1, fmt.Errorf("streamer: storing chunk %d level %d: %w", i, level, err)
 			}
-			stats.PayloadsStored++
-			stats.BytesStored += int64(len(data))
+			st1.PayloadsStored++
+			st1.BytesStored += int64(len(data))
 		}
-		frag.hashes[level][si] = hash
-		size := int64(len(data))
-		if level != storage.TextLevel {
-			size = int64(math.Round(float64(len(data)) * job.scale))
+		record(level, hash, int64(len(data)))
+		if key != "" {
+			fp := storage.Fingerprint{Hash: hash, Bytes: int64(len(data))}
+			if err := st.PutFingerprint(ctx, key, fp); err != nil {
+				return st1, fmt.Errorf("streamer: indexing chunk %d level %d: %w", i, level, err)
+			}
 		}
-		frag.sizes[level][si] = size
-		return nil
+		return st1, nil
+	}
+
+	// storing is the one storePayload in flight; join folds it in.
+	type stored struct {
+		stats PublishStats
+		err   error
+	}
+	var storing chan stored
+	join := func() error {
+		if storing == nil {
+			return nil
+		}
+		r := <-storing
+		storing = nil
+		stats.add(r.stats)
+		return r.err
+	}
+	// fail is the return for an error met while a store may be in flight: it
+	// leaves none running, and an error of the earlier payload comes first.
+	fail := func(err error) error {
+		if jerr := join(); jerr != nil {
+			return jerr
+		}
+		return err
 	}
 
 	// reusePayload adopts a fingerprint-index hit without re-encoding,
@@ -389,12 +400,7 @@ func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, mo
 		if err != nil || !exists {
 			return false, err
 		}
-		frag.hashes[level][si] = fp.Hash
-		size := fp.Bytes
-		if level != storage.TextLevel {
-			size = int64(math.Round(float64(fp.Bytes) * job.scale))
-		}
-		frag.sizes[level][si] = size
+		record(level, fp.Hash, fp.Bytes)
 		stats.PayloadsReused++
 		stats.BytesReused += fp.Bytes
 		stats.EncodesSkipped++
@@ -403,69 +409,61 @@ func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, mo
 
 	// encoded resolves one bitstream payload (a real level or a
 	// refinement) through the fingerprint index.
-	encoded := func(level int, encode func(part *tensor.KV) ([]byte, error)) error {
+	encoded := func(level int, encode func(kv *tensor.KV) ([]byte, error)) error {
 		key := fingerprintKey(codecFP, modelFP, level, i, lo, n, chain)
 		if fp, err := st.GetFingerprint(ctx, key); err == nil {
 			ok, err := reusePayload(level, fp)
 			if err != nil {
-				return fmt.Errorf("streamer: touching chunk %d level %d: %w", i, level, err)
+				return fail(fmt.Errorf("streamer: touching chunk %d level %d: %w", i, level, err))
 			}
 			if ok {
 				return nil
 			}
 		}
-		part, err := getPart()
+		// The context's KV, fetched lazily: if every bitstream payload is a
+		// fingerprint hit, it is never materialised.
+		data, err := encode(job.kv())
 		if err != nil {
+			return fail(fmt.Errorf("streamer: encoding chunk %d level %d: %w", i, level, err))
+		}
+		if err := join(); err != nil {
 			return err
 		}
-		data, err := encode(part)
-		if err != nil {
-			return fmt.Errorf("streamer: encoding chunk %d level %d: %w", i, level, err)
-		}
-		if err := storePayload(level, data); err != nil {
-			return err
-		}
-		fp := storage.Fingerprint{Hash: frag.hashes[level][si], Bytes: int64(len(data))}
-		if err := st.PutFingerprint(ctx, key, fp); err != nil {
-			return fmt.Errorf("streamer: indexing chunk %d level %d: %w", i, level, err)
-		}
+		stats.EncodedChunks = 1 // this chunk went through the encoder
+		storing = make(chan stored, 1)
+		go func(done chan<- stored) {
+			st1, err := storePayload(level, key, data)
+			done <- stored{st1, err}
+		}(storing)
 		return nil
 	}
 
-	encodedAny := false
-	wasEncoded := func() {
-		if !encodedAny {
-			encodedAny = true
-			stats.EncodedChunks++
-		}
-	}
 	for lv := 0; lv < codec.Config().Levels(); lv++ {
-		skippedBefore := stats.EncodesSkipped
-		if err := encoded(lv, func(part *tensor.KV) ([]byte, error) {
-			return codec.EncodeChunk(part, i, lo, core.Level(lv))
+		// In place: the chunk's rows are read where they lie in the context.
+		if err := encoded(lv, func(kv *tensor.KV) ([]byte, error) {
+			return codec.EncodeChunkRange(kv, lo, hi, i, lo, core.Level(lv))
 		}); err != nil {
 			return stats, err
 		}
-		if stats.EncodesSkipped == skippedBefore {
-			wasEncoded()
-		}
 	}
 	for _, target := range job.targets {
-		skippedBefore := stats.EncodesSkipped
-		if err := encoded(storage.RefineLevelKey(target), func(part *tensor.KV) ([]byte, error) {
+		if err := encoded(storage.RefineLevelKey(target), func(kv *tensor.KV) ([]byte, error) {
+			part, err := kv.SliceTokens(lo, hi)
+			if err != nil {
+				return nil, err
+			}
 			return codec.EncodeRefinement(part, i, lo, coarsest, core.Level(target))
 		}); err != nil {
 			return stats, err
 		}
-		if stats.EncodesSkipped == skippedBefore {
-			wasEncoded()
-		}
+	}
+	if err := join(); err != nil {
+		return stats, err
 	}
 	// Token text needs no fingerprint indirection: serialising tokens is
 	// cheap, and the content address alone dedups the upload.
 	text := llm.EncodeTokens(job.suffixTokens[lo-job.startOffset : hi-job.startOffset])
-	if err := storePayload(storage.TextLevel, text); err != nil {
-		return stats, err
-	}
-	return stats, nil
+	st1, err := storePayload(storage.TextLevel, "", text)
+	stats.add(st1)
+	return stats, err
 }
