@@ -147,11 +147,7 @@ type (
 	RequestResult = gateway.Result
 	// TenantStats holds one tenant's counters and TTFT histogram.
 	TenantStats = gateway.TenantStats
-	// TenantProfile describes one tenant's traffic in a Workload.
-	TenantProfile = gateway.TenantProfile
-	// Workload is an open-loop Poisson load run against a Gateway.
-	Workload = gateway.Workload
-	// LoadReport aggregates one Workload run.
+	// LoadReport aggregates one Replay run.
 	LoadReport = gateway.LoadReport
 	// Session is a multi-turn conversation served through a Gateway:
 	// warm suffix-only fetches, ExtendKV, append-publish per turn.
@@ -426,6 +422,8 @@ type (
 	WorkloadArrival = workload.Arrival
 	// WorkloadContext describes one context a scenario publishes.
 	WorkloadContext = workload.ContextSpec
+	// PoissonTenant describes one tenant's traffic in a PoissonTrace.
+	PoissonTenant = workload.PoissonTenant
 	// ReplayOptions configures Replay.
 	ReplayOptions = gateway.ReplayOptions
 
@@ -457,6 +455,13 @@ func WorkloadBuilders() map[string]func(WorkloadParams) *WorkloadTrace { return 
 // file path — into a trace.
 func ResolveTrace(nameOrPath string, p WorkloadParams) (*WorkloadTrace, error) {
 	return workload.Resolve(nameOrPath, p)
+}
+
+// PoissonTrace builds the open-loop Poisson workload as a trace:
+// exponential inter-arrival gaps at rate sessions/second, each arrival
+// drawn from the tenant mix. Replay it with ReplayOptions.Offered = rate.
+func PoissonTrace(rate float64, requests int, tenants []PoissonTenant, seed int64) (*WorkloadTrace, error) {
+	return workload.Poisson(rate, requests, tenants, seed)
 }
 
 // LoadTrace reads and validates a JSON trace file.

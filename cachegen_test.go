@@ -222,34 +222,3 @@ func TestIncrementalFacade(t *testing.T) {
 		t.Errorf("upgrade did not improve: %.4f -> %.4f", baseErr, upErr)
 	}
 }
-
-func TestSimulateBatchFacade(t *testing.T) {
-	model := Mistral7B()
-	dev := A40x4()
-	meta := ContextMeta{
-		ContextID: "b", Model: model.Name, TokenCount: 3000,
-		ChunkTokens: []int{1500, 1500}, Levels: 2,
-		SizesBytes: [][]int64{{40e6, 40e6}, {25e6, 25e6}},
-		TextBytes:  []int64{6000, 6000},
-	}
-	chunks, err := BuildChunkInfos(meta, model, dev, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SimulateBatch(BatchInput{
-		Requests: []BatchRequest{
-			{Chunks: chunks, TotalTokens: 3000},
-			{Chunks: chunks, TotalTokens: 3000},
-		},
-		Link:    NewLink(ConstantTrace(Gbps(2))),
-		Planner: Planner{Adapt: false, DefaultLevel: 1},
-		Model:   model,
-		Device:  dev,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 || res[0].TTFT <= 0 || res[1].TTFT <= 0 {
-		t.Errorf("batch results: %+v", res)
-	}
-}

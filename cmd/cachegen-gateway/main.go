@@ -14,9 +14,8 @@
 // while either workload runs; -capture-trace writes the run back out as
 // a replayable trace file.
 //
-// By default each request is priced by the fleet-wide min-TTFT chunk
-// scheduler (-sched=false reverts to the greedy planner's fallback
-// ladder); -peer-serve additionally registers completed fetches in a
+// Each request is priced by the fleet-wide min-TTFT chunk scheduler;
+// -peer-serve additionally registers completed fetches in a
 // resident-prefix index so peer gateways sharing it can serve decoded
 // KV directly.
 //
@@ -104,8 +103,7 @@ func main() {
 	channels := flag.Int("channels", 32, "synthesised KV channels")
 	seed := flag.Int64("seed", 1, "workload seed")
 	traceFlag := flag.String("workload-trace", "", "replay a workload trace (scenario name or trace file) instead of the Poisson generator")
-	schedFlag := flag.Bool("sched", true, "price each chunk across all sources with the fleet-wide min-TTFT scheduler (false = greedy planner fallbacks)")
-	peerServe := flag.Bool("peer-serve", false, "register completed fetches in a resident-prefix index so gateways sharing it peer-serve decoded KV (implies -sched)")
+	peerServe := flag.Bool("peer-serve", false, "register completed fetches in a resident-prefix index so gateways sharing it peer-serve decoded KV")
 	captureTrace := flag.String("capture-trace", "", "capture the live run as a replayable workload trace file (replay it with -workload-trace)")
 	chaosFlag := flag.String("chaos", "", "fault schedule armed at workload start, as class@offset[+heal][:param];... (e.g. \"kill@500ms+1s; corrupt@0s:0.25\")")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /debug metrics+pprof exposition on this address (e.g. :9100; empty = disabled)")
@@ -267,11 +265,11 @@ func main() {
 	// Publish per-tenant contexts (the Poisson path; a trace's contexts
 	// are published by Replay).
 	bg := context.Background()
-	profiles := make([]cachegen.TenantProfile, 0, len(specs))
+	profiles := make([]cachegen.PoissonTenant, 0, len(specs))
 	weights := map[string]int{}
 	next := 2
 	for _, spec := range specs {
-		p := cachegen.TenantProfile{
+		p := cachegen.PoissonTenant{
 			Name: spec.name, Share: spec.weight,
 			SLO: *slo, Deadline: *deadline,
 			Turns: *turns, ThinkTime: *think,
@@ -313,19 +311,16 @@ func main() {
 	// from the ring. -peer-serve adds the resident-prefix index (in this
 	// single-gateway process it records; a fleet of gateways would share
 	// it to peer-serve each other's decoded KV).
-	var schd *cachegen.Scheduler
-	if *schedFlag || *peerServe {
-		opt := cachegen.SchedulerOptions{
-			ID:         "gateway-0",
-			Locator:    ring,
-			Resilience: pool.Resilience(),
-			Telemetry:  reg,
-		}
-		if *peerServe {
-			opt.Residents = cachegen.NewResidentIndex(0)
-		}
-		schd = cachegen.NewScheduler(opt)
+	schedOpt := cachegen.SchedulerOptions{
+		ID:         "gateway-0",
+		Locator:    ring,
+		Resilience: pool.Resilience(),
+		Telemetry:  reg,
 	}
+	if *peerServe {
+		schedOpt.Residents = cachegen.NewResidentIndex(0)
+	}
+	schd := cachegen.NewScheduler(schedOpt)
 
 	gw, err := cachegen.NewGateway(cachegen.GatewayConfig{
 		Slots:       *slots,
@@ -381,9 +376,11 @@ func main() {
 	} else {
 		log.Printf("driving %d requests at %.0f/s across %d tenants (%d nodes, %d slots, prefetch %v)...",
 			*requests, *rate, len(specs), *nodes, *slots, *prefetch)
-		w := cachegen.Workload{Rate: *rate, Requests: *requests, Tenants: profiles, Seed: *seed}
-		armChaos()
-		rep, err = w.Run(bg, gw)
+		poisson, perr := cachegen.PoissonTrace(*rate, *requests, profiles, *seed)
+		if perr != nil {
+			log.Fatal(perr)
+		}
+		rep, err = cachegen.Replay(bg, gw, poisson, cachegen.ReplayOptions{Offered: *rate, Started: armChaos})
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -447,7 +444,7 @@ func main() {
 	if st.Degraded > 0 {
 		log.Printf("degradation ladder: %d requests served at reduced quality under pressure", st.Degraded)
 	}
-	if schd != nil && len(st.SourceChunks) > 0 {
+	if len(st.SourceChunks) > 0 {
 		srcs := make([]string, 0, len(st.SourceChunks))
 		for src := range st.SourceChunks {
 			srcs = append(srcs, src)

@@ -5,14 +5,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/resilience"
 )
 
 // TestDegradeLadderSteps exercises the ladder's pressure arithmetic and
 // its application to the per-request planner: queue pressure and burned
-// SLO budget each contribute rungs, rungs coarsen the default level, and
-// past the coarsest level the planner is pinned to text.
+// SLO budget each contribute rungs, and the rung lands on Planner.Rung
+// untouched — what it means (a cap, then a cost comparison) is Algorithm
+// 1's business, not the gateway's.
 func TestDegradeLadderSteps(t *testing.T) {
 	r := newTestRing(t, 1)
 	cfg := r.config(1, false)
@@ -29,28 +29,28 @@ func TestDegradeLadderSteps(t *testing.T) {
 
 	// Calm gateway, no SLO: no degradation.
 	f := g.fetcher(mk(context.Background(), 0))
-	if f.Planner.DefaultLevel != 0 || f.Planner.ForceText {
-		t.Fatalf("calm fetcher degraded: level %v forceText %v", f.Planner.DefaultLevel, f.Planner.ForceText)
+	if f.Planner.DefaultLevel != 0 || f.Planner.Rung != 0 {
+		t.Fatalf("calm fetcher degraded: level %v rung %d", f.Planner.DefaultLevel, f.Planner.Rung)
 	}
 
-	// Queue at 90% of the admission bound: two rungs, L0 → L2.
+	// Queue at 90% of the admission bound: two rungs.
 	g.mu.Lock()
 	g.queued = 9
 	g.mu.Unlock()
 	p := mk(context.Background(), 0)
 	f = g.fetcher(p)
-	if p.degrade != 2 || f.Planner.DefaultLevel != core.Level(2) || f.Planner.ForceText {
-		t.Fatalf("queue pressure: step %d level %v forceText %v, want 2/L2/false",
-			p.degrade, f.Planner.DefaultLevel, f.Planner.ForceText)
+	if p.degrade != 2 || f.Planner.DefaultLevel != 0 || f.Planner.Rung != 2 {
+		t.Fatalf("queue pressure: step %d level %v rung %d, want 2/L0/2",
+			p.degrade, f.Planner.DefaultLevel, f.Planner.Rung)
 	}
 
 	// Add a nearly-exhausted SLO budget: two more rungs walk past the
-	// coarsest level (L3) onto the text floor.
+	// coarsest level (L3).
 	ctx := resilience.WithBudget(context.Background(), time.Millisecond)
 	p = mk(ctx, time.Second)
 	f = g.fetcher(p)
-	if p.degrade != 4 || !f.Planner.ForceText {
-		t.Fatalf("severe pressure: step %d forceText %v, want 4/true", p.degrade, f.Planner.ForceText)
+	if p.degrade != 4 || f.Planner.Rung != 4 {
+		t.Fatalf("severe pressure: step %d rung %d, want 4/4", p.degrade, f.Planner.Rung)
 	}
 
 	if got := g.Stats().Degraded; got != 2 {
@@ -67,7 +67,7 @@ func TestDegradeLadderSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	p = mk(ctx, time.Second)
-	if f := g2.fetcher(p); p.degrade != 0 || f.Planner.ForceText {
+	if f := g2.fetcher(p); p.degrade != 0 || f.Planner.Rung != 0 {
 		t.Fatalf("Degrade=false still degraded: step %d", p.degrade)
 	}
 }

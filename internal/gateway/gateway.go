@@ -102,9 +102,9 @@ type Result struct {
 	// LoadTime is anchored at admission, not at fetch start.
 	Report *streamer.FetchReport
 	// DegradeStep is the degradation-ladder rung this request was served
-	// at: 0 = configured quality, each step one encoding level coarser,
-	// with the final rung the forced text fallback. Always 0 with
-	// Config.Degrade off.
+	// at: 0 = configured quality, each step caps quality one encoding
+	// level coarser; past the coarsest level cost picks between it and
+	// text. Always 0 with Config.Degrade off.
 	DegradeStep int
 }
 
@@ -128,11 +128,13 @@ type Config struct {
 	MaxPrefetch int
 	// Degrade enables the graceful-degradation ladder: under pressure
 	// (queue depth approaching QueueLimit, SLO budget mostly burned) a
-	// request's planner is stepped toward coarser encoding levels, and
-	// at the last rung pinned to the text-recompute fallback — shifting
-	// load from the degraded fleet onto the local GPU — before admission
-	// control ever starts shedding. Off, requests stream at the
-	// configured quality regardless of pressure.
+	// request is given a rung, and the rung means the same with or
+	// without Sched (streamer.Terms.Rung): quality capped at
+	// DefaultLevel+rung, and past the coarsest level the cheaper of that
+	// level and text recompute — load shifts onto the local GPU only
+	// when that actually prices cheaper — before admission control ever
+	// starts shedding. Off, requests stream at the configured quality
+	// regardless of pressure.
 	Degrade bool
 
 	// Source serves metadata and chunks: a transport.Client or a
@@ -145,22 +147,25 @@ type Config struct {
 	// Device is the decode-slot hardware model.
 	Device llm.Device
 	// Planner is the per-chunk adaptation policy template; each request
-	// gets a copy with its own SLO. Set Planner.Adapt for SLO-aware
-	// degradation.
+	// gets a copy with its own SLO and ladder rung. Set Planner.Adapt for
+	// SLO-aware adaptation. Without Sched it is the policy (Algorithm 1
+	// over the one fleet link); with Sched it still supplies DefaultLevel
+	// and Adapt.
 	Planner streamer.Planner
 	// PipelineDepth is the streamer's transfer-pipeline depth per request:
 	// up to this many chunk transfers in flight while decode proceeds in
 	// order (0 = streamer.DefaultPipelineDepth).
 	PipelineDepth int
 
-	// Sched, when set, replaces the planner's fallback logic with the
-	// fleet-wide min-TTFT chunk scheduler: every request gets a
-	// sched.Plan pricing each chunk across all sources (payload cache,
-	// colocated disk, remote and cross-region fleet nodes, GPU recompute
-	// and peer-resident KV), the decode-slot pool feeds the recompute
-	// cost live, and degradation-ladder rungs become quality caps the
-	// cost model optimises under rather than blind planner overrides.
-	// The Planner template still supplies DefaultLevel and Adapt.
+	// Sched, when set, swaps the price table Algorithm 1 decides over:
+	// every request gets a sched.Plan pricing each chunk across all
+	// sources (payload cache, colocated disk, remote and cross-region
+	// fleet nodes, GPU recompute and peer-resident KV) instead of the
+	// Planner's one link, the decode-slot pool feeds the recompute cost
+	// live, and repeat decisions pass a hysteresis band. The decision
+	// procedure and the meaning of a rung are the same either way. Nil
+	// keeps the Planner: the one-source front end, and the reference arm
+	// the scheduler is measured against.
 	Sched *sched.Scheduler
 	// Recorder, when set, captures every submission (admitted or not) as
 	// a replayable workload arrival (cachegen-gateway -capture-trace).
@@ -703,17 +708,10 @@ func (g *Gateway) fetcher(p *pending) *streamer.Fetcher {
 		g.tele.degraded.Inc()
 		p.span.SetAttr("degrade_step", step)
 	}
-	if g.cfg.Sched == nil && step > 0 {
-		// Greedy ladder: each rung one level coarser than configured;
-		// past the coarsest level, pin the text fallback (recompute on
-		// the local GPU instead of leaning on a degraded fleet).
-		coarsest := g.cfg.Codec.Config().Levels() - 1
-		if lv := int(pl.DefaultLevel) + step; lv <= coarsest {
-			pl.DefaultLevel = core.Level(lv)
-		} else {
-			pl.ForceText = true
-		}
-	}
+	// The rung means the same under either policy (streamer.Terms.Rung):
+	// a quality cap Algorithm 1 optimises under, and past the coarsest
+	// level text recompute wins only when it actually prices cheaper.
+	pl.Rung = step
 	f := &streamer.Fetcher{
 		Source:         g.cfg.Source,
 		Codec:          g.cfg.Codec,
@@ -727,10 +725,6 @@ func (g *Gateway) fetcher(p *pending) *streamer.Fetcher {
 		LanesGauge:     g.tele.decodeLanes,
 	}
 	if g.cfg.Sched != nil {
-		// The scheduler subsumes the ladder: the rung becomes a quality
-		// cap the cost model optimises under (a forced-down request still
-		// picks the cheapest source; past the coarsest level, text
-		// recompute wins only when it actually prices cheaper).
 		slo := pl.SLO
 		if !pl.Adapt {
 			slo = 0 // pinned quality, only the source floats

@@ -20,6 +20,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 // testRing is a live 3-node loopback fleet with published contexts and a
@@ -413,16 +414,11 @@ func TestWorkloadRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := Workload{
-		Rate:     400,
-		Requests: 40,
-		Seed:     7,
-		Tenants: []TenantProfile{
-			{Name: "gold", Share: 2, ContextIDs: r.contexts[:2], SLO: 2 * time.Second},
-			{Name: "bronze", Share: 1, ContextIDs: r.contexts[2:], SLO: 2 * time.Second},
-		},
+	tenants := []workload.PoissonTenant{
+		{Name: "gold", Share: 2, ContextIDs: r.contexts[:2], SLO: 2 * time.Second},
+		{Name: "bronze", Share: 1, ContextIDs: r.contexts[2:], SLO: 2 * time.Second},
 	}
-	rep, err := w.Run(context.Background(), g)
+	rep, err := poissonRun(g, 400, 40, tenants, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,16 +439,29 @@ func TestWorkloadRun(t *testing.T) {
 	}
 
 	// Bad workloads fail fast.
-	for _, bad := range []Workload{
-		{Rate: 0, Requests: 1, Tenants: w.Tenants},
-		{Rate: 10, Requests: 0, Tenants: w.Tenants},
-		{Rate: 10, Requests: 1},
-		{Rate: 10, Requests: 1, Tenants: []TenantProfile{{Name: "x", Share: 0, ContextIDs: []string{"c"}}}},
+	for _, bad := range []struct {
+		rate     float64
+		requests int
+		tenants  []workload.PoissonTenant
+	}{
+		{0, 1, tenants},
+		{10, 0, tenants},
+		{10, 1, nil},
+		{10, 1, []workload.PoissonTenant{{Name: "x", Share: 0, ContextIDs: []string{"c"}}}},
 	} {
-		if _, err := bad.Run(context.Background(), g); err == nil {
+		if _, err := poissonRun(g, bad.rate, bad.requests, bad.tenants, 7); err == nil {
 			t.Errorf("workload %+v accepted", bad)
 		}
 	}
+}
+
+// poissonRun builds the open-loop Poisson trace and replays it against g.
+func poissonRun(g *Gateway, rate float64, requests int, tenants []workload.PoissonTenant, seed int64) (*LoadReport, error) {
+	tr, err := workload.Poisson(rate, requests, tenants, seed)
+	if err != nil {
+		return nil, err
+	}
+	return Replay(context.Background(), g, tr, ReplayOptions{Offered: rate})
 }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {

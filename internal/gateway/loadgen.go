@@ -1,60 +1,11 @@
 package gateway
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"math/rand"
 	"time"
-
-	"repro/internal/workload"
 )
 
-// TenantProfile describes one tenant's traffic in a generated workload.
-type TenantProfile struct {
-	// Name is the tenant id submitted to the gateway.
-	Name string
-	// Share is the tenant's weight in the traffic mix (arrivals are split
-	// proportionally to shares). ≥ 1.
-	Share int
-	// ContextIDs are the published contexts this tenant requests,
-	// uniformly at random.
-	ContextIDs []string
-	// SLO, Deadline and SuffixTokens are copied onto every request.
-	SLO          time.Duration
-	Deadline     time.Duration
-	SuffixTokens int
-
-	// Turns, when > 1, makes each arrival a multi-turn chat session: the
-	// same context is requested Turns times in sequence, separated by
-	// exponentially distributed think times, and the KV returned by each
-	// turn rides along as the next turn's Resident prefix — so warm turns
-	// stream only what the context gained in between (nothing, here;
-	// append traffic is Session territory). 0 or 1 = single-shot.
-	Turns int
-	// ThinkTime is the mean think time between a session's turns
-	// (exponential; seeded like everything else). 0 = back-to-back.
-	ThinkTime time.Duration
-}
-
-// Workload is an open-loop Poisson load run: arrivals follow an
-// exponential inter-arrival clock at Rate regardless of how the gateway
-// keeps up (the open-loop property that exposes queueing collapse), each
-// arrival drawn from the tenant mix. An arrival is a session of
-// TenantProfile.Turns turns (1 by default).
-type Workload struct {
-	// Rate is the mean session arrival rate in sessions/second.
-	Rate float64
-	// Requests is the total number of session arrivals to generate.
-	Requests int
-	// Tenants is the traffic mix.
-	Tenants []TenantProfile
-	// Seed makes the arrival process, tenant/context draws and per-session
-	// think times reproducible.
-	Seed int64
-}
-
-// LoadReport aggregates one workload run.
+// LoadReport aggregates one Replay run.
 type LoadReport struct {
 	// Offered is the configured arrival rate (sessions/s).
 	Offered float64
@@ -99,49 +50,6 @@ func (r *LoadReport) AllTTFTs() []time.Duration {
 		out = append(out, ds...)
 	}
 	return out
-}
-
-// Run drives the workload against the gateway and blocks until every
-// generated session resolves. Cancelling ctx stops generating new
-// arrivals and abandons the in-flight ones.
-//
-// The generator itself lives in internal/workload: Run materialises the
-// Poisson schedule as a workload.Trace (preserving the historical
-// per-seed draw order, so a given Seed still produces the request
-// sequence it always did) and replays it through the same Replay path
-// every trace-driven scenario uses.
-func (w Workload) Run(ctx context.Context, g *Gateway) (*LoadReport, error) {
-	if w.Rate <= 0 {
-		return nil, fmt.Errorf("gateway: workload rate %v must be positive", w.Rate)
-	}
-	if w.Requests <= 0 {
-		return nil, fmt.Errorf("gateway: workload needs requests, got %d", w.Requests)
-	}
-	if len(w.Tenants) == 0 {
-		return nil, errors.New("gateway: workload has no tenants")
-	}
-	tenants := make([]workload.PoissonTenant, len(w.Tenants))
-	for i, t := range w.Tenants {
-		if t.Name == "" || len(t.ContextIDs) == 0 {
-			return nil, fmt.Errorf("gateway: tenant %q needs a name and contexts", t.Name)
-		}
-		if t.Share < 1 {
-			return nil, fmt.Errorf("gateway: tenant %q has share %d, want ≥ 1", t.Name, t.Share)
-		}
-		if t.Turns < 0 {
-			return nil, fmt.Errorf("gateway: tenant %q has negative turn count", t.Name)
-		}
-		tenants[i] = workload.PoissonTenant{
-			Name: t.Name, Share: t.Share, ContextIDs: t.ContextIDs,
-			SLO: t.SLO, Deadline: t.Deadline, SuffixTokens: t.SuffixTokens,
-			Turns: t.Turns, ThinkTime: t.ThinkTime,
-		}
-	}
-	tr, err := workload.Poisson(w.Rate, w.Requests, tenants, w.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("gateway: %w", err)
-	}
-	return Replay(ctx, g, tr, ReplayOptions{Offered: w.Rate})
 }
 
 // expDuration draws an exponential duration with the given mean, capped

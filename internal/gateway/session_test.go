@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/llm"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 func sessionGateway(t *testing.T, r *testRing) *Gateway {
@@ -154,16 +155,12 @@ func TestWorkloadMultiTurnSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := Workload{
-		Rate:     300,
-		Requests: 10, // 10 sessions × 3 turns = 30 turn requests
-		Seed:     11,
-		Tenants: []TenantProfile{
-			{Name: "chatty", Share: 1, ContextIDs: r.contexts, SLO: 2 * time.Second,
-				Turns: 3, ThinkTime: 2 * time.Millisecond},
-		},
+	tenants := []workload.PoissonTenant{
+		{Name: "chatty", Share: 1, ContextIDs: r.contexts, SLO: 2 * time.Second,
+			Turns: 3, ThinkTime: 2 * time.Millisecond},
 	}
-	rep, err := w.Run(context.Background(), g)
+	// 10 sessions × 3 turns = 30 turn requests
+	rep, err := poissonRun(g, 300, 10, tenants, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +188,7 @@ func TestWorkloadMultiTurnSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := w.Run(context.Background(), g2)
+	rep2, err := poissonRun(g2, 300, 10, tenants, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,9 +197,8 @@ func TestWorkloadMultiTurnSessions(t *testing.T) {
 	}
 
 	// Validation: negative turn counts are rejected.
-	bad := w
-	bad.Tenants = []TenantProfile{{Name: "x", Share: 1, ContextIDs: r.contexts, Turns: -1}}
-	if _, err := bad.Run(context.Background(), g); err == nil {
+	bad := []workload.PoissonTenant{{Name: "x", Share: 1, ContextIDs: r.contexts, Turns: -1}}
+	if _, err := poissonRun(g, 300, 10, bad, 11); err == nil {
 		t.Error("negative turn count accepted")
 	}
 }

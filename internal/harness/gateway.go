@@ -15,6 +15,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/streamer"
 	"repro/internal/tensor"
+	"repro/internal/workload"
 )
 
 // The gateway scenario (ISSUE 2): the serving frontend the paper measures
@@ -116,7 +117,7 @@ type x5Run struct {
 	rate     float64
 	requests int
 	prefetch bool
-	tenants  []gateway.TenantProfile
+	tenants  []workload.PoissonTenant
 	weights  map[string]int
 }
 
@@ -124,8 +125,8 @@ const x5SLO = 60 * time.Millisecond
 
 // mixes for the sweep: an even 2-tenant split and a 3-tenant mix with a
 // heavyweight tenant, both under the same SLO.
-func x5Mixes(contexts []string) map[string][]gateway.TenantProfile {
-	return map[string][]gateway.TenantProfile{
+func x5Mixes(contexts []string) map[string][]workload.PoissonTenant {
+	return map[string][]workload.PoissonTenant{
 		"2 even": {
 			{Name: "tenant-a", Share: 1, ContextIDs: contexts[:3], SLO: x5SLO},
 			{Name: "tenant-b", Share: 1, ContextIDs: contexts[3:], SLO: x5SLO},
@@ -138,7 +139,7 @@ func x5Mixes(contexts []string) map[string][]gateway.TenantProfile {
 	}
 }
 
-func x5Weights(tenants []gateway.TenantProfile) map[string]int {
+func x5Weights(tenants []workload.PoissonTenant) map[string]int {
 	w := map[string]int{}
 	for _, t := range tenants {
 		w[t.Name] = t.Share
@@ -179,8 +180,11 @@ func (s *x5Stack) run(r x5Run) (*gateway.LoadReport, gateway.Stats, error) {
 	if err != nil {
 		return nil, gateway.Stats{}, err
 	}
-	w := gateway.Workload{Rate: r.rate, Requests: r.requests, Tenants: r.tenants, Seed: 17}
-	rep, err := w.Run(context.Background(), g)
+	tr, err := workload.Poisson(r.rate, r.requests, r.tenants, 17)
+	if err != nil {
+		return nil, gateway.Stats{}, err
+	}
+	rep, err := gateway.Replay(context.Background(), g, tr, gateway.ReplayOptions{Offered: r.rate})
 	if err != nil {
 		return nil, gateway.Stats{}, err
 	}

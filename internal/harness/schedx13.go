@@ -19,6 +19,7 @@ import (
 	"repro/internal/streamer"
 	"repro/internal/tensor"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 // X13 is the scheduler economics experiment (ISSUE 10): one cost model
@@ -216,7 +217,7 @@ func x13Arm(s *x5Stack, rate float64, withSched bool) (*gateway.LoadReport, gate
 		},
 		DecodeTime: func(int, int) time.Duration { return x13DecodeCost },
 	}
-	tenants := []gateway.TenantProfile{
+	tenants := []workload.PoissonTenant{
 		{Name: "tenant-a", Share: 1, ContextIDs: ids[:3], SLO: x13SLO},
 		{Name: "tenant-b", Share: 1, ContextIDs: ids[3:], SLO: x13SLO},
 	}
@@ -236,8 +237,11 @@ func x13Arm(s *x5Stack, rate float64, withSched bool) (*gateway.LoadReport, gate
 		return nil, gateway.Stats{}, err
 	}
 	defer g.Close()
-	w := gateway.Workload{Rate: rate, Requests: x13Requests, Tenants: tenants, Seed: 17}
-	rep, err := w.Run(context.Background(), g)
+	tr, err := workload.Poisson(rate, x13Requests, tenants, 17)
+	if err != nil {
+		return nil, gateway.Stats{}, err
+	}
+	rep, err := gateway.Replay(context.Background(), g, tr, gateway.ReplayOptions{Offered: rate})
 	if err != nil {
 		return nil, gateway.Stats{}, err
 	}

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/netsim"
@@ -67,27 +66,4 @@ func (s Signals) withDefaults() Signals {
 		s.DiskRTT = 100 * time.Microsecond
 	}
 	return s
-}
-
-// unreachable marks a source that cannot deliver a chunk.
-const unreachable = time.Duration(math.MaxInt64)
-
-// addCost sums two cost estimates without overflowing past unreachable.
-func addCost(a, b time.Duration) time.Duration {
-	if a == unreachable || b == unreachable || a > unreachable-b {
-		return unreachable
-	}
-	return a + b
-}
-
-// scaleCost multiplies a network estimate by the batching factor N_c
-// (§5.3): n concurrent requests sharing the link each see n× the delay.
-func scaleCost(d time.Duration, n int) time.Duration {
-	if n <= 1 || d == unreachable {
-		return d
-	}
-	if d > unreachable/time.Duration(n) {
-		return unreachable
-	}
-	return d * time.Duration(n)
 }

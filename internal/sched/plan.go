@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/storage"
 	"repro/internal/streamer"
 )
 
@@ -19,40 +20,48 @@ type Request struct {
 	SLO time.Duration
 	// DefaultLevel is the configured encoding level.
 	DefaultLevel core.Level
-	// Rung is the degradation-ladder rung: quality is capped at
-	// DefaultLevel+Rung. A rung past the coarsest level — the old
-	// ForceText regime — becomes a cost comparison between the coarsest
-	// level at its cheapest source and text recompute, so a forced-down
-	// request still takes the cheaper path instead of always burning GPU.
+	// Rung is the degradation-ladder rung (streamer.Terms.Rung): quality
+	// is capped at DefaultLevel+Rung, and a rung past the coarsest level
+	// is a cost comparison between the coarsest level at its cheapest
+	// source and text recompute, so a forced-down request still takes the
+	// cheaper path instead of always burning GPU.
 	Rung int
 	// Concurrency overrides the link-sharing factor N_c; zero uses the
 	// scheduler's live count of in-flight plans.
 	Concurrency int
 }
 
-// Plan prices every chunk of one request across all sources and picks
-// the minimum-TTFT mix. It implements streamer.PathPolicy: the Fetcher
-// consults PlanPath once to learn whether any chunk needs per-chunk
-// delivery (a local or peer source), then Choose per chunk — repeatedly
-// at streaming decision points, where the hysteresis band suppresses
-// re-plans until an estimate drifts.
+// Plan prices every chunk of one request across all sources and lets
+// Algorithm 1 (streamer.Decide) pick the minimum-TTFT mix. It implements
+// streamer.PathPolicy: the Fetcher consults PlanPath once to learn
+// whether any chunk needs per-chunk delivery (a local or peer source),
+// then Choose per chunk — repeatedly at streaming decision points, where
+// the hysteresis band suppresses re-plans until an estimate drifts.
 //
-// A Plan is not safe for concurrent use; the Fetcher calls it from a
-// single goroutine. Choose is allocation-free after the first call
-// primes the candidate tables.
+// A Plan is not safe for concurrent use: the Fetcher calls it from a
+// single goroutine, which is what lets Choose park the live signals of
+// the decision in progress on the Plan for its pricing methods to read.
+// Choose is allocation-free after the first call primes the candidate
+// tables.
 type Plan struct {
 	s   *Scheduler
 	req Request
+
+	// Live signals of the decision in progress, set by Choose.
+	bw     float64 // fleet-link estimate, bits/s
+	conc   int     // N_c
+	busy   int     // decode slots busy elsewhere
+	chunks []streamer.ChunkInfo
 
 	primed bool
 	n      int // chunks
 	levels int
 
 	// Candidate tables, primed once per plan. Flat [chunk*levels+lv]
-	// layouts; unreachable marks an absent candidate. Fixed-shape tiers
-	// (ram, disk, peer) are priced fully at prime time; network tiers
-	// keep the per-node latency and are re-priced per decision against
-	// the live bandwidth estimate and concurrency.
+	// layouts; streamer.Unreachable marks an absent candidate.
+	// Fixed-shape tiers (ram, disk, peer) are priced fully at prime time;
+	// network tiers keep the per-node latency and are re-priced per
+	// decision against the live bandwidth estimate and concurrency.
 	ramCost  []time.Duration
 	diskCost []time.Duration
 	peerCost []time.Duration
@@ -131,16 +140,16 @@ func (p *Plan) prime(chunks []streamer.ChunkInfo) {
 		if s.opt.Residents != nil && info.Context != "" {
 			peerLevel, peerOK = s.opt.Residents.Lookup(info.Context, info.Index, s.opt.ID)
 		}
-		peerPrice := unreachable
+		peerPrice := streamer.Unreachable
 		if peerOK {
 			peerPrice = sig.PeerRTT + netsim.TransferTime(info.KVBytes, sig.PeerBandwidthBPS)
 		}
 
 		for lv := 0; lv < nl; lv++ {
 			k := ci*nl + lv
-			p.ramCost[k] = unreachable
-			p.diskCost[k] = unreachable
-			p.peerCost[k] = unreachable
+			p.ramCost[k] = streamer.Unreachable
+			p.diskCost[k] = streamer.Unreachable
+			p.peerCost[k] = streamer.Unreachable
 
 			var hash string
 			if lv < len(info.HashByLevel) {
@@ -168,7 +177,7 @@ func (p *Plan) prime(chunks []streamer.ChunkInfo) {
 		if info.TextHash == "" && info.Context != "" {
 			// Annotated chunk published without a text payload: the
 			// recompute fallback has nothing to fetch.
-			p.textLat[ci] = unreachable
+			p.textLat[ci] = streamer.Unreachable
 		}
 	}
 }
@@ -190,7 +199,7 @@ func (p *Plan) nodeLatency(hash string) (time.Duration, bool) {
 	if res != nil {
 		ordered, allDead := res.Order(nodes)
 		if allDead {
-			return unreachable, false
+			return streamer.Unreachable, false
 		}
 		nodes = ordered
 	}
@@ -209,7 +218,7 @@ func (p *Plan) nodeLatency(hash string) (time.Duration, bool) {
 		}
 		return lat, false
 	}
-	return unreachable, false
+	return streamer.Unreachable, false
 }
 
 // Choose prices chunk idx across every (configuration, source) pair and
@@ -229,35 +238,35 @@ func (p *Plan) Choose(idx int, elapsed time.Duration, throughputBPS float64, chu
 		return streamer.Choice{}, fmt.Errorf("sched: chunk metadata carries no levels")
 	}
 
-	bw := throughputBPS
-	if bw <= 0 {
-		bw = p.s.Bandwidth()
+	p.chunks = chunks
+	p.bw = throughputBPS
+	if p.bw <= 0 {
+		p.bw = p.s.Bandwidth()
 	}
-	if bw <= 0 {
-		bw = p.s.sig.BandwidthBPS
+	if p.bw <= 0 {
+		p.bw = p.s.sig.BandwidthBPS
 	}
-	conc := p.req.Concurrency
-	if conc < 1 {
-		conc = int(p.s.active.Load())
+	p.conc = p.req.Concurrency
+	if p.conc < 1 {
+		p.conc = int(p.s.active.Load())
 	}
-	if conc < 1 {
-		conc = 1
-	}
-	busy := 0
+	p.busy = 0
 	if p.s.slots != nil {
 		// The plan's own request already holds a slot (the gateway grants
 		// before fetching); price recompute against the others.
 		if b := p.s.slots.Busy(); b > 1 {
-			busy = b - 1
+			p.busy = b - 1
 		}
 	}
 
-	choice, cost := p.decide(idx, elapsed, bw, conc, busy, chunks)
+	pr := (*prices)(p)
+	choice, cost := streamer.Decide(pr,
+		streamer.Terms{SLO: p.req.SLO, DefaultLevel: p.req.DefaultLevel, Rung: p.req.Rung}, idx, elapsed)
 
 	if p.lastSet[idx] && choice != p.last[idx] {
-		prev := p.configCost(idx, p.last[idx], bw, conc, busy, chunks)
-		if prev != unreachable && cost != unreachable &&
-			float64(prev-cost) <= p.s.hyst*float64(prev) {
+		prev := pr.configCost(idx, p.last[idx])
+		if prev != streamer.Unreachable && cost != streamer.Unreachable &&
+			float64(prev-cost) <= DefaultHysteresis*float64(prev) {
 			choice = p.last[idx]
 			if p.s.tele != nil {
 				p.s.tele.holds.Inc()
@@ -277,83 +286,23 @@ func (p *Plan) Choose(idx int, elapsed time.Duration, throughputBPS float64, chu
 	return choice, nil
 }
 
-// decide runs the generalised Algorithm 1 over (configuration, source)
-// pairs and returns the pick plus its per-chunk delivery cost.
-func (p *Plan) decide(idx int, elapsed time.Duration, bw float64, conc, busy int, chunks []streamer.ChunkInfo) (streamer.Choice, time.Duration) {
-	coarsest := p.levels - 1
-	base := int(p.req.DefaultLevel)
-	if base > coarsest {
-		base = coarsest
-	}
-	floor := base + p.req.Rung
+// prices is the Plan as the streamer.Prices table Decide reads. Its
+// methods price against the signals Choose parked on the Plan, so they
+// mean nothing between decisions — a separate type keeps them off Plan's
+// exported surface.
+type prices Plan
 
-	if floor > coarsest {
-		// Rung overflow — the regime that used to mean ForceText. Pick
-		// the cheaper of the coarsest level (at its best source) and
-		// text recompute.
-		lc, lsrc := p.chunkLevelBest(idx, coarsest, bw, conc, chunks)
-		tc := p.chunkTextCost(idx, bw, conc, busy, chunks)
-		if tc < lc {
-			return streamer.Choice{Text: true, Source: sourceLabels[Recompute]}, tc
-		}
-		return streamer.Choice{Level: core.Level(coarsest), Source: sourceLabels[lsrc]}, lc
-	}
+func (p *prices) Dims() (int, int) { return p.n, p.levels }
 
-	if p.req.SLO <= 0 {
-		// Pinned quality: only the source floats.
-		return p.pickLevel(idx, floor, bw, conc, busy, chunks)
+// Price is the cheapest way to deliver chunk ci at wire level lv. Text
+// (storage.TextLevel) is its payload over the fleet plus GPU recompute, scaled by
+// decode-slot contention: each busy slot elsewhere stretches the prefill
+// by one GPU-share.
+func (p *prices) Price(ci, lv int) (time.Duration, string) {
+	if lv == storage.TextLevel {
+		net := streamer.AddCost(p.textLat[ci], streamer.ScaleCost(netsim.TransferTime(p.chunks[ci].TextBytes, p.bw), p.conc))
+		return streamer.AddCost(net, streamer.ScaleCost(p.chunks[ci].Recompute, 1+p.busy)), sourceLabels[Recompute]
 	}
-
-	remaining := p.req.SLO - elapsed
-
-	// Quality-first over allowed configurations: text (lossless) only at
-	// rung zero, then levels from the finest allowed down. The first
-	// whose expected completion of all remaining chunks — each at its
-	// cheapest source — fits the remaining budget wins.
-	if p.req.Rung == 0 {
-		if p.textCompletion(idx, bw, conc, busy, chunks) <= remaining {
-			return streamer.Choice{Text: true, Source: sourceLabels[Recompute]},
-				p.chunkTextCost(idx, bw, conc, busy, chunks)
-		}
-	}
-	start := 0
-	if p.req.Rung > 0 {
-		start = floor
-	}
-	for lv := start; lv <= coarsest; lv++ {
-		if p.levelCompletion(idx, lv, bw, conc, chunks) <= remaining {
-			c, src := p.chunkLevelBest(idx, lv, bw, conc, chunks)
-			if c == unreachable {
-				continue
-			}
-			return streamer.Choice{Level: core.Level(lv), Source: sourceLabels[src]}, c
-		}
-	}
-
-	// Nothing fits: minimise the damage — coarsest level vs text.
-	lc, lsrc := p.chunkLevelBest(idx, coarsest, bw, conc, chunks)
-	tc := p.chunkTextCost(idx, bw, conc, busy, chunks)
-	if tc < lc {
-		return streamer.Choice{Text: true, Source: sourceLabels[Recompute]}, tc
-	}
-	return streamer.Choice{Level: core.Level(coarsest), Source: sourceLabels[lsrc]}, lc
-}
-
-// pickLevel returns level lv at its cheapest source, falling back to
-// text and then to a blind fleet fetch when nothing can deliver it.
-func (p *Plan) pickLevel(idx, lv int, bw float64, conc, busy int, chunks []streamer.ChunkInfo) (streamer.Choice, time.Duration) {
-	c, src := p.chunkLevelBest(idx, lv, bw, conc, chunks)
-	if c != unreachable {
-		return streamer.Choice{Level: core.Level(lv), Source: sourceLabels[src]}, c
-	}
-	if tc := p.chunkTextCost(idx, bw, conc, busy, chunks); tc != unreachable {
-		return streamer.Choice{Text: true, Source: sourceLabels[Recompute]}, tc
-	}
-	return streamer.Choice{Level: core.Level(lv), Source: sourceLabels[Remote]}, unreachable
-}
-
-// chunkLevelBest is the cheapest way to deliver chunk ci at level lv.
-func (p *Plan) chunkLevelBest(ci, lv int, bw float64, conc int, chunks []streamer.ChunkInfo) (time.Duration, Source) {
 	k := ci*p.levels + lv
 	best, src := p.ramCost[k], RAM
 	if c := p.diskCost[k]; c < best {
@@ -362,68 +311,34 @@ func (p *Plan) chunkLevelBest(ci, lv int, bw float64, conc int, chunks []streame
 	if c := p.peerCost[k]; c < best {
 		best, src = c, Peer
 	}
-	if lat := p.remLat[k]; lat != unreachable {
-		c := addCost(lat, scaleCost(netsim.TransferTime(chunks[ci].SizesByLevel[lv], bw), conc))
-		if c < best {
-			best = c
-			if p.remX[k] {
-				src = XRegion
-			} else {
-				src = Remote
-			}
+	if c := p.remote(ci, lv); c < best {
+		best, src = c, Remote
+		if p.remX[k] {
+			src = XRegion
 		}
 	}
-	if best == unreachable {
+	if best == streamer.Unreachable {
 		src = Remote
 	}
-	return best, src
+	return best, sourceLabels[src]
 }
 
-// chunkTextCost prices delivering chunk ci as text plus GPU recompute,
-// scaled by decode-slot contention: each busy slot elsewhere stretches
-// the prefill by one GPU-share.
-func (p *Plan) chunkTextCost(ci int, bw float64, conc, busy int, chunks []streamer.ChunkInfo) time.Duration {
-	if p.textLat[ci] == unreachable {
-		return unreachable
-	}
-	net := addCost(p.textLat[ci], scaleCost(netsim.TransferTime(chunks[ci].TextBytes, bw), conc))
-	return addCost(net, scaleCost(chunks[ci].Recompute, 1+busy))
-}
-
-// levelCompletion estimates finishing chunks idx.. at level lv, each via
-// its cheapest source.
-func (p *Plan) levelCompletion(idx, lv int, bw float64, conc int, chunks []streamer.ChunkInfo) time.Duration {
-	var total time.Duration
-	for ci := idx; ci < p.n; ci++ {
-		c, _ := p.chunkLevelBest(ci, lv, bw, conc, chunks)
-		total = addCost(total, c)
-		if total == unreachable {
-			return total
-		}
-	}
-	return total
-}
-
-// textCompletion estimates finishing chunks idx.. via text recompute.
-func (p *Plan) textCompletion(idx int, bw float64, conc, busy int, chunks []streamer.ChunkInfo) time.Duration {
-	var total time.Duration
-	for ci := idx; ci < p.n; ci++ {
-		total = addCost(total, p.chunkTextCost(ci, bw, conc, busy, chunks))
-		if total == unreachable {
-			return total
-		}
-	}
-	return total
+// remote prices chunk ci at level lv over the fleet link: the serving
+// node's latency plus the N_c-scaled transfer at the live estimate.
+func (p *prices) remote(ci, lv int) time.Duration {
+	return streamer.AddCost(p.remLat[ci*p.levels+lv],
+		streamer.ScaleCost(netsim.TransferTime(p.chunks[ci].SizesByLevel[lv], p.bw), p.conc))
 }
 
 // configCost re-prices a previously returned choice at current signals.
-func (p *Plan) configCost(idx int, c streamer.Choice, bw float64, conc, busy int, chunks []streamer.ChunkInfo) time.Duration {
+func (p *prices) configCost(idx int, c streamer.Choice) time.Duration {
 	if c.Text {
-		return p.chunkTextCost(idx, bw, conc, busy, chunks)
+		tc, _ := p.Price(idx, storage.TextLevel)
+		return tc
 	}
 	lv := int(c.Level)
 	if lv < 0 || lv >= p.levels {
-		return unreachable
+		return streamer.Unreachable
 	}
 	k := idx*p.levels + lv
 	switch c.Source {
@@ -434,9 +349,6 @@ func (p *Plan) configCost(idx int, c streamer.Choice, bw float64, conc, busy int
 	case streamer.SourcePeer:
 		return p.peerCost[k]
 	default:
-		if lat := p.remLat[k]; lat != unreachable {
-			return addCost(lat, scaleCost(netsim.TransferTime(chunks[idx].SizesByLevel[lv], bw), conc))
-		}
-		return unreachable
+		return p.remote(idx, lv)
 	}
 }

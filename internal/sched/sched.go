@@ -8,12 +8,17 @@
 // decode-slot occupancy, plan concurrency, per-node latency and breaker
 // state from the resilience layer).
 //
-// The scheduler subsumes the streamer.Planner's fallback logic: a Plan
-// is a streamer.PathPolicy, so the Fetcher drives it exactly as it
-// drives the planner — including mid-stream re-plans on the SWITCH and
-// CANCEL machinery — while per-chunk Choice.Source fields route delivery
-// to the priced source. Decisions and deliveries export as
-// cachegen_sched_* counters.
+// The decision procedure itself is not here: Algorithm 1 lives once, in
+// streamer.Decide, and a Plan is the six-source price table it reads
+// (streamer.Prices) plus what is the scheduler's own — candidate tables
+// primed per request, live signals, the hysteresis band, telemetry and
+// residency. streamer.Planner hands the same procedure a one-link table,
+// which is why the two agree wherever only the fleet link can serve
+// (TestPlanMatchesPlannerOnOneSource). A Plan is a streamer.PathPolicy,
+// so the Fetcher drives it exactly as it drives the planner — including
+// mid-stream re-plans on the SWITCH and CANCEL machinery — while
+// per-chunk Choice.Source fields route delivery to the priced source.
+// Decisions and deliveries export as cachegen_sched_* counters.
 package sched
 
 import (
@@ -112,9 +117,6 @@ type Options struct {
 	Residents *ResidentIndex
 	// Signals seeds the cost model (zero fields take defaults).
 	Signals Signals
-	// Hysteresis is the re-plan band (0 = DefaultHysteresis; negative
-	// disables damping).
-	Hysteresis float64
 	// Telemetry, when set, registers the cachegen_sched_* instruments.
 	Telemetry *telemetry.Registry
 }
@@ -125,8 +127,7 @@ type Options struct {
 type Scheduler struct {
 	opt    Options
 	sig    Signals
-	hyst   float64
-	cache  *payloadLRU
+	cache  *storage.PayloadLRU
 	slots  *llm.SlotTracker
 	active atomic.Int64
 	bwBits atomic.Uint64
@@ -142,16 +143,10 @@ type instruments struct {
 
 // New builds a scheduler from opt.
 func New(opt Options) *Scheduler {
-	s := &Scheduler{opt: opt, sig: opt.Signals.withDefaults()}
-	switch {
-	case opt.Hysteresis < 0:
-		s.hyst = 0
-	case opt.Hysteresis == 0:
-		s.hyst = DefaultHysteresis
-	default:
-		s.hyst = opt.Hysteresis
+	if opt.CacheBytes <= 0 {
+		opt.CacheBytes = 64 << 20
 	}
-	s.cache = newPayloadLRU(opt.CacheBytes)
+	s := &Scheduler{opt: opt, sig: opt.Signals.withDefaults(), cache: storage.NewPayloadLRU(opt.CacheBytes)}
 	if opt.Telemetry != nil {
 		s.Register(opt.Telemetry)
 	}

@@ -222,27 +222,6 @@ func TestResidentIndexEvictsAtCap(t *testing.T) {
 	}
 }
 
-func TestPayloadLRU(t *testing.T) {
-	c := newPayloadLRU(100)
-	c.Put("a", make([]byte, 40))
-	c.Put("b", make([]byte, 40))
-	c.Get("a") // promote a; b is now the eviction victim
-	c.Put("c", make([]byte, 40))
-	if c.Has("b") {
-		t.Fatal("least-recent entry survived eviction")
-	}
-	if !c.Has("a") || !c.Has("c") {
-		t.Fatal("promoted or fresh entry evicted")
-	}
-	c.Drop("a")
-	if c.Has("a") {
-		t.Fatal("dropped entry still resident")
-	}
-	if got := c.Bytes(); got != 40 {
-		t.Fatalf("resident bytes = %d, want 40", got)
-	}
-}
-
 func TestSlotOccupancyPricesRecompute(t *testing.T) {
 	s := New(Options{ID: "gw-a"})
 	tracker := s.BindSlots(4)

@@ -1,9 +1,8 @@
 package storage
 
 import (
-	"container/list"
 	"context"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -23,24 +22,13 @@ import (
 type CachingStore struct {
 	inner    Store
 	maxBytes int64
-
-	// The mutex guards the LRU and the counters; GetChunk holds it only
-	// around map/list bookkeeping, not around inner I/O, so concurrent
-	// misses overlap their disk reads. Two racing misses on one hash both
-	// read inner and the second insert is a refresh — wasted work, not
-	// incoherence, since a payload under a hash never changes.
-	mu      sync.Mutex
-	ll      *list.List // front = most recently used
-	items   map[string]*list.Element
-	bytes   int64
-	hits    uint64
-	misses  uint64
-	evicted uint64
-}
-
-type cacheEntry struct {
-	hash string
-	data []byte
+	// The LRU's lock is held only around its bookkeeping, not around
+	// inner I/O, so concurrent misses overlap their disk reads. Two racing
+	// misses on one hash both read inner and the second insert is a
+	// refresh — wasted work, not incoherence, since a payload under a
+	// hash never changes.
+	lru          *PayloadLRU
+	hits, misses atomic.Uint64
 }
 
 // CacheStats snapshots a CachingStore's counters.
@@ -74,12 +62,7 @@ func (s CacheStats) HitRate() float64 {
 // payload (≤0 disables caching: every GetChunk goes to inner and counts
 // as a miss).
 func NewCachingStore(inner Store, maxBytes int64) *CachingStore {
-	return &CachingStore{
-		inner:    inner,
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		items:    map[string]*list.Element{},
-	}
+	return &CachingStore{inner: inner, maxBytes: maxBytes, lru: NewPayloadLRU(maxBytes)}
 }
 
 // Register mirrors the cache's counters into a live metrics registry as
@@ -109,74 +92,31 @@ func (s *CachingStore) Register(reg *telemetry.Registry, labels ...string) {
 
 // Stats returns the current counters.
 func (s *CachingStore) Stats() CacheStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return CacheStats{
-		Hits: s.hits, Misses: s.misses, Evictions: s.evicted,
-		Entries: s.ll.Len(), Bytes: s.bytes, MaxBytes: s.maxBytes,
+		Hits: s.hits.Load(), Misses: s.misses.Load(), Evictions: s.lru.Evictions(),
+		Entries: s.lru.Len(), Bytes: s.lru.Bytes(), MaxBytes: s.maxBytes,
 	}
 }
 
-// lookup returns a copy of the cached payload, promoting the entry.
-func (s *CachingStore) lookup(hash string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[hash]
-	if !ok {
-		s.misses++
-		return nil, false
-	}
-	s.hits++
-	s.ll.MoveToFront(el)
-	return append([]byte{}, el.Value.(*cacheEntry).data...), true
-}
-
-// insert caches a copy of data under hash, evicting from the cold end
-// until the budget holds. Payloads larger than the whole budget are not
-// admitted.
-func (s *CachingStore) insert(hash string, data []byte) {
-	size := int64(len(data))
-	if s.maxBytes <= 0 || size > s.maxBytes {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[hash]; ok {
-		s.ll.MoveToFront(el)
-		return // immutable payload already resident
-	}
-	s.items[hash] = s.ll.PushFront(&cacheEntry{hash: hash, data: append([]byte{}, data...)})
-	s.bytes += size
-	for s.bytes > s.maxBytes {
-		el := s.ll.Back()
-		if el == nil {
-			break
-		}
-		s.dropLocked(el)
-		s.evicted++
-	}
-}
-
-func (s *CachingStore) dropLocked(el *list.Element) {
-	ent := el.Value.(*cacheEntry)
-	s.ll.Remove(el)
-	delete(s.items, ent.hash)
-	s.bytes -= int64(len(ent.data))
-}
-
-// GetChunk implements Store: RAM tier first, then inner on a miss.
+// GetChunk implements Store: RAM tier first, then inner on a miss. The
+// LRU keeps its own copy of every payload, in and out: callers own what
+// GetChunk returns.
 func (s *CachingStore) GetChunk(ctx context.Context, hash string) ([]byte, error) {
 	if err := validateHash(hash); err != nil {
 		return nil, err
 	}
-	if data, ok := s.lookup(hash); ok {
-		return data, nil
+	if data, ok := s.lru.Get(hash); ok {
+		s.hits.Add(1)
+		return append([]byte{}, data...), nil
 	}
+	s.misses.Add(1)
 	data, err := s.inner.GetChunk(ctx, hash)
 	if err != nil {
 		return nil, err
 	}
-	s.insert(hash, data)
+	if int64(len(data)) <= s.maxBytes { // else not admitted: skip the copy
+		s.lru.Put(hash, append([]byte{}, data...))
+	}
 	return data, nil
 }
 
@@ -230,14 +170,8 @@ func (s *CachingStore) GetFingerprint(ctx context.Context, key string) (Fingerpr
 // holds.
 func (s *CachingStore) Sweep(ctx context.Context, minAge time.Duration) (SweepResult, error) {
 	res, err := s.inner.Sweep(ctx, minAge)
-	if len(res.RemovedHashes) > 0 {
-		s.mu.Lock()
-		for _, hash := range res.RemovedHashes {
-			if el, ok := s.items[hash]; ok {
-				s.dropLocked(el)
-			}
-		}
-		s.mu.Unlock()
+	for _, hash := range res.RemovedHashes {
+		s.lru.Drop(hash)
 	}
 	return res, err
 }

@@ -233,11 +233,35 @@ func TestCachingStoreConcurrentStress(t *testing.T) {
 	// Recount the resident bytes against the accounting.
 	var total int64
 	for k := 0; k < keys; k++ {
-		if data, ok := cs.lookup(hashes[k]); ok {
+		if data, ok := cs.lru.Get(hashes[k]); ok {
 			total += int64(len(data))
 		}
 	}
 	if total != st.Bytes {
 		t.Errorf("resident payloads sum to %d, accounting says %d", total, st.Bytes)
+	}
+}
+
+func TestPayloadLRU(t *testing.T) {
+	c := NewPayloadLRU(100)
+	c.Put("a", make([]byte, 40))
+	c.Put("b", make([]byte, 40))
+	c.Get("a") // promote a; b is now the eviction victim
+	c.Put("c", make([]byte, 40))
+	if c.Has("b") {
+		t.Fatal("least-recent entry survived eviction")
+	}
+	if !c.Has("a") || !c.Has("c") {
+		t.Fatal("promoted or fresh entry evicted")
+	}
+	c.Drop("a")
+	if c.Has("a") {
+		t.Fatal("dropped entry still resident")
+	}
+	if got := c.Bytes(); got != 40 {
+		t.Fatalf("resident bytes = %d, want 40", got)
+	}
+	if got := c.Evictions(); got != 1 {
+		t.Fatalf("evictions = %d, want 1 (a Drop is not an eviction)", got)
 	}
 }

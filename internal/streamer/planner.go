@@ -4,8 +4,13 @@
 // encoding levels or the text-recompute fallback — so the whole context
 // loads within a TTFT service-level objective under varying bandwidth.
 //
-// The package separates the decision logic (Planner, pure and unit-
-// testable) from what executes it. Simulate runs a request on the
+// The package owns the decision logic and separates it from what
+// executes it. Algorithm 1 is one procedure, Decide (policy.go), over a
+// price table — "what does chunk i cost at level lv by its cheapest
+// source, and as text" — with the request's side (SLO, default level,
+// degradation-ladder rung) passed as a value; Planner feeds it the
+// one-link table and sched.Plan the six-source one, so a rule changed
+// there changes on both paths. Simulate runs a request on the
 // virtual-time network simulator with the LLM cost model (the experiment
 // path). Fetcher is the live path, and it is one pipeline: a per-request
 // chunk assembler (assemble.go) owns everything that does not depend on
@@ -25,6 +30,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/storage"
 )
 
 // Choice is the streaming configuration selected for one chunk: either an
@@ -83,11 +89,11 @@ type ChunkInfo struct {
 	KVBytes int64
 }
 
-// Planner implements the adaptation logic of Algorithm 1 (§C.1). The
-// quality ordering across configurations is: text (lossless) ≻ level 0 ≻
-// level 1 ≻ … ; the planner picks the least-lossy configuration whose
-// expected completion time for all remaining chunks fits the remaining
-// SLO budget, and the fastest configuration when nothing fits.
+// Planner is the one-source front end to Algorithm 1 (Decide, policy.go):
+// it prices the single fleet link and keeps what is the planner's own —
+// argument validation, the §C.2 no-estimate rule, PriorBandwidth and the
+// §7.3 MinimizeTTFT shortcut. A gateway without a scheduler runs on it,
+// and it is the reference arm sched.Plan is tested against.
 type Planner struct {
 	// SLO is the TTFT objective. Zero disables SLO-driven adaptation: the
 	// planner streams at DefaultLevel (§C.2), except that with
@@ -115,20 +121,31 @@ type Planner struct {
 	// MinimizeTTFT, with SLO zero, picks text when its expected completion
 	// beats DefaultLevel's (requires a throughput estimate).
 	MinimizeTTFT bool
-	// ForceText pins every chunk to the text-recompute fallback,
-	// overriding adaptation. The gateway's degradation ladder sets it at
-	// its last rung: text trades GPU recompute for near-zero network
-	// dependence, which is the right trade when the fleet, not the
-	// link, is what's degraded.
-	ForceText bool
+	// Rung is the degradation-ladder rung (Terms.Rung); the gateway sets
+	// it per request. It caps quality with or without Adapt.
+	Rung int
 }
 
-// Levels returns how many encoding levels the chunk metadata carries.
-func levels(chunks []ChunkInfo) int {
-	if len(chunks) == 0 {
-		return 0
+// linkPrices is the Planner's price table: every chunk comes over the
+// one fleet link, at RTT + N_c·size/bandwidth.
+type linkPrices struct {
+	chunks []ChunkInfo
+	bps    float64
+	rtt    time.Duration
+	conc   int
+}
+
+func (l linkPrices) Dims() (int, int) { return len(l.chunks), len(l.chunks[0].SizesByLevel) }
+
+func (l linkPrices) Price(ci, lv int) (time.Duration, string) {
+	if lv == storage.TextLevel {
+		return AddCost(l.net(l.chunks[ci].TextBytes), l.chunks[ci].Recompute), ""
 	}
-	return len(chunks[0].SizesByLevel)
+	return l.net(l.chunks[ci].SizesByLevel[lv]), ""
+}
+
+func (l linkPrices) net(bytes int64) time.Duration {
+	return AddCost(ScaleCost(netsim.TransferTime(bytes, l.bps), l.conc), l.rtt)
 }
 
 // Choose selects the configuration for chunk idx. elapsed is the time
@@ -138,84 +155,34 @@ func (p Planner) Choose(idx int, elapsed time.Duration, throughputBPS float64, c
 	if idx < 0 || idx >= len(chunks) {
 		return Choice{}, fmt.Errorf("streamer: chunk index %d outside [0,%d)", idx, len(chunks))
 	}
-	nLevels := levels(chunks)
+	nLevels := len(chunks[0].SizesByLevel)
 	if nLevels == 0 {
 		return Choice{}, fmt.Errorf("streamer: chunk metadata carries no levels")
 	}
 	if int(p.DefaultLevel) >= nLevels {
 		return Choice{}, fmt.Errorf("streamer: default level %d outside [0,%d)", p.DefaultLevel, nLevels)
 	}
+	if p.Rung < 0 {
+		return Choice{}, fmt.Errorf("streamer: negative ladder rung %d", p.Rung)
+	}
 	if throughputBPS <= 0 {
 		throughputBPS = p.PriorBandwidth
 	}
-
-	if p.ForceText {
-		return Choice{Text: true}, nil
-	}
-
-	if !p.Adapt {
-		return Choice{Level: p.DefaultLevel}, nil
-	}
-
-	if p.SLO <= 0 {
-		// No SLO: default level, except the short-context TTFT shortcut.
-		if p.MinimizeTTFT && throughputBPS > 0 {
-			if p.textCost(idx, chunks, throughputBPS) < p.levelCost(idx, int(p.DefaultLevel), chunks, throughputBPS) {
-				return Choice{Text: true}, nil
-			}
-		}
-		return Choice{Level: p.DefaultLevel}, nil
-	}
-
-	remaining := p.SLO - elapsed
-
-	// Unknown throughput with an SLO: the default medium level (§C.2).
 	if throughputBPS <= 0 {
-		return Choice{Level: p.DefaultLevel}, nil
+		// Nothing to price with: the default medium level (§C.2), as far
+		// down the ladder as the rung says.
+		return Choice{Level: core.Level(min(int(p.DefaultLevel)+p.Rung, nLevels-1))}, nil
 	}
 
-	// Algorithm 1: text first (lossless), then levels best-first.
-	if p.textCost(idx, chunks, throughputBPS) <= remaining {
-		return Choice{Text: true}, nil
-	}
-	for lv := 0; lv < nLevels; lv++ {
-		if p.levelCost(idx, lv, chunks, throughputBPS) <= remaining {
-			return Choice{Level: core.Level(lv)}, nil
+	pr := linkPrices{chunks: chunks, bps: throughputBPS, rtt: p.RTT, conc: p.Concurrency}
+	t := Terms{DefaultLevel: p.DefaultLevel, Rung: p.Rung}
+	if p.Adapt {
+		t.SLO = p.SLO
+		if p.SLO <= 0 && p.MinimizeTTFT && p.Rung == 0 &&
+			rest(pr, idx, len(chunks), storage.TextLevel) < rest(pr, idx, len(chunks), int(p.DefaultLevel)) {
+			return Choice{Text: true}, nil
 		}
 	}
-
-	// Nothing fits: minimise the damage with the fastest configuration.
-	best := Choice{Level: core.Level(nLevels - 1)}
-	bestCost := p.levelCost(idx, nLevels-1, chunks, throughputBPS)
-	if tc := p.textCost(idx, chunks, throughputBPS); tc < bestCost {
-		best = Choice{Text: true}
-	}
-	return best, nil
-}
-
-// textCost estimates completing all remaining chunks via text recompute.
-func (p Planner) textCost(idx int, chunks []ChunkInfo, bps float64) time.Duration {
-	var total time.Duration
-	for _, ch := range chunks[idx:] {
-		total += p.scaleNet(netsim.TransferTime(ch.TextBytes, bps)) + p.RTT + ch.Recompute
-	}
-	return total
-}
-
-// levelCost estimates completing all remaining chunks at level lv
-// ("size(chunks_to_send, level) ÷ throughput", Alg 1).
-func (p Planner) levelCost(idx, lv int, chunks []ChunkInfo, bps float64) time.Duration {
-	var total time.Duration
-	for _, ch := range chunks[idx:] {
-		total += p.scaleNet(netsim.TransferTime(ch.SizesByLevel[lv], bps)) + p.RTT
-	}
-	return total
-}
-
-// scaleNet multiplies a network estimate by the batching factor N_c.
-func (p Planner) scaleNet(d time.Duration) time.Duration {
-	if p.Concurrency > 1 {
-		return d * time.Duration(p.Concurrency)
-	}
-	return d
+	c, _ := Decide(pr, t, idx, elapsed)
+	return c, nil
 }

@@ -30,9 +30,6 @@ type SimInput struct {
 	// loads (the query itself; footnote 4: the remaining forward pass is
 	// marginal). Zero means 32.
 	SuffixTokens int
-	// DisablePipeline turns off the transmission/decode pipelining of §6
-	// (for the Fig 14a breakdown ablation).
-	DisablePipeline bool
 	// FrameBytes, when positive, models transport v2 on the virtual
 	// clock: each chunk streams as bounded DATA frames of this size over
 	// one server-push stream (a single open RTT instead of one per
@@ -181,16 +178,9 @@ func Simulate(in SimInput) (*SimResult, error) {
 		transferEnd := link.Now()
 		throughput = netsim.Throughput(bytes, dur)
 
-		if in.DisablePipeline && !choice.Text {
-			// Serial decode blocks the link (no overlap with the next
-			// chunk's transmission).
-			link.Advance(compute)
-			ready = link.Now()
-		} else {
-			// Decode/recompute of chunk i overlaps transfer of chunk i+1,
-			// but depends on chunk i's arrival and chunk i−1's readiness.
-			ready = maxTime(ready, transferEnd) + compute
-		}
+		// Decode/recompute of chunk i overlaps transfer of chunk i+1, but
+		// depends on chunk i's arrival and chunk i−1's readiness.
+		ready = maxTime(ready, transferEnd) + compute
 
 		res.Decisions = append(res.Decisions, ChunkDecision{
 			Chunk: i, Choice: choice, Bytes: bytes,
@@ -254,13 +244,11 @@ func simulateFrames(in SimInput, share float64, suffix int) (*SimResult, error) 
 				if frames%decisionEvery != 0 || sent >= total {
 					continue
 				}
-				// Decision point: would the planner now pick something
-				// cheaper than finishing this chunk?
 				fresh, err := in.Planner.Choose(i, link.Now()-start, est.Estimate(), in.Chunks)
 				if err != nil {
 					return nil, err
 				}
-				if fresh != choice && choiceBytes(ch, fresh) < total-sent {
+				if worthCancel(ch, choiceLevel(choice), fresh, total-sent) {
 					abandoned += sent
 					res.Cancels++
 					link.Advance(in.Planner.RTT) // the cancel round trip
@@ -281,12 +269,7 @@ func simulateFrames(in SimInput, share float64, suffix int) (*SimResult, error) 
 		transferEnd := link.Now()
 		dur := transferEnd - transferStart
 
-		if in.DisablePipeline && !choice.Text {
-			link.Advance(compute)
-			ready = link.Now()
-		} else {
-			ready = maxTime(ready, transferEnd) + compute
-		}
+		ready = maxTime(ready, transferEnd) + compute
 
 		res.Decisions = append(res.Decisions, ChunkDecision{
 			Chunk: i, Choice: choice, Bytes: bytes, Abandoned: abandoned,

@@ -237,14 +237,13 @@ func (f *Fetcher) acquireStream(a *assembler, src StreamSource) error {
 				}
 			}
 		}
-		// Abandon the in-flight chunk when resending it whole at the
-		// planner's fresh choice is cheaper than finishing it.
 		if !cancelPending {
 			fresh, err := f.policy().Choose(si, elapsed, tput, a.infos)
 			if err != nil {
 				return fmt.Errorf("streamer: %w", err)
 			}
-			if lv := choiceLevel(fresh); lv != c.level && choiceBytes(a.infos[si], fresh) < c.total-c.bytes {
+			if worthCancel(a.infos[si], c.level, fresh, c.total-c.bytes) {
+				lv := choiceLevel(fresh)
 				if err := stream.Cancel(si, lv); err != nil {
 					return fmt.Errorf("streamer: cancel: %w", err)
 				}

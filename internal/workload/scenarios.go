@@ -259,26 +259,39 @@ func FlashCrowd(p Params) *Trace {
 	return t
 }
 
-// PoissonTenant mirrors gateway.TenantProfile for the Poisson builder,
-// without importing the gateway (the gateway imports this package).
+// PoissonTenant describes one tenant's traffic in a Poisson workload.
 type PoissonTenant struct {
-	Name         string
-	Share        int
-	ContextIDs   []string
+	// Name is the tenant id submitted to the gateway.
+	Name string
+	// Share is the tenant's weight in the traffic mix (arrivals are split
+	// proportionally to shares). ≥ 1.
+	Share int
+	// ContextIDs are the published contexts this tenant requests,
+	// uniformly at random.
+	ContextIDs []string
+	// SLO, Deadline and SuffixTokens are copied onto every request.
 	SLO          time.Duration
 	Deadline     time.Duration
 	SuffixTokens int
-	Turns        int
-	ThinkTime    time.Duration
+	// Turns, when > 1, makes each arrival a multi-turn chat session: the
+	// same context is requested Turns times in sequence, separated by
+	// exponentially distributed think times, and the KV returned by each
+	// turn rides along as the next turn's Resident prefix — so warm turns
+	// stream only what the context gained in between (nothing, here;
+	// append traffic is Session territory). 0 or 1 = single-shot.
+	Turns int
+	// ThinkTime is the mean think time between a session's turns
+	// (exponential; seeded like everything else). 0 = back-to-back.
+	ThinkTime time.Duration
 }
 
 // Poisson materialises the classic open-loop Poisson workload as a
-// trace: exponential inter-arrival gaps at rate arrivals/second, each
-// arrival drawn from the tenant mix. This subsumes the old
-// gateway.Workload generator — gateway.Workload.Run now builds this
-// trace and replays it — and keeps its draw order, so a given seed
-// produces the same request sequence it always did. Contexts are
-// assumed already published (ContextList is empty).
+// trace: exponential inter-arrival gaps at rate arrivals/second
+// regardless of how the gateway keeps up (the open-loop property that
+// exposes queueing collapse), each arrival drawn from the tenant mix. The
+// draw order is fixed, so a given seed produces the same request
+// sequence it always did. Contexts are assumed already published
+// (ContextList is empty).
 func Poisson(rate float64, requests int, tenants []PoissonTenant, seed int64) (*Trace, error) {
 	if rate <= 0 {
 		return nil, fmt.Errorf("workload: poisson rate %v must be positive", rate)
@@ -313,7 +326,7 @@ func Poisson(rate float64, requests int, tenants []PoissonTenant, seed int64) (*
 	for i := 0; i < requests; i++ {
 		if i > 0 {
 			// Exponential gap, capped at 5× the mean (one unlucky draw must
-			// not stall the run) — the exact stream Workload.Run drew.
+			// not stall the run).
 			d := time.Duration(rng.ExpFloat64() * float64(mean))
 			if max := 5 * mean; d > max {
 				d = max

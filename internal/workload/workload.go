@@ -8,8 +8,8 @@
 // same t=0 the trace replays from.
 //
 // The gateway consumes traces through the Source interface
-// (gateway.Replay); the old Poisson generator (gateway.Workload) is a
-// builder here (Poisson) and replays through the same path.
+// (gateway.Replay); the open-loop Poisson generator is a builder here
+// (Poisson) and replays through the same path.
 package workload
 
 import (

@@ -46,19 +46,9 @@ func NewLink(trace Trace) *Link { return netsim.NewLink(trace) }
 // Simulate runs one context-loading request in virtual time.
 func Simulate(in SimInput) (*SimResult, error) { return streamer.Simulate(in) }
 
-type (
-	// BatchRequest is one request in a batched stream (§5.3).
-	BatchRequest = streamer.BatchRequest
-	// BatchInput describes a batched streaming round.
-	BatchInput = streamer.BatchInput
-	// IncrementalFetch is the two-phase result of Fetcher.FetchIncremental
-	// (SVC-style streaming: usable base now, quality upgrade later).
-	IncrementalFetch = streamer.IncrementalFetch
-)
-
-// SimulateBatch streams multiple requests over one shared link in virtual
-// time, with per-chunk-index batching (§5.3).
-func SimulateBatch(in BatchInput) ([]*SimResult, error) { return streamer.SimulateBatch(in) }
+// IncrementalFetch is the two-phase result of Fetcher.FetchIncremental
+// (SVC-style streaming: usable base now, quality upgrade later).
+type IncrementalFetch = streamer.IncrementalFetch
 
 // BuildChunkInfos derives planner chunk metadata from stored context
 // metadata plus the compute cost model.
