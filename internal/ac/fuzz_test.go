@@ -128,12 +128,15 @@ func FuzzDecodeSymbols(f *testing.F) {
 
 // FuzzDecodeRows: the lockstep kernel against scalar Decode on arbitrary
 // bytes. The fuzzer picks the table shape (skewed, uniform, one dominant
-// symbol, random — drawn from its seed), the row width, the row count and
-// the number of streams, and supplies the bytes the streams are cut from:
-// stream k starts k·stride bytes in, so the streams of one call differ,
-// overlap, run out at different symbols and include empty ones. Every
-// stored value and every stream's final (pos, code, rng) must match, and
-// nothing may panic.
+// symbol, random, two symbols, 65,535 symbols — drawn from its seed), the
+// value shape, the row width, the row count and the number of streams, and
+// supplies the bytes the streams are cut from: stream k starts k·stride
+// bytes in, so the streams of one call differ, overlap, run out at
+// different symbols and include empty ones. A nonzero edge instead ends
+// stream k one byte either side of the check-free budget of some row, so
+// the call straddles the check-free and checked bodies. Every stored value
+// and every stream's final (pos, code, rng) must match, and nothing may
+// panic.
 func FuzzDecodeRows(f *testing.F) {
 	tab, err := NewFreqTable([]uint64{1000, 200, 50, 10, 2, 1, 1, 1})
 	if err != nil {
@@ -149,30 +152,31 @@ func FuzzDecodeRows(f *testing.F) {
 	corrupt := append([]byte{}, valid...)
 	corrupt[len(corrupt)/3] ^= 0x10
 	for streams := uint8(1); streams <= 7; streams++ {
-		f.Add(valid, int64(streams), streams, uint8(8), uint8(3), uint8(0))
-		f.Add(valid[:len(valid)/2], int64(streams), streams, uint8(5), uint8(9), uint8(7))
-		f.Add(corrupt, int64(-streams), streams, uint8(33), uint8(2), uint8(1))
-		f.Add([]byte{}, int64(streams)<<8, streams, uint8(1), uint8(1), uint8(0))
+		f.Add(valid, int64(streams), streams, uint8(8), uint8(3), uint8(0), uint8(0))
+		f.Add(valid[:len(valid)/2], int64(streams), streams, uint8(5), uint8(9), uint8(7), uint8(0))
+		f.Add(corrupt, int64(-streams), streams, uint8(33), uint8(2), uint8(1), uint8(0))
+		f.Add([]byte{}, int64(streams)<<8, streams, uint8(1), uint8(1), uint8(0), uint8(0))
+		f.Add(valid, int64(streams)*3, streams, uint8(6), uint8(12), uint8(2), 16*streams+1)
+		f.Add(corrupt, int64(streams)*5+2, streams, uint8(31), uint8(4), uint8(3), 16*streams+2)
 	}
-	f.Fuzz(func(t *testing.T, data []byte, tableSeed int64, streams, width, rows, stride uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, tableSeed int64, streams, width, rows, stride, edge uint8) {
 		rng := rand.New(rand.NewSource(tableSeed))
-		c := rowsCase{tabs: make([]*FreqTable, 1+int(width)%48), rows: int(rows) % 16}
-		pool := []*FreqTable{randomTable(t, rng), randomTable(t, rng), randomTable(t, rng)}
+		c := rowsCase{tabs: make([]*FreqTable, 1+int(width)%64), rows: int(rows) % 16}
+		pool := []*FreqTable{rowsTable(t, rng), rowsTable(t, rng), rowsTable(t, rng)}
 		maxN := 0
 		for i := range c.tabs {
 			c.tabs[i] = pool[rng.Intn(len(pool))]
 			maxN = max(maxN, c.tabs[i].N())
 		}
 		c.vals = symbolVals(maxN)
-		if tableSeed&1 != 0 {
-			c.scale = make([]float32, len(c.tabs))
-			c.base = make([]float32, len(c.tabs))
-			for i := range c.scale {
-				c.scale[i], c.base[i] = float32(i)-3.5, float32(i)*0.125
-			}
-		}
+		shapeRows(&c, int(uint64(tableSeed)%5), rng)
 		for k := 0; k < 1+int(streams)%9; k++ {
-			c.streams = append(c.streams, data[min(k*int(stride), len(data)):])
+			s := data[min(k*int(stride), len(data)):]
+			if edge != 0 {
+				r := (int(edge) + k) % (c.rows + 1)
+				s = fitStream(s, budgetEdge(r, len(c.tabs))+(int(edge)>>4+k)%3-1)
+			}
+			c.streams = append(c.streams, s)
 		}
 		checkRows(t, c)
 	})

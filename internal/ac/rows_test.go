@@ -2,6 +2,8 @@ package ac
 
 import (
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -12,6 +14,7 @@ type rowsCase struct {
 	vals    []float32
 	scale   []float32 // nil or len(tabs)
 	base    []float32 // nil or len(tabs), shared by every stream
+	oddBase bool      // base goes to odd-numbered streams only
 	rows    int
 	streams [][]byte
 }
@@ -25,11 +28,12 @@ func checkRows(t *testing.T, c rowsCase) {
 	rs := make([]RowStream, len(c.streams))
 	for k, data := range c.streams {
 		decs[k].Reset(data)
-		rs[k] = RowStream{Dec: &decs[k], Dst: make([]float32, c.rows*width), Base: c.base}
+		rs[k] = RowStream{Dec: &decs[k], Dst: make([]float32, c.rows*width), Base: c.streamBase(k)}
 	}
 	DecodeRows(c.tabs, c.vals, c.scale, rs)
 	for k, data := range c.streams {
 		ref := NewDecoder(data)
+		base := c.streamBase(k)
 		for i := 0; i < c.rows*width; i++ {
 			ch := i % width
 			sym, err := ref.Decode(c.tabs[ch])
@@ -40,8 +44,8 @@ func checkRows(t *testing.T, c rowsCase) {
 			if c.scale != nil {
 				want = float32(want * c.scale[ch]) // rounded before the add, as the kernel does
 			}
-			if c.base != nil {
-				want += c.base[ch]
+			if base != nil {
+				want += base[ch]
 			}
 			if got := rs[k].Dst[i]; got != want {
 				t.Fatalf("stream %d of %d, value %d: got %v, scalar symbol %d gives %v", k, len(c.streams), i, got, sym, want)
@@ -52,6 +56,28 @@ func checkRows(t *testing.T, c rowsCase) {
 				k, len(c.streams), decs[k].pos, decs[k].code, decs[k].rng, ref.pos, ref.code, ref.rng)
 		}
 	}
+}
+
+func (c rowsCase) streamBase(k int) []float32 {
+	if c.oddBase && k%2 == 0 {
+		return nil
+	}
+	return c.base
+}
+
+// split reports whether the case's first lockstep group runs both bodies:
+// some rows check-free, the rest checked.
+func (c rowsCase) split() bool {
+	w := min(len(c.streams), MaxRowStreams)
+	if w == 3 {
+		w = 2
+	}
+	s := make([]RowStream, w)
+	for k := range s {
+		s[k] = RowStream{Dec: NewDecoder(c.streams[k]), Dst: make([]float32, c.rows*len(c.tabs)), Base: c.streamBase(k)}
+	}
+	free := freeRows(len(c.tabs), s)
+	return freeBody(c.scale, s) != nil && free > 0 && free < c.rows
 }
 
 // decodeRowSymbols decodes one row of len(tabs) symbols from dec through
@@ -85,36 +111,96 @@ func symbolVals(n int) []float32 {
 	return vals
 }
 
-// TestDecodeRowsMatchesScalar: random tables, every stream count the
-// kernel splits differently (1–4 and the 4+2+1 tail shapes), valid
-// streams of real symbols plus truncated and empty ones, with and without
-// the scale and base terms.
+var (
+	wideOnce  sync.Once
+	wideTable *FreqTable
+)
+
+// rowsTable draws a row model: mostly randomTable's shapes, sometimes the
+// alphabet extremes — two symbols, or the 65,535 of 16-bit anchors, whose
+// uniform symbols cost the full two bytes the check-free budget allows.
+func rowsTable(t testing.TB, rng *rand.Rand) *FreqTable {
+	t.Helper()
+	switch rng.Intn(8) {
+	case 0:
+		m, err := NewFreqTable([]uint64{uint64(rng.Intn(100)), uint64(rng.Intn(100))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	case 1:
+		wideOnce.Do(func() {
+			var err error
+			if wideTable, err = UniformTable(MaxTotal - 1); err != nil {
+				panic(err)
+			}
+		})
+		return wideTable
+	}
+	return randomTable(t, rng)
+}
+
+// shapeRows sets the case's value terms from shape: neither, both, the
+// codec's anchor shape (scale only), its delta shape (base only), or a base
+// on some streams only.
+func shapeRows(c *rowsCase, shape int, rng *rand.Rand) {
+	width := len(c.tabs)
+	if shape == 1 || shape == 2 {
+		c.scale = make([]float32, width)
+		for i := range c.scale {
+			c.scale[i] = float32(rng.NormFloat64())
+		}
+	}
+	if shape == 1 || shape == 3 || shape == 4 {
+		c.base = make([]float32, width)
+		for i := range c.base {
+			c.base[i] = float32(rng.NormFloat64())
+		}
+	}
+	c.oddBase = shape == 4
+}
+
+// fitStream makes data exactly n bytes long: cut short, or extended with
+// bytes drawn from itself so the padding is not all zeros.
+func fitStream(data []byte, n int) []byte {
+	if n <= len(data) {
+		return data[:max(n, 0)]
+	}
+	out := append(make([]byte, 0, n), data...)
+	for len(out) < n {
+		out = append(out, byte(len(out)*131+len(data))^0x5a)
+	}
+	return out
+}
+
+// budgetEdge is the length at which a fresh stream holds the check-free
+// bytes of exactly r rows of width symbols (Reset reads five): one byte
+// less and it holds r-1.
+func budgetEdge(r, width int) int { return 5 + 2*r*width + 2 }
+
+// TestDecodeRowsMatchesScalar: random tables including the alphabet
+// extremes, widths 1–64, every stream count the kernel splits differently
+// (1–4 and the 4+2+1 tail shapes), every value shape, and streams of real
+// symbols — whole, ending one byte either side of a row's check-free
+// budget so the call straddles the check-free and checked bodies,
+// truncated, corrupt or empty.
 func TestDecodeRowsMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	for trial := 0; trial < 200; trial++ {
-		width := 1 + rng.Intn(40)
+	split := 0
+	for trial := 0; trial < 400; trial++ {
+		width := 1 + rng.Intn(64)
 		pool := make([]*FreqTable, 1+rng.Intn(4))
-		maxN := 0
 		for i := range pool {
-			pool[i] = randomTable(t, rng)
-			maxN = max(maxN, pool[i].N())
+			pool[i] = rowsTable(t, rng)
 		}
-		c := rowsCase{tabs: make([]*FreqTable, width), vals: symbolVals(maxN), rows: rng.Intn(12)}
+		c := rowsCase{tabs: make([]*FreqTable, width), rows: rng.Intn(12)}
+		maxN := 0
 		for i := range c.tabs {
 			c.tabs[i] = pool[rng.Intn(len(pool))]
+			maxN = max(maxN, c.tabs[i].N())
 		}
-		if rng.Intn(2) == 0 {
-			c.scale = make([]float32, width)
-			for i := range c.scale {
-				c.scale[i] = float32(rng.NormFloat64())
-			}
-		}
-		if rng.Intn(2) == 0 {
-			c.base = make([]float32, width)
-			for i := range c.base {
-				c.base[i] = float32(rng.NormFloat64())
-			}
-		}
+		c.vals = symbolVals(maxN) // exactly as long as the largest alphabet
+		shapeRows(&c, rng.Intn(5), rng)
 		for k := 1 + rng.Intn(11); k > 0; k-- {
 			enc := NewEncoder()
 			for i := 0; i < c.rows*width; i++ {
@@ -124,14 +210,81 @@ func TestDecodeRowsMatchesScalar(t *testing.T) {
 				}
 			}
 			data := enc.Bytes()
-			switch rng.Intn(6) {
+			switch rng.Intn(8) {
 			case 0:
 				data = data[:rng.Intn(len(data)+1)]
 			case 1:
 				data = nil
+			case 2:
+				if len(data) > 0 {
+					data[rng.Intn(len(data))] ^= byte(1 + rng.Intn(255))
+				}
+			case 3, 4, 5:
+				data = fitStream(data, budgetEdge(rng.Intn(c.rows+1), width)+rng.Intn(3)-1)
 			}
 			c.streams = append(c.streams, data)
 		}
+		if c.split() {
+			split++
+		}
 		checkRows(t, c)
+	}
+	if split < 40 {
+		t.Errorf("only %d of 400 calls ran both bodies", split)
+	}
+}
+
+// TestDecodeRowsGuard: a call the check-free bodies could read or write
+// out of bounds on panics with a message before decoding anything.
+func TestDecodeRowsGuard(t *testing.T) {
+	small, err := UniformTable(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := UniformTable(300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := NewEncoder()
+	for i := 0; i < 64; i++ {
+		if err := enc.Encode(i%3, small); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := fitStream(enc.Bytes(), 4096) // every row check-free
+	tabs := []*FreqTable{small, big}
+	for _, tc := range []struct {
+		name, want string
+		vals       []float32
+		scale      []float32
+		streams    func(dec *Decoder) []RowStream
+	}{
+		{"short vals", "299 values for a 300-symbol alphabet", symbolVals(299), []float32{1, 1},
+			func(dec *Decoder) []RowStream { return []RowStream{{Dec: dec, Dst: make([]float32, 8)}} }},
+		{"short scale", "1 scale factors for 2 tables", symbolVals(300), []float32{1},
+			func(dec *Decoder) []RowStream { return []RowStream{{Dec: dec, Dst: make([]float32, 8)}} }},
+		{"short base", "stream 0 has 1 base values for 2 tables", symbolVals(300), nil,
+			func(dec *Decoder) []RowStream {
+				return []RowStream{{Dec: dec, Dst: make([]float32, 8), Base: []float32{0}}}
+			}},
+		{"ragged dst", "stream 1 has 6 destination values, stream 0 has 8", symbolVals(300), []float32{1, 1},
+			func(dec *Decoder) []RowStream {
+				return []RowStream{{Dec: dec, Dst: make([]float32, 8)}, {Dec: NewDecoder(data), Dst: make([]float32, 6)}}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dec := NewDecoder(data)
+			streams := tc.streams(dec)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("panic %q, want one mentioning %q", msg, tc.want)
+				}
+				if dec.pos != 5 {
+					t.Errorf("decoder moved to %d before the guard fired", dec.pos)
+				}
+			}()
+			DecodeRows(tabs, tc.vals, tc.scale, streams)
+		})
 	}
 }

@@ -554,10 +554,11 @@ func (c *Codec) ParseChunk(data []byte) (*ParsedChunk, error) {
 // len(data) of `total` bytes have arrived. It returns ErrShortChunk when
 // the prefix is too short to hold the header — the caller retries with
 // more bytes — and ErrCorruptChunk on a structural verdict that more
-// bytes cannot fix. A v2 header parses as soon as it has fully arrived
-// (lanes then decode incrementally via DecodeLaneInto as their payload
-// ranges land); a v1 container carries only a trailing whole-container
-// checksum, so it parses — and decodes — only complete.
+// bytes cannot fix. A v2 header parses as soon as it has fully arrived;
+// lanes then decode incrementally as their payload ranges land, every lane
+// landed by the time a coder slot frees in one DecodeLandedInto call. A v1
+// container carries only a trailing whole-container checksum, so it
+// parses — and decodes — only complete.
 func (c *Codec) ParseChunkPrefix(data []byte, total int) (*ParsedChunk, error) {
 	if total <= 0 {
 		return nil, fmt.Errorf("%w: declared size %d", ErrCorruptChunk, total)
@@ -776,7 +777,7 @@ func (c *Codec) DecodeChunk(data []byte) (*Chunk, error) {
 	}
 	hdr := p.Header
 	kv := tensor.New(hdr.Layers, hdr.Tokens, hdr.Channels)
-	if err := c.decodeParsed(kv, 0, p, data); err != nil {
+	if err := c.DecodeParsedInto(kv, 0, p, data); err != nil {
 		return nil, err
 	}
 	return &Chunk{Index: hdr.Index, TokenOffset: hdr.TokenOffset, Level: hdr.Level, KV: kv}, nil
@@ -792,7 +793,7 @@ func (c *Codec) DecodeChunkInto(dst *tensor.KV, dstOff int, data []byte) (ChunkH
 	if err != nil {
 		return ChunkHeader{}, err
 	}
-	return p.Header, c.decodeParsed(dst, dstOff, p, data)
+	return p.Header, c.DecodeParsedInto(dst, dstOff, p, data)
 }
 
 // DecodeParsedInto is DecodeChunkInto for a caller that already parsed
@@ -801,7 +802,55 @@ func (c *Codec) DecodeChunkInto(dst *tensor.KV, dstOff int, data []byte) (ChunkH
 // parsed from; every lane decodes, in parallel when the codec has more
 // than one worker.
 func (c *Codec) DecodeParsedInto(dst *tensor.KV, dstOff int, p *ParsedChunk, data []byte) error {
-	return c.decodeParsed(dst, dstOff, p, data)
+	return c.decodeLanes(dst, dstOff, p, 0, len(p.lanes), data)
+}
+
+// DecodeLaneInto decodes one coder lane of a parsed chunk into dst's
+// token range. data must be (a prefix of) the container p was parsed
+// from, holding at least LaneEnd(lane) bytes. Lanes of one chunk may
+// decode concurrently and in any order: each lane writes a disjoint set of
+// destination token rows. For a v2 container the lane's payload CRC is
+// verified here; a v1 container was already verified whole at parse.
+func (c *Codec) DecodeLaneInto(dst *tensor.KV, dstOff int, p *ParsedChunk, lane int, data []byte) error {
+	return c.decodeLanes(dst, dstOff, p, lane, lane+1, data)
+}
+
+// DecodeLandedInto is the fetch pipeline's decode of a chunk whose
+// container arrives in pieces: it waits for a coder slot and only then asks
+// landed which lanes to decode — [lo, hi), with data a prefix of the
+// container holding at least LaneEnd(hi-1) bytes — so every lane that
+// landed while the caller queued decodes in this one call. The lanes are
+// CRC-verified first (an error names the failing lane, and then no group
+// of the range has decoded); their token groups are then cut into
+// kernel-width jobs across lane boundaries, as for a whole container,
+// which the caller's slot and helpers recruited from free slots decode
+// together. A single lane is one job, decoded on the caller's slot alone.
+// landed runs exactly once, on the calling goroutine.
+func (c *Codec) DecodeLandedInto(dst *tensor.KV, dstOff int, p *ParsedChunk, landed func() (lo, hi int, data []byte)) error {
+	c.slots.acquireLoad()
+	lo, hi, data := landed()
+	if err := c.checkLanes(dst, dstOff, p, lo, hi, data); err != nil {
+		c.slots.release(classLoad)
+		return err
+	}
+	if hi-lo == 1 {
+		// One lane is one job — about a worker's share of a chunk, whose
+		// groups share each block's tables in one pass of the kernel — and
+		// the streaming unit allocates nothing.
+		ln := p.lanes[lo]
+		c.decodeGroups(dst, dstOff, p, data, ln.start, ln.end)
+		c.slots.release(classLoad)
+		return nil
+	}
+	run := newDecodeRun()
+	run.cut(p, data, dstOff, span{p.lanes[lo].start, p.lanes[hi-1].end}, c.workers)
+	c.runDecodeJobs(dst, run)
+	return nil
+}
+
+// decodeLanes decodes lanes [lo, hi) of p from data, which holds them.
+func (c *Codec) decodeLanes(dst *tensor.KV, dstOff int, p *ParsedChunk, lo, hi int, data []byte) error {
+	return c.DecodeLandedInto(dst, dstOff, p, func() (int, int, []byte) { return lo, hi, data })
 }
 
 // checkParsed verifies a parsed chunk against the codec's configuration
@@ -829,30 +878,23 @@ func (c *Codec) checkParsed(dst *tensor.KV, dstOff int, p *ParsedChunk) error {
 	return nil
 }
 
-// DecodeLaneInto decodes one coder lane of a parsed chunk into dst's
-// token range — the out-of-order unit of the fetch pipeline. data must
-// be (a prefix of) the container p was parsed from, holding at least
-// LaneEnd(lane) bytes. Lanes of one chunk may decode concurrently and in
-// any order: each lane writes a disjoint set of destination token rows.
-// For a v2 container the lane's payload CRC is verified here; a v1
-// container was already verified whole at parse.
-func (c *Codec) DecodeLaneInto(dst *tensor.KV, dstOff int, p *ParsedChunk, lane int, data []byte) error {
-	if lane < 0 || lane >= len(p.lanes) {
-		return fmt.Errorf("core: lane %d out of range 0..%d", lane, len(p.lanes)-1)
+// checkLanes validates lanes [lo, hi) of a parsed chunk for decode into
+// dst from data: geometry, that data holds them, every lane checksum.
+func (c *Codec) checkLanes(dst *tensor.KV, dstOff int, p *ParsedChunk, lo, hi int, data []byte) error {
+	if lo < 0 || hi > len(p.lanes) || lo >= hi {
+		return fmt.Errorf("core: lanes [%d,%d) out of range 0..%d", lo, hi, len(p.lanes))
 	}
 	if err := c.checkParsed(dst, dstOff, p); err != nil {
 		return err
 	}
-	if len(data) < p.LaneEnd(lane) {
-		return fmt.Errorf("%w: lane %d needs %d bytes, have %d", ErrShortChunk, lane, p.LaneEnd(lane), len(data))
+	if end := p.LaneEnd(hi - 1); len(data) < end {
+		return fmt.Errorf("%w: lanes [%d,%d) need %d bytes, have %d", ErrShortChunk, lo, hi, end, len(data))
 	}
-	if err := p.verifyLane(lane, data); err != nil {
-		return err
+	for lane := lo; lane < hi; lane++ {
+		if err := p.verifyLane(lane, data); err != nil {
+			return err
+		}
 	}
-	ln := p.lanes[lane]
-	c.slots.acquireLoad()
-	defer c.slots.release(classLoad)
-	c.decodeGroups(dst, dstOff, p, data, ln.start, ln.end)
 	return nil
 }
 
@@ -866,19 +908,8 @@ func (p *ParsedChunk) verifyLane(lane int, data []byte) error {
 	return nil
 }
 
-// decodeParsed decodes a complete parsed chunk into dst at token offset
-// dstOff, in parallel when the codec has more than one worker.
-func (c *Codec) decodeParsed(dst *tensor.KV, dstOff int, p *ParsedChunk, data []byte) error {
-	run := newDecodeRun()
-	if err := c.appendDecodeJobs(run, dst, dstOff, p, data, c.workers); err != nil {
-		return err
-	}
-	c.runDecodeJobs(dst, run)
-	return nil
-}
-
-// decodeJob is one unit of whole-container decode work: a run of
-// consecutive token groups of one parsed chunk.
+// decodeJob is one unit of lane-range decode work: a run of consecutive
+// token groups of one parsed chunk.
 type decodeJob struct {
 	p      *ParsedChunk
 	data   []byte
@@ -908,48 +939,34 @@ func newDecodeRun() *decodeRun {
 // still splits into enough jobs to keep the workers level.
 const decodeJobGroups = 2 * ac.MaxRowStreams
 
-// appendDecodeJobs validates a complete chunk (geometry, length, every
-// lane checksum) and appends the jobs that decode it for `parts` workers.
-// With the whole container at hand the lane table is only a checksum
-// boundary: jobs are cut in kernel-width multiples across lanes, so a
-// short chunk with one or two groups per lane still fills the kernel's
-// streams. When several workers share the chunk, its last stretch is cut
-// into single-width jobs, so they finish within one such job of each
-// other.
-func (c *Codec) appendDecodeJobs(run *decodeRun, dst *tensor.KV, dstOff int, p *ParsedChunk, data []byte, parts int) error {
-	if err := c.checkParsed(dst, dstOff, p); err != nil {
-		return err
-	}
-	if len(data) < p.total {
-		return fmt.Errorf("%w: have %d of %d container bytes", ErrShortChunk, len(data), p.total)
-	}
-	for lane := range p.lanes {
-		if err := p.verifyLane(lane, data); err != nil {
-			return err
-		}
-	}
-	n := len(p.groups)
-	for lo := 0; lo < n; {
+// cut appends the jobs that decode token groups g of a verified chunk for
+// `parts` workers. Once its lanes are verified the lane table is only a
+// checksum boundary: jobs are cut in kernel-width multiples across lanes,
+// so a short chunk with one or two groups per lane still fills the
+// kernel's streams. When several workers share the groups, their last
+// stretch is cut into single-width jobs, so the workers finish within one
+// such job of each other.
+func (run *decodeRun) cut(p *ParsedChunk, data []byte, dstOff int, g span, parts int) {
+	for lo := g.start; lo < g.end; {
 		size := decodeJobGroups
-		if parts > 1 && n-lo <= decodeJobGroups*parts {
+		if parts > 1 && g.end-lo <= decodeJobGroups*parts {
 			size = ac.MaxRowStreams
 		}
-		hi := min(lo+size, n)
+		hi := min(lo+size, g.end)
 		run.jobs = append(run.jobs, decodeJob{p: p, data: data, dstOff: dstOff, groups: span{lo, hi}})
 		lo = hi
 	}
-	return nil
 }
 
-// runDecodeJobs decodes every job of run into dst. The caller and up to
-// workers-1 helper goroutines pull jobs off the shared counter, each
-// holding a slot of the codec-wide coder budget while it works. Helpers
-// never queue for a slot: before each of its own jobs the caller recruits
-// one for every slot that is free at that moment, so a busy codec decodes
-// on the caller alone and picks the other cores up as they come free.
+// runDecodeJobs decodes every job of run into dst on the load slot the
+// caller holds, which it releases. The caller and up to workers-1 helper
+// goroutines pull jobs off the shared counter, each holding a slot of the
+// codec-wide coder budget while it works. Helpers never queue for a slot:
+// before each of its own jobs the caller recruits one for every slot that
+// is free at that moment, so a busy codec decodes on the caller alone and
+// picks the other cores up as they come free.
 func (c *Codec) runDecodeJobs(dst *tensor.KV, run *decodeRun) {
 	spare := min(c.workers, len(run.jobs)) - 1
-	c.slots.acquireLoad()
 	for {
 		for spare > 0 && int(run.next.Load()) < len(run.jobs) && c.recruitDecoder(dst, run) {
 			spare--
@@ -1173,11 +1190,13 @@ func (c *Codec) DecodeContext(chunks [][]byte) (*tensor.KV, error) {
 	parts := (c.workers + len(ps) - 1) / len(ps)
 	off := 0
 	for i, p := range ps {
-		if err := c.appendDecodeJobs(run, kv, off, p, chunks[i], parts); err != nil {
+		if err := c.checkLanes(kv, off, p, 0, len(p.lanes), chunks[i]); err != nil {
 			return nil, fmt.Errorf("core: chunk %d: %w", i, err)
 		}
+		run.cut(p, chunks[i], off, span{0, len(p.groups)}, parts)
 		off += p.Header.Tokens
 	}
+	c.slots.acquireLoad()
 	c.runDecodeJobs(kv, run)
 	return kv, nil
 }

@@ -237,6 +237,24 @@ func BenchmarkDecodeParsedMistral(b *testing.B) {
 	})
 }
 
+// decodeLanded decodes the chunk the way the fetch pipeline does on
+// loopback: the first lane as it lands, then every other lane, landed
+// while the first decoded, in one call.
+func decodeLanded(b *testing.B, codec *Codec, p *ParsedChunk, data []byte, dst *tensor.KV) {
+	for _, r := range [][2]int{{0, 1}, {1, p.Lanes()}} {
+		if err := codec.DecodeLandedInto(dst, 0, p, func() (int, int, []byte) { return r[0], r[1], data }); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeLandedMistral decodes the chunk as the fetch pipeline's
+// decode pump hands it over on a fast link: two cross-lane job lists.
+func BenchmarkDecodeLandedMistral(b *testing.B) {
+	codec, p, data, dst := mistralChunk(b)
+	reportMinOp(b, func() { decodeLanded(b, codec, p, data, dst) })
+}
+
 // BenchmarkDecodeLanesFleet is the short-chunk shape of the fleet
 // workloads (600 tokens × 16 channels: three or four groups per lane, so
 // most lanes never fill the four-wide kernel), lane by lane.
@@ -260,4 +278,11 @@ func BenchmarkDecodeParsedFleet(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
+}
+
+// BenchmarkDecodeLandedFleet is BenchmarkDecodeLandedMistral on the short
+// fleet chunk.
+func BenchmarkDecodeLandedFleet(b *testing.B) {
+	codec, p, data, dst := mistralShape(b, 16, 600)
+	reportMinOp(b, func() { decodeLanded(b, codec, p, data, dst) })
 }

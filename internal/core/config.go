@@ -46,6 +46,17 @@
 //     neither stop nor deadlock it.
 //
 // SlotTotals reports what the rules cost each class.
+//
+// # Decode
+//
+// Every decode — a whole container (DecodeChunk, DecodeParsedInto,
+// DecodeContext), one lane (DecodeLaneInto), or the lanes of a streamed
+// container that have landed by the time a coder slot frees
+// (DecodeLandedInto) — verifies the lanes it covers, then cuts their token
+// groups into jobs of eight across lane boundaries, so the lockstep kernel
+// (ac.DecodeRows) runs four streams wide whatever the lane layout; the
+// caller and helpers recruited from free slots pull the jobs. A single
+// lane is one job on the caller's slot.
 package core
 
 import (

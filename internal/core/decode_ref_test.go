@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/ac"
@@ -156,15 +159,147 @@ func TestDecodeMatchesReference(t *testing.T) {
 	}
 }
 
+// codecWith is a codec over bank that runs `workers` coders and encodes
+// `lanes` coder lanes per chunk — the two settings outside the bank.
+func codecWith(bank *ModelBank, workers, lanes int) *Codec {
+	c := NewCodec(bank)
+	c.cfg.CoderLanes = lanes
+	c.workers, c.slots = workers, newSlots(workers)
+	return c
+}
+
+// partitions returns every way to cut lanes [0, n) into contiguous ranges,
+// each as its range boundaries 0 = b0 < b1 < … < bk = n.
+func partitions(n int) [][]int {
+	var out [][]int
+	for mask := 0; mask < 1<<(n-1); mask++ {
+		cuts := []int{0}
+		for i := 1; i < n; i++ {
+			if mask&(1<<(i-1)) != 0 {
+				cuts = append(cuts, i)
+			}
+		}
+		out = append(out, append(cuts, n))
+	}
+	return out
+}
+
+// randomPartition cuts lanes [0, n) into contiguous ranges at random.
+func randomPartition(rng *rand.Rand, n int) []int {
+	cuts := []int{0}
+	for i := 1; i < n; i++ {
+		if rng.Intn(3) == 0 {
+			cuts = append(cuts, i)
+		}
+	}
+	return append(cuts, n)
+}
+
+// TestDecodeLanesMatchReference decodes a chunk with a short last group
+// range by range — every contiguous partition of its lanes at up to five
+// lanes, 200 random ones at sixteen, last range first — in both container
+// formats on codecs of 1, 2 and 4 workers, and wants the reference
+// decode's exact bits, in an offset window of a larger destination.
+func TestDecodeLanesMatchReference(t *testing.T) {
+	m := testModel(t)
+	cfg := DefaultConfig()
+	cfg.ChunkTokens = 2000
+	bank, err := Train(cfg, []*tensor.KV{m.CalculateKV(testTokens(1000, 400)), m.CalculateKV(testTokens(1001, 400))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv := m.CalculateKV(testTokens(78, 397)) // 40 groups, the last of 7 tokens
+	rng := rand.New(rand.NewSource(11))
+	const off = 3
+	var want *tensor.KV
+	for _, workers := range []int{1, 2, 4} {
+		for _, lanes := range []int{1, 2, 3, 4, 5, 16} {
+			codec := codecWith(bank, workers, lanes)
+			for _, format := range []int{FormatV1, FormatV2} {
+				if format == FormatV1 && lanes > 1 {
+					continue // a v1 container's lanes are the decoding codec's workers
+				}
+				data, err := codec.encodeChunkRange(kv, 0, kv.Tokens, 0, 0, 1, format)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil { // every lane count and format carries the same group streams
+					want = referenceDecode(t, codec, data)
+				}
+				p, err := codec.ParseChunk(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var parts [][]int
+				if p.Lanes() <= 5 {
+					parts = partitions(p.Lanes())
+				} else {
+					// The race detector needs a few cross-lane job lists per
+					// worker count, not two hundred at ten times the cost.
+					random := 200
+					if raceEnabled {
+						random = 20
+					}
+					for i := 0; i < random; i++ {
+						parts = append(parts, randomPartition(rng, p.Lanes()))
+					}
+				}
+				for _, cuts := range parts {
+					name := fmt.Sprintf("workers %d, v%d, %d lanes, ranges %v", workers, format, p.Lanes(), cuts)
+					dst := tensor.New(kv.Layers, kv.Tokens+7, kv.Channels)
+					for i := len(cuts) - 1; i > 0; i-- {
+						if err := codec.decodeLanes(dst, off, p, cuts[i-1], cuts[i], data); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+					}
+					sameBits(t, name, dst, off, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeLanesCorruptLane: a corrupt lane anywhere in a range fails the
+// range with an ErrCorruptChunk naming that lane, before any group of the
+// range has decoded.
+func TestDecodeLanesCorruptLane(t *testing.T) {
+	codec, m := testCodec(t, DefaultConfig())
+	kv := m.CalculateKV(testTokens(79, 400))
+	data, err := codec.EncodeChunk(kv, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := codec.ParseChunk(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := tensor.New(kv.Layers, 0, kv.Channels)
+	for _, r := range []struct{ lo, bad, hi int }{{0, 0, 16}, {0, 15, 16}, {3, 7, 12}, {5, 5, 6}, {9, 10, 11}} {
+		bad := append([]byte(nil), data...)
+		bad[p.groupOff[p.lanes[r.bad].start]] ^= 0x10
+		dst := tensor.New(kv.Layers, kv.Tokens, kv.Channels)
+		err := codec.decodeLanes(dst, 0, p, r.lo, r.hi, bad)
+		if !errors.Is(err, ErrCorruptChunk) || !strings.Contains(err.Error(), fmt.Sprintf("lane %d ", r.bad)) {
+			t.Errorf("lanes [%d,%d) with lane %d corrupt: %v, want ErrCorruptChunk naming lane %d", r.lo, r.hi, r.bad, err, r.bad)
+		}
+		sameBits(t, fmt.Sprintf("lanes [%d,%d) after the corrupt lane %d", r.lo, r.hi, r.bad), dst, 0, zero)
+	}
+}
+
 // TestDecodeLaneAllocs pins the streaming unit at zero steady-state
-// allocations: decoders, stream descriptors and value tables all live in
-// pooled scratch or the bank.
+// allocations — decoders, stream descriptors and value tables all live in
+// pooled scratch or the bank — on a codec with coders to spare and lanes
+// of ten groups, which a range cuts into several jobs: one lane is still
+// one job on the caller. A range of lanes allocates its job list and a
+// closure per helper it recruits, nothing else.
 func TestDecodeLaneAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	codec, m := testCodec(t, smallConfig())
-	kv := m.CalculateKV(testTokens(5, 100))
+	cfg := smallConfig()
+	cfg.Workers, cfg.CoderLanes = 4, 4
+	codec, m := testCodec(t, cfg)
+	kv := m.CalculateKV(testTokens(5, 400))
 	data, err := codec.EncodeChunk(kv, 0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -183,5 +318,15 @@ func TestDecodeLaneAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("DecodeLaneInto over %d lanes: %v allocs, want 0", p.Lanes(), allocs)
+	}
+	for _, r := range [][2]int{{0, 2}, {1, 4}, {0, 4}} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := codec.decodeLanes(dst, 0, p, r[0], r[1], data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := float64(1 + codec.workers - 1); allocs > limit {
+			t.Errorf("lanes [%d,%d): %v allocs, want at most %v (the job list and %d helpers)", r[0], r[1], allocs, limit, codec.workers-1)
+		}
 	}
 }

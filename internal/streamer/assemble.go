@@ -14,20 +14,29 @@ import (
 	"repro/internal/tensor"
 )
 
-// laneAttempt tracks one delivery attempt's out-of-order decodes for a
-// chunk. A mid-stream CANCEL or a corrupt-refetch abandons the attempt
-// and starts a new one for the same chunk; both write the same
-// destination token rows, so a new attempt's decodes wait for the
-// abandoned chain to drain first.
+// laneAttempt is one delivery attempt of a chunk's bitstream and its
+// decode pump. The acquirer lands coder lanes on it as their bytes arrive;
+// the pump — one goroutine at a time, started when a lane lands and none
+// runs — queues for a coder slot and, once granted one, claims every lane
+// landed and not yet claimed and decodes them as one cross-lane job list,
+// until none is left. On a fast link a chunk so decodes in one or two
+// full-width calls; on a slow one lanes still decode as they land. A
+// mid-stream CANCEL or a corrupt-refetch abandons the attempt and starts a
+// new one for the same chunk; both write the same destination token rows,
+// so a new attempt's pump waits for the abandoned chain to drain first.
 type laneAttempt struct {
-	prev     *laneAttempt // abandoned predecessor attempt, if any
-	nextLane int          // acquirer-side cursor: lanes [0,nextLane) dispatched
-	wg       sync.WaitGroup
+	prev *laneAttempt   // abandoned predecessor attempt, if any
+	wg   sync.WaitGroup // the running pump
 
 	mu          sync.Mutex
-	err         error // first decode error (abandoned attempts' errors are discarded)
+	landed      int    // lanes [0, landed) have their payload in buf
+	buf         []byte // length-snapshot of the payload covering them
+	claimed     int    // lanes [0, claimed) handed to the codec
+	pumping     bool   // a pump goroutine is running
+	err         error  // first decode error (abandoned attempts' errors are discarded)
 	first, last time.Time
-	busy        time.Duration // summed decode time (can exceed last−first)
+	busy        time.Duration // summed batch decode time, each from its slot grant
+	batches     int
 }
 
 // waitChain joins this attempt and every abandoned predecessor.
@@ -173,21 +182,19 @@ func (a *assembler) begin(si, level int, total int64) *chunkAsm {
 }
 
 // feed lands the next bytes of c's payload. A slice carrying the whole
-// payload is adopted, not copied — the caller must not reuse it — and a
-// container that arrives that way (RAM, disk, GetChunkData, a one-frame
-// chunk) decodes as one unit through the codec's whole-container job
-// cutting. One that arrives in pieces has its header parsed as soon as
-// its bytes are here, and each coder lane handed to the codec the moment
-// its payload range has fully landed, so decode of early lanes overlaps
-// the transfer of later ones. Errors are kept on the chunk for the
-// finalizer, which reaches them in order.
+// payload is adopted, not copied — the caller must not reuse it. The
+// container's header is parsed as soon as its bytes are here, and every
+// coder lane whose payload range has fully landed goes to the attempt's
+// decode pump, so decode of early lanes overlaps the transfer of later
+// ones; a container that arrives whole (RAM, disk, GetChunkData, a
+// one-frame chunk) lands all its lanes at once. Errors are kept on the
+// chunk for the finalizer, which reaches them in order.
 func (a *assembler) feed(c *chunkAsm, data []byte) {
 	n := int64(len(data))
 	a.count(c.level, n)
 	c.bytes += n
-	whole := c.buf == nil && n == c.total
 	switch {
-	case whole:
+	case c.buf == nil && n == c.total:
 		c.buf = data
 	case c.buf == nil:
 		// Allocated at full size: appends never move it, so a lane decodes
@@ -207,15 +214,71 @@ func (a *assembler) feed(c *chunkAsm, data []byte) {
 			return
 		}
 	}
+	a.land(c)
+}
+
+// land publishes to c's attempt every lane c's payload now covers, and
+// starts the attempt's pump if new lanes landed and none runs.
+func (a *assembler) land(c *chunkAsm) {
 	att, p := c.att, c.parsed
-	if whole {
-		att.nextLane = p.Lanes()
-		a.decode(c, wholeContainer)
+	att.mu.Lock()
+	defer att.mu.Unlock()
+	n := att.landed
+	for n < p.Lanes() && len(c.buf) >= p.LaneEnd(n) {
+		n++
+	}
+	if n == att.landed {
 		return
 	}
-	for att.nextLane < p.Lanes() && len(c.buf) >= p.LaneEnd(att.nextLane) {
-		a.decode(c, att.nextLane)
-		att.nextLane++
+	// buf is a length-snapshot: the acquirer keeps appending behind it.
+	att.landed, att.buf = n, c.buf
+	if !att.pumping && att.err == nil {
+		att.pumping = true
+		att.wg.Add(1)
+		go a.pump(att, p, a.offsets[c.si])
+	}
+}
+
+// pump decodes att's landed lanes until none is left unclaimed, behind any
+// abandoned attempt still writing the same rows: per coder-slot grant,
+// every lane landed by then, in one call. A batch's interval starts at its
+// grant — time queued for a slot is not decode — and feeds the timeline
+// span-less; the finalizer records the one chunk-level decode span.
+func (a *assembler) pump(att *laneAttempt, p *core.ParsedChunk, off int) {
+	defer att.wg.Done()
+	att.prev.waitChain()
+	for {
+		var begin time.Time
+		lanes := 0
+		err := a.f.Codec.DecodeLandedInto(a.dest, off, p, func() (int, int, []byte) {
+			begin = time.Now()
+			att.mu.Lock()
+			lo, hi, buf := att.claimed, att.landed, att.buf
+			att.claimed = hi
+			att.mu.Unlock()
+			lanes = hi - lo
+			a.f.LanesGauge.Add(float64(lanes)) // nil-safe
+			return lo, hi, buf
+		})
+		end := time.Now()
+		a.f.LanesGauge.Add(-float64(lanes))
+		a.tl.add(nil, phaseDecode, "decode", begin, end, nil)
+		att.mu.Lock()
+		if err != nil && att.err == nil {
+			att.err = err
+		}
+		if att.batches == 0 {
+			att.first = begin
+		}
+		att.last = end
+		att.busy += end.Sub(begin)
+		att.batches++
+		done := att.claimed == att.landed || att.err != nil
+		att.pumping = !done
+		att.mu.Unlock()
+		if done {
+			return
+		}
 	}
 }
 
@@ -236,50 +299,6 @@ func (a *assembler) parse(c *chunkAsm) error {
 	}
 	c.parsed = p
 	return nil
-}
-
-// wholeContainer is decode's lane argument for a container that decodes
-// as one unit.
-const wholeContainer = -1
-
-// decode runs one decode of c's current attempt — coder lane `lane`, or
-// the whole container — on its own goroutine, behind any abandoned
-// attempt still writing the same rows. Its interval feeds the timeline
-// span-less; the finalizer records the one chunk-level decode span.
-func (a *assembler) decode(c *chunkAsm, lane int) {
-	// buf is a length-snapshot: the acquirer keeps appending behind it.
-	att, p, buf, off, lanes := c.att, c.parsed, c.buf, a.offsets[c.si], 1.0
-	if lane == wholeContainer {
-		lanes = float64(p.Lanes())
-	}
-	att.wg.Add(1)
-	a.f.LanesGauge.Add(lanes) // nil-safe
-	go func() {
-		defer att.wg.Done()
-		defer a.f.LanesGauge.Add(-lanes)
-		att.prev.waitChain()
-		begin := time.Now()
-		var err error
-		if lane == wholeContainer {
-			err = a.f.Codec.DecodeParsedInto(a.dest, off, p, buf)
-		} else {
-			err = a.f.Codec.DecodeLaneInto(a.dest, off, p, lane, buf)
-		}
-		end := time.Now()
-		a.tl.add(nil, phaseDecode, "decode", begin, end, nil)
-		att.mu.Lock()
-		if err != nil && att.err == nil {
-			att.err = err
-		}
-		if att.first.IsZero() || begin.Before(att.first) {
-			att.first = begin
-		}
-		if end.After(att.last) {
-			att.last = end
-		}
-		att.busy += end.Sub(begin)
-		att.mu.Unlock()
-	}()
 }
 
 // adopt lands chunk c as finished KV rows — a peer gateway's resident
@@ -383,13 +402,14 @@ func (a *assembler) settle(c *chunkAsm) error {
 		}
 	}
 	if a.sp != nil && c.parsed != nil {
-		// One decode span per chunk, first decode start to last decode end;
-		// the exclusive attribution uses the intervals already in the
-		// timeline.
+		// One decode span per chunk, first batch's slot grant to last
+		// batch's end; the exclusive attribution uses the batch intervals
+		// already in the timeline.
 		a.sp.Record("decode", c.att.first, c.att.last.Sub(c.att.first),
 			telemetry.Attr{Key: "chunk", Value: a.from + c.si},
 			telemetry.Attr{Key: "level", Value: c.d.choice.String()},
-			telemetry.Attr{Key: "lanes", Value: c.att.nextLane})
+			telemetry.Attr{Key: "lanes", Value: c.att.claimed},
+			telemetry.Attr{Key: "batches", Value: c.att.batches})
 	}
 	a.report.Decisions[c.si] = ChunkDecision{
 		Chunk: a.from + c.si, Choice: c.d.choice, Bytes: c.bytes, Abandoned: c.abandoned,

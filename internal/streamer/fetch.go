@@ -112,10 +112,10 @@ type Fetcher struct {
 	// bandwidth estimate (bits per second) as frames arrive — the
 	// telemetry registry's view of netsim.Estimator. Nil is fine.
 	BandwidthGauge *telemetry.Gauge
-	// LanesGauge, when set, tracks coder-lane decodes in flight across
-	// the fetch (cachegen_codec_decode_lanes_inflight): incremented as a
-	// chunk's lanes are handed to the codec pool, decremented as they
-	// finish — the waterfall's view of decode parallelism. Nil is fine.
+	// LanesGauge, when set, counts the coder lanes in decode batches
+	// running across the fetch (cachegen_codec_decode_lanes_inflight): a
+	// batch adds its lanes once it holds a coder slot and removes them when
+	// it finishes — the waterfall's view of decode parallelism. Nil is fine.
 	LanesGauge *telemetry.Gauge
 }
 

@@ -31,7 +31,11 @@ func newStack(t *testing.T) *testStack { return newStackWorkers(t, 0) }
 
 // newStackWorkers is newStack with the codec's worker count pinned
 // (0 = GOMAXPROCS).
-func newStackWorkers(t *testing.T, workers int) *testStack {
+func newStackWorkers(t *testing.T, workers int) *testStack { return newStackShape(t, workers, 80, 250) }
+
+// newStackShape is newStackWorkers publishing a context of contextTokens
+// tokens in chunks of chunkTokens.
+func newStackShape(t *testing.T, workers, chunkTokens, contextTokens int) *testStack {
 	t.Helper()
 	model, err := llm.New(llm.Config{
 		Name: "itest", Layers: 6, KVChannels: 16, Channels: 16,
@@ -41,7 +45,7 @@ func newStackWorkers(t *testing.T, workers int) *testStack {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	cfg.ChunkTokens = 80
+	cfg.ChunkTokens = chunkTokens
 	cfg.Workers = workers
 
 	rng := rand.New(rand.NewSource(42))
@@ -55,7 +59,7 @@ func newStackWorkers(t *testing.T, workers int) *testStack {
 	}
 	codec := core.NewCodec(bank)
 
-	tokens := make([]llm.Token, 250)
+	tokens := make([]llm.Token, contextTokens)
 	for i := range tokens {
 		tokens[i] = llm.Token(rng.Intn(llm.VocabSize))
 	}
