@@ -108,6 +108,35 @@ func groupSpans(tokens, groupSize, workers int) ([]span, [][]span) {
 	return groups, batches
 }
 
+// runBatches calls fn for every batch of groupSpans' partition, gi being
+// the index of the batch's first group, and returns the first error. A
+// single batch runs inline: no goroutine, no barrier. Each fn takes its own
+// coder slot — inline too, or N concurrent single-batch calls would run N
+// coder loops instead of `workers`.
+func runBatches(batches [][]span, fn func(gi int, batch []span) error) error {
+	if len(batches) == 1 {
+		return fn(0, batches[0])
+	}
+	errs := make([]error, len(batches))
+	var wg sync.WaitGroup
+	gi := 0
+	for bi, batch := range batches {
+		wg.Add(1)
+		go func(bi, gi int, batch []span) {
+			defer wg.Done()
+			errs[bi] = fn(gi, batch)
+		}(bi, gi, batch)
+		gi += len(batch)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // tokenGroups returns the token-group spans of a chunk of `tokens`
 // tokens: ⌈tokens/groupSize⌉ contiguous ranges, the last possibly short.
 func tokenGroups(tokens, groupSize int) []span {
@@ -280,33 +309,19 @@ func (c *Codec) encodeChunkRange(kv *tensor.KV, lo, hi, chunkIndex, tokenOffset 
 	// independent arithmetic-coded stream (§5.2: the anchor referencing
 	// lets groups compress and decompress in parallel), and a batch walks
 	// its groups through each (kind, layer) block in lockstep for cache
-	// locality. A single batch encodes inline: no goroutine, no barrier.
+	// locality.
 	streams := make([][]byte, numGroups)
+	var err error
 	if len(batches) == 1 {
-		// Inline, but still on a coder slot: without one, N concurrent
-		// single-batch chunk calls would run N coder loops instead of
-		// `workers`.
-		if err := c.encodeGroupBatch(kv, lo, batches[0], lv, streams); err != nil {
-			return nil, err
-		}
+		// Called directly: a chunk that fits one batch allocates no closure.
+		err = c.encodeGroupBatch(kv, lo, batches[0], lv, streams)
 	} else {
-		errs := make([]error, len(batches))
-		var wg sync.WaitGroup
-		gi := 0
-		for bi, batch := range batches {
-			wg.Add(1)
-			go func(bi, gi int, batch []span) {
-				defer wg.Done()
-				errs[bi] = c.encodeGroupBatch(kv, lo, batch, lv, streams[gi:gi+len(batch)])
-			}(bi, gi, batch)
-			gi += len(batch)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+		err = runBatches(batches, func(gi int, batch []span) error {
+			return c.encodeGroupBatch(kv, lo, batch, lv, streams[gi:gi+len(batch)])
+		})
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	if format == FormatV1 {
@@ -416,7 +431,8 @@ func chunkHeaderSizeV2(groups, lanes int) int { return 80 + 5*groups + 4*lanes }
 //     cache for every group instead of re-fetched per group.
 //
 // The batch runs on a publish-class coder slot, which it offers back at
-// every block boundary (≈0.3 ms of work on a 1500-token chunk).
+// every block boundary (≈0.3 ms of work on a 1500-token chunk), where it
+// also gives the processor back.
 func (c *Codec) encodeGroupBatch(kv *tensor.KV, base int, batch []span, lv Level, out [][]byte) error {
 	b := c.bank
 	vq, err := quant.NewVectorwise(c.cfg.AnchorBits)
@@ -441,6 +457,7 @@ func (c *Codec) encodeGroupBatch(kv *tensor.KV, base int, batch []span, lv Level
 	for _, kind := range tensor.Kinds {
 		for l := 0; l < kv.Layers; l++ {
 			c.slots.yieldPublish(&standing)
+			yieldCoder()
 			scales := b.anchorScales[kind][l*channels : (l+1)*channels]
 			inv := b.anchorInv[kind][l*channels : (l+1)*channels]
 			u, err := quant.NewUniform(bins.BinFor(l, kv.Layers), c.cfg.DeltaClamp)
@@ -839,6 +856,7 @@ func (c *Codec) DecodeLandedInto(dst *tensor.KV, dstOff int, p *ParsedChunk, lan
 		// the streaming unit allocates nothing.
 		ln := p.lanes[lo]
 		c.decodeGroups(dst, dstOff, p, data, ln.start, ln.end)
+		yieldCoder()
 		c.slots.release(classLoad)
 		return nil
 	}
@@ -961,7 +979,8 @@ func (run *decodeRun) cut(p *ParsedChunk, data []byte, dstOff int, g span, parts
 // runDecodeJobs decodes every job of run into dst on the load slot the
 // caller holds, which it releases. The caller and up to workers-1 helper
 // goroutines pull jobs off the shared counter, each holding a slot of the
-// codec-wide coder budget while it works. Helpers never queue for a slot:
+// codec-wide coder budget while it works and yielding the processor after
+// every job. Helpers never queue for a slot:
 // before each of its own jobs the caller recruits one for every slot that
 // is free at that moment, so a busy codec decodes on the caller alone and
 // picks the other cores up as they come free.
@@ -995,8 +1014,8 @@ func (c *Codec) recruitDecoder(dst *tensor.KV, run *decodeRun) bool {
 	return true
 }
 
-// decodeNextJob claims and decodes run's next job, or reports that none is
-// left. The caller holds a coder slot.
+// decodeNextJob claims and decodes run's next job, then yields the
+// processor, or reports that none is left. The caller holds a coder slot.
 func (c *Codec) decodeNextJob(dst *tensor.KV, run *decodeRun) bool {
 	i := int(run.next.Add(1)) - 1
 	if i >= len(run.jobs) {
@@ -1004,6 +1023,7 @@ func (c *Codec) decodeNextJob(dst *tensor.KV, run *decodeRun) bool {
 	}
 	j := &run.jobs[i]
 	c.decodeGroups(dst, j.dstOff, j.p, j.data, j.groups.start, j.groups.end)
+	yieldCoder()
 	return true
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -123,6 +124,39 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if maxErr > bound {
 			t.Errorf("level %d max error %.3f exceeds bound %.3f", lv, maxErr, bound)
 		}
+	}
+}
+
+// TestEncodeInfinityDecodesToPositiveExtreme: a +Inf delta element
+// saturates to the top of its row's range — the anchor plus Clamp bins,
+// bit-identical to any huge finite value — on every architecture. (When the
+// quantizer converted to int32 before clamping it became −Clamp on amd64.)
+func TestEncodeInfinityDecodesToPositiveExtreme(t *testing.T) {
+	codec, m := testCodec(t, smallConfig())
+	kv := m.CalculateKV(testTokens(13, 40))
+	const l, tok, ch, lv = 2, 3, 5, 1 // token 3 is a delta row of group 0
+	kv.Row(tensor.Kinds[0], l, tok)[ch] = float32(math.Inf(1))
+	data, err := codec.EncodeChunk(kv, 0, 0, lv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finite := kv.Clone()
+	finite.Row(tensor.Kinds[0], l, tok)[ch] = 1e6
+	want, err := codec.EncodeChunk(finite, 0, 0, lv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Error("+Inf encodes differently from a huge finite value")
+	}
+	dec, err := codec.DecodeChunk(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchor := float64(dec.KV.Row(tensor.Kinds[0], l, 0)[ch])
+	top := anchor + float64(codec.Config().DeltaClamp)*codec.Config().binsFor(lv).BinFor(l, kv.Layers)
+	if got := float64(dec.KV.Row(tensor.Kinds[0], l, tok)[ch]); math.Abs(got-top) > 1e-4*math.Abs(top)+1e-4 {
+		t.Errorf("+Inf decoded to %v, want the row's positive extreme %v (anchor %v)", got, top, anchor)
 	}
 }
 

@@ -45,6 +45,19 @@
 //     a publish issued from inside a load, slow publishing down but can
 //     neither stop nor deadlock it.
 //
+// The rules share out slots; the processor under a slot is shared too.
+// Coder loops never block, so every one is a Go scheduling point: a publish
+// batch at each block boundary (right after R2's look) and every decode
+// worker after each job, each keeping its slot while it yields. Without
+// that, a batch or a decode helper keeps its P until the runtime's 10 ms
+// async preemption, and every timer and channel-readied goroutine behind
+// it — the gateway's prefill timer, the goroutine about to register a
+// load — waits as long. Socket wake-ups are the exception R3 exists for: a
+// yielded coder waits in the global run queue, and the scheduler skips its
+// non-blocking network poll while any run queue holds work. Refinement
+// streams (EncodeRefinement, ApplyRefinement) run on the same slots, in
+// the publish and load class respectively.
+//
 // SlotTotals reports what the rules cost each class.
 //
 // # Decode

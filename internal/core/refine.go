@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sync"
 
 	"repro/internal/ac"
 	"repro/internal/quant"
@@ -87,31 +86,27 @@ func (c *Codec) EncodeRefinement(kv *tensor.KV, chunkIndex, tokenOffset int, fro
 		return nil, fmt.Errorf("core: negative chunk index %d or offset %d", chunkIndex, tokenOffset)
 	}
 
+	// An offline encode like EncodeChunk's: publish-class batches, giving
+	// their slot and the processor back at every block boundary.
 	g := c.cfg.GroupSize
-	numGroups := (kv.Tokens + g - 1) / g
+	groups, batches := groupSpans(kv.Tokens, g, c.workers)
+	numGroups := len(groups)
 	streams := make([][]byte, numGroups)
-	errs := make([]error, numGroups)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, c.workers)
-	for gi := 0; gi < numGroups; gi++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(gi int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			start := gi * g
-			end := start + g
-			if end > kv.Tokens {
-				end = kv.Tokens
+	err := runBatches(batches, func(gi int, batch []span) error {
+		var standing publishBatch
+		c.slots.acquirePublish(&standing)
+		defer c.slots.release(classPublish)
+		for i, gr := range batch {
+			s, err := c.encodeRefineGroup(kv, gr.start, gr.end, from, to, &standing)
+			if err != nil {
+				return err
 			}
-			streams[gi], errs[gi] = c.encodeRefineGroup(kv, start, end, from, to)
-		}(gi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			streams[gi+i] = s
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	out := make([]byte, 0, chunkHeaderSize(numGroups))
@@ -135,8 +130,9 @@ func (c *Codec) EncodeRefinement(kv *tensor.KV, chunkIndex, tokenOffset int, fro
 	return append(out, sum[:]...), nil
 }
 
-// encodeRefineGroup encodes one group's residual stream.
-func (c *Codec) encodeRefineGroup(kv *tensor.KV, start, end int, from, to Level) ([]byte, error) {
+// encodeRefineGroup encodes one group's residual stream, on the publish
+// slot of the batch whose standing it is given.
+func (c *Codec) encodeRefineGroup(kv *tensor.KV, start, end int, from, to Level, standing *publishBatch) ([]byte, error) {
 	b := c.bank
 	vq, err := quant.NewVectorwise(c.cfg.AnchorBits)
 	if err != nil {
@@ -150,6 +146,8 @@ func (c *Codec) encodeRefineGroup(kv *tensor.KV, start, end int, from, to Level)
 
 	for _, kind := range tensor.Kinds {
 		for l := 0; l < kv.Layers; l++ {
+			c.slots.yieldPublish(standing)
+			yieldCoder()
 			uFrom, err := quant.NewUniform(binsFrom.BinFor(l, kv.Layers), c.cfg.DeltaClamp)
 			if err != nil {
 				return nil, err
@@ -259,46 +257,39 @@ func (c *Codec) ApplyRefinement(base *Chunk, data []byte) (*Chunk, error) {
 		return nil, fmt.Errorf("%w: group layout mismatch", ErrCorruptChunk)
 	}
 
-	lengths := make([]int, numGroups)
-	total := 0
-	for i := range lengths {
+	off := make([]int, numGroups+1) // group gi's stream is p[off[gi]:off[gi+1]]
+	for i := 0; i < numGroups; i++ {
 		v, err := read()
 		if err != nil {
 			return nil, err
 		}
-		lengths[i] = int(v)
-		total += int(v)
+		// Bounded before converting, as in parseChunkV1: a 2^63-scale
+		// length would wrap int and slip past the sum check.
+		if v > uint64(len(p)) {
+			return nil, fmt.Errorf("%w: group stream length %d exceeds %d payload bytes", ErrCorruptChunk, v, len(p))
+		}
+		off[i+1] = off[i] + int(v)
 	}
-	if total != len(p) {
-		return nil, fmt.Errorf("%w: stream lengths sum to %d, have %d bytes", ErrCorruptChunk, total, len(p))
+	if off[numGroups] != len(p) {
+		return nil, fmt.Errorf("%w: stream lengths sum to %d, have %d bytes", ErrCorruptChunk, off[numGroups], len(p))
 	}
 
+	// A decode: load-class batches, yielding the processor after each group.
 	out := base.KV.Clone()
-	errs := make([]error, numGroups)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, c.workers)
-	off := 0
-	for gi := 0; gi < numGroups; gi++ {
-		stream := p[off : off+lengths[gi]]
-		off += lengths[gi]
-		start := gi * groupSize
-		end := start + groupSize
-		if end > tokens {
-			end = tokens
+	_, batches := groupSpans(tokens, groupSize, c.workers)
+	err := runBatches(batches, func(gi int, batch []span) error {
+		c.slots.acquireLoad()
+		defer c.slots.release(classLoad)
+		for i, g := range batch {
+			if err := c.applyRefineGroup(out, g.start, g.end, from, to, p[off[gi+i]:off[gi+i+1]]); err != nil {
+				return err
+			}
+			yieldCoder()
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(gi, start, end int, stream []byte) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[gi] = c.applyRefineGroup(out, start, end, from, to, stream)
-		}(gi, start, end, stream)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Chunk{Index: base.Index, TokenOffset: base.TokenOffset, Level: to, KV: out}, nil
 }

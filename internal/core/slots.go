@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -41,6 +42,9 @@ const (
 //	    max(0, workers − 2·loads). A batch loads have kept out for
 //	    publishMaxWait in total is exempt from R3 until it ends; R1 and R2
 //	    still bind it.
+//
+// The rules share slots out; the processor under a slot is shared through
+// yieldCoder, which every coder loop passes at its boundaries.
 type slots struct {
 	workers int
 	now     func() time.Time
@@ -72,15 +76,22 @@ type publishBatch struct {
 }
 
 // slotWaiter is one queued acquire. Waiters are pooled: a fetch queues a
-// lane per coder lane per chunk, and the steady state should allocate none.
+// lane per coder lane per chunk, publish batches that yield at their block
+// boundaries queue behind one another, and the steady state should
+// allocate none.
 type slotWaiter struct {
 	ready      chan struct{} // capacity 1; the grant sends
+	timer      *time.Timer   // awaitPublish's re-examination; stopped while pooled
 	since      time.Time     // when it queued
 	sinceLoads time.Duration // loadClock's reading then
 	publishBatch
 }
 
-var waiterPool = sync.Pool{New: func() any { return &slotWaiter{ready: make(chan struct{}, 1)} }}
+var waiterPool = sync.Pool{New: func() any {
+	w := &slotWaiter{ready: make(chan struct{}, 1), timer: time.NewTimer(time.Hour)}
+	w.timer.Stop()
+	return w
+}}
 
 func newSlots(workers int) *slots {
 	return &slots{workers: workers, now: time.Now}
@@ -160,7 +171,8 @@ func (s *slots) acquirePublish(b *publishBatch) {
 
 // yieldPublish is a publish batch's block-boundary look (R2): the batch
 // gives its slot up and re-queues while a load lane waits or, unless
-// exempt, while publish holds more than R3 allows.
+// exempt, while publish holds more than R3 allows. It hands over slots
+// only; the processor goes back at the same boundary through yieldCoder.
 func (s *slots) yieldPublish(b *publishBatch) {
 	if !s.attention.Load() {
 		return
@@ -178,6 +190,19 @@ func (s *slots) yieldPublish(b *publishBatch) {
 	s.awaitPublish(b)
 }
 
+// yieldCoder makes a coder loop a Go scheduling point: a publish batch
+// calls it at every (kind, layer) block boundary, right after yieldPublish,
+// and every decode worker after each job, each keeping its coder slot
+// while it yields. A coder loop never blocks between those boundaries, so
+// without it the goroutine keeps its P until sysmon's 10 ms async
+// preemption, and every timer and channel-readied goroutine queued behind
+// it — a gateway's prefill timer, the goroutine about to register a load,
+// a server's frame pusher — waits that long. Network wake-ups are not
+// covered: the yielder lands in the global run queue, and the scheduler
+// skips its non-blocking netpoll while any run queue holds work, so a
+// socket still waits for an idle P (R3) or sysmon's poll.
+func yieldCoder() { runtime.Gosched() }
+
 // awaitPublish queues b, gives whatever is free to whoever is due it, and
 // waits for b's grant. Called with mu held; returns with it released. The
 // wait re-examines the queue on a timer, because nothing else happens to a
@@ -186,11 +211,12 @@ func (s *slots) awaitPublish(b *publishBatch) {
 	w := s.enqueue(&s.pubQ, *b)
 	s.dispatch()
 	s.mu.Unlock()
-	timer := time.NewTimer(max(publishMaxWait-b.keptOut, time.Millisecond))
-	defer timer.Stop()
+	timer := w.timer
+	timer.Reset(max(publishMaxWait-b.keptOut, time.Millisecond))
 	for {
 		select {
 		case <-w.ready:
+			timer.Stop() // before the waiter, timer and all, goes back to the pool
 			*b = w.publishBatch
 			waiterPool.Put(w)
 			return

@@ -3,10 +3,13 @@ package core
 import (
 	"errors"
 	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/llm"
 	"repro/internal/tensor"
 )
 
@@ -388,6 +391,148 @@ func TestPublishInsideLoadCompletes(t *testing.T) {
 	}
 	if got := codec.slots.state(); got != (slotState{}) {
 		t.Errorf("scheduler not idle afterwards: %+v", got)
+	}
+}
+
+// TestRefinementOnCodecSlots: a refinement encode is a publish like any
+// other — between BeginLoad and End on a 2-worker codec it queues for a
+// slot until exempted instead of running beside the load on a private
+// budget — and applying a refinement is a load. Bytes do not depend on
+// where the encode ran.
+func TestRefinementOnCodecSlots(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Workers = 2
+	codec, m := testCodec(t, cfg)
+	var mu sync.Mutex
+	at := time.Unix(1000, 0)
+	codec.slots.now = func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		at = at.Add(publishMaxWait)
+		return at
+	}
+	kv := m.CalculateKV(testTokens(10, 100))
+	baseData, err := codec.EncodeChunk(kv, 0, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := codec.DecodeChunk(baseData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := codec.SlotTotals()
+
+	load := codec.BeginLoad()
+	ref, err := codec.EncodeRefinement(kv, 0, 0, 3, 1)
+	if err != nil {
+		load.End()
+		t.Fatal(err)
+	}
+	up, err := codec.ApplyRefinement(base, ref)
+	load.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tot := codec.SlotTotals()
+	if tot.PublishWait <= before.PublishWait || tot.PublishExempt <= before.PublishExempt || tot.LoadsInFlight != 0 {
+		t.Errorf("totals %+v after %+v: the refinement encode never queued behind the load", tot, before)
+	}
+	if got := codec.slots.state(); got != (slotState{}) {
+		t.Errorf("scheduler not idle afterwards: %+v", got)
+	}
+
+	alone := NewCodec(codec.Bank())
+	want, err := alone.EncodeRefinement(kv, 0, 0, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(ref) != string(want) {
+		t.Error("refinement encoded inside a load differs from one encoded alone")
+	}
+	wantUp, err := alone.ApplyRefinement(base, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := up.KV.MaxAbsDiff(wantUp.KV); err != nil || d != 0 {
+		t.Errorf("refinement applied inside a load differs (diff %v, err %v)", d, err)
+	}
+}
+
+// ranBeforeReturn runs call on one P with the collector off, beside a
+// goroutine readied as the call starts, and reports whether that goroutine
+// ran before the call returned. A coder loop never blocks, and the test
+// chunks code in well under the 10 ms async-preemption tick, so on one P
+// the goroutine can only run first if the loop yields the processor.
+func ranBeforeReturn(t *testing.T, call func() error) bool {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	var returned, early atomic.Bool
+	ran := make(chan struct{})
+	go func() {
+		early.Store(!returned.Load())
+		close(ran)
+	}()
+	err := call()
+	returned.Store(true)
+	<-ran
+	if err != nil {
+		t.Fatal(err)
+	}
+	return early.Load()
+}
+
+// yieldTestCodec is a 1-worker codec — no goroutine of its own, so no
+// blocking point in a call — over a narrow model, and a 240-token chunk: 6
+// (kind, layer) blocks to encode, 3 decode jobs across its 16 lanes, each
+// call under a millisecond (a few under the race detector).
+func yieldTestCodec(t *testing.T) (*Codec, *tensor.KV) {
+	m, err := llm.New(llm.Config{
+		Name: "yield-test", Layers: 3, KVChannels: 8, Channels: 8,
+		Hidden: 128, Params: 1e8, Seed: 98,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig()
+	cfg.Workers = 1
+	bank, err := Train(cfg, []*tensor.KV{m.CalculateKV(testTokens(1000, 400))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewCodec(bank), m.CalculateKV(testTokens(12, 240))
+}
+
+// TestEncodeYieldsProcessor: a publish batch is a Go scheduling point at
+// its block boundaries, so a goroutine readied beside a running encode —
+// a prefill timer, a fetch about to register its load — does not wait for
+// the whole batch.
+func TestEncodeYieldsProcessor(t *testing.T) {
+	codec, kv := yieldTestCodec(t)
+	if !ranBeforeReturn(t, func() error {
+		_, err := codec.EncodeChunk(kv, 0, 0, 1)
+		return err
+	}) {
+		t.Error("a goroutine readied as EncodeChunk started ran only after it returned")
+	}
+}
+
+// TestDecodeYieldsProcessor: a decode worker is a Go scheduling point after
+// every job.
+func TestDecodeYieldsProcessor(t *testing.T) {
+	codec, kv := yieldTestCodec(t)
+	data, err := codec.EncodeChunk(kv, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := codec.ParseChunk(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := tensor.New(kv.Layers, kv.Tokens, kv.Channels)
+	if !ranBeforeReturn(t, func() error { return codec.DecodeParsedInto(dst, 0, p, data) }) {
+		t.Error("a goroutine readied as DecodeParsedInto started ran only after it returned")
 	}
 }
 

@@ -302,7 +302,11 @@ type gwInstruments struct {
 	degraded  *telemetry.Counter
 	ttft      *telemetry.Histogram
 	queueWait *telemetry.Histogram
-	bandwidth *telemetry.Gauge
+	// prefillLate is how long after its modelled duration the prefill
+	// timer returned: the scheduling delay a busy process adds to every
+	// request, which the prefill span's modelled duration leaves out.
+	prefillLate *telemetry.Histogram
+	bandwidth   *telemetry.Gauge
 	// decodeLanes tracks coder-lane decodes in flight across every live
 	// fetch — the fleet's instantaneous decode parallelism.
 	decodeLanes *telemetry.Gauge
@@ -321,6 +325,8 @@ func (g *Gateway) register(reg *telemetry.Registry) {
 		degraded:  reg.Counter("cachegen_gateway_degraded_total", "requests served below configured quality by the degradation ladder"),
 		ttft:      reg.Histogram("cachegen_gateway_ttft_seconds", "admission to first output token"),
 		queueWait: reg.Histogram("cachegen_gateway_queue_wait_seconds", "admission to decode-slot grant"),
+		prefillLate: reg.Histogram("cachegen_gateway_prefill_late_seconds",
+			"prefill timer's return past the modelled prefill duration"),
 		bandwidth: reg.Gauge("cachegen_gateway_bandwidth_bps", "live estimate from the most recent fetch frames"),
 		decodeLanes: reg.Gauge("cachegen_codec_decode_lanes_inflight",
 			"coder-lane decodes currently running or queued on the codec worker pool"),
@@ -838,7 +844,14 @@ func (g *Gateway) serve(p *pending) (*Result, error) {
 		timer.Stop()
 		return nil, g.timeout(p, "decoding")
 	}
-	p.span.Record("prefill", prefillStart, decode)
+	// The span keeps the modelled duration (the trace's attribution reads
+	// it); how late the timer returned is an attribute and a histogram.
+	late := max(time.Since(prefillStart)-decode, 0)
+	g.tele.prefillLate.ObserveDuration(late)
+	if p.span != nil {
+		p.span.Record("prefill", prefillStart, decode,
+			telemetry.Attr{Key: "late_us", Value: float64(late) / float64(time.Microsecond)})
+	}
 
 	ttft := time.Since(p.admitted)
 	sloMet := p.req.SLO <= 0 || ttft <= p.req.SLO

@@ -484,17 +484,24 @@ func TestGatewayStreamingTelemetry(t *testing.T) {
 	r := newTestRing(t, 1)
 	cfg := r.config(1, false)
 	cfg.Telemetry = telemetry.NewRegistry()
+	cfg.Tracer = telemetry.NewTracer(256)
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
+	// The ring's publish ran before the request: its batches may have
+	// queued behind one another, but the request itself publishes nothing.
+	published := cfg.Codec.SlotTotals().PublishWait
 	res, err := g.Submit(context.Background(), Request{Tenant: "acme", ContextID: r.contexts[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Report.Streamed {
 		t.Error("gateway fetch did not take the streaming path")
+	}
+	if w := cfg.Codec.SlotTotals().PublishWait; w != published {
+		t.Errorf("publish wait moved %v → %v during a request that publishes nothing", published, w)
 	}
 	ts := g.Stats().Tenants["acme"]
 	if ts.Bytes <= 0 || ts.Bytes != res.Report.BytesReceived {
@@ -521,16 +528,42 @@ func TestGatewayStreamingTelemetry(t *testing.T) {
 	}
 	for _, name := range []string{
 		"cachegen_codec_decode_busy_seconds_total ", "cachegen_codec_decoded_elems_total ",
-		// The slot scheduler's view; the load has ended, nothing published.
+		// The slot scheduler's view; the load has ended, nothing published
+		// beside it.
 		"cachegen_codec_loads_in_flight 0\n",
 		`cachegen_codec_slot_wait_seconds_total{class="load"} `,
-		`cachegen_codec_slot_wait_seconds_total{class="publish"} 0` + "\n",
+		`cachegen_codec_slot_wait_seconds_total{class="publish"} `,
 		"cachegen_codec_publish_yields_total 0\n",
 		"cachegen_codec_publish_exempt_total 0\n",
 		"cachegen_codec_publish_blocks_beside_loads_total 0\n",
+		// One request, one prefill timer.
+		"cachegen_gateway_prefill_late_seconds_count 1\n",
 	} {
 		if !strings.Contains(prom.String(), "\n"+name) {
 			t.Errorf("exposition lacks %s:\n%s", name, prom.String())
 		}
+	}
+	// The prefill span keeps its modelled duration and carries the lateness.
+	var prefills int
+	for _, sp := range cfg.Tracer.Snapshot() {
+		if sp.Name != "prefill" {
+			continue
+		}
+		prefills++
+		if sp.Dur != res.DecodeTime {
+			t.Errorf("prefill span lasts %v, want the modelled %v", sp.Dur, res.DecodeTime)
+		}
+		var late any
+		for _, a := range sp.Attrs {
+			if a.Key == "late_us" {
+				late = a.Value
+			}
+		}
+		if us, ok := late.(float64); !ok || us < 0 {
+			t.Errorf("prefill span late_us = %v, want a non-negative float", late)
+		}
+	}
+	if prefills != 1 {
+		t.Errorf("%d prefill spans, want 1", prefills)
 	}
 }

@@ -37,14 +37,27 @@ func NewUniform(bin float64, clamp int32) (Uniform, error) {
 
 // Quantize maps x to its clamped bin index.
 func (u Uniform) Quantize(x float32) int32 {
-	q := int32(math.RoundToEven(float64(x) / u.Bin))
-	if q > u.Clamp {
-		q = u.Clamp
+	return roundClamp(float64(x)/u.Bin, u.Clamp)
+}
+
+// roundClamp rounds x half to even and saturates it to [-clamp, +clamp]
+// before converting: Go leaves the int32 conversion of a float outside the
+// int32 range implementation-defined (amd64 yields MinInt32, arm64
+// saturates), so clamping after the conversion would quantize a huge delta,
+// or ±Inf, to an architecture-dependent extreme. Every quantizer rounds
+// through it, so the same KV encodes to the same bitstream everywhere:
+// ±Inf saturates to ±clamp and NaN quantizes to 0.
+func roundClamp(x float64, clamp int32) int32 {
+	r, c := math.RoundToEven(x), float64(clamp)
+	switch {
+	case r >= -c && r <= c:
+		return int32(r)
+	case r > c:
+		return clamp
+	case r < -c:
+		return -clamp
 	}
-	if q < -u.Clamp {
-		q = -u.Clamp
-	}
-	return q
+	return 0 // NaN
 }
 
 // Dequantize maps a bin index back to its reconstruction value.
@@ -72,26 +85,12 @@ func (u Uniform) QuantizeRow(row, base []float32, syms []int) {
 	bin, clamp := u.Bin, u.Clamp
 	if base == nil {
 		for i, x := range row {
-			q := int32(math.RoundToEven(float64(x) / bin))
-			if q > clamp {
-				q = clamp
-			}
-			if q < -clamp {
-				q = -clamp
-			}
-			syms[i] = int(q + clamp)
+			syms[i] = int(roundClamp(float64(x)/bin, clamp) + clamp)
 		}
 		return
 	}
 	for i, x := range row {
-		q := int32(math.RoundToEven(float64(x-base[i]) / bin))
-		if q > clamp {
-			q = clamp
-		}
-		if q < -clamp {
-			q = -clamp
-		}
-		syms[i] = int(q + clamp)
+		syms[i] = int(roundClamp(float64(x-base[i])/bin, clamp) + clamp)
 	}
 }
 
@@ -156,14 +155,7 @@ func (v Vectorwise) Quantize(vec []float32, out []int32) float32 {
 	inv := 1 / float64(scale)
 	maxQ := v.MaxQ()
 	for i, x := range vec {
-		q := int32(math.RoundToEven(float64(x) * inv))
-		if q > maxQ {
-			q = maxQ
-		}
-		if q < -maxQ {
-			q = -maxQ
-		}
-		out[i] = q
+		out[i] = roundClamp(float64(x)*inv, maxQ)
 	}
 	return scale
 }
@@ -189,14 +181,7 @@ func (v Vectorwise) QuantizeWithScale(vec []float32, scale float32, out []int32)
 	}
 	inv := 1 / float64(scale)
 	for i, x := range vec {
-		q := int32(math.RoundToEven(float64(x) * inv))
-		if q > maxQ {
-			q = maxQ
-		}
-		if q < -maxQ {
-			q = -maxQ
-		}
-		out[i] = q
+		out[i] = roundClamp(float64(x)*inv, maxQ)
 	}
 }
 
@@ -235,13 +220,7 @@ func (v Vectorwise) QuantizeRow(row, scales []float32, inv []float64, syms []int
 			// Multiply by the reciprocal, as QuantizeWithScale does: x/s
 			// rounds differently from x*(1/s) in corner cases, and the
 			// bitstreams must stay identical.
-			q = int32(math.RoundToEven(float64(x) * inv[i]))
-			if q > maxQ {
-				q = maxQ
-			}
-			if q < -maxQ {
-				q = -maxQ
-			}
+			q = roundClamp(float64(x)*inv[i], maxQ)
 		}
 		syms[i] = int(q + maxQ)
 		recon[i] = float32(q) * scale

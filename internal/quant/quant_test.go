@@ -358,3 +358,66 @@ func TestVectorwiseRowMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantizeSaturatesOutOfRange: inputs whose bin index lies past the
+// int32 range saturate to the clamp with their own sign, ±Inf likewise,
+// and NaN quantizes to 0 — in every quantizer, scalar and row form, on
+// every architecture. (Converting to int32 before clamping gave MinInt32
+// on amd64, so +1e30 and +Inf quantized to −Clamp there.)
+func TestQuantizeSaturatesOutOfRange(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	u, err := NewUniform(0.375, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewVectorwise(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const scale = 0.05
+	cases := []struct {
+		name    string
+		x       float32 // Uniform input
+		anchor  float32 // Vectorwise input at scale
+		wantDir int32   // −1, 0, +1: the clamp to expect
+	}{
+		{"+1e30", 1e30, 1e30, 1},
+		{"-1e30", -1e30, -1e30, -1},
+		{"+1e9", 1e9, 1e9, 1},
+		{"-1e9", -1e9, -1e9, -1},
+		{"+Inf", inf, inf, 1},
+		{"-Inf", -inf, -inf, -1},
+		{"NaN", nan, nan, 0},
+		{"+(clamp+½)·bin", 10.5 * 0.375, 127.5 * scale, 1},
+		{"-(clamp+½)·bin", -10.5 * 0.375, -127.5 * scale, -1},
+	}
+	for _, tc := range cases {
+		wantU, wantV := tc.wantDir*u.Clamp, tc.wantDir*v.MaxQ()
+		if q := u.Quantize(tc.x); q != wantU {
+			t.Errorf("Uniform.Quantize(%s) = %d, want %d", tc.name, q, wantU)
+		}
+		syms := make([]int, 1)
+		u.QuantizeRow([]float32{tc.x}, nil, syms)
+		if syms[0] != u.SymbolOf(wantU) {
+			t.Errorf("Uniform.QuantizeRow(%s) = symbol %d, want %d", tc.name, syms[0], u.SymbolOf(wantU))
+		}
+		// The delta form, against a zero base.
+		u.QuantizeRow([]float32{tc.x}, []float32{0}, syms)
+		if syms[0] != u.SymbolOf(wantU) {
+			t.Errorf("Uniform.QuantizeRow(%s − 0) = symbol %d, want %d", tc.name, syms[0], u.SymbolOf(wantU))
+		}
+
+		qs := make([]int32, 1)
+		v.QuantizeWithScale([]float32{tc.anchor}, scale, qs)
+		if qs[0] != wantV {
+			t.Errorf("Vectorwise.QuantizeWithScale(%s) = %d, want %d", tc.name, qs[0], wantV)
+		}
+		scales := []float32{scale}
+		recon := make([]float32, 1)
+		v.QuantizeRow([]float32{tc.anchor}, scales, Reciprocals(scales), syms, recon)
+		if syms[0] != v.SymbolOf(wantV) || recon[0] != float32(wantV)*scale {
+			t.Errorf("Vectorwise.QuantizeRow(%s) = symbol %d recon %v, want %d and %v",
+				tc.name, syms[0], recon[0], v.SymbolOf(wantV), float32(wantV)*scale)
+		}
+	}
+}
