@@ -1,7 +1,9 @@
 package ac
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -286,5 +288,91 @@ func TestDecodeRowsGuard(t *testing.T) {
 			}()
 			DecodeRows(tabs, tc.vals, tc.scale, streams)
 		})
+	}
+}
+
+// rowsRig is the entropy-decode kernel alone: four streams of symbols
+// drawn from delta-shaped models (a sharp peak at the zero delta, one
+// model per channel), decoded in lockstep with the value mapping the codec
+// uses.
+type rowsRig struct {
+	tabs    []*FreqTable
+	vals    []float32
+	base    []float32
+	streams [MaxRowStreams][]byte
+	dst     [MaxRowStreams][]float32
+	decs    [MaxRowStreams]Decoder
+	rs      [MaxRowStreams]RowStream
+}
+
+func newRowsRig(tb testing.TB) *rowsRig {
+	tb.Helper()
+	const width, rows, alphabet = 32, 256, 255
+	r := &rowsRig{vals: make([]float32, alphabet), base: make([]float32, width)}
+	for s := range r.vals {
+		r.vals[s] = float32(s-alphabet/2) * 0.5
+	}
+	rng := rand.New(rand.NewSource(11))
+	cdfs := make([][]float64, width)
+	for ch := 0; ch < width; ch++ {
+		spread := 0.6 + 1.2*float64(ch)/width
+		counts := make([]uint64, alphabet)
+		cdf := make([]float64, alphabet)
+		var sum float64
+		for s := range counts {
+			w := math.Exp(-math.Abs(float64(s-alphabet/2)) / spread)
+			counts[s] = uint64(w * 1e9)
+			sum += w
+			cdf[s] = sum
+		}
+		tab, err := NewFreqTable(counts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		r.tabs = append(r.tabs, tab)
+		cdfs[ch] = cdf
+	}
+	for k := range r.streams {
+		enc := NewEncoder()
+		for i := 0; i < rows*width; i++ {
+			cdf := cdfs[i%width]
+			sym := sort.SearchFloat64s(cdf, rng.Float64()*cdf[alphabet-1])
+			if err := enc.Encode(min(sym, alphabet-1), r.tabs[i%width]); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		r.streams[k] = enc.Bytes()
+		r.dst[k] = make([]float32, rows*width)
+	}
+	return r
+}
+
+// decode decodes every stream from its start.
+func (r *rowsRig) decode() {
+	for k := range r.rs {
+		r.decs[k].Reset(r.streams[k])
+		r.rs[k] = RowStream{Dec: &r.decs[k], Dst: r.dst[k], Base: r.base}
+	}
+	DecodeRows(r.tabs, r.vals, nil, r.rs[:])
+}
+
+// TestDecodeRowsAllocs: the lockstep kernel allocates nothing; decoders,
+// stream descriptors and destinations all belong to the caller.
+func TestDecodeRowsAllocs(t *testing.T) {
+	r := newRowsRig(t)
+	if allocs := testing.AllocsPerRun(50, r.decode); allocs != 0 {
+		t.Errorf("four-way DecodeRows: %v allocs per call, want 0", allocs)
+	}
+}
+
+// BenchmarkDecodeRows4Way is the four-stream kernel; MB/s counts the
+// float32 values stored.
+func BenchmarkDecodeRows4Way(b *testing.B) {
+	r := newRowsRig(b)
+	b.SetBytes(int64(len(r.dst)) * int64(len(r.dst[0])) * 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.decode()
 	}
 }

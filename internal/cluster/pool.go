@@ -129,12 +129,17 @@ func WithTelemetry(reg *telemetry.Registry) PoolOption {
 
 // attemptCtx derives the per-attempt context: the configured request
 // timeout, shrunk to the remaining deadline budget split across the
-// attempts still available when the request carries one.
-func (p *Pool) attemptCtx(ctx context.Context, attemptsLeft int) (context.Context, context.CancelFunc) {
-	if t := resilience.AttemptTimeout(ctx, p.reqTimeout, attemptsLeft); t > 0 {
-		return context.WithTimeout(ctx, t)
+// attempts still available when the request carries one. budgeted
+// reports that the request's budget, not the configured timeout, set
+// the attempt's deadline.
+func (p *Pool) attemptCtx(ctx context.Context, attemptsLeft int) (attempt context.Context, cancel context.CancelFunc, budgeted bool) {
+	t := resilience.AttemptTimeout(ctx, p.reqTimeout, attemptsLeft)
+	if t <= 0 {
+		attempt, cancel = context.WithCancel(ctx)
+		return attempt, cancel, false
 	}
-	return context.WithCancel(ctx)
+	attempt, cancel = context.WithTimeout(ctx, t)
+	return attempt, cancel, t != p.reqTimeout
 }
 
 // NewPool returns a pool over the ring's nodes and starts its health
@@ -426,7 +431,7 @@ func (p *Pool) tryNodes(ctx context.Context, nodes []string, what string, notFou
 // discarding the connection on transport failures.
 func (p *Pool) withNode(ctx context.Context, node string, attemptsLeft int, op func(ctx context.Context, c *transport.Client) error) error {
 	p.attempts.Add(1)
-	attempt, cancel := p.attemptCtx(ctx, attemptsLeft)
+	attempt, cancel, budgeted := p.attemptCtx(ctx, attemptsLeft)
 	defer cancel()
 	start := time.Now()
 	c, err := p.client(attempt, node)
@@ -434,16 +439,27 @@ func (p *Pool) withNode(ctx context.Context, node string, attemptsLeft int, op f
 		return err
 	}
 	if err := op(attempt, c); err != nil {
-		if keepConn(err) {
+		switch {
+		case keepConn(err):
 			// The node answered; the application-level error is not a
 			// health signal.
 			p.res.ReportSuccess(node, time.Since(start))
-		} else {
+		case budgeted && ctx.Err() == nil && attempt.Err() == context.DeadlineExceeded && c.Err() == nil && c.Abandoned() <= 1:
+			// The request's own budget set this deadline and ran out,
+			// which says nothing about the node. Keep the connection
+			// too: an abandoned wait consumes its late answer, so later
+			// round trips stay aligned. This attempt's wait must be the
+			// only one abandoned: a node still owing the answer to an
+			// earlier request is not just slow against one budget, and
+			// keeping its connection would queue requests behind the
+			// backlog.
+		default:
 			p.discard(node, c)
 			if ctx.Err() == nil {
 				// The caller abandoning the request (parent ctx dead)
-				// says nothing about the node; a per-attempt timeout
-				// with a live parent does.
+				// says nothing about the node; the configured
+				// per-attempt timeout with a live parent does, and so
+				// does a budget expiry behind an unanswered request.
 				p.res.ReportFailure(node)
 			}
 		}

@@ -12,8 +12,40 @@ import (
 
 // Codec micro-benchmarks: encode/decode throughput, chunk-parallel
 // EncodeContext vs the chunk-serial loop it replaced, and the all-levels
-// publish workload. cmd/cachegen-bench runs these programmatically and
-// writes BENCH_codec.json; CI tracks the numbers per commit.
+// publish workload. Run them with `go test -bench`; the end-to-end
+// benchmark (bench/) measures the same kernels inside a serving run.
+
+// allocRig is the shape TestDecodeLaneAllocs pins allocation counts on:
+// Mistral-7B at 16 channels, a codec trained with 64-token chunks on one
+// 512-token context, a 1024-token context of 16 chunks, and one
+// paper-sized 1500-token chunk for the lane decode. Build it under the
+// GOMAXPROCS it is measured at: the codec sizes its coders then.
+type allocRig struct {
+	codec   *Codec
+	kv      *tensor.KV
+	chunkKV *tensor.KV
+}
+
+func newAllocRig(tb testing.TB) allocRig {
+	tb.Helper()
+	m := llm.MustNew(llm.Mistral7B().WithChannels(16))
+	rng := rand.New(rand.NewSource(7))
+	tokens := func(n int) []llm.Token {
+		out := make([]llm.Token, n)
+		for i := range out {
+			out[i] = llm.Token(rng.Intn(32000))
+		}
+		return out
+	}
+	cfg := DefaultConfig()
+	cfg.ChunkTokens = 64
+	bank, err := Train(cfg, []*tensor.KV{m.CalculateKV(tokens(512))})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	kv := m.CalculateKV(tokens(1024))
+	return allocRig{codec: NewCodec(bank), kv: kv, chunkKV: m.CalculateKV(tokens(1500))}
+}
 
 // benchCodec builds a small trained codec and a KV cache with many short
 // chunks — the shape where chunk-level parallelism matters (each chunk is

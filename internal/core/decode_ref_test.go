@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -292,10 +293,57 @@ func TestDecodeLanesCorruptLane(t *testing.T) {
 // of ten groups, which a range cuts into several jobs: one lane is still
 // one job on the caller. A range of lanes allocates its job list and a
 // closure per helper it recruits, nothing else.
+//
+// It also bounds the codec's whole-call allocations on allocRig at
+// GOMAXPROCS=1: each row may allocate at most 10% more per call than the
+// count recorded in its table (sync.Pool refills after a GC move the
+// count a little), and zero stays zero. Record the new count when a
+// change moves one.
 func TestDecodeLaneAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r := newAllocRig(t)
+	chunks, err := r.codec.EncodeContext(r.kv, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk, err := r.codec.EncodeChunk(r.chunkKV, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := r.codec.ParseChunk(chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	laneDst := tensor.New(r.chunkKV.Layers, r.chunkKV.Tokens, r.chunkKV.Channels)
+	lane := 0
+	for _, row := range []struct {
+		name   string
+		runs   int
+		allocs float64 // per call, when last recorded
+		op     func() error
+	}{
+		{"encode_context_l1", 10, 251, func() error { _, err := r.codec.EncodeContext(r.kv, 1); return err }},
+		{"encode_all_levels", 5, 978, func() error { _, err := r.codec.EncodeAllLevels(r.kv); return err }},
+		{"decode_context_l1", 10, 85, func() error { _, err := r.codec.DecodeContext(chunks); return err }},
+		{"decode_lane_l1", 50, 0, func() error {
+			lane = (lane + 1) % parsed.Lanes()
+			return r.codec.DecodeLaneInto(laneDst, 0, parsed, lane, chunk)
+		}},
+	} {
+		allocs := testing.AllocsPerRun(row.runs, func() {
+			if err := row.op(); err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+		})
+		t.Logf("%s: %v allocs per call, %v recorded", row.name, allocs, row.allocs)
+		if allocs > row.allocs*1.1 {
+			t.Errorf("%s: %v allocs per call, more than 10%% over the recorded %v", row.name, allocs, row.allocs)
+		}
+	}
+
 	cfg := smallConfig()
 	cfg.Workers, cfg.CoderLanes = 4, 4
 	codec, m := testCodec(t, cfg)

@@ -1,0 +1,5 @@
+//go:build race
+
+package streamer
+
+const raceEnabled = true

@@ -39,9 +39,12 @@ type Client struct {
 
 	mu      sync.Mutex
 	waiters []chan respFrame
-	streams map[uint64]*Stream
-	nextID  uint64
-	err     error
+	// abandoned holds the waiters whose round trip gave up before the
+	// answer came; each leaves when its late answer is consumed.
+	abandoned map[chan respFrame]struct{}
+	streams   map[uint64]*Stream
+	nextID    uint64
+	err       error
 
 	done chan struct{} // closed when the reader exits (connection dead)
 }
@@ -108,6 +111,7 @@ func (c *Client) readLoop() {
 			}
 			w := c.waiters[0]
 			c.waiters = c.waiters[1:]
+			delete(c.abandoned, w)
 			c.mu.Unlock()
 			w <- respFrame{typ: typ, payload: payload} // buffered; never blocks
 		}
@@ -178,6 +182,7 @@ func (c *Client) fail(err error) {
 	c.err = err
 	waiters := c.waiters
 	c.waiters = nil
+	c.abandoned = nil
 	c.mu.Unlock()
 	for _, w := range waiters {
 		w <- respFrame{err: err}
@@ -207,7 +212,7 @@ func (c *Client) send(typ byte, payload []byte) error {
 // roundTrip sends one request frame and waits for its response. The
 // context bounds the wait; an abandoned wait leaves the waiter
 // registered, so the eventual response is consumed and discarded and
-// later round trips stay aligned.
+// later round trips stay aligned; until then it counts as Abandoned.
 func (c *Client) roundTrip(ctx context.Context, typ byte, payload []byte) (byte, []byte, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
@@ -268,8 +273,27 @@ func (c *Client) roundTrip(ctx context.Context, typ byte, payload []byte) (byte,
 		}
 		return r.typ, r.payload, nil
 	case <-ctx.Done():
+		c.mu.Lock()
+		for _, w := range c.waiters {
+			if w == ch {
+				if c.abandoned == nil {
+					c.abandoned = map[chan respFrame]struct{}{}
+				}
+				c.abandoned[ch] = struct{}{}
+				break
+			}
+		}
+		c.mu.Unlock()
 		return 0, nil, ctx.Err()
 	}
+}
+
+// Abandoned reports how many round trips on this connection gave up
+// waiting and are still owed their answer by the server.
+func (c *Client) Abandoned() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.abandoned)
 }
 
 // OpenChunkStream opens a server-push context stream. The server starts

@@ -144,12 +144,14 @@ func TestStreamPushBasic(t *testing.T) {
 
 // TestStreamSwitchMidStream switches the level before later chunks
 // start; the credit window guarantees the server cannot have started
-// them yet.
+// them yet. The steering tests set a 16 KiB window (four frames, the
+// smallest the client allows): the default 1 MiB would let the server
+// push all of chunk 0 before the control frame lands.
 func TestStreamSwitchMidStream(t *testing.T) {
 	fx := newStreamFixture(t, 3, 64_000, 16_000)
 	client := pipeClient(t, fx.store)
 	s, err := client.OpenChunkStream(context.Background(), StreamRequest{
-		Chunks: fx.chunks, Level: 0, FrameSize: 4 << 10, // window clamps to 16 KiB
+		Chunks: fx.chunks, Level: 0, FrameSize: 4 << 10, Window: 16 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +187,7 @@ func TestStreamCancelInFlight(t *testing.T) {
 	fx := newStreamFixture(t, 2, 64_000, 12_000)
 	client := pipeClient(t, fx.store)
 	s, err := client.OpenChunkStream(context.Background(), StreamRequest{
-		Chunks: fx.chunks, Level: 0, FrameSize: 4 << 10,
+		Chunks: fx.chunks, Level: 0, FrameSize: 4 << 10, Window: 16 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +215,7 @@ func TestStreamCancelToText(t *testing.T) {
 	fx := newStreamFixture(t, 1, 64_000, 12_000)
 	client := pipeClient(t, fx.store)
 	s, err := client.OpenChunkStream(context.Background(), StreamRequest{
-		Chunks: fx.chunks, Level: 0, FrameSize: 4 << 10,
+		Chunks: fx.chunks, Level: 0, FrameSize: 4 << 10, Window: 16 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
