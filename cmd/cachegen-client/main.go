@@ -14,11 +14,16 @@ import (
 	"context"
 	"flag"
 	"log"
+	"net"
 	"time"
 
-	cachegen "repro"
+	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
+	"repro/internal/storage"
+	"repro/internal/streamer"
+	"repro/internal/transport"
 )
 
 func main() {
@@ -35,31 +40,36 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cachegen-client: ")
 
-	cfg, err := cachegen.ModelByName(*modelName)
+	cfg, err := llm.ByName(*modelName)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *channels > 0 && *channels < cfg.KVChannels {
 		cfg = cfg.WithChannels(*channels)
 	}
-	model, err := cachegen.NewModel(cfg)
+	model, err := llm.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	var client *cachegen.Client
+	var client *transport.Client
 	if *bwTrace != "" {
-		trace, err := cachegen.ParseTrace(*bwTrace)
+		// Pace the receive path along the trace: the client-side way to
+		// replay a constrained link against an unshaped server.
+		trace, err := netsim.ParseTrace(*bwTrace)
 		if err != nil {
 			log.Fatal(err)
 		}
-		client, err = cachegen.DialShaped(*addr, trace)
+		conn, err := net.Dial("tcp", *addr)
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("dial %s: %v", *addr, err)
 		}
+		sh := transport.NewIngressShaper(conn, 0)
+		sh.SetTrace(trace)
+		client = transport.NewClient(sh)
 	} else {
 		var err error
-		client, err = cachegen.Dial(*addr)
+		client, err = transport.Dial(*addr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -73,18 +83,18 @@ func main() {
 	if err != nil {
 		log.Fatalf("fetching model bank: %v", err)
 	}
-	bank, err := cachegen.UnmarshalBank(bankBytes)
+	bank, err := core.UnmarshalBank(bankBytes)
 	if err != nil {
 		log.Fatal(err)
 	}
-	codec := cachegen.NewCodec(bank)
+	codec := core.NewCodec(bank)
 
-	planner := cachegen.Planner{Adapt: *slo > 0, SLO: *slo, DefaultLevel: 1}
-	fetcher := &cachegen.Fetcher{
+	planner := streamer.Planner{Adapt: *slo > 0, SLO: *slo, DefaultLevel: 1}
+	fetcher := &streamer.Fetcher{
 		Source:           client,
 		Codec:            codec,
 		Model:            model,
-		Device:           cachegen.A40x4(),
+		Device:           llm.A40x4(),
 		Planner:          planner,
 		PipelineDepth:    *pipelineDepth,
 		DisableStreaming: *noStream,
@@ -121,9 +131,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("fetching manifest: %v", err)
 	}
-	var tokens []cachegen.Token
+	var tokens []llm.Token
 	for c := 0; c < man.Meta.NumChunks(); c++ {
-		hash, err := man.ChunkHash(cachegen.TextLevel, c)
+		hash, err := man.ChunkHash(storage.TextLevel, c)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -137,7 +147,7 @@ func main() {
 		}
 		tokens = append(tokens, part...)
 	}
-	res, err := model.GenerateWithKV(tokens, kv, "What is the first topic we discussed?", cachegen.DefaultQualityParams())
+	res, err := model.GenerateWithKV(tokens, kv, "What is the first topic we discussed?", llm.DefaultQualityParams())
 	if err != nil {
 		log.Fatalf("generation: %v", err)
 	}

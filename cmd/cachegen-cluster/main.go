@@ -28,17 +28,25 @@ import (
 	"syscall"
 	"time"
 
-	cachegen "repro"
+	"repro/internal/chaos"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/llm"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/storage"
+	"repro/internal/streamer"
+	"repro/internal/telemetry"
+	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 type node struct {
 	addr  string
-	store cachegen.Store         // what the server serves (RAM tier included)
-	cache *cachegen.CachingStore // nil when the RAM tier is disabled
-	srv   *cachegen.Server
+	store storage.Store         // what the server serves (RAM tier included)
+	cache *storage.CachingStore // nil when the RAM tier is disabled
+	srv   *transport.Server
 	ln    net.Listener
 }
 
@@ -67,7 +75,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cachegen-cluster: ")
 	if *version {
-		fmt.Println("cachegen-cluster " + cachegen.Version)
+		fmt.Println("cachegen-cluster " + telemetry.Version)
 		return
 	}
 	if *nodes < 1 {
@@ -82,28 +90,29 @@ func main() {
 	}
 
 	// Model, codec and bank, shared by every node (§5.2: one bank per LLM).
-	cfg, err := cachegen.ModelByName(*modelName)
+	cfg, err := llm.ByName(*modelName)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *channels > 0 && *channels < cfg.KVChannels {
 		cfg = cfg.WithChannels(*channels)
 	}
-	model, err := cachegen.NewModel(cfg)
+	model, err := llm.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	lengthScale := float64(*tokens) / 9400.0
 	ctxs := dataset.LongChat().Contexts(2+*nContexts, lengthScale)
-	var trainToks [][]cachegen.Token
-	for _, c := range ctxs[:2] {
-		trainToks = append(trainToks, c.Tokens)
-	}
 	log.Printf("training codec bank for %s...", cfg.Name)
-	codec, err := cachegen.TrainCodec(cachegen.DefaultCodecConfig(), model, trainToks)
+	var samples []*tensor.KV
+	for _, c := range ctxs[:2] {
+		samples = append(samples, model.CalculateKV(c.Tokens))
+	}
+	trained, err := core.Train(core.DefaultConfig(), samples)
 	if err != nil {
 		log.Fatal(err)
 	}
+	codec := core.NewCodec(trained)
 	bank, err := codec.Bank().MarshalBinary()
 	if err != nil {
 		log.Fatal(err)
@@ -113,48 +122,48 @@ func main() {
 	// shim and the whole fleet behind a chaos.LocalFleet, so a -chaos
 	// schedule can kill, restart, partition, slow or corrupt nodes while
 	// the ring serves.
-	ring := cachegen.NewRing(*replicas, *vnodes)
-	stores := map[string]cachegen.Store{}
-	serving := map[string]cachegen.Store{}
+	ring := cluster.NewRing(*replicas, *vnodes)
+	stores := map[string]storage.Store{}
+	serving := map[string]storage.Store{}
 	fleet := make([]*node, 0, *nodes)
-	var reg *cachegen.TelemetryRegistry
+	var reg *telemetry.Registry
 	if *telemetryAddr != "" {
-		reg = cachegen.NewTelemetryRegistry()
+		reg = telemetry.NewRegistry()
 	}
-	var srvOpts []cachegen.ServerOption
-	srvOpts = append(srvOpts, cachegen.WithBank(bank), cachegen.WithServerTelemetry(reg))
+	var srvOpts []transport.ServerOption
+	srvOpts = append(srvOpts, transport.WithBank(bank), transport.WithTelemetry(reg))
 	if *egress > 0 {
-		srvOpts = append(srvOpts, cachegen.WithEgressRate(netsim.Gbps(*egress)))
+		srvOpts = append(srvOpts, transport.WithEgressRate(netsim.Gbps(*egress)))
 	}
 	if *bwTrace != "" {
-		tr, err := cachegen.ParseTrace(*bwTrace)
+		tr, err := netsim.ParseTrace(*bwTrace)
 		if err != nil {
 			log.Fatal(err)
 		}
-		srvOpts = append(srvOpts, cachegen.WithEgressTrace(tr))
+		srvOpts = append(srvOpts, transport.WithEgressTrace(tr))
 	}
-	fl := &cachegen.LocalFleet{}
-	fl.NewServer = func(node string) *cachegen.Server {
-		return cachegen.NewServer(serving[node], srvOpts...)
+	fl := &chaos.LocalFleet{}
+	fl.NewServer = func(node string) *transport.Server {
+		return transport.NewServer(serving[node], srvOpts...)
 	}
 	for i := 0; i < *nodes; i++ {
-		var base cachegen.Store = cachegen.NewMemStore()
+		var base storage.Store = storage.NewMemStore()
 		if *dir != "" {
-			base, err = cachegen.NewFileStore(filepath.Join(*dir, fmt.Sprintf("node-%02d", i)))
+			base, err = storage.NewFileStore(filepath.Join(*dir, fmt.Sprintf("node-%02d", i)))
 			if err != nil {
 				log.Fatal(err)
 			}
 		}
-		disk := cachegen.NewLatencyStore(base)
-		var store cachegen.Store = disk
+		disk := storage.NewLatencyStore(base)
+		var store storage.Store = disk
 		n := &node{}
 		if *ramMB > 0 {
-			n.cache = cachegen.NewCachingStore(disk, int64(*ramMB)<<20)
+			n.cache = storage.NewCachingStore(disk, int64(*ramMB)<<20)
 			store = n.cache
 			n.cache.Register(reg, "node", fmt.Sprintf("%s:%d", *host, *portBase+i))
 		}
 		n.store = store
-		n.srv = cachegen.NewServer(store, srvOpts...)
+		n.srv = transport.NewServer(store, srvOpts...)
 		addr := fmt.Sprintf("%s:%d", *host, *portBase+i)
 		n.ln, err = net.Listen("tcp", addr)
 		if err != nil {
@@ -166,7 +175,7 @@ func main() {
 		fl.Register(n.addr, disk, n.srv)
 		fleet = append(fleet, n)
 	}
-	sharded, err := cachegen.NewShardedStore(ring, stores)
+	sharded, err := cluster.NewShardedStore(ring, stores)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -182,7 +191,7 @@ func main() {
 	}
 
 	if *telemetryAddr != "" {
-		dbg, err := cachegen.ServeDebug(*telemetryAddr, reg, nil)
+		dbg, err := telemetry.ServeDebug(*telemetryAddr, reg, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -193,19 +202,19 @@ func main() {
 	// The chaos schedule (if any) is armed when the serving phase begins
 	// — demo, gc-smoke, or open-ended serving — so fault offsets count
 	// from t=0 of the phase, not from fleet launch.
-	counters := &cachegen.ChaosCounters{}
-	cachegen.RegisterChaos(reg, counters)
-	inj := cachegen.NewChaosInjector(fl, counters)
+	counters := &metrics.ChaosCounters{}
+	telemetry.RegisterChaos(reg, counters)
+	inj := chaos.New(fl, counters)
 	armChaos := func() {
 		if *chaosFlag == "" {
 			return
 		}
-		sched, err := cachegen.ParseChaosSchedule(*chaosFlag, 1)
+		schedule, err := chaos.ParseSchedule(*chaosFlag, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("arming chaos schedule %q", *chaosFlag)
-		if err := inj.Start(sched); err != nil {
+		if err := inj.Start(schedule); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -240,7 +249,7 @@ func main() {
 	var ids []string
 	for i, c := range ctxs[2:] {
 		id := fmt.Sprintf("demo-%04d", i)
-		man, err := cachegen.Publish(bg, sharded, codec, model, id, c.Tokens)
+		man, _, err := streamer.Publish(bg, sharded, codec, model, id, c.Tokens, streamer.PublishOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -308,7 +317,7 @@ func main() {
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	armChaos()
-	log.Printf("serving; chunks are sharded, so fetch through a cachegen.Pool over all nodes "+
+	log.Printf("serving; chunks are sharded, so fetch through a cluster.Pool over all nodes "+
 		"(a plain cachegen-client sees only one node's shard); idle sweeper every %v, Ctrl-C to stop", *gcInterval)
 	sig := <-sigCh
 	log.Printf("received %v, shutting down", sig)
@@ -321,14 +330,14 @@ func main() {
 // two contexts sharing a prefix dedup their shared chunks; deleting one
 // context and sweeping reclaims exactly its unique payloads; the
 // surviving context still decodes bit-for-bit.
-func runGCSmoke(ctx context.Context, model *cachegen.Model, codec *cachegen.Codec,
-	ring *cachegen.Ring, sharded *cachegen.ShardedStore) error {
+func runGCSmoke(ctx context.Context, model *llm.Model, codec *core.Codec,
+	ring *cluster.Ring, sharded *cluster.ShardedStore) error {
 
 	rng := rand.New(rand.NewSource(12345))
-	mk := func(n int) []cachegen.Token {
-		out := make([]cachegen.Token, n)
+	mk := func(n int) []llm.Token {
+		out := make([]llm.Token, n)
 		for i := range out {
-			out[i] = cachegen.Token(rng.Intn(32000))
+			out[i] = llm.Token(rng.Intn(32000))
 		}
 		return out
 	}
@@ -336,14 +345,14 @@ func runGCSmoke(ctx context.Context, model *cachegen.Model, codec *cachegen.Code
 	shared := mk(3 * chunkTok) // 3 full shared chunks
 	uniqueA := mk(chunkTok)
 	uniqueB := mk(chunkTok / 2)
-	tokensA := append(append([]cachegen.Token{}, shared...), uniqueA...)
-	tokensB := append(append([]cachegen.Token{}, shared...), uniqueB...)
+	tokensA := append(append([]llm.Token{}, shared...), uniqueA...)
+	tokensB := append(append([]llm.Token{}, shared...), uniqueB...)
 
-	_, statsA, err := cachegen.PublishWithStats(ctx, sharded, codec, model, "gc-a", tokensA, cachegen.PublishOptions{})
+	_, statsA, err := streamer.Publish(ctx, sharded, codec, model, "gc-a", tokensA, streamer.PublishOptions{})
 	if err != nil {
 		return fmt.Errorf("publishing gc-a: %w", err)
 	}
-	_, statsB, err := cachegen.PublishWithStats(ctx, sharded, codec, model, "gc-b", tokensB, cachegen.PublishOptions{})
+	_, statsB, err := streamer.Publish(ctx, sharded, codec, model, "gc-b", tokensB, streamer.PublishOptions{})
 	if err != nil {
 		return fmt.Errorf("publishing gc-b: %w", err)
 	}
@@ -355,12 +364,12 @@ func runGCSmoke(ctx context.Context, model *cachegen.Model, codec *cachegen.Code
 		float64(statsB.BytesReused)/1e6, statsB.EncodesSkipped)
 
 	// Fetch both through the live pool before the delete.
-	pool := cachegen.NewPool(ring, cachegen.WithRequestTimeout(10*time.Second))
+	pool := cluster.NewPool(ring, cluster.WithRequestTimeout(10*time.Second))
 	defer pool.Close()
-	fetcher := &cachegen.Fetcher{
+	fetcher := &streamer.Fetcher{
 		Source: pool, Codec: codec, Model: model,
-		Device:  cachegen.A40x4(),
-		Planner: cachegen.Planner{Adapt: false, DefaultLevel: 0},
+		Device:  llm.A40x4(),
+		Planner: streamer.Planner{Adapt: false, DefaultLevel: 0},
 	}
 	if _, _, err := fetcher.Fetch(ctx, "gc-a"); err != nil {
 		return fmt.Errorf("pre-delete fetch of gc-a: %w", err)
@@ -415,15 +424,15 @@ func runGCSmoke(ctx context.Context, model *cachegen.Model, codec *cachegen.Code
 }
 
 // runDemo drives the client path against the live fleet.
-func runDemo(model *cachegen.Model, codec *cachegen.Codec, ring *cachegen.Ring, fleet []*node, ids []string) error {
-	pool := cachegen.NewPool(ring, cachegen.WithRequestTimeout(10*time.Second))
+func runDemo(model *llm.Model, codec *core.Codec, ring *cluster.Ring, fleet []*node, ids []string) error {
+	pool := cluster.NewPool(ring, cluster.WithRequestTimeout(10*time.Second))
 	defer pool.Close()
-	fetcher := &cachegen.Fetcher{
+	fetcher := &streamer.Fetcher{
 		Source:  pool,
 		Codec:   codec,
 		Model:   model,
-		Device:  cachegen.A40x4(),
-		Planner: cachegen.Planner{Adapt: false, DefaultLevel: 0},
+		Device:  llm.A40x4(),
+		Planner: streamer.Planner{Adapt: false, DefaultLevel: 0},
 	}
 	bg := context.Background()
 

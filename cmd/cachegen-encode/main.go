@@ -17,8 +17,12 @@ import (
 	"os"
 	"path/filepath"
 
-	cachegen "repro"
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/llm"
+	"repro/internal/storage"
+	"repro/internal/streamer"
+	"repro/internal/tensor"
 )
 
 func main() {
@@ -32,14 +36,14 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cachegen-encode: ")
 
-	cfg, err := cachegen.ModelByName(*modelName)
+	cfg, err := llm.ByName(*modelName)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *channels > 0 && *channels < cfg.KVChannels {
 		cfg = cfg.WithChannels(*channels)
 	}
-	model, err := cachegen.NewModel(cfg)
+	model, err := llm.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,24 +51,25 @@ func main() {
 	// Training and demo contexts come from the LongChat-style generator.
 	lengthScale := float64(*tokens) / 9400.0
 	ctxs := dataset.LongChat().Contexts(*train+*nContexts, lengthScale)
-	var trainToks [][]cachegen.Token
-	for _, c := range ctxs[:*train] {
-		trainToks = append(trainToks, c.Tokens)
-	}
 	log.Printf("training codec bank for %s on %d contexts...", cfg.Name, *train)
-	codec, err := cachegen.TrainCodec(cachegen.DefaultCodecConfig(), model, trainToks)
+	var samples []*tensor.KV
+	for _, c := range ctxs[:*train] {
+		samples = append(samples, model.CalculateKV(c.Tokens))
+	}
+	trained, err := core.Train(core.DefaultConfig(), samples)
 	if err != nil {
 		log.Fatal(err)
 	}
+	codec := core.NewCodec(trained)
 
-	store, err := cachegen.NewFileStore(*dir)
+	store, err := storage.NewFileStore(*dir)
 	if err != nil {
 		log.Fatal(err)
 	}
 	bg := context.Background()
 	for i, c := range ctxs[*train:] {
 		id := fmt.Sprintf("demo-%04d", i)
-		man, stats, err := cachegen.PublishWithStats(bg, store, codec, model, id, c.Tokens, cachegen.PublishOptions{})
+		man, stats, err := streamer.Publish(bg, store, codec, model, id, c.Tokens, streamer.PublishOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

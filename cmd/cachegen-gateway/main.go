@@ -1,7 +1,7 @@
 // Command cachegen-gateway runs the multi-tenant serving frontend
 // against a local delivery ring: it launches N storage nodes, publishes
 // per-tenant contexts across them, and drives an open-loop Poisson
-// workload through a cachegen.Gateway — admission control, weighted-fair
+// workload through a gateway.Gateway — admission control, weighted-fair
 // queueing across tenants, a fixed decode-slot pool, and KV prefetch
 // racing the queue. It prints per-tenant TTFT distributions (P50/P99),
 // SLO attainment, gateway counters, and the fleet's aggregate RAM-tier
@@ -39,9 +39,22 @@ import (
 	"strings"
 	"time"
 
-	cachegen "repro"
+	"repro/internal/chaos"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/gateway"
+	"repro/internal/llm"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
+	"repro/internal/resilience"
+	"repro/internal/sched"
+	"repro/internal/storage"
+	"repro/internal/streamer"
+	"repro/internal/telemetry"
+	"repro/internal/tensor"
+	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 type tenantSpec struct {
@@ -114,7 +127,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cachegen-gateway: ")
 	if *version {
-		fmt.Println("cachegen-gateway " + cachegen.Version)
+		fmt.Println("cachegen-gateway " + telemetry.Version)
 		return
 	}
 	if *demo {
@@ -143,9 +156,9 @@ func main() {
 	// A trace brings its own tenants and contexts: the gateway's tenant
 	// weights come from the trace's arrival schedule (uniform), and
 	// Replay publishes the trace's contexts itself.
-	var trace *cachegen.WorkloadTrace
+	var trace *workload.Trace
 	if *traceFlag != "" {
-		trace, err = cachegen.ResolveTrace(*traceFlag, cachegen.WorkloadParams{Seed: *seed})
+		trace, err = workload.Resolve(*traceFlag, workload.Params{Seed: *seed})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -158,9 +171,9 @@ func main() {
 			}
 		}
 	}
-	var sched cachegen.ChaosSchedule
+	var schedule chaos.Schedule
 	if *chaosFlag != "" {
-		sched, err = cachegen.ParseChaosSchedule(*chaosFlag, *seed)
+		schedule, err = chaos.ParseSchedule(*chaosFlag, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -168,9 +181,9 @@ func main() {
 
 	// -capture-trace records every submission (and the published
 	// contexts) as a replayable workload trace, written at exit.
-	var rec *cachegen.TraceRecorder
+	var rec *gateway.TraceRecorder
 	if *captureTrace != "" {
-		rec = cachegen.NewTraceRecorder(strings.TrimSuffix(filepath.Base(*captureTrace), filepath.Ext(*captureTrace)))
+		rec = gateway.NewTraceRecorder(strings.TrimSuffix(filepath.Base(*captureTrace), filepath.Ext(*captureTrace)))
 		if trace != nil {
 			for _, c := range trace.Contexts() {
 				rec.RecordContext(c)
@@ -179,14 +192,14 @@ func main() {
 	}
 
 	// Model, codec, bank — one per LLM (§5.2).
-	cfg, err := cachegen.ModelByName(*modelName)
+	cfg, err := llm.ByName(*modelName)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *channels > 0 && *channels < cfg.KVChannels {
 		cfg = cfg.WithChannels(*channels)
 	}
-	model, err := cachegen.NewModel(cfg)
+	model, err := llm.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -196,68 +209,69 @@ func main() {
 		total += *nContexts * len(specs)
 	}
 	ctxs := dataset.LongChat().Contexts(total, lengthScale)
-	var trainToks [][]cachegen.Token
-	for _, c := range ctxs[:2] {
-		trainToks = append(trainToks, c.Tokens)
-	}
 	log.Printf("training codec bank for %s...", cfg.Name)
-	codec, err := cachegen.TrainCodec(cachegen.DefaultCodecConfig(), model, trainToks)
+	var samples []*tensor.KV
+	for _, c := range ctxs[:2] {
+		samples = append(samples, model.CalculateKV(c.Tokens))
+	}
+	trained, err := core.Train(core.DefaultConfig(), samples)
 	if err != nil {
 		log.Fatal(err)
 	}
+	codec := core.NewCodec(trained)
 
 	// Telemetry plane: one registry shared by every component of this
 	// process's fleet, one tracer for the request span trees. Both stay
 	// nil (free) unless their flag asks for them.
-	var reg *cachegen.TelemetryRegistry
+	var reg *telemetry.Registry
 	if *telemetryAddr != "" {
-		reg = cachegen.NewTelemetryRegistry()
+		reg = telemetry.NewRegistry()
 	}
-	var tracer *cachegen.Tracer
+	var tracer *telemetry.Tracer
 	if *traceOut != "" || *telemetryAddr != "" {
-		tracer = cachegen.NewTracer(0)
+		tracer = telemetry.NewTracer(0)
 	}
 
 	// Launch the ring.
-	srvOpts := []cachegen.ServerOption{cachegen.WithServerTelemetry(reg)}
+	srvOpts := []transport.ServerOption{transport.WithTelemetry(reg)}
 	if *bwTrace != "" {
-		tr, err := cachegen.ParseTrace(*bwTrace)
+		tr, err := netsim.ParseTrace(*bwTrace)
 		if err != nil {
 			log.Fatal(err)
 		}
-		srvOpts = append(srvOpts, cachegen.WithEgressTrace(tr))
+		srvOpts = append(srvOpts, transport.WithEgressTrace(tr))
 		log.Printf("replaying egress bandwidth trace %q on every node", *bwTrace)
 	}
 	// Every node sits behind a latency shim (the slow-disk fault hook)
 	// and inside a chaos.LocalFleet, so a -chaos schedule can kill,
 	// restart, partition, slow or corrupt it mid-run.
-	ring := cachegen.NewRing(*replicas, 0)
-	stores := map[string]cachegen.Store{}
-	caches := map[string]*cachegen.CachingStore{}
-	serving := map[string]cachegen.Store{}
-	fl := &cachegen.LocalFleet{}
-	fl.NewServer = func(node string) *cachegen.Server {
-		return cachegen.NewServer(serving[node], srvOpts...)
+	ring := cluster.NewRing(*replicas, 0)
+	stores := map[string]storage.Store{}
+	caches := map[string]*storage.CachingStore{}
+	serving := map[string]storage.Store{}
+	fl := &chaos.LocalFleet{}
+	fl.NewServer = func(node string) *transport.Server {
+		return transport.NewServer(serving[node], srvOpts...)
 	}
 	defer fl.Close()
 	for i := 0; i < *nodes; i++ {
-		disk := cachegen.NewLatencyStore(cachegen.NewMemStore())
-		var store cachegen.Store = disk
+		disk := storage.NewLatencyStore(storage.NewMemStore())
+		var store storage.Store = disk
 		if *ramMB > 0 {
-			store = cachegen.NewCachingStore(disk, int64(*ramMB)<<20)
+			store = storage.NewCachingStore(disk, int64(*ramMB)<<20)
 		}
-		addr, err := fl.Launch("127.0.0.1:0", disk, cachegen.NewServer(store, srvOpts...))
+		addr, err := fl.Launch("127.0.0.1:0", disk, transport.NewServer(store, srvOpts...))
 		if err != nil {
 			log.Fatal(err)
 		}
-		if c, ok := store.(*cachegen.CachingStore); ok {
+		if c, ok := store.(*storage.CachingStore); ok {
 			caches[addr] = c
 			c.Register(reg, "node", addr)
 		}
 		stores[addr] = store
 		serving[addr] = store
 	}
-	sharded, err := cachegen.NewShardedStore(ring, stores)
+	sharded, err := cluster.NewShardedStore(ring, stores)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -265,11 +279,11 @@ func main() {
 	// Publish per-tenant contexts (the Poisson path; a trace's contexts
 	// are published by Replay).
 	bg := context.Background()
-	profiles := make([]cachegen.PoissonTenant, 0, len(specs))
+	profiles := make([]workload.PoissonTenant, 0, len(specs))
 	weights := map[string]int{}
 	next := 2
 	for _, spec := range specs {
-		p := cachegen.PoissonTenant{
+		p := workload.PoissonTenant{
 			Name: spec.name, Share: spec.weight,
 			SLO: *slo, Deadline: *deadline,
 			Turns: *turns, ThinkTime: *think,
@@ -277,14 +291,14 @@ func main() {
 		if trace == nil {
 			for j := 0; j < *nContexts; j++ {
 				id := fmt.Sprintf("%s-%02d", spec.name, j)
-				if _, err := cachegen.Publish(bg, sharded, codec, model, id, ctxs[next].Tokens); err != nil {
+				if _, _, err := streamer.Publish(bg, sharded, codec, model, id, ctxs[next].Tokens, streamer.PublishOptions{}); err != nil {
 					log.Fatal(err)
 				}
 				// Dataset contexts are not seed-reproducible; the captured
 				// spec preserves each context's id and exact length, so a
 				// replay offers the identical load shape over synthesised
 				// content.
-				rec.RecordContext(cachegen.WorkloadContext{
+				rec.RecordContext(workload.ContextSpec{
 					ID: id, Tokens: len(ctxs[next].Tokens), Seed: *seed + int64(next),
 				})
 				next++
@@ -297,12 +311,12 @@ func main() {
 	}
 
 	// Gateway over the fleet.
-	counters := &cachegen.ChaosCounters{}
-	cachegen.RegisterChaos(reg, counters)
-	pool := cachegen.NewPool(ring,
-		cachegen.WithPoolTelemetry(reg),
-		cachegen.WithResilience(cachegen.ResilienceConfig{ProbeInterval: *probeInterval}),
-		cachegen.WithHedging(*hedge))
+	counters := &metrics.ChaosCounters{}
+	telemetry.RegisterChaos(reg, counters)
+	pool := cluster.NewPool(ring,
+		cluster.WithTelemetry(reg),
+		cluster.WithResilience(resilience.Config{ProbeInterval: *probeInterval}),
+		cluster.WithHedging(*hedge))
 	defer pool.Close()
 	fl.OnHeal = func(node string) { pool.Invalidate(node) }
 
@@ -311,18 +325,18 @@ func main() {
 	// from the ring. -peer-serve adds the resident-prefix index (in this
 	// single-gateway process it records; a fleet of gateways would share
 	// it to peer-serve each other's decoded KV).
-	schedOpt := cachegen.SchedulerOptions{
+	schedOpt := sched.Options{
 		ID:         "gateway-0",
 		Locator:    ring,
 		Resilience: pool.Resilience(),
 		Telemetry:  reg,
 	}
 	if *peerServe {
-		schedOpt.Residents = cachegen.NewResidentIndex(0)
+		schedOpt.Residents = sched.NewResidentIndex(0)
 	}
-	schd := cachegen.NewScheduler(schedOpt)
+	schd := sched.New(schedOpt)
 
-	gw, err := cachegen.NewGateway(cachegen.GatewayConfig{
+	gw, err := gateway.New(gateway.Config{
 		Slots:       *slots,
 		QueueLimit:  *queueLimit,
 		Tenants:     weights,
@@ -336,8 +350,8 @@ func main() {
 		Source:        pool,
 		Codec:         codec,
 		Model:         model,
-		Device:        cachegen.A40x4(),
-		Planner:       cachegen.Planner{Adapt: true, DefaultLevel: 1},
+		Device:        llm.A40x4(),
+		Planner:       streamer.Planner{Adapt: true, DefaultLevel: 1},
 		Chaos:         counters,
 		Telemetry:     reg,
 		Tracer:        tracer,
@@ -346,7 +360,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *telemetryAddr != "" {
-		dbg, err := cachegen.ServeDebug(*telemetryAddr, reg, tracer)
+		dbg, err := telemetry.ServeDebug(*telemetryAddr, reg, tracer)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -356,31 +370,31 @@ func main() {
 
 	// Both workload paths arm the chaos schedule at their arrival
 	// clock's t=0, so fault offsets line up with arrival offsets.
-	inj := cachegen.NewChaosInjector(fl, counters)
+	inj := chaos.New(fl, counters)
 	armChaos := func() {
 		if *chaosFlag == "" {
 			return
 		}
 		log.Printf("arming chaos schedule %q (seed %d)", *chaosFlag, *seed)
-		if err := inj.Start(sched); err != nil {
+		if err := inj.Start(schedule); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	var rep *cachegen.LoadReport
+	var rep *gateway.LoadReport
 	if trace != nil {
 		log.Printf("replaying trace %q: %d contexts, %d arrivals over %v across %d tenants (%d nodes, %d slots)...",
 			trace.Name(), len(trace.Contexts()), len(trace.Arrivals()), trace.Duration().Round(time.Millisecond),
 			len(specs), *nodes, *slots)
-		rep, err = cachegen.Replay(bg, gw, trace, cachegen.ReplayOptions{Publisher: sharded, Started: armChaos})
+		rep, err = gateway.Replay(bg, gw, trace, gateway.ReplayOptions{Publisher: sharded, Started: armChaos})
 	} else {
 		log.Printf("driving %d requests at %.0f/s across %d tenants (%d nodes, %d slots, prefetch %v)...",
 			*requests, *rate, len(specs), *nodes, *slots, *prefetch)
-		poisson, perr := cachegen.PoissonTrace(*rate, *requests, profiles, *seed)
+		poisson, perr := workload.Poisson(*rate, *requests, profiles, *seed)
 		if perr != nil {
 			log.Fatal(perr)
 		}
-		rep, err = cachegen.Replay(bg, gw, poisson, cachegen.ReplayOptions{Offered: *rate, Started: armChaos})
+		rep, err = gateway.Replay(bg, gw, poisson, gateway.ReplayOptions{Offered: *rate, Started: armChaos})
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -422,7 +436,7 @@ func main() {
 			"", metrics.FormatBytes(ts.Bytes), metrics.FormatBandwidth(ts.EffectiveBandwidth()),
 			metrics.FormatBandwidth(ts.Bandwidth), ts.Switches, ts.Cancels, ts.LevelBytes, corrupt)
 	}
-	var agg cachegen.CacheStats
+	var agg storage.CacheStats
 	for _, c := range caches {
 		agg.Add(c.Stats())
 	}

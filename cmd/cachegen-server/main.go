@@ -21,8 +21,10 @@ import (
 	"path/filepath"
 	"syscall"
 
-	cachegen "repro"
 	"repro/internal/netsim"
+	"repro/internal/storage"
+	"repro/internal/telemetry"
+	"repro/internal/transport"
 )
 
 func main() {
@@ -37,49 +39,50 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cachegen-server: ")
 	if *version {
-		fmt.Println("cachegen-server " + cachegen.Version)
+		fmt.Println("cachegen-server " + telemetry.Version)
 		return
 	}
 
-	var reg *cachegen.TelemetryRegistry
+	var reg *telemetry.Registry
 	if *telemetryAddr != "" {
-		reg = cachegen.NewTelemetryRegistry()
+		reg = telemetry.NewRegistry()
 	}
 
-	store, err := cachegen.NewFileStore(*dir)
+	var store storage.Store
+	store, err := storage.NewFileStore(*dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var cache *cachegen.CachingStore
+	var cache *storage.CachingStore
 	if *ramMB > 0 {
-		cache = cachegen.NewCachingStore(store, int64(*ramMB)<<20)
+		cache = storage.NewCachingStore(store, int64(*ramMB)<<20)
 		cache.Register(reg)
 		store = cache
 		log.Printf("RAM tier enabled: %d MB", *ramMB)
 	}
-	opts := []cachegen.ServerOption{cachegen.WithServerTelemetry(reg)}
+	opts := []transport.ServerOption{transport.WithTelemetry(reg)}
 	if *egress > 0 {
-		opts = append(opts, cachegen.WithEgressRate(netsim.Gbps(*egress)))
+		opts = append(opts, transport.WithEgressRate(netsim.Gbps(*egress)))
 		log.Printf("shaping egress to %.2f Gbps", *egress)
 	}
 	if *bwTrace != "" {
-		tr, err := cachegen.ParseTrace(*bwTrace)
+		tr, err := netsim.ParseTrace(*bwTrace)
 		if err != nil {
 			log.Fatal(err)
 		}
-		opts = append(opts, cachegen.WithEgressTrace(tr))
+		opts = append(opts, transport.WithEgressTrace(tr))
 		log.Printf("replaying egress bandwidth trace %q per connection", *bwTrace)
 	}
 	if bank, err := os.ReadFile(filepath.Join(*dir, "bank.bin")); err == nil {
-		opts = append(opts, cachegen.WithBank(bank))
+		opts = append(opts, transport.WithBank(bank))
 		log.Printf("serving model bank (%.1f MB)", float64(len(bank))/1e6)
 	} else {
 		log.Printf("no bank.bin in %s; clients must bring their own codec", *dir)
 	}
 
-	srv := cachegen.NewServer(store, opts...)
+	srv := transport.NewServer(store, opts...)
 	if *telemetryAddr != "" {
-		dbg, err := cachegen.ServeDebug(*telemetryAddr, reg, nil)
+		dbg, err := telemetry.ServeDebug(*telemetryAddr, reg, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,7 +13,10 @@ import (
 	"log"
 	"time"
 
-	cachegen "repro"
+	"repro/internal/llm"
+	"repro/internal/netsim"
+	"repro/internal/storage"
+	"repro/internal/streamer"
 )
 
 func main() {
@@ -22,14 +25,14 @@ func main() {
 	// Llama-7B uses full multi-head attention, so a 16.5K-token context
 	// carries a ~1.2 GB KV stream at the default level — the scale of the
 	// paper's walkthrough.
-	model := cachegen.Llama7B()
-	dev := cachegen.A40x4()
+	model := llm.Llama7B()
+	dev := llm.A40x4()
 	const tokens = 16500
 	const slo = 4 * time.Second
 
 	// Per-chunk metadata: 1500-token chunks with the paper's measured
 	// CacheGen sizes per level (≈2.9/2.3/1.7/1.2 bits per element).
-	meta := cachegen.ContextMeta{
+	meta := storage.ContextMeta{
 		ContextID:  "fig7-demo",
 		Model:      model.Name,
 		TokenCount: tokens,
@@ -51,19 +54,19 @@ func main() {
 			meta.SizesBytes[lv] = append(meta.SizesBytes[lv], int64(bitsPerElem[lv]*elems/8))
 		}
 	}
-	chunks, err := cachegen.BuildChunkInfos(meta, model, dev, 1)
+	chunks, err := streamer.BuildChunkInfos(meta, model, dev, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	run := func(adapt bool) *cachegen.SimResult {
-		res, err := cachegen.Simulate(cachegen.SimInput{
+	run := func(adapt bool) *streamer.SimResult {
+		res, err := streamer.Simulate(streamer.SimInput{
 			Chunks:      chunks,
 			TotalTokens: tokens,
-			Link:        cachegen.NewLink(cachegen.Figure7Trace()),
-			Planner: cachegen.Planner{
+			Link:        netsim.NewLink(netsim.Figure7Trace()),
+			Planner: streamer.Planner{
 				Adapt: adapt, SLO: slo, DefaultLevel: 1,
-				PriorBandwidth: cachegen.Gbps(2), RTT: 20 * time.Millisecond,
+				PriorBandwidth: netsim.Gbps(2), RTT: 20 * time.Millisecond,
 			},
 			Model:  model,
 			Device: dev,

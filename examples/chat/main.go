@@ -14,23 +14,34 @@ import (
 	"log"
 	"math/rand"
 
-	cachegen "repro"
+	"repro/internal/core"
+	"repro/internal/llm"
+	"repro/internal/storage"
+	"repro/internal/streamer"
+	"repro/internal/tensor"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	cfg := cachegen.Mistral7B().WithChannels(32)
-	model := cachegen.MustNewModel(cfg)
+	cfg := llm.Mistral7B().WithChannels(32)
+	model := llm.MustNew(cfg)
 	rng := rand.New(rand.NewSource(99))
-	codec, err := cachegen.TrainCodec(cachegen.DefaultCodecConfig(), model,
-		[][]cachegen.Token{turn(rng, 900), turn(rng, 1100)})
+	// Short chunks: an append re-encodes only the dirty suffix chunk, so
+	// the chunk length bounds what each offload stores.
+	codecCfg := core.DefaultConfig()
+	codecCfg.ChunkTokens = 256
+	trained, err := core.Train(codecCfg, []*tensor.KV{
+		model.CalculateKV(turn(rng, 900)),
+		model.CalculateKV(turn(rng, 1100)),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	store := cachegen.NewMemStore()
+	codec := core.NewCodec(trained)
+	store := storage.NewMemStore()
 	bg := context.Background()
-	qp := cachegen.DefaultQualityParams()
+	qp := llm.DefaultQualityParams()
 
 	// Session starts: an initial exchange accumulates history.
 	history := turn(rng, 600)
@@ -45,15 +56,15 @@ func main() {
 		// turn's tokens — the content-addressed store keeps the prefix
 		// chunks by reference, so each offload costs one turn, not the
 		// whole conversation.
-		var man cachegen.Manifest
-		var stats *cachegen.PublishStats
+		var man storage.Manifest
+		var stats *streamer.PublishStats
 		var err error
 		if round == 1 {
-			man, stats, err = cachegen.PublishWithStats(bg, store, codec, model, id, history,
-				cachegen.PublishOptions{KV: kv})
+			man, stats, err = streamer.Publish(bg, store, codec, model, id, history,
+				streamer.PublishOptions{KV: kv})
 		} else {
-			man, stats, err = cachegen.Append(bg, store, codec, model, id, newTurn,
-				cachegen.PublishOptions{KV: kv})
+			man, stats, err = streamer.Append(bg, store, codec, model, id, newTurn,
+				streamer.PublishOptions{KV: kv})
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -96,7 +107,7 @@ func main() {
 		}
 		history = append(history, newTurn...)
 		full := model.CalculateKV(history) // reference: recompute from scratch
-		combined, err := cachegen.ConcatKV(kv, ext)
+		combined, err := tensor.ConcatTokens(kv, ext)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -110,10 +121,10 @@ func main() {
 	}
 }
 
-func turn(rng *rand.Rand, n int) []cachegen.Token {
-	out := make([]cachegen.Token, n)
+func turn(rng *rand.Rand, n int) []llm.Token {
+	out := make([]llm.Token, n)
 	for i := range out {
-		out[i] = cachegen.Token(rng.Intn(32000))
+		out[i] = llm.Token(rng.Intn(32000))
 	}
 	return out
 }

@@ -18,26 +18,33 @@ import (
 	"net"
 	"time"
 
-	cachegen "repro"
+	"repro/internal/core"
+	"repro/internal/llm"
+	"repro/internal/netsim"
+	"repro/internal/storage"
+	"repro/internal/streamer"
+	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	cfg := cachegen.Mistral7B().WithChannels(32)
-	model := cachegen.MustNewModel(cfg)
+	cfg := llm.Mistral7B().WithChannels(32)
+	model := llm.MustNew(cfg)
 	rng := rand.New(rand.NewSource(5))
-	codec, err := cachegen.TrainCodec(cachegen.DefaultCodecConfig(), model,
-		[][]cachegen.Token{ctxTokens(rng, 1100)})
+	trained, err := core.Train(core.DefaultConfig(), []*tensor.KV{model.CalculateKV(ctxTokens(rng, 1100))})
 	if err != nil {
 		log.Fatal(err)
 	}
+	codec := core.NewCodec(trained)
 
 	// Publish with refinement streams targeting the highest-quality level.
-	store := cachegen.NewMemStore()
+	store := storage.NewMemStore()
 	tokens := ctxTokens(rng, 2000)
 	bg := context.Background()
-	man, err := cachegen.PublishIncremental(bg, store, codec, model, "doc", tokens, cachegen.Level(0))
+	man, _, err := streamer.Publish(bg, store, codec, model, "doc", tokens,
+		streamer.PublishOptions{RefineTargets: []core.Level{0}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,27 +58,29 @@ func main() {
 	fmt.Printf("published %d tokens: finest level %.2f MB, coarsest %.2f MB, refinement %.2f MB\n",
 		meta.TokenCount, mb(fine), mb(coarse), mb(refine))
 
-	srv := cachegen.NewServer(store, cachegen.WithEgressRate(cachegen.Gbps(0.2)))
+	// A 50 Mbps link: slow enough that the wire, not decode, bounds each
+	// fetch, so the coarse base's fewer bytes arrive measurably sooner.
+	srv := transport.NewServer(store, transport.WithEgressRate(netsim.Gbps(0.05)))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	go srv.Serve(ln)
 	defer srv.Close()
-	client, err := cachegen.Dial(ln.Addr().String())
+	client, err := transport.Dial(ln.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer client.Close()
 
-	fetcher := &cachegen.Fetcher{
+	fetcher := &streamer.Fetcher{
 		Source:  client,
 		Codec:   codec,
 		Model:   model,
-		Device:  cachegen.A40x4(),
-		Planner: cachegen.Planner{Adapt: false, DefaultLevel: 0},
+		Device:  llm.A40x4(),
+		Planner: streamer.Planner{Adapt: false, DefaultLevel: 0},
 	}
-	qp := cachegen.DefaultQualityParams()
+	qp := llm.DefaultQualityParams()
 
 	// Phase 1: coarse base — first token as early as possible.
 	start := time.Now()
@@ -113,10 +122,10 @@ func main() {
 
 func mb(n int64) float64 { return float64(n) / 1e6 }
 
-func ctxTokens(rng *rand.Rand, n int) []cachegen.Token {
-	out := make([]cachegen.Token, n)
+func ctxTokens(rng *rand.Rand, n int) []llm.Token {
+	out := make([]llm.Token, n)
 	for i := range out {
-		out[i] = cachegen.Token(rng.Intn(32000))
+		out[i] = llm.Token(rng.Intn(32000))
 	}
 	return out
 }

@@ -10,7 +10,9 @@ import (
 	"log"
 	"math/rand"
 
-	cachegen "repro"
+	"repro/internal/core"
+	"repro/internal/llm"
+	"repro/internal/tensor"
 )
 
 func main() {
@@ -19,17 +21,21 @@ func main() {
 	// A Mistral-7B-shaped simulated LLM. Synthesising 32 of its 1024 KV
 	// channels keeps this demo fast; statistics (and therefore compression
 	// ratios) are unchanged.
-	cfg := cachegen.Mistral7B().WithChannels(32)
-	model := cachegen.MustNewModel(cfg)
+	cfg := llm.Mistral7B().WithChannels(32)
+	model := llm.MustNew(cfg)
 
 	// Offline, once per LLM: profile the codec's probability models on a
 	// few contexts (§5.2).
 	rng := rand.New(rand.NewSource(7))
-	training := [][]cachegen.Token{randomContext(rng, 1200), randomContext(rng, 1500)}
-	codec, err := cachegen.TrainCodec(cachegen.DefaultCodecConfig(), model, training)
+	training := []*tensor.KV{
+		model.CalculateKV(randomContext(rng, 1200)),
+		model.CalculateKV(randomContext(rng, 1500)),
+	}
+	trained, err := core.Train(core.DefaultConfig(), training)
 	if err != nil {
 		log.Fatal(err)
 	}
+	codec := core.NewCodec(trained)
 
 	// A fresh context: compute its KV cache (calculate_kv) and encode it.
 	tokens := randomContext(rng, 2000)
@@ -39,7 +45,7 @@ func main() {
 		float64(cfg.KVBytesPerTokenFP16()*int64(len(tokens)))/1e9)
 
 	for lv := 0; lv < codec.Config().Levels(); lv++ {
-		chunks, err := codec.EncodeContext(kv, cachegen.Level(lv))
+		chunks, err := codec.EncodeContext(kv, core.Level(lv))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,17 +69,17 @@ func main() {
 		log.Fatal(err)
 	}
 	res, err := model.GenerateWithKV(tokens, recon, "What is the first topic we discussed?",
-		cachegen.DefaultQualityParams())
+		llm.DefaultQualityParams())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("generation with decoded cache: quality %.3f, correct=%v\n", res.Quality, res.Correct)
 }
 
-func randomContext(rng *rand.Rand, n int) []cachegen.Token {
-	out := make([]cachegen.Token, n)
+func randomContext(rng *rand.Rand, n int) []llm.Token {
+	out := make([]llm.Token, n)
 	for i := range out {
-		out[i] = cachegen.Token(rng.Intn(32000))
+		out[i] = llm.Token(rng.Intn(32000))
 	}
 	return out
 }

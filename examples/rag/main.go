@@ -20,31 +20,40 @@ import (
 	"net"
 	"time"
 
-	cachegen "repro"
+	"repro/internal/core"
+	"repro/internal/llm"
+	"repro/internal/netsim"
+	"repro/internal/storage"
+	"repro/internal/streamer"
+	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	cfg := cachegen.Mistral7B().WithChannels(32)
-	model := cachegen.MustNewModel(cfg)
+	cfg := llm.Mistral7B().WithChannels(32)
+	model := llm.MustNew(cfg)
 
 	rng := rand.New(rand.NewSource(42))
-	codec, err := cachegen.TrainCodec(cachegen.DefaultCodecConfig(), model,
-		[][]cachegen.Token{doc(rng, 1000), doc(rng, 1400)})
+	trained, err := core.Train(core.DefaultConfig(), []*tensor.KV{
+		model.CalculateKV(doc(rng, 1000)),
+		model.CalculateKV(doc(rng, 1400)),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	codec := core.NewCodec(trained)
 
 	// --- storage service: publish the document corpus ------------------
-	store := cachegen.NewMemStore()
-	docs := map[string][]cachegen.Token{
+	store := storage.NewMemStore()
+	docs := map[string][]llm.Token{
 		"earnings-report-q4": doc(rng, 1800),
 		"case-law-brief":     doc(rng, 1200),
 	}
 	bg := context.Background()
 	for id, tokens := range docs {
-		man, err := cachegen.Publish(bg, store, codec, model, id, tokens)
+		man, _, err := streamer.Publish(bg, store, codec, model, id, tokens, streamer.PublishOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,9 +65,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := cachegen.NewServer(store,
-		cachegen.WithBank(bank),
-		cachegen.WithEgressRate(cachegen.Gbps(0.8))) // a constrained WAN link
+	srv := transport.NewServer(store,
+		transport.WithBank(bank),
+		transport.WithEgressRate(netsim.Gbps(0.8))) // a constrained WAN link
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -67,7 +76,7 @@ func main() {
 	defer srv.Close()
 
 	// --- inference service: answer queries, reusing document caches ----
-	client, err := cachegen.Dial(ln.Addr().String())
+	client, err := transport.Dial(ln.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,16 +86,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rb, err := cachegen.UnmarshalBank(remoteBank)
+	rb, err := core.UnmarshalBank(remoteBank)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fetcher := &cachegen.Fetcher{
+	fetcher := &streamer.Fetcher{
 		Source:  client,
-		Codec:   cachegen.NewCodec(rb),
+		Codec:   core.NewCodec(rb),
 		Model:   model,
-		Device:  cachegen.A40x4(),
-		Planner: cachegen.Planner{Adapt: false, DefaultLevel: 1},
+		Device:  llm.A40x4(),
+		Planner: streamer.Planner{Adapt: false, DefaultLevel: 1},
 	}
 
 	queries := []struct{ doc, q string }{
@@ -100,7 +109,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := model.GenerateWithKV(docs[query.doc], kv, query.q, cachegen.DefaultQualityParams())
+		res, err := model.GenerateWithKV(docs[query.doc], kv, query.q, llm.DefaultQualityParams())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -110,10 +119,10 @@ func main() {
 	}
 }
 
-func doc(rng *rand.Rand, n int) []cachegen.Token {
-	out := make([]cachegen.Token, n)
+func doc(rng *rand.Rand, n int) []llm.Token {
+	out := make([]llm.Token, n)
 	for i := range out {
-		out[i] = cachegen.Token(rng.Intn(32000))
+		out[i] = llm.Token(rng.Intn(32000))
 	}
 	return out
 }

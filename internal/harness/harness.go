@@ -1,7 +1,8 @@
 // Package harness reproduces every table and figure of the paper's
 // evaluation (§7, Appendices B–E). Each experiment is a named runner that
 // prints the same rows/series the paper reports; cmd/cachegen-exp exposes
-// them on the command line and bench_test.go wraps each in a benchmark.
+// them on the command line and this package's bench_test.go wraps each in
+// a benchmark.
 //
 // Scaling: experiments synthesise a channel subsample of each model
 // (Scale.Channels of Config.KVChannels) and measure the codec's

@@ -1,6 +1,9 @@
 package llm
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Token is a vocabulary id. Tokenisation itself is out of scope (the paper
 // treats it as negligible, §2.1 footnote 1); contexts are token sequences.
@@ -161,4 +164,15 @@ func Llama3B() Config {
 // AllModels lists the predefined configurations.
 func AllModels() []Config {
 	return []Config{Mistral7B(), Llama34B(), Llama70B(), Llama7B(), Llama13B(), Llama3B()}
+}
+
+// ByName returns the predefined configuration with the given name
+// (e.g. "Mistral-7B", case-insensitive).
+func ByName(name string) (Config, error) {
+	for _, cfg := range AllModels() {
+		if strings.EqualFold(cfg.Name, name) {
+			return cfg, nil
+		}
+	}
+	return Config{}, fmt.Errorf("llm: unknown model %q", name)
 }

@@ -50,6 +50,21 @@ func TestPredefinedConfigsValid(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	for _, name := range []string{"Mistral-7B", "mistral-7b", "Llama-70B", "Llama-7B"} {
+		cfg, err := ByName(name)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", name, err)
+		}
+		if cfg.Layers == 0 {
+			t.Errorf("ByName(%q) returned empty config", name)
+		}
+	}
+	if _, err := ByName("GPT-5"); err == nil {
+		t.Error("unknown model accepted")
+	}
+}
+
 func TestMistral7BSizeMatchesTable1(t *testing.T) {
 	// Table 1: an ~9.4K-token LongChat context on Mistral-7B has a 622 MB
 	// KV cache at 8-bit quantization, i.e. ~1.23 GB in fp16.

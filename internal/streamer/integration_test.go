@@ -191,6 +191,48 @@ func TestFetchEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFetchWithServedBank bootstraps the decoder the way a fresh
+// inference server does: it pulls the model bank from the storage server,
+// rebuilds the codec from it, and fetches at level 0.
+func TestFetchWithServedBank(t *testing.T) {
+	s := newStack(t)
+	bank, err := s.codec.Bank().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := serve(t, s.store, transport.WithBank(bank))
+	ctx := context.Background()
+	remote, err := client.GetBank(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := core.UnmarshalBank(remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &Fetcher{
+		Source:  client,
+		Codec:   core.NewCodec(rb),
+		Model:   s.model,
+		Device:  llm.A40x4(),
+		Planner: Planner{Adapt: false, DefaultLevel: 0},
+	}
+	kv, report, err := f.Fetch(ctx, "ctx-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kv.Tokens != len(s.tokens) || report.BytesReceived == 0 {
+		t.Fatalf("fetch: %d tokens, %d bytes", kv.Tokens, report.BytesReceived)
+	}
+	res, err := s.model.GenerateWithKV(s.tokens, kv, "summarise", llm.DefaultQualityParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Quality < 0.95 {
+		t.Errorf("quality %.3f too low for level 0", res.Quality)
+	}
+}
+
 // TestFetchTextFallbackIsLossless drives the shipped Planner — an SLO so
 // generous that text (lossless) always fits — through a live fetch on
 // either acquirer: the stream is opened at the text level, every decision

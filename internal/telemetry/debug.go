@@ -8,6 +8,10 @@ import (
 	"time"
 )
 
+// Version identifies this build of the reproduction (reported by the
+// binaries' -version flags).
+const Version = "0.2.0"
+
 // NewDebugMux mounts the exposition surface:
 //
 //	/debug/metrics      Prometheus text format
