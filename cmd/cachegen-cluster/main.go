@@ -15,12 +15,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
-	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -41,14 +39,6 @@ import (
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
-
-type node struct {
-	addr  string
-	store storage.Store         // what the server serves (RAM tier included)
-	cache *storage.CachingStore // nil when the RAM tier is disabled
-	srv   *transport.Server
-	ln    net.Listener
-}
 
 func main() {
 	nodes := flag.Int("nodes", 3, "number of storage nodes")
@@ -118,20 +108,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Launch the fleet. Every node's base store sits behind a latency
-	// shim and the whole fleet behind a chaos.LocalFleet, so a -chaos
+	// Launch the fleet as a chaos.LocalFleet — every node's base store
+	// behind the slow-disk shim, its RAM tier over that — so a -chaos
 	// schedule can kill, restart, partition, slow or corrupt nodes while
 	// the ring serves.
-	ring := cluster.NewRing(*replicas, *vnodes)
-	stores := map[string]storage.Store{}
-	serving := map[string]storage.Store{}
-	fleet := make([]*node, 0, *nodes)
 	var reg *telemetry.Registry
 	if *telemetryAddr != "" {
 		reg = telemetry.NewRegistry()
 	}
-	var srvOpts []transport.ServerOption
-	srvOpts = append(srvOpts, transport.WithBank(bank), transport.WithTelemetry(reg))
+	srvOpts := []transport.ServerOption{transport.WithBank(bank), transport.WithTelemetry(reg)}
 	if *egress > 0 {
 		srvOpts = append(srvOpts, transport.WithEgressRate(netsim.Gbps(*egress)))
 	}
@@ -143,9 +128,8 @@ func main() {
 		srvOpts = append(srvOpts, transport.WithEgressTrace(tr))
 	}
 	fl := &chaos.LocalFleet{}
-	fl.NewServer = func(node string) *transport.Server {
-		return transport.NewServer(serving[node], srvOpts...)
-	}
+	fleet := make([]chaos.LocalNode, 0, *nodes)
+	stores := map[string]storage.Store{}
 	for i := 0; i < *nodes; i++ {
 		var base storage.Store = storage.NewMemStore()
 		if *dir != "" {
@@ -154,40 +138,20 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		disk := storage.NewLatencyStore(base)
-		var store storage.Store = disk
-		n := &node{}
-		if *ramMB > 0 {
-			n.cache = storage.NewCachingStore(disk, int64(*ramMB)<<20)
-			store = n.cache
-			n.cache.Register(reg, "node", fmt.Sprintf("%s:%d", *host, *portBase+i))
-		}
-		n.store = store
-		n.srv = transport.NewServer(store, srvOpts...)
-		addr := fmt.Sprintf("%s:%d", *host, *portBase+i)
-		n.ln, err = net.Listen("tcp", addr)
+		n, err := fl.Launch(fmt.Sprintf("%s:%d", *host, *portBase+i), base, int64(*ramMB)<<20, srvOpts...)
 		if err != nil {
 			log.Fatalf("node %d: %v", i, err)
 		}
-		n.addr = n.ln.Addr().String()
-		stores[n.addr] = store
-		serving[n.addr] = store
-		fl.Register(n.addr, disk, n.srv)
+		if n.Cache != nil {
+			n.Cache.Register(reg, "node", n.Addr)
+		}
 		fleet = append(fleet, n)
+		stores[n.Addr] = n.Store
 	}
+	ring := cluster.NewRing(*replicas, *vnodes)
 	sharded, err := cluster.NewShardedStore(ring, stores)
 	if err != nil {
 		log.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for _, n := range fleet {
-		wg.Add(1)
-		go func(n *node) {
-			defer wg.Done()
-			if err := n.srv.Serve(n.ln); err != nil && !errors.Is(err, net.ErrClosed) {
-				log.Printf("node %s: %v", n.addr, err)
-			}
-		}(n)
 	}
 
 	if *telemetryAddr != "" {
@@ -218,7 +182,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	finishChaos := func() {
+	finishChaos := sync.OnceFunc(func() {
 		if *chaosFlag == "" {
 			return
 		}
@@ -228,7 +192,7 @@ func main() {
 		if snap := counters.Snapshot(); !snap.Zero() {
 			log.Printf("chaos: %s", snap.String())
 		}
-	}
+	})
 
 	bg := context.Background()
 	if *gcSmoke {
@@ -239,7 +203,6 @@ func main() {
 			log.Fatalf("gc-smoke FAILED: %v", err)
 		}
 		fl.Close()
-		wg.Wait()
 		log.Printf("gc-smoke PASSED")
 		return
 	}
@@ -261,7 +224,7 @@ func main() {
 			id, man.Meta.TokenCount, man.Meta.NumChunks(), *nodes, *replicas)
 	}
 	for _, n := range fleet {
-		log.Printf("node %s: primary for %d level-0 chunks", n.addr, primaries[n.addr])
+		log.Printf("node %s: primary for %d level-0 chunks", n.Addr, primaries[n.Addr])
 	}
 
 	// Idle sweeper: each node periodically reclaims unreferenced chunk
@@ -269,7 +232,7 @@ func main() {
 	sweepStop := make(chan struct{})
 	if *gcInterval > 0 {
 		for _, n := range fleet {
-			go func(n *node) {
+			go func(n chaos.LocalNode) {
 				ticker := time.NewTicker(*gcInterval)
 				defer ticker.Stop()
 				for {
@@ -277,12 +240,12 @@ func main() {
 					case <-sweepStop:
 						return
 					case <-ticker.C:
-						res, err := n.store.Sweep(context.Background(), *gcGrace)
+						res, err := n.Store.Sweep(context.Background(), *gcGrace)
 						if err != nil {
-							log.Printf("node %s sweep: %v", n.addr, err)
+							log.Printf("node %s sweep: %v", n.Addr, err)
 						} else if res.RemovedChunks > 0 {
 							log.Printf("node %s sweep: reclaimed %d chunks (%.1f MB), pruned %d fingerprints",
-								n.addr, res.RemovedChunks, float64(res.ReclaimedBytes)/1e6, res.PrunedFingerprints)
+								n.Addr, res.RemovedChunks, float64(res.ReclaimedBytes)/1e6, res.PrunedFingerprints)
 						}
 					}
 				}
@@ -293,19 +256,18 @@ func main() {
 	closeFleet := func() {
 		close(sweepStop)
 		fl.Close()
-		wg.Wait()
 		for _, n := range fleet {
-			if n.cache != nil {
-				st := n.cache.Stats()
+			if n.Cache != nil {
+				st := n.Cache.Stats()
 				log.Printf("node %s RAM tier: %d hits, %d misses (%.0f%% hit rate), %d evictions",
-					n.addr, st.Hits, st.Misses, 100*st.HitRate(), st.Evictions)
+					n.Addr, st.Hits, st.Misses, 100*st.HitRate(), st.Evictions)
 			}
 		}
 	}
 
 	if *demo {
 		armChaos()
-		err := runDemo(model, codec, ring, fleet, ids)
+		err := runDemo(model, codec, ring, fl, ids, finishChaos)
 		finishChaos()
 		closeFleet()
 		if err != nil {
@@ -423,8 +385,11 @@ func runGCSmoke(ctx context.Context, model *llm.Model, codec *core.Codec,
 	return nil
 }
 
-// runDemo drives the client path against the live fleet.
-func runDemo(model *llm.Model, codec *core.Codec, ring *cluster.Ring, fleet []*node, ids []string) error {
+// runDemo drives the client path against the live fleet. settle waits
+// out the armed chaos schedule and heals what it left standing; the
+// node-kill step runs after it, since a node the schedule still holds
+// down and the demo's victim could be both replicas of a chunk.
+func runDemo(model *llm.Model, codec *core.Codec, ring *cluster.Ring, fl *chaos.LocalFleet, ids []string, settle func()) error {
 	pool := cluster.NewPool(ring, cluster.WithRequestTimeout(10*time.Second))
 	defer pool.Close()
 	fetcher := &streamer.Fetcher{
@@ -460,20 +425,19 @@ func runDemo(model *llm.Model, codec *core.Codec, ring *cluster.Ring, fleet []*n
 		return err
 	}
 
-	if len(fleet) > 1 && ring.Replicas() < 2 {
+	if len(ring.Nodes()) > 1 && ring.Replicas() < 2 {
 		log.Printf("skipping the node-kill step: replication 1 keeps a single copy per chunk")
 	}
-	if len(fleet) > 1 && ring.Replicas() > 1 {
+	if len(ring.Nodes()) > 1 && ring.Replicas() > 1 {
 		man, err := pool.GetManifest(bg, ids[0])
 		if err != nil {
 			return err
 		}
+		settle()
 		victim := ring.ChunkNodes(man.Hashes[0][0])[0]
-		for _, n := range fleet {
-			if n.addr == victim {
-				log.Printf("killing node %s mid-demo...", victim)
-				n.srv.Close()
-			}
+		log.Printf("killing node %s mid-demo...", victim)
+		if err := fl.Kill(victim); err != nil {
+			return err
 		}
 		if err := fetchAll("degraded"); err != nil {
 			return err

@@ -242,35 +242,23 @@ func main() {
 		srvOpts = append(srvOpts, transport.WithEgressTrace(tr))
 		log.Printf("replaying egress bandwidth trace %q on every node", *bwTrace)
 	}
-	// Every node sits behind a latency shim (the slow-disk fault hook)
-	// and inside a chaos.LocalFleet, so a -chaos schedule can kill,
-	// restart, partition, slow or corrupt it mid-run.
-	ring := cluster.NewRing(*replicas, 0)
-	stores := map[string]storage.Store{}
-	caches := map[string]*storage.CachingStore{}
-	serving := map[string]storage.Store{}
+	// Every node is a chaos.LocalFleet node — its store behind the
+	// slow-disk shim, its RAM tier over that — so a -chaos schedule can
+	// kill, restart, partition, slow or corrupt it mid-run.
 	fl := &chaos.LocalFleet{}
-	fl.NewServer = func(node string) *transport.Server {
-		return transport.NewServer(serving[node], srvOpts...)
-	}
 	defer fl.Close()
+	stores := map[string]storage.Store{}
 	for i := 0; i < *nodes; i++ {
-		disk := storage.NewLatencyStore(storage.NewMemStore())
-		var store storage.Store = disk
-		if *ramMB > 0 {
-			store = storage.NewCachingStore(disk, int64(*ramMB)<<20)
-		}
-		addr, err := fl.Launch("127.0.0.1:0", disk, transport.NewServer(store, srvOpts...))
+		n, err := fl.Launch("127.0.0.1:0", storage.NewMemStore(), int64(*ramMB)<<20, srvOpts...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if c, ok := store.(*storage.CachingStore); ok {
-			caches[addr] = c
-			c.Register(reg, "node", addr)
+		if n.Cache != nil {
+			n.Cache.Register(reg, "node", n.Addr)
 		}
-		stores[addr] = store
-		serving[addr] = store
+		stores[n.Addr] = n.Store
 	}
+	ring := cluster.NewRing(*replicas, 0)
 	sharded, err := cluster.NewShardedStore(ring, stores)
 	if err != nil {
 		log.Fatal(err)
@@ -318,7 +306,7 @@ func main() {
 		cluster.WithResilience(resilience.Config{ProbeInterval: *probeInterval}),
 		cluster.WithHedging(*hedge))
 	defer pool.Close()
-	fl.OnHeal = func(node string) { pool.Invalidate(node) }
+	fl.OnHeal = pool.Invalidate
 
 	// The unified chunk scheduler prices every chunk across all sources,
 	// reading node health from the pool's resilience layer and placement
@@ -436,11 +424,8 @@ func main() {
 			"", metrics.FormatBytes(ts.Bytes), metrics.FormatBandwidth(ts.EffectiveBandwidth()),
 			metrics.FormatBandwidth(ts.Bandwidth), ts.Switches, ts.Cancels, ts.LevelBytes, corrupt)
 	}
-	var agg storage.CacheStats
-	for _, c := range caches {
-		agg.Add(c.Stats())
-	}
-	if len(caches) > 0 {
+	if *ramMB > 0 {
+		agg := fl.CacheStats()
 		log.Printf("fleet RAM tier: %d hits, %d misses (%.0f%% hit rate), %d evictions, %s resident",
 			agg.Hits, agg.Misses, 100*agg.HitRate(), agg.Evictions, metrics.FormatBytes(agg.Bytes))
 	}

@@ -50,9 +50,6 @@ const (
 	Flaky Class = "flaky"
 )
 
-// Classes lists every fault class, for CLI help and matrices.
-func Classes() []Class { return []Class{Kill, Partition, SlowDisk, Cliff, Corrupt, Flaky} }
-
 // Event is one scheduled fault: impose the fault At after Start, lift
 // it Heal later (Heal 0 = the fault holds until Finish).
 type Event struct {

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,83 +13,128 @@ import (
 )
 
 // LocalFleet is a ready-made Target over in-process transport servers —
-// the fleet shape the harness and the CLIs launch. Each node is a
-// transport.Server over a storage.LatencyStore (the slow-disk shim;
-// wrap it in a RAM tier or not, the shim handle is what Register
-// takes), listening on a fixed address so a killed node restarts in
-// place. The production fault hooks do all the work: nothing here forks
-// server or store code paths.
+// the one launcher of every local ring the harness and the CLIs run.
+// Launch builds each node the same way: its base store behind a
+// storage.LatencyStore (the slow-disk shim, a passthrough at zero
+// latency), a storage.CachingStore RAM tier over that when it has a
+// budget, and a transport.Server over the result, listening on a fixed
+// address. The fleet keeps that record, so Restart brings a killed node
+// back in place serving the same store with the same options. The
+// production fault hooks do all the work: nothing here forks server or
+// store code paths.
 type LocalFleet struct {
-	// NewServer rebuilds a node's server on Restart, serving the same
-	// store it served before the kill (apply the same ServerOptions the
-	// original had). Nil means the fleet cannot restart nodes, and
-	// Kill-class heals report an error.
-	NewServer func(node string) *transport.Server
 	// OnHeal, when set, is called after a restart or partition heal —
 	// the hook for cluster.Pool.Invalidate, so clients retry the node
 	// immediately instead of sitting out the dial backoff.
 	OnHeal func(node string)
 
-	mu      sync.Mutex
-	addrs   []string
-	disks   map[string]*storage.LatencyStore
-	servers map[string]*transport.Server
+	mu    sync.Mutex
+	addrs []string
+	nodes map[string]*localNode
 }
 
-// Register adds one already-serving node: its bound address, its
-// slow-disk shim, and its server.
-func (f *LocalFleet) Register(addr string, disk *storage.LatencyStore, srv *transport.Server) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.disks == nil {
-		f.disks = map[string]*storage.LatencyStore{}
-		f.servers = map[string]*transport.Server{}
-	}
-	if _, dup := f.servers[addr]; !dup {
-		f.addrs = append(f.addrs, addr)
-	}
-	f.disks[addr] = disk
-	f.servers[addr] = srv
+// LocalNode is one launched node as its caller sees it.
+type LocalNode struct {
+	Addr string
+	// Store is what the node serves: Cache when it has a RAM tier, else
+	// the slow-disk shim over its base store.
+	Store storage.Store
+	Cache *storage.CachingStore // nil without a RAM tier
 }
 
-// Launch listens on addr ("127.0.0.1:0" for an ephemeral port), serves
-// srv on it, registers the node, and returns the bound address.
-func (f *LocalFleet) Launch(addr string, disk *storage.LatencyStore, srv *transport.Server) (string, error) {
+// localNode is the fleet's record of one node: everything Restart
+// rebuilds its server from, and the server now running.
+type localNode struct {
+	LocalNode
+	disk *storage.LatencyStore
+	opts []transport.ServerOption
+	srv  *transport.Server
+}
+
+// Launch starts one node on addr ("127.0.0.1:0" for an ephemeral port)
+// over base, with a RAM tier of cacheBytes when that is above zero, and
+// serves it with opts. It returns the node with its bound address.
+func (f *LocalFleet) Launch(addr string, base storage.Store, cacheBytes int64, opts ...transport.ServerOption) (LocalNode, error) {
+	n := &localNode{disk: storage.NewLatencyStore(base), opts: slices.Clone(opts)}
+	n.Store = n.disk
+	if cacheBytes > 0 {
+		n.Cache = storage.NewCachingStore(n.disk, cacheBytes)
+		n.Store = n.Cache
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", err
+		return LocalNode{}, err
 	}
+	n.Addr = ln.Addr().String()
+	n.srv = n.serve(ln)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.nodes == nil {
+		f.nodes = map[string]*localNode{}
+	}
+	if _, dup := f.nodes[n.Addr]; !dup {
+		f.addrs = append(f.addrs, n.Addr)
+	}
+	f.nodes[n.Addr] = n
+	return n.LocalNode, nil
+}
+
+// serve builds a server from the node's record and serves it on ln.
+func (n *localNode) serve(ln net.Listener) *transport.Server {
+	srv := transport.NewServer(n.Store, n.opts...)
 	go srv.Serve(ln) //nolint:errcheck // returns on Close
-	bound := ln.Addr().String()
-	f.Register(bound, disk, srv)
-	return bound, nil
+	return srv
 }
 
 // Close stops every node's server.
 func (f *LocalFleet) Close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, srv := range f.servers {
-		srv.Close()
+	for _, n := range f.nodes {
+		n.srv.Close()
 	}
 }
 
-// Disk returns a node's slow-disk shim (nil for unknown nodes) — what a
-// NewServer callback serves when the node has no RAM tier.
-func (f *LocalFleet) Disk(node string) *storage.LatencyStore {
+// Node returns a launched node (the zero LocalNode for unknown ones).
+func (f *LocalFleet) Node(addr string) LocalNode {
+	n, err := f.node(addr)
+	if err != nil {
+		return LocalNode{}
+	}
+	return n.LocalNode
+}
+
+// CacheStats sums the RAM tiers of every node that has one.
+func (f *LocalFleet) CacheStats() storage.CacheStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.disks[node]
+	var agg storage.CacheStats
+	for _, n := range f.nodes {
+		if n.Cache != nil {
+			agg.Add(n.Cache.Stats())
+		}
+	}
+	return agg
+}
+
+func (f *LocalFleet) node(addr string) (*localNode, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n, ok := f.nodes[addr]
+	if !ok {
+		return nil, fmt.Errorf("chaos: unknown node %s", addr)
+	}
+	return n, nil
 }
 
 func (f *LocalFleet) server(node string) (*transport.Server, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	srv, ok := f.servers[node]
+	n, ok := f.nodes[node]
 	if !ok {
 		return nil, fmt.Errorf("chaos: unknown node %s", node)
 	}
-	return srv, nil
+	return n.srv, nil
 }
 
 // Nodes implements Target.
@@ -108,27 +154,20 @@ func (f *LocalFleet) Kill(node string) error {
 	return srv.Close()
 }
 
-// Restart implements Target: a fresh server on the same address over
-// the same store.
+// Restart implements Target: a fresh server on the same address, built
+// from the node's record — the same store, the same options.
 func (f *LocalFleet) Restart(node string) error {
-	f.mu.Lock()
-	newServer := f.NewServer
-	_, known := f.servers[node]
-	f.mu.Unlock()
-	if !known {
-		return fmt.Errorf("chaos: unknown node %s", node)
+	n, err := f.node(node)
+	if err != nil {
+		return err
 	}
-	if newServer == nil {
-		return fmt.Errorf("chaos: fleet cannot restart node %s (no NewServer)", node)
-	}
-	srv := newServer(node)
 	ln, err := net.Listen("tcp", node)
 	if err != nil {
 		return fmt.Errorf("chaos: relistening on %s: %w", node, err)
 	}
-	go srv.Serve(ln) //nolint:errcheck // returns on Close
+	srv := n.serve(ln)
 	f.mu.Lock()
-	f.servers[node] = srv
+	n.srv = srv
 	f.mu.Unlock()
 	if f.OnHeal != nil {
 		f.OnHeal(node)
@@ -151,11 +190,11 @@ func (f *LocalFleet) SetPartitioned(node string, on bool) error {
 
 // SetDiskLatency implements Target.
 func (f *LocalFleet) SetDiskLatency(node string, d time.Duration) error {
-	disk := f.Disk(node)
-	if disk == nil {
-		return fmt.Errorf("chaos: unknown node %s", node)
+	n, err := f.node(node)
+	if err != nil {
+		return err
 	}
-	disk.SetLatency(d, d)
+	n.disk.SetLatency(d, d)
 	return nil
 }
 

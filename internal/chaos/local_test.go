@@ -11,56 +11,65 @@ import (
 )
 
 // TestLocalFleetKillRestart drives a one-node LocalFleet through the
-// full kill/restart cycle over real TCP: a fetch works, the kill severs
-// the node, the restart brings a fresh server up on the same address
-// serving the same store, and OnHeal fires so a pool could clear its
-// backoff.
+// full kill/restart cycle over real TCP. The node is launched with a RAM
+// tier and a bank option; the restart rebuilds it from the fleet's own
+// record, so the fresh server on the same address serves the chunks put
+// before the kill, through the same RAM tier, with the same bank — and
+// OnHeal fires so a pool could clear its backoff.
 func TestLocalFleetKillRestart(t *testing.T) {
 	ctx := context.Background()
-	disk := storage.NewLatencyStore(storage.NewMemStore())
-	payload := []byte("kv-chunk-payload")
-	hash := storage.HashChunk(payload)
-	if err := disk.PutChunk(ctx, hash, payload); err != nil {
-		t.Fatal(err)
-	}
-
+	bank := []byte("serialised-codec-bank")
 	healed := make(chan string, 1)
 	fl := &LocalFleet{OnHeal: func(node string) { healed <- node }}
-	fl.NewServer = func(node string) *transport.Server {
-		return transport.NewServer(fl.Disk(node))
-	}
 	defer fl.Close()
-	addr, err := fl.Launch("127.0.0.1:0", disk, transport.NewServer(disk))
+	node, err := fl.Launch("127.0.0.1:0", storage.NewMemStore(), 1<<20, transport.WithBank(bank))
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr := node.Addr
 	if nodes := fl.Nodes(); len(nodes) != 1 || nodes[0] != addr {
 		t.Fatalf("Nodes() = %v, want [%s]", nodes, addr)
 	}
-	if fl.Disk(addr) != disk {
-		t.Fatal("Disk() did not return the registered shim")
+	if node.Cache == nil || node.Store != storage.Store(node.Cache) || fl.Node(addr) != node {
+		t.Fatalf("launched node %+v does not serve its RAM tier", node)
+	}
+	hot, cold := []byte("kv-chunk-payload"), []byte("kv-chunk-never-read")
+	for _, p := range [][]byte{hot, cold} {
+		if err := node.Store.PutChunk(ctx, storage.HashChunk(p), p); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	fetch := func() ([]byte, error) {
+	fetch := func(payload []byte) error {
 		c, err := transport.Dial(addr)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer c.Close()
-		return c.GetChunkData(ctx, hash)
+		got, err := c.GetChunkData(ctx, storage.HashChunk(payload))
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatal("fetched payload differs")
+		}
+		gotBank, err := c.GetBank(ctx)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(gotBank, bank) {
+			t.Fatalf("served bank %q, want %q", gotBank, bank)
+		}
+		return nil
 	}
-	got, err := fetch()
-	if err != nil {
+	if err := fetch(hot); err != nil {
 		t.Fatalf("fetch before kill: %v", err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("fetched payload differs")
 	}
 
 	if err := fl.Kill(addr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fetch(); err == nil {
+	if err := fetch(hot); err == nil {
 		t.Fatal("fetch succeeded against a killed node")
 	}
 
@@ -68,19 +77,18 @@ func TestLocalFleetKillRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case node := <-healed:
-		if node != addr {
-			t.Fatalf("OnHeal(%s), want %s", node, addr)
+	case n := <-healed:
+		if n != addr {
+			t.Fatalf("OnHeal(%s), want %s", n, addr)
 		}
 	default:
 		t.Fatal("Restart did not call OnHeal")
 	}
-	got, err = fetch()
-	if err != nil {
+	if err := fetch(hot); err != nil {
 		t.Fatalf("fetch after restart: %v", err)
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("restarted node serves different payload")
+	if st := fl.CacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("RAM tier %+v, want the restarted node's read to hit the pre-kill entry", st)
 	}
 
 	// The disk shim stays the live fault hook across the restart.
@@ -88,7 +96,7 @@ func TestLocalFleetKillRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	begin := time.Now()
-	if _, err := fetch(); err != nil {
+	if err := fetch(cold); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(begin); d < 20*time.Millisecond {
@@ -96,8 +104,8 @@ func TestLocalFleetKillRestart(t *testing.T) {
 	}
 }
 
-// TestLocalFleetErrors: unknown nodes are reported, and a fleet without
-// a NewServer callback refuses to restart rather than wedging.
+// TestLocalFleetErrors: unknown nodes are reported, and restarting a node
+// that still serves fails rather than running two servers.
 func TestLocalFleetErrors(t *testing.T) {
 	fl := &LocalFleet{}
 	for _, err := range []error{
@@ -111,14 +119,19 @@ func TestLocalFleetErrors(t *testing.T) {
 			t.Fatal("unknown node accepted")
 		}
 	}
+	if fl.Node("ghost") != (LocalNode{}) {
+		t.Fatal("unknown node returned a record")
+	}
 
-	disk := storage.NewLatencyStore(storage.NewMemStore())
-	addr, err := fl.Launch("127.0.0.1:0", disk, transport.NewServer(disk))
+	node, err := fl.Launch("127.0.0.1:0", storage.NewMemStore(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fl.Close()
-	if err := fl.Restart(addr); err == nil {
-		t.Fatal("restart without NewServer accepted")
+	if node.Cache != nil {
+		t.Fatal("RAM tier built without a budget")
+	}
+	if err := fl.Restart(node.Addr); err == nil {
+		t.Fatal("restart of a live node accepted")
 	}
 }

@@ -15,12 +15,7 @@ import (
 	"repro/internal/transport"
 )
 
-// DialFunc opens a connection to a node (its ring id is its address).
-// It must honor ctx: a cancelled or expired request abandons the dial
-// too, not just the round trips after it.
-type DialFunc func(ctx context.Context, addr string) (*transport.Client, error)
-
-// dialTimeout bounds the default dialer: a node that silently drops
+// dialTimeout bounds the dialer: a node that silently drops
 // packets must not hold a fetch (and its failover to a live replica)
 // hostage to the OS connect timeout.
 const dialTimeout = 5 * time.Second
@@ -31,7 +26,10 @@ const dialTimeout = 5 * time.Second
 // with errors.Is.
 var ErrFleetUnavailable = errors.New("every replica marked failed")
 
-func defaultDial(ctx context.Context, addr string) (*transport.Client, error) {
+// dial opens a connection to a node (its ring id is its address). It
+// honors ctx: a cancelled or expired request abandons the dial too, not
+// just the round trips after it.
+func dial(ctx context.Context, addr string) (*transport.Client, error) {
 	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -56,7 +54,6 @@ func defaultDial(ctx context.Context, addr string) (*transport.Client, error) {
 // budget so the pool cannot storm a browning-out fleet.
 type Pool struct {
 	ring *Ring
-	dial DialFunc
 	// reqTimeout bounds each per-node attempt (dial + round trip). 0 =
 	// only the caller's ctx (or its deadline budget) bounds it.
 	reqTimeout time.Duration
@@ -88,11 +85,6 @@ type poolNode struct {
 
 // PoolOption configures a Pool.
 type PoolOption func(*Pool)
-
-// WithDialFunc replaces the TCP dialer (tests use in-process pipes).
-func WithDialFunc(d DialFunc) PoolOption {
-	return func(p *Pool) { p.dial = d }
-}
 
 // WithRequestTimeout bounds every per-node attempt (dial plus round
 // trip) so failover moves past a node that accepts connections but
@@ -146,7 +138,7 @@ func (p *Pool) attemptCtx(ctx context.Context, attemptsLeft int) (attempt contex
 // prober (disable by setting a negative ProbeInterval via
 // WithResilience). Close stops the prober.
 func NewPool(ring *Ring, opts ...PoolOption) *Pool {
-	p := &Pool{ring: ring, dial: defaultDial, nodes: map[string]*poolNode{}, hedge: true}
+	p := &Pool{ring: ring, nodes: map[string]*poolNode{}, hedge: true}
 	for _, o := range opts {
 		o(p)
 	}
@@ -178,7 +170,7 @@ func NewPool(ring *Ring, opts ...PoolOption) *Pool {
 // round trip, off the cached connection path so a probe never fights a
 // request for the per-node slot.
 func (p *Pool) probe(ctx context.Context, node string) error {
-	c, err := p.dial(ctx, node)
+	c, err := dial(ctx, node)
 	if err != nil {
 		return err
 	}
@@ -288,7 +280,7 @@ func (p *Pool) client(ctx context.Context, node string) (*transport.Client, erro
 	if n.client != nil {
 		return n.client, nil
 	}
-	c, err := p.dial(ctx, node)
+	c, err := dial(ctx, node)
 	if err != nil {
 		if ctx.Err() == nil {
 			// A cancelled dial says nothing about the node's health;

@@ -58,10 +58,6 @@ func (s *ShardedStore) store(node string) (storage.Store, error) {
 	return st, nil
 }
 
-// NodeStore returns the backing store of one node (nil if unknown) —
-// used by the harness to read per-node cache statistics.
-func (s *ShardedStore) NodeStore(node string) storage.Store { return s.stores[node] }
-
 // eachNode runs op on every ring node's store, collecting the first
 // error but visiting every node regardless.
 func (s *ShardedStore) eachNode(op func(node string, st storage.Store) error) error {

@@ -287,7 +287,10 @@ func TestSlotsPublishMaxWaitExemption(t *testing.T) {
 // TestSlotsChurn drives lanes, helpers, batches and loads through a small
 // scheduler from many goroutines at once, on a clock that gains a
 // millisecond at every reading so batches reach the exemption too: a lost
-// hand-over would hang it, a miscount shows at the end.
+// hand-over would hang it, a miscount shows at the end. One batch reaches
+// the exemption by construction rather than by goroutine scheduling: it
+// parks behind two loads registered for it (R3 leaves publishing no slot),
+// and those loads end only once a batch has been exempted.
 func TestSlotsChurn(t *testing.T) {
 	s, clk := testSlots(3)
 	s.now = func() time.Time {
@@ -295,6 +298,24 @@ func TestSlotsChurn(t *testing.T) {
 		return clk.now()
 	}
 	var wg sync.WaitGroup
+	wg.Add(2)
+	s.beginLoad()
+	s.beginLoad()
+	go func() { // the parked batch
+		defer wg.Done()
+		var b publishBatch
+		s.acquirePublish(&b)
+		s.release(classPublish)
+	}()
+	go func() { // its loads: every dispatch reads the clock, so the batch ages
+		defer wg.Done()
+		for s.totals().PublishExempt == 0 {
+			s.kick()
+			runtime.Gosched()
+		}
+		s.endLoad()
+		s.endLoad()
+	}()
 	for g := 0; g < 12; g++ {
 		wg.Add(1)
 		go func(g int) {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/streamer"
-	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -53,57 +52,9 @@ func x10Faults() []struct{ name, spec string } {
 	}
 }
 
-// x10Fleet is a restartable live fleet: a chaos.LocalFleet of per-node
-// latency shims under transport servers, plus a client pool whose dial
-// backoff is cleared on heal so recovery is observed promptly.
-// Publishes go through the in-process sharded store (the publish
-// plane); serving goes through the pool over TCP (the plane the faults
-// hit).
-type x10Fleet struct {
-	*chaos.LocalFleet
-	ring    *cluster.Ring
-	sharded *cluster.ShardedStore
-	pool    *cluster.Pool
-}
-
-func newX10Fleet(n, replicas int) (*x10Fleet, error) {
-	fl := &x10Fleet{
-		LocalFleet: &chaos.LocalFleet{},
-		ring:       cluster.NewRing(replicas, 0),
-	}
-	fl.NewServer = func(node string) *transport.Server {
-		return transport.NewServer(fl.Disk(node))
-	}
-	fl.OnHeal = func(node string) { fl.pool.Invalidate(node) }
-	stores := map[string]storage.Store{}
-	for i := 0; i < n; i++ {
-		store := storage.NewLatencyStore(storage.NewMemStore())
-		addr, err := fl.Launch("127.0.0.1:0", store, transport.NewServer(store))
-		if err != nil {
-			fl.close()
-			return nil, err
-		}
-		stores[addr] = store
-	}
-	var err error
-	fl.sharded, err = cluster.NewShardedStore(fl.ring, stores)
-	if err != nil {
-		fl.close()
-		return nil, err
-	}
-	fl.pool = cluster.NewPool(fl.ring, cluster.WithRequestTimeout(10*time.Second))
-	return fl, nil
-}
-
-func (fl *x10Fleet) close() {
-	if fl.pool != nil {
-		fl.pool.Close()
-	}
-	fl.LocalFleet.Close()
-}
-
-// storeSource adapts a local storage.Store to a streamer.ChunkSource for
-// the reference fetches that never cross the wire.
+// storeSource adapts a local storage.Store to a streamer.ChunkSource:
+// in-process, no latency of its own — X10's reference fetches and the
+// store under X13's modelled link.
 type storeSource struct{ st storage.Store }
 
 func (s storeSource) GetManifest(ctx context.Context, id string) (storage.Manifest, error) {
@@ -125,11 +76,18 @@ type x10Outcome struct {
 // x10Run replays one scenario under one fault schedule on a fresh
 // 3-node fleet and verifies post-heal KV integrity.
 func x10Run(st *x5Stack, tr *workload.Trace, spec string) (*x10Outcome, error) {
-	fl, err := newX10Fleet(3, 2)
+	// Publishes go through the in-process sharded store (the publish
+	// plane); serving goes through the pool over TCP (the plane the
+	// faults hit), whose dial backoff is cleared on heal so recovery is
+	// observed promptly.
+	fl, sharded, err := launchRing(3, 2, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer fl.close()
+	defer fl.Close()
+	pool := cluster.NewPool(sharded.Ring(), cluster.WithRequestTimeout(10*time.Second))
+	defer pool.Close()
+	fl.OnHeal = pool.Invalidate
 	counters := &metrics.ChaosCounters{}
 	g, err := gateway.New(gateway.Config{
 		Slots:       2,
@@ -137,7 +95,7 @@ func x10Run(st *x5Stack, tr *workload.Trace, spec string) (*x10Outcome, error) {
 		Tenants:     map[string]int{"tenant-a": 1, "tenant-b": 1},
 		Prefetch:    true,
 		MaxPrefetch: 8,
-		Source:      fl.pool,
+		Source:      pool,
 		Codec:       st.codec,
 		Model:       st.model,
 		Device:      llm.A40x4(),
@@ -163,7 +121,7 @@ func x10Run(st *x5Stack, tr *workload.Trace, spec string) (*x10Outcome, error) {
 		started = func() { startErr = inj.Start(sched) }
 	}
 	rep, err := gateway.Replay(context.Background(), g, tr,
-		gateway.ReplayOptions{Publisher: fl.sharded, Started: started})
+		gateway.ReplayOptions{Publisher: sharded, Started: started})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", tr.Name(), err)
 	}
@@ -178,11 +136,11 @@ func x10Run(st *x5Stack, tr *workload.Trace, spec string) (*x10Outcome, error) {
 		return nil, fmt.Errorf("scenario %s: %d corrupt payloads served, none rejected — corruption decoded silently",
 			tr.Name(), snap.CorruptFramesInjected)
 	}
-	integrity, err := x10Integrity(st, fl, tr)
+	integrity, err := x10Integrity(st, sharded, pool, tr)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s, faults %q: %w", tr.Name(), spec, err)
 	}
-	return &x10Outcome{rep: rep, snap: snap, failovers: fl.pool.Stats().Failovers, integrity: integrity}, nil
+	return &x10Outcome{rep: rep, snap: snap, failovers: pool.Stats().Failovers, integrity: integrity}, nil
 }
 
 // x10Integrity verifies, context by context, that what the healed fleet
@@ -193,7 +151,7 @@ func x10Run(st *x5Stack, tr *workload.Trace, spec string) (*x10Outcome, error) {
 // expected content is reconstructed from the turns that actually landed
 // (token count is always a whole number of appends — the manifest write
 // is the atomic commit point).
-func x10Integrity(st *x5Stack, fl *x10Fleet, tr *workload.Trace) (string, error) {
+func x10Integrity(st *x5Stack, sharded *cluster.ShardedStore, pool *cluster.Pool, tr *workload.Trace) (string, error) {
 	ctx := context.Background()
 	specs := map[string]workload.ContextSpec{}
 	for _, c := range tr.Contexts() {
@@ -205,14 +163,14 @@ func x10Integrity(st *x5Stack, fl *x10Fleet, tr *workload.Trace) (string, error)
 			agentic[a.ContextID] = a
 		}
 	}
-	ids, err := fl.sharded.ListContexts(ctx)
+	ids, err := sharded.ListContexts(ctx)
 	if err != nil {
 		return "", err
 	}
 	sort.Strings(ids)
 	plan := streamer.Planner{Adapt: false, DefaultLevel: 1}
 	fleetFetch := &streamer.Fetcher{
-		Source: fl.pool, Codec: st.codec, Model: st.model, Device: llm.A40x4(), Planner: plan,
+		Source: pool, Codec: st.codec, Model: st.model, Device: llm.A40x4(), Planner: plan,
 	}
 	for _, id := range ids {
 		got, _, err := fleetFetch.Fetch(ctx, id)
@@ -241,7 +199,7 @@ func x10Integrity(st *x5Stack, fl *x10Fleet, tr *workload.Trace) (string, error)
 		if err != nil {
 			return "", fmt.Errorf("reference publish of %q: %w", id, err)
 		}
-		man, err := fl.pool.GetManifest(ctx, id)
+		man, err := pool.GetManifest(ctx, id)
 		if err != nil {
 			return "", err
 		}

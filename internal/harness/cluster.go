@@ -4,16 +4,15 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/storage"
 	"repro/internal/streamer"
 	"repro/internal/tensor"
-	"repro/internal/transport"
 )
 
 // The cluster scenario (ISSUE 1): the paper's single "dedicated storage
@@ -28,57 +27,28 @@ func init() {
 	register("X4", "Extension: sharded KV delivery cluster (ring + RAM tier)", runX4Cluster)
 }
 
-// x4Fleet is one live test fleet: n RAM-tiered nodes behind servers, a
-// ring, and the publish-side sharded store.
-type x4Fleet struct {
-	nodes   map[string]*storage.CachingStore // addr → RAM tier
-	servers map[string]*transport.Server
-	ring    *cluster.Ring
-	sharded *cluster.ShardedStore
-}
-
-func (fl *x4Fleet) close() {
-	for _, srv := range fl.servers {
-		srv.Close()
-	}
-}
-
-func (fl *x4Fleet) cacheStats() storage.CacheStats {
-	var agg storage.CacheStats
-	for _, c := range fl.nodes {
-		agg.Add(c.Stats())
-	}
-	return agg
-}
-
-func newX4Fleet(n, replicas int, cacheBytes int64) (*x4Fleet, error) {
-	fl := &x4Fleet{
-		nodes:   map[string]*storage.CachingStore{},
-		servers: map[string]*transport.Server{},
-		ring:    cluster.NewRing(replicas, 0),
-	}
+// launchRing launches n in-process nodes over fresh MemStores (each with
+// a RAM tier of cacheBytes when that is above zero) in one
+// chaos.LocalFleet, places them on a ring with the given replication, and
+// returns the fleet and the publish-side sharded store over the nodes'
+// served stores. The ring is the sharded store's.
+func launchRing(n, replicas int, cacheBytes int64) (*chaos.LocalFleet, *cluster.ShardedStore, error) {
+	fl := &chaos.LocalFleet{}
 	stores := map[string]storage.Store{}
 	for i := 0; i < n; i++ {
-		cache := storage.NewCachingStore(storage.NewMemStore(), cacheBytes)
-		srv := transport.NewServer(cache)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		node, err := fl.Launch("127.0.0.1:0", storage.NewMemStore(), cacheBytes)
 		if err != nil {
-			fl.close()
-			return nil, err
+			fl.Close()
+			return nil, nil, err
 		}
-		go srv.Serve(ln)
-		addr := ln.Addr().String()
-		fl.nodes[addr] = cache
-		fl.servers[addr] = srv
-		stores[addr] = cache
+		stores[node.Addr] = node.Store
 	}
-	var err error
-	fl.sharded, err = cluster.NewShardedStore(fl.ring, stores)
+	sharded, err := cluster.NewShardedStore(cluster.NewRing(replicas, 0), stores)
 	if err != nil {
-		fl.close()
-		return nil, err
+		fl.Close()
+		return nil, nil, err
 	}
-	return fl, nil
+	return fl, sharded, nil
 }
 
 // x4Stack is the model/codec/context shared by every fleet size.
@@ -120,8 +90,8 @@ func newX4Stack() (*x4Stack, error) {
 	}, nil
 }
 
-func (s *x4Stack) publish(fl *x4Fleet, id string) (storage.Manifest, error) {
-	man, _, err := streamer.Publish(context.Background(), fl.sharded, s.codec, s.model, id, s.tokens,
+func (s *x4Stack) publish(st storage.Store, id string) (storage.Manifest, error) {
+	man, _, err := streamer.Publish(context.Background(), st, s.codec, s.model, id, s.tokens,
 		streamer.PublishOptions{KV: s.kv})
 	return man, err
 }
@@ -162,27 +132,27 @@ func runX4Cluster(f *Fixture) ([]*Report, error) {
 		if n == 1 {
 			replicas = 1
 		}
-		fl, err := newX4Fleet(n, replicas, cacheBytes)
+		fl, sharded, err := launchRing(n, replicas, cacheBytes)
 		if err != nil {
 			return nil, err
 		}
-		man, err := s.publish(fl, contextID)
+		man, err := s.publish(sharded, contextID)
 		if err != nil {
-			fl.close()
+			fl.Close()
 			return nil, err
 		}
 		meta := man.Meta
-		pool := cluster.NewPool(fl.ring, cluster.WithRequestTimeout(10*time.Second))
+		pool := cluster.NewPool(sharded.Ring(), cluster.WithRequestTimeout(10*time.Second))
 		report, err := s.fetch(pool, contextID)
 		if err != nil {
 			pool.Close()
-			fl.close()
+			fl.Close()
 			return nil, err
 		}
 		batchStart := time.Now()
 		if _, err := pool.GetChunkBatch(context.Background(), man.Hashes[0]); err != nil {
 			pool.Close()
-			fl.close()
+			fl.Close()
 			return nil, err
 		}
 		batchTime := time.Since(batchStart)
@@ -193,7 +163,7 @@ func runX4Cluster(f *Fixture) ([]*Report, error) {
 			fmt.Sprintf("%.2f ms", batchTime.Seconds()*1e3),
 			fmt.Sprintf("%d", pool.Stats().Failovers))
 		pool.Close()
-		fl.close()
+		fl.Close()
 	}
 	scaling.AddNote("the sequential streamer path is adaptation-friendly; GetChunkBatch fans chunk groups out across primaries in parallel and approaches the slowest shard's time")
 
@@ -202,17 +172,17 @@ func runX4Cluster(f *Fixture) ([]*Report, error) {
 		Title:   "Delivery cluster: node failure and RAM tier (4 nodes, replication 2)",
 		Columns: []string{"Scenario", "Load time", "Xfer / decode", "Failovers", "RAM hit rate"},
 	}
-	fl, err := newX4Fleet(4, 2, cacheBytes)
+	fl, sharded, err := launchRing(4, 2, cacheBytes)
 	if err != nil {
 		return nil, err
 	}
-	defer fl.close()
-	man, err := s.publish(fl, contextID)
+	defer fl.Close()
+	man, err := s.publish(sharded, contextID)
 	if err != nil {
 		return nil, err
 	}
 	meta := man.Meta
-	pool := cluster.NewPool(fl.ring, cluster.WithRequestTimeout(10*time.Second))
+	pool := cluster.NewPool(sharded.Ring(), cluster.WithRequestTimeout(10*time.Second))
 	defer pool.Close()
 
 	cold, err := s.fetch(pool, contextID)
@@ -221,14 +191,14 @@ func runX4Cluster(f *Fixture) ([]*Report, error) {
 	}
 	resil.AddRow("cold fetch, all nodes up",
 		fmt.Sprintf("%.2f ms", cold.LoadTime.Seconds()*1e3), loadBreakdown(cold), "0",
-		fmt.Sprintf("%.0f%%", 100*fl.cacheStats().HitRate()))
+		fmt.Sprintf("%.0f%%", 100*fl.CacheStats().HitRate()))
 
-	warmBase := fl.cacheStats()
+	warmBase := fl.CacheStats()
 	warm, err := s.fetch(pool, contextID)
 	if err != nil {
 		return nil, err
 	}
-	warmStats := fl.cacheStats()
+	warmStats := fl.CacheStats()
 	warmHits := warmStats.Hits - warmBase.Hits
 	warmMisses := warmStats.Misses - warmBase.Misses
 	warmRate := 0.0
@@ -242,8 +212,10 @@ func runX4Cluster(f *Fixture) ([]*Report, error) {
 
 	// Kill the primary of the last chunk's level-0 payload and fetch
 	// again: replicas absorb its shard.
-	victim := fl.ring.ChunkNodes(man.Hashes[0][meta.NumChunks()-1])[0]
-	fl.servers[victim].Close()
+	victim := sharded.Ring().ChunkNodes(man.Hashes[0][meta.NumChunks()-1])[0]
+	if err := fl.Kill(victim); err != nil {
+		return nil, err
+	}
 	failoversBefore := pool.Stats().Failovers
 	degraded, err := s.fetch(pool, contextID)
 	if err != nil {

@@ -44,11 +44,11 @@ func runX6Dedup(f *Fixture) ([]*Report, error) {
 	chunkTok := s.codec.Config().ChunkTokens // 64
 
 	// ---------------------------------------------------------------- dedup
-	fl, err := newX4Fleet(3, 2, 4<<20)
+	fl, sharded, err := launchRing(3, 2, 4<<20)
 	if err != nil {
 		return nil, err
 	}
-	defer fl.close()
+	defer fl.Close()
 
 	dedup := &Report{
 		ID:      "X6",
@@ -60,18 +60,18 @@ func runX6Dedup(f *Fixture) ([]*Report, error) {
 	for i := 0; i < 4; i++ {
 		id := fmt.Sprintf("x6-doc-%d", i)
 		tokens := append(append([]llm.Token{}, prefix...), x6Tokens(rng, 2*chunkTok)...)
-		man, stats, err := streamer.Publish(ctx, fl.sharded, s.codec, s.model, id, tokens, streamer.PublishOptions{})
+		man, stats, err := streamer.Publish(ctx, sharded, s.codec, s.model, id, tokens, streamer.PublishOptions{})
 		if err != nil {
 			return nil, err
 		}
 		logical += man.Meta.TotalBytes()
-		u, err := fl.sharded.Usage(ctx)
+		u, err := sharded.Usage(ctx)
 		if err != nil {
 			return nil, err
 		}
 		// Fleet bytes are replicated; logical bytes are per-copy. The ratio
 		// normalises by the replication factor so 1.0 = no dedup.
-		ratio := float64(logical) * float64(fl.ring.Replicas()) / float64(u.ChunkBytes)
+		ratio := float64(logical) * float64(sharded.Ring().Replicas()) / float64(u.ChunkBytes)
 		dedup.AddRow(id,
 			fmt.Sprintf("%.2f MB", float64(man.Meta.TotalBytes())/1e6),
 			fmt.Sprintf("%.2f MB", float64(stats.BytesStored)/1e6),
@@ -90,7 +90,7 @@ func runX6Dedup(f *Fixture) ([]*Report, error) {
 	}
 	history := x6Tokens(rng, 2*chunkTok)
 	kv := s.model.CalculateKV(history)
-	if _, _, err := streamer.Publish(ctx, fl.sharded, s.codec, s.model, "x6-chat", history, streamer.PublishOptions{KV: kv}); err != nil {
+	if _, _, err := streamer.Publish(ctx, sharded, s.codec, s.model, "x6-chat", history, streamer.PublishOptions{KV: kv}); err != nil {
 		return nil, err
 	}
 	var appendTotal, republishTotal time.Duration
@@ -107,7 +107,7 @@ func runX6Dedup(f *Fixture) ([]*Report, error) {
 		history = append(history, turnToks...)
 
 		start := time.Now()
-		_, aStats, err := streamer.Append(ctx, fl.sharded, s.codec, s.model, "x6-chat", turnToks, streamer.PublishOptions{KV: kv})
+		_, aStats, err := streamer.Append(ctx, sharded, s.codec, s.model, "x6-chat", turnToks, streamer.PublishOptions{KV: kv})
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +144,7 @@ func runX6Dedup(f *Fixture) ([]*Report, error) {
 		Title:   "Warm-turn load time: resident prefix vs cold fetch (live ring, level 0)",
 		Columns: []string{"Path", "Chunks fetched", "Bytes", "Load time", "Xfer / decode"},
 	}
-	pool := cluster.NewPool(fl.ring, cluster.WithRequestTimeout(10*time.Second))
+	pool := cluster.NewPool(sharded.Ring(), cluster.WithRequestTimeout(10*time.Second))
 	defer pool.Close()
 	fetcher := &streamer.Fetcher{
 		Source: pool, Codec: s.codec, Model: s.model,
@@ -186,7 +186,7 @@ func runX6Dedup(f *Fixture) ([]*Report, error) {
 		Columns: []string{"Step", "Manifests", "Fleet chunks", "Fleet bytes", "Reclaimed"},
 	}
 	report := func(step string, res *storage.SweepResult) error {
-		u, err := fl.sharded.Usage(ctx)
+		u, err := sharded.Usage(ctx)
 		if err != nil {
 			return err
 		}
@@ -195,7 +195,7 @@ func runX6Dedup(f *Fixture) ([]*Report, error) {
 			reclaimed = fmt.Sprintf("%d chunks / %.2f MB", res.RemovedChunks, float64(res.ReclaimedBytes)/1e6)
 		}
 		// Manifests are replicated to every node; count distinct contexts.
-		ids, err := fl.sharded.ListContexts(ctx)
+		ids, err := sharded.ListContexts(ctx)
 		if err != nil {
 			return err
 		}

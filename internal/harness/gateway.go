@@ -93,7 +93,7 @@ func newX5Stack() (*x5Stack, error) {
 
 // publish stores nContexts small contexts (3 chunks of 64 tokens each)
 // across the fleet.
-func (s *x5Stack) publish(fl *x4Fleet, nContexts int) error {
+func (s *x5Stack) publish(st storage.Store, nContexts int) error {
 	rng := rand.New(rand.NewSource(6))
 	s.contexts = nil
 	for i := 0; i < nContexts; i++ {
@@ -102,7 +102,7 @@ func (s *x5Stack) publish(fl *x4Fleet, nContexts int) error {
 		for j := range tokens {
 			tokens[j] = llm.Token(rng.Intn(llm.VocabSize))
 		}
-		if _, _, err := streamer.Publish(context.Background(), fl.sharded, s.codec, s.model, id, tokens,
+		if _, _, err := streamer.Publish(context.Background(), st, s.codec, s.model, id, tokens,
 			streamer.PublishOptions{}); err != nil {
 			return err
 		}
@@ -153,15 +153,15 @@ func (s *x5Stack) run(r x5Run) (*gateway.LoadReport, gateway.Stats, error) {
 	if r.nodes == 1 {
 		replicas = 1
 	}
-	fl, err := newX4Fleet(r.nodes, replicas, 4<<20)
+	fl, sharded, err := launchRing(r.nodes, replicas, 4<<20)
 	if err != nil {
 		return nil, gateway.Stats{}, err
 	}
-	defer fl.close()
-	if err := s.publish(fl, 6); err != nil {
+	defer fl.Close()
+	if err := s.publish(sharded, 6); err != nil {
 		return nil, gateway.Stats{}, err
 	}
-	pool := cluster.NewPool(fl.ring, cluster.WithRequestTimeout(10*time.Second))
+	pool := cluster.NewPool(sharded.Ring(), cluster.WithRequestTimeout(10*time.Second))
 	defer pool.Close()
 
 	g, err := gateway.New(gateway.Config{

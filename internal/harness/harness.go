@@ -13,7 +13,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/llm"
 	"repro/internal/netsim"
-	"repro/internal/storage"
 	"repro/internal/streamer"
 	"repro/internal/tensor"
 )
@@ -306,13 +304,4 @@ func (f *Fixture) Rig(cfg llm.Config) (*Rig, error) {
 	}
 	f.rigs[cfg.Name] = r
 	return r, nil
-}
-
-// PublishScaled publishes a context into a store with sizes extrapolated
-// to full scale — used by live-path demos.
-func (r *Rig) PublishScaled(ctx context.Context, st storage.Store, id string, tokens []llm.Token) (storage.ContextMeta, error) {
-	man, _, err := streamer.Publish(ctx, st, r.Codec, r.Model, id, tokens, streamer.PublishOptions{
-		SizeScale: r.Scaled.ChannelScale(),
-	})
-	return man.Meta, err
 }

@@ -11,9 +11,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/metrics"
 	"repro/internal/resilience"
-	"repro/internal/storage"
 	"repro/internal/streamer"
-	"repro/internal/transport"
 )
 
 // The resilience scenario (ISSUE 9): the fleet's failure domain —
@@ -48,37 +46,20 @@ const x12Seed = 4321
 type x12Fleet struct {
 	*chaos.LocalFleet
 	ring    *cluster.Ring
-	sharded *cluster.ShardedStore
 	pool    *cluster.Pool
 	hashes  []string          // every chunk payload hash (level 0)
 	primary map[string]string // hash → primary node
 }
 
 func newX12Fleet(st *x5Stack, opts ...cluster.PoolOption) (*x12Fleet, error) {
-	const nodes = 3
-	fl := &x12Fleet{
-		LocalFleet: &chaos.LocalFleet{},
-		ring:       cluster.NewRing(2, 0),
-		primary:    map[string]string{},
-	}
-	fl.NewServer = func(node string) *transport.Server {
-		return transport.NewServer(fl.Disk(node))
-	}
-	stores := map[string]storage.Store{}
-	for i := 0; i < nodes; i++ {
-		store := storage.NewLatencyStore(storage.NewMemStore())
-		addr, err := fl.Launch("127.0.0.1:0", store, transport.NewServer(store))
-		if err != nil {
-			fl.LocalFleet.Close()
-			return nil, err
-		}
-		stores[addr] = store
-	}
-	var err error
-	fl.sharded, err = cluster.NewShardedStore(fl.ring, stores)
+	local, sharded, err := launchRing(3, 2, 0)
 	if err != nil {
-		fl.LocalFleet.Close()
 		return nil, err
+	}
+	fl := &x12Fleet{
+		LocalFleet: local,
+		ring:       sharded.Ring(),
+		primary:    map[string]string{},
 	}
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(x12Seed))
@@ -88,7 +69,7 @@ func newX12Fleet(st *x5Stack, opts ...cluster.PoolOption) (*x12Fleet, error) {
 		for j := range tokens {
 			tokens[j] = llm.Token(rng.Intn(llm.VocabSize))
 		}
-		man, _, err := streamer.Publish(ctx, fl.sharded, st.codec, st.model, id, tokens, streamer.PublishOptions{})
+		man, _, err := streamer.Publish(ctx, sharded, st.codec, st.model, id, tokens, streamer.PublishOptions{})
 		if err != nil {
 			fl.LocalFleet.Close()
 			return nil, err

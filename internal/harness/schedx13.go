@@ -79,18 +79,6 @@ func x13Device() llm.Device {
 	return llm.Device{Name: "x13-thin-slice", FLOPS: 2e11, MemBW: 2.6e12, DecodeBW: 8e9}
 }
 
-// x13StoreSource adapts a storage.Store to the fetcher's source
-// interface (in-process, no latency of its own).
-type x13StoreSource struct{ st storage.Store }
-
-func (s x13StoreSource) GetManifest(ctx context.Context, id string) (storage.Manifest, error) {
-	return s.st.GetManifest(ctx, id)
-}
-
-func (s x13StoreSource) GetChunkData(ctx context.Context, hash string) ([]byte, error) {
-	return s.st.GetChunk(ctx, hash)
-}
-
 // sharedLink models the arm's WAN uplink as a single serialized data
 // channel: each payload reserves the link for one RTT plus its transfer
 // time at the fixed rate, and concurrent fetches queue behind each
@@ -201,7 +189,7 @@ func x13Arm(s *x5Stack, rate float64, withSched bool) (*gateway.LoadReport, gate
 	if err != nil {
 		return nil, gateway.Stats{}, err
 	}
-	link := &sharedLink{src: x13StoreSource{store}, rtt: x13LinkRTT, bps: x13LinkBps}
+	link := &sharedLink{src: storeSource{store}, rtt: x13LinkRTT, bps: x13LinkBps}
 	cfg := gateway.Config{
 		Slots:       2,
 		QueueLimit:  4 * x13Requests,
@@ -340,17 +328,18 @@ func x13CoverageCell() (*x13Coverage, error) {
 	if err != nil {
 		return nil, err
 	}
-	fl, err := newX4Fleet(3, 1, 4<<20)
+	fl, sharded, err := launchRing(3, 1, 4<<20)
 	if err != nil {
 		return nil, err
 	}
-	defer fl.close()
+	defer fl.Close()
+	ring := sharded.Ring()
 	const ctxID = "x13-cov"
-	man, err := st.publish(fl, ctxID)
+	man, err := st.publish(sharded, ctxID)
 	if err != nil {
 		return nil, err
 	}
-	pool := cluster.NewPool(fl.ring, cluster.WithRequestTimeout(10*time.Second))
+	pool := cluster.NewPool(ring, cluster.WithRequestTimeout(10*time.Second))
 	defer pool.Close()
 
 	// Topology from the actual placement (node names are listen
@@ -365,7 +354,7 @@ func x13CoverageCell() (*x13Coverage, error) {
 		if err != nil {
 			return nil, err
 		}
-		nodes := fl.ring.ChunkNodes(hash)
+		nodes := ring.ChunkNodes(hash)
 		if len(nodes) == 0 {
 			return nil, fmt.Errorf("x13: chunk %d has no owner", ci)
 		}
@@ -383,7 +372,7 @@ func x13CoverageCell() (*x13Coverage, error) {
 		return nil, fmt.Errorf("x13: all %d chunks landed on one node; coverage cell needs spread", chunks)
 	}
 	regions := map[string]string{}
-	for _, nd := range fl.ring.Nodes() {
+	for _, nd := range ring.Nodes() {
 		regions[nd] = "east"
 	}
 	regions[diskNode] = "west"
@@ -431,8 +420,8 @@ func x13CoverageCell() (*x13Coverage, error) {
 	// Stage 1 — cold mixed fetch: the colocated node's chunks come off
 	// disk, every other owner prices as a cross-region replica.
 	covA := mk("cov-a", sched.Options{
-		Locator: fl.ring, Regions: regions, LocalRegion: "west",
-		DiskStore: fl.nodes[diskNode], Residents: residents,
+		Locator: ring, Regions: regions, LocalRegion: "west",
+		DiskStore: fl.Node(diskNode).Store, Residents: residents,
 	})
 	kv1, rep1, err := fetch(covA, pinned)
 	if err != nil {
@@ -456,7 +445,7 @@ func x13CoverageCell() (*x13Coverage, error) {
 	// Stage 3 — same-region fleet: a gateway with placement but no local
 	// tiers and no resident index sees every owner as a healthy
 	// same-region node — the default remote path.
-	covD := mk("cov-d", sched.Options{Locator: fl.ring})
+	covD := mk("cov-d", sched.Options{Locator: ring})
 	kv3, rep3, err := fetch(covD, pinned)
 	if err != nil {
 		return nil, fmt.Errorf("x13 remote fetch: %w", err)

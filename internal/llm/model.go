@@ -102,9 +102,6 @@ func MustNew(cfg Config) *Model {
 // Config returns the model's configuration (with defaults applied).
 func (m *Model) Config() Config { return m.cfg }
 
-// Rho returns the AR coefficient of layer l (exposed for calibration tests).
-func (m *Model) Rho(l int) float64 { return m.rho[l] }
-
 // innovation returns the unit-variance noise driving the slow component at
 // position pos, as a pure function of the token at pos. This is what ties
 // KV values to context *content*.

@@ -38,12 +38,6 @@ func (t *SlotTracker) Busy() int { return int(t.busy.Load()) }
 // Total returns the pool size.
 func (t *SlotTracker) Total() int { return t.total }
 
-// Occupancy returns Busy/Total in [0,1+] (transient overshoot while a
-// grant races a release is possible and harmless).
-func (t *SlotTracker) Occupancy() float64 {
-	return float64(t.Busy()) / float64(t.total)
-}
-
 // Register wires the tracker's gauges into reg (nil-safe):
 // cachegen_llm_slots_busy and cachegen_llm_slots_total.
 func (t *SlotTracker) Register(reg *telemetry.Registry) {

@@ -97,18 +97,6 @@ func (x *ResidentIndex) Register(contextID, holder string, kv *tensor.KV, levels
 	}
 }
 
-// Forget drops a context's residency (holder shutdown, context eviction).
-func (x *ResidentIndex) Forget(contextID string) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if el, ok := x.entries[contextID]; ok {
-		old := el.Value.(*residency)
-		x.ll.Remove(el)
-		delete(x.entries, old.contextID)
-		x.used -= old.kv.SizeBytesFP16()
-	}
-}
-
 // Lookup reports whether some gateway other than notHolder has chunk
 // `chunk` of contextID resident, and at what origin level (LevelText for
 // lossless). It does not promote — only actual transfers refresh the LRU.

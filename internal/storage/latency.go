@@ -44,9 +44,6 @@ func (l *LatencyStore) Latency() (read, write time.Duration) {
 	return l.read, l.write
 }
 
-// Inner returns the wrapped store.
-func (l *LatencyStore) Inner() Store { return l.inner }
-
 func (l *LatencyStore) delay(ctx context.Context, write bool) error {
 	l.mu.RLock()
 	d := l.read

@@ -25,6 +25,9 @@ func RegisterChaos(r *Registry, c *metrics.ChaosCounters) {
 		{"cachegen_chaos_bandwidth_cliffs_healed_total", "bandwidth cliffs lifted", c.BandwidthCliffsHealed.Load},
 		{"cachegen_chaos_corrupt_frames_injected_total", "payloads corrupted on the wire", c.CorruptFramesInjected.Load},
 		{"cachegen_chaos_corrupt_frames_rejected_total", "corrupt payloads caught by CRC", c.CorruptFramesRejected.Load},
+		{"cachegen_chaos_flaky_nodes_total", "flaky faults imposed", c.FlakyNodes.Load},
+		{"cachegen_chaos_flaky_healed_total", "flaky faults lifted", c.FlakyHealed.Load},
+		{"cachegen_chaos_flaky_strikes_total", "requests struck by a flaky node (stalled or severed)", c.FlakyStrikes.Load},
 	} {
 		load := e.load
 		r.GaugeFunc(e.name, e.help, func() float64 { return float64(load()) })

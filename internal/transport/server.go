@@ -29,7 +29,6 @@ type Server struct {
 	egress      float64      // per-connection egress shaping, bits/s (≤0 = unlimited)
 	egressTrace netsim.Trace // per-connection egress trace replay (overrides egress)
 	bank        []byte       // serialised codec model bank served to clients
-	logf        func(format string, args ...any)
 
 	// tele is the server's slice of a live metrics registry; its nil
 	// instruments no-op when telemetry is not wired.
@@ -85,11 +84,6 @@ func WithEgressTrace(tr netsim.Trace) ServerOption {
 	return func(s *Server) { s.egressTrace = tr }
 }
 
-// WithLogger sets a log function (default: log.Printf-compatible no-op).
-func WithLogger(logf func(format string, args ...any)) ServerOption {
-	return func(s *Server) { s.logf = logf }
-}
-
 // WithBank serves the given serialised codec model bank to clients that
 // request it, so a fresh inference server can bootstrap the decoder for
 // this store's LLM without out-of-band files (§5.2: the bank is profiled
@@ -123,7 +117,6 @@ func NewServer(store storage.Store, opts ...ServerOption) *Server {
 		store:   store,
 		conns:   map[net.Conn]struct{}{},
 		shapers: map[net.Conn]*Shaper{},
-		logf:    func(string, ...any) {},
 	}
 	for _, o := range opts {
 		o(s)
@@ -145,13 +138,6 @@ func (s *Server) SetPartitioned(on bool) {
 			c.Close()
 		}
 	}
-}
-
-// Partitioned reports whether the server is currently partitioned.
-func (s *Server) Partitioned() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.partitioned
 }
 
 // SetEgressRate changes every connection's egress shaping (bits per
@@ -396,7 +382,6 @@ func (s *Server) handle(conn net.Conn) {
 			return // disconnect or garbage; drop the connection
 		}
 		if err := sc.dispatch(typ, payload); err != nil {
-			s.logf("transport: connection %v: %v", conn.RemoteAddr(), err)
 			return
 		}
 	}
