@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
 
@@ -18,7 +17,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/streamer"
 	"repro/internal/tensor"
-	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -563,33 +561,13 @@ func x13CliffCell() ([]x13CliffRow, error) {
 		streamer.PublishOptions{KV: st.kv}); err != nil {
 		return nil, err
 	}
-	trace, err := netsim.ParseTrace("8Mbps:15ms,0.2Mbps")
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]x13CliffRow, 0, 2)
 	for _, arm := range []string{"planner", "scheduler"} {
-		srv := transport.NewServer(store, transport.WithEgressTrace(trace))
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		client, done, err := serveLoopback(store, true)
 		if err != nil {
-			srv.Close()
 			return nil, err
 		}
-		go srv.Serve(ln)
-		client, err := transport.Dial(ln.Addr().String())
-		if err != nil {
-			srv.Close()
-			return nil, err
-		}
-		done := func() { client.Close(); srv.Close() }
-		f := &streamer.Fetcher{
-			Source: client, Codec: st.codec, Model: st.model, Device: x13Device(),
-			Planner: streamer.Planner{
-				Adapt: true, SLO: 400 * time.Millisecond, DefaultLevel: 0,
-				PriorBandwidth: 8e6,
-			},
-			FrameSize: 2 << 10, DecisionFrames: 2, EstimatorWindow: 8,
-		}
+		f := st.cliffFetcher(client, x13Device(), cliffPlanner())
 		var plan *sched.Plan
 		var sc *sched.Scheduler
 		if arm == "scheduler" {

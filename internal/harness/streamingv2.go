@@ -3,10 +3,10 @@ package harness
 import (
 	"context"
 	"fmt"
-	"net"
 	"strings"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/llm"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -139,26 +139,9 @@ func runX7Live() (*Report, error) {
 		Columns: []string{"Path", "Link", "Load time", "Bandwidth est", "Switch/cancel", "Mix", "KV vs r/r"},
 	}
 
-	serve := func(opts ...transport.ServerOption) (*transport.Client, func(), error) {
-		srv := transport.NewServer(store, opts...)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, err
-		}
-		go srv.Serve(ln)
-		client, err := transport.Dial(ln.Addr().String())
-		if err != nil {
-			srv.Close()
-			return nil, nil, err
-		}
-		return client, func() { client.Close(); srv.Close() }, nil
-	}
 	fetch := func(client *transport.Client, dev llm.Device, p streamer.Planner, disable bool) (*streamer.FetchReport, float64, error) {
-		fch := &streamer.Fetcher{
-			Source: client, Codec: s.codec, Model: s.model, Device: dev,
-			Planner: p, DisableStreaming: disable, FrameSize: 2 << 10, DecisionFrames: 2,
-			EstimatorWindow: 8,
-		}
+		fch := s.cliffFetcher(client, dev, p)
+		fch.DisableStreaming = disable
 		kv, report, err := fch.Fetch(ctx, "x7-ctx")
 		if err != nil {
 			return nil, 0, err
@@ -171,7 +154,7 @@ func runX7Live() (*Report, error) {
 	}
 
 	// Static link: the bit-for-bit identity check at a fixed level.
-	client, done, err := serve()
+	client, done, err := serveLoopback(store, false)
 	if err != nil {
 		return nil, err
 	}
@@ -209,15 +192,7 @@ func runX7Live() (*Report, error) {
 	// prefill device makes the text fallback expensive in the planner's
 	// estimates, so degradation walks the encoding levels — where the
 	// mid-stream steering is visible.
-	trace, err := netsim.ParseTrace("8Mbps:15ms,0.2Mbps")
-	if err != nil {
-		return nil, err
-	}
 	slowDev := llm.Device{Name: "slow-prefill", FLOPS: 1e11, MemBW: 2.6e12, DecodeBW: 8e9}
-	adaptive := streamer.Planner{
-		Adapt: true, SLO: 400 * time.Millisecond, DefaultLevel: 0,
-		PriorBandwidth: 8e6,
-	}
 	for _, mode := range []struct {
 		name    string
 		disable bool
@@ -225,11 +200,11 @@ func runX7Live() (*Report, error) {
 		{"request/response", true},
 		{"server-push stream", false},
 	} {
-		client, done, err := serve(transport.WithEgressTrace(trace))
+		client, done, err := serveLoopback(store, true)
 		if err != nil {
 			return nil, err
 		}
-		report, _, err := fetch(client, slowDev, adaptive, mode.disable)
+		report, _, err := fetch(client, slowDev, cliffPlanner(), mode.disable)
 		done()
 		if err != nil {
 			return nil, err
@@ -245,4 +220,43 @@ func runX7Live() (*Report, error) {
 	}
 	rep.AddNote("the streamed KV is decoded chunk-by-chunk into the same preallocated destination as the request/response path (PR 4's zero-copy decode), so the identity check is over the exact serving artifact")
 	return rep, nil
+}
+
+// serveLoopback launches one node over store on a loopback port and dials
+// it; done closes both. With cliff, the node's egress replays the cliff
+// cells' (X7, X11, X13) bandwidth cliff: 8 Mbps for 15 ms, then 0.2 Mbps.
+func serveLoopback(store storage.Store, cliff bool) (client *transport.Client, done func(), err error) {
+	var opts []transport.ServerOption
+	if cliff {
+		trace, err := netsim.ParseTrace("8Mbps:15ms,0.2Mbps")
+		if err != nil {
+			return nil, nil, err
+		}
+		opts = append(opts, transport.WithEgressTrace(trace))
+	}
+	fl := &chaos.LocalFleet{}
+	node, err := fl.Launch("127.0.0.1:0", store, 0, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	if client, err = transport.Dial(node.Addr); err != nil {
+		fl.Close()
+		return nil, nil, err
+	}
+	return client, func() { client.Close(); fl.Close() }, nil
+}
+
+// cliffPlanner adapts toward a 400 ms SLO from the cliff's 8 Mbps.
+func cliffPlanner() streamer.Planner {
+	return streamer.Planner{Adapt: true, SLO: 400 * time.Millisecond, DefaultLevel: 0, PriorBandwidth: 8e6}
+}
+
+// cliffFetcher fetches from client with the cliff cells' frame settings:
+// 2 KiB DATA frames, a decision every two frames and an estimator window
+// of eight, so the steering reacts within the cliff.
+func (s *x4Stack) cliffFetcher(client *transport.Client, dev llm.Device, p streamer.Planner) *streamer.Fetcher {
+	return &streamer.Fetcher{
+		Source: client, Codec: s.codec, Model: s.model, Device: dev, Planner: p,
+		FrameSize: 2 << 10, DecisionFrames: 2, EstimatorWindow: 8,
+	}
 }

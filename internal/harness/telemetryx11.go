@@ -3,18 +3,15 @@ package harness
 import (
 	"context"
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/llm"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/streamer"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
 )
 
 // The telemetry-plane scenario (ISSUE 7): every request carries a span
@@ -87,36 +84,17 @@ func runX11Waterfall() (*Report, error) {
 		return nil, err
 	}
 
-	trace, err := netsim.ParseTrace("8Mbps:15ms,0.2Mbps")
+	client, done, err := serveLoopback(store, true)
 	if err != nil {
 		return nil, err
 	}
-	srv := transport.NewServer(store, transport.WithEgressTrace(trace))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-	client, err := transport.Dial(ln.Addr().String())
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
+	defer done()
 
 	tr := telemetry.NewTracer(0)
 	fctx, root := tr.StartRequest(ctx, "request",
 		telemetry.Attr{Key: "context", Value: "x11-ctx"})
 	slowDev := llm.Device{Name: "slow-prefill", FLOPS: 1e11, MemBW: 2.6e12, DecodeBW: 8e9}
-	fch := &streamer.Fetcher{
-		Source: client, Codec: s.codec, Model: s.model, Device: slowDev,
-		Planner: streamer.Planner{
-			Adapt: true, SLO: 400 * time.Millisecond, DefaultLevel: 0,
-			PriorBandwidth: 8e6,
-		},
-		FrameSize: 2 << 10, DecisionFrames: 2, EstimatorWindow: 8,
-	}
-	_, frep, err := fch.Fetch(fctx, "x11-ctx")
+	_, frep, err := s.cliffFetcher(client, slowDev, cliffPlanner()).Fetch(fctx, "x11-ctx")
 	root.End()
 	if err != nil {
 		return nil, err
@@ -203,18 +181,11 @@ func runX11CrossCheck() (*Report, error) {
 		streamer.PublishOptions{KV: s.kv}); err != nil {
 		return nil, err
 	}
-	srv := transport.NewServer(store)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	client, done, err := serveLoopback(store, false)
 	if err != nil {
 		return nil, err
 	}
-	go srv.Serve(ln)
-	defer srv.Close()
-	client, err := transport.Dial(ln.Addr().String())
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
+	defer done()
 
 	reg := telemetry.NewRegistry()
 	hist := reg.Histogram("cachegen_gateway_ttft_seconds", "admission to first output token")

@@ -17,10 +17,16 @@ import (
 // publishing a context at every level must not evict the hot set.
 // Payloads are immutable under their hash, so the only invalidation is
 // deletion by Sweep, which drops the reclaimed hashes from RAM.
-// Manifests and fingerprints pass through uncached. Safe for concurrent
-// use.
+// Everything but GetChunk and Sweep goes to inner unchanged: manifests and
+// fingerprints are not cached; TouchChunk always consults inner, because
+// the GC age it freshens lives there and inner is authoritative about
+// existence (a payload could be swept beneath a stale RAM entry only if
+// sweeps bypassed this tier, which Sweep prevents); and DeleteContext only
+// drops a manifest and its references, since payloads may be shared with
+// other contexts — their bytes, and their RAM entries, go in a Sweep.
+// Safe for concurrent use.
 type CachingStore struct {
-	inner    Store
+	inner
 	maxBytes int64
 	// The LRU's lock is held only around its bookkeeping, not around
 	// inner I/O, so concurrent misses overlap their disk reads. Two racing
@@ -30,6 +36,9 @@ type CachingStore struct {
 	lru          *PayloadLRU
 	hits, misses atomic.Uint64
 }
+
+// inner names the store a CachingStore fronts.
+type inner = Store
 
 // CacheStats snapshots a CachingStore's counters.
 type CacheStats struct {
@@ -120,51 +129,6 @@ func (s *CachingStore) GetChunk(ctx context.Context, hash string) ([]byte, error
 	return data, nil
 }
 
-// PutChunk implements Store, writing through to inner.
-func (s *CachingStore) PutChunk(ctx context.Context, hash string, data []byte) error {
-	return s.inner.PutChunk(ctx, hash, data)
-}
-
-// TouchChunk implements Store. It always consults inner — the GC age
-// that must be freshened lives there, and inner is authoritative about
-// existence (a payload could have been swept beneath a stale RAM entry
-// only if sweeps bypassed this tier, which Sweep prevents).
-func (s *CachingStore) TouchChunk(ctx context.Context, hash string) (bool, error) {
-	return s.inner.TouchChunk(ctx, hash)
-}
-
-// PutManifest implements Store.
-func (s *CachingStore) PutManifest(ctx context.Context, m Manifest) error {
-	return s.inner.PutManifest(ctx, m)
-}
-
-// GetManifest implements Store.
-func (s *CachingStore) GetManifest(ctx context.Context, contextID string) (Manifest, error) {
-	return s.inner.GetManifest(ctx, contextID)
-}
-
-// DeleteContext implements Store. Chunk payloads may be shared with
-// other contexts, so deletion only drops the manifest (and refcounts);
-// payload bytes — and their RAM-tier entries — are reclaimed by Sweep.
-func (s *CachingStore) DeleteContext(ctx context.Context, contextID string) error {
-	return s.inner.DeleteContext(ctx, contextID)
-}
-
-// ListContexts implements Store.
-func (s *CachingStore) ListContexts(ctx context.Context) ([]string, error) {
-	return s.inner.ListContexts(ctx)
-}
-
-// PutFingerprint implements Store.
-func (s *CachingStore) PutFingerprint(ctx context.Context, key string, fp Fingerprint) error {
-	return s.inner.PutFingerprint(ctx, key, fp)
-}
-
-// GetFingerprint implements Store.
-func (s *CachingStore) GetFingerprint(ctx context.Context, key string) (Fingerprint, error) {
-	return s.inner.GetFingerprint(ctx, key)
-}
-
 // Sweep implements Store: inner reclaims, then the reclaimed hashes are
 // dropped from RAM so the tier cannot serve payloads the disk no longer
 // holds.
@@ -174,9 +138,4 @@ func (s *CachingStore) Sweep(ctx context.Context, minAge time.Duration) (SweepRe
 		s.lru.Drop(hash)
 	}
 	return res, err
-}
-
-// Usage implements Store.
-func (s *CachingStore) Usage(ctx context.Context) (Usage, error) {
-	return s.inner.Usage(ctx)
 }

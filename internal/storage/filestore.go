@@ -1,484 +1,215 @@
 package storage
 
 import (
-	"context"
 	"encoding/base32"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
-// FileStore is a filesystem-backed Store:
+// FileStore is a filesystem-backed Store: the index a MemStore keeps, over
+// files each written to a .tmp sibling and renamed into place.
 //
 //	root/chunks/ab/<hash>.bin   content-addressed payloads (fan-out by
 //	                            the hash's first byte)
 //	root/manifests/<id>.json    per-context manifests (name-encoded id)
 //	root/fp/ab/<key>.json       dedup-index entries
 //
-// Payload refcounts are not persisted: they are derived by scanning the
-// manifests at open, which makes them crash-safe — a refcount file could
-// be stale after a crash, a manifest either landed (its rename is atomic)
-// or did not. Chunk GC ages come from file mtimes; TouchChunk freshens
-// them.
+// Manifests are read once, at open, and payload refcounts derived from
+// them, which makes the refcounts crash-safe: a manifest either landed
+// (its rename is atomic) or did not. Chunk GC ages are file mtimes.
 type FileStore struct {
-	root string
-
-	mu      sync.RWMutex
-	refs    map[string]int
-	corrupt map[string]error // manifests that failed to decode at open
+	*index
+	*fileBackend
 }
 
-// NewFileStore creates (if needed) and opens a store rooted at dir. It
-// reaps leftover .tmp files from interrupted writes and derives payload
-// refcounts from the manifests on disk; a corrupt (truncated, garbled)
-// manifest is recorded and surfaces as ErrCorruptManifest from
-// GetManifest for that context only — other contexts stay readable.
+// NewFileStore creates (if needed) and opens a store rooted at dir,
+// reaping the .tmp files of interrupted writes. A corrupt (truncated,
+// garbled) manifest surfaces as ErrCorruptManifest from GetManifest for
+// its context only, and blocks Sweep until that context is deleted.
 func NewFileStore(dir string) (*FileStore, error) {
-	s := &FileStore{root: dir, refs: map[string]int{}, corrupt: map[string]error{}}
-	for _, sub := range []string{s.chunksDir(), s.manifestsDir(), s.fpDir()} {
-		if err := os.MkdirAll(sub, 0o755); err != nil {
+	b := &fileBackend{root: dir}
+	s := &FileStore{newIndex(b), b}
+	for _, sub := range []string{"chunks", "manifests", "fp"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("storage: creating %s: %w", sub, err)
 		}
 	}
-	if err := s.reapTemp(); err != nil {
-		return nil, err
+	// A .tmp file was never renamed into place, so nothing references it.
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".tmp") {
+			err = b.fsop("remove", path, func() error { return os.Remove(path) })
+		}
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("storage: reaping .tmp files: %w", err)
 	}
-	if err := s.loadRefs(); err != nil {
-		return nil, err
+	entries, err := os.ReadDir(filepath.Join(dir, "manifests"))
+	if err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
+	}
+	for _, e := range entries {
+		name, ok := strings.CutSuffix(e.Name(), ".json")
+		id, err := decodeID(name)
+		if e.IsDir() || !ok || err != nil {
+			continue // foreign file; ignore
+		}
+		if m, err := b.readManifest(id); err != nil {
+			s.corrupt[id] = err
+		} else {
+			s.manifests[id] = m
+			s.retain(nil, m.AllHashes())
+		}
 	}
 	return s, nil
 }
 
-func (s *FileStore) chunksDir() string    { return filepath.Join(s.root, "chunks") }
-func (s *FileStore) manifestsDir() string { return filepath.Join(s.root, "manifests") }
-func (s *FileStore) fpDir() string        { return filepath.Join(s.root, "fp") }
+// fileBackend keeps an index's bytes in files under root.
+type fileBackend struct {
+	root string
+	// crash, when set, runs before every mutating call — a .tmp write, a
+	// rename, a remove, a chtimes — and its error replaces the call: the
+	// seam crash-point tests stop a store at any step through.
+	crash func(op, path string) error
+}
+
+// fsop makes one mutating filesystem call on path.
+func (b *fileBackend) fsop(op, path string, call func() error) error {
+	if b.crash != nil {
+		if err := b.crash(op, path); err != nil {
+			return err
+		}
+	}
+	return call()
+}
 
 var pathEnc = base32.StdEncoding.WithPadding(base32.NoPadding)
 
 func encodeID(id string) string { return pathEnc.EncodeToString([]byte(id)) }
 func decodeID(name string) (string, error) {
 	raw, err := pathEnc.DecodeString(strings.ToUpper(name))
-	if err != nil {
-		return "", err
+	return string(raw), err
+}
+
+func (b *fileBackend) chunkPath(hash string) string {
+	return filepath.Join(b.root, "chunks", hash[:2], hash+".bin")
+}
+
+func (b *fileBackend) manifestPath(id string) string {
+	return filepath.Join(b.root, "manifests", encodeID(id)+".json")
+}
+
+func (b *fileBackend) fpPath(key string) string {
+	return filepath.Join(b.root, "fp", key[:min(2, len(key))], key+".json")
+}
+
+// writeAtomic writes data to path via a .tmp sibling and rename.
+func (b *fileBackend) writeAtomic(path string, data []byte) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
 	}
-	return string(raw), nil
-}
-
-func (s *FileStore) chunkPath(hash string) string {
-	return filepath.Join(s.chunksDir(), hash[:2], hash+".bin")
-}
-
-func (s *FileStore) manifestPath(id string) string {
-	return filepath.Join(s.manifestsDir(), encodeID(id)+".json")
-}
-
-func (s *FileStore) fpPath(key string) string {
-	fan := key
-	if len(fan) > 2 {
-		fan = fan[:2]
+	tmp := path + ".tmp"
+	if err := b.fsop("write", tmp, func() error { return os.WriteFile(tmp, data, 0o644) }); err != nil {
+		return err
 	}
-	return filepath.Join(s.fpDir(), fan, key+".json")
+	return b.fsop("rename", path, func() error { return os.Rename(tmp, path) })
 }
 
-// reapTemp removes .tmp leftovers of writes interrupted mid-flight. They
-// are unreferenced by construction (the rename never happened), so
-// deleting them can orphan nothing.
-func (s *FileStore) reapTemp() error {
-	return filepath.WalkDir(s.root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return fmt.Errorf("storage: scanning %s: %w", path, err)
+func (b *fileBackend) remove(path string) error {
+	return b.fsop("remove", path, func() error { return os.Remove(path) })
+}
+
+// each calls fn with the name of every file under dir at path(name), for
+// valid names only: foreign files and writes in flight are skipped.
+func (b *fileBackend) each(dir, ext string, valid func(string) error, path func(string) string, fn func(string)) error {
+	return filepath.WalkDir(filepath.Join(b.root, dir), func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
-		if !d.IsDir() && strings.HasSuffix(d.Name(), ".tmp") {
-			if err := os.Remove(path); err != nil {
-				return fmt.Errorf("storage: reaping %s: %w", path, err)
-			}
+		if name, ok := strings.CutSuffix(d.Name(), ext); ok && valid(name) == nil && p == path(name) {
+			fn(name)
 		}
 		return nil
 	})
 }
 
-// loadRefs derives payload refcounts from the manifests on disk.
-func (s *FileStore) loadRefs() error {
-	entries, err := os.ReadDir(s.manifestsDir())
+func (b *fileBackend) putChunk(hash string, data []byte) error {
+	return b.writeAtomic(b.chunkPath(hash), data)
+}
+
+func (b *fileBackend) touchChunk(hash string) error {
+	path, now := b.chunkPath(hash), time.Now()
+	return b.fsop("chtimes", path, func() error { return os.Chtimes(path, now, now) })
+}
+
+func (b *fileBackend) getChunk(hash string) ([]byte, error) { return os.ReadFile(b.chunkPath(hash)) }
+
+func (b *fileBackend) statChunk(hash string) (int64, time.Time, error) {
+	info, err := os.Stat(b.chunkPath(hash))
 	if err != nil {
-		return fmt.Errorf("storage: %w", err)
+		return 0, time.Time{}, err
 	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		id, err := decodeID(strings.TrimSuffix(e.Name(), ".json"))
-		if err != nil {
-			continue // foreign file; ignore
-		}
-		m, err := s.readManifest(id)
-		if err != nil {
-			s.corrupt[id] = err
-			continue
-		}
-		for _, h := range m.AllHashes() {
-			s.refs[h]++
-		}
-	}
-	return nil
+	return info.Size(), info.ModTime(), nil
 }
 
-// writeAtomic writes data to path via a .tmp sibling and rename.
-func writeAtomic(path string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	return nil
+func (b *fileBackend) removeChunk(hash string) error { return b.remove(b.chunkPath(hash)) }
+
+func (b *fileBackend) eachChunk(fn func(hash string)) error {
+	return b.each("chunks", ".bin", validateHash, b.chunkPath, fn)
 }
 
-// PutChunk implements Store.
-func (s *FileStore) PutChunk(_ context.Context, hash string, data []byte) error {
-	if err := validateHash(hash); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	path := s.chunkPath(hash)
-	if _, err := os.Stat(path); err == nil {
-		now := time.Now()
-		return os.Chtimes(path, now, now)
-	}
-	return writeAtomic(path, data)
-}
-
-// GetChunk implements Store.
-func (s *FileStore) GetChunk(_ context.Context, hash string) ([]byte, error) {
-	if err := validateHash(hash); err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, err := os.ReadFile(s.chunkPath(hash))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: chunk %s", ErrNotFound, hash)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
-	}
-	return data, nil
-}
-
-// TouchChunk implements Store.
-func (s *FileStore) TouchChunk(_ context.Context, hash string) (bool, error) {
-	if err := validateHash(hash); err != nil {
-		return false, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	path := s.chunkPath(hash)
-	now := time.Now()
-	switch err := os.Chtimes(path, now, now); {
-	case err == nil:
-		return true, nil
-	case errors.Is(err, os.ErrNotExist):
-		return false, nil
-	default:
-		return false, fmt.Errorf("storage: %w", err)
-	}
-}
-
-func (s *FileStore) readManifest(id string) (Manifest, error) {
-	data, err := os.ReadFile(s.manifestPath(id))
+func (b *fileBackend) readManifest(id string) (Manifest, error) {
+	data, err := os.ReadFile(b.manifestPath(id))
 	if err != nil {
 		return Manifest{}, err
 	}
 	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return Manifest{}, fmt.Errorf("%w: context %q: %v", ErrCorruptManifest, id, err)
+	if err = json.Unmarshal(data, &m); err == nil {
+		err = m.Validate()
 	}
-	if err := m.Validate(); err != nil {
+	if err != nil {
 		return Manifest{}, fmt.Errorf("%w: context %q: %v", ErrCorruptManifest, id, err)
 	}
 	return m, nil
 }
 
-// PutManifest implements Store.
-func (s *FileStore) PutManifest(_ context.Context, m Manifest) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
+func (b *fileBackend) putManifest(m Manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := m.Meta.ContextID
-	var oldHashes []string
-	if _, corrupt := s.corrupt[id]; !corrupt {
-		if old, err := s.readManifest(id); err == nil {
-			oldHashes = old.AllHashes()
-		}
-	}
-	if err := writeAtomic(s.manifestPath(id), data); err != nil {
 		return err
 	}
-	// The replacement landed: whatever was wrong with the old copy is gone.
-	delete(s.corrupt, id)
-	for _, h := range oldHashes {
-		s.refs[h]--
-		if s.refs[h] <= 0 {
-			delete(s.refs, h)
-		}
-	}
-	for _, h := range m.AllHashes() {
-		s.refs[h]++
-	}
-	return nil
+	return b.writeAtomic(b.manifestPath(m.Meta.ContextID), data)
 }
 
-// GetManifest implements Store.
-func (s *FileStore) GetManifest(_ context.Context, contextID string) (Manifest, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m, err := s.readManifest(contextID)
-	if errors.Is(err, os.ErrNotExist) {
-		return Manifest{}, fmt.Errorf("%w: context %q", ErrNotFound, contextID)
-	}
-	if err != nil {
-		return Manifest{}, err
-	}
-	return m, nil
-}
+func (b *fileBackend) deleteManifest(id string) error { return b.remove(b.manifestPath(id)) }
 
-// DeleteContext implements Store. Deleting a context whose manifest is
-// corrupt is allowed — it is how an operator clears the breakage — and
-// decrements nothing, since the corrupt copy contributed no refcounts.
-func (s *FileStore) DeleteContext(_ context.Context, contextID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, corrupt := s.corrupt[contextID]; corrupt {
-		if err := os.Remove(s.manifestPath(contextID)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("storage: %w", err)
-		}
-		delete(s.corrupt, contextID)
-		return nil
-	}
-	m, err := s.readManifest(contextID)
-	if errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("%w: context %q", ErrNotFound, contextID)
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(s.manifestPath(contextID)); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	for _, h := range m.AllHashes() {
-		s.refs[h]--
-		if s.refs[h] <= 0 {
-			delete(s.refs, h)
-		}
-	}
-	return nil
-}
-
-// ListContexts implements Store. Corrupt manifests are still listed:
-// they exist, they just cannot be read.
-func (s *FileStore) ListContexts(_ context.Context) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	entries, err := os.ReadDir(s.manifestsDir())
-	if err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		id, err := decodeID(strings.TrimSuffix(e.Name(), ".json"))
-		if err != nil {
-			continue // foreign file; ignore
-		}
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// PutFingerprint implements Store.
-func (s *FileStore) PutFingerprint(_ context.Context, key string, fp Fingerprint) error {
-	if err := validateFingerprintKey(key); err != nil {
-		return err
-	}
-	if err := validateHash(fp.Hash); err != nil {
-		return err
-	}
+func (b *fileBackend) putFingerprint(key string, fp Fingerprint) error {
 	data, err := json.Marshal(fp)
 	if err != nil {
-		return fmt.Errorf("storage: %w", err)
+		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return writeAtomic(s.fpPath(key), data)
+	return b.writeAtomic(b.fpPath(key), data)
 }
 
-// GetFingerprint implements Store.
-func (s *FileStore) GetFingerprint(_ context.Context, key string) (Fingerprint, error) {
-	if err := validateFingerprintKey(key); err != nil {
-		return Fingerprint{}, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, err := os.ReadFile(s.fpPath(key))
-	if errors.Is(err, os.ErrNotExist) {
-		return Fingerprint{}, fmt.Errorf("%w: fingerprint %s", ErrNotFound, key)
-	}
+func (b *fileBackend) getFingerprint(key string) (Fingerprint, error) {
+	data, err := os.ReadFile(b.fpPath(key))
 	if err != nil {
-		return Fingerprint{}, fmt.Errorf("storage: %w", err)
+		return Fingerprint{}, err
 	}
 	var fp Fingerprint
 	if err := json.Unmarshal(data, &fp); err != nil {
-		// A garbled index entry is advisory state: treat it as absent so
-		// the publisher re-encodes, and let Sweep reap the file.
-		return Fingerprint{}, fmt.Errorf("%w: fingerprint %s (corrupt)", ErrNotFound, key)
+		return Fingerprint{}, fmt.Errorf("fingerprint %s is garbled: %w", key, fs.ErrNotExist)
 	}
 	return fp, nil
 }
 
-// Sweep implements Store. It refuses to reclaim anything while a corrupt
-// manifest is present: its references are unknown, so deleting
-// unreferenced-looking chunks could tear a context that is merely
-// unreadable, not deleted. DeleteContext the corrupt ids first.
-//
-// The disk walks run under the read lock (concurrent Gets proceed);
-// each candidate is then re-verified and removed under a brief write
-// lock, so a publish that gained a reference — or freshened the GC age —
-// mid-walk wins the race.
-func (s *FileStore) Sweep(_ context.Context, minAge time.Duration) (SweepResult, error) {
-	now := time.Now()
-	var res SweepResult
-	var candidates []string
-	s.mu.RLock()
-	if len(s.corrupt) > 0 {
-		ids := make([]string, 0, len(s.corrupt))
-		for id := range s.corrupt {
-			ids = append(ids, id)
-		}
-		s.mu.RUnlock()
-		sort.Strings(ids)
-		return SweepResult{}, fmt.Errorf("storage: refusing to sweep with corrupt manifests present: %v", ids)
-	}
-	err := filepath.WalkDir(s.chunksDir(), func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(d.Name(), ".bin") {
-			return err
-		}
-		hash := strings.TrimSuffix(d.Name(), ".bin")
-		if validateHash(hash) != nil {
-			return nil // foreign file; ignore
-		}
-		res.ScannedChunks++
-		if s.refs[hash] == 0 {
-			candidates = append(candidates, hash)
-		}
-		return nil
-	})
-	s.mu.RUnlock()
-	if err != nil {
-		return res, fmt.Errorf("storage: sweeping chunks: %w", err)
-	}
-	for _, hash := range candidates {
-		s.mu.Lock()
-		if s.refs[hash] > 0 {
-			s.mu.Unlock()
-			continue
-		}
-		path := s.chunkPath(hash)
-		info, statErr := os.Stat(path)
-		if statErr != nil || now.Sub(info.ModTime()) < minAge {
-			s.mu.Unlock()
-			if statErr != nil && !errors.Is(statErr, os.ErrNotExist) {
-				return res, fmt.Errorf("storage: sweeping chunks: %w", statErr)
-			}
-			continue
-		}
-		if err := os.Remove(path); err != nil {
-			s.mu.Unlock()
-			return res, fmt.Errorf("storage: sweeping chunks: %w", err)
-		}
-		s.mu.Unlock()
-		res.RemovedChunks++
-		res.ReclaimedBytes += info.Size()
-		res.RemovedHashes = append(res.RemovedHashes, hash)
-	}
-	err = filepath.WalkDir(s.fpDir(), func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(d.Name(), ".json") {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		var fp Fingerprint
-		alive := false
-		if json.Unmarshal(data, &fp) == nil && validateHash(fp.Hash) == nil {
-			_, statErr := os.Stat(s.chunkPath(fp.Hash))
-			alive = statErr == nil
-		}
-		if alive {
-			return nil
-		}
-		if err := os.Remove(path); err != nil {
-			return err
-		}
-		res.PrunedFingerprints++
-		return nil
-	})
-	if err != nil {
-		return res, fmt.Errorf("storage: sweeping fingerprints: %w", err)
-	}
-	sort.Strings(res.RemovedHashes)
-	return res, nil
-}
+func (b *fileBackend) removeFingerprint(key string) error { return b.remove(b.fpPath(key)) }
 
-// Usage implements Store.
-func (s *FileStore) Usage(_ context.Context) (Usage, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var u Usage
-	err := filepath.WalkDir(s.chunksDir(), func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(d.Name(), ".bin") {
-			return err
-		}
-		info, err := d.Info()
-		if err != nil {
-			return err
-		}
-		u.Chunks++
-		u.ChunkBytes += info.Size()
-		return nil
-	})
-	if err != nil {
-		return Usage{}, fmt.Errorf("storage: %w", err)
-	}
-	entries, err := os.ReadDir(s.manifestsDir())
-	if err != nil {
-		return Usage{}, fmt.Errorf("storage: %w", err)
-	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
-			u.Manifests++
-		}
-	}
-	return u, nil
+func (b *fileBackend) eachFingerprint(fn func(key string)) error {
+	return b.each("fp", ".json", validateFingerprintKey, b.fpPath, fn)
 }

@@ -37,13 +37,6 @@ func (l *LatencyStore) SetLatency(read, write time.Duration) {
 	l.read, l.write = read, write
 }
 
-// Latency reports the current read and write delays.
-func (l *LatencyStore) Latency() (read, write time.Duration) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.read, l.write
-}
-
 func (l *LatencyStore) delay(ctx context.Context, write bool) error {
 	l.mu.RLock()
 	d := l.read

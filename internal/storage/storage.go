@@ -13,9 +13,10 @@
 // in-flight publish whose manifest has not landed yet; TouchChunk
 // freshens a reused payload's age for the same reason.
 //
-// Two backends are provided: an in-memory store (inference-server cache,
+// Two stores are provided: an in-memory store (inference-server cache,
 // tests) and a filesystem store (the "dedicated storage server" of §3).
-// Both are safe for concurrent use.
+// They are one index — manifests, refcounts, sweeps — over a memory or a
+// file backend, and both are safe for concurrent use.
 package storage
 
 import (
@@ -24,8 +25,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"strings"
 	"time"
 )
 
@@ -148,13 +148,8 @@ func HashChunk(data []byte) string {
 const hashLen = 2 * sha256.Size
 
 func validateHash(hash string) error {
-	if len(hash) != hashLen {
-		return fmt.Errorf("storage: chunk hash %q is not a hex SHA-256", hash)
-	}
-	for _, c := range hash {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return fmt.Errorf("storage: chunk hash %q is not lowercase hex", hash)
-		}
+	if len(hash) != hashLen || !lowerHex(hash) {
+		return fmt.Errorf("storage: chunk hash %q is not a lowercase hex SHA-256", hash)
 	}
 	return nil
 }
@@ -162,16 +157,13 @@ func validateHash(hash string) error {
 // validateFingerprintKey accepts the hex digests the publisher derives
 // from chunk identities; the bound keeps keys path-safe for FileStore.
 func validateFingerprintKey(key string) error {
-	if key == "" || len(key) > 128 {
-		return fmt.Errorf("storage: invalid fingerprint key %q", key)
-	}
-	for _, c := range key {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return fmt.Errorf("storage: fingerprint key %q is not lowercase hex", key)
-		}
+	if key == "" || len(key) > 128 || !lowerHex(key) {
+		return fmt.Errorf("storage: fingerprint key %q is not 1 to 128 lowercase hex digits", key)
 	}
 	return nil
 }
+
+func lowerHex(s string) bool { return strings.Trim(s, "0123456789abcdef") == "" }
 
 // Fingerprint is one entry of the publish-side dedup index: the bitstream
 // hash (and raw size) a previously encoded chunk identity produced.
@@ -262,199 +254,4 @@ type Store interface {
 	Sweep(ctx context.Context, minAge time.Duration) (SweepResult, error)
 	// Usage reports the store's physical footprint.
 	Usage(ctx context.Context) (Usage, error)
-}
-
-// MemStore is an in-memory Store.
-type MemStore struct {
-	mu        sync.RWMutex
-	chunks    map[string][]byte
-	touched   map[string]time.Time
-	refs      map[string]int
-	manifests map[string]Manifest
-	fps       map[string]Fingerprint
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{
-		chunks:    map[string][]byte{},
-		touched:   map[string]time.Time{},
-		refs:      map[string]int{},
-		manifests: map[string]Manifest{},
-		fps:       map[string]Fingerprint{},
-	}
-}
-
-// PutChunk implements Store.
-func (s *MemStore) PutChunk(_ context.Context, hash string, data []byte) error {
-	if err := validateHash(hash); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.chunks[hash]; !ok {
-		s.chunks[hash] = append([]byte{}, data...)
-	}
-	s.touched[hash] = time.Now()
-	return nil
-}
-
-// GetChunk implements Store.
-func (s *MemStore) GetChunk(_ context.Context, hash string) ([]byte, error) {
-	if err := validateHash(hash); err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, ok := s.chunks[hash]
-	if !ok {
-		return nil, fmt.Errorf("%w: chunk %s", ErrNotFound, hash)
-	}
-	return append([]byte{}, data...), nil
-}
-
-// TouchChunk implements Store.
-func (s *MemStore) TouchChunk(_ context.Context, hash string) (bool, error) {
-	if err := validateHash(hash); err != nil {
-		return false, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.chunks[hash]; !ok {
-		return false, nil
-	}
-	s.touched[hash] = time.Now()
-	return true, nil
-}
-
-// PutManifest implements Store.
-func (s *MemStore) PutManifest(_ context.Context, m Manifest) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.manifests[m.Meta.ContextID]; ok {
-		for _, h := range old.AllHashes() {
-			s.refs[h]--
-			if s.refs[h] <= 0 {
-				delete(s.refs, h)
-			}
-		}
-	}
-	for _, h := range m.AllHashes() {
-		s.refs[h]++
-	}
-	s.manifests[m.Meta.ContextID] = m.clone()
-	return nil
-}
-
-// GetManifest implements Store.
-func (s *MemStore) GetManifest(_ context.Context, contextID string) (Manifest, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m, ok := s.manifests[contextID]
-	if !ok {
-		return Manifest{}, fmt.Errorf("%w: context %q", ErrNotFound, contextID)
-	}
-	return m.clone(), nil
-}
-
-// DeleteContext implements Store.
-func (s *MemStore) DeleteContext(_ context.Context, contextID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.manifests[contextID]
-	if !ok {
-		return fmt.Errorf("%w: context %q", ErrNotFound, contextID)
-	}
-	for _, h := range m.AllHashes() {
-		s.refs[h]--
-		if s.refs[h] <= 0 {
-			delete(s.refs, h)
-		}
-	}
-	delete(s.manifests, contextID)
-	return nil
-}
-
-// ListContexts implements Store.
-func (s *MemStore) ListContexts(_ context.Context) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.manifests))
-	for id := range s.manifests {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// PutFingerprint implements Store.
-func (s *MemStore) PutFingerprint(_ context.Context, key string, fp Fingerprint) error {
-	if err := validateFingerprintKey(key); err != nil {
-		return err
-	}
-	if err := validateHash(fp.Hash); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fps[key] = fp
-	return nil
-}
-
-// GetFingerprint implements Store.
-func (s *MemStore) GetFingerprint(_ context.Context, key string) (Fingerprint, error) {
-	if err := validateFingerprintKey(key); err != nil {
-		return Fingerprint{}, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	fp, ok := s.fps[key]
-	if !ok {
-		return Fingerprint{}, fmt.Errorf("%w: fingerprint %s", ErrNotFound, key)
-	}
-	return fp, nil
-}
-
-// Sweep implements Store.
-func (s *MemStore) Sweep(_ context.Context, minAge time.Duration) (SweepResult, error) {
-	now := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var res SweepResult
-	for hash, data := range s.chunks {
-		res.ScannedChunks++
-		if s.refs[hash] > 0 {
-			continue
-		}
-		if now.Sub(s.touched[hash]) < minAge {
-			continue
-		}
-		res.RemovedChunks++
-		res.ReclaimedBytes += int64(len(data))
-		res.RemovedHashes = append(res.RemovedHashes, hash)
-		delete(s.chunks, hash)
-		delete(s.touched, hash)
-	}
-	for key, fp := range s.fps {
-		if _, ok := s.chunks[fp.Hash]; !ok {
-			delete(s.fps, key)
-			res.PrunedFingerprints++
-		}
-	}
-	sort.Strings(res.RemovedHashes)
-	return res, nil
-}
-
-// Usage implements Store.
-func (s *MemStore) Usage(_ context.Context) (Usage, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	u := Usage{Manifests: len(s.manifests), Chunks: len(s.chunks)}
-	for _, data := range s.chunks {
-		u.ChunkBytes += int64(len(data))
-	}
-	return u, nil
 }
