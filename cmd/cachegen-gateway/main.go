@@ -405,14 +405,14 @@ func main() {
 		log.Printf("warm turns: %d served against a resident prefix, P50 TTFT %.1f ms / P99 %.1f ms",
 			rep.WarmTurns, warm.P50()*1e3, warm.P99*1e3)
 	}
-	names := make([]string, 0, len(st.Tenants))
-	for name := range st.Tenants {
+	names := make([]string, 0, len(rep.Tenants))
+	for name := range rep.Tenants {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		ts := st.Tenants[name]
-		sum := ts.TTFTSummary()
+		ts := rep.Tenants[name]
+		sum := metrics.Summarize(metrics.Seconds(ts.TTFTs))
 		log.Printf("tenant %-8s done %3d/%3d  TTFT p50 %6.1fms  p99 %6.1fms  max %6.1fms  SLO %3.0f%%  load xfer/dec/rec %.0f/%.0f/%.0fms",
 			name, ts.Completed, ts.Submitted, sum.P50()*1e3, sum.P99*1e3, sum.Max*1e3, 100*ts.SLORate(),
 			ts.TransferTime.Seconds()*1e3, ts.DecodeTime.Seconds()*1e3, ts.RecomputeTime.Seconds()*1e3)
@@ -443,15 +443,15 @@ func main() {
 	if st.Degraded > 0 {
 		log.Printf("degradation ladder: %d requests served at reduced quality under pressure", st.Degraded)
 	}
-	if len(st.SourceChunks) > 0 {
-		srcs := make([]string, 0, len(st.SourceChunks))
-		for src := range st.SourceChunks {
+	if sources := rep.Sources(); len(sources) > 0 {
+		srcs := make([]string, 0, len(sources))
+		for src := range sources {
 			srcs = append(srcs, src)
 		}
 		sort.Strings(srcs)
 		parts := make([]string, 0, len(srcs))
 		for _, src := range srcs {
-			parts = append(parts, fmt.Sprintf("%s %d", src, st.SourceChunks[src]))
+			parts = append(parts, fmt.Sprintf("%s %d", src, sources[src]))
 		}
 		extra := ""
 		if r := schd.Residents(); r != nil {

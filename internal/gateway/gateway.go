@@ -230,30 +230,6 @@ type tenantQueue struct {
 	fifo    []*pending
 }
 
-// tenantAccum accumulates one tenant's per-request outcomes.
-type tenantAccum struct {
-	submitted, completed, rejected, timedOut, failed, sloMet uint64
-	ttfts                                                    []time.Duration
-	// KV-load time breakdown summed over completed fetches (from
-	// streamer.FetchReport): network transfer, bitstream decode, and
-	// text-fallback recompute. Decode stall that would otherwise hide
-	// inside TTFT shows up here.
-	transfer, decode, recompute time.Duration
-	// bytes is payload moved; levelBytes splits it by delivered
-	// configuration; bandwidth is the most recent fetch's live estimate;
-	// switches/cancels count mid-stream steering events.
-	bytes             int64
-	levelBytes        map[string]int64
-	bandwidth         float64
-	switches, cancels int
-	// corruptRejected counts payloads the tenant's fetches rejected on
-	// integrity grounds (completed fetches; CRC caught them in time).
-	corruptRejected int
-	// sources counts delivered chunks per source class ("ram", "disk",
-	// "remote", "xregion", "recompute", "peer") across completed fetches.
-	sources map[string]int64
-}
-
 // Gateway is the serving frontend. Safe for concurrent use; Submit blocks
 // until its request completes, times out, or is rejected, so callers run
 // it from one goroutine per in-flight request (Workload.Run does).
@@ -281,9 +257,6 @@ type Gateway struct {
 	prefetchHits atomic.Uint64
 	degraded     atomic.Uint64
 
-	statsMu sync.Mutex
-	tenants map[string]*tenantAccum
-
 	tele gwInstruments
 }
 
@@ -293,13 +266,6 @@ type Gateway struct {
 // whether telemetry is wired.
 type gwInstruments struct {
 	reg       *telemetry.Registry // kept for lazy per-tenant histograms
-	admitted  *telemetry.Counter
-	rejected  *telemetry.Counter
-	timedOut  *telemetry.Counter
-	completed *telemetry.Counter
-	failed    *telemetry.Counter
-	hits      *telemetry.Counter
-	degraded  *telemetry.Counter
 	ttft      *telemetry.Histogram
 	queueWait *telemetry.Histogram
 	// prefillLate is how long after its modelled duration the prefill
@@ -316,13 +282,6 @@ type gwInstruments struct {
 func (g *Gateway) register(reg *telemetry.Registry) {
 	g.tele = gwInstruments{
 		reg:       reg,
-		admitted:  reg.Counter("cachegen_gateway_admitted_total", "requests past admission control"),
-		rejected:  reg.Counter("cachegen_gateway_rejected_total", "requests rejected at the queue bound"),
-		timedOut:  reg.Counter("cachegen_gateway_timed_out_total", "requests abandoned on deadline"),
-		completed: reg.Counter("cachegen_gateway_completed_total", "requests served to first token"),
-		failed:    reg.Counter("cachegen_gateway_failed_total", "requests whose fetch errored"),
-		hits:      reg.Counter("cachegen_gateway_prefetch_hits_total", "completions whose KV was resident at slot grant"),
-		degraded:  reg.Counter("cachegen_gateway_degraded_total", "requests served below configured quality by the degradation ladder"),
 		ttft:      reg.Histogram("cachegen_gateway_ttft_seconds", "admission to first output token"),
 		queueWait: reg.Histogram("cachegen_gateway_queue_wait_seconds", "admission to decode-slot grant"),
 		prefillLate: reg.Histogram("cachegen_gateway_prefill_late_seconds",
@@ -333,6 +292,23 @@ func (g *Gateway) register(reg *telemetry.Registry) {
 	}
 	if reg == nil {
 		return
+	}
+	// One accounting, two exposures: the outcome series read the atomics
+	// Stats reads.
+	for _, c := range []struct {
+		name, help string
+		n          *atomic.Uint64
+	}{
+		{"cachegen_gateway_admitted_total", "requests past admission control", &g.admitted},
+		{"cachegen_gateway_rejected_total", "requests rejected at the queue bound", &g.rejected},
+		{"cachegen_gateway_timed_out_total", "requests abandoned on deadline", &g.timedOut},
+		{"cachegen_gateway_completed_total", "requests served to first token", &g.completed},
+		{"cachegen_gateway_failed_total", "requests whose fetch errored", &g.failed},
+		{"cachegen_gateway_prefetch_hits_total", "completions whose KV was resident at slot grant", &g.prefetchHits},
+		{"cachegen_gateway_degraded_total", "requests served below configured quality by the degradation ladder", &g.degraded},
+	} {
+		n := c.n
+		reg.GaugeFunc(c.name, c.help, func() float64 { return float64(n.Load()) })
 	}
 	// The codec keeps its own totals; elems ÷ busy seconds is the live
 	// per-core decode throughput, the bench ledger's
@@ -374,13 +350,6 @@ func (g *Gateway) register(reg *telemetry.Registry) {
 	})
 }
 
-// tenantTTFT returns the per-tenant labeled TTFT histogram (nil when
-// telemetry is off). Registration is idempotent, so the registry lookup
-// doubles as the cache.
-func (g *Gateway) tenantTTFT(tenant string) *telemetry.Histogram {
-	return g.tele.reg.Histogram("cachegen_gateway_ttft_seconds", "admission to first output token", "tenant", tenant)
-}
-
 // New validates the configuration and returns a ready gateway.
 func New(cfg Config) (*Gateway, error) {
 	if cfg.Slots < 1 {
@@ -400,7 +369,6 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:       cfg,
 		queues:    map[string]*tenantQueue{},
-		tenants:   map[string]*tenantAccum{},
 		freeSlots: cfg.Slots,
 	}
 	g.register(cfg.Telemetry)
@@ -447,7 +415,7 @@ func (g *Gateway) Submit(ctx context.Context, req Request) (*Result, error) {
 
 	// One span tree per request. The root span rides in the request
 	// context, so the streamer's per-chunk transfer/decode phases land
-	// under it; each terminal path below stamps the outcome attribute.
+	// under it; each terminal path stamps the outcome attribute (end).
 	var rootSpan *telemetry.Span
 	if tr := g.cfg.Tracer; tr != nil {
 		reqCtx, rootSpan = tr.StartRequest(reqCtx, "request",
@@ -465,9 +433,7 @@ func (g *Gateway) Submit(ctx context.Context, req Request) (*Result, error) {
 		fetched:  make(chan fetchOutcome, 1),
 	}
 
-	// Admission + enqueue + a dispatch attempt, atomically. The per-tenant
-	// submitted counter is bumped only past the closed check, so Submitted
-	// always partitions into completed+rejected+timedOut+failed.
+	// Admission + enqueue + a dispatch attempt, atomically.
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
@@ -475,11 +441,7 @@ func (g *Gateway) Submit(ctx context.Context, req Request) (*Result, error) {
 	}
 	if g.cfg.QueueLimit > 0 && g.queued >= g.cfg.QueueLimit {
 		g.mu.Unlock()
-		g.rejected.Add(1)
-		g.tele.rejected.Inc()
-		rootSpan.SetAttr("outcome", "rejected")
-		g.statsTenant(req.Tenant).add(func(a *tenantAccum) { a.submitted++; a.rejected++ })
-		return nil, fmt.Errorf("gateway: tenant %q context %q: %w", req.Tenant, req.ContextID, ErrRejected)
+		return nil, g.end(p, &g.rejected, "rejected", ErrRejected)
 	}
 	q := g.queueLocked(req.Tenant)
 	q.fifo = append(q.fifo, p)
@@ -490,8 +452,6 @@ func (g *Gateway) Submit(ctx context.Context, req Request) (*Result, error) {
 	g.admitted.Add(1)
 	g.dispatchLocked()
 	g.mu.Unlock()
-	g.tele.admitted.Inc()
-	g.statsTenant(req.Tenant).add(func(a *tenantAccum) { a.submitted++ })
 
 	if g.cfg.Prefetch {
 		p.prefetching = true
@@ -515,11 +475,7 @@ func (g *Gateway) Submit(ctx context.Context, req Request) (*Result, error) {
 				if p.ctx.Err() != nil {
 					return nil, g.timeout(p, "while queued")
 				}
-				g.failed.Add(1)
-				g.tele.failed.Inc()
-				rootSpan.SetAttr("outcome", "failed")
-				g.statsTenant(req.Tenant).add(func(a *tenantAccum) { a.failed++ })
-				return nil, fmt.Errorf("gateway: tenant %q context %q: %w", req.Tenant, req.ContextID, out.err)
+				return nil, g.end(p, &g.failed, "failed", out.err)
 			}
 			// KV ready (or the slot was granted concurrently): put the
 			// outcome back for serve and just wait for the grant.
@@ -711,7 +667,6 @@ func (g *Gateway) fetcher(p *pending) *streamer.Fetcher {
 	if step > 0 {
 		p.degrade = step
 		g.degraded.Add(1)
-		g.tele.degraded.Inc()
 		p.span.SetAttr("degrade_step", step)
 	}
 	// The rung means the same under either policy (streamer.Terms.Rung):
@@ -828,11 +783,7 @@ func (g *Gateway) serve(p *pending) (*Result, error) {
 		if p.ctx.Err() != nil {
 			return nil, g.timeout(p, "fetching")
 		}
-		g.failed.Add(1)
-		g.tele.failed.Inc()
-		p.span.SetAttr("outcome", "failed")
-		g.statsTenant(p.req.Tenant).add(func(a *tenantAccum) { a.failed++ })
-		return nil, fmt.Errorf("gateway: tenant %q context %q: %w", p.req.Tenant, p.req.ContextID, out.err)
+		return nil, g.end(p, &g.failed, "failed", out.err)
 	}
 
 	decode := g.decodeCost(out.kv.Tokens, p.req.SuffixTokens)
@@ -855,53 +806,22 @@ func (g *Gateway) serve(p *pending) (*Result, error) {
 
 	ttft := time.Since(p.admitted)
 	sloMet := p.req.SLO <= 0 || ttft <= p.req.SLO
-	g.completed.Add(1)
-	g.tele.completed.Inc()
-	g.tele.ttft.ObserveDuration(ttft)
-	g.tenantTTFT(p.req.Tenant).ObserveDuration(ttft)
-	if p.span != nil {
-		p.span.SetAttr("outcome", "completed")
-		p.span.SetAttr("ttft_ms", float64(ttft)/float64(time.Millisecond))
-		p.span.SetAttr("prefetch_hit", prefetchHit)
-		p.span.SetAttr("slo_met", sloMet)
-	}
+	g.end(p, &g.completed, "completed", nil)
 	if prefetchHit {
 		// Counted at completion, not at grant, so PrefetchHits never
 		// exceeds Completed in reports.
 		g.prefetchHits.Add(1)
-		g.tele.hits.Inc()
 	}
-	g.statsTenant(p.req.Tenant).add(func(a *tenantAccum) {
-		a.completed++
-		if sloMet {
-			a.sloMet++
-		}
-		a.ttfts = append(a.ttfts, ttft)
-		if out.report != nil {
-			a.transfer += out.report.TransferTime
-			a.decode += out.report.DecodeTime
-			a.recompute += out.report.RecomputeTime
-			a.bytes += out.report.BytesReceived
-			a.switches += out.report.Switches
-			a.cancels += out.report.Cancels
-			a.corruptRejected += out.report.CorruptRejected
-			if out.report.Bandwidth > 0 {
-				a.bandwidth = out.report.Bandwidth
-			}
-			for lv, n := range out.report.LevelBytes {
-				if a.levelBytes == nil {
-					a.levelBytes = map[string]int64{}
-				}
-				a.levelBytes[lv] += n
-			}
-			for i := range out.report.Decisions {
-				if a.sources == nil {
-					a.sources = map[string]int64{}
-				}
-				a.sources[streamer.DecisionSource(out.report.Decisions[i])]++
-			}
-		}
-	})
+	g.tele.ttft.ObserveDuration(ttft)
+	// The live per-tenant view. Registration is idempotent, so the
+	// registry lookup doubles as the cache.
+	g.tele.reg.Histogram("cachegen_gateway_ttft_seconds", "admission to first output token",
+		"tenant", p.req.Tenant).ObserveDuration(ttft)
+	if p.span != nil {
+		p.span.SetAttr("ttft_ms", float64(ttft)/float64(time.Millisecond))
+		p.span.SetAttr("prefetch_hit", prefetchHit)
+		p.span.SetAttr("slo_met", sloMet)
+	}
 	return &Result{
 		KV:          out.kv,
 		TTFT:        ttft,
@@ -924,95 +844,26 @@ func (g *Gateway) decodeCost(contextTokens, suffixTokens int) time.Duration {
 	return g.cfg.Model.Config().MarginalPrefillTime(contextTokens, suffixTokens, g.cfg.Device, 1)
 }
 
+// end accounts one terminal outcome — rejected, failed, timed out or
+// completed: it bumps the outcome's one count, stamps the outcome on the
+// request span, and wraps err (if any) with the request's identity.
+func (g *Gateway) end(p *pending, count *atomic.Uint64, outcome string, err error) error {
+	count.Add(1)
+	p.span.SetAttr("outcome", outcome)
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("gateway: tenant %q context %q: %w", p.req.Tenant, p.req.ContextID, err)
+}
+
 // timeout accounts one abandoned request and returns its error.
 func (g *Gateway) timeout(p *pending, where string) error {
-	g.timedOut.Add(1)
-	g.tele.timedOut.Inc()
-	if p.span != nil {
-		p.span.SetAttr("outcome", "timed_out")
-		p.span.SetAttr("where", where)
-	}
-	g.statsTenant(p.req.Tenant).add(func(a *tenantAccum) { a.timedOut++ })
-	return fmt.Errorf("gateway: tenant %q context %q abandoned %s: %w",
-		p.req.Tenant, p.req.ContextID, where, p.ctx.Err())
+	p.span.SetAttr("where", where)
+	return g.end(p, &g.timedOut, "timed_out", fmt.Errorf("abandoned %s: %w", where, p.ctx.Err()))
 }
 
-// statsTenant returns a handle for updating one tenant's accumulator.
-func (g *Gateway) statsTenant(tenant string) tenantHandle {
-	return tenantHandle{g: g, tenant: tenant}
-}
-
-type tenantHandle struct {
-	g      *Gateway
-	tenant string
-}
-
-func (h tenantHandle) add(fn func(*tenantAccum)) {
-	h.g.statsMu.Lock()
-	defer h.g.statsMu.Unlock()
-	a, ok := h.g.tenants[h.tenant]
-	if !ok {
-		a = &tenantAccum{}
-		h.g.tenants[h.tenant] = a
-	}
-	fn(a)
-}
-
-// TenantStats snapshots one tenant's counters and TTFT sample.
-type TenantStats struct {
-	Submitted, Completed, Rejected, TimedOut, Failed uint64
-	// SLOMet counts completions within their SLO.
-	SLOMet uint64
-	// TTFTs are the completed requests' TTFTs, in completion order.
-	TTFTs []time.Duration
-	// TransferTime, DecodeTime and RecomputeTime break the tenant's
-	// cumulative KV-load time into network transfer, bitstream decode,
-	// and text-fallback recompute (summed over completed requests).
-	TransferTime, DecodeTime, RecomputeTime time.Duration
-	// Bytes is the payload moved for the tenant; LevelBytes splits it by
-	// delivered configuration ("L0", "text", …), cancel waste included.
-	Bytes      int64
-	LevelBytes map[string]int64
-	// Bandwidth is the live estimate from the tenant's most recent
-	// completed fetch, bits per second (0 before any completion).
-	Bandwidth float64
-	// Switches and Cancels count mid-stream steering events across the
-	// tenant's completed fetches.
-	Switches, Cancels int
-	// CorruptRejected counts payloads rejected on integrity grounds
-	// (CRC/header validation) across the tenant's completed fetches —
-	// nonzero under wire-corruption chaos, always zero silently decoded.
-	CorruptRejected int
-	// SourceChunks counts delivered chunks per source class ("ram",
-	// "disk", "remote", "xregion", "recompute", "peer") across the
-	// tenant's completed fetches. Nil without a scheduler only in the
-	// sense that greedy fetches label everything remote or recompute.
-	SourceChunks map[string]int64
-}
-
-// EffectiveBandwidth is the tenant's byte-weighted average delivery
-// rate: payload moved over cumulative transfer time.
-func (t TenantStats) EffectiveBandwidth() float64 {
-	if t.TransferTime <= 0 {
-		return 0
-	}
-	return float64(t.Bytes) * 8 / t.TransferTime.Seconds()
-}
-
-// TTFTSummary returns the tenant's TTFT distribution in seconds.
-func (t TenantStats) TTFTSummary() metrics.Summary {
-	return metrics.Summarize(metrics.Seconds(t.TTFTs))
-}
-
-// SLORate returns SLOMet/Completed (0 with no completions).
-func (t TenantStats) SLORate() float64 {
-	if t.Completed == 0 {
-		return 0
-	}
-	return float64(t.SLOMet) / float64(t.Completed)
-}
-
-// Stats snapshots the gateway's counters.
+// Stats snapshots the gateway's lifetime counters. A run's per-tenant
+// account is its LoadReport (or the caller's Results).
 type Stats struct {
 	Admitted, Rejected, TimedOut, Completed, Failed uint64
 	// PrefetchHits counts completions whose KV was fully resident when
@@ -1024,21 +875,16 @@ type Stats struct {
 	// QueueDepth is the current queued-request count; MaxQueueDepth its
 	// high-water mark.
 	QueueDepth, MaxQueueDepth int
-	// SourceChunks aggregates delivered chunks per source class across
-	// all tenants (see TenantStats.SourceChunks).
-	SourceChunks map[string]int64
 	// FreeSlots is the current free decode-slot count.
 	FreeSlots int
-	// Tenants holds per-tenant counters and TTFT histograms.
-	Tenants map[string]TenantStats
 }
 
-// Stats returns a consistent snapshot of the gateway's counters.
+// Stats returns a snapshot of the gateway's counters.
 func (g *Gateway) Stats() Stats {
 	g.mu.Lock()
 	depth, maxDepth, free := g.queued, g.maxQueued, g.freeSlots
 	g.mu.Unlock()
-	s := Stats{
+	return Stats{
 		Admitted:      g.admitted.Load(),
 		Rejected:      g.rejected.Load(),
 		TimedOut:      g.timedOut.Load(),
@@ -1049,36 +895,5 @@ func (g *Gateway) Stats() Stats {
 		QueueDepth:    depth,
 		MaxQueueDepth: maxDepth,
 		FreeSlots:     free,
-		Tenants:       map[string]TenantStats{},
 	}
-	g.statsMu.Lock()
-	defer g.statsMu.Unlock()
-	for name, a := range g.tenants {
-		levels := make(map[string]int64, len(a.levelBytes))
-		for lv, n := range a.levelBytes {
-			levels[lv] = n
-		}
-		var sources map[string]int64
-		if len(a.sources) > 0 {
-			sources = make(map[string]int64, len(a.sources))
-			for src, n := range a.sources {
-				sources[src] = n
-				if s.SourceChunks == nil {
-					s.SourceChunks = map[string]int64{}
-				}
-				s.SourceChunks[src] += n
-			}
-		}
-		s.Tenants[name] = TenantStats{
-			Submitted: a.submitted, Completed: a.completed, Rejected: a.rejected,
-			TimedOut: a.timedOut, Failed: a.failed, SLOMet: a.sloMet,
-			TTFTs:        append([]time.Duration{}, a.ttfts...),
-			TransferTime: a.transfer, DecodeTime: a.decode, RecomputeTime: a.recompute,
-			Bytes: a.bytes, LevelBytes: levels, Bandwidth: a.bandwidth,
-			Switches: a.switches, Cancels: a.cancels,
-			CorruptRejected: a.corruptRejected,
-			SourceChunks:    sources,
-		}
-	}
-	return s
 }

@@ -123,6 +123,7 @@ func TestGatewayConcurrentFairness(t *testing.T) {
 	r := newTestRing(t, 3)
 	cfg := r.config(2, true)
 	cfg.Tenants = map[string]int{"alpha": 2, "beta": 1, "gamma": 1}
+	cfg.Telemetry = telemetry.NewRegistry()
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -165,12 +166,12 @@ func TestGatewayConcurrentFairness(t *testing.T) {
 		t.Fatalf("completed %d / admitted %d, want 36/36", st.Completed, st.Admitted)
 	}
 	for _, tenant := range tenants {
-		ts := st.Tenants[tenant]
-		if ts.Completed != perTenant {
-			t.Errorf("tenant %s completed %d, want %d (starved?)", tenant, ts.Completed, perTenant)
+		if n := len(seqByTenant[tenant]); n != perTenant {
+			t.Errorf("tenant %s completed %d, want %d (starved?)", tenant, n, perTenant)
 		}
-		if ts.TTFTSummary().N != perTenant {
-			t.Errorf("tenant %s TTFT histogram has %d samples, want %d", tenant, ts.TTFTSummary().N, perTenant)
+		h := cfg.Telemetry.Histogram("cachegen_gateway_ttft_seconds", "", "tenant", tenant)
+		if n := h.Count(); n != perTenant {
+			t.Errorf("tenant %s TTFT histogram has %d samples, want %d", tenant, n, perTenant)
 		}
 	}
 
@@ -431,7 +432,8 @@ func TestWorkloadRun(t *testing.T) {
 	if rep.Completed == 0 || rep.Throughput() <= 0 {
 		t.Errorf("no throughput: %+v", rep)
 	}
-	if len(rep.TTFTs["gold"]) == 0 || len(rep.TTFTs["bronze"]) == 0 {
+	if rep.Tenants["gold"] == nil || len(rep.Tenants["gold"].TTFTs) == 0 ||
+		rep.Tenants["bronze"] == nil || len(rep.Tenants["bronze"].TTFTs) == 0 {
 		t.Error("a tenant got no completions")
 	}
 	if got := len(rep.AllTTFTs()); got != rep.Completed {
@@ -477,9 +479,9 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 }
 
 // TestGatewayStreamingTelemetry: a completed request through the
-// fleet's server-push stream surfaces the bandwidth estimate and
-// per-level byte counters in the tenant stats, and the codec's decode
-// totals on the registry.
+// fleet's server-push stream surfaces the codec's decode totals, the
+// slot scheduler's view and the prefill timer on the registry, and its
+// prefill span keeps the modelled duration.
 func TestGatewayStreamingTelemetry(t *testing.T) {
 	r := newTestRing(t, 1)
 	cfg := r.config(1, false)
@@ -502,23 +504,6 @@ func TestGatewayStreamingTelemetry(t *testing.T) {
 	}
 	if w := cfg.Codec.SlotTotals().PublishWait; w != published {
 		t.Errorf("publish wait moved %v → %v during a request that publishes nothing", published, w)
-	}
-	ts := g.Stats().Tenants["acme"]
-	if ts.Bytes <= 0 || ts.Bytes != res.Report.BytesReceived {
-		t.Errorf("tenant bytes = %d, report says %d", ts.Bytes, res.Report.BytesReceived)
-	}
-	if ts.Bandwidth <= 0 {
-		t.Error("tenant bandwidth estimate missing")
-	}
-	var sum int64
-	for _, n := range ts.LevelBytes {
-		sum += n
-	}
-	if sum != ts.Bytes {
-		t.Errorf("level bytes sum to %d, want %d", sum, ts.Bytes)
-	}
-	if eff := ts.EffectiveBandwidth(); eff <= 0 {
-		t.Errorf("effective bandwidth = %v", eff)
 	}
 	var prom strings.Builder
 	cfg.Telemetry.WritePrometheus(&prom)
@@ -565,5 +550,86 @@ func TestGatewayStreamingTelemetry(t *testing.T) {
 	}
 	if prefills != 1 {
 		t.Errorf("%d prefill spans, want 1", prefills)
+	}
+}
+
+// TestGatewayOutcomeSeriesAreStats: one account, two exposures. Every
+// terminal outcome, a prefetch hit and the degrade ladder are driven
+// through one gateway, and each cachegen_gateway_*_total series in the
+// exposition equals the matching Stats field.
+func TestGatewayOutcomeSeriesAreStats(t *testing.T) {
+	r := newTestRing(t, 2)
+	gated := newGatedSource(r.pool)
+	cfg := r.config(1, true)
+	cfg.Source = gated
+	cfg.QueueLimit = 2
+	cfg.Degrade = true
+	cfg.Telemetry = telemetry.NewRegistry()
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	blocked, free := r.contexts[0], r.contexts[1]
+	gate := gated.block(blocked)
+	submit := func(req Request) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := g.Submit(context.Background(), req)
+			done <- err
+		}()
+		return done
+	}
+	admitted := func(n uint64) {
+		t.Helper()
+		waitFor(t, time.Second, func() bool { return g.Stats().Admitted == n })
+	}
+
+	// The victim holds the only slot until the gate opens. Behind it
+	// queue one request that completes (its prefetch lands while it
+	// waits, and the half-full queue degrades it) and one whose
+	// deadline expires in the queue.
+	victim := submit(Request{Tenant: "t", ContextID: blocked})
+	admitted(1)
+	served := submit(Request{Tenant: "t", ContextID: free})
+	admitted(2)
+	expired := submit(Request{Tenant: "t", ContextID: free, Deadline: 100 * time.Millisecond})
+	admitted(3)
+	if _, err := g.Submit(context.Background(), Request{Tenant: "t", ContextID: free}); !errors.Is(err, ErrRejected) {
+		t.Fatalf("submit past the queue bound returned %v, want ErrRejected", err)
+	}
+	if err := <-expired; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("queued request past its deadline returned %v, want DeadlineExceeded", err)
+	}
+	// A prefetch of a missing context fails while it queues.
+	if _, err := g.Submit(context.Background(), Request{Tenant: "t", ContextID: "no-such-context"}); err == nil || errors.Is(err, ErrRejected) {
+		t.Fatalf("request for a missing context returned %v, want a fetch failure", err)
+	}
+	close(gate)
+	for _, done := range []chan error{victim, served} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st := g.Stats()
+	var prom strings.Builder
+	cfg.Telemetry.WritePrometheus(&prom)
+	for _, c := range []struct {
+		series string
+		n      uint64
+	}{
+		{"admitted", st.Admitted}, {"rejected", st.Rejected}, {"timed_out", st.TimedOut},
+		{"completed", st.Completed}, {"failed", st.Failed},
+		{"prefetch_hits", st.PrefetchHits}, {"degraded", st.Degraded},
+	} {
+		if c.n == 0 {
+			t.Errorf("Stats counted no %s outcome; the test drove one", c.series)
+		}
+		line := fmt.Sprintf("\ncachegen_gateway_%s_total %g\n", c.series, float64(c.n))
+		if !strings.Contains(prom.String(), line) {
+			t.Errorf("exposition lacks %q (Stats: %+v):\n%s", strings.TrimSpace(line), st, prom.String())
+		}
 	}
 }

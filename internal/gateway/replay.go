@@ -74,7 +74,7 @@ func Replay(ctx context.Context, g *Gateway, src workload.Source, opts ReplayOpt
 			offered = float64(len(arrivals)) / d.Seconds()
 		}
 	}
-	rep := &LoadReport{Offered: offered, TTFTs: map[string][]time.Duration{}}
+	rep := &LoadReport{Offered: offered, Tenants: map[string]*TenantReport{}}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	if opts.Started != nil {
@@ -83,10 +83,7 @@ func Replay(ctx context.Context, g *Gateway, src workload.Source, opts ReplayOpt
 	start := time.Now()
 
 	for _, a := range arrivals {
-		if wait := a.At.D() - time.Since(start); wait > 0 {
-			time.Sleep(wait)
-		}
-		if ctx.Err() != nil {
+		if !wait(ctx, a.At.D()-time.Since(start)) {
 			break
 		}
 		rep.Sessions++
@@ -115,17 +112,9 @@ func replayChat(ctx context.Context, g *Gateway, a workload.Arrival, rep *LoadRe
 	}
 	var resident *tensor.KV
 	for turn := 1; turn <= turns; turn++ {
-		if turn > 1 {
-			if think := a.ThinkTime.D(); think > 0 {
-				time.Sleep(expDuration(srng, think))
-			}
-			if ctx.Err() != nil {
-				return
-			}
+		if turn > 1 && !wait(ctx, expDuration(srng, a.ThinkTime.D())) {
+			return
 		}
-		mu.Lock()
-		rep.Submitted++
-		mu.Unlock()
 		res, err := g.Submit(ctx, Request{
 			Tenant:       a.Tenant,
 			ContextID:    a.ContextID,
@@ -150,10 +139,7 @@ func replayChat(ctx context.Context, g *Gateway, a workload.Arrival, rep *LoadRe
 func replayAgentic(ctx context.Context, g *Gateway, pub storage.Store, a workload.Arrival, rep *LoadReport, mu *sync.Mutex) {
 	s, err := g.NewSession(pub, a.Tenant, a.ContextID)
 	if err != nil {
-		mu.Lock()
-		rep.Submitted++
-		rep.Failed++
-		mu.Unlock()
+		account(rep, mu, a.Tenant, 1, nil, err)
 		return
 	}
 	s.SLO = a.SLO.D()
@@ -165,32 +151,19 @@ func replayAgentic(ctx context.Context, g *Gateway, pub storage.Store, a workloa
 		turns = 2 // an agentic session needs at least one append turn
 	}
 	for turn := 1; turn <= turns; turn++ {
-		if turn > 1 {
-			if think := a.ThinkTime.D(); think > 0 {
-				time.Sleep(expDuration(srng, think))
-			}
-			if ctx.Err() != nil {
-				return
-			}
-			mu.Lock()
-			rep.Submitted++
-			mu.Unlock()
+		if turn > 1 && !wait(ctx, expDuration(srng, a.ThinkTime.D())) {
+			return
 		}
 		tr, err := s.Turn(ctx, workload.TurnTokens(a.Seed, turn, a.AppendTokens))
-		if turn > 1 {
+		// Turn 1 is a publish, not a gateway request: it is accounted
+		// only when it fails, so fault-induced publish failures stay
+		// visible without diluting SLO rates with SLO-less completions.
+		if turn > 1 || err != nil {
 			var res *Result
 			if tr != nil {
 				res = tr.Result
 			}
 			account(rep, mu, a.Tenant, turn, res, err)
-		} else if err != nil {
-			// Turn 1 is a publish, not a gateway request: it is accounted
-			// only when it fails, so fault-induced publish failures stay
-			// visible without diluting SLO rates with SLO-less completions.
-			account(rep, mu, a.Tenant, turn, nil, err)
-			mu.Lock()
-			rep.Submitted++
-			mu.Unlock()
 		}
 		if err != nil {
 			return
@@ -198,33 +171,48 @@ func replayAgentic(ctx context.Context, g *Gateway, pub storage.Store, a workloa
 	}
 }
 
-// account folds one turn's outcome into the report.
+// account folds one turn's outcome into the run's totals and its
+// tenant's account.
 func account(rep *LoadReport, mu *sync.Mutex, tenant string, turn int, res *Result, err error) {
 	mu.Lock()
 	defer mu.Unlock()
-	switch {
-	case err == nil:
-		rep.Completed++
-		if res != nil {
-			if res.SLOMet {
-				rep.SLOMet++
-			}
-			if res.PrefetchHit {
-				rep.PrefetchHits++
-			}
-			rep.TTFTs[tenant] = append(rep.TTFTs[tenant], res.TTFT)
-			if turn > 1 {
-				rep.WarmTurns++
-				rep.WarmTTFTs = append(rep.WarmTTFTs, res.TTFT)
-			}
-		}
-	case errors.Is(err, ErrRejected):
-		rep.Rejected++
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		rep.TimedOut++
-	default:
-		rep.Failed++
+	t := rep.Tenants[tenant]
+	if t == nil {
+		t = &TenantReport{LevelBytes: map[string]int64{}, Sources: map[string]int64{}}
+		rep.Tenants[tenant] = t
 	}
+	rep.add(res, err)
+	t.add(res, err)
+	if err != nil || res == nil {
+		return
+	}
+	t.TTFTs = append(t.TTFTs, res.TTFT)
+	if turn > 1 {
+		rep.WarmTurns++
+		rep.WarmTTFTs = append(rep.WarmTTFTs, res.TTFT)
+	}
+	if res.Report != nil {
+		t.addFetch(res.Report)
+	}
+}
+
+// expDuration draws an exponential duration with the given mean, capped
+// at 5× the mean so one unlucky draw cannot stall a whole session.
+func expDuration(rng *rand.Rand, mean time.Duration) time.Duration {
+	return min(time.Duration(rng.ExpFloat64()*float64(mean)), 5*mean)
+}
+
+// wait sleeps for d, returning early (false) when ctx is done.
+func wait(ctx context.Context, d time.Duration) bool {
+	if d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+		}
+	}
+	return ctx.Err() == nil
 }
 
 // lastOffset returns the final arrival's offset.

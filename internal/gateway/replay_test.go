@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -52,12 +53,164 @@ func TestReplayTrace(t *testing.T) {
 	if rep.WarmTurns != 2 {
 		t.Fatalf("WarmTurns = %d, want 2", rep.WarmTurns)
 	}
-	if len(rep.TTFTs["t1"]) != 4 || len(rep.TTFTs["t2"]) != 1 {
-		t.Fatalf("per-tenant TTFTs = %d/%d, want 4/1", len(rep.TTFTs["t1"]), len(rep.TTFTs["t2"]))
+	if len(rep.Tenants) != 2 || len(rep.Tenants["t1"].TTFTs) != 4 || len(rep.Tenants["t2"].TTFTs) != 1 {
+		t.Fatalf("per-tenant accounts %+v, want t1 with 4 TTFTs and t2 with 1", rep.Tenants)
+	}
+	submitted := 0
+	for name, ts := range rep.Tenants {
+		checkTenantReport(t, name, ts)
+		submitted += ts.Submitted
+		// Every session's first turn fetched cold over the fleet stream.
+		if ts.Bytes <= 0 || ts.Bandwidth <= 0 || ts.EffectiveBandwidth() <= 0 {
+			t.Errorf("tenant %s: %d bytes at %.0f bps (effective %.0f); want a cold streamed fetch",
+				name, ts.Bytes, ts.Bandwidth, ts.EffectiveBandwidth())
+		}
+	}
+	if submitted != rep.Submitted {
+		t.Errorf("tenants' submissions sum to %d, run total %d", submitted, rep.Submitted)
 	}
 	// The trace's contexts were published by Replay itself.
 	if _, err := r.sharded.GetManifest(context.Background(), "tr-a"); err != nil {
 		t.Fatalf("trace context not published: %v", err)
+	}
+}
+
+// checkTenantReport checks one tenant's account is internally whole:
+// the outcomes partition its submissions, one TTFT per completion, the
+// per-level bytes sum to its bytes.
+func checkTenantReport(t *testing.T, name string, ts *TenantReport) {
+	t.Helper()
+	if got := ts.Completed + ts.Rejected + ts.TimedOut + ts.Failed; got != ts.Submitted {
+		t.Errorf("tenant %s: outcomes sum to %d, submitted %d", name, got, ts.Submitted)
+	}
+	if len(ts.TTFTs) != ts.Completed {
+		t.Errorf("tenant %s: %d TTFTs for %d completions", name, len(ts.TTFTs), ts.Completed)
+	}
+	var levels int64
+	for _, n := range ts.LevelBytes {
+		levels += n
+	}
+	if levels != ts.Bytes {
+		t.Errorf("tenant %s: level bytes sum to %d, want %d", name, levels, ts.Bytes)
+	}
+}
+
+// TestReplayTenantAccount: the run report's per-tenant record is folded
+// from the Results a run produces — the same requests driven through
+// Submit and accounted the way Replay accounts them carry their bytes,
+// decisions and bandwidth estimates into their tenant's record.
+func TestReplayTenantAccount(t *testing.T) {
+	r := newTestRing(t, 2)
+	g, err := New(r.config(1, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	type want struct {
+		completed, timedOut, failed int
+		bytes                       int64
+		decisions                   int
+	}
+	wants := map[string]*want{"t1": {}, "t2": {}}
+	rep := &LoadReport{Tenants: map[string]*TenantReport{}}
+	var mu sync.Mutex
+	for _, req := range []Request{
+		{Tenant: "t1", ContextID: r.contexts[0]},
+		{Tenant: "t1", ContextID: r.contexts[1]},
+		{Tenant: "t1", ContextID: "no-such-context"},
+		{Tenant: "t2", ContextID: r.contexts[1]},
+		{Tenant: "t2", ContextID: r.contexts[0], Deadline: time.Nanosecond},
+		{Tenant: "t2", ContextID: r.contexts[0]},
+	} {
+		res, err := g.Submit(context.Background(), req)
+		account(rep, &mu, req.Tenant, 1, res, err)
+		w := wants[req.Tenant]
+		switch {
+		case err == nil:
+			if !res.Report.Streamed {
+				t.Fatalf("%s: fetch did not take the streaming path", req.ContextID)
+			}
+			w.completed++
+			w.bytes += res.Report.BytesReceived
+			w.decisions += len(res.Report.Decisions)
+		case req.Deadline > 0:
+			w.timedOut++
+		default:
+			w.failed++
+		}
+	}
+	if rep.Submitted != 6 || rep.Completed != 4 || rep.TimedOut != 1 || rep.Failed != 1 {
+		t.Fatalf("run totals %+v, want 6 submitted: 4 completed, 1 timed out, 1 failed", rep.Outcomes)
+	}
+	for name, w := range wants {
+		ts := rep.Tenants[name]
+		checkTenantReport(t, name, ts)
+		if ts.Completed != w.completed || ts.TimedOut != w.timedOut || ts.Failed != w.failed {
+			t.Errorf("tenant %s: outcomes %+v, want %d completed / %d timed out / %d failed",
+				name, ts.Outcomes, w.completed, w.timedOut, w.failed)
+		}
+		if ts.Bytes <= 0 || ts.Bytes != w.bytes {
+			t.Errorf("tenant %s: %d bytes, Results received %d", name, ts.Bytes, w.bytes)
+		}
+		var sources int64
+		for _, n := range ts.Sources {
+			sources += n
+		}
+		if sources != int64(w.decisions) {
+			t.Errorf("tenant %s: sources sum to %d, Results made %d decisions", name, sources, w.decisions)
+		}
+		if ts.Bandwidth <= 0 {
+			t.Errorf("tenant %s: no bandwidth estimate from its streamed fetches", name)
+		}
+	}
+}
+
+// TestReplayCancelReturnsPromptly: cancelling a replay stops it while it
+// waits — for the next arrival or through a session's think time — not
+// when the wait would have ended.
+func TestReplayCancelReturnsPromptly(t *testing.T) {
+	r := newTestRing(t, 1)
+	const seed, think = 16, 2 * time.Second
+	// The session's first think-time draw must outlast the test's bound,
+	// or the think-time case would pass by luck.
+	if d := expDuration(rand.New(rand.NewSource(seed)), think); d < 2*time.Second {
+		t.Fatalf("seed %d draws a %v first think time; pick one over 2s", seed, d)
+	}
+	for _, c := range []struct {
+		name     string
+		arrivals []workload.Arrival
+	}{
+		{"arrival gap", []workload.Arrival{
+			{At: 0, Tenant: "t", ContextID: r.contexts[0], Seed: 1},
+			{At: workload.Duration(5 * time.Second), Tenant: "t", ContextID: r.contexts[0], Seed: 2},
+		}},
+		{"think time", []workload.Arrival{
+			{At: 0, Tenant: "t", ContextID: r.contexts[0], Turns: 50,
+				ThinkTime: workload.Duration(think), Seed: seed},
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := New(r.config(1, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			time.AfterFunc(300*time.Millisecond, cancel)
+			start := time.Now()
+			rep, err := Replay(ctx, g, &workload.Trace{TraceName: "cancel", ArrivalList: c.arrivals}, ReplayOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if took := time.Since(start); took > time.Second {
+				t.Fatalf("Replay returned %v after start, cancelled at 300ms", took)
+			}
+			if rep.Completed != 1 {
+				t.Errorf("completed %d, want the first turn only", rep.Completed)
+			}
+		})
 	}
 }
 

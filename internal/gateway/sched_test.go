@@ -10,7 +10,7 @@ import (
 
 // TestGatewaySchedServes drives a scheduler-equipped gateway end to end:
 // cold fetches come off the fleet, repeat fetches hit the RAM payload
-// cache, per-source chunk counts surface in Stats, the decode-slot
+// cache, per-source chunk counts surface in the Results, the decode-slot
 // tracker drains back to idle, and a fleet-shared resident index lets a
 // second gateway serve whole chunks from its peer.
 func TestGatewaySchedServes(t *testing.T) {
@@ -30,6 +30,7 @@ func TestGatewaySchedServes(t *testing.T) {
 	gA, sA := mk("gw-a")
 
 	ctx := context.Background()
+	src := map[string]int{}
 	for round := 0; round < 2; round++ {
 		for _, id := range r.contexts {
 			res, err := gA.Submit(ctx, Request{Tenant: "t1", ContextID: id})
@@ -39,11 +40,12 @@ func TestGatewaySchedServes(t *testing.T) {
 			if res.KV == nil || res.KV.Tokens != r.tokens {
 				t.Fatalf("round %d context %s: bad KV", round, id)
 			}
+			for _, d := range res.Report.Decisions {
+				src[streamer.DecisionSource(d)]++
+			}
 		}
 	}
 
-	stats := gA.Stats()
-	src := stats.SourceChunks
 	if src[streamer.SourceRemote] == 0 {
 		t.Fatalf("no chunks labelled remote in %v; cold fetches should hit the fleet", src)
 	}
@@ -67,7 +69,13 @@ func TestGatewaySchedServes(t *testing.T) {
 	if res.KV == nil {
 		t.Fatal("peer-served request returned no KV")
 	}
-	if n := gB.Stats().SourceChunks[streamer.SourcePeer]; n == 0 {
-		t.Fatalf("gw-b sources = %v; want peer-served chunks", gB.Stats().SourceChunks)
+	peer := 0
+	for _, d := range res.Report.Decisions {
+		if streamer.DecisionSource(d) == streamer.SourcePeer {
+			peer++
+		}
+	}
+	if peer == 0 {
+		t.Fatalf("gw-b decisions %+v; want peer-served chunks", res.Report.Decisions)
 	}
 }

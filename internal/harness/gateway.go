@@ -148,18 +148,18 @@ func x5Weights(tenants []workload.PoissonTenant) map[string]int {
 }
 
 // run executes one load point and returns the report.
-func (s *x5Stack) run(r x5Run) (*gateway.LoadReport, gateway.Stats, error) {
+func (s *x5Stack) run(r x5Run) (*gateway.LoadReport, error) {
 	replicas := 2
 	if r.nodes == 1 {
 		replicas = 1
 	}
 	fl, sharded, err := launchRing(r.nodes, replicas, 4<<20)
 	if err != nil {
-		return nil, gateway.Stats{}, err
+		return nil, err
 	}
 	defer fl.Close()
 	if err := s.publish(sharded, 6); err != nil {
-		return nil, gateway.Stats{}, err
+		return nil, err
 	}
 	pool := cluster.NewPool(sharded.Ring(), cluster.WithRequestTimeout(10*time.Second))
 	defer pool.Close()
@@ -178,17 +178,13 @@ func (s *x5Stack) run(r x5Run) (*gateway.LoadReport, gateway.Stats, error) {
 		DecodeTime:  func(int, int) time.Duration { return x5DecodeCost },
 	})
 	if err != nil {
-		return nil, gateway.Stats{}, err
+		return nil, err
 	}
 	tr, err := workload.Poisson(r.rate, r.requests, r.tenants, 17)
 	if err != nil {
-		return nil, gateway.Stats{}, err
+		return nil, err
 	}
-	rep, err := gateway.Replay(context.Background(), g, tr, gateway.ReplayOptions{Offered: r.rate})
-	if err != nil {
-		return nil, gateway.Stats{}, err
-	}
-	return rep, g.Stats(), nil
+	return gateway.Replay(context.Background(), g, tr, gateway.ReplayOptions{Offered: r.rate})
 }
 
 func x5Row(rep *gateway.LoadReport) (p50, p99 string, slo string, thpt string) {
@@ -220,7 +216,7 @@ func runX5Gateway(f *Fixture) ([]*Report, error) {
 	for _, mixName := range []string{"2 even", "3 skewed"} {
 		tenants := mixes[mixName]
 		for _, rate := range []float64{150, 400} {
-			rep, st, err := s.run(x5Run{
+			rep, err := s.run(x5Run{
 				nodes: 3, rate: rate, requests: 60, prefetch: true,
 				tenants: tenants, weights: x5Weights(tenants),
 			})
@@ -230,12 +226,12 @@ func runX5Gateway(f *Fixture) ([]*Report, error) {
 			p50, p99, slo, thpt := x5Row(rep)
 			sweep.AddRow("3", mixName, fmt.Sprintf("%.0f/s", rate),
 				fmt.Sprintf("%d/%d", rep.Completed, rep.Submitted),
-				fmt.Sprintf("%d", rep.TimedOut), thpt, p50, p99, slo, gatewayBreakdown(st))
+				fmt.Sprintf("%d", rep.TimedOut), thpt, p50, p99, slo, gatewayBreakdown(rep))
 		}
 	}
 	// One single-node point at the higher rate: the fleet-size axis.
 	singleTenants := mixes["2 even"]
-	rep, st, err := s.run(x5Run{
+	rep, err := s.run(x5Run{
 		nodes: 1, rate: 400, requests: 60, prefetch: true,
 		tenants: singleTenants, weights: x5Weights(singleTenants),
 	})
@@ -244,7 +240,7 @@ func runX5Gateway(f *Fixture) ([]*Report, error) {
 	}
 	p50, p99, slo, thpt := x5Row(rep)
 	sweep.AddRow("1", "2 even", "400/s", fmt.Sprintf("%d/%d", rep.Completed, rep.Submitted),
-		fmt.Sprintf("%d", rep.TimedOut), thpt, p50, p99, slo, gatewayBreakdown(st))
+		fmt.Sprintf("%d", rep.TimedOut), thpt, p50, p99, slo, gatewayBreakdown(rep))
 	sweep.AddNote("open-loop Poisson arrivals over a simulated %v per-chunk WAN RTT; TTFT = admission → first token (queue wait + KV load + suffix prefill); SLO %v", x5ChunkRTT, x5SLO)
 	sweep.AddNote("'Load xfer/dec' splits the cumulative KV-load time into transfer vs decode+recompute across all completed requests: which resource the fleet would have to scale")
 
@@ -257,7 +253,7 @@ func runX5Gateway(f *Fixture) ([]*Report, error) {
 	}
 	tenants := mixes["2 even"]
 	for _, prefetch := range []bool{false, true} {
-		rep, st, err := s.run(x5Run{
+		rep, err := s.run(x5Run{
 			nodes: 3, rate: 400, requests: 60, prefetch: prefetch,
 			tenants: tenants, weights: x5Weights(tenants),
 		})
@@ -269,7 +265,7 @@ func runX5Gateway(f *Fixture) ([]*Report, error) {
 		hits := "-"
 		if prefetch {
 			label = "on (fetch while queued)"
-			hits = fmt.Sprintf("%d/%d", st.PrefetchHits, rep.Completed)
+			hits = fmt.Sprintf("%d/%d", rep.PrefetchHits, rep.Completed)
 		}
 		bench.AddRow(label, fmt.Sprintf("%d/%d", rep.Completed, rep.Submitted),
 			thpt, p50, p99, slo, hits)
@@ -280,9 +276,9 @@ func runX5Gateway(f *Fixture) ([]*Report, error) {
 
 // gatewayBreakdown renders the fleet-wide KV-load time split (transfer vs
 // decode+recompute) summed over every tenant's completed requests.
-func gatewayBreakdown(st gateway.Stats) string {
+func gatewayBreakdown(rep *gateway.LoadReport) string {
 	var transfer, compute time.Duration
-	for _, ts := range st.Tenants {
+	for _, ts := range rep.Tenants {
 		transfer += ts.TransferTime
 		compute += ts.DecodeTime + ts.RecomputeTime
 	}

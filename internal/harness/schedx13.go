@@ -181,11 +181,11 @@ func x13Prestage(st storage.Store, ids []string, cache streamer.PayloadCache) er
 
 // x13Arm runs one load point through one arm. Each run gets a fresh
 // store, link and gateway so arms never share queue state.
-func x13Arm(s *x5Stack, rate float64, withSched bool) (*gateway.LoadReport, gateway.Stats, error) {
+func x13Arm(s *x5Stack, rate float64, withSched bool) (*gateway.LoadReport, error) {
 	store := storage.NewMemStore()
 	ids, err := x13Publish(s, store)
 	if err != nil {
-		return nil, gateway.Stats{}, err
+		return nil, err
 	}
 	link := &sharedLink{src: storeSource{store}, rtt: x13LinkRTT, bps: x13LinkBps}
 	cfg := gateway.Config{
@@ -214,33 +214,27 @@ func x13Arm(s *x5Stack, rate float64, withSched bool) (*gateway.LoadReport, gate
 			Signals: sched.Signals{BandwidthBPS: x13LinkBps, RTT: x13LinkRTT},
 		})
 		if err := x13Prestage(store, ids, sc.Cache()); err != nil {
-			return nil, gateway.Stats{}, err
+			return nil, err
 		}
 		cfg.Sched = sc
 	}
 	g, err := gateway.New(cfg)
 	if err != nil {
-		return nil, gateway.Stats{}, err
+		return nil, err
 	}
 	defer g.Close()
 	tr, err := workload.Poisson(rate, x13Requests, tenants, 17)
 	if err != nil {
-		return nil, gateway.Stats{}, err
+		return nil, err
 	}
-	rep, err := gateway.Replay(context.Background(), g, tr, gateway.ReplayOptions{Offered: rate})
-	if err != nil {
-		return nil, gateway.Stats{}, err
-	}
-	return rep, g.Stats(), nil
+	return gateway.Replay(context.Background(), g, tr, gateway.ReplayOptions{Offered: rate})
 }
 
 // x13Point is one swept arrival rate: both arms under identical load.
 type x13Point struct {
-	rate        float64
-	greedy      *gateway.LoadReport
-	greedyStats gateway.Stats
-	sched       *gateway.LoadReport
-	schedStats  gateway.Stats
+	rate   float64
+	greedy *gateway.LoadReport
+	sched  *gateway.LoadReport
 }
 
 // x13SweepCell reruns the X5 arrival-rate sweep over the shared link
@@ -251,10 +245,10 @@ func x13SweepCell(s *x5Stack) ([]x13Point, error) {
 		var p x13Point
 		p.rate = rate
 		var err error
-		if p.greedy, p.greedyStats, err = x13Arm(s, rate, false); err != nil {
+		if p.greedy, err = x13Arm(s, rate, false); err != nil {
 			return nil, fmt.Errorf("greedy arm at %.0f/s: %w", rate, err)
 		}
-		if p.sched, p.schedStats, err = x13Arm(s, rate, true); err != nil {
+		if p.sched, err = x13Arm(s, rate, true); err != nil {
 			return nil, fmt.Errorf("sched arm at %.0f/s: %w", rate, err)
 		}
 		points = append(points, p)
@@ -620,17 +614,16 @@ func runX13Sched(f *Fixture) ([]*Report, error) {
 	}
 	for _, p := range points {
 		for _, arm := range []struct {
-			name  string
-			rep   *gateway.LoadReport
-			stats gateway.Stats
+			name string
+			rep  *gateway.LoadReport
 		}{
-			{"greedy planner", p.greedy, p.greedyStats},
-			{"sched cost model", p.sched, p.schedStats},
+			{"greedy planner", p.greedy},
+			{"sched cost model", p.sched},
 		} {
 			p50, p99, slo, _ := x5Row(arm.rep)
 			sweep.AddRow(fmt.Sprintf("%.0f/s", p.rate), arm.name,
 				fmt.Sprintf("%d/%d", arm.rep.Completed, arm.rep.Submitted),
-				p50, p99, slo, x13Mix(arm.stats.SourceChunks))
+				p50, p99, slo, x13Mix(arm.rep.Sources()))
 		}
 	}
 	sweep.AddNote("shared data link: %s serialized, %v queued RTT per payload (≈64 level-1 contexts/s capacity); manifests ride the control channel; SLO %v",

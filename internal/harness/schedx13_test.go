@@ -24,8 +24,8 @@ func TestX13SchedulerHoldsSLOUnderCollapse(t *testing.T) {
 	}
 	for _, p := range points {
 		t.Logf("rate %3.0f/s: greedy %3.0f%% SLO (mix %s) vs sched %3.0f%% SLO (mix %s)",
-			p.rate, 100*p.greedy.SLORate(), x13Mix(p.greedyStats.SourceChunks),
-			100*p.sched.SLORate(), x13Mix(p.schedStats.SourceChunks))
+			p.rate, 100*p.greedy.SLORate(), x13Mix(p.greedy.Sources()),
+			100*p.sched.SLORate(), x13Mix(p.sched.Sources()))
 	}
 }
 

@@ -73,8 +73,8 @@ func Seconds(ds []time.Duration) []float64 {
 	return out
 }
 
-// Percentile returns the p-th percentile (p in [0,1]) of a sorted sample
-// using nearest-rank interpolation.
+// Percentile returns the p-th percentile (p in [0,1]) of a sorted sample,
+// interpolating linearly between the two closest ranks.
 func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
