@@ -1,8 +1,11 @@
 package ac
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -202,6 +205,62 @@ func TestFreqTableValidation(t *testing.T) {
 	}
 	if _, err := NewFreqTable(make([]uint64, MaxTotal)); err == nil {
 		t.Error("NewFreqTable accepted oversized alphabet")
+	}
+}
+
+// TestFreqTablesMatchNewFreqTable: a table built or unmarshalled in a set,
+// concurrently with its neighbours, is the table NewFreqTable builds from
+// the same counts; a set rejects counts and bytes over another alphabet.
+func TestFreqTablesMatchNewFreqTable(t *testing.T) {
+	const n, count = 9, 16
+	rng := rand.New(rand.NewSource(3))
+	counts := make([][]uint64, count)
+	for i := range counts {
+		counts[i] = make([]uint64, n)
+		for s := range counts[i] {
+			counts[i][s] = uint64(rng.Intn(3)) * uint64(rng.Intn(1<<uint(rng.Intn(20))))
+		}
+	}
+	built, err := NewFreqTables(count, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := NewFreqTables(count, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := range counts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			want, err := NewFreqTable(counts[i])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			data, _ := want.MarshalBinary()
+			if err := built.Build(i, counts[i]); err != nil {
+				t.Error(err)
+			}
+			if err := loaded.Unmarshal(i, data); err != nil {
+				t.Error(err)
+			}
+			for _, got := range []*FreqTable{built.Table(i), loaded.Table(i)} {
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("table %d: set table differs from NewFreqTable's", i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := built.Build(0, make([]uint64, n+1)); err == nil {
+		t.Error("Build accepted counts over another alphabet")
+	}
+	wide, _ := UniformTable(n + 1)
+	data, _ := wide.MarshalBinary()
+	if err := loaded.Unmarshal(0, data); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Unmarshal of a %d-symbol table into a %d-symbol set: %v", n+1, n, err)
 	}
 }
 

@@ -56,24 +56,84 @@ type FreqTable struct {
 // Symbols with zero observed count receive frequency 1 so they remain
 // encodable. counts must be non-empty.
 func NewFreqTable(counts []uint64) (*FreqTable, error) {
-	n := len(counts)
+	set, err := NewFreqTables(1, len(counts))
+	if err != nil {
+		return nil, err
+	}
+	if err := set.Build(0, counts); err != nil {
+		return nil, err
+	}
+	return set.Table(0), nil
+}
+
+// FreqTables is a set of models over one alphabet whose state sits in a
+// few shared arrays, table i right after table i-1 in each. A decoder
+// walks the tables of a row together, so where they sit matters: tables
+// allocated one by one land wherever the heap has room, and the same
+// tables decoded several percent slower or faster depending on what the
+// heap held while they were built. A codec bank builds each level's
+// tables as one set, in the order its rows use them.
+type FreqTables struct {
+	n      int // alphabet size
+	tabs   []FreqTable
+	cum    []uint32 // n+1 per table
+	lut    []uint16 // lutCap per table
+	next16 []uint16 // n per table
+}
+
+// lutCap bounds a table's lut (see buildLUT).
+const lutCap = 64
+
+// NewFreqTables returns count empty tables over the alphabet [0, n); fill
+// each with Build or Unmarshal before use.
+func NewFreqTables(count, n int) (*FreqTables, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("ac: empty alphabet")
 	}
 	if n >= MaxTotal {
 		return nil, fmt.Errorf("ac: alphabet size %d exceeds max %d", n, MaxTotal-1)
 	}
+	return &FreqTables{
+		n:      n,
+		tabs:   make([]FreqTable, count),
+		cum:    make([]uint32, count*(n+1)),
+		lut:    make([]uint16, count*lutCap),
+		next16: make([]uint16, count*n),
+	}, nil
+}
 
+// Len returns the number of tables in the set.
+func (s *FreqTables) Len() int { return len(s.tabs) }
+
+// Table returns table i.
+func (s *FreqTables) Table(i int) *FreqTable { return &s.tabs[i] }
+
+// slot hands table i its storage and returns its cumulative array.
+func (s *FreqTables) slot(i int) (*FreqTable, []uint32) {
+	return &s.tabs[i], s.cum[i*(s.n+1) : (i+1)*(s.n+1) : (i+1)*(s.n+1)]
+}
+
+// finish builds table i's decode state once its cumulative counts are in.
+func (s *FreqTables) finish(i int, m *FreqTable) {
+	m.buildLUT(s.lut[i*lutCap:(i+1)*lutCap:(i+1)*lutCap], s.next16[i*s.n:(i+1)*s.n:(i+1)*s.n])
+}
+
+// Build fills table i from raw symbol counts, exactly as NewFreqTable
+// builds a table. Distinct tables of a set may be built concurrently.
+func (s *FreqTables) Build(i int, counts []uint64) error {
+	n := len(counts)
+	if n != s.n {
+		return fmt.Errorf("ac: %d counts for a %d-symbol table set", n, s.n)
+	}
 	var sum uint64
 	for _, c := range counts {
 		sum += c
 	}
 
 	// Scale counts into the budget left after giving every symbol 1.
+	m, cum := s.slot(i)
 	budget := uint64(MaxTotal - n)
-	freqs := make([]uint32, n)
-	var total uint32
-	for i, c := range counts {
+	for j, c := range counts {
 		f := uint64(1)
 		if sum > 0 {
 			f += c * budget / sum
@@ -81,22 +141,48 @@ func NewFreqTable(counts []uint64) (*FreqTable, error) {
 		if f > math.MaxUint32 {
 			f = math.MaxUint32
 		}
-		freqs[i] = uint32(f)
-		total += uint32(f)
+		cum[j+1] = cum[j] + uint32(f)
 	}
 	// Rounding can only undershoot MaxTotal, never overshoot, because
 	// Σ floor(c*budget/sum) ≤ budget.
-	if total > MaxTotal {
-		return nil, fmt.Errorf("ac: internal normalisation overflow (total %d)", total)
+	if cum[n] > MaxTotal {
+		return fmt.Errorf("ac: internal normalisation overflow (total %d)", cum[n])
 	}
+	m.cum, m.total = cum, cum[n]
+	s.finish(i, m)
+	return nil
+}
 
-	cum := make([]uint32, n+1)
-	for i, f := range freqs {
-		cum[i+1] = cum[i] + f
+// Unmarshal fills table i from bytes MarshalBinary wrote, rejecting a
+// table over any other alphabet than the set's. Distinct tables of a set
+// may be filled concurrently.
+func (s *FreqTables) Unmarshal(i int, data []byte) error {
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n == 0 || n >= MaxTotal {
+		return fmt.Errorf("%w: bad alphabet size", ErrCorrupt)
 	}
-	m := &FreqTable{cum: cum, total: cum[n]}
-	m.buildLUT()
-	return m, nil
+	if n != uint64(s.n) {
+		return fmt.Errorf("%w: %d-symbol table in a %d-symbol set", ErrCorrupt, n, s.n)
+	}
+	data = data[k:]
+	m, cum := s.slot(i)
+	for j := 0; j < s.n; j++ {
+		f, k := binary.Uvarint(data)
+		if k <= 0 {
+			return fmt.Errorf("%w: truncated frequency table", ErrCorrupt)
+		}
+		data = data[k:]
+		if f == 0 || f > MaxTotal {
+			return fmt.Errorf("%w: invalid frequency %d", ErrCorrupt, f)
+		}
+		cum[j+1] = cum[j] + uint32(f)
+	}
+	if cum[s.n] > MaxTotal {
+		return fmt.Errorf("%w: total frequency %d exceeds max", ErrCorrupt, cum[s.n])
+	}
+	m.cum, m.total = cum, cum[s.n]
+	s.finish(i, m)
+	return nil
 }
 
 // scanWindow is how many symbols from a lut hint onward the decoders reach
@@ -104,22 +190,23 @@ func NewFreqTable(counts []uint64) (*FreqTable, error) {
 // the DecodeRows kernel takes arithmetically.
 const scanWindow = 3
 
-// buildLUT constructs the decode lookup state. Must be called whenever
-// cum changes (construction and deserialisation).
-func (m *FreqTable) buildLUT() {
+// buildLUT constructs the decode lookup state into lut (lutCap entries)
+// and next16 (N entries). Must be called whenever cum changes
+// (construction and deserialisation).
+func (m *FreqTable) buildLUT(lut, next16 []uint16) {
 	n := m.N()
 	// Cap the lut at 64 entries: with the probability-weighted expected
 	// scan length N·2^shift/(2·total) this still averages ~2 next16 steps
 	// for a 255-symbol delta table while keeping the whole decode state of
 	// a table (lut + next16) well under a kilobyte.
 	shift := uint32(0)
-	for shift < 16 && (m.total-1)>>shift >= 64 {
+	for shift < 16 && (m.total-1)>>shift >= lutCap {
 		shift++
 	}
 	// Decoders only look up f < total, so the last bucket is the one
 	// containing total-1.
 	entries := int((m.total-1)>>shift) + 1
-	lut := make([]uint16, entries)
+	lut = lut[:entries]
 	sym := 0
 	for b := range lut {
 		lo := uint32(b) << shift
@@ -138,7 +225,6 @@ func (m *FreqTable) buildLUT() {
 		}
 		lut[b] = uint16(hint)
 	}
-	next16 := make([]uint16, n)
 	for s := 0; s < n; s++ {
 		next16[s] = uint16(m.cum[s+1] - 1)
 	}
@@ -231,25 +317,18 @@ func (m *FreqTable) UnmarshalBinary(data []byte) error {
 	if k <= 0 || n == 0 || n >= MaxTotal {
 		return fmt.Errorf("%w: bad alphabet size", ErrCorrupt)
 	}
-	data = data[k:]
-	cum := make([]uint32, n+1)
-	for i := 0; i < int(n); i++ {
-		f, k := binary.Uvarint(data)
-		if k <= 0 {
-			return fmt.Errorf("%w: truncated frequency table", ErrCorrupt)
-		}
-		data = data[k:]
-		if f == 0 || f > MaxTotal {
-			return fmt.Errorf("%w: invalid frequency %d", ErrCorrupt, f)
-		}
-		cum[i+1] = cum[i] + uint32(f)
+	// Every frequency takes at least one byte: check before allocating.
+	if n > uint64(len(data)-k) {
+		return fmt.Errorf("%w: truncated frequency table", ErrCorrupt)
 	}
-	if cum[n] > MaxTotal {
-		return fmt.Errorf("%w: total frequency %d exceeds max", ErrCorrupt, cum[n])
+	set, err := NewFreqTables(1, int(n))
+	if err != nil {
+		return err
 	}
-	m.cum = cum
-	m.total = cum[n]
-	m.buildLUT()
+	if err := set.Unmarshal(0, data); err != nil {
+		return err
+	}
+	*m = *set.Table(0)
 	return nil
 }
 

@@ -10,7 +10,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ac"
 	"repro/internal/quant"
@@ -42,6 +44,8 @@ type ModelBank struct {
 	// (ai = anchorIndex): anchors are 10× rarer than deltas and have a
 	// much wider symbol support, so per-channel anchor histograms would be
 	// data-starved; the static per-channel scales already standardise them.
+	// Both point into ac.FreqTables sets, one per kind of table and level
+	// (tableSets).
 	anchorTables []*ac.FreqTable
 	deltaTables  [][]*ac.FreqTable
 
@@ -164,16 +168,50 @@ func (b *ModelBank) numAnchorModels() int {
 	return 2 * b.layers
 }
 
-// smoothedTable converts a histogram into a FreqTable after blending the
-// empirical counts with a discrete-Gaussian prior fitted to the
-// histogram's mean and variance. For well-sampled histograms the prior is
-// negligible; for data-starved ones (wide-support anchor distributions) it
-// fills unobserved symbols near the mass so they stay cheaply encodable.
-func smoothedTable(h *ac.Histogram) (*ac.FreqTable, error) {
-	counts := h.Counts()
-	n := h.Count()
+// tableSets lays out the bank's (still empty) tables: the anchor tables
+// as one ac.FreqTables set and each level's delta tables as another, in
+// index order, so the tables one row decodes with sit side by side
+// whatever the heap held when the bank was built. It returns the sets for
+// the caller to fill.
+func (b *ModelBank) tableSets() (anchors *ac.FreqTables, deltas []*ac.FreqTables, err error) {
+	anchorN, deltaN := b.cfg.alphabets()
+	if anchors, err = ac.NewFreqTables(b.numAnchorModels(), anchorN); err != nil {
+		return nil, nil, err
+	}
+	b.anchorTables = tablesOf(anchors)
+	deltas = make([]*ac.FreqTables, b.cfg.Levels())
+	b.deltaTables = make([][]*ac.FreqTable, len(deltas))
+	for lv := range deltas {
+		if deltas[lv], err = ac.NewFreqTables(b.numModels(), deltaN); err != nil {
+			return nil, nil, err
+		}
+		b.deltaTables[lv] = tablesOf(deltas[lv])
+	}
+	return anchors, deltas, nil
+}
+
+func tablesOf(set *ac.FreqTables) []*ac.FreqTable {
+	tabs := make([]*ac.FreqTable, set.Len())
+	for i := range tabs {
+		tabs[i] = set.Table(i)
+	}
+	return tabs
+}
+
+// smoothedCounts blends a histogram's symbol counts with a
+// discrete-Gaussian prior fitted to the histogram's mean and variance, and
+// returns the counts to build its FreqTable from. For well-sampled
+// histograms the prior is negligible; for data-starved ones (wide-support
+// anchor distributions) it fills unobserved symbols near the mass so they
+// stay cheaply encodable. prior and blended are scratch space of at least
+// len(counts) entries.
+func smoothedCounts(counts []uint64, prior []float64, blended []uint64) []uint64 {
+	var n uint64
+	for _, c := range counts {
+		n += c
+	}
 	if n == 0 {
-		return h.Table()
+		return counts
 	}
 	var mean, m2 float64
 	for s, c := range counts {
@@ -191,19 +229,24 @@ func smoothedTable(h *ac.Histogram) (*ac.FreqTable, error) {
 	// Prior worth ~256 pseudo-observations: dominant when n is small,
 	// negligible when n ≫ 256.
 	const priorN = 256
-	prior := make([]float64, len(counts))
+	prior, blended = prior[:len(counts)], blended[:len(counts)]
 	var priorSum float64
 	for s := range prior {
 		z := (float64(s) - mean) / sigma
-		prior[s] = math.Exp(-0.5 * z * z)
+		// e^x underflows to exactly 0 below x ≈ -745.13, so skipping the
+		// call there changes no bit; it skips most of a narrow delta
+		// distribution's tails.
+		prior[s] = 0
+		if x := -0.5 * z * z; x > -750 {
+			prior[s] = math.Exp(x)
+		}
 		priorSum += prior[s]
 	}
-	blended := make([]uint64, len(counts))
 	scale := 1024.0 // fixed-point resolution for the blend
 	for s := range blended {
 		blended[s] = counts[s]*uint64(scale) + uint64(priorN*scale*prior[s]/priorSum)
 	}
-	return ac.NewFreqTable(blended)
+	return blended
 }
 
 // Config returns the codec configuration the bank was trained with.
@@ -226,6 +269,11 @@ func (b *ModelBank) CheckGeometry(kv *tensor.KV) error {
 // offline profiling set the paper draws from the LLM (§5.2); a few
 // thousand tokens suffice because statistics are pooled per
 // (layer, channel-group).
+//
+// Every statistic of a (kind, layer) block — its anchor scales, symbol
+// histograms and probability tables — is computed from that block's rows
+// alone, so blocks train on up to cfg.Workers goroutines (0 means
+// GOMAXPROCS) and the bank is byte-identical at any worker count.
 func Train(cfg Config, samples []*tensor.KV) (*ModelBank, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
@@ -243,146 +291,222 @@ func Train(cfg Config, samples []*tensor.KV) (*ModelBank, error) {
 			return nil, fmt.Errorf("core: sample %d has %d tokens, below group size %d", i, s.Tokens, cfg.GroupSize)
 		}
 	}
+	vq, err := quant.NewVectorwise(cfg.AnchorBits)
+	if err != nil {
+		return nil, err
+	}
 
 	b := &ModelBank{cfg: cfg, layers: layers, channels: channels}
 	for kd := range b.anchorScales {
 		b.anchorScales[kd] = make([]float32, layers*channels)
 	}
-
-	// Pass 1: static anchor scales. Using |mean| + 6·std per coordinate
-	// (rather than the empirical max) makes the coverage statistical:
-	// anchors of unseen contexts clamp with negligible probability even
-	// when their extremes exceed anything in the training set.
-	sum := [2][]float64{make([]float64, layers*channels), make([]float64, layers*channels)}
-	sumSq := [2][]float64{make([]float64, layers*channels), make([]float64, layers*channels)}
-	var nAnchors [2][]int64
-	nAnchors[0] = make([]int64, layers*channels)
-	nAnchors[1] = make([]int64, layers*channels)
-	for _, s := range samples {
-		for _, kind := range tensor.Kinds {
-			for l := 0; l < layers; l++ {
-				for t := 0; t < s.Tokens; t += cfg.GroupSize {
-					row := s.Row(kind, l, t)
-					base := l * channels
-					for c, x := range row {
-						f := float64(x)
-						sum[kind][base+c] += f
-						sumSq[kind][base+c] += f * f
-						nAnchors[kind][base+c]++
-					}
-				}
-			}
-		}
-	}
-	vq, err := quant.NewVectorwise(cfg.AnchorBits)
+	anchorSet, deltaSets, err := b.tableSets()
 	if err != nil {
 		return nil, err
 	}
-	maxQ := float64(vq.MaxQ())
-	for kd := range b.anchorScales {
-		for i := range b.anchorScales[kd] {
-			n := float64(nAnchors[kd][i])
-			if n == 0 {
-				continue
-			}
-			mean := sum[kd][i] / n
-			v := sumSq[kd][i]/n - mean*mean
-			if v < 0 {
-				v = 0
-			}
-			reach := math.Abs(mean) + 6*math.Sqrt(v)
-			if reach == 0 {
-				continue
-			}
-			b.anchorScales[kd][i] = float32(reach / maxQ)
-		}
-	}
 
-	// Pass 2: symbol histograms.
-	nm := b.numModels()
-	anchorHists := make([]*ac.Histogram, b.numAnchorModels())
-	for i := range anchorHists {
-		anchorHists[i] = ac.NewHistogram(vq.Levels())
+	blocks := 2 * layers
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	deltaHists := make([][]*ac.Histogram, cfg.Levels())
-	deltaLevels := int(2*cfg.DeltaClamp + 1)
-	for lv := range deltaHists {
-		deltaHists[lv] = make([]*ac.Histogram, nm)
-		for i := range deltaHists[lv] {
-			deltaHists[lv][i] = ac.NewHistogram(deltaLevels)
-		}
-	}
-
-	qrow := make([]int32, channels)
-	arow := make([]float32, channels)
-	for _, s := range samples {
-		for _, kind := range tensor.Kinds {
-			for l := 0; l < layers; l++ {
-				scales := b.anchorScales[kind][l*channels : (l+1)*channels]
-				for g := 0; g+cfg.GroupSize <= s.Tokens || g < s.Tokens; g += cfg.GroupSize {
-					end := g + cfg.GroupSize
-					if end > s.Tokens {
-						end = s.Tokens
-					}
-					anchor := s.Row(kind, l, g)
-					// Anchor symbols and dequantized anchor row.
-					ai := b.anchorIndex(kind, l)
-					for c := 0; c < channels; c++ {
-						vq.QuantizeWithScale(anchor[c:c+1], scales[c], qrow[c:c+1])
-						arow[c] = float32(qrow[c]) * scales[c]
-						anchorHists[ai].Observe(vq.SymbolOf(qrow[c]))
-					}
-					for lv := 0; lv < cfg.Levels(); lv++ {
-						bins := cfg.binsFor(Level(lv))
-						u, err := quant.NewUniform(bins.BinFor(l, layers), cfg.DeltaClamp)
-						if err != nil {
-							return nil, err
-						}
-						if cfg.DisableDelta {
-							// Raw-value mode: every token quantized directly.
-							for t := g; t < end; t++ {
-								row := s.Row(kind, l, t)
-								for c := 0; c < channels; c++ {
-									mi := b.modelIndex(kind, l, cfg.bucketOf(c, channels))
-									deltaHists[lv][mi].Observe(u.SymbolOf(u.Quantize(row[c])))
-								}
-							}
-							continue
-						}
-						for t := g + 1; t < end; t++ {
-							row := s.Row(kind, l, t)
-							for c := 0; c < channels; c++ {
-								mi := b.modelIndex(kind, l, cfg.bucketOf(c, channels))
-								deltaHists[lv][mi].Observe(u.SymbolOf(u.Quantize(row[c] - arow[c])))
-							}
-						}
-					}
-				}
+	trainers := make([]*blockTrainer, min(workers, blocks))
+	errs := make([]error, blocks)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range trainers {
+		tr := newBlockTrainer(b, vq, anchorSet, deltaSets)
+		trainers[w] = tr
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for blk := int(next.Add(1) - 1); blk < blocks; blk = int(next.Add(1) - 1) {
+				errs[blk] = tr.train(samples, blk)
 			}
-		}
+		}()
 	}
-
-	b.anchorTables = make([]*ac.FreqTable, b.numAnchorModels())
-	for i, h := range anchorHists {
-		tb, err := smoothedTable(h)
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("core: anchor table %d: %w", i, err)
+			return nil, err
 		}
-		b.anchorTables[i] = tb
 	}
-	b.deltaTables = make([][]*ac.FreqTable, cfg.Levels())
-	for lv := range deltaHists {
-		b.deltaTables[lv] = make([]*ac.FreqTable, nm)
-		for i, h := range deltaHists[lv] {
-			tb, err := smoothedTable(h)
-			if err != nil {
-				return nil, fmt.Errorf("core: delta table l%d/%d: %w", lv, i, err)
+	if cfg.GlobalACModel {
+		// Every block fed the one shared model: sum the workers' counts
+		// (integers, so the order is immaterial) and build its tables.
+		total := trainers[0]
+		for _, tr := range trainers[1:] {
+			for i, c := range tr.counts {
+				total.counts[i] += c
 			}
-			b.deltaTables[lv][i] = tb
+		}
+		if err := total.buildTables(0); err != nil {
+			return nil, err
 		}
 	}
 	b.buildRowTables()
 	return b, nil
+}
+
+// blockTrainer is one training worker: it profiles (kind, layer) blocks
+// one at a time, reusing its histograms and row buffers across them.
+type blockTrainer struct {
+	b         *ModelBank
+	vq        quant.Vectorwise
+	anchorSet *ac.FreqTables   // the sets its tables are built into
+	deltaSets []*ac.FreqTables // (one per level)
+
+	nb  int // channel buckets per block
+	us  []quant.Uniform
+	sum []float64 // per-channel Σx over a block's anchor tokens
+	sq  []float64 // per-channel Σx²
+
+	syms []int
+	arow []float32 // the dequantized anchor row deltas are taken against
+
+	prior   []float64 // smoothedCounts' scratch
+	blended []uint64
+
+	// counts backs every histogram of a block: the anchor histogram, then
+	// one per (level, bucket). deltaRows[lv][ch] is channel ch's delta
+	// histogram at level lv, so a quantized row is counted in one pass.
+	counts    []uint64
+	anchor    []uint64
+	delta     [][][]uint64 // [level][bucket]
+	deltaRows [][][]uint64 // [level][channel]
+}
+
+func newBlockTrainer(b *ModelBank, vq quant.Vectorwise, anchorSet *ac.FreqTables, deltaSets []*ac.FreqTables) *blockTrainer {
+	cfg, channels := &b.cfg, b.channels
+	nb := cfg.numBuckets(channels)
+	anchorN, deltaN := cfg.alphabets()
+	tr := &blockTrainer{
+		b: b, vq: vq, nb: nb,
+		anchorSet: anchorSet, deltaSets: deltaSets,
+		us:        make([]quant.Uniform, cfg.Levels()),
+		sum:       make([]float64, channels),
+		sq:        make([]float64, channels),
+		syms:      make([]int, channels),
+		arow:      make([]float32, channels),
+		prior:     make([]float64, max(anchorN, deltaN)),
+		blended:   make([]uint64, max(anchorN, deltaN)),
+		counts:    make([]uint64, anchorN+cfg.Levels()*nb*deltaN),
+		delta:     make([][][]uint64, cfg.Levels()),
+		deltaRows: make([][][]uint64, cfg.Levels()),
+	}
+	tr.anchor = tr.counts[:anchorN]
+	rest := tr.counts[anchorN:]
+	for lv := range tr.delta {
+		tr.delta[lv] = make([][]uint64, nb)
+		for bk := range tr.delta[lv] {
+			tr.delta[lv][bk], rest = rest[:deltaN:deltaN], rest[deltaN:]
+		}
+		tr.deltaRows[lv] = make([][]uint64, channels)
+		for ch := range tr.deltaRows[lv] {
+			tr.deltaRows[lv][ch] = tr.delta[lv][cfg.bucketOf(ch, channels)]
+		}
+	}
+	return tr
+}
+
+// train profiles block blk = kind·layers + layer: its anchor scales, then
+// its symbol histograms and, unless every block shares one model, its
+// probability tables.
+func (tr *blockTrainer) train(samples []*tensor.KV, blk int) error {
+	b := tr.b
+	cfg := &b.cfg
+	kind, l := tensor.Kind(blk/b.layers), blk%b.layers
+
+	// Pass 1: static anchor scales. Using |mean| + 6·std per coordinate
+	// (rather than the empirical max) makes the coverage statistical:
+	// anchors of unseen contexts clamp with negligible probability even
+	// when their extremes exceed anything in the training set. The sums
+	// run over samples in order, then anchor tokens in ascending order.
+	clear(tr.sum)
+	clear(tr.sq)
+	var n int64
+	for _, s := range samples {
+		for t := 0; t < s.Tokens; t += cfg.GroupSize {
+			for c, x := range s.Row(kind, l, t) {
+				f := float64(x)
+				tr.sum[c] += f
+				tr.sq[c] += f * f
+			}
+			n++
+		}
+	}
+	scales := b.anchorScales[kind][l*b.channels : (l+1)*b.channels]
+	maxQ := float64(tr.vq.MaxQ())
+	for c := range scales {
+		mean := tr.sum[c] / float64(n)
+		v := tr.sq[c]/float64(n) - mean*mean
+		if v < 0 {
+			v = 0
+		}
+		if reach := math.Abs(mean) + 6*math.Sqrt(v); reach != 0 {
+			scales[c] = float32(reach / maxQ)
+		}
+	}
+
+	// Pass 2: symbol histograms, quantized a row at a time with the
+	// codec's own row quantizers.
+	inv := quant.Reciprocals(scales)
+	for lv := range tr.us {
+		u, err := quant.NewUniform(cfg.binsFor(Level(lv)).BinFor(l, b.layers), cfg.DeltaClamp)
+		if err != nil {
+			return err
+		}
+		tr.us[lv] = u
+	}
+	if !cfg.GlobalACModel {
+		clear(tr.counts)
+	}
+	for _, s := range samples {
+		for g := 0; g < s.Tokens; g += cfg.GroupSize {
+			end := min(g+cfg.GroupSize, s.Tokens)
+			tr.vq.QuantizeRow(s.Row(kind, l, g), scales, inv, tr.syms, tr.arow)
+			for _, sym := range tr.syms {
+				tr.anchor[sym]++
+			}
+			// Deltas against the dequantized anchor, or in raw-value mode
+			// every token quantized directly.
+			base, first := tr.arow, g+1
+			if cfg.DisableDelta {
+				base, first = nil, g
+			}
+			for lv, u := range tr.us {
+				rows := tr.deltaRows[lv]
+				for t := first; t < end; t++ {
+					u.QuantizeRow(s.Row(kind, l, t), base, tr.syms)
+					for c, sym := range tr.syms {
+						rows[c][sym]++
+					}
+				}
+			}
+		}
+	}
+	if cfg.GlobalACModel {
+		return nil
+	}
+	return tr.buildTables(blk)
+}
+
+// buildTables turns the trainer's histograms into block blk's anchor
+// table and delta tables (blk 0 is the one shared model under
+// GlobalACModel).
+func (tr *blockTrainer) buildTables(blk int) error {
+	if err := tr.anchorSet.Build(blk, smoothedCounts(tr.anchor, tr.prior, tr.blended)); err != nil {
+		return fmt.Errorf("core: anchor table %d: %w", blk, err)
+	}
+	for lv, hists := range tr.delta {
+		for bk, h := range hists {
+			mi := blk*tr.nb + bk
+			if err := tr.deltaSets[lv].Build(mi, smoothedCounts(h, tr.prior, tr.blended)); err != nil {
+				return fmt.Errorf("core: delta table l%d/%d: %w", lv, mi, err)
+			}
+		}
+	}
+	return nil
 }
 
 // Fingerprint returns a stable hex digest of the bank's trained state
@@ -407,6 +531,9 @@ func (b *ModelBank) Fingerprint() (string, error) {
 // bank serialization ----------------------------------------------------
 
 const bankMagic = "CGBK"
+
+// maxBankDim bounds a bank's layers, channels and channel buckets.
+const maxBankDim = 1 << 20
 
 // MarshalBinary serialises the bank (config, geometry, anchor scales, all
 // probability tables) with a trailing CRC-32.
@@ -516,6 +643,19 @@ func UnmarshalBank(data []byte) (*ModelBank, error) {
 		}
 		vals[i] = v
 	}
+	// Range-check every header value before converting it, so no field
+	// is truncated into range.
+	for i, v := range vals[:5] {
+		if v > math.MaxInt32 {
+			return nil, fmt.Errorf("core: bank header value %d out of range (%d)", i, v)
+		}
+	}
+	if vals[3] > maxBankDim {
+		return nil, fmt.Errorf("core: bank has %d channel buckets, above %d", vals[3], maxBankDim)
+	}
+	if vals[5]&^7 != 0 {
+		return nil, fmt.Errorf("core: bank has unknown flags %#x", vals[5])
+	}
 	cfg.GroupSize = int(vals[0])
 	cfg.AnchorBits = int(vals[1])
 	cfg.ChunkTokens = int(vals[2])
@@ -556,9 +696,25 @@ func UnmarshalBank(data []byte) (*ModelBank, error) {
 	if err != nil {
 		return nil, err
 	}
-	const maxDim = 1 << 20
-	if layers64 == 0 || channels64 == 0 || layers64 > maxDim || channels64 > maxDim {
+	if layers64 == 0 || channels64 == 0 || layers64 > maxBankDim || channels64 > maxBankDim {
 		return nil, fmt.Errorf("core: implausible bank geometry (%d,%d)", layers64, channels64)
+	}
+	// Size nothing the body cannot hold: 4 bytes per anchor scale, and per
+	// table its length, its alphabet size and a byte per symbol. (uint64,
+	// and the second sum only once the first, one byte per table, fits:
+	// nothing overflows, even where int is 32 bits.)
+	anchorModels, deltaModels := uint64(1), uint64(1)
+	if !cfg.GlobalACModel {
+		anchorModels = 2 * layers64
+		deltaModels = anchorModels * min(uint64(cfg.ChannelBuckets), channels64)
+	}
+	deltaModels *= uint64(cfg.Levels())
+	anchorN, deltaN := cfg.alphabets()
+	scaleBytes, remain := 2*4*layers64*channels64, uint64(r.Len())
+	if scaleBytes+anchorModels+deltaModels > remain ||
+		scaleBytes+anchorModels*uint64(2+anchorN)+deltaModels*uint64(2+deltaN) > remain {
+		return nil, fmt.Errorf("core: bank geometry (%d,%d) needs more than the %d bytes that remain",
+			layers64, channels64, remain)
 	}
 	b := &ModelBank{cfg: cfg, layers: int(layers64), channels: int(channels64)}
 	for kd := range b.anchorScales {
@@ -571,36 +727,34 @@ func UnmarshalBank(data []byte) (*ModelBank, error) {
 			b.anchorScales[kd][i] = v
 		}
 	}
-	readTable := func() (*ac.FreqTable, error) {
+	anchors, deltas, err := b.tableSets()
+	if err != nil {
+		return nil, err
+	}
+	readTable := func(set *ac.FreqTables, i int) error {
 		n, err := ru()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if n > uint64(r.Len()) {
-			return nil, errors.New("core: truncated bank table")
+			return errors.New("core: truncated bank table")
 		}
 		raw := make([]byte, n)
 		if _, err := io.ReadFull(r, raw); err != nil {
-			return nil, err
+			return err
 		}
-		var tb ac.FreqTable
-		if err := tb.UnmarshalBinary(raw); err != nil {
-			return nil, err
-		}
-		return &tb, nil
+		// A table over any other alphabet than the config's would load,
+		// then fail inside a decode: Unmarshal rejects it.
+		return set.Unmarshal(i, raw)
 	}
-	nm := b.numModels()
-	b.anchorTables = make([]*ac.FreqTable, b.numAnchorModels())
-	for i := range b.anchorTables {
-		if b.anchorTables[i], err = readTable(); err != nil {
+	for i := 0; i < anchors.Len(); i++ {
+		if err := readTable(anchors, i); err != nil {
 			return nil, fmt.Errorf("core: anchor table %d: %w", i, err)
 		}
 	}
-	b.deltaTables = make([][]*ac.FreqTable, cfg.Levels())
-	for lv := range b.deltaTables {
-		b.deltaTables[lv] = make([]*ac.FreqTable, nm)
-		for i := range b.deltaTables[lv] {
-			if b.deltaTables[lv][i], err = readTable(); err != nil {
+	for lv, set := range deltas {
+		for i := 0; i < set.Len(); i++ {
+			if err := readTable(set, i); err != nil {
 				return nil, fmt.Errorf("core: delta table l%d/%d: %w", lv, i, err)
 			}
 		}

@@ -211,9 +211,7 @@ func mistralChunk(b *testing.B) (*Codec, *ParsedChunk, []byte, *tensor.KV) {
 func mistralShape(b *testing.B, channels, tokens int) (*Codec, *ParsedChunk, []byte, *tensor.KV) {
 	b.Helper()
 	m := llm.MustNew(llm.Mistral7B().WithChannels(channels))
-	bank, err := Train(DefaultConfig(), []*tensor.KV{
-		m.CalculateKV(testTokens(1, 600)), m.CalculateKV(testTokens(2, 600)),
-	})
+	bank, err := Train(DefaultConfig(), benchTrainingSet(m))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -229,6 +227,23 @@ func mistralShape(b *testing.B, channels, tokens int) (*Codec, *ParsedChunk, []b
 	}
 	b.SetBytes(kvBytes(kv))
 	return codec, p, data, tensor.New(kv.Layers, kv.Tokens, kv.Channels)
+}
+
+// benchTrainingSet is the end-to-end benchmark's bank training shape: two
+// 600-token contexts of the model.
+func benchTrainingSet(m *llm.Model) []*tensor.KV {
+	return []*tensor.KV{m.CalculateKV(testTokens(1, 600)), m.CalculateKV(testTokens(2, 600))}
+}
+
+// BenchmarkTrain trains the end-to-end benchmark's bank (Mistral-7B at 32
+// channels: 64 (kind, layer) blocks) on every core the -cpu flag allows.
+func BenchmarkTrain(b *testing.B) {
+	samples := benchTrainingSet(llm.MustNew(llm.Mistral7B().WithChannels(32)))
+	reportMinOp(b, func() {
+		if _, err := Train(DefaultConfig(), samples); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 // reportMinOp runs op b.N times and also reports the fastest single run:

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/llm"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -69,7 +70,11 @@ func TestConfigNormalize(t *testing.T) {
 		{AnchorBits: 1},
 		{ChunkTokens: 5, GroupSize: 10},
 		{DeltaClamp: -1},
+		{DeltaClamp: maxDeltaClamp + 1}, // alphabet wider than a FreqTable
 		{LevelMultipliers: []float64{0}},
+		{LevelMultipliers: []float64{math.NaN()}},
+		{LevelMultipliers: []float64{math.Inf(1)}},
+		{BaseBins: quant.LayerGroupBins{Bins: [3]float64{0.5, math.NaN(), 1.5}}},
 	}
 	for i, c := range bad {
 		if _, err := c.Normalize(); err == nil {

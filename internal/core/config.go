@@ -74,7 +74,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 
+	"repro/internal/ac"
 	"repro/internal/quant"
 )
 
@@ -107,7 +109,8 @@ type Config struct {
 	// DeltaClamp bounds quantized delta magnitudes; the delta alphabet is
 	// 2·DeltaClamp+1 symbols.
 	DeltaClamp int32
-	// Workers caps encode/decode parallelism; 0 means GOMAXPROCS.
+	// Workers caps the parallelism of encode, decode and Train; 0 means
+	// GOMAXPROCS.
 	Workers int
 	// CoderLanes is the number of independently decodable coder lanes a
 	// v2 chunk container is partitioned into (clipped to the chunk's
@@ -130,6 +133,10 @@ type Config struct {
 	// layers and channels (the strawman of §5.2, up to 53% larger).
 	GlobalACModel bool
 }
+
+// maxDeltaClamp is the largest DeltaClamp whose 2·DeltaClamp+1-symbol
+// delta alphabet an ac.FreqTable can model.
+const maxDeltaClamp = (ac.MaxTotal - 2) / 2
 
 // DefaultConfig returns the paper's codec parameters.
 func DefaultConfig() Config {
@@ -183,19 +190,19 @@ func (c Config) Normalize() (Config, error) {
 			c.ChunkTokens, c.GroupSize)
 	case c.ChannelBuckets < 1:
 		return c, fmt.Errorf("core: channel buckets %d < 1", c.ChannelBuckets)
-	case c.DeltaClamp < 1:
-		return c, fmt.Errorf("core: delta clamp %d < 1", c.DeltaClamp)
+	case c.DeltaClamp < 1 || c.DeltaClamp > maxDeltaClamp:
+		return c, fmt.Errorf("core: delta clamp %d outside [1,%d]", c.DeltaClamp, maxDeltaClamp)
 	case c.CoderLanes < 1 || c.CoderLanes > maxWireLanes:
 		return c, fmt.Errorf("core: coder lanes %d outside [1,%d]", c.CoderLanes, maxWireLanes)
 	}
 	for i, m := range c.LevelMultipliers {
-		if m <= 0 {
-			return c, fmt.Errorf("core: level %d multiplier %v must be positive", i, m)
+		if !(m > 0) || math.IsInf(m, 1) {
+			return c, fmt.Errorf("core: level %d multiplier %v must be positive and finite", i, m)
 		}
 	}
 	for _, b := range c.BaseBins.Bins {
-		if b <= 0 {
-			return c, fmt.Errorf("core: bin sizes must be positive, got %v", c.BaseBins.Bins)
+		if !(b > 0) || math.IsInf(b, 1) {
+			return c, fmt.Errorf("core: bin sizes must be positive and finite, got %v", c.BaseBins.Bins)
 		}
 	}
 	return c, nil
@@ -216,6 +223,11 @@ func (c Config) binsFor(lv Level) quant.LayerGroupBins {
 		b = quant.LayerGroupBins{Bins: [3]float64{mid, mid, mid}}
 	}
 	return b.Scaled(c.LevelMultipliers[lv])
+}
+
+// alphabets returns the anchor and delta symbol alphabet sizes.
+func (c Config) alphabets() (anchor, delta int) {
+	return quant.Vectorwise{Bits: c.AnchorBits}.Levels(), int(2*c.DeltaClamp + 1)
 }
 
 // bucketOf maps a channel index to its AC-model bucket.
@@ -240,21 +252,4 @@ func (c Config) numBuckets(channels int) int {
 		return channels
 	}
 	return c.ChannelBuckets
-}
-
-// modelIndex maps (layer, bucket) to a flat model-bank index. Under
-// GlobalACModel everything maps to 0.
-func (c Config) modelIndex(layer, bucket, channels int) int {
-	if c.GlobalACModel {
-		return 0
-	}
-	return layer*c.numBuckets(channels) + bucket
-}
-
-// numModels returns the model-bank size for the given geometry.
-func (c Config) numModels(layers, channels int) int {
-	if c.GlobalACModel {
-		return 1
-	}
-	return layers * c.numBuckets(channels)
 }
