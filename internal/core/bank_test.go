@@ -158,7 +158,7 @@ func tinyBank(t testing.TB) []byte {
 
 func TestUnmarshalBankRejectsHugeGeometry(t *testing.T) {
 	fuzzSetup(t)
-	crafted := hugeGeometryBank(t, fuzzSeeds[2])
+	crafted := hugeGeometryBank(t, fuzzBank)
 	if len(crafted) >= 200 {
 		t.Fatalf("crafted bank is %d bytes", len(crafted))
 	}
@@ -181,7 +181,7 @@ func TestUnmarshalBankRejectsHugeGeometry(t *testing.T) {
 
 func TestUnmarshalBankRejectsOutOfRangeHeader(t *testing.T) {
 	fuzzSetup(t)
-	valid := parseBank(t, fuzzSeeds[2])
+	valid := parseBank(t, fuzzBank)
 	cases := []struct {
 		name string
 		edit func(*forgedBank)
@@ -222,7 +222,7 @@ func TestUnmarshalBankRejectsForeignAlphabet(t *testing.T) {
 		{"anchor bits 7", func(f *forgedBank) { f.header[1] = 7 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			f := parseBank(t, fuzzSeeds[2])
+			f := parseBank(t, fuzzBank)
 			c.edit(&f)
 			if _, err := UnmarshalBank(f.seal()); err == nil {
 				t.Fatal("UnmarshalBank accepted tables over the wrong alphabet")

@@ -54,9 +54,7 @@
 // it — the gateway's prefill timer, the goroutine about to register a
 // load — waits as long. Socket wake-ups are the exception R3 exists for: a
 // yielded coder waits in the global run queue, and the scheduler skips its
-// non-blocking network poll while any run queue holds work. Refinement
-// streams (EncodeRefinement, ApplyRefinement) run on the same slots, in
-// the publish and load class respectively.
+// non-blocking network poll while any run queue holds work.
 //
 // SlotTotals reports what the rules cost each class.
 //

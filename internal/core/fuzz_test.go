@@ -12,7 +12,9 @@ import (
 var (
 	fuzzOnce  sync.Once
 	fuzzCodec *Codec
-	fuzzSeeds [][]byte
+	// Valid seeds: a v2 chunk, the same chunk as a legacy v1 container,
+	// and the codec's bank.
+	fuzzChunk, fuzzChunkV1, fuzzBank []byte
 )
 
 func fuzzSetup(t testing.TB) *Codec {
@@ -28,15 +30,11 @@ func fuzzSetup(t testing.TB) *Codec {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refine, err := codec.EncodeRefinement(kv, 0, 0, 3, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		bank, err := codec.Bank().MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		fuzzSeeds = [][]byte{chunk, refine, bank, chunkV1}
+		fuzzChunk, fuzzChunkV1, fuzzBank = chunk, chunkV1, bank
 	})
 	return fuzzCodec
 }
@@ -116,12 +114,12 @@ func corruptV2Seeds(valid []byte) [][]byte {
 // unreachable in practice.
 func FuzzDecodeChunk(f *testing.F) {
 	codec := fuzzSetup(f)
-	f.Add(fuzzSeeds[0])
-	f.Add(fuzzSeeds[3]) // legacy v1 container
+	f.Add(fuzzChunk)
+	f.Add(fuzzChunkV1) // legacy v1 container
 	f.Add([]byte{})
 	f.Add([]byte("CGC1garbage"))
 	f.Add([]byte("CGC2garbage"))
-	for _, s := range corruptV2Seeds(fuzzSeeds[0]) {
+	for _, s := range corruptV2Seeds(fuzzChunk) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -140,11 +138,11 @@ func FuzzDecodeChunk(f *testing.F) {
 // "short" verdict that would make a streaming consumer wait forever.
 func TestRejectCorruptV2Containers(t *testing.T) {
 	codec := fuzzSetup(t)
-	valid, err := codec.DecodeChunk(fuzzSeeds[0])
+	valid, err := codec.DecodeChunk(fuzzChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, seed := range corruptV2Seeds(fuzzSeeds[0]) {
+	for i, seed := range corruptV2Seeds(fuzzChunk) {
 		ch, err := codec.DecodeChunk(seed)
 		if err == nil {
 			// A mutation may only pass if it decodes to the identical
@@ -159,19 +157,19 @@ func TestRejectCorruptV2Containers(t *testing.T) {
 		if !errors.Is(err, ErrCorruptChunk) && !errors.Is(err, ErrShortChunk) {
 			t.Errorf("seed %d: err = %v, want ErrCorruptChunk", i, err)
 		}
-		if errors.Is(err, ErrShortChunk) && len(seed) >= len(fuzzSeeds[0]) {
+		if errors.Is(err, ErrShortChunk) && len(seed) >= len(fuzzChunk) {
 			t.Errorf("seed %d: full-length container reported short", i)
 		}
 	}
 	// The header CRC must reject every single-byte flip inside the
 	// header, including the lane-CRC table.
-	p, err := codec.ParseChunk(fuzzSeeds[0])
+	p, err := codec.ParseChunk(fuzzChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	headerLen := p.LaneEnd(p.Lanes()-1) - payloadLen(p)
 	for pos := 0; pos < headerLen; pos++ {
-		bad := append([]byte{}, fuzzSeeds[0]...)
+		bad := append([]byte{}, fuzzChunk...)
 		bad[pos] ^= 0x10
 		if _, err := codec.DecodeChunk(bad); err == nil {
 			t.Fatalf("header byte %d flip decoded successfully", pos)
@@ -182,21 +180,6 @@ func TestRejectCorruptV2Containers(t *testing.T) {
 // payloadLen returns the total payload bytes of a parsed chunk.
 func payloadLen(p *ParsedChunk) int {
 	return p.LaneEnd(p.Lanes()-1) - p.groupOff[p.lanes[0].start]
-}
-
-// FuzzApplyRefinement: arbitrary refinement bytes must never panic.
-func FuzzApplyRefinement(f *testing.F) {
-	codec := fuzzSetup(f)
-	base, err := codec.DecodeChunk(fuzzSeeds[0])
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(fuzzSeeds[1])
-	f.Add([]byte{})
-	f.Add([]byte("CGR1junk"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = codec.ApplyRefinement(base, data)
-	})
 }
 
 // FuzzUnmarshalBank: arbitrary bank bytes must never panic, and a bank

@@ -415,70 +415,6 @@ func TestPublishInsideLoadCompletes(t *testing.T) {
 	}
 }
 
-// TestRefinementOnCodecSlots: a refinement encode is a publish like any
-// other — between BeginLoad and End on a 2-worker codec it queues for a
-// slot until exempted instead of running beside the load on a private
-// budget — and applying a refinement is a load. Bytes do not depend on
-// where the encode ran.
-func TestRefinementOnCodecSlots(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Workers = 2
-	codec, m := testCodec(t, cfg)
-	var mu sync.Mutex
-	at := time.Unix(1000, 0)
-	codec.slots.now = func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		at = at.Add(publishMaxWait)
-		return at
-	}
-	kv := m.CalculateKV(testTokens(10, 100))
-	baseData, err := codec.EncodeChunk(kv, 0, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := codec.DecodeChunk(baseData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := codec.SlotTotals()
-
-	load := codec.BeginLoad()
-	ref, err := codec.EncodeRefinement(kv, 0, 0, 3, 1)
-	if err != nil {
-		load.End()
-		t.Fatal(err)
-	}
-	up, err := codec.ApplyRefinement(base, ref)
-	load.End()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tot := codec.SlotTotals()
-	if tot.PublishWait <= before.PublishWait || tot.PublishExempt <= before.PublishExempt || tot.LoadsInFlight != 0 {
-		t.Errorf("totals %+v after %+v: the refinement encode never queued behind the load", tot, before)
-	}
-	if got := codec.slots.state(); got != (slotState{}) {
-		t.Errorf("scheduler not idle afterwards: %+v", got)
-	}
-
-	alone := NewCodec(codec.Bank())
-	want, err := alone.EncodeRefinement(kv, 0, 0, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ref) != string(want) {
-		t.Error("refinement encoded inside a load differs from one encoded alone")
-	}
-	wantUp, err := alone.ApplyRefinement(base, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, err := up.KV.MaxAbsDiff(wantUp.KV); err != nil || d != 0 {
-		t.Errorf("refinement applied inside a load differs (diff %v, err %v)", d, err)
-	}
-}
-
 // ranBeforeReturn runs call on one P with the collector off, beside a
 // goroutine readied as the call starts, and reports whether that goroutine
 // ran before the call returned. A coder loop never blocks, and the test

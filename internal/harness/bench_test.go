@@ -44,7 +44,6 @@ func BenchmarkFigure17Examples(b *testing.B)        { benchExperiment(b, "F17") 
 func BenchmarkFigure18Intrusive(b *testing.B)       { benchExperiment(b, "F18") }
 func BenchmarkFigure19Heatmap(b *testing.B)         { benchExperiment(b, "F19") }
 func BenchmarkAppendixECost(b *testing.B)           { benchExperiment(b, "AE") }
-func BenchmarkX1IncrementalStreaming(b *testing.B)  { benchExperiment(b, "X1") }
 func BenchmarkX2GroupSizeAblation(b *testing.B)     { benchExperiment(b, "X2") }
 func BenchmarkX3ChunkLengthAblation(b *testing.B)   { benchExperiment(b, "X3") }
 func BenchmarkX4DeliveryCluster(b *testing.B)       { benchExperiment(b, "X4") }

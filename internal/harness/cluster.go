@@ -225,7 +225,7 @@ func runX4Cluster(f *Fixture) ([]*Report, error) {
 		fmt.Sprintf("%.2f ms", degraded.LoadTime.Seconds()*1e3), loadBreakdown(degraded),
 		fmt.Sprintf("%d", pool.Stats().Failovers-failoversBefore),
 		"-")
-	resil.AddNote("chunk placement ignores the encoding level, so a chunk's text fallback and refinement streams live with its bitstreams and failover never splits a chunk across fleets")
+	resil.AddNote("chunk placement ignores the encoding level, so a chunk's text fallback lives with its bitstreams and failover never splits a chunk across fleets")
 	return []*Report{scaling, resil}, nil
 }
 

@@ -10,74 +10,14 @@ import (
 	"repro/internal/streamer"
 )
 
-// Extension experiments beyond the paper's figures: the incremental
-// (SVC-style) streaming the paper names as future work (§9), and
-// ablations of two design constants DESIGN.md calls out — the token-group
-// size (§5.2) and the context-chunk length (§5.3's "how long should a
-// context chunk be?").
+// Extension experiments beyond the paper's figures: ablations of two
+// design constants the paper calls out — the token-group size (§5.2) and
+// the context-chunk length (§5.3's "how long should a context chunk
+// be?").
 
 func init() {
-	register("X1", "Extension: incremental (SVC-style) KV streaming (§9 future work)", runX1Incremental)
 	register("X2", "Ablation: token-group size (paper default 10)", runX2GroupSize)
 	register("X3", "Ablation: context-chunk length (paper default 1500)", runX3ChunkLength)
-}
-
-func runX1Incremental(f *Fixture) ([]*Report, error) {
-	rig, err := f.Rig(llm.Mistral7B())
-	if err != nil {
-		return nil, err
-	}
-	kv := rig.RefKV
-	elems := float64(kv.Elems() * 2)
-
-	rep := &Report{
-		ID:      "X1",
-		Title:   "Layered streaming: base level + refinement vs direct encoding",
-		Columns: []string{"Path", "Bits/element", "Overhead vs direct", "Max error"},
-	}
-	from := core.Level(rig.Codec.Config().Levels() - 1)
-	baseData, err := rig.Codec.EncodeChunk(kv, 0, 0, from)
-	if err != nil {
-		return nil, err
-	}
-	base, err := rig.Codec.DecodeChunk(baseData)
-	if err != nil {
-		return nil, err
-	}
-	baseErr, err := kv.MaxAbsDiff(base.KV)
-	if err != nil {
-		return nil, err
-	}
-	rep.AddRow(fmt.Sprintf("base only (L%d)", from),
-		fmt.Sprintf("%.2f", float64(len(baseData))*8/elems), "-", fmt.Sprintf("%.3f", baseErr))
-
-	for to := from - 1; to >= 0; to-- {
-		refData, err := rig.Codec.EncodeRefinement(kv, 0, 0, from, to)
-		if err != nil {
-			return nil, err
-		}
-		up, err := rig.Codec.ApplyRefinement(base, refData)
-		if err != nil {
-			return nil, err
-		}
-		upErr, err := kv.MaxAbsDiff(up.KV)
-		if err != nil {
-			return nil, err
-		}
-		directData, err := rig.Codec.EncodeChunk(kv, 0, 0, to)
-		if err != nil {
-			return nil, err
-		}
-		layered := len(baseData) + len(refData)
-		rep.AddRow(fmt.Sprintf("L%d + refine to L%d", from, to),
-			fmt.Sprintf("%.2f", float64(layered)*8/elems),
-			fmt.Sprintf("%+.0f%%", 100*(float64(layered)/float64(len(directData))-1)),
-			fmt.Sprintf("%.3f", upErr))
-		rep.AddRow(fmt.Sprintf("direct L%d", to),
-			fmt.Sprintf("%.2f", float64(len(directData))*8/elems), "-", "")
-	}
-	rep.AddNote("the receiver can start generating from the coarse base immediately and upgrade in place — the SVC analogy of §9")
-	return []*Report{rep}, nil
 }
 
 func runX2GroupSize(f *Fixture) ([]*Report, error) {

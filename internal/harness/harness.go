@@ -8,7 +8,8 @@
 // (Scale.Channels of Config.KVChannels) and measure the codec's
 // bits-per-element and reconstruction error on it; transmission sizes are
 // extrapolated to the full model width, which is sound because channels
-// are exchangeable in the synthetic KV process (DESIGN.md §1). Context
+// are exchangeable in the synthetic KV process (see internal/llm and the
+// README's introduction). Context
 // *lengths* in TTFT experiments are the datasets' real lengths.
 package harness
 

@@ -71,8 +71,8 @@ func runFigure14(f *Fixture) ([]*Report, error) {
 
 	// (c) Offline (encoding) delay: measured on the scaled tensors and
 	// extrapolated to full width; the paper's GPU encoder lands at ~200 ms
-	// per context, ours is a CPU implementation (substitution documented
-	// in DESIGN.md).
+	// per context, ours is a CPU implementation (the no-GPU substitution
+	// the README's introduction describes).
 	c := &Report{
 		ID:      "F14c",
 		Title:   "Offline delay breakdown (per context, measured then width-extrapolated)",

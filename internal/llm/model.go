@@ -1,8 +1,9 @@
 // Package llm is the simulated large-language-model substrate of the
 // CacheGen reproduction. There is no mature Go LLM inference stack, so per
-// the reproduction's substitution rule (DESIGN.md §1) this package supplies
-// everything the paper obtains from real models, with the same interfaces
-// and calibrated statistics:
+// the reproduction's substitution rule (the README's introduction: a
+// deterministic simulator, no GPU) this package supplies everything the
+// paper obtains from real models, with the same interfaces and calibrated
+// statistics:
 //
 //   - CalculateKV / ExtendKV: the calculate_kv interface of §6 — a
 //     deterministic synthetic transformer whose KV tensors reproduce the

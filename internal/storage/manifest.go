@@ -6,15 +6,23 @@ import (
 
 // Manifest is the per-context reference layer of the content-addressed
 // store: it carries the ContextMeta the streamer adapts over plus, for
-// every stored level (real encoding levels, TextLevel, and refinement
-// pseudo-levels), the ordered content hashes of the context's chunk
-// payloads. Publishing a context writes payloads once and a manifest
-// referencing them; contexts sharing payloads share hashes.
+// every stored level (real encoding levels and TextLevel), the ordered
+// content hashes of the context's chunk payloads. Publishing a context
+// writes payloads once and a manifest referencing them; contexts sharing
+// payloads share hashes.
+//
+// A manifest may hold rows for levels its meta does not declare: older
+// publishers stored refinement streams under the pseudo-levels 1000+t
+// (and meta fields refine_targets/refine_bytes, which decoding ignores).
+// Such rows load, and their payloads stay referenced (AllHashes counts
+// them), until the context's next Append writes a manifest without them.
 type Manifest struct {
 	Meta ContextMeta `json:"meta"`
 	// Hashes maps a stored level to per-chunk payload hashes. JSON object
 	// keys are the decimal level (encoding/json renders int keys as
-	// strings), so -1 is the text pseudo-level and 1000+t a refinement.
+	// strings), so -1 is the text pseudo-level; rows for undeclared levels
+	// (1000+t, an older publisher's refinement streams) load, stay
+	// refcounted and are dropped by the next Append.
 	Hashes map[int][]string `json:"hashes"`
 	// ChainDigests[i] is the running digest of the context's token stream
 	// through the end of chunk i (chained SHA-256, see streamer). Append
@@ -25,18 +33,15 @@ type Manifest struct {
 }
 
 // levelRows returns every level the manifest must carry for its meta:
-// all real levels, the text pseudo-level when text payloads are stored,
-// and one refinement pseudo-level per target.
+// all real levels, and the text pseudo-level when text payloads are
+// stored.
 func (m Manifest) levelRows() []int {
-	rows := make([]int, 0, m.Meta.Levels+1+len(m.Meta.RefineTargets))
+	rows := make([]int, 0, m.Meta.Levels+1)
 	for lv := 0; lv < m.Meta.Levels; lv++ {
 		rows = append(rows, lv)
 	}
 	if len(m.Meta.TextBytes) > 0 {
 		rows = append(rows, TextLevel)
-	}
-	for _, t := range m.Meta.RefineTargets {
-		rows = append(rows, RefineLevelKey(t))
 	}
 	return rows
 }
@@ -71,7 +76,8 @@ func (m Manifest) Validate() error {
 }
 
 // ChunkHash returns the content hash of one chunk payload at a stored
-// level (TextLevel or RefineLevelKey(t) for the pseudo-levels).
+// level (TextLevel for the token text). A row for a level the meta does
+// not declare answers too, while the manifest still holds it.
 func (m Manifest) ChunkHash(level, chunk int) (string, error) {
 	row, ok := m.Hashes[level]
 	if !ok {
@@ -109,14 +115,8 @@ func (m Manifest) clone() Manifest {
 	cp.Meta.ChunkTokens = append([]int{}, m.Meta.ChunkTokens...)
 	cp.Meta.SizesBytes = copyRows(m.Meta.SizesBytes)
 	cp.Meta.TextBytes = append([]int64{}, m.Meta.TextBytes...)
-	cp.Meta.RefineTargets = append([]int{}, m.Meta.RefineTargets...)
-	cp.Meta.RefineBytes = copyRows(m.Meta.RefineBytes)
 	if len(cp.Meta.TextBytes) == 0 {
 		cp.Meta.TextBytes = nil
-	}
-	if len(cp.Meta.RefineTargets) == 0 {
-		cp.Meta.RefineTargets = nil
-		cp.Meta.RefineBytes = nil
 	}
 	return cp
 }

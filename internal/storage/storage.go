@@ -1,11 +1,11 @@
 // Package storage implements the KV cache store of §6 as a
 // content-addressed chunk store: every chunk payload — one encoding level
-// of one context chunk, its token text (the recompute fallback), or a
-// refinement stream — is keyed by the SHA-256 of its bitstream, and a
-// per-context manifest maps contextID → ordered chunk hashes per level
-// plus the ContextMeta the streamer adapts over. Identical payloads
-// published under different contexts (shared document prefixes, re-used
-// conversation history) are stored once; manifests hold references.
+// of one context chunk, or its token text (the recompute fallback) — is
+// keyed by the SHA-256 of its bitstream, and a per-context manifest maps
+// contextID → ordered chunk hashes per level plus the ContextMeta the
+// streamer adapts over. Identical payloads published under different
+// contexts (shared document prefixes, re-used conversation history) are
+// stored once; manifests hold references.
 //
 // Garbage collection is reference-counted: PutManifest and DeleteContext
 // adjust per-payload refcounts, and Sweep reclaims payloads no manifest
@@ -51,20 +51,7 @@ type ContextMeta struct {
 	// may even name chunks of mixed vintage. 0 means a pre-format-field
 	// publisher, i.e. v1.
 	Format int `json:"format,omitempty"`
-
-	// Incremental-streaming extension (DESIGN.md §5b): refinement streams
-	// upgrading the coarsest level to RefineTargets[i], stored under
-	// RefineLevelKey(target). RefineBytes[i][chunk] are their sizes.
-	RefineTargets []int     `json:"refine_targets,omitempty"`
-	RefineBytes   [][]int64 `json:"refine_bytes,omitempty"`
 }
-
-// RefineLevelKey returns the pseudo-level under which the refinement
-// stream targeting encoding level `to` is stored.
-func RefineLevelKey(to int) int { return refineKeyBase + to }
-
-// refineKeyBase keeps refinement pseudo-levels clear of real levels.
-const refineKeyBase = 1000
 
 // NumChunks returns the number of chunks in the context.
 func (m ContextMeta) NumChunks() int { return len(m.ChunkTokens) }
@@ -95,17 +82,6 @@ func (m ContextMeta) Validate() error {
 	if len(m.TextBytes) != 0 && len(m.TextBytes) != m.NumChunks() {
 		return fmt.Errorf("storage: %d text sizes for %d chunks", len(m.TextBytes), m.NumChunks())
 	}
-	if len(m.RefineBytes) != len(m.RefineTargets) {
-		return fmt.Errorf("storage: %d refinement size rows for %d targets", len(m.RefineBytes), len(m.RefineTargets))
-	}
-	for i, row := range m.RefineBytes {
-		if len(row) != m.NumChunks() {
-			return fmt.Errorf("storage: refinement target %d has %d sizes for %d chunks", i, len(row), m.NumChunks())
-		}
-		if m.RefineTargets[i] < 0 || m.RefineTargets[i] >= m.Levels {
-			return fmt.Errorf("storage: refinement target %d outside levels [0,%d)", m.RefineTargets[i], m.Levels)
-		}
-	}
 	return nil
 }
 
@@ -121,11 +97,6 @@ func (m ContextMeta) TotalBytes() int64 {
 	}
 	for _, n := range m.TextBytes {
 		total += n
-	}
-	for _, row := range m.RefineBytes {
-		for _, n := range row {
-			total += n
-		}
 	}
 	return total
 }

@@ -25,6 +25,10 @@ import (
 // reconstructs the old token stream from the stored text payloads (exact)
 // and recomputes the needed KV — still skipping every prefix re-encode,
 // which dominates.
+//
+// The new manifest carries the real levels and the text rows only: rows an
+// older publisher stored under other levels (refinement streams) are
+// dropped, and the next Sweep reclaims their payloads.
 func Append(ctx context.Context, st storage.Store, codec *core.Codec, model *llm.Model,
 	contextID string, newTokens []llm.Token, opts PublishOptions) (storage.Manifest, *PublishStats, error) {
 
@@ -43,18 +47,6 @@ func Append(ctx context.Context, st storage.Store, codec *core.Codec, model *llm
 		return storage.Manifest{}, nil, fmt.Errorf("streamer: context %q has %d levels, codec has %d",
 			contextID, old.Meta.Levels, codec.Config().Levels())
 	}
-	targets := old.Meta.RefineTargets
-	if opts.RefineTargets != nil {
-		want, err := refineTargetInts(codec, opts.RefineTargets)
-		if err != nil {
-			return storage.Manifest{}, nil, err
-		}
-		if !equalInts(want, targets) {
-			return storage.Manifest{}, nil, fmt.Errorf("streamer: context %q was published with refinement targets %v, append requested %v",
-				contextID, targets, want)
-		}
-	}
-
 	oldT := old.Meta.TokenCount
 	total := oldT + len(newTokens)
 	chunkTok := codec.Config().ChunkTokens
@@ -117,7 +109,6 @@ func Append(ctx context.Context, st storage.Store, codec *core.Codec, model *llm
 		startOffset:  dirtyStart,
 		prevChain:    prevChain,
 		suffixTokens: suffix,
-		targets:      targets,
 		scale:        normScale(opts.SizeScale),
 		kv:           kvFor,
 	}
@@ -145,13 +136,6 @@ func Append(ctx context.Context, st storage.Store, codec *core.Codec, model *llm
 		man.Hashes[lv] = append(append([]string{}, old.Hashes[lv][:dirtyFrom]...), frag.hashes[lv]...)
 	}
 	man.Hashes[storage.TextLevel] = append(append([]string{}, old.Hashes[storage.TextLevel][:dirtyFrom]...), frag.hashes[storage.TextLevel]...)
-	for ti, t := range targets {
-		key := storage.RefineLevelKey(t)
-		man.Meta.RefineTargets = append(man.Meta.RefineTargets, t)
-		man.Meta.RefineBytes = append(man.Meta.RefineBytes,
-			append(append([]int64{}, old.Meta.RefineBytes[ti][:dirtyFrom]...), frag.sizes[key]...))
-		man.Hashes[key] = append(append([]string{}, old.Hashes[key][:dirtyFrom]...), frag.hashes[key]...)
-	}
 	if err := st.PutManifest(ctx, man); err != nil {
 		return storage.Manifest{}, nil, fmt.Errorf("streamer: storing manifest: %w", err)
 	}
@@ -180,16 +164,4 @@ func StoredTokens(ctx context.Context, st storage.Store, man storage.Manifest, f
 		out = append(out, toks...)
 	}
 	return out, nil
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

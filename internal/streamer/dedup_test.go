@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/storage"
 	"repro/internal/tensor"
@@ -247,7 +246,6 @@ func (s *slowPutStore) PutFingerprint(ctx context.Context, key string, fp storag
 func TestPublishBehindSlowStore(t *testing.T) {
 	s := newStack(t)
 	ctx := context.Background()
-	opts := PublishOptions{RefineTargets: []core.Level{0}}
 	type outcome struct {
 		mans  []storage.Manifest
 		stats []PublishStats
@@ -262,10 +260,10 @@ func TestPublishBehindSlowStore(t *testing.T) {
 			}
 			out.mans, out.stats = append(out.mans, man), append(out.stats, *stats)
 		}
-		step(Publish(ctx, st, s.codec, s.model, "chat", s.tokens[:200], opts))
+		step(Publish(ctx, st, s.codec, s.model, "chat", s.tokens[:200], PublishOptions{}))
 		step(Append(ctx, st, s.codec, s.model, "chat", s.tokens[200:250], PublishOptions{KV: s.kv}))
 		step(Append(ctx, st, s.codec, s.model, "chat", s.tokens[:30], PublishOptions{}))
-		step(Publish(ctx, st, s.codec, s.model, "fork", s.tokens, PublishOptions{KV: s.kv, RefineTargets: opts.RefineTargets}))
+		step(Publish(ctx, st, s.codec, s.model, "fork", s.tokens, PublishOptions{KV: s.kv}))
 		usage, err := st.Usage(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -286,7 +284,7 @@ func TestPublishBehindSlowStore(t *testing.T) {
 	// Fail every write from the third on: the two payloads written before it
 	// are the only ones the index may name.
 	failing := &slowPutStore{MemStore: storage.NewMemStore(), failAt: 3}
-	_, _, err := Publish(ctx, failing, s.codec, s.model, "doomed", s.tokens[:80], opts)
+	_, _, err := Publish(ctx, failing, s.codec, s.model, "doomed", s.tokens[:80], PublishOptions{})
 	if !errors.Is(err, errPutFailed) {
 		t.Fatalf("publish over a failing store: %v", err)
 	}

@@ -242,35 +242,24 @@ func (f *Fetcher) Fetch(ctx context.Context, contextID string) (*tensor.KV, *Fet
 // mid-chunk refetches that chunk). With the whole context resident, no
 // chunk moves at all and the call costs one manifest round trip.
 func (f *Fetcher) FetchFrom(ctx context.Context, contextID string, resident *tensor.KV) (*tensor.KV, *FetchReport, error) {
-	start, man, load, err := f.open(ctx, contextID)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer load.End()
-	return f.fetch(ctx, start, man, contextID, resident)
-}
-
-// open checks the Fetcher is usable, registers the load with the codec —
-// from here until the caller ends it, the codec's encode paths stand back
-// for this request's decodes and round trips — anchors the request's clock
-// and fetches the context's manifest.
-func (f *Fetcher) open(ctx context.Context, contextID string) (start time.Time, man storage.Manifest, load core.Load, err error) {
 	if f.Source == nil || f.Codec == nil || f.Model == nil {
-		return start, man, load, fmt.Errorf("streamer: Fetcher needs Source, Codec and Model")
+		return nil, nil, fmt.Errorf("streamer: Fetcher needs Source, Codec and Model")
 	}
-	load = f.Codec.BeginLoad()
-	start = time.Now()
+	// From here until the fetch returns, the codec's encode paths stand
+	// back for this request's decodes and round trips.
+	load := f.Codec.BeginLoad()
+	defer load.End()
+	start := time.Now()
 	manStart := start
 	if !f.Start.IsZero() {
 		start = f.Start
 	}
-	man, err = f.Source.GetManifest(ctx, contextID)
+	man, err := f.Source.GetManifest(ctx, contextID)
 	if err != nil {
-		load.End()
-		return start, man, load, fmt.Errorf("streamer: fetching manifest: %w", err)
+		return nil, nil, fmt.Errorf("streamer: fetching manifest: %w", err)
 	}
 	telemetry.FromContext(ctx).Record("manifest", manStart, time.Since(manStart))
-	return start, man, load, nil
+	return f.fetch(ctx, start, man, contextID, resident)
 }
 
 // fetch assembles the context man describes behind the resident prefix.

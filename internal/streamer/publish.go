@@ -28,11 +28,6 @@ type PublishOptions struct {
 	// CalculateKV). For Append it must cover the context's *full* new
 	// token count; the engine encodes the dirty suffix out of it in place.
 	KV *tensor.KV
-	// RefineTargets additionally stores incremental-streaming refinement
-	// bitstreams (DESIGN.md §5b) that upgrade the coarsest level to each
-	// listed target level. FetchIncremental consumes them. Append
-	// inherits the published targets; passing different ones is an error.
-	RefineTargets []core.Level
 }
 
 // PublishStats accounts one publish or append against the
@@ -88,17 +83,12 @@ func Publish(ctx context.Context, st storage.Store, codec *core.Codec, model *ll
 	if opts.KV != nil && opts.KV.Tokens != len(tokens) {
 		return storage.Manifest{}, nil, fmt.Errorf("streamer: cache covers %d tokens, context has %d", opts.KV.Tokens, len(tokens))
 	}
-	targets, err := refineTargetInts(codec, opts.RefineTargets)
-	if err != nil {
-		return storage.Manifest{}, nil, err
-	}
 	job := publishJob{
 		contextID:    contextID,
 		total:        len(tokens),
 		firstChunk:   0,
 		startOffset:  0,
 		suffixTokens: tokens,
-		targets:      targets,
 		scale:        normScale(opts.SizeScale),
 	}
 	job.kv = kvProvider(model, tokens, opts.KV)
@@ -106,7 +96,7 @@ func Publish(ctx context.Context, st storage.Store, codec *core.Codec, model *ll
 	if err != nil {
 		return storage.Manifest{}, nil, err
 	}
-	man := frag.manifest(contextID, model.Config().Name, len(tokens), codec.Config().Levels(), targets)
+	man := frag.manifest(contextID, model.Config().Name, len(tokens), codec.Config().Levels())
 	if err := st.PutManifest(ctx, man); err != nil {
 		return storage.Manifest{}, nil, fmt.Errorf("streamer: storing manifest: %w", err)
 	}
@@ -119,18 +109,6 @@ func normScale(s float64) float64 {
 		return 1
 	}
 	return s
-}
-
-func refineTargetInts(codec *core.Codec, targets []core.Level) ([]int, error) {
-	coarsest := core.Level(codec.Config().Levels() - 1)
-	out := make([]int, 0, len(targets))
-	for _, target := range targets {
-		if target >= coarsest || target < 0 {
-			return nil, fmt.Errorf("streamer: refinement target L%d must be finer than the coarsest level L%d", target, coarsest)
-		}
-		out = append(out, int(target))
-	}
-	return out, nil
 }
 
 // kvProvider returns a lazy accessor for the whole context's KV cache —
@@ -161,7 +139,6 @@ type publishJob struct {
 	prevChain   string // chain digest through chunk firstChunk-1 ("" at 0)
 	// suffixTokens are tokens[startOffset:total].
 	suffixTokens []llm.Token
-	targets      []int
 	scale        float64
 	// kv lazily yields the cache of the whole context (all `total` tokens).
 	kv func() *tensor.KV
@@ -179,7 +156,7 @@ type chunkFragments struct {
 
 // manifest assembles a whole-context manifest from fragments that cover
 // every chunk (the fresh-publish case).
-func (f *chunkFragments) manifest(contextID, modelName string, total, levels int, targets []int) storage.Manifest {
+func (f *chunkFragments) manifest(contextID, modelName string, total, levels int) storage.Manifest {
 	meta := storage.ContextMeta{
 		ContextID:   contextID,
 		Model:       modelName,
@@ -192,10 +169,6 @@ func (f *chunkFragments) manifest(contextID, modelName string, total, levels int
 	meta.SizesBytes = make([][]int64, meta.Levels)
 	for lv := 0; lv < meta.Levels; lv++ {
 		meta.SizesBytes[lv] = f.sizes[lv]
-	}
-	for _, t := range targets {
-		meta.RefineTargets = append(meta.RefineTargets, t)
-		meta.RefineBytes = append(meta.RefineBytes, f.sizes[storage.RefineLevelKey(t)])
 	}
 	return storage.Manifest{Meta: meta, Hashes: f.hashes, ChainDigests: f.chains}
 }
@@ -250,7 +223,6 @@ func encodeChunks(ctx context.Context, st storage.Store, codec *core.Codec, mode
 		return nil, fmt.Errorf("streamer: %w", err)
 	}
 	modelFP := modelFingerprint(model)
-	coarsest := core.Level(cfg.Levels() - 1)
 
 	frag := &chunkFragments{
 		chunkTokens: make([]int, span),
@@ -258,15 +230,8 @@ func encodeChunks(ctx context.Context, st storage.Store, codec *core.Codec, mode
 		hashes:      map[int][]string{},
 		sizes:       map[int][]int64{},
 	}
-	levelRows := make([]int, 0, cfg.Levels()+1+len(job.targets))
-	for lv := 0; lv < cfg.Levels(); lv++ {
-		levelRows = append(levelRows, lv)
-	}
-	levelRows = append(levelRows, storage.TextLevel)
-	for _, t := range job.targets {
-		levelRows = append(levelRows, storage.RefineLevelKey(t))
-	}
-	for _, lv := range levelRows {
+	// Every real level, and the text pseudo-level (TextLevel is -1).
+	for lv := storage.TextLevel; lv < cfg.Levels(); lv++ {
 		frag.hashes[lv] = make([]string, span)
 		frag.sizes[lv] = make([]int64, span)
 	}
@@ -295,7 +260,7 @@ func encodeChunks(ctx context.Context, st storage.Store, codec *core.Codec, mode
 		go func(si int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			stats, err := encodeOneChunk(ctx, st, codec, model, job, frag, offs, si, codecFP, modelFP, coarsest)
+			stats, err := encodeOneChunk(ctx, st, codec, model, job, frag, offs, si, codecFP, modelFP)
 			if err != nil {
 				errs[si] = err
 				return
@@ -320,7 +285,7 @@ func encodeChunks(ctx context.Context, st storage.Store, codec *core.Codec, mode
 // next payload's lookup and encode, one payload at a time; the first error
 // in payload order wins, and nothing outlives the call.
 func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, model *llm.Model,
-	job publishJob, frag *chunkFragments, offs []int, si int, codecFP, modelFP string, coarsest core.Level) (PublishStats, error) {
+	job publishJob, frag *chunkFragments, offs []int, si int, codecFP, modelFP string) (PublishStats, error) {
 
 	var stats PublishStats
 	i := job.firstChunk + si // absolute chunk index
@@ -407,9 +372,9 @@ func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, mo
 		return true, nil
 	}
 
-	// encoded resolves one bitstream payload (a real level or a
-	// refinement) through the fingerprint index.
-	encoded := func(level int, encode func(kv *tensor.KV) ([]byte, error)) error {
+	// encoded resolves one level's bitstream payload through the
+	// fingerprint index.
+	encoded := func(level int) error {
 		key := fingerprintKey(codecFP, modelFP, level, i, lo, n, chain)
 		if fp, err := st.GetFingerprint(ctx, key); err == nil {
 			ok, err := reusePayload(level, fp)
@@ -421,8 +386,9 @@ func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, mo
 			}
 		}
 		// The context's KV, fetched lazily: if every bitstream payload is a
-		// fingerprint hit, it is never materialised.
-		data, err := encode(job.kv())
+		// fingerprint hit, it is never materialised. In place: the chunk's
+		// rows are read where they lie in the context.
+		data, err := codec.EncodeChunkRange(job.kv(), lo, hi, i, lo, core.Level(level))
 		if err != nil {
 			return fail(fmt.Errorf("streamer: encoding chunk %d level %d: %w", i, level, err))
 		}
@@ -439,21 +405,7 @@ func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, mo
 	}
 
 	for lv := 0; lv < codec.Config().Levels(); lv++ {
-		// In place: the chunk's rows are read where they lie in the context.
-		if err := encoded(lv, func(kv *tensor.KV) ([]byte, error) {
-			return codec.EncodeChunkRange(kv, lo, hi, i, lo, core.Level(lv))
-		}); err != nil {
-			return stats, err
-		}
-	}
-	for _, target := range job.targets {
-		if err := encoded(storage.RefineLevelKey(target), func(kv *tensor.KV) ([]byte, error) {
-			part, err := kv.SliceTokens(lo, hi)
-			if err != nil {
-				return nil, err
-			}
-			return codec.EncodeRefinement(part, i, lo, coarsest, core.Level(target))
-		}); err != nil {
+		if err := encoded(lv); err != nil {
 			return stats, err
 		}
 	}
