@@ -78,6 +78,14 @@ func main() {
 		log.Printf("capping -replicas %d to fleet size %d", *replicas, *nodes)
 		*replicas = *nodes
 	}
+	var schedule chaos.Schedule
+	if *chaosFlag != "" {
+		s, err := chaos.ParseSchedule(*chaosFlag, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
+		schedule = s
+	}
 
 	// Model, codec and bank, shared by every node (§5.2: one bank per LLM).
 	cfg, err := llm.ByName(*modelName)
@@ -166,16 +174,12 @@ func main() {
 	// The chaos schedule (if any) is armed when the serving phase begins
 	// — demo, gc-smoke, or open-ended serving — so fault offsets count
 	// from t=0 of the phase, not from fleet launch.
-	counters := &metrics.ChaosCounters{}
-	telemetry.RegisterChaos(reg, counters)
+	counters := &chaos.Counters{}
+	counters.Register(reg)
 	inj := chaos.New(fl, counters)
 	armChaos := func() {
 		if *chaosFlag == "" {
 			return
-		}
-		schedule, err := chaos.ParseSchedule(*chaosFlag, 1)
-		if err != nil {
-			log.Fatal(err)
 		}
 		log.Printf("arming chaos schedule %q", *chaosFlag)
 		if err := inj.Start(schedule); err != nil {

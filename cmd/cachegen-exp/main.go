@@ -43,7 +43,7 @@ func main() {
 	}
 
 	if *trace != "" {
-		tr, err := workload.Resolve(*trace, workload.Params{Seed: *seed})
+		tr, err := workload.Resolve(*trace, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cachegen-exp:", err)
 			os.Exit(1)

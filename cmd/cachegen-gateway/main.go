@@ -158,7 +158,7 @@ func main() {
 	// Replay publishes the trace's contexts itself.
 	var trace *workload.Trace
 	if *traceFlag != "" {
-		trace, err = workload.Resolve(*traceFlag, workload.Params{Seed: *seed})
+		trace, err = workload.Resolve(*traceFlag, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -299,8 +299,8 @@ func main() {
 	}
 
 	// Gateway over the fleet.
-	counters := &metrics.ChaosCounters{}
-	telemetry.RegisterChaos(reg, counters)
+	counters := &chaos.Counters{}
+	counters.Register(reg)
 	pool := cluster.NewPool(ring,
 		cluster.WithTelemetry(reg),
 		cluster.WithResilience(resilience.Config{ProbeInterval: *probeInterval}),

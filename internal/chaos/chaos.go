@@ -17,11 +17,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 )
 
@@ -51,7 +49,10 @@ const (
 )
 
 // Event is one scheduled fault: impose the fault At after Start, lift
-// it Heal later (Heal 0 = the fault holds until Finish).
+// it Heal later (Heal 0 = the fault holds until Finish). Kill,
+// Partition, SlowDisk and Flaky strike one seeded victim; Cliff and
+// Corrupt apply fleet-wide (a bandwidth cliff or lossy wire is a path
+// property, not a node property).
 type Event struct {
 	// Class is the fault class.
 	Class Class
@@ -60,16 +61,6 @@ type Event struct {
 	// Heal, when > 0, lifts the fault that long after injection. 0 means
 	// the fault holds until Finish heals it.
 	Heal time.Duration
-	// Node pins the victim. Empty picks a seeded victim for Kill,
-	// Partition and SlowDisk, and applies fleet-wide for Cliff and
-	// Corrupt (a bandwidth cliff or lossy wire is a path property, not a
-	// node property).
-	Node string
-	// Region scopes a Partition to every node carrying that region
-	// label (the target must implement RegionTarget). Mutually
-	// exclusive with Node; only Partition supports it — severing a
-	// whole region is a real network failure mode, killing one is not.
-	Region string
 	// Latency is the added per-operation store latency (SlowDisk).
 	Latency time.Duration
 	// Trace is the egress bandwidth during the fault (Cliff).
@@ -87,12 +78,6 @@ func (e Event) String() string {
 	if e.Heal > 0 {
 		s += fmt.Sprintf("+%v", e.Heal)
 	}
-	if e.Node != "" {
-		s += fmt.Sprintf("(%s)", e.Node)
-	}
-	if e.Region != "" {
-		s += fmt.Sprintf("(region=%s)", e.Region)
-	}
 	return s
 }
 
@@ -103,14 +88,6 @@ func (e Event) validate() error {
 	}
 	if e.Heal < 0 {
 		return fmt.Errorf("chaos: event %s with negative heal delay", e.Class)
-	}
-	if e.Region != "" {
-		if e.Class != Partition {
-			return fmt.Errorf("chaos: region scoping is only for %s events, not %s", Partition, e.Class)
-		}
-		if e.Node != "" {
-			return fmt.Errorf("chaos: event pins both node %q and region %q", e.Node, e.Region)
-		}
 	}
 	switch e.Class {
 	case Kill, Partition:
@@ -144,8 +121,7 @@ func (e Event) validate() error {
 }
 
 // Schedule is a seeded fault schedule. The seed drives victim selection
-// (for events that don't pin a node) and the per-node corruption
-// streams.
+// and the per-node corruption and strike streams.
 type Schedule struct {
 	Seed   int64
 	Events []Event
@@ -162,10 +138,10 @@ func (s Schedule) Duration() time.Duration {
 	return d
 }
 
-// Target is the fleet surface the injector manipulates. Harness fleets
-// and the CLIs implement it over their node sets; the fake target in
-// the tests records calls. All methods must be safe for concurrent use
-// (heal timers fire from their own goroutines).
+// Target is the fleet surface the injector manipulates. LocalFleet
+// implements it over in-process nodes; the fake target in the tests
+// records calls. All methods must be safe for concurrent use (heal
+// timers fire from their own goroutines).
 type Target interface {
 	// Nodes lists the fleet's node addresses. Victim selection sorts
 	// them, so the set — not the order — must be stable.
@@ -188,23 +164,6 @@ type Target interface {
 	// CorruptionInjected returns the node's cumulative count of payloads
 	// it has corrupted.
 	CorruptionInjected(node string) uint64
-}
-
-// RegionTarget is the optional extension a Target implements when its
-// nodes carry region labels; region-scoped events (Event.Region) need
-// it to resolve their victims.
-type RegionTarget interface {
-	Target
-	// Region returns the node's region label ("" for an unlabelled
-	// node).
-	Region(node string) string
-}
-
-// FlakyTarget is the optional extension a Target implements to support
-// the Flaky fault class (per-request probabilistic stall/sever on a
-// victim node).
-type FlakyTarget interface {
-	Target
 	// SetFlaky makes the node strike a fraction rate of requests: a
 	// strike stalls by delay, or with probability errFrac severs the
 	// connection, using a deterministic rng seeded with seed. Rate ≤0
@@ -227,7 +186,7 @@ type action struct {
 // a healed fleet.
 type Injector struct {
 	target   Target
-	counters *metrics.ChaosCounters
+	counters *Counters
 
 	mu        sync.Mutex
 	errs      []error
@@ -242,7 +201,7 @@ type Injector struct {
 
 // New returns an injector over the target. counters may be nil (no
 // accounting).
-func New(target Target, counters *metrics.ChaosCounters) *Injector {
+func New(target Target, counters *Counters) *Injector {
 	return &Injector{target: target, counters: counters, baseline: map[string]uint64{}, flakyBase: map[string]uint64{}}
 }
 
@@ -265,10 +224,7 @@ func (in *Injector) Start(s Schedule) error {
 		if err := e.validate(); err != nil {
 			return fmt.Errorf("%w (event %d)", err, i)
 		}
-		victims, err := in.resolve(e, nodes, rng)
-		if err != nil {
-			return fmt.Errorf("chaos: event %d: %w", i, err)
-		}
+		victims := pickVictims(e, nodes, rng)
 		// Corruption seeds are drawn here, per victim, so the byte
 		// stream each node serves is fixed by (schedule seed, event
 		// index) regardless of when the timer fires.
@@ -316,37 +272,13 @@ func (in *Injector) Start(s Schedule) error {
 	return nil
 }
 
-// resolve picks an event's victim nodes.
-func (in *Injector) resolve(e Event, nodes []string, rng *rand.Rand) ([]string, error) {
-	if e.Region != "" {
-		rt, ok := in.target.(RegionTarget)
-		if !ok {
-			return nil, fmt.Errorf("event targets region %q but the target has no region labels", e.Region)
-		}
-		var victims []string
-		for _, n := range nodes {
-			if rt.Region(n) == e.Region {
-				victims = append(victims, n)
-			}
-		}
-		if len(victims) == 0 {
-			return nil, fmt.Errorf("no nodes in region %q", e.Region)
-		}
-		return victims, nil
-	}
-	if e.Node != "" {
-		for _, n := range nodes {
-			if n == e.Node {
-				return []string{n}, nil
-			}
-		}
-		return nil, fmt.Errorf("event pins unknown node %q (have %s)", e.Node, strings.Join(nodes, ", "))
-	}
+// pickVictims picks an event's victim nodes.
+func pickVictims(e Event, nodes []string, rng *rand.Rand) []string {
 	switch e.Class {
 	case Cliff, Corrupt:
-		return nodes, nil // path faults apply fleet-wide
+		return nodes // path faults apply fleet-wide
 	default:
-		return []string{nodes[rng.Intn(len(nodes))]}, nil
+		return []string{nodes[rng.Intn(len(nodes))]}
 	}
 }
 
@@ -357,19 +289,19 @@ func (in *Injector) impose(e Event, victims []string, seeds map[string]int64) {
 		switch e.Class {
 		case Kill:
 			if err = in.target.Kill(node); err == nil {
-				in.count(func(c *metrics.ChaosCounters) { c.NodeKills.Add(1) })
+				in.count(func(c *Counters) { c.NodeKills.Add(1) })
 			}
 		case Partition:
 			if err = in.target.SetPartitioned(node, true); err == nil {
-				in.count(func(c *metrics.ChaosCounters) { c.Partitions.Add(1) })
+				in.count(func(c *Counters) { c.Partitions.Add(1) })
 			}
 		case SlowDisk:
 			if err = in.target.SetDiskLatency(node, e.Latency); err == nil {
-				in.count(func(c *metrics.ChaosCounters) { c.SlowDisks.Add(1) })
+				in.count(func(c *Counters) { c.SlowDisks.Add(1) })
 			}
 		case Cliff:
 			if err = in.target.SetEgressTrace(node, e.Trace); err == nil {
-				in.count(func(c *metrics.ChaosCounters) { c.BandwidthCliffs.Add(1) })
+				in.count(func(c *Counters) { c.BandwidthCliffs.Add(1) })
 			}
 		case Corrupt:
 			before := in.target.CorruptionInjected(node)
@@ -379,17 +311,12 @@ func (in *Injector) impose(e Event, victims []string, seeds map[string]int64) {
 				in.mu.Unlock()
 			}
 		case Flaky:
-			ft, ok := in.target.(FlakyTarget)
-			if !ok {
-				err = fmt.Errorf("target does not support %s faults", e.Class)
-				break
-			}
-			before := ft.FlakyInjected(node)
-			if err = ft.SetFlaky(node, e.Rate, e.Latency, e.ErrFrac, seeds[node]); err == nil {
+			before := in.target.FlakyInjected(node)
+			if err = in.target.SetFlaky(node, e.Rate, e.Latency, e.ErrFrac, seeds[node]); err == nil {
 				in.mu.Lock()
 				in.flakyBase[node] = before
 				in.mu.Unlock()
-				in.count(func(c *metrics.ChaosCounters) { c.FlakyNodes.Add(1) })
+				in.count(func(c *Counters) { c.FlakyNodes.Add(1) })
 			}
 		}
 		in.fail(err, "imposing %s on %s", e.Class, node)
@@ -403,19 +330,19 @@ func (in *Injector) lift(e Event, victims []string) {
 		switch e.Class {
 		case Kill:
 			if err = in.target.Restart(node); err == nil {
-				in.count(func(c *metrics.ChaosCounters) { c.NodeRestarts.Add(1) })
+				in.count(func(c *Counters) { c.NodeRestarts.Add(1) })
 			}
 		case Partition:
 			if err = in.target.SetPartitioned(node, false); err == nil {
-				in.count(func(c *metrics.ChaosCounters) { c.PartitionsHealed.Add(1) })
+				in.count(func(c *Counters) { c.PartitionsHealed.Add(1) })
 			}
 		case SlowDisk:
 			if err = in.target.SetDiskLatency(node, 0); err == nil {
-				in.count(func(c *metrics.ChaosCounters) { c.SlowDisksHealed.Add(1) })
+				in.count(func(c *Counters) { c.SlowDisksHealed.Add(1) })
 			}
 		case Cliff:
 			if err = in.target.SetEgressTrace(node, nil); err == nil {
-				in.count(func(c *metrics.ChaosCounters) { c.BandwidthCliffsHealed.Add(1) })
+				in.count(func(c *Counters) { c.BandwidthCliffsHealed.Add(1) })
 			}
 		case Corrupt:
 			if err = in.target.SetCorruption(node, 0, 0); err == nil {
@@ -423,20 +350,15 @@ func (in *Injector) lift(e Event, victims []string) {
 				in.mu.Lock()
 				delta := injected - in.baseline[node]
 				in.mu.Unlock()
-				in.count(func(c *metrics.ChaosCounters) { c.CorruptFramesInjected.Add(delta) })
+				in.count(func(c *Counters) { c.CorruptFramesInjected.Add(delta) })
 			}
 		case Flaky:
-			ft, ok := in.target.(FlakyTarget)
-			if !ok {
-				err = fmt.Errorf("target does not support %s faults", e.Class)
-				break
-			}
-			if err = ft.SetFlaky(node, 0, 0, 0, 0); err == nil {
-				struck := ft.FlakyInjected(node)
+			if err = in.target.SetFlaky(node, 0, 0, 0, 0); err == nil {
+				struck := in.target.FlakyInjected(node)
 				in.mu.Lock()
 				delta := struck - in.flakyBase[node]
 				in.mu.Unlock()
-				in.count(func(c *metrics.ChaosCounters) {
+				in.count(func(c *Counters) {
 					c.FlakyStrikes.Add(delta)
 					c.FlakyHealed.Add(1)
 				})
@@ -465,7 +387,7 @@ func (in *Injector) Finish() error {
 }
 
 // count bumps a counter if accounting is on.
-func (in *Injector) count(fn func(*metrics.ChaosCounters)) {
+func (in *Injector) count(fn func(*Counters)) {
 	if in.counters != nil {
 		fn(in.counters)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 )
 
@@ -17,14 +16,16 @@ type fakeTarget struct {
 	mu    sync.Mutex
 	nodes []string
 	calls []string
-	// corrupted simulates per-node injection counters: each
-	// SetCorruption with rate > 0 "injects" 3 frames before heal.
+	// corrupted and struck simulate per-node injection counters: each
+	// SetCorruption with rate > 0 "injects" 3 frames before heal, each
+	// SetFlaky with rate > 0 "strikes" 5 requests.
 	corrupted map[string]uint64
+	struck    map[string]uint64
 	failOn    string // substring: matching calls return an error
 }
 
 func newFakeTarget(nodes ...string) *fakeTarget {
-	return &fakeTarget{nodes: nodes, corrupted: map[string]uint64{}}
+	return &fakeTarget{nodes: nodes, corrupted: map[string]uint64{}, struck: map[string]uint64{}}
 }
 
 func (f *fakeTarget) record(call string) error {
@@ -67,6 +68,20 @@ func (f *fakeTarget) CorruptionInjected(n string) uint64 {
 	defer f.mu.Unlock()
 	return f.corrupted[n]
 }
+func (f *fakeTarget) SetFlaky(n string, rate float64, delay time.Duration, errFrac float64, seed int64) error {
+	err := f.record(fmt.Sprintf("flaky %s %v", n, rate > 0))
+	if err == nil && rate > 0 {
+		f.mu.Lock()
+		f.struck[n] += 5
+		f.mu.Unlock()
+	}
+	return err
+}
+func (f *fakeTarget) FlakyInjected(n string) uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.struck[n]
+}
 
 func (f *fakeTarget) snapshot() []string {
 	f.mu.Lock()
@@ -74,21 +89,11 @@ func (f *fakeTarget) snapshot() []string {
 	return append([]string(nil), f.calls...)
 }
 
-// regionFakeTarget labels the fake's nodes with regions, making it a
-// RegionTarget. The bare fakeTarget stays region-less so the
-// unsupported-target path is testable.
-type regionFakeTarget struct {
-	*fakeTarget
-	regions map[string]string
-}
-
-func (f *regionFakeTarget) Region(n string) string { return f.regions[n] }
-
 // TestInjectorFullSchedule drives one event of every class through a
 // fake fleet and checks the calls, the heals, and the counters.
 func TestInjectorFullSchedule(t *testing.T) {
 	target := newFakeTarget("n1", "n2", "n3")
-	var counters metrics.ChaosCounters
+	var counters Counters
 	inj := New(target, &counters)
 	s := Schedule{Seed: 7, Events: []Event{
 		{Class: Kill, At: 0, Heal: 20 * time.Millisecond},
@@ -138,7 +143,7 @@ func TestInjectorFullSchedule(t *testing.T) {
 	}
 
 	snap := counters.Snapshot()
-	want := metrics.ChaosSnapshot{
+	want := Snapshot{
 		NodeKills: 1, NodeRestarts: 1,
 		Partitions: 1, PartitionsHealed: 1,
 		SlowDisks: 1, SlowDisksHealed: 1,
@@ -188,71 +193,6 @@ func TestInjectorDeterministicVictims(t *testing.T) {
 	t.Fatal("28 different seeds all picked identical victims")
 }
 
-// TestInjectorPinnedNode: an event naming a node hits exactly that
-// node; naming an unknown node fails Start.
-func TestInjectorPinnedNode(t *testing.T) {
-	target := newFakeTarget("n1", "n2")
-	inj := New(target, nil)
-	err := inj.Start(Schedule{Events: []Event{{Class: Kill, At: 0, Node: "n2"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(10 * time.Millisecond)
-	if err := inj.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	calls := target.snapshot()
-	if len(calls) == 0 || calls[0] != "kill n2" {
-		t.Fatalf("calls = %v, want kill n2 first", calls)
-	}
-
-	inj2 := New(newFakeTarget("n1"), nil)
-	if err := inj2.Start(Schedule{Events: []Event{{Class: Kill, Node: "ghost"}}}); err == nil {
-		t.Fatal("unknown pinned node accepted")
-	}
-}
-
-// TestInjectorRegionPartition: a region-scoped partition severs every
-// node carrying the label (and only those), heals them all, and fails
-// fast when the region is empty or the target has no region labels.
-func TestInjectorRegionPartition(t *testing.T) {
-	ft := newFakeTarget("n1", "n2", "n3")
-	target := &regionFakeTarget{fakeTarget: ft, regions: map[string]string{"n1": "eu", "n2": "us", "n3": "eu"}}
-	inj := New(target, nil)
-	s := Schedule{Events: []Event{{Class: Partition, At: 0, Heal: 5 * time.Millisecond, Region: "eu"}}}
-	if err := inj.Start(s); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(s.Duration() + 20*time.Millisecond)
-	if err := inj.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]bool{}
-	for _, c := range ft.snapshot() {
-		got[c] = true
-	}
-	for _, want := range []string{"partition n1 true", "partition n3 true", "partition n1 false", "partition n3 false"} {
-		if !got[want] {
-			t.Errorf("missing call %q in %v", want, ft.snapshot())
-		}
-	}
-	if got["partition n2 true"] {
-		t.Errorf("partition leaked outside region eu: %v", ft.snapshot())
-	}
-
-	inj2 := New(target, nil)
-	err := inj2.Start(Schedule{Events: []Event{{Class: Partition, Region: "mars"}}})
-	if err == nil || !strings.Contains(err.Error(), "no nodes in region") {
-		t.Fatalf("empty region: err = %v", err)
-	}
-
-	inj3 := New(newFakeTarget("n1"), nil)
-	err = inj3.Start(Schedule{Events: []Event{{Class: Partition, Region: "eu"}}})
-	if err == nil || !strings.Contains(err.Error(), "no region labels") {
-		t.Fatalf("region-less target: err = %v", err)
-	}
-}
-
 // TestInjectorErrorsSurface: a failing target call shows up in Finish's
 // joined error instead of vanishing.
 func TestInjectorErrorsSurface(t *testing.T) {
@@ -280,8 +220,6 @@ func TestInjectorValidation(t *testing.T) {
 		{"slow-disk without latency", Event{Class: SlowDisk}, "latency"},
 		{"cliff without trace", Event{Class: Cliff}, "trace"},
 		{"corrupt rate over 1", Event{Class: Corrupt, Rate: 1.5}, "outside"},
-		{"region on kill", Event{Class: Kill, Region: "eu"}, "region scoping"},
-		{"node and region", Event{Class: Partition, Node: "n1", Region: "eu"}, "both node"},
 		{"unknown class", Event{Class: "meteor"}, "unknown fault class"},
 	}
 	for _, tc := range cases {
@@ -360,41 +298,39 @@ func TestParseSchedule(t *testing.T) {
 	}
 }
 
-// TestParseScheduleRegion covers the region=<label> partition scope:
-// the accepted forms and every rejection.
+// TestParseScheduleRegion: partition takes no parameter, so the
+// region=<label> scope older specs carried fails at parse time, not when
+// the injector starts.
 func TestParseScheduleRegion(t *testing.T) {
 	cases := []struct {
 		name string
 		spec string
-		// want is the parsed Region on success; err the error substring
-		// on failure.
-		want string
-		err  string
+		err  string // the error substring; "" for an accepted spec
 	}{
-		{name: "region scope", spec: "partition@100ms:region=eu", want: "eu"},
-		{name: "region with heal", spec: "partition@0s+250ms:region=us-east", want: "us-east"},
-		{name: "plain partition still works", spec: "partition@0s", want: ""},
-		{name: "empty label", spec: "partition@0s:region=", err: "empty region label"},
-		{name: "not a region param", spec: "partition@0s:n1", err: "region=<label>"},
+		{name: "region scope", spec: "partition@0s:region=eu", err: "no parameter"},
+		{name: "region with heal", spec: "partition@0s+250ms:region=us-east", err: "no parameter"},
+		{name: "plain partition still works", spec: "partition@0s"},
+		{name: "empty label", spec: "partition@0s:region=", err: "no parameter"},
+		{name: "not a region param", spec: "partition@0s:n1", err: "no parameter"},
 		{name: "region on kill", spec: "kill@0s:region=eu", err: "no parameter"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := ParseSchedule(tc.spec, 1)
-			if tc.err != "" {
-				if err == nil {
-					t.Fatal("malformed spec accepted")
+			if tc.err == "" {
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !strings.Contains(err.Error(), tc.err) {
-					t.Fatalf("error %q does not mention %q", err, tc.err)
+				if len(s.Events) != 1 || s.Events[0].Class != Partition {
+					t.Fatalf("events = %+v, want one partition", s.Events)
 				}
 				return
 			}
-			if err != nil {
-				t.Fatal(err)
+			if err == nil {
+				t.Fatal("malformed spec accepted")
 			}
-			if got := s.Events[0].Region; got != tc.want {
-				t.Fatalf("Region = %q, want %q", got, tc.want)
+			if !strings.Contains(err.Error(), tc.err) {
+				t.Fatalf("error %q does not mention %q", err, tc.err)
 			}
 		})
 	}

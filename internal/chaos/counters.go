@@ -1,18 +1,20 @@
-package metrics
+package chaos
 
 import (
 	"fmt"
 	"strings"
 	"sync/atomic"
+
+	"repro/internal/telemetry"
 )
 
-// ChaosCounters tallies fault injections and the system's observed
-// recoveries, one pair per fault class. The chaos injector increments
-// the injection side as it fires events; heals and survivals come from
+// Counters tallies fault injections and the system's observed
+// recoveries, one pair per fault class. The injector increments the
+// injection side as it fires events; heals and survivals come from
 // the injector's heal timers and from the data path (corrupt frames
 // rejected is fed by the fetchers' CRC rejections). All counters are
 // atomic — injector, gateway workers and reporters share one instance.
-type ChaosCounters struct {
+type Counters struct {
 	NodeKills             atomic.Uint64 // node processes killed
 	NodeRestarts          atomic.Uint64 // killed nodes brought back
 	Partitions            atomic.Uint64 // partitions imposed
@@ -28,8 +30,8 @@ type ChaosCounters struct {
 	FlakyStrikes          atomic.Uint64 // requests struck (stalled or severed)
 }
 
-// ChaosSnapshot is a point-in-time copy of ChaosCounters, for reports.
-type ChaosSnapshot struct {
+// Snapshot is a point-in-time copy of Counters, for reports.
+type Snapshot struct {
 	NodeKills             uint64
 	NodeRestarts          uint64
 	Partitions            uint64
@@ -45,9 +47,13 @@ type ChaosSnapshot struct {
 	FlakyStrikes          uint64
 }
 
-// Snapshot copies the current counter values.
-func (c *ChaosCounters) Snapshot() ChaosSnapshot {
-	return ChaosSnapshot{
+// Snapshot copies the current counter values. Rejected corrupt frames
+// load before injected ones, so a writer that counts each injection
+// before its rejection is never seen with more rejections than
+// injections.
+func (c *Counters) Snapshot() Snapshot {
+	return Snapshot{
+		CorruptFramesRejected: c.CorruptFramesRejected.Load(),
 		NodeKills:             c.NodeKills.Load(),
 		NodeRestarts:          c.NodeRestarts.Load(),
 		Partitions:            c.Partitions.Load(),
@@ -57,7 +63,6 @@ func (c *ChaosCounters) Snapshot() ChaosSnapshot {
 		BandwidthCliffs:       c.BandwidthCliffs.Load(),
 		BandwidthCliffsHealed: c.BandwidthCliffsHealed.Load(),
 		CorruptFramesInjected: c.CorruptFramesInjected.Load(),
-		CorruptFramesRejected: c.CorruptFramesRejected.Load(),
 		FlakyNodes:            c.FlakyNodes.Load(),
 		FlakyHealed:           c.FlakyHealed.Load(),
 		FlakyStrikes:          c.FlakyStrikes.Load(),
@@ -65,11 +70,11 @@ func (c *ChaosCounters) Snapshot() ChaosSnapshot {
 }
 
 // Zero reports whether no fault was ever recorded.
-func (s ChaosSnapshot) Zero() bool { return s == ChaosSnapshot{} }
+func (s Snapshot) Zero() bool { return s == Snapshot{} }
 
 // String renders the non-zero fault classes compactly, e.g.
 // "kills 2 (restarted 2) · partitions 1 (healed 1) · corrupt 8/8 rejected".
-func (s ChaosSnapshot) String() string {
+func (s Snapshot) String() string {
 	var parts []string
 	if s.NodeKills > 0 || s.NodeRestarts > 0 {
 		parts = append(parts, fmt.Sprintf("kills %d (restarted %d)", s.NodeKills, s.NodeRestarts))
@@ -93,4 +98,35 @@ func (s ChaosSnapshot) String() string {
 		return "no faults"
 	}
 	return strings.Join(parts, " · ")
+}
+
+// Register absorbs the counters into the registry as gauge functions
+// reading the shared atomics — the injector and the fetchers keep
+// ticking the same struct, and the live registry exposes it without a
+// second accounting path. No-op when either side is nil.
+func (c *Counters) Register(r *telemetry.Registry) {
+	if r == nil || c == nil {
+		return
+	}
+	for _, e := range []struct {
+		name, help string
+		load       func() uint64
+	}{
+		{"cachegen_chaos_node_kills_total", "node processes killed by the chaos injector", c.NodeKills.Load},
+		{"cachegen_chaos_node_restarts_total", "killed nodes brought back", c.NodeRestarts.Load},
+		{"cachegen_chaos_partitions_total", "network partitions imposed", c.Partitions.Load},
+		{"cachegen_chaos_partitions_healed_total", "network partitions lifted", c.PartitionsHealed.Load},
+		{"cachegen_chaos_slow_disks_total", "slow-disk faults imposed", c.SlowDisks.Load},
+		{"cachegen_chaos_slow_disks_healed_total", "slow-disk faults lifted", c.SlowDisksHealed.Load},
+		{"cachegen_chaos_bandwidth_cliffs_total", "bandwidth cliffs imposed", c.BandwidthCliffs.Load},
+		{"cachegen_chaos_bandwidth_cliffs_healed_total", "bandwidth cliffs lifted", c.BandwidthCliffsHealed.Load},
+		{"cachegen_chaos_corrupt_frames_injected_total", "payloads corrupted on the wire", c.CorruptFramesInjected.Load},
+		{"cachegen_chaos_corrupt_frames_rejected_total", "corrupt payloads caught by CRC", c.CorruptFramesRejected.Load},
+		{"cachegen_chaos_flaky_nodes_total", "flaky faults imposed", c.FlakyNodes.Load},
+		{"cachegen_chaos_flaky_healed_total", "flaky faults lifted", c.FlakyHealed.Load},
+		{"cachegen_chaos_flaky_strikes_total", "requests struck by a flaky node (stalled or severed)", c.FlakyStrikes.Load},
+	} {
+		load := e.load
+		r.GaugeFunc(e.name, e.help, func() float64 { return float64(load()) })
+	}
 }

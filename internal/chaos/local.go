@@ -227,7 +227,7 @@ func (f *LocalFleet) CorruptionInjected(node string) uint64 {
 	return srv.CorruptionInjected()
 }
 
-// SetFlaky implements FlakyTarget.
+// SetFlaky implements Target.
 func (f *LocalFleet) SetFlaky(node string, rate float64, delay time.Duration, errFrac float64, seed int64) error {
 	srv, err := f.server(node)
 	if err != nil {
@@ -237,7 +237,7 @@ func (f *LocalFleet) SetFlaky(node string, rate float64, delay time.Duration, er
 	return nil
 }
 
-// FlakyInjected implements FlakyTarget.
+// FlakyInjected implements Target.
 func (f *LocalFleet) FlakyInjected(node string) uint64 {
 	srv, err := f.server(node)
 	if err != nil {
@@ -246,7 +246,4 @@ func (f *LocalFleet) FlakyInjected(node string) uint64 {
 	return srv.FlakyInjected()
 }
 
-var (
-	_ Target      = (*LocalFleet)(nil)
-	_ FlakyTarget = (*LocalFleet)(nil)
-)
+var _ Target = (*LocalFleet)(nil)

@@ -17,13 +17,12 @@ import (
 // where at and heal are durations ("300ms"), and param is the
 // class-specific parameter — a latency for slow-disk ("5ms"), a netsim
 // bandwidth trace for cliff ("0.05Gbps" or "0s:1Gbps,300ms:0.05Gbps"),
-// a corruption rate for corrupt ("0.25"), a region scope for partition
-// ("region=eu"), a strike spec for flaky
-// ("p=0.3[,delay=50ms][,err=0.25]"). Examples:
+// a corruption rate for corrupt ("0.25"), a strike spec for flaky
+// ("p=0.3[,delay=50ms][,err=0.25]"); kill and partition take none.
+// Examples:
 //
 //	kill@300ms+500ms            kill a seeded victim at 300ms, restart 500ms later
 //	partition@100ms             partition a victim until the run ends
-//	partition@100ms:region=eu   partition every node labelled "eu"
 //	slow-disk@0s+1s:5ms         5ms per store op on a victim for 1s
 //	cliff@250ms+1s:0.05Gbps     fleet-wide bandwidth cliff
 //	corrupt@0s:0.25             corrupt 25% of served payloads all run
@@ -77,20 +76,9 @@ func parseEvent(part string) (Event, error) {
 	}
 	param = strings.TrimSpace(param)
 	switch e.Class {
-	case Kill:
+	case Kill, Partition:
 		if hasParam {
 			return Event{}, fmt.Errorf("chaos: event %q: %s takes no parameter", part, e.Class)
-		}
-	case Partition:
-		if hasParam {
-			label, ok := strings.CutPrefix(param, "region=")
-			if !ok {
-				return Event{}, fmt.Errorf("chaos: event %q: partition takes no parameter other than region=<label>", part)
-			}
-			if label == "" {
-				return Event{}, fmt.Errorf("chaos: event %q: empty region label", part)
-			}
-			e.Region = label
 		}
 	case SlowDisk:
 		if !hasParam {

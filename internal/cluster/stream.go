@@ -294,7 +294,6 @@ func (s *poolStream) openRun(ctx context.Context) (transport.ChunkStream, int, e
 		Level:     streamLevel,
 		Window:    s.req.Window,
 		FrameSize: s.req.FrameSize,
-		Format:    s.req.Format,
 	})
 	if err != nil {
 		s.p.discard(primary, client)

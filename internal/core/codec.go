@@ -262,28 +262,18 @@ const (
 // header so the receiver can reassemble and, for text fallback, resume
 // recomputation at the right position.
 func (c *Codec) EncodeChunk(kv *tensor.KV, chunkIndex, tokenOffset int, lv Level) ([]byte, error) {
-	return c.encodeChunkRange(kv, 0, kv.Tokens, chunkIndex, tokenOffset, lv, FormatV2)
-}
-
-// EncodeChunkV1 encodes one chunk as a legacy CGC1 container. The group
-// streams are bit-identical to EncodeChunk's — only the container layout
-// differs — so v1 and v2 encodings of the same tokens decode to the same
-// KV. Retained for mixed-format fleets and the golden-corpus compat
-// tests; new encodes use EncodeChunk.
-func (c *Codec) EncodeChunkV1(kv *tensor.KV, chunkIndex, tokenOffset int, lv Level) ([]byte, error) {
-	return c.encodeChunkRange(kv, 0, kv.Tokens, chunkIndex, tokenOffset, lv, FormatV1)
+	return c.encodeChunkRange(kv, 0, kv.Tokens, chunkIndex, tokenOffset, lv)
 }
 
 // EncodeChunkRange is EncodeChunk for tokens [lo, hi) of kv, read in place:
 // a caller holding the whole context's tensor encodes each chunk without
 // first copying it out. The bitstream is EncodeChunk's of that slice.
 func (c *Codec) EncodeChunkRange(kv *tensor.KV, lo, hi, chunkIndex, tokenOffset int, lv Level) ([]byte, error) {
-	return c.encodeChunkRange(kv, lo, hi, chunkIndex, tokenOffset, lv, FormatV2)
+	return c.encodeChunkRange(kv, lo, hi, chunkIndex, tokenOffset, lv)
 }
 
-// encodeChunkRange encodes tokens [lo, hi) of kv as one chunk in the given
-// container format.
-func (c *Codec) encodeChunkRange(kv *tensor.KV, lo, hi, chunkIndex, tokenOffset int, lv Level, format int) ([]byte, error) {
+// encodeChunkRange encodes tokens [lo, hi) of kv as one v2 chunk.
+func (c *Codec) encodeChunkRange(kv *tensor.KV, lo, hi, chunkIndex, tokenOffset int, lv Level) ([]byte, error) {
 	if err := c.bank.CheckGeometry(kv); err != nil {
 		return nil, err
 	}
@@ -324,38 +314,7 @@ func (c *Codec) encodeChunkRange(kv *tensor.KV, lo, hi, chunkIndex, tokenOffset 
 		return nil, err
 	}
 
-	if format == FormatV1 {
-		return assembleChunkV1(streams, kv, tokens, chunkIndex, tokenOffset, g, lv), nil
-	}
 	return c.assembleChunkV2(streams, kv, tokens, chunkIndex, tokenOffset, g, lv), nil
-}
-
-// assembleChunkV1 lays out the legacy CGC1 container: header uvarints,
-// per-group stream lengths, concatenated streams, whole-container CRC.
-func assembleChunkV1(streams [][]byte, kv *tensor.KV, tokens, chunkIndex, tokenOffset, groupSize int, lv Level) []byte {
-	payload := 0
-	for _, s := range streams {
-		payload += len(s)
-	}
-	out := make([]byte, 0, chunkHeaderSize(len(streams))+payload)
-	out = append(out, chunkMagicV1...)
-	out = append(out, chunkVersionV1, byte(lv))
-	out = binary.AppendUvarint(out, uint64(chunkIndex))
-	out = binary.AppendUvarint(out, uint64(tokenOffset))
-	out = binary.AppendUvarint(out, uint64(kv.Layers))
-	out = binary.AppendUvarint(out, uint64(tokens))
-	out = binary.AppendUvarint(out, uint64(kv.Channels))
-	out = binary.AppendUvarint(out, uint64(groupSize))
-	out = binary.AppendUvarint(out, uint64(len(streams)))
-	for _, s := range streams {
-		out = binary.AppendUvarint(out, uint64(len(s)))
-	}
-	for _, s := range streams {
-		out = append(out, s...)
-	}
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(out))
-	return append(out, sum[:]...)
 }
 
 // assembleChunkV2 lays out the lane-interleaved CGC2 container:
@@ -409,8 +368,6 @@ func (c *Codec) assembleChunkV2(streams [][]byte, kv *tensor.KV, tokens, chunkIn
 	}
 	return out
 }
-
-func chunkHeaderSize(groups int) int { return 64 + 4*groups }
 
 func chunkHeaderSizeV2(groups, lanes int) int { return 80 + 5*groups + 4*lanes }
 
@@ -1164,7 +1121,7 @@ func (c *Codec) encodeJobs(kv *tensor.KV, jobs []levelChunkJob) ([][]byte, error
 			defer wg.Done()
 			defer func() { <-sem }()
 			// Encode the token range in place: no per-chunk tensor copy.
-			out[ji], errs[ji] = c.encodeChunkRange(kv, job.lo, job.hi, job.chunk, job.lo, job.lv, FormatV2)
+			out[ji], errs[ji] = c.encodeChunkRange(kv, job.lo, job.hi, job.chunk, job.lo, job.lv)
 		}(ji, job)
 	}
 	wg.Wait()

@@ -565,10 +565,7 @@ func TestDecodeChunkRejectsOverflowingGroupLengths(t *testing.T) {
 	}
 
 	t.Run("v1", func(t *testing.T) {
-		data, err := codec.EncodeChunkV1(kv, 0, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := readGolden(t, "golden_chunk_v1_l0.bin")
 		// Rebuild the container with two absurd group lengths whose int
 		// sum wraps to the real payload size, then re-seal the CRC.
 		hdr := data[:6]

@@ -26,10 +26,7 @@ func fuzzSetup(t testing.TB) *Codec {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunkV1, err := codec.EncodeChunkV1(kv, 0, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		chunkV1 := reframeV1(t, codec, chunk)
 		bank, err := codec.Bank().MarshalBinary()
 		if err != nil {
 			t.Fatal(err)

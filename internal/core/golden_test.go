@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -107,8 +109,8 @@ func TestGoldenBitstreams(t *testing.T) {
 // TestGoldenV1Compat pins the legacy read path: the committed CGC1
 // fixtures (written before the v2 lane-interleaved container shipped)
 // must keep decoding through today's codec to exactly the KV the v2
-// encoding decodes to, and the retained v1 encoder must still reproduce
-// their bytes. There is deliberately no -update-golden escape hatch
+// encoding decodes to, and that v2 encoding, re-framed as v1, must still
+// reproduce their bytes. There is deliberately no -update-golden escape hatch
 // here: the golden_chunk_v1_l*.bin fixtures are never regenerated —
 // breaking them means breaking every v1 bitstream already in a store.
 func TestGoldenV1Compat(t *testing.T) {
@@ -160,18 +162,37 @@ func TestGoldenV1Compat(t *testing.T) {
 			if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 				t.Errorf("L%d: v1 fixture and v2 encoding decode to different KV bytes", lv)
 			}
-			// And the retained v1 encoder must still be bit-exact
-			// against the fixture written before v2 existed.
-			re, err := codec.EncodeChunkV1(kv, 0, 0, lv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(re, v1) {
-				t.Errorf("L%d: EncodeChunkV1 no longer reproduces the committed v1 fixture (%d vs %d bytes)",
+			// And its group streams must still be bit-exact against the
+			// fixture written before v2 existed.
+			if re := reframeV1(t, codec, v2); !bytes.Equal(re, v1) {
+				t.Errorf("L%d: the v2 encoding re-framed as v1 no longer reproduces the committed v1 fixture (%d vs %d bytes)",
 					lv, len(re), len(v1))
 			}
 		})
 	}
+}
+
+// reframeV1 lays a v2 container's group streams out as the legacy CGC1
+// container: header uvarints, per-group stream lengths, concatenated
+// streams, whole-container CRC. The group streams of the two formats are
+// identical, so this is the container a v1 encoder wrote for the same
+// tokens.
+func reframeV1(t testing.TB, codec *Codec, v2 []byte) []byte {
+	t.Helper()
+	p, err := codec.ParseChunk(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, groups := p.Header, len(p.groups)
+	out := append([]byte(chunkMagicV1), chunkVersionV1, byte(h.Level))
+	for _, v := range []int{h.Index, h.TokenOffset, h.Layers, h.Tokens, h.Channels, h.groupSize, groups} {
+		out = binary.AppendUvarint(out, uint64(v))
+	}
+	for g := 0; g < groups; g++ {
+		out = binary.AppendUvarint(out, uint64(p.groupOff[g+1]-p.groupOff[g]))
+	}
+	out = append(out, v2[p.groupOff[0]:p.groupOff[groups]]...)
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
 
 // writeGoldenFixtures regenerates the corpus from the deterministic rig.

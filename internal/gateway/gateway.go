@@ -30,9 +30,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/llm"
-	"repro/internal/metrics"
 	"repro/internal/resilience"
 	"repro/internal/sched"
 	"repro/internal/streamer"
@@ -177,9 +177,9 @@ type Config struct {
 	DecodeTime func(contextTokens, suffixTokens int) time.Duration
 
 	// Chaos, when set, receives the fetchers' integrity-rejection ticks
-	// (metrics.ChaosCounters.CorruptFramesRejected), so a chaos run's
+	// (chaos.Counters.CorruptFramesRejected), so a chaos run's
 	// fleet-wide tally includes rejections from fetches that then failed.
-	Chaos *metrics.ChaosCounters
+	Chaos *chaos.Counters
 
 	// Telemetry, when set, receives the gateway's live instruments
 	// (admission counters, queue-depth gauges, TTFT and queue-wait

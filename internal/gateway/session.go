@@ -44,8 +44,8 @@ type Session struct {
 }
 
 // NewSession opens a session publishing through publisher and fetching
-// through the gateway. The context must not exist yet (the first Turn
-// creates it) — resume an existing conversation with ResumeSession.
+// through the gateway. The context must not exist yet: the first Turn
+// creates it.
 func (g *Gateway) NewSession(publisher storage.Store, tenant, contextID string) (*Session, error) {
 	if publisher == nil {
 		return nil, errors.New("gateway: session needs a publisher store")
@@ -54,28 +54,6 @@ func (g *Gateway) NewSession(publisher storage.Store, tenant, contextID string) 
 		return nil, errors.New("gateway: session needs a tenant and a context id")
 	}
 	return &Session{g: g, publisher: publisher, tenant: tenant, contextID: contextID}, nil
-}
-
-// ResumeSession reopens a session over an already-published context: the
-// exact token history is recovered from the stored text payloads and the
-// resident cache recomputed once, after which turns proceed warm.
-func (g *Gateway) ResumeSession(ctx context.Context, publisher storage.Store, tenant, contextID string) (*Session, error) {
-	s, err := g.NewSession(publisher, tenant, contextID)
-	if err != nil {
-		return nil, err
-	}
-	man, err := publisher.GetManifest(ctx, contextID)
-	if err != nil {
-		return nil, fmt.Errorf("gateway: resuming session %q: %w", contextID, err)
-	}
-	tokens, err := streamer.StoredTokens(ctx, publisher, man, 0, man.Meta.NumChunks())
-	if err != nil {
-		return nil, fmt.Errorf("gateway: resuming session %q: %w", contextID, err)
-	}
-	s.tokens = tokens
-	s.kv = g.cfg.Model.CalculateKV(tokens)
-	s.turn = 1 // unknown true count; nonzero marks the context as live
-	return s, nil
 }
 
 // TurnResult describes one completed session turn.

@@ -107,8 +107,8 @@ func TestSessionTurns(t *testing.T) {
 	}
 }
 
-// TestSessionResume reopens a session from the store alone (token
-// history recovered from text payloads) and continues appending.
+// TestSessionResume continues a session after its opening turn: the
+// second turn appends to the published context and reuses its chunks.
 func TestSessionResume(t *testing.T) {
 	r := newTestRing(t, 1)
 	g := sessionGateway(t, r)
@@ -124,24 +124,15 @@ func TestSessionResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed, err := g.ResumeSession(ctx, r.sharded, "tenant-a", "chat-2")
-	if err != nil {
-		t.Fatal(err)
+	if sess.HistoryTokens() != 130 {
+		t.Fatalf("history = %d, want 130", sess.HistoryTokens())
 	}
-	if resumed.HistoryTokens() != 130 {
-		t.Fatalf("resumed history = %d, want 130", resumed.HistoryTokens())
-	}
-	res, err := resumed.Turn(ctx, turnTokens(rng, 60))
+	res, err := sess.Turn(ctx, turnTokens(rng, 60))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.HistoryTokens != 190 || res.Publish.ReusedChunks == 0 {
-		t.Errorf("resumed turn = %+v", res)
-	}
-
-	// Resuming a context that was never published fails cleanly.
-	if _, err := g.ResumeSession(ctx, r.sharded, "tenant-a", "never-existed"); !errors.Is(err, storage.ErrNotFound) {
-		t.Errorf("resume of missing context = %v", err)
+		t.Errorf("second turn = %+v", res)
 	}
 }
 

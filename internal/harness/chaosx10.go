@@ -68,7 +68,7 @@ func (s storeSource) GetChunkData(ctx context.Context, hash string) ([]byte, err
 // x10Outcome is one matrix cell's result.
 type x10Outcome struct {
 	rep       *gateway.LoadReport
-	snap      metrics.ChaosSnapshot
+	snap      chaos.Snapshot
 	failovers uint64
 	integrity string
 }
@@ -88,7 +88,7 @@ func x10Run(st *x5Stack, tr *workload.Trace, spec string) (*x10Outcome, error) {
 	pool := cluster.NewPool(sharded.Ring(), cluster.WithRequestTimeout(10*time.Second))
 	defer pool.Close()
 	fl.OnHeal = pool.Invalidate
-	counters := &metrics.ChaosCounters{}
+	counters := &chaos.Counters{}
 	g, err := gateway.New(gateway.Config{
 		Slots:       2,
 		QueueLimit:  1024,
@@ -300,7 +300,7 @@ func runX10Chaos(f *Fixture) ([]*Report, error) {
 	for _, name := range scenarios {
 		build := builders[name]
 		for _, fault := range x10Faults() {
-			out, err := x10Run(st, build(workload.Params{Seed: x10Seed}), fault.spec)
+			out, err := x10Run(st, build(x10Seed), fault.spec)
 			if err != nil {
 				return nil, fmt.Errorf("X10 %s/%s: %w", name, fault.name, err)
 			}

@@ -237,15 +237,6 @@ func (m *Model) fillLayer(out, prev *tensor.KV, offset, l int, tokens []Token) {
 	}
 }
 
-// LayerScale returns the nominal value scale of layer l, used by quality
-// normalisation and by tests.
-func (m *Model) LayerScale(l int) float64 { return m.layerScale[l] }
-
-// Sigma returns the modelled std of (kind, layer, channel).
-func (m *Model) Sigma(kind tensor.Kind, layer, channel int) float64 {
-	return m.sigma[int(kind)][layer*m.cfg.Channels+channel]
-}
-
 // Importance returns a per-token importance score (the synthetic stand-in
 // for accumulated self-attention mass). Heavy-tailed: a few tokens carry
 // most of the importance, which is exactly the structure H2O and

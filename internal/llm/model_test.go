@@ -224,10 +224,10 @@ func TestInsight3ChannelGrouping(t *testing.T) {
 
 func TestLayerScalesIncrease(t *testing.T) {
 	m := MustNew(testConfig())
-	if m.LayerScale(0) >= m.LayerScale(m.Config().Layers-1) {
+	if m.layerScale[0] >= m.layerScale[m.Config().Layers-1] {
 		t.Error("layer scale should grow with depth")
 	}
-	if m.Sigma(tensor.Key, 0, 0) <= 0 {
+	if m.sigma[tensor.Key][0] <= 0 {
 		t.Error("sigma must be positive")
 	}
 }

@@ -44,7 +44,7 @@ func Summarize(xs []float64) Summary {
 }
 
 // meanVariance computes the sample mean and population variance in one
-// pass pair — the single implementation behind Summarize and Variance.
+// pass pair, for Summarize.
 func meanVariance(xs []float64) (mean, variance float64) {
 	if len(xs) == 0 {
 		return 0, 0
@@ -92,12 +92,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Variance returns the population variance of a sample.
-func Variance(xs []float64) float64 {
-	_, v := meanVariance(xs)
-	return v
-}
-
 // CDF is an empirical cumulative distribution function.
 type CDF struct {
 	sorted []float64
@@ -122,24 +116,6 @@ func (c *CDF) At(x float64) float64 {
 // Quantile returns the smallest x with P(X ≤ x) ≥ q.
 func (c *CDF) Quantile(q float64) float64 {
 	return Percentile(c.sorted, q)
-}
-
-// Points samples the CDF at n evenly spaced values across its support,
-// for printing Figure 3-style curves.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	lo, hi := c.sorted[0], c.sorted[len(c.sorted)-1]
-	out := make([][2]float64, n)
-	for i := range out {
-		x := lo
-		if n > 1 {
-			x = lo + (hi-lo)*float64(i)/float64(n-1)
-		}
-		out[i] = [2]float64{x, c.At(x)}
-	}
-	return out
 }
 
 // ViolationRate returns the fraction of TTFTs exceeding the SLO (Fig 13).

@@ -68,10 +68,13 @@ func (s NodeState) String() string {
 }
 
 // Config tunes the failure domain. The zero value means defaults.
+//
+// The rest is fixed: the first failure demotes a Healthy node to
+// Suspect; the hedge delay is a node's P99 latency, clamped to
+// [1ms, 250ms], and is trusted once the node has 16 latency samples (a
+// request still unanswered past it is probably stuck, so a duplicate goes
+// to the next replica).
 type Config struct {
-	// SuspectAfter consecutive failures demote Healthy → Suspect.
-	// Default 1.
-	SuspectAfter int
 	// DeadAfter consecutive failures demote → Dead and open the node's
 	// breaker. Default 3.
 	DeadAfter int
@@ -92,23 +95,17 @@ type Config struct {
 	// RetryBurst caps the retry-budget bucket (and is its starting
 	// balance). Default 16.
 	RetryBurst float64
-	// HedgeQuantile is the per-node latency quantile used as the hedge
-	// delay: a request still unanswered past it is probably stuck, so a
-	// duplicate goes to the next replica. Default 0.99.
-	HedgeQuantile float64
-	// MinHedgeDelay / MaxHedgeDelay clamp the adaptive hedge delay.
-	// Defaults 1ms / 250ms.
-	MinHedgeDelay time.Duration
-	MaxHedgeDelay time.Duration
-	// HedgeWarmup is how many latency samples a node needs before its
-	// quantile is trusted to set a hedge delay. Default 16.
-	HedgeWarmup int
 }
 
+// The adaptive hedge delay (see Config).
+const (
+	hedgeQuantile = 0.99
+	minHedgeDelay = time.Millisecond
+	maxHedgeDelay = 250 * time.Millisecond
+	hedgeWarmup   = 16
+)
+
 func (c Config) withDefaults() Config {
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 1
-	}
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 3
 	}
@@ -126,18 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBurst <= 0 {
 		c.RetryBurst = 16
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile > 1 {
-		c.HedgeQuantile = 0.99
-	}
-	if c.MinHedgeDelay <= 0 {
-		c.MinHedgeDelay = time.Millisecond
-	}
-	if c.MaxHedgeDelay <= 0 {
-		c.MaxHedgeDelay = 250 * time.Millisecond
-	}
-	if c.HedgeWarmup <= 0 {
-		c.HedgeWarmup = 16
 	}
 	return c
 }
@@ -184,9 +169,6 @@ func New(cfg Config) *Manager {
 		nodes:  map[string]*node{},
 	}
 }
-
-// Config returns the effective (defaulted) configuration.
-func (m *Manager) Config() Config { return m.cfg }
 
 // node returns the record for id, creating it Healthy if new.
 func (m *Manager) node(id string) *node {
@@ -249,7 +231,7 @@ func (m *Manager) ReportFailure(id string) {
 		if !wasOpen {
 			m.breakerOpens.Add(1)
 		}
-	case n.fails >= m.cfg.SuspectAfter && n.state == Healthy:
+	case n.state == Healthy:
 		n.state = Suspect
 	}
 }
@@ -327,19 +309,19 @@ func (m *Manager) Order(nodes []string) (ordered []string, allDead bool) {
 }
 
 // HedgeDelay returns the adaptive hedge delay for id — its latency
-// histogram's HedgeQuantile, clamped to [MinHedgeDelay, MaxHedgeDelay]
-// — and whether enough samples exist to trust it.
+// histogram's P99, clamped to [1ms, 250ms] — and whether enough samples
+// exist to trust it.
 func (m *Manager) HedgeDelay(id string) (time.Duration, bool) {
 	n := m.node(id)
-	if n.lat.Count() < uint64(m.cfg.HedgeWarmup) {
+	if n.lat.Count() < hedgeWarmup {
 		return 0, false
 	}
-	d := time.Duration(n.lat.Quantile(m.cfg.HedgeQuantile) * float64(time.Second))
-	if d < m.cfg.MinHedgeDelay {
-		d = m.cfg.MinHedgeDelay
+	d := time.Duration(n.lat.Quantile(hedgeQuantile) * float64(time.Second))
+	if d < minHedgeDelay {
+		d = minHedgeDelay
 	}
-	if d > m.cfg.MaxHedgeDelay {
-		d = m.cfg.MaxHedgeDelay
+	if d > maxHedgeDelay {
+		d = maxHedgeDelay
 	}
 	return d, true
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestStateMachine(t *testing.T) {
-	m := New(Config{SuspectAfter: 1, DeadAfter: 3})
+	m := New(Config{DeadAfter: 3})
 	if s := m.State("n1"); s != Healthy {
 		t.Fatalf("fresh node = %v, want healthy", s)
 	}
@@ -142,26 +142,32 @@ func TestOrder(t *testing.T) {
 }
 
 func TestHedgeDelay(t *testing.T) {
-	m := New(Config{HedgeWarmup: 8, MinHedgeDelay: 2 * time.Millisecond, MaxHedgeDelay: 50 * time.Millisecond})
-	if _, ok := m.HedgeDelay("n"); ok {
-		t.Fatal("cold histogram produced a hedge delay")
-	}
-	for i := 0; i < 100; i++ {
+	m := New(Config{})
+	// The delay is trusted from the 16th latency sample on.
+	for i := 0; i < 15; i++ {
 		m.ReportSuccess("n", 10*time.Millisecond)
 	}
+	if _, ok := m.HedgeDelay("n"); ok {
+		t.Fatal("15 samples produced a hedge delay")
+	}
+	m.ReportSuccess("n", 10*time.Millisecond)
 	d, ok := m.HedgeDelay("n")
 	if !ok {
-		t.Fatal("warm histogram produced no hedge delay")
+		t.Fatal("16 samples produced no hedge delay")
 	}
-	if d < 2*time.Millisecond || d > 50*time.Millisecond {
-		t.Fatalf("hedge delay %v outside clamp", d)
+	if d <= time.Millisecond || d >= 250*time.Millisecond {
+		t.Fatalf("hedge delay %v, want the unclamped P99 of 10ms samples", d)
 	}
-	// Slow node clamps at the max.
-	for i := 0; i < 100; i++ {
+	// A fast node clamps at 1ms, a slow one at 250ms.
+	for i := 0; i < 16; i++ {
+		m.ReportSuccess("fast", 10*time.Microsecond)
 		m.ReportSuccess("slow", 3*time.Second)
 	}
-	if d, _ := m.HedgeDelay("slow"); d != 50*time.Millisecond {
-		t.Fatalf("slow node delay %v, want clamped 50ms", d)
+	if d, _ := m.HedgeDelay("fast"); d != time.Millisecond {
+		t.Fatalf("fast node delay %v, want clamped 1ms", d)
+	}
+	if d, _ := m.HedgeDelay("slow"); d != 250*time.Millisecond {
+		t.Fatalf("slow node delay %v, want clamped 250ms", d)
 	}
 }
 

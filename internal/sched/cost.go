@@ -6,12 +6,20 @@ import (
 	"repro/internal/netsim"
 )
 
-// Signals seeds the cost model's static inputs: the link shapes of each
-// source class. Live inputs — the fleet bandwidth estimate, decode-slot
-// occupancy, per-node latency, plan concurrency — are read at decision
-// time from the scheduler's trackers, the resilience manager and the
-// fetcher's estimator; these are the priors and the constants of the
-// tiers that have no estimator of their own. Zero fields take defaults.
+// Signals seeds the cost model's two fleet-link priors. Live inputs — the
+// fleet bandwidth estimate, decode-slot occupancy, per-node latency, plan
+// concurrency — are read at decision time from the scheduler's trackers,
+// the resilience manager and the fetcher's estimator; these are the
+// priors used before any of them has a sample. Zero fields take defaults.
+//
+// The tiers that have no estimator of their own are priced by fixed
+// constants: a cross-region replica adds 30ms of round trip; the
+// gateway-to-gateway peer link runs at 10 Gbps with a 500µs round trip
+// (peer transfers move raw FP16 KV, not bitstreams, so the bigger payload
+// rides a faster, uncongested LAN); the local payload-cache copy runs at
+// 256 Gbps (effectively free, but never exactly zero so ties still order
+// by bytes); and the colocated-replica read runs at 16 Gbps with a 100µs
+// round trip.
 type Signals struct {
 	// BandwidthBPS is the fleet-link prior used before any live estimate
 	// exists (default 1 Gbps).
@@ -20,24 +28,17 @@ type Signals struct {
 	// node's adaptive P99 latency from the resilience manager overrides
 	// it per node when available.
 	RTT time.Duration
-	// XRegionRTT is the extra round trip to a cross-region replica
-	// (default 30ms).
-	XRegionRTT time.Duration
-	// PeerBandwidthBPS and PeerRTT shape the gateway-to-gateway
-	// peer-transfer link (defaults 10 Gbps, 500µs). Peer transfers move
-	// raw FP16 KV, not bitstreams, so the bigger payload rides a faster,
-	// uncongested LAN.
-	PeerBandwidthBPS float64
-	PeerRTT          time.Duration
-	// RAMBandwidthBPS shapes the local payload-cache copy (default
-	// 256 Gbps — effectively free, but never exactly zero so ties still
-	// order by bytes).
-	RAMBandwidthBPS float64
-	// DiskBandwidthBPS and DiskRTT shape the colocated-replica read
-	// (defaults 16 Gbps, 100µs).
-	DiskBandwidthBPS float64
-	DiskRTT          time.Duration
 }
+
+// Link shapes of the source classes without an estimator (see Signals).
+const (
+	xRegionRTT       = 30 * time.Millisecond
+	peerBandwidthBPS = 10e9
+	peerRTT          = 500 * time.Microsecond
+	ramBandwidthBPS  = 256e9
+	diskBandwidthBPS = 16e9
+	diskRTT          = 100 * time.Microsecond
+)
 
 // withDefaults fills zero fields.
 func (s Signals) withDefaults() Signals {
@@ -46,24 +47,6 @@ func (s Signals) withDefaults() Signals {
 	}
 	if s.RTT <= 0 {
 		s.RTT = time.Millisecond
-	}
-	if s.XRegionRTT <= 0 {
-		s.XRegionRTT = 30 * time.Millisecond
-	}
-	if s.PeerBandwidthBPS <= 0 {
-		s.PeerBandwidthBPS = netsim.Gbps(10)
-	}
-	if s.PeerRTT <= 0 {
-		s.PeerRTT = 500 * time.Microsecond
-	}
-	if s.RAMBandwidthBPS <= 0 {
-		s.RAMBandwidthBPS = netsim.Gbps(256)
-	}
-	if s.DiskBandwidthBPS <= 0 {
-		s.DiskBandwidthBPS = netsim.Gbps(16)
-	}
-	if s.DiskRTT <= 0 {
-		s.DiskRTT = 100 * time.Microsecond
 	}
 	return s
 }

@@ -126,7 +126,6 @@ func (p *Plan) prime(chunks []streamer.ChunkInfo) {
 	p.primed = true
 
 	s := p.s
-	sig := s.sig
 	ctx := context.Background()
 	for ci := 0; ci < n; ci++ {
 		info := &chunks[ci]
@@ -142,7 +141,7 @@ func (p *Plan) prime(chunks []streamer.ChunkInfo) {
 		}
 		peerPrice := streamer.Unreachable
 		if peerOK {
-			peerPrice = sig.PeerRTT + netsim.TransferTime(info.KVBytes, sig.PeerBandwidthBPS)
+			peerPrice = peerRTT + netsim.TransferTime(info.KVBytes, peerBandwidthBPS)
 		}
 
 		for lv := 0; lv < nl; lv++ {
@@ -157,12 +156,12 @@ func (p *Plan) prime(chunks []streamer.ChunkInfo) {
 			}
 			if hash != "" {
 				if s.cache.Has(hash) {
-					p.ramCost[k] = netsim.TransferTime(info.SizesByLevel[lv], sig.RAMBandwidthBPS)
+					p.ramCost[k] = netsim.TransferTime(info.SizesByLevel[lv], ramBandwidthBPS)
 					p.anyLocal = true
 				}
 				if s.opt.DiskStore != nil {
 					if ok, err := s.opt.DiskStore.TouchChunk(ctx, hash); err == nil && ok {
-						p.diskCost[k] = sig.DiskRTT + netsim.TransferTime(info.SizesByLevel[lv], sig.DiskBandwidthBPS)
+						p.diskCost[k] = diskRTT + netsim.TransferTime(info.SizesByLevel[lv], diskBandwidthBPS)
 						p.anyLocal = true
 					}
 				}
@@ -214,7 +213,7 @@ func (p *Plan) nodeLatency(hash string) (time.Duration, bool) {
 			}
 		}
 		if reg, ok := p.s.opt.Regions[nd]; ok && p.s.opt.LocalRegion != "" && reg != p.s.opt.LocalRegion {
-			return lat + sig.XRegionRTT, true
+			return lat + xRegionRTT, true
 		}
 		return lat, false
 	}

@@ -153,13 +153,11 @@ func (x *ResidentIndex) Bytes() int64 {
 
 // peerClient serves streamer.PeerSource for one gateway: a modelled
 // gateway-to-gateway transfer of a peer's resident chunk. The delay is
-// PeerRTT plus the FP16 rows over the peer link — paid in real time, so
+// peerRTT plus the FP16 rows over the peer link — paid in real time, so
 // the cost model's estimate and the delivered latency agree.
 type peerClient struct {
 	idx  *ResidentIndex
 	self string
-	rtt  time.Duration
-	bps  float64
 }
 
 func (c *peerClient) FetchResident(ctx context.Context, contextID string, chunk int) (*tensor.KV, int, error) {
@@ -167,7 +165,7 @@ func (c *peerClient) FetchResident(ctx context.Context, contextID string, chunk 
 	if err != nil {
 		return nil, 0, err
 	}
-	delay := c.rtt + netsim.TransferTime(part.SizeBytesFP16(), c.bps)
+	delay := peerRTT + netsim.TransferTime(part.SizeBytesFP16(), peerBandwidthBPS)
 	t := time.NewTimer(delay)
 	defer t.Stop()
 	select {

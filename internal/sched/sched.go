@@ -215,7 +215,7 @@ func (s *Scheduler) PeerSource() streamer.PeerSource {
 	if s.opt.Residents == nil {
 		return nil
 	}
-	return &peerClient{idx: s.opt.Residents, self: s.opt.ID, rtt: s.sig.PeerRTT, bps: s.sig.PeerBandwidthBPS}
+	return &peerClient{idx: s.opt.Residents, self: s.opt.ID}
 }
 
 // Residents returns the fleet resident-prefix index (nil if disabled).

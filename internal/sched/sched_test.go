@@ -261,13 +261,13 @@ func TestResidentIndexPeerTransfer(t *testing.T) {
 		t.Fatalf("chunk 1 lookup level = %d, want LevelText", lv)
 	}
 
-	pc := &peerClient{idx: idx, self: "gw-b", rtt: time.Millisecond, bps: netsim.Gbps(10)}
+	pc := &peerClient{idx: idx, self: "gw-b"}
 	start := time.Now()
 	part, lv, err := pc.FetchResident(context.Background(), "ctx", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if time.Since(start) < time.Millisecond {
+	if time.Since(start) < peerRTT {
 		t.Fatal("peer transfer returned before paying its modelled RTT")
 	}
 	if lv != LevelText || part.Tokens != 4 {

@@ -65,7 +65,7 @@ func Append(ctx context.Context, st storage.Store, codec *core.Codec, model *llm
 	// the caller only supplies the appended turn.
 	var tail []llm.Token
 	if dirtyStart < oldT {
-		tail, err = StoredTokens(ctx, st, old, dirtyFrom, dirtyFrom+1)
+		tail, err = storedTokens(ctx, st, old, dirtyFrom, dirtyFrom+1)
 		if err != nil {
 			return storage.Manifest{}, nil, err
 		}
@@ -88,7 +88,7 @@ func Append(ctx context.Context, st storage.Store, codec *core.Codec, model *llm
 	default:
 		// Exact fallback: rebuild the full token stream from stored text
 		// and recompute. Costs KV compute, never prefix re-encodes.
-		prefix, err := StoredTokens(ctx, st, old, 0, dirtyFrom)
+		prefix, err := storedTokens(ctx, st, old, 0, dirtyFrom)
 		if err != nil {
 			return storage.Manifest{}, nil, err
 		}
@@ -109,7 +109,6 @@ func Append(ctx context.Context, st storage.Store, codec *core.Codec, model *llm
 		startOffset:  dirtyStart,
 		prevChain:    prevChain,
 		suffixTokens: suffix,
-		scale:        normScale(opts.SizeScale),
 		kv:           kvFor,
 	}
 	frag, err := encodeChunks(ctx, st, codec, model, job)
@@ -144,9 +143,9 @@ func Append(ctx context.Context, st storage.Store, codec *core.Codec, model *llm
 	return man, &frag.stats, nil
 }
 
-// StoredTokens reassembles the exact token stream of chunks [from, to)
+// storedTokens reassembles the exact token stream of chunks [from, to)
 // from the context's stored text payloads.
-func StoredTokens(ctx context.Context, st storage.Store, man storage.Manifest, from, to int) ([]llm.Token, error) {
+func storedTokens(ctx context.Context, st storage.Store, man storage.Manifest, from, to int) ([]llm.Token, error) {
 	var out []llm.Token
 	for c := from; c < to; c++ {
 		hash, err := man.ChunkHash(storage.TextLevel, c)

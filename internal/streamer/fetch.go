@@ -6,9 +6,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/llm"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
@@ -107,7 +107,7 @@ type Fetcher struct {
 	// payload the fetch rejects on integrity grounds — the fleet-wide
 	// tally survives even when the fetch itself fails, which the
 	// per-request FetchReport does not.
-	Chaos *metrics.ChaosCounters
+	Chaos *chaos.Counters
 	// BandwidthGauge, when set, receives the streaming path's live
 	// bandwidth estimate (bits per second) as frames arrive — the
 	// telemetry registry's view of netsim.Estimator. Nil is fine.

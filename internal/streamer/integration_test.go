@@ -130,33 +130,6 @@ func TestPublishValidation(t *testing.T) {
 	}
 }
 
-func TestPublishSizeScale(t *testing.T) {
-	s := newStack(t)
-	ctx := context.Background()
-	man, _, err := Publish(ctx, s.store, s.codec, s.model, "scaled", s.tokens, PublishOptions{KV: s.kv, SizeScale: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := man.Meta
-	for c := 0; c < meta.NumChunks(); c++ {
-		hash, err := man.ChunkHash(0, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		real, err := s.store.GetChunk(ctx, hash)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := int64(len(real)) * 16
-		if diff := meta.SizesBytes[0][c] - want; diff < -16 || diff > 16 {
-			t.Errorf("chunk %d scaled size %d, want ≈%d", c, meta.SizesBytes[0][c], want)
-		}
-		if meta.TextBytes[c] > int64(len(s.tokens))*4 {
-			t.Errorf("text size must not scale: %d", meta.TextBytes[c])
-		}
-	}
-}
-
 func TestFetchEndToEnd(t *testing.T) {
 	s := newStack(t)
 	f := &Fetcher{

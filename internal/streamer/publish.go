@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -18,12 +17,6 @@ import (
 
 // PublishOptions tune Publish and Append.
 type PublishOptions struct {
-	// SizeScale multiplies the *reported* bitstream sizes in the stored
-	// metadata (not the payloads). Experiments that synthesise a channel
-	// subsample set this to Config.ChannelScale() so that transfer-time
-	// accounting reflects the full-size model; the live path leaves it 1.
-	// Text payload sizes are never scaled (tokens are tokens).
-	SizeScale float64
 	// KV, if non-nil, is the precomputed cache for the tokens (skips
 	// CalculateKV). For Append it must cover the context's *full* new
 	// token count; the engine encodes the dirty suffix out of it in place.
@@ -89,7 +82,6 @@ func Publish(ctx context.Context, st storage.Store, codec *core.Codec, model *ll
 		firstChunk:   0,
 		startOffset:  0,
 		suffixTokens: tokens,
-		scale:        normScale(opts.SizeScale),
 	}
 	job.kv = kvProvider(model, tokens, opts.KV)
 	frag, err := encodeChunks(ctx, st, codec, model, job)
@@ -102,13 +94,6 @@ func Publish(ctx context.Context, st storage.Store, codec *core.Codec, model *ll
 	}
 	frag.stats.Chunks = man.Meta.NumChunks()
 	return man, &frag.stats, nil
-}
-
-func normScale(s float64) float64 {
-	if s <= 0 {
-		return 1
-	}
-	return s
 }
 
 // kvProvider returns a lazy accessor for the whole context's KV cache —
@@ -139,7 +124,6 @@ type publishJob struct {
 	prevChain   string // chain digest through chunk firstChunk-1 ("" at 0)
 	// suffixTokens are tokens[startOffset:total].
 	suffixTokens []llm.Token
-	scale        float64
 	// kv lazily yields the cache of the whole context (all `total` tokens).
 	kv func() *tensor.KV
 }
@@ -150,7 +134,7 @@ type chunkFragments struct {
 	chunkTokens []int
 	chains      []string
 	hashes      map[int][]string // level → per-chunk payload hashes
-	sizes       map[int][]int64  // level → reported (scaled) sizes
+	sizes       map[int][]int64  // level → per-chunk payload sizes
 	stats       PublishStats
 }
 
@@ -296,9 +280,6 @@ func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, mo
 	// record notes one resolved payload in the manifest rows.
 	record := func(level int, hash string, bytes int64) {
 		frag.hashes[level][si] = hash
-		if level != storage.TextLevel {
-			bytes = int64(math.Round(float64(bytes) * job.scale))
-		}
 		frag.sizes[level][si] = bytes
 	}
 

@@ -108,7 +108,6 @@ func (f *Fetcher) acquireStream(a *assembler, src StreamSource) error {
 		Chunks:    chunks,
 		Level:     choiceLevel(initial),
 		FrameSize: f.FrameSize,
-		Format:    a.man.Meta.Format,
 	})
 	if err != nil {
 		return fmt.Errorf("streamer: opening chunk stream: %w", err)

@@ -2,7 +2,9 @@ package streamer
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"strings"
 	"testing"
 	"time"
@@ -298,7 +300,7 @@ func TestFetchStreamedSmallFramesLaneIdentity(t *testing.T) {
 }
 
 // mixedFormatClient serves a copy of s's store holding both container
-// formats — chunks 1 and 3 at level 1 re-encoded as the v1 containers
+// formats — chunks 1 and 3 at level 1 re-framed as the v1 containers
 // published before the lane-interleaved v2 shipped, under their original
 // content addresses (the manifest is format-agnostic; each payload
 // declares its own format).
@@ -306,23 +308,51 @@ func mixedFormatClient(t *testing.T, s *testStack) *transport.Client {
 	t.Helper()
 	replace := map[string][]byte{}
 	for _, si := range []int{1, 3} {
-		lo := si * 80
-		hi := min(lo+80, s.kv.Tokens)
-		part, err := s.kv.SliceTokens(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1, err := s.codec.EncodeChunkV1(part, si, lo, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		h, err := s.man.ChunkHash(1, si)
 		if err != nil {
 			t.Fatal(err)
 		}
-		replace[h] = v1
+		v2, err := s.store.GetChunk(context.Background(), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replace[h] = reframeV1(t, v2)
 	}
 	return serve(t, storeWith(t, s, replace))
+}
+
+// reframeV1 lays a v2 chunk container's group streams out as the legacy
+// CGC1 container (both layouts are documented in internal/core/codec.go).
+// The group streams of the two formats are identical, so this is the
+// container a v1 encoder wrote for the same tokens.
+func reframeV1(t *testing.T, v2 []byte) []byte {
+	t.Helper()
+	p := v2[6:] // past magic, version and level
+	read := func() uint64 {
+		v, n := binary.Uvarint(p)
+		if n <= 0 {
+			t.Fatal("truncated v2 header")
+		}
+		p = p[n:]
+		return v
+	}
+	// chunk index, token offset, layers, tokens, channels, group size, lanes
+	var hdr [7]uint64
+	for i := range hdr {
+		hdr[i] = read()
+	}
+	p = p[4*hdr[6]:] // the lane CRC table
+	groups := (hdr[3] + hdr[5] - 1) / hdr[5]
+	out := append([]byte("CGC1"), 1, v2[5])
+	for _, v := range hdr[:6] {
+		out = binary.AppendUvarint(out, v)
+	}
+	out = binary.AppendUvarint(out, groups)
+	for g := uint64(0); g < groups; g++ {
+		out = binary.AppendUvarint(out, read())
+	}
+	out = append(out, p[4:]...) // past the header CRC: the group streams
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
 
 // TestFetchMixedFormatContext: a store holding both container formats

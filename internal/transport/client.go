@@ -310,7 +310,6 @@ func (c *Client) OpenChunkStream(ctx context.Context, req StreamRequest) (ChunkS
 		Level:     req.Level,
 		Window:    req.Window,
 		FrameSize: req.FrameSize,
-		Format:    req.Format,
 		Chunks:    make([]streamOpenChunk, len(req.Chunks)),
 	}
 	for i, ch := range req.Chunks {

@@ -544,9 +544,6 @@ func (sc *serverConn) openStream(payload []byte) error {
 	if open.Window < int64(open.FrameSize) {
 		return fmt.Errorf("%w: stream window %d below frame size", ErrProtocol, open.Window)
 	}
-	if open.Format < 0 {
-		return fmt.Errorf("%w: stream format %d", ErrProtocol, open.Format)
-	}
 	st := &serverStream{
 		id:        open.ID,
 		frameSize: open.FrameSize,

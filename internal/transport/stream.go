@@ -56,10 +56,6 @@ type StreamRequest struct {
 	// FrameSize bounds each DATA frame's payload (0 = DefaultFrameSize;
 	// capped at MaxStreamFrame).
 	FrameSize int
-	// Format is the chunk container format version the receiver expects
-	// (advisory — payloads self-describe via magic bytes; servers only
-	// reject negative values). 0 means unspecified.
-	Format int
 }
 
 // StreamFrame is one server-pushed slice of a chunk payload.
@@ -112,7 +108,6 @@ type streamOpen struct {
 	Level     int               `json:"level"`
 	Window    int64             `json:"window"`
 	FrameSize int               `json:"frame"`
-	Format    int               `json:"format,omitempty"`
 	Chunks    []streamOpenChunk `json:"chunks"`
 }
 
@@ -127,9 +122,6 @@ type streamOpenChunk struct {
 func (r *StreamRequest) normalize() error {
 	if len(r.Chunks) == 0 {
 		return fmt.Errorf("%w: stream request has no chunks", ErrProtocol)
-	}
-	if r.Format < 0 {
-		return fmt.Errorf("%w: stream format %d", ErrProtocol, r.Format)
 	}
 	if r.FrameSize <= 0 {
 		r.FrameSize = DefaultFrameSize

@@ -505,6 +505,46 @@ func TestStreamRequestNormalize(t *testing.T) {
 	}
 }
 
+// TestStreamOpenIgnoresFormat: clients before the container format left
+// the stream open sent a "format" key; a server must still accept such
+// an open and push the stream.
+func TestStreamOpenIgnoresFormat(t *testing.T) {
+	fx := newStreamFixture(t, 1, 1000, 500)
+	srv := NewServer(fx.store)
+	defer srv.Close()
+	cConn, sConn := net.Pipe()
+	defer cConn.Close()
+	go srv.HandleConn(sConn)
+	cConn.SetDeadline(time.Now().Add(5 * time.Second))
+
+	open := []byte(`{"id":1,"level":0,"window":65536,"frame":4096,"format":2,"chunks":[{"i":0,"h":{"0":"` +
+		fx.chunks[0].Hashes[0] + `"}}]}`)
+	if err := writeFrame(cConn, typeStreamOpen, open); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for {
+		typ, payload, err := readFrame(cConn)
+		if err != nil {
+			t.Fatalf("reading the stream: %v", err)
+		}
+		if typ == typeStreamEnd {
+			break
+		}
+		if typ != typeStreamData {
+			t.Fatalf("frame type %#x (%q), want DATA then END", typ, payload)
+		}
+		_, data, err := decodeDataFrame(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, data...)
+	}
+	if !bytes.Equal(got, fx.payloads[0][0]) {
+		t.Fatalf("streamed %d bytes, want the %d-byte level-0 payload", len(got), len(fx.payloads[0][0]))
+	}
+}
+
 // TestShaperMidWriteTighten: SetRate during a blocked Write takes effect
 // on the next refill — the property trace replay depends on.
 func TestShaperMidWriteTighten(t *testing.T) {

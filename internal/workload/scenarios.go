@@ -9,78 +9,9 @@ import (
 	"time"
 )
 
-// Params configures the scenario builders. Every field has a
-// builder-specific default, so the zero value (plus a Seed) produces a
-// small, fast scenario; the chaos harness (X10) uses exactly those.
-type Params struct {
-	// Tenants are the submitting tenants; arrivals are spread across them
-	// uniformly (seeded). Default: ["tenant-a", "tenant-b"].
-	Tenants []string
-	// Contexts is how many contexts the scenario publishes.
-	Contexts int
-	// ContextTokens is each context's length.
-	ContextTokens int
-	// PrefixTokens is the shared corpus prefix length (RAG burst).
-	PrefixTokens int
-	// Requests is the number of session arrivals.
-	Requests int
-	// Window is the schedule length arrivals are spread over.
-	Window time.Duration
-	// SuffixTokens, SLO and Deadline are copied onto every arrival.
-	SuffixTokens int
-	SLO          time.Duration
-	Deadline     time.Duration
-	// Turns and ThinkTime shape multi-turn sessions (agentic scenario).
-	Turns     int
-	ThinkTime time.Duration
-	// AppendTokens is the per-turn append size (agentic scenario).
-	AppendTokens int
-	// Seed makes the whole trace reproducible.
-	Seed int64
-}
-
-func (p Params) withDefaults(d Params) Params {
-	if len(p.Tenants) == 0 {
-		p.Tenants = d.Tenants
-		if len(p.Tenants) == 0 {
-			p.Tenants = []string{"tenant-a", "tenant-b"}
-		}
-	}
-	if p.Contexts == 0 {
-		p.Contexts = d.Contexts
-	}
-	if p.ContextTokens == 0 {
-		p.ContextTokens = d.ContextTokens
-	}
-	if p.PrefixTokens == 0 {
-		p.PrefixTokens = d.PrefixTokens
-	}
-	if p.Requests == 0 {
-		p.Requests = d.Requests
-	}
-	if p.Window == 0 {
-		p.Window = d.Window
-	}
-	if p.SuffixTokens == 0 {
-		p.SuffixTokens = d.SuffixTokens
-	}
-	if p.SLO == 0 {
-		p.SLO = d.SLO
-	}
-	if p.Deadline == 0 {
-		p.Deadline = d.Deadline
-	}
-	if p.Turns == 0 {
-		p.Turns = d.Turns
-	}
-	if p.ThinkTime == 0 {
-		p.ThinkTime = d.ThinkTime
-	}
-	if p.AppendTokens == 0 {
-		p.AppendTokens = d.AppendTokens
-	}
-	return p
-}
+// defaultTenants are the tenants every scenario builder spreads its
+// arrivals across, uniformly (seeded).
+var defaultTenants = []string{"tenant-a", "tenant-b"}
 
 // RAGBurst models retrieval-augmented serving: many contexts share a hot
 // corpus prefix (the retrieved document set / system prompt), and
@@ -88,48 +19,48 @@ func (p Params) withDefaults(d Params) Params {
 // shared prefix is what the content-addressed store dedups and what the
 // RAM tier keeps hot; the bursts are what stresses admission and
 // prefetch.
-func RAGBurst(p Params) *Trace {
-	p = p.withDefaults(Params{
-		Contexts: 6, ContextTokens: 192, PrefixTokens: 128,
-		Requests: 18, Window: 900 * time.Millisecond,
-		SLO: 300 * time.Millisecond,
-	})
-	rng := rand.New(rand.NewSource(p.Seed))
+func RAGBurst(seed int64) *Trace {
+	const (
+		contexts      = 6
+		contextTokens = 192
+		prefixTokens  = 128
+		requests      = 18
+		window        = 900 * time.Millisecond
+		slo           = 300 * time.Millisecond
+	)
+	rng := rand.New(rand.NewSource(seed))
 	t := &Trace{
 		TraceName: "rag-burst",
 		Description: fmt.Sprintf("%d contexts sharing a %d-token corpus prefix; %d requests in bursts",
-			p.Contexts, p.PrefixTokens, p.Requests),
-		Seed: p.Seed,
+			contexts, prefixTokens, requests),
+		Seed: seed,
 	}
-	corpus := fmt.Sprintf("rag-corpus-%d", p.Seed)
-	for i := 0; i < p.Contexts; i++ {
+	corpus := fmt.Sprintf("rag-corpus-%d", seed)
+	for i := 0; i < contexts; i++ {
 		t.ContextList = append(t.ContextList, ContextSpec{
-			ID: fmt.Sprintf("rag-%02d", i), Tokens: p.ContextTokens,
-			PrefixID: corpus, PrefixTokens: p.PrefixTokens,
+			ID: fmt.Sprintf("rag-%02d", i), Tokens: contextTokens,
+			PrefixID: corpus, PrefixTokens: prefixTokens,
 			Seed: rng.Int63(),
 		})
 	}
 	// Three bursts: each takes a third of the requests inside a tenth of
 	// the window, separated by quiet gaps.
 	bursts := 3
-	per := p.Requests / bursts
+	per := requests / bursts
 	for b := 0; b < bursts; b++ {
-		burstStart := time.Duration(float64(p.Window) * float64(b) / float64(bursts))
+		burstStart := time.Duration(float64(window) * float64(b) / float64(bursts))
 		n := per
 		if b == bursts-1 {
-			n = p.Requests - per*(bursts-1)
+			n = requests - per*(bursts-1)
 		}
 		for i := 0; i < n; i++ {
-			at := burstStart + time.Duration(rng.Int63n(int64(p.Window)/int64(10*bursts)+1))
+			at := burstStart + time.Duration(rng.Int63n(int64(window)/int64(10*bursts)+1))
 			t.ArrivalList = append(t.ArrivalList, Arrival{
-				At:     Duration(at),
-				Tenant: p.Tenants[rng.Intn(len(p.Tenants))],
-				ContextID: fmt.Sprintf("rag-%02d",
-					rng.Intn(p.Contexts)),
-				SuffixTokens: p.SuffixTokens,
-				SLO:          Duration(p.SLO),
-				Deadline:     Duration(p.Deadline),
-				Seed:         rng.Int63(),
+				At:        Duration(at),
+				Tenant:    defaultTenants[rng.Intn(len(defaultTenants))],
+				ContextID: fmt.Sprintf("rag-%02d", rng.Intn(contexts)),
+				SLO:       Duration(slo),
+				Seed:      rng.Int63(),
 			})
 		}
 	}
@@ -142,32 +73,32 @@ func RAGBurst(p Params) *Trace {
 // gateway.Session, so warm turns fetch only the tail the previous append
 // produced. It exercises append-publish, warm fetches and the
 // store's multi-turn path under concurrent sessions.
-func Agentic(p Params) *Trace {
-	p = p.withDefaults(Params{
-		Requests: 6, Window: 600 * time.Millisecond,
-		Turns: 3, ThinkTime: 30 * time.Millisecond,
-		ContextTokens: 128, AppendTokens: 96,
-		SLO: 400 * time.Millisecond,
-	})
-	rng := rand.New(rand.NewSource(p.Seed))
+func Agentic(seed int64) *Trace {
+	const (
+		requests     = 6
+		window       = 600 * time.Millisecond
+		turns        = 3
+		thinkTime    = 30 * time.Millisecond
+		appendTokens = 96
+		slo          = 400 * time.Millisecond
+	)
+	rng := rand.New(rand.NewSource(seed))
 	t := &Trace{
 		TraceName: "agentic",
 		Description: fmt.Sprintf("%d tool-using sessions of %d turns, each appending %d tokens per turn",
-			p.Requests, p.Turns, p.AppendTokens),
-		Seed: p.Seed,
+			requests, turns, appendTokens),
+		Seed: seed,
 	}
-	for i := 0; i < p.Requests; i++ {
-		at := time.Duration(float64(p.Window) * float64(i) / float64(p.Requests))
+	for i := 0; i < requests; i++ {
+		at := time.Duration(float64(window) * float64(i) / float64(requests))
 		t.ArrivalList = append(t.ArrivalList, Arrival{
 			At:           Duration(at),
-			Tenant:       p.Tenants[rng.Intn(len(p.Tenants))],
+			Tenant:       defaultTenants[rng.Intn(len(defaultTenants))],
 			ContextID:    fmt.Sprintf("agent-%02d", i),
-			SuffixTokens: p.SuffixTokens,
-			SLO:          Duration(p.SLO),
-			Deadline:     Duration(p.Deadline),
-			Turns:        p.Turns,
-			ThinkTime:    Duration(p.ThinkTime),
-			AppendTokens: p.AppendTokens,
+			SLO:          Duration(slo),
+			Turns:        turns,
+			ThinkTime:    Duration(thinkTime),
+			AppendTokens: appendTokens,
 			Seed:         rng.Int63(),
 		})
 	}
@@ -179,35 +110,37 @@ func Agentic(p Params) *Trace {
 // contexts (the documents), each queried repeatedly with substantial
 // prompt suffixes (the questions). Per-request bytes dominate, so this
 // is the scenario most sensitive to bandwidth faults.
-func LongDocQA(p Params) *Trace {
-	p = p.withDefaults(Params{
-		Contexts: 2, ContextTokens: 448,
-		Requests: 10, Window: 800 * time.Millisecond,
-		SuffixTokens: 64, SLO: 400 * time.Millisecond,
-	})
-	rng := rand.New(rand.NewSource(p.Seed))
+func LongDocQA(seed int64) *Trace {
+	const (
+		contexts      = 2
+		contextTokens = 448
+		requests      = 10
+		window        = 800 * time.Millisecond
+		suffixTokens  = 64
+		slo           = 400 * time.Millisecond
+	)
+	rng := rand.New(rand.NewSource(seed))
 	t := &Trace{
 		TraceName: "longdoc-qa",
 		Description: fmt.Sprintf("%d documents of %d tokens queried %d times",
-			p.Contexts, p.ContextTokens, p.Requests),
-		Seed: p.Seed,
+			contexts, contextTokens, requests),
+		Seed: seed,
 	}
-	for i := 0; i < p.Contexts; i++ {
+	for i := 0; i < contexts; i++ {
 		t.ContextList = append(t.ContextList, ContextSpec{
-			ID: fmt.Sprintf("doc-%02d", i), Tokens: p.ContextTokens, Seed: rng.Int63(),
+			ID: fmt.Sprintf("doc-%02d", i), Tokens: contextTokens, Seed: rng.Int63(),
 		})
 	}
-	for i := 0; i < p.Requests; i++ {
+	for i := 0; i < requests; i++ {
 		// Uniform arrivals with seeded jitter: questions trickle in.
-		at := time.Duration(float64(p.Window)*float64(i)/float64(p.Requests)) +
-			time.Duration(rng.Int63n(int64(p.Window)/int64(4*p.Requests)+1))
+		at := time.Duration(float64(window)*float64(i)/float64(requests)) +
+			time.Duration(rng.Int63n(int64(window)/int64(4*requests)+1))
 		t.ArrivalList = append(t.ArrivalList, Arrival{
 			At:           Duration(at),
-			Tenant:       p.Tenants[rng.Intn(len(p.Tenants))],
-			ContextID:    fmt.Sprintf("doc-%02d", rng.Intn(p.Contexts)),
-			SuffixTokens: p.SuffixTokens,
-			SLO:          Duration(p.SLO),
-			Deadline:     Duration(p.Deadline),
+			Tenant:       defaultTenants[rng.Intn(len(defaultTenants))],
+			ContextID:    fmt.Sprintf("doc-%02d", rng.Intn(contexts)),
+			SuffixTokens: suffixTokens,
+			SLO:          Duration(slo),
 			Seed:         rng.Int63(),
 		})
 	}
@@ -219,40 +152,39 @@ func LongDocQA(p Params) *Trace {
 // inside a tight spike at the start of the window, then a trickle of
 // stragglers. The hot context's primary node is the obvious chaos
 // victim.
-func FlashCrowd(p Params) *Trace {
-	p = p.withDefaults(Params{
-		Contexts: 1, ContextTokens: 256,
-		Requests: 16, Window: 700 * time.Millisecond,
-		SLO: 300 * time.Millisecond,
-	})
-	rng := rand.New(rand.NewSource(p.Seed))
+func FlashCrowd(seed int64) *Trace {
+	const (
+		contextTokens = 256
+		requests      = 16
+		window        = 700 * time.Millisecond
+		slo           = 300 * time.Millisecond
+	)
+	rng := rand.New(rand.NewSource(seed))
 	t := &Trace{
 		TraceName: "flash-crowd",
 		Description: fmt.Sprintf("%d requests spiking on one %d-token context",
-			p.Requests, p.ContextTokens),
-		Seed: p.Seed,
+			requests, contextTokens),
+		Seed: seed,
 	}
 	t.ContextList = append(t.ContextList, ContextSpec{
-		ID: "hot-ctx", Tokens: p.ContextTokens, Seed: rng.Int63(),
+		ID: "hot-ctx", Tokens: contextTokens, Seed: rng.Int63(),
 	})
-	spike := p.Requests * 3 / 4
-	for i := 0; i < p.Requests; i++ {
+	spike := requests * 3 / 4
+	for i := 0; i < requests; i++ {
 		var at time.Duration
 		if i < spike {
 			// The crowd: everyone inside the first fifth of the window.
-			at = time.Duration(rng.Int63n(int64(p.Window)/5 + 1))
+			at = time.Duration(rng.Int63n(int64(window)/5 + 1))
 		} else {
 			// Stragglers spread over the rest.
-			at = p.Window/5 + time.Duration(rng.Int63n(int64(p.Window)*4/5+1))
+			at = window/5 + time.Duration(rng.Int63n(int64(window)*4/5+1))
 		}
 		t.ArrivalList = append(t.ArrivalList, Arrival{
-			At:           Duration(at),
-			Tenant:       p.Tenants[rng.Intn(len(p.Tenants))],
-			ContextID:    "hot-ctx",
-			SuffixTokens: p.SuffixTokens,
-			SLO:          Duration(p.SLO),
-			Deadline:     Duration(p.Deadline),
-			Seed:         rng.Int63(),
+			At:        Duration(at),
+			Tenant:    defaultTenants[rng.Intn(len(defaultTenants))],
+			ContextID: "hot-ctx",
+			SLO:       Duration(slo),
+			Seed:      rng.Int63(),
 		})
 	}
 	sortArrivals(t.ArrivalList)
@@ -364,8 +296,8 @@ func pickShare(rng *rand.Rand, tenants []PoissonTenant, total int) PoissonTenant
 // Builders maps scenario names to their builders, for CLIs that accept
 // a scenario by name ("rag-burst", "agentic", "longdoc-qa",
 // "flash-crowd").
-func Builders() map[string]func(Params) *Trace {
-	return map[string]func(Params) *Trace{
+func Builders() map[string]func(seed int64) *Trace {
+	return map[string]func(seed int64) *Trace{
 		"rag-burst":   RAGBurst,
 		"agentic":     Agentic,
 		"longdoc-qa":  LongDocQA,
@@ -374,12 +306,12 @@ func Builders() map[string]func(Params) *Trace {
 }
 
 // Resolve turns a CLI trace argument into a trace: a builder name
-// ("rag-burst") builds the scenario with the given params, anything
-// else is read as a trace file path. Params only apply to builders — a
-// trace file is already materialised data.
-func Resolve(nameOrPath string, p Params) (*Trace, error) {
+// ("rag-burst") builds the scenario with the given seed, anything
+// else is read as a trace file path. The seed only applies to builders —
+// a trace file is already materialised data.
+func Resolve(nameOrPath string, seed int64) (*Trace, error) {
 	if build, ok := Builders()[nameOrPath]; ok {
-		return build(p), nil
+		return build(seed), nil
 	}
 	t, err := Load(nameOrPath)
 	if err != nil {

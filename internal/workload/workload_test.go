@@ -13,18 +13,18 @@ import (
 func TestBuildersValidAndDeterministic(t *testing.T) {
 	for name, build := range Builders() {
 		t.Run(name, func(t *testing.T) {
-			a := build(Params{Seed: 42})
+			a := build(42)
 			if err := a.Validate(); err != nil {
 				t.Fatalf("builder produced invalid trace: %v", err)
 			}
 			if a.TraceName != name {
 				t.Fatalf("trace name %q, want %q", a.TraceName, name)
 			}
-			b := build(Params{Seed: 42})
+			b := build(42)
 			if !reflect.DeepEqual(a, b) {
 				t.Fatal("same seed produced different traces")
 			}
-			c := build(Params{Seed: 43})
+			c := build(43)
 			if reflect.DeepEqual(a, c) {
 				t.Fatal("different seeds produced identical traces")
 			}
@@ -35,7 +35,7 @@ func TestBuildersValidAndDeterministic(t *testing.T) {
 // TestRAGBurstSharedPrefix: every context in the burst shares the corpus
 // prefix bit-for-bit, while tails differ.
 func TestRAGBurstSharedPrefix(t *testing.T) {
-	tr := RAGBurst(Params{Seed: 1})
+	tr := RAGBurst(1)
 	if len(tr.ContextList) < 2 {
 		t.Fatalf("want ≥ 2 contexts, got %d", len(tr.ContextList))
 	}
@@ -60,7 +60,7 @@ func TestRAGBurstSharedPrefix(t *testing.T) {
 // TestAgenticArrivals: agentic arrivals carry turns, think time and
 // append sizes, and reference contexts the sessions create themselves.
 func TestAgenticArrivals(t *testing.T) {
-	tr := Agentic(Params{Seed: 9})
+	tr := Agentic(9)
 	if len(tr.ContextList) != 0 {
 		t.Fatalf("agentic trace pre-publishes %d contexts, want 0", len(tr.ContextList))
 	}
@@ -86,7 +86,7 @@ func TestAgenticArrivals(t *testing.T) {
 // TestFlashCrowdShape: all arrivals hit the single hot context and the
 // spike lands early.
 func TestFlashCrowdShape(t *testing.T) {
-	tr := FlashCrowd(Params{Seed: 3, Requests: 16, Window: 700 * time.Millisecond})
+	tr := FlashCrowd(3)
 	if len(tr.ContextList) != 1 {
 		t.Fatalf("flash crowd has %d contexts, want 1", len(tr.ContextList))
 	}
@@ -107,7 +107,7 @@ func TestFlashCrowdShape(t *testing.T) {
 // TestJSONRoundTrip: Save → Load reproduces the trace exactly, including
 // the human-readable duration encoding.
 func TestJSONRoundTrip(t *testing.T) {
-	orig := LongDocQA(Params{Seed: 5})
+	orig := LongDocQA(5)
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if err := orig.Save(path); err != nil {
 		t.Fatal(err)
@@ -208,19 +208,19 @@ func TestPoissonBuilder(t *testing.T) {
 // TestResolve: a builder name builds with the params, any other string
 // is a trace file path, and junk reports both interpretations.
 func TestResolve(t *testing.T) {
-	byName, err := Resolve("rag-burst", Params{Seed: 9})
+	byName, err := Resolve("rag-burst", 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(byName, RAGBurst(Params{Seed: 9})) {
+	if !reflect.DeepEqual(byName, RAGBurst(9)) {
 		t.Fatal("Resolve(\"rag-burst\") differs from RAGBurst")
 	}
 
 	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := Agentic(Params{Seed: 3}).Save(path); err != nil {
+	if err := Agentic(3).Save(path); err != nil {
 		t.Fatal(err)
 	}
-	byPath, err := Resolve(path, Params{})
+	byPath, err := Resolve(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestResolve(t *testing.T) {
 		t.Fatalf("Resolve(%s) loaded trace %q", path, byPath.TraceName)
 	}
 
-	_, err = Resolve("no-such-scenario", Params{})
+	_, err = Resolve("no-such-scenario", 0)
 	if err == nil {
 		t.Fatal("junk trace argument accepted")
 	}
