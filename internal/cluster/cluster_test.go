@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -251,33 +250,6 @@ func TestClusterFailoverAndRAMTier(t *testing.T) {
 	}
 }
 
-func TestPoolBatchMatchesStore(t *testing.T) {
-	s := newClusterStack(t, 3, 2)
-	pool := NewPool(s.ring)
-	defer pool.Close()
-
-	hashes := make([]string, s.meta.NumChunks())
-	for i := range hashes {
-		hashes[i] = s.chunkHash(t, 0, i)
-	}
-	got, err := pool.GetChunkBatch(context.Background(), hashes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, data := range got {
-		want, err := s.sharded.GetChunk(context.Background(), hashes[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(data, want) {
-			t.Errorf("batch chunk %d differs from store payload (%d vs %d bytes)", i, len(data), len(want))
-		}
-	}
-	if st := pool.Stats(); st.OpenConns == 0 || st.Dials == 0 {
-		t.Errorf("pool opened no connections: %+v", st)
-	}
-}
-
 func TestPoolManifestAndBankFailover(t *testing.T) {
 	s := newClusterStack(t, 3, 2)
 	// The per-attempt timeout lets failover move past a killed node even
@@ -350,9 +322,6 @@ func TestPoolHonorsCancelledContext(t *testing.T) {
 	}
 	if _, err := pool.GetManifest(ctx, testContextID); !errors.Is(err, context.Canceled) {
 		t.Errorf("GetManifest with cancelled ctx = %v, want context.Canceled", err)
-	}
-	if _, err := pool.GetChunkBatch(ctx, []string{hash, s.chunkHash(t, 0, 1)}); !errors.Is(err, context.Canceled) {
-		t.Errorf("GetChunkBatch with cancelled ctx = %v, want context.Canceled", err)
 	}
 	if err := pool.DeleteContext(ctx, testContextID); !errors.Is(err, context.Canceled) {
 		t.Errorf("DeleteContext with cancelled ctx = %v, want context.Canceled", err)

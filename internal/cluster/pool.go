@@ -715,60 +715,3 @@ func (p *Pool) GetBank(ctx context.Context) ([]byte, error) {
 	})
 	return bank, err
 }
-
-// GetChunkBatch fetches many payloads by content hash, fanning out
-// across the fleet: hashes are grouped by primary node and each group
-// runs on its own goroutine over that node's reused connection, so
-// wall-clock approaches the slowest shard rather than the sum of all
-// transfers. Per-chunk replica failover, hedging, and the fleet-
-// unavailable fast-fail still apply chunk by chunk. The result is
-// indexed like hashes.
-func (p *Pool) GetChunkBatch(ctx context.Context, hashes []string) ([][]byte, error) {
-	byNode := map[string][]int{} // primary node → positions in hashes
-	for pos, h := range hashes {
-		nodes := p.ring.ChunkNodes(h)
-		if len(nodes) == 0 {
-			return nil, fmt.Errorf("cluster: no nodes in ring for chunk %.12s…", h)
-		}
-		byNode[nodes[0]] = append(byNode[nodes[0]], pos)
-	}
-	// One shard failing dooms the whole batch, so cancel the siblings
-	// rather than letting them transfer payloads the caller will discard.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	out := make([][]byte, len(hashes))
-	errs := make(chan error, len(byNode))
-	var wg sync.WaitGroup
-	for _, positions := range byNode {
-		wg.Add(1)
-		go func(positions []int) {
-			defer wg.Done()
-			for _, pos := range positions {
-				if ctx.Err() != nil {
-					errs <- ctx.Err()
-					return
-				}
-				data, err := p.GetChunkData(ctx, hashes[pos])
-				if err != nil {
-					errs <- err
-					cancel()
-					return
-				}
-				out[pos] = data
-			}
-		}(positions)
-	}
-	wg.Wait()
-	close(errs)
-	// Report the root-cause error, not a sibling's context.Canceled.
-	var firstErr error
-	for err := range errs {
-		if firstErr == nil || errors.Is(firstErr, context.Canceled) {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}

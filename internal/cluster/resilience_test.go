@@ -76,9 +76,6 @@ func TestPoolFleetUnavailableFastFail(t *testing.T) {
 	if _, err := pool.GetManifest(ctx, testContextID); !errors.Is(err, ErrFleetUnavailable) {
 		t.Errorf("manifest fetch on dead fleet = %v, want ErrFleetUnavailable", err)
 	}
-	if _, err := pool.GetChunkBatch(ctx, []string{hash, s.chunkHash(t, 0, 1)}); !errors.Is(err, ErrFleetUnavailable) {
-		t.Errorf("batch fetch on dead fleet = %v, want ErrFleetUnavailable", err)
-	}
 	if st := pool.Resilience().Stats(); st.FastFails == 0 {
 		t.Errorf("fast fails not accounted: %+v", st)
 	}

@@ -125,7 +125,7 @@ func runX4Cluster(f *Fixture) ([]*Report, error) {
 	scaling := &Report{
 		ID:      "X4",
 		Title:   "Delivery cluster: load time vs fleet size (loopback, level 0)",
-		Columns: []string{"Nodes", "Replicas", "Chunks", "Bytes", "Load time", "Batch fan-out", "Failovers"},
+		Columns: []string{"Nodes", "Replicas", "Chunks", "Bytes", "Load time", "Failovers"},
 	}
 	for _, n := range []int{1, 2, 4} {
 		replicas := 2
@@ -141,7 +141,6 @@ func runX4Cluster(f *Fixture) ([]*Report, error) {
 			fl.Close()
 			return nil, err
 		}
-		meta := man.Meta
 		pool := cluster.NewPool(sharded.Ring(), cluster.WithRequestTimeout(10*time.Second))
 		report, err := s.fetch(pool, contextID)
 		if err != nil {
@@ -149,23 +148,14 @@ func runX4Cluster(f *Fixture) ([]*Report, error) {
 			fl.Close()
 			return nil, err
 		}
-		batchStart := time.Now()
-		if _, err := pool.GetChunkBatch(context.Background(), man.Hashes[0]); err != nil {
-			pool.Close()
-			fl.Close()
-			return nil, err
-		}
-		batchTime := time.Since(batchStart)
 		scaling.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", replicas),
-			fmt.Sprintf("%d", meta.NumChunks()),
+			fmt.Sprintf("%d", man.Meta.NumChunks()),
 			fmt.Sprintf("%.1f KB", float64(report.BytesReceived)/1e3),
 			fmt.Sprintf("%.2f ms", report.LoadTime.Seconds()*1e3),
-			fmt.Sprintf("%.2f ms", batchTime.Seconds()*1e3),
 			fmt.Sprintf("%d", pool.Stats().Failovers))
 		pool.Close()
 		fl.Close()
 	}
-	scaling.AddNote("the sequential streamer path is adaptation-friendly; GetChunkBatch fans chunk groups out across primaries in parallel and approaches the slowest shard's time")
 
 	resil := &Report{
 		ID:      "X4",

@@ -12,20 +12,20 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/streamer"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
-// The streaming-transport-v2 scenario (ISSUE 5): the request/response
-// delivery plane replaced by a multiplexed server-push stream with
-// frame-granularity bandwidth estimation and mid-stream level switching.
-// X7 measures what the finer estimator buys under a bandwidth cliff —
-// the §5.3 situation the per-chunk estimator is structurally blind to,
-// because it only learns the throughput after an entire chunk lands —
-// and checks the streamed KV against the request/response path bit for
-// bit.
+// The streaming-transport-v2 scenario: the request/response delivery
+// plane beside a multiplexed server-push stream with frame-granularity
+// bandwidth estimation and mid-stream steering (SWITCH and CANCEL). X7
+// runs both planes over a live loopback server: on a static link it
+// fails unless the streamed KV and bytes equal the request/response
+// ones, and under a bandwidth cliff it reports what the stream's steering
+// did.
 
 func init() {
-	register("X7", "Extension: streaming transport v2 (frame-granularity adaptation vs per-chunk)", runX7StreamingV2)
+	register("X7", "Extension: streaming transport v2 (server-push stream vs request/response, live)", runX7StreamingV2)
 }
 
 // x7Mix summarises a run's per-chunk choices ("6×L0 1×L2 4×text").
@@ -43,85 +43,11 @@ func x7Mix(decisions []streamer.ChunkDecision) string {
 	return strings.Join(parts, " ")
 }
 
-func runX7StreamingV2(f *Fixture) ([]*Report, error) {
-	sim, err := runX7Sim(f)
-	if err != nil {
-		return nil, err
-	}
-	live, err := runX7Live()
-	if err != nil {
-		return nil, err
-	}
-	return []*Report{sim, live}, nil
-}
-
-// runX7Sim compares the estimators on the virtual clock: same context,
-// same planner, same cliff trace; the only variable is whether the
-// adaptation loop sees per-chunk averages or per-frame samples.
-func runX7Sim(f *Fixture) (*Report, error) {
-	rig, err := f.Rig(llm.Mistral7B())
-	if err != nil {
-		return nil, err
-	}
-	const tokens = 16500
-	const slo = 4 * time.Second
-	trace, err := netsim.ParseTrace("2Gbps:400ms,0.05Gbps")
-	if err != nil {
-		return nil, err
-	}
-	planner := streamer.Planner{
-		Adapt: true, SLO: slo, DefaultLevel: defaultLevel,
-		PriorBandwidth: netsim.Gbps(2), RTT: defaultRTT,
-	}
-	chunks := rig.ChunkInfos(tokens, 1)
-
-	rep := &Report{
-		ID:      "X7",
-		Title:   "Transport v2: adaptation granularity under a bandwidth cliff (2 Gbps → 0.05 Gbps at 0.4 s, SLO 4 s)",
-		Columns: []string{"Estimator", "TTFT", "Overshoot", "On-wire", "Abandoned", "Cancels", "Mix"},
-	}
-	type mode struct {
-		name       string
-		frameBytes int64
-	}
-	for _, m := range []mode{
-		{"per-chunk (transport v1)", 0},
-		{"per-frame, 256 KiB frames", 256 << 10},
-		{"per-frame, 64 KiB frames", 64 << 10},
-	} {
-		res, err := streamer.Simulate(streamer.SimInput{
-			Chunks:      chunks,
-			TotalTokens: tokens,
-			Link:        netsim.NewLink(trace),
-			Planner:     planner,
-			Model:       rig.Full,
-			Device:      rig.Dev,
-			FrameBytes:  m.frameBytes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		overshoot := res.TTFT - slo
-		if overshoot < 0 {
-			overshoot = 0
-		}
-		rep.AddRow(m.name,
-			fmt.Sprintf("%.2fs", res.TTFT.Seconds()),
-			fmt.Sprintf("%.2fs", overshoot.Seconds()),
-			metrics.FormatBytes(res.BytesSent),
-			metrics.FormatBytes(res.AbandonedBytes),
-			fmt.Sprintf("%d", res.Cancels),
-			x7Mix(res.Decisions))
-	}
-	rep.AddNote("the per-chunk estimator commits a whole chunk at the pre-cliff level and can only watch it crawl; per-frame estimation sees the collapse within a window of frames, cancels the doomed chunk, and resends it at the planner's fresh choice — one open RTT for the stream instead of one per chunk rides along")
-	return rep, nil
-}
-
-// runX7Live runs the real wire path: one storage server, a published
-// context, and the two delivery planes — with a bit-for-bit identity
-// check on a static link and a traced run exercising the mid-stream
-// steering.
-func runX7Live() (*Report, error) {
+// runX7StreamingV2 runs the real wire path: one storage server, a
+// published context, and the two delivery planes — with a bit-for-bit
+// identity check on a static link and a traced run exercising the
+// mid-stream steering.
+func runX7StreamingV2(*Fixture) ([]*Report, error) {
 	s, err := newX4Stack()
 	if err != nil {
 		return nil, err
@@ -139,18 +65,10 @@ func runX7Live() (*Report, error) {
 		Columns: []string{"Path", "Link", "Load time", "Bandwidth est", "Switch/cancel", "Mix", "KV vs r/r"},
 	}
 
-	fetch := func(client *transport.Client, dev llm.Device, p streamer.Planner, disable bool) (*streamer.FetchReport, float64, error) {
+	fetch := func(client *transport.Client, dev llm.Device, p streamer.Planner, disable bool) (*tensor.KV, *streamer.FetchReport, error) {
 		fch := s.cliffFetcher(client, dev, p)
 		fch.DisableStreaming = disable
-		kv, report, err := fch.Fetch(ctx, "x7-ctx")
-		if err != nil {
-			return nil, 0, err
-		}
-		diff, err := s.kv.MaxAbsDiff(kv)
-		if err != nil {
-			return nil, 0, err
-		}
-		return report, diff, nil
+		return fch.Fetch(ctx, "x7-ctx")
 	}
 
 	// Static link: the bit-for-bit identity check at a fixed level.
@@ -159,19 +77,25 @@ func runX7Live() (*Report, error) {
 		return nil, err
 	}
 	fixed := streamer.Planner{Adapt: false, DefaultLevel: 0}
-	rrRep, rrDiff, err := fetch(client, llm.A40x4(), fixed, true)
+	rrKV, rrRep, err := fetch(client, llm.A40x4(), fixed, true)
 	if err != nil {
 		done()
 		return nil, err
 	}
-	stRep, stDiff, err := fetch(client, llm.A40x4(), fixed, false)
+	stKV, stRep, err := fetch(client, llm.A40x4(), fixed, false)
 	done()
 	if err != nil {
 		return nil, err
 	}
-	identical := "IDENTICAL"
-	if stDiff != rrDiff {
-		identical = fmt.Sprintf("DIVERGED (Δ %g vs %g)", stDiff, rrDiff)
+	diff, err := stKV.MaxAbsDiff(rrKV)
+	if err != nil {
+		return nil, err
+	}
+	if diff != 0 {
+		return nil, fmt.Errorf("streamed KV differs from request/response KV: max |Δ| = %g", diff)
+	}
+	if stRep.BytesReceived != rrRep.BytesReceived {
+		return nil, fmt.Errorf("streamed %d bytes, request/response %d", stRep.BytesReceived, rrRep.BytesReceived)
 	}
 	rep.AddRow("request/response", "static",
 		fmt.Sprintf("%.1f ms", rrRep.LoadTime.Seconds()*1e3),
@@ -180,12 +104,7 @@ func runX7Live() (*Report, error) {
 		fmt.Sprintf("%.1f ms", stRep.LoadTime.Seconds()*1e3),
 		metrics.FormatBandwidth(stRep.Bandwidth),
 		fmt.Sprintf("%d/%d", stRep.Switches, stRep.Cancels),
-		x7Mix(stRep.Decisions), identical)
-	if stRep.BytesReceived != rrRep.BytesReceived {
-		note := fmt.Sprintf("WARNING: byte counts diverged (%d streamed vs %d request/response)",
-			stRep.BytesReceived, rrRep.BytesReceived)
-		rep.AddNote("%s", note)
-	}
+		x7Mix(stRep.Decisions), "IDENTICAL")
 
 	// Cliff trace: both planes adaptive, replaying the same trace through
 	// the server's egress shaper (transport.WithEgressTrace). A slow
@@ -204,7 +123,7 @@ func runX7Live() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		report, _, err := fetch(client, slowDev, cliffPlanner(), mode.disable)
+		_, report, err := fetch(client, slowDev, cliffPlanner(), mode.disable)
 		done()
 		if err != nil {
 			return nil, err
@@ -218,8 +137,8 @@ func runX7Live() (*Report, error) {
 			metrics.FormatBandwidth(report.Bandwidth),
 			steer, x7Mix(report.Decisions), "-")
 	}
-	rep.AddNote("the streamed KV is decoded chunk-by-chunk into the same preallocated destination as the request/response path (PR 4's zero-copy decode), so the identity check is over the exact serving artifact")
-	return rep, nil
+	rep.AddNote("the streamed KV is decoded chunk-by-chunk into the same preallocated destination as the request/response path (zero-copy decode), so the identity check is over the exact serving artifact")
+	return []*Report{rep}, nil
 }
 
 // serveLoopback launches one node over store on a loopback port and dials

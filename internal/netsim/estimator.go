@@ -23,9 +23,8 @@ const DefaultEstimatorWindow = 32
 // window of recent DATA frames. The harmonic mean is what "total bytes ÷
 // total time" computes, so one slow frame drags the estimate down the
 // way it drags a real transfer down, while a burst of tiny fast frames
-// cannot inflate it. Both the live fetcher (frame arrivals off the wire)
-// and the virtual-time simulator (frame transfers on a Link) feed it.
-// Safe for concurrent use.
+// cannot inflate it. The streaming fetcher feeds it frame arrivals off
+// the wire. Safe for concurrent use.
 type Estimator struct {
 	mu      sync.Mutex
 	window  int

@@ -32,7 +32,7 @@ func TestPlanMatchesPlannerOnOneSource(t *testing.T) {
 	decide := func(slo time.Duration, def core.Level, rung, idx int, elapsed time.Duration, bps float64, chunks []streamer.ChunkInfo) (plan, planner streamer.Choice) {
 		t.Helper()
 		s := New(Options{ID: "gw", Signals: Signals{RTT: rtt}})
-		p := s.NewPlan(Request{SLO: slo, DefaultLevel: def, Rung: rung, Concurrency: 1})
+		p := s.NewPlan(Request{SLO: slo, DefaultLevel: def, Rung: rung})
 		plan, err := p.Choose(idx, elapsed, bps, chunks)
 		if err != nil {
 			t.Fatal(err)

@@ -26,9 +26,6 @@ type Request struct {
 	// source and text recompute, so a forced-down request still takes the
 	// cheaper path instead of always burning GPU.
 	Rung int
-	// Concurrency overrides the link-sharing factor N_c; zero uses the
-	// scheduler's live count of in-flight plans.
-	Concurrency int
 }
 
 // Plan prices every chunk of one request across all sources and lets
@@ -245,10 +242,7 @@ func (p *Plan) Choose(idx int, elapsed time.Duration, throughputBPS float64, chu
 	if p.bw <= 0 {
 		p.bw = p.s.sig.BandwidthBPS
 	}
-	p.conc = p.req.Concurrency
-	if p.conc < 1 {
-		p.conc = int(p.s.active.Load())
-	}
+	p.conc = int(p.s.active.Load())
 	p.busy = 0
 	if p.s.slots != nil {
 		// The plan's own request already holds a slot (the gateway grants

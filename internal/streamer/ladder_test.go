@@ -57,10 +57,9 @@ func withRung(p Planner, rung int) Planner {
 	return p
 }
 
-// TestWorthCancel is the one CANCEL rule, shared by acquireStream and
-// simulateFrames: abandon the in-flight chunk only when the fresh choice
-// is a different configuration and sending it whole is fewer bytes than
-// what is left of this one.
+// TestWorthCancel is acquireStream's CANCEL rule: abandon the in-flight
+// chunk only when the fresh choice is a different configuration and
+// sending it whole is fewer bytes than what is left of this one.
 func TestWorthCancel(t *testing.T) {
 	info := ChunkInfo{SizesByLevel: []int64{1000, 600, 300}, TextBytes: 50}
 	for _, c := range []struct {

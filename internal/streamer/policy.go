@@ -144,11 +144,10 @@ func ScaleCost(d time.Duration, n int) time.Duration {
 	return d * time.Duration(n)
 }
 
-// worthCancel is the mid-chunk CANCEL rule, shared by the live stream
-// acquirer and the frame-mode simulator: abandon the in-flight chunk,
-// being delivered at wire level cur with left bytes still to come, when
-// the policy's fresh choice differs and resending the chunk whole at it
-// is cheaper than finishing.
+// worthCancel is the stream acquirer's mid-chunk CANCEL rule: abandon
+// the in-flight chunk, being delivered at wire level cur with left bytes
+// still to come, when the policy's fresh choice differs and resending
+// the chunk whole at it is cheaper than finishing.
 func worthCancel(info ChunkInfo, cur int, fresh Choice, left int64) bool {
 	return choiceLevel(fresh) != cur && choiceBytes(info, fresh) < left
 }

@@ -30,22 +30,6 @@ type SimInput struct {
 	// loads (the query itself; footnote 4: the remaining forward pass is
 	// marginal). Zero means 32.
 	SuffixTokens int
-	// FrameBytes, when positive, models transport v2 on the virtual
-	// clock: each chunk streams as bounded DATA frames of this size over
-	// one server-push stream (a single open RTT instead of one per
-	// chunk), a bandwidth estimator is fed per frame, and the planner is
-	// consulted at frame-batch decision points — re-leveling chunks not
-	// yet started and abandoning the in-flight chunk when resending it
-	// at the fresh choice is cheaper than finishing it. Zero keeps the
-	// legacy per-chunk request/response model, whose only measurement is
-	// the previous chunk's average throughput.
-	FrameBytes int64
-	// EstimatorWindow is the frame estimator's window in frames
-	// (0 = netsim.DefaultEstimatorWindow). Frame mode only.
-	EstimatorWindow int
-	// DecisionFrames is how many frames pass between adaptation decision
-	// points (0 = DefaultDecisionFrames). Frame mode only.
-	DecisionFrames int
 }
 
 // ChunkDecision records what happened to one chunk in a run.
@@ -67,14 +51,8 @@ type ChunkDecision struct {
 type SimResult struct {
 	TTFT      time.Duration
 	Decisions []ChunkDecision
-	// BytesSent is the total on-wire size (the "size of KV cache" metric),
-	// cancel waste included.
+	// BytesSent is the total on-wire size (the "size of KV cache" metric).
 	BytesSent int64
-	// AbandonedBytes is the cancel waste alone: bytes transferred for
-	// in-flight chunks later restarted at a cheaper configuration.
-	AbandonedBytes int64
-	// Cancels counts in-flight chunks abandoned mid-transfer (frame mode).
-	Cancels int
 	// NetworkTime is the cumulative transfer time; ComputeTime the
 	// cumulative decode/recompute time (some of it overlapped); SuffixTime
 	// the prompt prefill after loading.
@@ -140,10 +118,6 @@ func Simulate(in SimInput) (*SimResult, error) {
 		suffix = 32
 	}
 
-	if in.FrameBytes > 0 {
-		return simulateFrames(in, share, suffix)
-	}
-
 	link := in.Link
 	start := link.Now()
 	// ready is the virtual time at which every chunk so far is decoded (or
@@ -187,96 +161,6 @@ func Simulate(in SimInput) (*SimResult, error) {
 			Transfer: dur, Compute: compute, Throughput: throughput,
 		})
 		res.BytesSent += bytes
-		res.NetworkTime += dur
-		res.ComputeTime += compute
-	}
-
-	res.SuffixTime = in.Model.MarginalPrefillTime(in.TotalTokens, suffix, in.Device, share)
-	ttftEnd := maxTime(link.Now(), ready) + res.SuffixTime
-	res.TTFT = ttftEnd - start
-	res.SLOMet = in.Planner.SLO <= 0 || res.TTFT <= in.Planner.SLO
-	return res, nil
-}
-
-// simulateFrames is Simulate's transport-v2 model: server-push frames
-// over one stream, a frame-fed bandwidth estimator, and mid-chunk
-// decision points that can abandon the in-flight chunk. The stream pays
-// one open RTT total (no per-chunk round trips) plus one RTT per cancel.
-func simulateFrames(in SimInput, share float64, suffix int) (*SimResult, error) {
-	link := in.Link
-	start := link.Now()
-	ready := start
-	res := &SimResult{}
-	est := netsim.NewEstimator(in.EstimatorWindow)
-	decisionEvery := in.DecisionFrames
-	if decisionEvery <= 0 {
-		decisionEvery = DefaultDecisionFrames
-	}
-
-	link.Advance(in.Planner.RTT) // the single stream-open round trip
-
-	for i := range in.Chunks {
-		ch := in.Chunks[i]
-		choice, err := in.Planner.Choose(i, link.Now()-start, est.Estimate(), in.Chunks)
-		if err != nil {
-			return nil, err
-		}
-
-		var abandoned int64
-		transferStart := link.Now()
-	attempt:
-		for {
-			total := choiceBytes(ch, choice)
-			var sent int64
-			frames := 0
-			for sent < total {
-				n := total - sent
-				if n > in.FrameBytes {
-					n = in.FrameBytes
-				}
-				dur, err := link.Transfer(n)
-				if err != nil {
-					return nil, fmt.Errorf("streamer: chunk %d: %w", i, err)
-				}
-				est.Observe(n, dur)
-				sent += n
-				frames++
-				if frames%decisionEvery != 0 || sent >= total {
-					continue
-				}
-				fresh, err := in.Planner.Choose(i, link.Now()-start, est.Estimate(), in.Chunks)
-				if err != nil {
-					return nil, err
-				}
-				if worthCancel(ch, choiceLevel(choice), fresh, total-sent) {
-					abandoned += sent
-					res.Cancels++
-					link.Advance(in.Planner.RTT) // the cancel round trip
-					choice = fresh
-					continue attempt
-				}
-			}
-			break
-		}
-
-		bytes := choiceBytes(ch, choice)
-		var compute time.Duration
-		if choice.Text {
-			compute = ch.Recompute
-		} else {
-			compute = in.Device.DecodeTime(bytes)
-		}
-		transferEnd := link.Now()
-		dur := transferEnd - transferStart
-
-		ready = maxTime(ready, transferEnd) + compute
-
-		res.Decisions = append(res.Decisions, ChunkDecision{
-			Chunk: i, Choice: choice, Bytes: bytes, Abandoned: abandoned,
-			Transfer: dur, Compute: compute, Throughput: est.Estimate(),
-		})
-		res.BytesSent += bytes + abandoned
-		res.AbandonedBytes += abandoned
 		res.NetworkTime += dur
 		res.ComputeTime += compute
 	}

@@ -114,11 +114,7 @@ func (f *Fetcher) acquireStream(a *assembler, src StreamSource) error {
 	}
 	defer stream.Close()
 
-	window := f.EstimatorWindow
-	if window <= 0 {
-		window = netsim.DefaultEstimatorWindow
-	}
-	est := netsim.NewEstimator(window)
+	est := netsim.NewEstimator(f.EstimatorWindow)
 	est.SetGauge(f.BandwidthGauge)
 	decisionEvery := f.DecisionFrames
 	if decisionEvery <= 0 {

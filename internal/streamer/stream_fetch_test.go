@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/netsim"
 	"repro/internal/storage"
@@ -122,112 +123,59 @@ func TestFetchStreamedAdaptiveUnderTrace(t *testing.T) {
 	}
 }
 
-// synthetic chunk metadata for the virtual-time cliff comparison.
-func cliffChunks(n int) []ChunkInfo {
-	infos := make([]ChunkInfo, n)
-	for i := range infos {
-		infos[i] = ChunkInfo{
-			Tokens:       1500,
-			SizesByLevel: []int64{30e6, 15e6, 7.5e6},
-			TextBytes:    6000,
-			Recompute:    time.Second,
+// coarsestOnceMeasured delivers L0 while the fetch has no bandwidth
+// estimate and the given (coarsest) level once it has one, so the first
+// decision point of a stream finds the L0 chunk in flight worth
+// cancelling.
+type coarsestOnceMeasured core.Level
+
+func (p coarsestOnceMeasured) Choose(_ int, _ time.Duration, bps float64, _ []ChunkInfo) (Choice, error) {
+	if bps <= 0 {
+		return Choice{Level: 0}, nil
+	}
+	return Choice{Level: core.Level(p)}, nil
+}
+
+// TestFetchStreamedCancelRestartsChunk drives the stream acquirer's
+// CANCEL against a live server. The server's egress is shaped so a chunk
+// spans many 2 KiB frames, and the policy turns to the coarsest level at
+// the first decision point, so the L0 chunk in flight is abandoned and
+// resent there. The assembled KV must be the direct decode of each chunk
+// at the level the report says it landed at.
+func TestFetchStreamedCancelRestartsChunk(t *testing.T) {
+	s := newStackShape(t, 0, 1000, 2000)
+	coarsest := s.meta.Levels - 1
+	f := &Fetcher{
+		Source: serve(t, s.store, transport.WithEgressRate(2e6)),
+		Codec:  s.codec, Model: s.model, Device: llm.A40x4(),
+		Policy:    coarsestOnceMeasured(coarsest),
+		FrameSize: 2 << 10, DecisionFrames: 1,
+	}
+	kv, rep, err := f.Fetch(context.Background(), "ctx-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Streamed || rep.Cancels < 1 {
+		t.Errorf("streamed %v with %d cancels, want a streamed fetch with at least one", rep.Streamed, rep.Cancels)
+	}
+	restarted := false
+	payloads := make([][]byte, len(rep.Decisions))
+	for i, d := range rep.Decisions {
+		if d.Choice.Text {
+			t.Fatalf("chunk %d delivered as text", d.Chunk)
 		}
+		restarted = restarted || d.Abandoned > 0 && int(d.Choice.Level) == coarsest
+		payloads[i], _ = payload(t, s, int(d.Choice.Level), d.Chunk)
 	}
-	return infos
-}
-
-// TestSimulateFramesBeatsChunkGranularityOnCliff is the X7 acceptance
-// property in miniature: under a mid-chunk bandwidth cliff, the
-// frame-granularity estimator (which cancels the doomed in-flight chunk)
-// must beat the chunk-granularity estimator (which is blind until the
-// chunk lands) on TTFT.
-func TestSimulateFramesBeatsChunkGranularityOnCliff(t *testing.T) {
-	chunks := cliffChunks(8)
-	trace, err := netsim.ParseTrace("2Gbps:300ms,0.02Gbps")
+	if !restarted {
+		t.Errorf("no chunk abandoned bytes and landed at L%d: %+v", coarsest, rep.Decisions)
+	}
+	want, err := s.codec.DecodeContext(payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planner := Planner{
-		Adapt: true, SLO: 4 * time.Second, DefaultLevel: 1,
-		PriorBandwidth: netsim.Gbps(2), RTT: 20 * time.Millisecond,
-	}
-	base := SimInput{
-		Chunks:      chunks,
-		TotalTokens: 8 * 1500,
-		Planner:     planner,
-		Model:       llm.Mistral7B(),
-		Device:      llm.A40x4(),
-	}
-
-	legacyIn := base
-	legacyIn.Link = netsim.NewLink(trace)
-	legacy, err := Simulate(legacyIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	frameIn := base
-	frameIn.Link = netsim.NewLink(trace)
-	frameIn.FrameBytes = 256 << 10
-	frame, err := Simulate(frameIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if frame.Cancels < 1 {
-		t.Errorf("frame mode never cancelled the doomed in-flight chunk (cancels=%d)", frame.Cancels)
-	}
-	if frame.AbandonedBytes <= 0 {
-		t.Errorf("frame mode reports no abandoned bytes despite %d cancels", frame.Cancels)
-	}
-	if frame.TTFT >= legacy.TTFT {
-		t.Errorf("frame granularity TTFT %v not better than chunk granularity %v", frame.TTFT, legacy.TTFT)
-	}
-	// The win must be structural (the cancelled chunk's stall), not noise.
-	if frame.TTFT > legacy.TTFT*7/10 {
-		t.Errorf("frame TTFT %v vs legacy %v: expected a >30%% win from the cancel", frame.TTFT, legacy.TTFT)
-	}
-	t.Logf("cliff TTFT: chunk-granularity %v, frame-granularity %v (%d cancels, %.1f MB abandoned)",
-		legacy.TTFT.Round(time.Millisecond), frame.TTFT.Round(time.Millisecond),
-		frame.Cancels, float64(frame.AbandonedBytes)/1e6)
-}
-
-// TestSimulateFramesMatchesLegacyOnStableLink: with no bandwidth
-// variation and adaptation off, frame mode moves the same bytes and
-// lands within per-chunk RTT bookkeeping of the legacy model.
-func TestSimulateFramesMatchesLegacyOnStableLink(t *testing.T) {
-	chunks := cliffChunks(4)
-	planner := Planner{Adapt: false, DefaultLevel: 1}
-	base := SimInput{
-		Chunks:      chunks,
-		TotalTokens: 4 * 1500,
-		Planner:     planner,
-		Model:       llm.Mistral7B(),
-		Device:      llm.A40x4(),
-	}
-	legacyIn := base
-	legacyIn.Link = netsim.NewLink(netsim.Constant(netsim.Gbps(1)))
-	legacy, err := Simulate(legacyIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frameIn := base
-	frameIn.Link = netsim.NewLink(netsim.Constant(netsim.Gbps(1)))
-	frameIn.FrameBytes = 64 << 10
-	frame, err := Simulate(frameIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frame.BytesSent != legacy.BytesSent {
-		t.Errorf("frame mode moved %d bytes, legacy %d", frame.BytesSent, legacy.BytesSent)
-	}
-	if frame.Cancels != 0 || frame.AbandonedBytes != 0 {
-		t.Errorf("stable link produced cancels: %d / %d bytes", frame.Cancels, frame.AbandonedBytes)
-	}
-	// Same transfers, same decode: TTFTs within a few percent.
-	ratio := float64(frame.TTFT) / float64(legacy.TTFT)
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("stable-link TTFT diverged: frame %v vs legacy %v", frame.TTFT, legacy.TTFT)
+	if diff, err := kv.MaxAbsDiff(want); err != nil || diff != 0 {
+		t.Errorf("assembled KV differs from the direct decode at the reported levels: max |Δ| = %g, err %v", diff, err)
 	}
 }
 
