@@ -44,36 +44,25 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *channels > 0 && *channels < cfg.KVChannels {
-		cfg = cfg.WithChannels(*channels)
-	}
-	model, err := llm.New(cfg)
+	model, err := llm.New(cfg.WithChannels(*channels))
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	var client *transport.Client
+	// Pace the receive path along the trace (unshaped without one): the
+	// client-side way to replay a constrained link against an unshaped
+	// server.
+	var trace netsim.Trace
 	if *bwTrace != "" {
-		// Pace the receive path along the trace: the client-side way to
-		// replay a constrained link against an unshaped server.
-		trace, err := netsim.ParseTrace(*bwTrace)
-		if err != nil {
-			log.Fatal(err)
-		}
-		conn, err := net.Dial("tcp", *addr)
-		if err != nil {
-			log.Fatalf("dial %s: %v", *addr, err)
-		}
-		sh := transport.NewIngressShaper(conn, 0)
-		sh.SetTrace(trace)
-		client = transport.NewClient(sh)
-	} else {
-		var err error
-		client, err = transport.Dial(*addr)
-		if err != nil {
+		if trace, err = netsim.ParseTrace(*bwTrace); err != nil {
 			log.Fatal(err)
 		}
 	}
+	conn, err := net.Dial("tcp", *addr)
+	if err != nil {
+		log.Fatalf("dial %s: %v", *addr, err)
+	}
+	client := transport.NewClient(transport.NewIngressShaper(conn, trace))
 	defer client.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

@@ -21,7 +21,6 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sync"
 	"syscall"
 	"time"
@@ -33,10 +32,8 @@ import (
 	"repro/internal/llm"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/storage"
 	"repro/internal/streamer"
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -48,8 +45,7 @@ func main() {
 	portBase := flag.Int("port-base", 9100, "first node's port; node i listens on port-base+i")
 	dir := flag.String("dir", "", "root directory for per-node file stores (empty = in-memory)")
 	ramMB := flag.Int("ram-cache-mb", 64, "per-node RAM tier budget in MB (0 = disabled)")
-	egress := flag.Float64("egress-gbps", 0, "per-connection egress shaping in Gbps (0 = unlimited)")
-	bwTrace := flag.String("bandwidth-trace", "", "per-node egress bandwidth trace as RATE[:DUR],... (e.g. 2Gbps:2s,0.2Gbps); overrides -egress-gbps")
+	bwTrace := flag.String("bandwidth-trace", "", "per-node egress bandwidth trace as RATE[:DUR],... (e.g. 2Gbps:2s,0.2Gbps, or 1Gbps for a fixed rate)")
 	modelName := flag.String("model", "Mistral-7B", "model for the published demo contexts")
 	channels := flag.Int("channels", 32, "synthesised KV channels")
 	nContexts := flag.Int("contexts", 2, "demo contexts published across the ring")
@@ -78,13 +74,9 @@ func main() {
 		log.Printf("capping -replicas %d to fleet size %d", *replicas, *nodes)
 		*replicas = *nodes
 	}
-	var schedule chaos.Schedule
-	if *chaosFlag != "" {
-		s, err := chaos.ParseSchedule(*chaosFlag, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		schedule = s
+	drill, err := chaos.NewDrill(*chaosFlag, 1)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Model, codec and bank, shared by every node (§5.2: one bank per LLM).
@@ -92,25 +84,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *channels > 0 && *channels < cfg.KVChannels {
-		cfg = cfg.WithChannels(*channels)
-	}
-	model, err := llm.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	lengthScale := float64(*tokens) / 9400.0
-	ctxs := dataset.LongChat().Contexts(2+*nContexts, lengthScale)
 	log.Printf("training codec bank for %s...", cfg.Name)
-	var samples []*tensor.KV
-	for _, c := range ctxs[:2] {
-		samples = append(samples, model.CalculateKV(c.Tokens))
-	}
-	trained, err := core.Train(core.DefaultConfig(), samples)
+	stack, err := dataset.TrainStack(cfg.WithChannels(*channels), 2, *nContexts, *tokens)
 	if err != nil {
 		log.Fatal(err)
 	}
-	codec := core.NewCodec(trained)
+	model, codec := stack.Model, stack.Codec
 	bank, err := codec.Bank().MarshalBinary()
 	if err != nil {
 		log.Fatal(err)
@@ -125,9 +104,6 @@ func main() {
 		reg = telemetry.NewRegistry()
 	}
 	srvOpts := []transport.ServerOption{transport.WithBank(bank), transport.WithTelemetry(reg)}
-	if *egress > 0 {
-		srvOpts = append(srvOpts, transport.WithEgressRate(netsim.Gbps(*egress)))
-	}
 	if *bwTrace != "" {
 		tr, err := netsim.ParseTrace(*bwTrace)
 		if err != nil {
@@ -136,25 +112,9 @@ func main() {
 		srvOpts = append(srvOpts, transport.WithEgressTrace(tr))
 	}
 	fl := &chaos.LocalFleet{}
-	fleet := make([]chaos.LocalNode, 0, *nodes)
-	stores := map[string]storage.Store{}
-	for i := 0; i < *nodes; i++ {
-		var base storage.Store = storage.NewMemStore()
-		if *dir != "" {
-			base, err = storage.NewFileStore(filepath.Join(*dir, fmt.Sprintf("node-%02d", i)))
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
-		n, err := fl.Launch(fmt.Sprintf("%s:%d", *host, *portBase+i), base, int64(*ramMB)<<20, srvOpts...)
-		if err != nil {
-			log.Fatalf("node %d: %v", i, err)
-		}
-		if n.Cache != nil {
-			n.Cache.Register(reg, "node", n.Addr)
-		}
-		fleet = append(fleet, n)
-		stores[n.Addr] = n.Store
+	stores, err := fl.LaunchNodes(*nodes, *host, *portBase, *dir, int64(*ramMB)<<20, reg, srvOpts...)
+	if err != nil {
+		log.Fatal(err)
 	}
 	ring := cluster.NewRing(*replicas, *vnodes)
 	sharded, err := cluster.NewShardedStore(ring, stores)
@@ -176,21 +136,17 @@ func main() {
 	// from t=0 of the phase, not from fleet launch.
 	counters := &chaos.Counters{}
 	counters.Register(reg)
-	inj := chaos.New(fl, counters)
 	armChaos := func() {
-		if *chaosFlag == "" {
+		if drill == nil {
 			return
 		}
 		log.Printf("arming chaos schedule %q", *chaosFlag)
-		if err := inj.Start(schedule); err != nil {
+		if err := drill.Start(fl, counters); err != nil {
 			log.Fatal(err)
 		}
 	}
 	finishChaos := sync.OnceFunc(func() {
-		if *chaosFlag == "" {
-			return
-		}
-		if err := inj.Finish(); err != nil {
+		if err := drill.Finish(); err != nil {
 			log.Printf("chaos: %v", err)
 		}
 		if snap := counters.Snapshot(); !snap.Zero() {
@@ -214,7 +170,7 @@ func main() {
 	// Publish demo contexts across the ring and report the shard layout.
 	primaries := map[string]int{}
 	var ids []string
-	for i, c := range ctxs[2:] {
+	for i, c := range stack.Contexts {
 		id := fmt.Sprintf("demo-%04d", i)
 		man, _, err := streamer.Publish(bg, sharded, codec, model, id, c.Tokens, streamer.PublishOptions{})
 		if err != nil {
@@ -227,15 +183,15 @@ func main() {
 		log.Printf("published %s: %d tokens, %d chunks across %d nodes (replication %d)",
 			id, man.Meta.TokenCount, man.Meta.NumChunks(), *nodes, *replicas)
 	}
-	for _, n := range fleet {
-		log.Printf("node %s: primary for %d level-0 chunks", n.Addr, primaries[n.Addr])
+	for _, addr := range fl.Nodes() {
+		log.Printf("node %s: primary for %d level-0 chunks", addr, primaries[addr])
 	}
 
 	// Idle sweeper: each node periodically reclaims unreferenced chunk
 	// payloads (refcounts drop when DeleteContext removes a manifest).
 	sweepStop := make(chan struct{})
 	if *gcInterval > 0 {
-		for _, n := range fleet {
+		for _, addr := range fl.Nodes() {
 			go func(n chaos.LocalNode) {
 				ticker := time.NewTicker(*gcInterval)
 				defer ticker.Stop()
@@ -253,15 +209,15 @@ func main() {
 						}
 					}
 				}
-			}(n)
+			}(fl.Node(addr))
 		}
 	}
 
 	closeFleet := func() {
 		close(sweepStop)
 		fl.Close()
-		for _, n := range fleet {
-			if n.Cache != nil {
+		for _, addr := range fl.Nodes() {
+			if n := fl.Node(addr); n.Cache != nil {
 				st := n.Cache.Stats()
 				log.Printf("node %s RAM tier: %d hits, %d misses (%.0f%% hit rate), %d evictions",
 					n.Addr, st.Hits, st.Misses, 100*st.HitRate(), st.Evictions)

@@ -17,12 +17,10 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/llm"
 	"repro/internal/storage"
 	"repro/internal/streamer"
-	"repro/internal/tensor"
 )
 
 func main() {
@@ -40,34 +38,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *channels > 0 && *channels < cfg.KVChannels {
-		cfg = cfg.WithChannels(*channels)
-	}
-	model, err := llm.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	// Training and demo contexts come from the LongChat-style generator.
-	lengthScale := float64(*tokens) / 9400.0
-	ctxs := dataset.LongChat().Contexts(*train+*nContexts, lengthScale)
 	log.Printf("training codec bank for %s on %d contexts...", cfg.Name, *train)
-	var samples []*tensor.KV
-	for _, c := range ctxs[:*train] {
-		samples = append(samples, model.CalculateKV(c.Tokens))
-	}
-	trained, err := core.Train(core.DefaultConfig(), samples)
+	stack, err := dataset.TrainStack(cfg.WithChannels(*channels), *train, *nContexts, *tokens)
 	if err != nil {
 		log.Fatal(err)
 	}
-	codec := core.NewCodec(trained)
+	model, codec := stack.Model, stack.Codec
 
 	store, err := storage.NewFileStore(*dir)
 	if err != nil {
 		log.Fatal(err)
 	}
 	bg := context.Background()
-	for i, c := range ctxs[*train:] {
+	for i, c := range stack.Contexts {
 		id := fmt.Sprintf("demo-%04d", i)
 		man, stats, err := streamer.Publish(bg, store, codec, model, id, c.Tokens, streamer.PublishOptions{})
 		if err != nil {

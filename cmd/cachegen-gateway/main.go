@@ -41,7 +41,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/gateway"
 	"repro/internal/llm"
@@ -49,10 +48,8 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/resilience"
 	"repro/internal/sched"
-	"repro/internal/storage"
 	"repro/internal/streamer"
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -164,19 +161,16 @@ func main() {
 		}
 		specs = specs[:0]
 		seen := map[string]bool{}
-		for _, a := range trace.Arrivals() {
+		for _, a := range trace.ArrivalList {
 			if !seen[a.Tenant] {
 				seen[a.Tenant] = true
 				specs = append(specs, tenantSpec{name: a.Tenant, weight: 1})
 			}
 		}
 	}
-	var schedule chaos.Schedule
-	if *chaosFlag != "" {
-		schedule, err = chaos.ParseSchedule(*chaosFlag, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
+	drill, err := chaos.NewDrill(*chaosFlag, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// -capture-trace records every submission (and the published
@@ -185,7 +179,7 @@ func main() {
 	if *captureTrace != "" {
 		rec = gateway.NewTraceRecorder(strings.TrimSuffix(filepath.Base(*captureTrace), filepath.Ext(*captureTrace)))
 		if trace != nil {
-			for _, c := range trace.Contexts() {
+			for _, c := range trace.ContextList {
 				rec.RecordContext(c)
 			}
 		}
@@ -196,29 +190,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *channels > 0 && *channels < cfg.KVChannels {
-		cfg = cfg.WithChannels(*channels)
-	}
-	model, err := llm.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	lengthScale := float64(*tokens) / 9400.0
-	total := 2
+	published := 0
 	if trace == nil {
-		total += *nContexts * len(specs)
+		published = *nContexts * len(specs)
 	}
-	ctxs := dataset.LongChat().Contexts(total, lengthScale)
 	log.Printf("training codec bank for %s...", cfg.Name)
-	var samples []*tensor.KV
-	for _, c := range ctxs[:2] {
-		samples = append(samples, model.CalculateKV(c.Tokens))
-	}
-	trained, err := core.Train(core.DefaultConfig(), samples)
+	stack, err := dataset.TrainStack(cfg.WithChannels(*channels), 2, published, *tokens)
 	if err != nil {
 		log.Fatal(err)
 	}
-	codec := core.NewCodec(trained)
+	model, codec := stack.Model, stack.Codec
 
 	// Telemetry plane: one registry shared by every component of this
 	// process's fleet, one tracer for the request span trees. Both stay
@@ -247,16 +228,9 @@ func main() {
 	// kill, restart, partition, slow or corrupt it mid-run.
 	fl := &chaos.LocalFleet{}
 	defer fl.Close()
-	stores := map[string]storage.Store{}
-	for i := 0; i < *nodes; i++ {
-		n, err := fl.Launch("127.0.0.1:0", storage.NewMemStore(), int64(*ramMB)<<20, srvOpts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if n.Cache != nil {
-			n.Cache.Register(reg, "node", n.Addr)
-		}
-		stores[n.Addr] = n.Store
+	stores, err := fl.LaunchNodes(*nodes, "127.0.0.1", 0, "", int64(*ramMB)<<20, reg, srvOpts...)
+	if err != nil {
+		log.Fatal(err)
 	}
 	ring := cluster.NewRing(*replicas, 0)
 	sharded, err := cluster.NewShardedStore(ring, stores)
@@ -269,7 +243,7 @@ func main() {
 	bg := context.Background()
 	profiles := make([]workload.PoissonTenant, 0, len(specs))
 	weights := map[string]int{}
-	next := 2
+	next := 0
 	for _, spec := range specs {
 		p := workload.PoissonTenant{
 			Name: spec.name, Share: spec.weight,
@@ -279,15 +253,16 @@ func main() {
 		if trace == nil {
 			for j := 0; j < *nContexts; j++ {
 				id := fmt.Sprintf("%s-%02d", spec.name, j)
-				if _, _, err := streamer.Publish(bg, sharded, codec, model, id, ctxs[next].Tokens, streamer.PublishOptions{}); err != nil {
+				if _, _, err := streamer.Publish(bg, sharded, codec, model, id, stack.Contexts[next].Tokens, streamer.PublishOptions{}); err != nil {
 					log.Fatal(err)
 				}
 				// Dataset contexts are not seed-reproducible; the captured
 				// spec preserves each context's id and exact length, so a
 				// replay offers the identical load shape over synthesised
-				// content.
+				// content, seeded by the context's dataset index (after
+				// the two training contexts).
 				rec.RecordContext(workload.ContextSpec{
-					ID: id, Tokens: len(ctxs[next].Tokens), Seed: *seed + int64(next),
+					ID: id, Tokens: len(stack.Contexts[next].Tokens), Seed: *seed + int64(2+next),
 				})
 				next++
 				p.ContextIDs = append(p.ContextIDs, id)
@@ -358,13 +333,12 @@ func main() {
 
 	// Both workload paths arm the chaos schedule at their arrival
 	// clock's t=0, so fault offsets line up with arrival offsets.
-	inj := chaos.New(fl, counters)
 	armChaos := func() {
-		if *chaosFlag == "" {
+		if drill == nil {
 			return
 		}
 		log.Printf("arming chaos schedule %q (seed %d)", *chaosFlag, *seed)
-		if err := inj.Start(schedule); err != nil {
+		if err := drill.Start(fl, counters); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -372,7 +346,7 @@ func main() {
 	var rep *gateway.LoadReport
 	if trace != nil {
 		log.Printf("replaying trace %q: %d contexts, %d arrivals over %v across %d tenants (%d nodes, %d slots)...",
-			trace.Name(), len(trace.Contexts()), len(trace.Arrivals()), trace.Duration().Round(time.Millisecond),
+			trace.TraceName, len(trace.ContextList), len(trace.ArrivalList), trace.Duration().Round(time.Millisecond),
 			len(specs), *nodes, *slots)
 		rep, err = gateway.Replay(bg, gw, trace, gateway.ReplayOptions{Publisher: sharded, Started: armChaos})
 	} else {
@@ -387,10 +361,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *chaosFlag != "" {
-		if err := inj.Finish(); err != nil {
-			log.Printf("chaos: %v", err)
-		}
+	if err := drill.Finish(); err != nil {
+		log.Printf("chaos: %v", err)
 	}
 
 	// Report.
@@ -474,6 +446,6 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("captured %d arrivals and %d contexts to %s (replay with -workload-trace %s)",
-			len(ct.Arrivals()), len(ct.Contexts()), *captureTrace, *captureTrace)
+			len(ct.ArrivalList), len(ct.ContextList), *captureTrace, *captureTrace)
 	}
 }

@@ -1,13 +1,14 @@
 // Command cachegen-server serves encoded KV caches from a filesystem store
 // over the CacheGen frame protocol — the storage-server side of get_kv
-// (§6). Optional egress shaping emulates a constrained storage-to-GPU
-// link so the client's adaptation logic has something to adapt to, and an
+// (§6). An optional egress bandwidth trace (a fixed rate is a
+// one-segment trace) emulates a constrained storage-to-GPU link so the
+// client's adaptation logic has something to adapt to, and an
 // optional RAM tier (-ram-cache-mb) serves the hot set without disk
 // reads. SIGINT/SIGTERM shut the server down cleanly.
 //
 // Usage:
 //
-//	cachegen-server -dir ./kvstore -addr :9099 -egress-gbps 1 -ram-cache-mb 64
+//	cachegen-server -dir ./kvstore -addr :9099 -bandwidth-trace 1Gbps -ram-cache-mb 64
 package main
 
 import (
@@ -30,8 +31,7 @@ import (
 func main() {
 	dir := flag.String("dir", "./kvstore", "store directory (written by cachegen-encode)")
 	addr := flag.String("addr", "127.0.0.1:9099", "listen address")
-	egress := flag.Float64("egress-gbps", 0, "per-connection egress shaping in Gbps (0 = unlimited)")
-	bwTrace := flag.String("bandwidth-trace", "", "egress bandwidth trace as RATE[:DUR],... (e.g. 2Gbps:2s,0.2Gbps), replayed per connection; overrides -egress-gbps")
+	bwTrace := flag.String("bandwidth-trace", "", "egress bandwidth trace as RATE[:DUR],... (e.g. 2Gbps:2s,0.2Gbps, or 1Gbps for a fixed rate), replayed per connection")
 	ramMB := flag.Int("ram-cache-mb", 0, "RAM tier budget in MB fronting the file store (0 = disabled)")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /debug metrics+pprof exposition on this address (e.g. :9100; empty = disabled)")
 	version := flag.Bool("version", false, "print the version and exit")
@@ -61,10 +61,6 @@ func main() {
 		log.Printf("RAM tier enabled: %d MB", *ramMB)
 	}
 	opts := []transport.ServerOption{transport.WithTelemetry(reg)}
-	if *egress > 0 {
-		opts = append(opts, transport.WithEgressRate(netsim.Gbps(*egress)))
-		log.Printf("shaping egress to %.2f Gbps", *egress)
-	}
 	if *bwTrace != "" {
 		tr, err := netsim.ParseTrace(*bwTrace)
 		if err != nil {

@@ -67,7 +67,7 @@ func main() {
 	}
 	srv := transport.NewServer(store,
 		transport.WithBank(bank),
-		transport.WithEgressRate(netsim.Gbps(0.8))) // a constrained WAN link
+		transport.WithEgressTrace(netsim.Constant(netsim.Gbps(0.8)))) // a constrained WAN link
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -156,7 +156,7 @@ type Target interface {
 	// SetDiskLatency imposes per-operation store latency (0 heals).
 	SetDiskLatency(node string, d time.Duration) error
 	// SetEgressTrace pins the node's egress bandwidth to the trace
-	// (nil heals back to the configured rate).
+	// (nil heals back to the node's configured trace).
 	SetEgressTrace(node string, tr netsim.Trace) error
 	// SetCorruption makes the node flip one byte per served payload with
 	// the given probability, seeded (rate 0 heals).

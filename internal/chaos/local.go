@@ -3,12 +3,14 @@ package chaos
 import (
 	"fmt"
 	"net"
+	"path/filepath"
 	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/storage"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -77,6 +79,38 @@ func (f *LocalFleet) Launch(addr string, base storage.Store, cacheBytes int64, o
 	}
 	f.nodes[n.Addr] = n
 	return n.LocalNode, nil
+}
+
+// LaunchNodes launches n nodes on host, node i on port portBase+i (or
+// on an ephemeral port when portBase is 0), each over a FileStore in
+// dir/node-NN (a MemStore when dir is empty) with a RAM tier of
+// cacheBytes registered in reg, served with opts. It returns the stores
+// the nodes serve by address, for cluster.NewShardedStore; on error the
+// nodes already launched keep running until Close.
+func (f *LocalFleet) LaunchNodes(n int, host string, portBase int, dir string, cacheBytes int64, reg *telemetry.Registry, opts ...transport.ServerOption) (map[string]storage.Store, error) {
+	stores := make(map[string]storage.Store, n)
+	for i := 0; i < n; i++ {
+		var base storage.Store = storage.NewMemStore()
+		if dir != "" {
+			var err error
+			if base, err = storage.NewFileStore(filepath.Join(dir, fmt.Sprintf("node-%02d", i))); err != nil {
+				return nil, err
+			}
+		}
+		port := 0
+		if portBase != 0 {
+			port = portBase + i
+		}
+		node, err := f.Launch(fmt.Sprintf("%s:%d", host, port), base, cacheBytes, opts...)
+		if err != nil {
+			return nil, fmt.Errorf("node %d: %w", i, err)
+		}
+		if node.Cache != nil {
+			node.Cache.Register(reg, "node", node.Addr)
+		}
+		stores[node.Addr] = node.Store
+	}
+	return stores, nil
 }
 
 // serve builds a server from the node's record and serves it on ln.

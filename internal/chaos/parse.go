@@ -156,3 +156,41 @@ func parseEvent(part string) (Event, error) {
 	}
 	return e, nil
 }
+
+// Drill is a command-line fault schedule: NewDrill parses it before
+// anything launches, Start arms it at the serving phase's t=0, and
+// Finish waits it out, heals what it left standing and joins every
+// failure the run hit. A nil Drill, from an empty spec, does nothing.
+type Drill struct {
+	schedule Schedule
+	inj      *Injector
+}
+
+// NewDrill parses spec (see ParseSchedule) with seed.
+func NewDrill(spec string, seed int64) (*Drill, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	s, err := ParseSchedule(spec, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &Drill{schedule: s}, nil
+}
+
+// Start arms the schedule against target, tallying into counters.
+func (d *Drill) Start(target Target, counters *Counters) error {
+	if d == nil {
+		return nil
+	}
+	d.inj = New(target, counters)
+	return d.inj.Start(d.schedule)
+}
+
+// Finish ends a started run (see Injector.Finish).
+func (d *Drill) Finish() error {
+	if d == nil || d.inj == nil {
+		return nil
+	}
+	return d.inj.Finish()
+}

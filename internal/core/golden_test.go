@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -66,12 +67,7 @@ func TestGoldenBitstreams(t *testing.T) {
 	}
 	codec := NewCodec(bank)
 
-	var kvBuf bytes.Buffer
-	kvBuf.Write(readGolden(t, "golden_kv.bin"))
-	kv, err := tensor.ReadKV(&kvBuf)
-	if err != nil {
-		t.Fatalf("golden kv: %v", err)
-	}
+	kv := decodeGoldenKV(t, readGolden(t, "golden_kv.bin"))
 	// The committed KV must equal the generator's output, or the corpus no
 	// longer matches its own provenance.
 	if d, err := goldenKV(t).MaxAbsDiff(kv); err != nil || d != 0 {
@@ -119,12 +115,7 @@ func TestGoldenV1Compat(t *testing.T) {
 		t.Fatalf("golden bank: %v", err)
 	}
 	codec := NewCodec(bank)
-	var kvBuf bytes.Buffer
-	kvBuf.Write(readGolden(t, "golden_kv.bin"))
-	kv, err := tensor.ReadKV(&kvBuf)
-	if err != nil {
-		t.Fatalf("golden kv: %v", err)
-	}
+	kv := decodeGoldenKV(t, readGolden(t, "golden_kv.bin"))
 
 	for lv := 0; lv < codec.Config().Levels(); lv++ {
 		lv := Level(lv)
@@ -152,14 +143,7 @@ func TestGoldenV1Compat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var b1, b2 bytes.Buffer
-			if _, err := fromV1.KV.WriteTo(&b1); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fromV2.KV.WriteTo(&b2); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+			if !bytes.Equal(encodeGoldenKV(fromV1.KV), encodeGoldenKV(fromV2.KV)) {
 				t.Errorf("L%d: v1 fixture and v2 encoding decode to different KV bytes", lv)
 			}
 			// And its group streams must still be bit-exact against the
@@ -170,6 +154,42 @@ func TestGoldenV1Compat(t *testing.T) {
 			}
 		})
 	}
+}
+
+// encodeGoldenKV lays a KV out as golden_kv.bin holds it: "KVT1", the
+// layer, token and channel counts as big-endian uint32s, every K then V
+// element's float32 bits big-endian, and a CRC-32 of all of that.
+func encodeGoldenKV(kv *tensor.KV) []byte {
+	out := []byte("KVT1")
+	for _, v := range []int{kv.Layers, kv.Tokens, kv.Channels} {
+		out = binary.BigEndian.AppendUint32(out, uint32(v))
+	}
+	for _, data := range [][]float32{kv.K, kv.V} {
+		for _, x := range data {
+			out = binary.BigEndian.AppendUint32(out, math.Float32bits(x))
+		}
+	}
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// decodeGoldenKV reads a KV written by encodeGoldenKV.
+func decodeGoldenKV(t *testing.T, data []byte) *tensor.KV {
+	t.Helper()
+	n := len(data) - 4
+	if n < 16 || string(data[:4]) != "KVT1" || crc32.ChecksumIEEE(data[:n]) != binary.BigEndian.Uint32(data[n:]) {
+		t.Fatal("golden kv: not a checksummed KVT1 tensor")
+	}
+	dim := func(i int) int { return int(binary.BigEndian.Uint32(data[4+4*i:])) }
+	kv := tensor.New(dim(0), dim(1), dim(2))
+	body := data[16:n]
+	if len(body) != 8*kv.Elems() {
+		t.Fatalf("golden kv: %d payload bytes for %d elements per tensor", len(body), kv.Elems())
+	}
+	for i := range kv.K {
+		kv.K[i] = math.Float32frombits(binary.BigEndian.Uint32(body[4*i:]))
+		kv.V[i] = math.Float32frombits(binary.BigEndian.Uint32(body[4*(len(kv.K)+i):]))
+	}
+	return kv
 }
 
 // reframeV1 lays a v2 container's group streams out as the legacy CGC1
@@ -216,11 +236,7 @@ func writeGoldenFixtures(t *testing.T) {
 		t.Logf("wrote %s (%d bytes)", goldenPath(name), len(data))
 	}
 	write("golden_bank.bin", bankData)
-	var kvBuf bytes.Buffer
-	if _, err := kv.WriteTo(&kvBuf); err != nil {
-		t.Fatal(err)
-	}
-	write("golden_kv.bin", kvBuf.Bytes())
+	write("golden_kv.bin", encodeGoldenKV(kv))
 	for lv := 0; lv < codec.Config().Levels(); lv++ {
 		stream, err := codec.EncodeChunk(kv, 0, 0, Level(lv))
 		if err != nil {

@@ -14,7 +14,9 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/llm"
+	"repro/internal/tensor"
 )
 
 // Context is one long context: the unit whose KV cache CacheGen stores,
@@ -82,13 +84,49 @@ func LongChat() *Dataset {
 		Task:      llm.Task{Name: "LongChat", Metric: llm.MetricAccuracy, Baseline: 0.92},
 		Size:      200,
 		seed:      0x10C,
-		sampleLen: clippedNormal(9400, 164, 9200, 9600),
+		sampleLen: clippedNormal(longChatTokens, 164, 9200, 9600),
 		queries: []string{
 			"What is the first topic we discussed?",
 			"What was the second topic in our conversation?",
 			"Summarize the first thing I asked you about.",
 		},
 	}
+}
+
+// longChatTokens is LongChat's mean context length (Table 2).
+const longChatTokens = 9400
+
+// Stack is a model and the codec bank trained for it on LongChat
+// contexts (§5.2: one bank per LLM, profiled offline) — what every CLI
+// and each harness rig starts from.
+type Stack struct {
+	Model *llm.Model
+	Codec *core.Codec
+	// Samples are the training contexts' caches.
+	Samples []*tensor.KV
+	// Contexts are the LongChat contexts after the training ones, for
+	// publishing or held-out calibration.
+	Contexts []Context
+}
+
+// TrainStack builds cfg's model and trains its codec bank on the first
+// train LongChat contexts, scaled to about tokens tokens each, and
+// returns it with the next n contexts at the same scale.
+func TrainStack(cfg llm.Config, train, n, tokens int) (*Stack, error) {
+	model, err := llm.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ctxs := LongChat().Contexts(train+n, float64(tokens)/longChatTokens)
+	samples := make([]*tensor.KV, 0, train)
+	for _, c := range ctxs[:train] {
+		samples = append(samples, model.CalculateKV(c.Tokens))
+	}
+	bank, err := core.Train(core.DefaultConfig(), samples)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: training bank for %s: %w", cfg.Name, err)
+	}
+	return &Stack{Model: model, Codec: core.NewCodec(bank), Samples: samples, Contexts: ctxs[train:]}, nil
 }
 
 // TriviaQA returns the TriviaQA reading-comprehension dataset [75] (via

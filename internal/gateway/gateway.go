@@ -698,7 +698,7 @@ func (g *Gateway) fetcher(p *pending) *streamer.Fetcher {
 		})
 		f.Policy = p.plan
 		f.Local = g.cfg.Sched.Cache()
-		f.LocalStore = g.cfg.Sched.DiskReader()
+		f.LocalStore = g.cfg.Sched.DiskStore()
 		f.Peers = g.cfg.Sched.PeerSource()
 	}
 	return f

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"maps"
 	"path/filepath"
 	"testing"
 	"time"
@@ -70,9 +71,18 @@ func TestTraceRecorderRoundTrip(t *testing.T) {
 			loaded.TraceName, len(loaded.ArrivalList), len(loaded.ContextList))
 	}
 	// The capture preserves per-request identity: tenants, contexts, SLOs.
+	// Replay submits each arrival from its own goroutine, so the capture
+	// may order simultaneous-enough arrivals either way: compare the
+	// (tenant, context, SLO) multiset, not positions.
+	type identity struct {
+		tenant, context string
+		slo             time.Duration
+	}
 	byTenant := map[string]int{}
+	byIdentity := map[identity]int{}
 	for _, a := range loaded.ArrivalList {
 		byTenant[a.Tenant]++
+		byIdentity[identity{a.Tenant, a.ContextID, a.SLO.D()}]++
 		if a.Turns > 1 {
 			t.Fatalf("captured arrival kept session structure %+v; capture flattens to submissions", a)
 		}
@@ -80,8 +90,13 @@ func TestTraceRecorderRoundTrip(t *testing.T) {
 	if byTenant["t1"] != 3 || byTenant["t2"] != 1 {
 		t.Fatalf("captured tenant mix = %v, want t1:3 t2:1", byTenant)
 	}
-	if loaded.ArrivalList[0].SLO.D() != 80*time.Millisecond {
-		t.Fatalf("first captured arrival SLO = %v, want 80ms", loaded.ArrivalList[0].SLO.D())
+	want := map[identity]int{
+		{"t1", "rt-a", 80 * time.Millisecond}: 1,
+		{"t2", "rt-b", 0}:                     1,
+		{"t1", "rt-a", 0}:                     2,
+	}
+	if !maps.Equal(byIdentity, want) {
+		t.Fatalf("captured (tenant, context, SLO) multiset = %v, want %v", byIdentity, want)
 	}
 
 	// Replaying the capture drives a fresh gateway to the same count.

@@ -31,7 +31,7 @@ type ReplayOptions struct {
 	Started func()
 }
 
-// Replay publishes the source's contexts and replays its arrival
+// Replay publishes the trace's contexts and replays its arrival
 // schedule against the gateway, blocking until every session resolves.
 // Arrival offsets are honoured against a shared t=0, so the same trace
 // produces the same submission sequence every run — and lines up with a
@@ -43,13 +43,13 @@ type ReplayOptions struct {
 // as Resident. Agentic arrivals (AppendTokens > 0) run a
 // gateway.Session: each turn appends the trace's synthesised tool
 // output, so the published context grows mid-replay.
-func Replay(ctx context.Context, g *Gateway, src workload.Source, opts ReplayOptions) (*LoadReport, error) {
-	if g == nil || src == nil {
-		return nil, errors.New("gateway: replay needs a gateway and a source")
+func Replay(ctx context.Context, g *Gateway, tr *workload.Trace, opts ReplayOptions) (*LoadReport, error) {
+	if g == nil || tr == nil {
+		return nil, errors.New("gateway: replay needs a gateway and a trace")
 	}
-	arrivals := src.Arrivals()
+	arrivals := tr.ArrivalList
 	if len(arrivals) == 0 {
-		return nil, fmt.Errorf("gateway: trace %q has no arrivals", src.Name())
+		return nil, fmt.Errorf("gateway: trace %q has no arrivals", tr.TraceName)
 	}
 	agentic := false
 	for _, a := range arrivals {
@@ -58,13 +58,13 @@ func Replay(ctx context.Context, g *Gateway, src workload.Source, opts ReplayOpt
 			break
 		}
 	}
-	if opts.Publisher == nil && (len(src.Contexts()) > 0 || agentic) {
-		return nil, fmt.Errorf("gateway: trace %q needs a publisher (it publishes contexts)", src.Name())
+	if opts.Publisher == nil && (len(tr.ContextList) > 0 || agentic) {
+		return nil, fmt.Errorf("gateway: trace %q needs a publisher (it publishes contexts)", tr.TraceName)
 	}
-	for _, c := range src.Contexts() {
+	for _, c := range tr.ContextList {
 		if _, _, err := streamer.Publish(ctx, opts.Publisher, g.cfg.Codec, g.cfg.Model,
 			c.ID, c.BuildTokens(), streamer.PublishOptions{}); err != nil {
-			return nil, fmt.Errorf("gateway: trace %q: publishing context %q: %w", src.Name(), c.ID, err)
+			return nil, fmt.Errorf("gateway: trace %q: publishing context %q: %w", tr.TraceName, c.ID, err)
 		}
 	}
 

@@ -123,22 +123,22 @@ func x10Run(st *x5Stack, tr *workload.Trace, spec string) (*x10Outcome, error) {
 	rep, err := gateway.Replay(context.Background(), g, tr,
 		gateway.ReplayOptions{Publisher: sharded, Started: started})
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", tr.Name(), err)
+		return nil, fmt.Errorf("scenario %s: %w", tr.TraceName, err)
 	}
 	if err := inj.Finish(); err != nil {
-		return nil, fmt.Errorf("scenario %s, faults %q: %w", tr.Name(), spec, err)
+		return nil, fmt.Errorf("scenario %s, faults %q: %w", tr.TraceName, spec, err)
 	}
 	if startErr != nil {
-		return nil, fmt.Errorf("scenario %s, faults %q: %w", tr.Name(), spec, startErr)
+		return nil, fmt.Errorf("scenario %s, faults %q: %w", tr.TraceName, spec, startErr)
 	}
 	snap := counters.Snapshot()
 	if snap.CorruptFramesInjected > 0 && snap.CorruptFramesRejected == 0 {
 		return nil, fmt.Errorf("scenario %s: %d corrupt payloads served, none rejected — corruption decoded silently",
-			tr.Name(), snap.CorruptFramesInjected)
+			tr.TraceName, snap.CorruptFramesInjected)
 	}
 	integrity, err := x10Integrity(st, sharded, pool, tr)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s, faults %q: %w", tr.Name(), spec, err)
+		return nil, fmt.Errorf("scenario %s, faults %q: %w", tr.TraceName, spec, err)
 	}
 	return &x10Outcome{rep: rep, snap: snap, failovers: pool.Stats().Failovers, integrity: integrity}, nil
 }
@@ -154,11 +154,11 @@ func x10Run(st *x5Stack, tr *workload.Trace, spec string) (*x10Outcome, error) {
 func x10Integrity(st *x5Stack, sharded *cluster.ShardedStore, pool *cluster.Pool, tr *workload.Trace) (string, error) {
 	ctx := context.Background()
 	specs := map[string]workload.ContextSpec{}
-	for _, c := range tr.Contexts() {
+	for _, c := range tr.ContextList {
 		specs[c.ID] = c
 	}
 	agentic := map[string]workload.Arrival{}
-	for _, a := range tr.Arrivals() {
+	for _, a := range tr.ArrivalList {
 		if a.AppendTokens > 0 {
 			agentic[a.ContextID] = a
 		}
@@ -276,10 +276,10 @@ func ChaosScenario(tr *workload.Trace, spec string) (*Report, error) {
 	}
 	rep := &Report{
 		ID:      "X10",
-		Title:   fmt.Sprintf("Chaos scenario: %s under %q (3 nodes, replication 2, seed %d)", tr.Name(), spec, tr.Seed),
+		Title:   fmt.Sprintf("Chaos scenario: %s under %q (3 nodes, replication 2, seed %d)", tr.TraceName, spec, tr.Seed),
 		Columns: x10Columns(),
 	}
-	rep.AddRow(x10Row(tr.Name(), faultName, out)...)
+	rep.AddRow(x10Row(tr.TraceName, faultName, out)...)
 	rep.AddNote("KV integrity: after healing, every stored context's manifest hashes and decoded KV are compared bit-for-bit against an unfaulted reference publish of the same token content")
 	return rep, nil
 }

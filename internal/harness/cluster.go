@@ -34,16 +34,11 @@ func init() {
 // served stores. The ring is the sharded store's.
 func launchRing(n, replicas int, cacheBytes int64) (*chaos.LocalFleet, *cluster.ShardedStore, error) {
 	fl := &chaos.LocalFleet{}
-	stores := map[string]storage.Store{}
-	for i := 0; i < n; i++ {
-		node, err := fl.Launch("127.0.0.1:0", storage.NewMemStore(), cacheBytes)
-		if err != nil {
-			fl.Close()
-			return nil, nil, err
-		}
-		stores[node.Addr] = node.Store
+	stores, err := fl.LaunchNodes(n, "127.0.0.1", 0, "", cacheBytes, nil)
+	var sharded *cluster.ShardedStore
+	if err == nil {
+		sharded, err = cluster.NewShardedStore(cluster.NewRing(replicas, 0), stores)
 	}
-	sharded, err := cluster.NewShardedStore(cluster.NewRing(replicas, 0), stores)
 	if err != nil {
 		fl.Close()
 		return nil, nil, err

@@ -104,28 +104,13 @@ type Rig struct {
 // NewRig builds a rig for the given full-size model configuration.
 func NewRig(full llm.Config, scale Scale) (*Rig, error) {
 	scale = scale.withDefaults()
-	scaled := full
-	if scale.Channels < scaled.KVChannels {
-		scaled = scaled.WithChannels(scale.Channels)
-	}
-	model, err := llm.New(scaled)
+	// Train the codec bank on profiling contexts (§5.2: offline, per LLM)
+	// and hold out the next one for calibration.
+	st, err := dataset.TrainStack(full.WithChannels(scale.Channels), scale.TrainContexts, 1, scale.RefTokens)
 	if err != nil {
 		return nil, err
 	}
-
-	// Train the codec bank on profiling contexts (§5.2: offline, per LLM).
-	lc := dataset.LongChat()
-	lengthScale := float64(scale.RefTokens) / 9400.0
-	trainCtxs := lc.Contexts(scale.TrainContexts+1, lengthScale)
-	var samples []*tensor.KV
-	for _, c := range trainCtxs[:scale.TrainContexts] {
-		samples = append(samples, model.CalculateKV(c.Tokens))
-	}
-	bank, err := core.Train(core.DefaultConfig(), samples)
-	if err != nil {
-		return nil, fmt.Errorf("harness: training bank for %s: %w", full.Name, err)
-	}
-	codec := core.NewCodec(bank)
+	model, codec := st.Model, st.Codec
 
 	r := &Rig{
 		Full:    full,
@@ -134,12 +119,12 @@ func NewRig(full llm.Config, scale Scale) (*Rig, error) {
 		Codec:   codec,
 		Dev:     llm.A40x4(),
 		QP:      llm.DefaultQualityParams(),
-		Samples: samples,
+		Samples: st.Samples,
 		scale:   scale,
 	}
 
 	// Calibrate on a held-out context.
-	ref := trainCtxs[scale.TrainContexts]
+	ref := st.Contexts[0]
 	r.RefTokens = ref.Tokens
 	r.RefKV = model.CalculateKV(ref.Tokens)
 	elems := float64(r.RefKV.Elems() * 2)

@@ -378,7 +378,7 @@ func x13CoverageCell() (*x13Coverage, error) {
 		p := sc.NewPlan(req)
 		f := &streamer.Fetcher{
 			Source: pool, Codec: st.codec, Model: st.model, Device: llm.A40x4(),
-			Policy: p, Local: sc.Cache(), LocalStore: sc.DiskReader(), Peers: sc.PeerSource(),
+			Policy: p, Local: sc.Cache(), LocalStore: sc.DiskStore(), Peers: sc.PeerSource(),
 			DisableStreaming: true,
 		}
 		kv, rep, err := f.Fetch(context.Background(), ctxID)

@@ -116,9 +116,12 @@ func (c Config) KVBytesPerTokenFP16() int64 {
 }
 
 // WithChannels returns a copy synthesising only n channels (experiment
-// scaling). Sizes reported by the harness are extrapolated by ChannelScale.
+// scaling); an n of 0, or one at or above the KV width, keeps the full
+// width. Sizes reported by the harness are extrapolated by ChannelScale.
 func (c Config) WithChannels(n int) Config {
-	c.Channels = n
+	if n > 0 && n < c.KVChannels {
+		c.Channels = n
+	}
 	return c
 }
 

@@ -22,7 +22,6 @@
 package sched
 
 import (
-	"context"
 	"math"
 	"sync/atomic"
 
@@ -194,20 +193,9 @@ func (s *Scheduler) Slots() *llm.SlotTracker { return s.slots }
 // Cache returns the RAM tier for wiring into Fetcher.Local.
 func (s *Scheduler) Cache() streamer.PayloadCache { return s.cache }
 
-// DiskReader returns the colocated-replica reader for Fetcher.LocalStore
-// (nil when the disk tier is disabled).
-func (s *Scheduler) DiskReader() streamer.ChunkReader {
-	if s.opt.DiskStore == nil {
-		return nil
-	}
-	return diskReader{s.opt.DiskStore}
-}
-
-type diskReader struct{ st storage.Store }
-
-func (d diskReader) GetChunkData(ctx context.Context, hash string) ([]byte, error) {
-	return d.st.GetChunk(ctx, hash)
-}
+// DiskStore returns the colocated replica for Fetcher.LocalStore (nil
+// when the disk tier is disabled).
+func (s *Scheduler) DiskStore() storage.Store { return s.opt.DiskStore }
 
 // PeerSource returns the peer-transfer client for Fetcher.Peers (nil
 // when the peer tier is disabled).

@@ -69,7 +69,7 @@ type Fetcher struct {
 	Local PayloadCache
 	// LocalStore is a colocated store replica readable without the
 	// network ("disk" source). Nil disables the tier.
-	LocalStore ChunkReader
+	LocalStore storage.Store
 	// Peers serves decoded KV from gateways holding the context resident
 	// ("peer" source). Nil disables the tier.
 	Peers PeerSource
@@ -450,7 +450,7 @@ func (f *Fetcher) fetchPayload(ctx context.Context, hash string, choice Choice) 
 		}
 	case SourceDisk:
 		if f.LocalStore != nil {
-			if data, err := f.LocalStore.GetChunkData(ctx, hash); err == nil {
+			if data, err := f.LocalStore.GetChunk(ctx, hash); err == nil {
 				return data, SourceDisk, nil
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/llm"
+	"repro/internal/netsim"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -377,7 +378,7 @@ func TestFetchOverShapedLink(t *testing.T) {
 	s := newStack(t)
 	// Serve the same store over a heavily shaped link; the fetch must
 	// still succeed and take measurably longer.
-	client := serve(t, s.store, transport.WithEgressRate(8e6)) // 1 MB/s
+	client := serve(t, s.store, transport.WithEgressTrace(netsim.Constant(8e6))) // 1 MB/s
 
 	f := &Fetcher{
 		Source:  client,

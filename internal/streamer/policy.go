@@ -189,13 +189,6 @@ type PayloadCache interface {
 	Drop(hash string)
 }
 
-// ChunkReader reads chunk payloads by content hash from a colocated
-// replica — a store handle on the same host, reachable without touching
-// the network. cluster and sched adapt storage.Store to it.
-type ChunkReader interface {
-	GetChunkData(ctx context.Context, hash string) ([]byte, error)
-}
-
 // PeerSource serves decoded KV rows for chunks another gateway in the
 // fleet already holds resident — the peer-transfer path. FetchResident
 // returns the chunk's KV slice and the encoding level it was originally

@@ -146,7 +146,7 @@ func TestFetchStreamedCancelRestartsChunk(t *testing.T) {
 	s := newStackShape(t, 0, 1000, 2000)
 	coarsest := s.meta.Levels - 1
 	f := &Fetcher{
-		Source: serve(t, s.store, transport.WithEgressRate(2e6)),
+		Source: serve(t, s.store, transport.WithEgressTrace(netsim.Constant(2e6))),
 		Codec:  s.codec, Model: s.model, Device: llm.A40x4(),
 		Policy:    coarsestOnceMeasured(coarsest),
 		FrameSize: 2 << 10, DecisionFrames: 1,

@@ -1,8 +1,8 @@
 // Package tensor provides the KV-cache tensor substrate used throughout the
 // CacheGen reproduction: a dense [layer][token][channel] float32 layout for
 // the key and value tensors of a transformer context, plus the slicing,
-// delta, statistics, and serialization operations the codec and the LLM
-// simulator are built on.
+// delta and statistics operations the codec and the LLM simulator are
+// built on.
 //
 // The layout follows the paper's indexing (§5.1.3): every element of a KV
 // cache is addressed by its layer, channel, and token position. Keys and
@@ -13,11 +13,8 @@
 package tensor
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 )
 
@@ -327,106 +324,4 @@ func (kv *KV) sameShape(other *KV) error {
 			kv.Layers, kv.Tokens, kv.Channels, other.Layers, other.Tokens, other.Channels)
 	}
 	return nil
-}
-
-// serialization format:
-//
-//	magic "KVT1" | layers u32 | tokens u32 | channels u32 |
-//	K data (elems × f32 big-endian) | V data | crc32 of all preceding bytes
-const kvMagic = "KVT1"
-
-// WriteTo serialises the cache in the raw fp32 interchange format with a
-// trailing CRC-32 checksum. It implements io.WriterTo.
-func (kv *KV) WriteTo(w io.Writer) (int64, error) {
-	h := crc32.NewIEEE()
-	mw := io.MultiWriter(w, h)
-	var n int64
-
-	hdr := make([]byte, 4+12)
-	copy(hdr, kvMagic)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(kv.Layers))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(kv.Tokens))
-	binary.BigEndian.PutUint32(hdr[12:], uint32(kv.Channels))
-	m, err := mw.Write(hdr)
-	n += int64(m)
-	if err != nil {
-		return n, err
-	}
-
-	buf := make([]byte, 4*4096)
-	for _, kind := range Kinds {
-		data := kv.Data(kind)
-		for off := 0; off < len(data); {
-			chunk := len(data) - off
-			if chunk > 4096 {
-				chunk = 4096
-			}
-			for i := 0; i < chunk; i++ {
-				binary.BigEndian.PutUint32(buf[4*i:], math.Float32bits(data[off+i]))
-			}
-			m, err := mw.Write(buf[:4*chunk])
-			n += int64(m)
-			if err != nil {
-				return n, err
-			}
-			off += chunk
-		}
-	}
-
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], h.Sum32())
-	m, err = w.Write(sum[:])
-	n += int64(m)
-	return n, err
-}
-
-// ReadKV deserialises a cache written by WriteTo, verifying the checksum.
-func ReadKV(r io.Reader) (*KV, error) {
-	h := crc32.NewIEEE()
-	tr := io.TeeReader(r, h)
-
-	hdr := make([]byte, 4+12)
-	if _, err := io.ReadFull(tr, hdr); err != nil {
-		return nil, fmt.Errorf("tensor: reading header: %w", err)
-	}
-	if string(hdr[:4]) != kvMagic {
-		return nil, fmt.Errorf("tensor: bad magic %q", hdr[:4])
-	}
-	layers := int(binary.BigEndian.Uint32(hdr[4:]))
-	tokens := int(binary.BigEndian.Uint32(hdr[8:]))
-	channels := int(binary.BigEndian.Uint32(hdr[12:]))
-	const maxElems = 1 << 31
-	if layers <= 0 || tokens <= 0 || channels <= 0 ||
-		int64(layers)*int64(tokens)*int64(channels) > maxElems {
-		return nil, fmt.Errorf("tensor: implausible dimensions (%d,%d,%d)", layers, tokens, channels)
-	}
-
-	kv := New(layers, tokens, channels)
-	buf := make([]byte, 4*4096)
-	for _, kind := range Kinds {
-		data := kv.Data(kind)
-		for off := 0; off < len(data); {
-			chunk := len(data) - off
-			if chunk > 4096 {
-				chunk = 4096
-			}
-			if _, err := io.ReadFull(tr, buf[:4*chunk]); err != nil {
-				return nil, fmt.Errorf("tensor: reading %s data: %w", kind, err)
-			}
-			for i := 0; i < chunk; i++ {
-				data[off+i] = math.Float32frombits(binary.BigEndian.Uint32(buf[4*i:]))
-			}
-			off += chunk
-		}
-	}
-
-	want := h.Sum32()
-	var sum [4]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return nil, fmt.Errorf("tensor: reading checksum: %w", err)
-	}
-	if got := binary.BigEndian.Uint32(sum[:]); got != want {
-		return nil, fmt.Errorf("tensor: checksum mismatch: got %08x want %08x", got, want)
-	}
-	return kv, nil
 }

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -245,73 +244,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		kv := randomKV(rng, 1+rng.Intn(3), 1+rng.Intn(20), 1+rng.Intn(8))
-		var buf bytes.Buffer
-		if _, err := kv.WriteTo(&buf); err != nil {
-			return false
-		}
-		got, err := ReadKV(&buf)
-		if err != nil {
-			return false
-		}
-		d, err := kv.MaxAbsDiff(got)
-		return err == nil && d == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSerializationDetectsCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	kv := randomKV(rng, 2, 4, 3)
-	var buf bytes.Buffer
-	if _, err := kv.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// Flip one payload byte (past the header).
-	data[20] ^= 0xFF
-	if _, err := ReadKV(bytes.NewReader(data)); err == nil {
-		t.Error("ReadKV accepted corrupted payload")
-	}
-}
-
-func TestSerializationRejectsBadMagicAndTruncation(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	kv := randomKV(rng, 1, 2, 2)
-	var buf bytes.Buffer
-	if _, err := kv.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	bad := append([]byte{}, data...)
-	copy(bad, "XXXX")
-	if _, err := ReadKV(bytes.NewReader(bad)); err == nil {
-		t.Error("ReadKV accepted bad magic")
-	}
-
-	for _, n := range []int{0, 3, 10, len(data) - 1} {
-		if _, err := ReadKV(bytes.NewReader(data[:n])); err == nil {
-			t.Errorf("ReadKV accepted truncation to %d bytes", n)
-		}
-	}
-}
-
-func TestSerializationRejectsHugeDims(t *testing.T) {
-	hdr := []byte(kvMagic)
-	hdr = append(hdr, 0xFF, 0xFF, 0xFF, 0xFF) // layers
-	hdr = append(hdr, 0xFF, 0xFF, 0xFF, 0xFF) // tokens
-	hdr = append(hdr, 0xFF, 0xFF, 0xFF, 0xFF) // channels
-	if _, err := ReadKV(bytes.NewReader(hdr)); err == nil {
-		t.Error("ReadKV accepted implausible dimensions")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Key.String() != "K" || Value.String() != "V" {
 		t.Errorf("Kind strings: %s %s", Key, Value)
@@ -324,19 +256,6 @@ func BenchmarkSliceTokens(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := kv.SliceTokens(100, 900); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWriteTo(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	kv := randomKV(rng, 8, 256, 64)
-	b.SetBytes(int64(kv.Elems() * 2 * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if _, err := kv.WriteTo(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}

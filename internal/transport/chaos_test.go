@@ -145,32 +145,10 @@ func TestServerPartition(t *testing.T) {
 }
 
 // TestServerDynamicEgress: SetEgressRate/SetEgressTrace re-shape live
-// connections, and a nil trace reverts to the static rate.
+// connections, and a nil overlay reverts to the configured rate.
 func TestServerDynamicEgress(t *testing.T) {
-	srv := NewServer(seededStore(t), WithEgressRate(8e6))
-	cConn, sConn := net.Pipe()
-	go srv.HandleConn(sConn)
-	t.Cleanup(func() { srv.Close() })
-	client := NewClient(cConn)
-	t.Cleanup(func() { client.Close() })
-
-	// The handler registers its shaper before reading frames; one
-	// round-trip guarantees registration has happened.
-	if _, err := client.GetManifest(context.Background(), "doc-1"); err != nil {
-		t.Fatal(err)
-	}
-	liveShaper := func() *Shaper {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		for _, sh := range srv.shapers {
-			return sh
-		}
-		return nil
-	}
-	sh := liveShaper()
-	if sh == nil {
-		t.Fatal("no shaper registered for live connection")
-	}
+	srv := NewServer(seededStore(t), WithEgressTrace(netsim.Constant(8e6)))
+	sh := liveShaper(t, srv)
 	if got := sh.Rate(); got != 8e6 {
 		t.Fatalf("initial shaper rate = %v, want 8e6", got)
 	}
@@ -187,4 +165,48 @@ func TestServerDynamicEgress(t *testing.T) {
 	if got := sh.Rate(); got != 2e6 {
 		t.Fatalf("after clearing trace shaper rate = %v, want 2e6", got)
 	}
+}
+
+// TestServerEgressHealRestoresTrace: a healed bandwidth cliff returns a
+// server configured with an egress trace to that trace — on the
+// connection the cliff hit and on one accepted after the heal — instead
+// of leaving both unshaped.
+func TestServerEgressHealRestoresTrace(t *testing.T) {
+	srv := NewServer(seededStore(t), WithEgressTrace(netsim.Constant(3e6)))
+	live := liveShaper(t, srv)
+	srv.SetEgressTrace(netsim.Constant(5e4))
+	if got := live.Rate(); got != 5e4 {
+		t.Fatalf("during the cliff live shaper rate = %v, want 5e4", got)
+	}
+	srv.SetEgressTrace(nil)
+	if got := live.Rate(); got != 3e6 {
+		t.Errorf("after the heal live shaper rate = %v, want 3e6", got)
+	}
+	if got := liveShaper(t, srv).Rate(); got != 3e6 {
+		t.Errorf("connection accepted after the heal runs at %v, want 3e6", got)
+	}
+}
+
+// liveShaper connects a fresh client to srv and returns the shaper the
+// server registered for that connection.
+func liveShaper(t *testing.T, srv *Server) *Shaper {
+	t.Helper()
+	cConn, sConn := net.Pipe()
+	go srv.HandleConn(sConn)
+	t.Cleanup(func() { srv.Close() })
+	client := NewClient(cConn)
+	t.Cleanup(func() { client.Close() })
+
+	// The handler registers its shaper before reading frames; one
+	// round-trip guarantees registration has happened.
+	if _, err := client.GetManifest(context.Background(), "doc-1"); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	sh := srv.shapers[sConn]
+	if sh == nil {
+		t.Fatal("no shaper registered for live connection")
+	}
+	return sh
 }

@@ -25,10 +25,8 @@ import (
 // its own goroutine, interleaved with responses through a per-connection
 // write lock, so a long stream never blocks the control plane.
 type Server struct {
-	store       storage.Store
-	egress      float64      // per-connection egress shaping, bits/s (≤0 = unlimited)
-	egressTrace netsim.Trace // per-connection egress trace replay (overrides egress)
-	bank        []byte       // serialised codec model bank served to clients
+	store storage.Store
+	bank  []byte // serialised codec model bank served to clients
 
 	// tele is the server's slice of a live metrics registry; its nil
 	// instruments no-op when telemetry is not wired.
@@ -43,6 +41,8 @@ type Server struct {
 	ln          net.Listener
 	conns       map[net.Conn]struct{}
 	shapers     map[net.Conn]*Shaper
+	egress      netsim.Trace // configured per-connection egress trace (nil = unlimited)
+	fault       netsim.Trace // fault overlay replacing egress while set
 	closed      bool
 	partitioned bool
 
@@ -70,18 +70,13 @@ type Server struct {
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
-// WithEgressRate shapes every connection's sends to bps bits per second,
-// emulating a constrained storage-to-GPU link.
-func WithEgressRate(bps float64) ServerOption {
-	return func(s *Server) { s.egress = bps }
-}
-
-// WithEgressTrace shapes every connection's sends along a time-varying
-// bandwidth trace, each connection replaying the trace from its accept
-// time — the live-socket twin of the netsim experiments, so a harness
-// run and a real client can face the same bandwidth cliff.
+// WithEgressTrace shapes every connection's sends along a bandwidth
+// trace, each connection replaying the trace from its accept time — the
+// live-socket twin of the netsim experiments, so a harness run and a
+// real client can face the same bandwidth cliff. A fixed-rate link is a
+// one-segment trace (netsim.Constant).
 func WithEgressTrace(tr netsim.Trace) ServerOption {
-	return func(s *Server) { s.egressTrace = tr }
+	return func(s *Server) { s.egress = tr }
 }
 
 // WithBank serves the given serialised codec model bank to clients that
@@ -140,33 +135,40 @@ func (s *Server) SetPartitioned(on bool) {
 	}
 }
 
-// SetEgressRate changes every connection's egress shaping (bits per
-// second; ≤0 = unlimited) while the server runs — live and future
-// connections alike. It clears any egress trace.
+// SetEgressRate configures every connection's egress as a constant
+// bps bits per second (≤0 = unlimited) while the server runs — live and
+// future connections alike — and lifts any fault overlay.
 func (s *Server) SetEgressRate(bps float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.egress = bps
-	s.egressTrace = nil
-	for _, sh := range s.shapers {
-		sh.SetRate(bps)
+	var tr netsim.Trace
+	if bps > 0 {
+		tr = netsim.Constant(bps)
 	}
+	s.mu.Lock()
+	s.egress = tr
+	s.mu.Unlock()
+	s.SetEgressTrace(nil)
 }
 
-// SetEgressTrace replays a time-varying bandwidth trace on every
-// connection, t=0 anchored now — the chaos subsystem's bandwidth cliff.
-// A nil trace reverts to the static egress rate.
+// SetEgressTrace overlays a bandwidth trace on every connection, t=0
+// anchored now — the chaos subsystem's bandwidth cliff. A nil trace
+// lifts the overlay: live and future connections return to the
+// configured trace, re-anchored now.
 func (s *Server) SetEgressTrace(tr netsim.Trace) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.egressTrace = tr
+	s.fault = tr
 	for _, sh := range s.shapers {
-		if tr != nil {
-			sh.SetTrace(tr)
-		} else {
-			sh.SetRate(s.egress)
-		}
+		sh.SetTrace(s.egressLocked())
 	}
+}
+
+// egressLocked is the trace new and re-shaped connections follow: the
+// fault overlay while one is set, else the configured trace.
+func (s *Server) egressLocked() netsim.Trace {
+	if s.fault != nil {
+		return s.fault
+	}
+	return s.egress
 }
 
 // SetCorruption makes the server flip one byte in a fraction rate
@@ -336,7 +338,7 @@ type serverConn struct {
 }
 
 func (s *Server) handle(conn net.Conn) {
-	// Every connection goes through a Shaper (a zero-rate shaper is a
+	// Every connection goes through a Shaper (an untraced shaper is a
 	// passthrough) so SetEgressRate/SetEgressTrace can re-shape live
 	// connections — how the chaos bandwidth-cliff fault lands mid-stream.
 	s.mu.Lock()
@@ -346,10 +348,7 @@ func (s *Server) handle(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	sh := NewShaper(conn, s.egress)
-	if s.egressTrace != nil {
-		sh.SetTrace(s.egressTrace)
-	}
+	sh := NewShaper(conn, s.egressLocked())
 	s.shapers[conn] = sh
 	s.mu.Unlock()
 	sc := &serverConn{

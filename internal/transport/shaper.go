@@ -9,14 +9,15 @@ import (
 	"repro/internal/netsim"
 )
 
-// Shaper throttles bytes through a net.Conn to a configurable bandwidth
+// Shaper throttles bytes through a net.Conn along a bandwidth trace
 // using a token bucket, so the live socket path can emulate the
-// constrained links of the evaluation (0.4–400 Gbps in Fig 11) on
-// loopback. The rate may be changed while in use — including while a
-// Write is blocked mid-transfer, which is how bandwidth traces replay:
-// the pacing loop re-reads the rate every refill quantum, so a SetRate
-// (or a trace step) takes effect within shaperQuantum, not after the
-// current payload drains. NewShaper paces writes (a server emulating a
+// constrained links of the evaluation (0.4–400 Gbps in Fig 11, each a
+// one-segment netsim.Constant trace) on loopback. The trace may be
+// replaced while in use — including while a Write is blocked
+// mid-transfer: the pacing loop samples the trace every refill quantum,
+// so a SetTrace (or a trace step) takes effect within shaperQuantum, not
+// after the current payload drains. A nil trace is a passthrough that
+// samples nothing. NewShaper paces writes (a server emulating a
 // constrained egress link); NewIngressShaper paces reads (a client
 // emulating a constrained downlink from an unshaped server).
 type Shaper struct {
@@ -37,42 +38,31 @@ type Shaper struct {
 // take effect quickly, large enough to keep syscall overhead low.
 const shaperSlice = 16 << 10
 
-// shaperQuantum bounds one pacing sleep. A blocked transfer re-examines
-// the rate (and any trace) at this cadence, so a mid-write SetRate is
-// honored on the next refill instead of after a sleep computed from the
-// old rate.
+// shaperQuantum bounds one pacing sleep. A blocked transfer re-samples
+// the trace at this cadence, so a mid-write SetTrace is honored on the
+// next refill instead of after a sleep computed from the old rate.
 const shaperQuantum = 10 * time.Millisecond
 
-// NewShaper wraps conn, limiting writes to bps bits per second. A zero or
-// negative bps means unlimited.
-func NewShaper(conn net.Conn, bps float64) *Shaper {
+// NewShaper wraps conn, pacing writes along tr from now on. A nil trace
+// means unlimited.
+func NewShaper(conn net.Conn, tr netsim.Trace) *Shaper {
 	s := &Shaper{Conn: conn, last: time.Now()}
-	s.setRate(bps)
+	s.SetTrace(tr)
 	return s
 }
 
-// NewIngressShaper wraps conn, pacing reads to bps bits per second —
-// the receiver-side emulation of a constrained link, used by the client
-// CLI to replay bandwidth traces against an unshaped server.
-func NewIngressShaper(conn net.Conn, bps float64) *Shaper {
-	s := NewShaper(conn, bps)
+// NewIngressShaper wraps conn, pacing reads along tr — the
+// receiver-side emulation of a constrained link, used by the client CLI
+// to replay bandwidth traces against an unshaped server.
+func NewIngressShaper(conn net.Conn, tr netsim.Trace) *Shaper {
+	s := NewShaper(conn, tr)
 	s.shapeReads = true
 	return s
 }
 
-// SetRate changes the target bandwidth (bits per second; ≤0 = unlimited)
-// and clears any trace.
-func (s *Shaper) SetRate(bps float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.refillLocked(time.Now())
-	s.trace = nil
-	s.setRate(bps)
-}
-
-// SetTrace replays a time-varying bandwidth trace, t=0 anchored now.
-// The trace is sampled every refill, so its steps take effect within
-// shaperQuantum even mid-transfer.
+// SetTrace replays a time-varying bandwidth trace, t=0 anchored now; nil
+// lifts the shaping. The trace is sampled every refill, so its steps
+// take effect within shaperQuantum even mid-transfer.
 func (s *Shaper) SetTrace(tr netsim.Trace) {
 	now := time.Now()
 	s.mu.Lock()
@@ -82,6 +72,8 @@ func (s *Shaper) SetTrace(tr netsim.Trace) {
 	s.traceStart = now
 	if tr != nil {
 		s.setRate(tr.BandwidthAt(0))
+	} else {
+		s.setRate(0)
 	}
 }
 
@@ -127,7 +119,7 @@ func (s *Shaper) refillLocked(now time.Time) {
 }
 
 // take blocks until n bytes of budget are available, then consumes them.
-// Sleeps are bounded by shaperQuantum so a concurrent SetRate (or a
+// Sleeps are bounded by shaperQuantum so a concurrent SetTrace (or a
 // trace step) is honored promptly.
 func (s *Shaper) take(n int) {
 	for {

@@ -545,7 +545,7 @@ func TestStreamOpenIgnoresFormat(t *testing.T) {
 	}
 }
 
-// TestShaperMidWriteTighten: SetRate during a blocked Write takes effect
+// TestShaperMidWriteTighten: SetTrace during a blocked Write takes effect
 // on the next refill — the property trace replay depends on.
 func TestShaperMidWriteTighten(t *testing.T) {
 	if testing.Short() {
@@ -555,7 +555,7 @@ func TestShaperMidWriteTighten(t *testing.T) {
 	defer cConn.Close()
 	defer sConn.Close()
 
-	shaped := NewShaper(cConn, 80e6) // 10 MB/s
+	shaped := NewShaper(cConn, netsim.Constant(80e6)) // 10 MB/s
 	var received atomic.Int64
 	go func() {
 		buf := make([]byte, 32<<10)
@@ -574,8 +574,8 @@ func TestShaperMidWriteTighten(t *testing.T) {
 	}()
 
 	time.Sleep(100 * time.Millisecond)
-	shaped.SetRate(8e5)                // tighten to 100 KB/s mid-write
-	time.Sleep(100 * time.Millisecond) // let the change land
+	shaped.SetTrace(netsim.Constant(8e5)) // tighten to 100 KB/s mid-write
+	time.Sleep(100 * time.Millisecond)    // let the change land
 	before := received.Load()
 	time.Sleep(300 * time.Millisecond)
 	delta := received.Load() - before
@@ -585,14 +585,14 @@ func TestShaperMidWriteTighten(t *testing.T) {
 		t.Errorf("egress after mid-write tighten: %d bytes in 300ms, want ≈30KB", delta)
 	}
 	if delta == 0 {
-		t.Error("egress stalled entirely after SetRate")
+		t.Error("egress stalled entirely after SetTrace")
 	}
 	cConn.Close() // unblock the writer
 	<-writeDone
 }
 
 // TestShaperTraceSteps: a trace's segments drive the rate without any
-// SetRate calls.
+// SetTrace calls.
 func TestShaperTraceSteps(t *testing.T) {
 	cConn, sConn := net.Pipe()
 	defer cConn.Close()
@@ -601,8 +601,7 @@ func TestShaperTraceSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewShaper(cConn, 0)
-	s.SetTrace(trace)
+	s := NewShaper(cConn, trace)
 	if got := s.Rate(); got != 40e6 {
 		t.Fatalf("initial traced rate = %v", got)
 	}
@@ -611,12 +610,12 @@ func TestShaperTraceSteps(t *testing.T) {
 	if got := s.Rate(); got != 4e6 {
 		t.Errorf("post-step traced rate = %v, want 4e6", got)
 	}
-	// SetRate clears the trace.
-	s.SetRate(1e6)
+	// SetTrace replaces the trace.
+	s.SetTrace(netsim.Constant(1e6))
 	time.Sleep(20 * time.Millisecond)
 	s.take(1)
 	if got := s.Rate(); got != 1e6 {
-		t.Errorf("SetRate did not clear the trace: rate = %v", got)
+		t.Errorf("SetTrace did not replace the trace: rate = %v", got)
 	}
 }
 
@@ -628,7 +627,7 @@ func TestIngressShaper(t *testing.T) {
 	cConn, sConn := net.Pipe()
 	defer cConn.Close()
 	defer sConn.Close()
-	shaped := NewIngressShaper(cConn, 8e6) // 1 MB/s
+	shaped := NewIngressShaper(cConn, netsim.Constant(8e6)) // 1 MB/s
 	go func() {
 		sConn.Write(make([]byte, 300_000))
 	}()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/storage"
 )
 
@@ -337,7 +338,7 @@ func TestShaperRate(t *testing.T) {
 	defer sConn.Close()
 
 	const bps = 8e6 // 1 MB/s
-	shaped := NewShaper(cConn, bps)
+	shaped := NewShaper(cConn, netsim.Constant(bps))
 	if shaped.Rate() != bps {
 		t.Fatalf("Rate = %v", shaped.Rate())
 	}
@@ -368,7 +369,7 @@ func TestShaperUnlimited(t *testing.T) {
 	cConn, sConn := net.Pipe()
 	defer cConn.Close()
 	defer sConn.Close()
-	shaped := NewShaper(cConn, 0)
+	shaped := NewShaper(cConn, nil)
 	go func() {
 		buf := make([]byte, 64<<10)
 		for {
@@ -390,10 +391,10 @@ func TestShaperSetRate(t *testing.T) {
 	cConn, sConn := net.Pipe()
 	defer cConn.Close()
 	defer sConn.Close()
-	shaped := NewShaper(cConn, 1e6)
-	shaped.SetRate(5e8)
+	shaped := NewShaper(cConn, netsim.Constant(1e6))
+	shaped.SetTrace(netsim.Constant(5e8))
 	if shaped.Rate() != 5e8 {
-		t.Errorf("Rate after SetRate = %v", shaped.Rate())
+		t.Errorf("Rate after SetTrace = %v", shaped.Rate())
 	}
 	go func() {
 		buf := make([]byte, 64<<10)
@@ -408,7 +409,7 @@ func TestShaperSetRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("SetRate did not take effect: %v", elapsed)
+		t.Errorf("SetTrace did not take effect: %v", elapsed)
 	}
 }
 

@@ -7,9 +7,9 @@
 // trace because faults are injected by wall-clock offset against the
 // same t=0 the trace replays from.
 //
-// The gateway consumes traces through the Source interface
-// (gateway.Replay); the open-loop Poisson generator is a builder here
-// (Poisson) and replays through the same path.
+// The gateway replays traces with gateway.Replay; the open-loop Poisson
+// generator is a builder here (Poisson) and replays through the same
+// path.
 package workload
 
 import (
@@ -154,7 +154,7 @@ type Arrival struct {
 }
 
 // Trace is a complete replayable scenario: the contexts to publish and
-// the arrival schedule. It implements Source.
+// the arrival schedule, replayed by gateway.Replay.
 type Trace struct {
 	// TraceName labels the scenario in reports (JSON key "name").
 	TraceName string `json:"name"`
@@ -170,27 +170,6 @@ type Trace struct {
 	// ArrivalList is the schedule, sorted by At.
 	ArrivalList []Arrival `json:"arrivals"`
 }
-
-// Source is the request schedule the gateway replays
-// (gateway.Replay): everything is finite, materialised data, so a
-// source replays identically every time.
-type Source interface {
-	// Name labels the scenario.
-	Name() string
-	// Contexts lists the contexts to publish before replay.
-	Contexts() []ContextSpec
-	// Arrivals returns the schedule, sorted by At.
-	Arrivals() []Arrival
-}
-
-// Name implements Source.
-func (t *Trace) Name() string { return t.TraceName }
-
-// Contexts implements Source.
-func (t *Trace) Contexts() []ContextSpec { return t.ContextList }
-
-// Arrivals implements Source.
-func (t *Trace) Arrivals() []Arrival { return t.ArrivalList }
 
 // Validate checks the trace is replayable: sorted arrivals, named
 // tenants and contexts, sane counts. Builders always produce valid
