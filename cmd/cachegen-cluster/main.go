@@ -204,8 +204,8 @@ func main() {
 						if err != nil {
 							log.Printf("node %s sweep: %v", n.Addr, err)
 						} else if res.RemovedChunks > 0 {
-							log.Printf("node %s sweep: reclaimed %d chunks (%.1f MB), pruned %d fingerprints",
-								n.Addr, res.RemovedChunks, float64(res.ReclaimedBytes)/1e6, res.PrunedFingerprints)
+							log.Printf("node %s sweep: reclaimed %d chunks (%.1f MB)",
+								n.Addr, res.RemovedChunks, float64(res.ReclaimedBytes)/1e6)
 						}
 					}
 				}

@@ -359,11 +359,22 @@ func TestShardedStoreRoundTrip(t *testing.T) {
 			t.Errorf("chunk %d placed on %d nodes", c, len(nodes))
 		}
 	}
+	// Every node derives the dedup index from its copy of the manifest,
+	// so every node answers for every chunk, until the context goes.
+	key := storage.FingerprintKey(s.man.Producer, 0, 0, 0, s.meta.ChunkTokens[0], s.man.ChainDigests[0])
+	for _, n := range s.nodes {
+		if fp, err := n.cache.GetFingerprint(ctx, key); err != nil || fp.Hash != s.chunkHash(t, 0, 0) {
+			t.Errorf("node %s: GetFingerprint = %+v, %v", n.addr, fp, err)
+		}
+	}
 	if err := s.sharded.DeleteContext(ctx, testContextID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.sharded.GetManifest(ctx, testContextID); err == nil {
 		t.Error("manifest survived DeleteContext")
+	}
+	if _, err := s.sharded.GetFingerprint(ctx, key); !errors.Is(err, storage.ErrNotFound) {
+		t.Errorf("GetFingerprint after DeleteContext = %v, want ErrNotFound", err)
 	}
 	if err := s.sharded.DeleteContext(ctx, testContextID); err == nil {
 		t.Error("double delete succeeded")

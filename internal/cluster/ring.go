@@ -155,9 +155,6 @@ func chunkRingKey(hash string) string { return "chunk/" + hash }
 // are replicated everywhere; the key just spreads read load).
 func manifestRingKey(contextID string) string { return "manifest/" + contextID }
 
-// fingerprintRingKey spreads dedup-index reads the same way.
-func fingerprintRingKey(key string) string { return "fp/" + key }
-
 // ringHash is FNV-1a with a splitmix64-style finalizer: plain FNV leaves
 // the hashes of short, similar keys ("addr#0", "addr#1", …) correlated,
 // which clumps a node's virtual points and skews placement badly; the

@@ -12,12 +12,12 @@ import (
 
 // ShardedStore is the publish side of the cluster: a storage.Store that
 // routes each chunk payload to its ring-assigned primary and replicas by
-// *content hash*, replicates manifests to every node (they are a few KB;
-// having them everywhere lets any node answer a client's first request
-// and keeps every node's refcounts complete), and co-locates dedup-index
-// entries with the chunk they reference. It is used wherever the node
-// stores are reachable in-process — the cachegen-cluster launcher,
-// tests, and the harness — while remote clients read through a Pool.
+// *content hash* and replicates manifests to every node (they are a few
+// KB; having them everywhere lets any node answer a client's first
+// request or a dedup-index lookup, and keeps every node's refcounts
+// complete). It is used wherever the node stores are reachable
+// in-process — the cachegen-cluster launcher, tests, and the harness —
+// while remote clients read through a Pool.
 //
 // store_kv (§6) is unchanged for callers: streamer.Publish writes through
 // a ShardedStore exactly as it would through one FileStore.
@@ -153,25 +153,35 @@ func (s *ShardedStore) PutManifest(ctx context.Context, m storage.Manifest) erro
 	})
 }
 
+// ask returns the first answer get gives from the ring's nodes, asked in
+// the order Locate gives ringKey. Every node holds every manifest and the
+// dedup index derived from them; the key only spreads read load.
+func ask[T any](s *ShardedStore, ringKey string, get func(storage.Store) (T, error)) (T, error) {
+	var v T
+	err := errors.New("cluster: empty ring")
+	for _, node := range s.ring.Locate(ringKey, s.ring.Len()) {
+		var st storage.Store
+		if st, err = s.store(node); err == nil {
+			if v, err = get(st); err == nil {
+				return v, nil
+			}
+		}
+	}
+	return v, err
+}
+
 // GetManifest implements storage.Store.
 func (s *ShardedStore) GetManifest(ctx context.Context, contextID string) (storage.Manifest, error) {
-	var lastErr error
-	for _, node := range s.ring.Locate(manifestRingKey(contextID), s.ring.Len()) {
-		st, err := s.store(node)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		man, err := st.GetManifest(ctx, contextID)
-		if err == nil {
-			return man, nil
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = errors.New("cluster: empty ring")
-	}
-	return storage.Manifest{}, lastErr
+	return ask(s, manifestRingKey(contextID), func(st storage.Store) (storage.Manifest, error) {
+		return st.GetManifest(ctx, contextID)
+	})
+}
+
+// GetFingerprint implements storage.Store.
+func (s *ShardedStore) GetFingerprint(ctx context.Context, key string) (storage.Fingerprint, error) {
+	return ask(s, key, func(st storage.Store) (storage.Fingerprint, error) {
+		return st.GetFingerprint(ctx, key)
+	})
 }
 
 // DeleteContext implements storage.Store, dropping the manifest (and its
@@ -224,49 +234,6 @@ func (s *ShardedStore) ListContexts(ctx context.Context) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// PutFingerprint implements storage.Store. Index entries live on the
-// nodes that host the chunk they point to (the entry carries its hash),
-// which keeps per-node sweeps placement-consistent: a node prunes a
-// fingerprint exactly when it reclaims the chunk, never because the
-// chunk happens to be sharded elsewhere.
-func (s *ShardedStore) PutFingerprint(ctx context.Context, key string, fp storage.Fingerprint) error {
-	nodes := s.ring.ChunkNodes(fp.Hash)
-	if len(nodes) == 0 {
-		return errors.New("cluster: empty ring")
-	}
-	for _, node := range nodes {
-		st, err := s.store(node)
-		if err != nil {
-			return err
-		}
-		if err := st.PutFingerprint(ctx, key, fp); err != nil {
-			return fmt.Errorf("cluster: node %s: %w", node, err)
-		}
-	}
-	return nil
-}
-
-// GetFingerprint implements storage.Store.
-func (s *ShardedStore) GetFingerprint(ctx context.Context, key string) (storage.Fingerprint, error) {
-	var lastErr error
-	for _, node := range s.ring.Locate(fingerprintRingKey(key), s.ring.Len()) {
-		st, err := s.store(node)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		fp, err := st.GetFingerprint(ctx, key)
-		if err == nil {
-			return fp, nil
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = errors.New("cluster: empty ring")
-	}
-	return storage.Fingerprint{}, lastErr
 }
 
 // Sweep implements storage.Store: every node sweeps its own shard (its

@@ -373,7 +373,7 @@ func x12ContainmentCell(st *x5Stack) (*x12Containment, error) {
 	return out, nil
 }
 
-// x12CheckContainment enforces the amplification bound and that the
+// x12CheckContainment enforces the amplification bounds and that the
 // budget actually gated work (denials happened, yet most requests were
 // still served by healthy replicas).
 func x12CheckContainment(c *x12Containment) error {
@@ -381,6 +381,10 @@ func x12CheckContainment(c *x12Containment) error {
 	if float64(c.attempts) > c.bound+2 {
 		return fmt.Errorf("X12 containment: %d attempts for %d requests exceeds the budget bound %.1f",
 			c.attempts, c.requests, c.bound)
+	}
+	amp := float64(c.attempts) / float64(c.requests)
+	if amp > 1+x12ContainFraction+float64(x12ContainBurst)/float64(c.requests)+0.01 {
+		return fmt.Errorf("X12 containment: amplification %.3f above the long-run bound", amp)
 	}
 	if c.denied == 0 {
 		return fmt.Errorf("X12 containment: no retry was ever denied — the budget was never under pressure")

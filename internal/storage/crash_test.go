@@ -3,7 +3,6 @@ package storage
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"reflect"
 	"testing"
@@ -19,13 +18,16 @@ import (
 
 var errCrash = errors.New("crash")
 
-// crashManifest is a one-level context over the given payloads.
+// crashManifest is a one-level context over the given payloads, which it
+// vouches for in the dedup index.
 func crashManifest(id string, payloads ...string) *Manifest {
 	m := &Manifest{
-		Meta:   ContextMeta{ContextID: id, Model: "crash", TokenCount: len(payloads), Levels: 1, SizesBytes: [][]int64{nil}},
-		Hashes: map[int][]string{0: nil},
+		Meta:     ContextMeta{ContextID: id, Model: "crash", TokenCount: len(payloads), Levels: 1, SizesBytes: [][]int64{nil}},
+		Hashes:   map[int][]string{0: nil},
+		Producer: "crash",
 	}
 	for _, p := range payloads {
+		m.ChainDigests = append(m.ChainDigests, p)
 		m.Meta.ChunkTokens = append(m.Meta.ChunkTokens, 1)
 		m.Meta.SizesBytes[0] = append(m.Meta.SizesBytes[0], int64(len(p)))
 		m.Hashes[0] = append(m.Hashes[0], HashChunk([]byte(p)))
@@ -50,12 +52,6 @@ func crashScript() []crashOp {
 	for _, p := range []string{"shared", "a-only", "b-only", "a-replacement"} {
 		ops = append(ops, crashOp{run: func(ctx context.Context, s Store) error {
 			return s.PutChunk(ctx, HashChunk([]byte(p)), []byte(p))
-		}})
-	}
-	for i, p := range []string{"shared", "a-only", "b-only"} {
-		fp := Fingerprint{Hash: HashChunk([]byte(p)), Bytes: int64(len(p))}
-		ops = append(ops, crashOp{run: func(ctx context.Context, s Store) error {
-			return s.PutFingerprint(ctx, fmt.Sprintf("c0%02d", i), fp)
 		}})
 	}
 	putManifest := func(m *Manifest) crashOp {
@@ -175,6 +171,7 @@ func checkReopened(t *testing.T, n int, dir string, acked map[string]*Manifest, 
 		if !whole {
 			t.Errorf("crash at step %d: %s reads as %+v, not a manifest the script wrote", n, id, got)
 		}
+		checkFingerprints(t, s, got, true)
 		for _, h := range got.AllHashes() {
 			if data, err := s.GetChunk(ctx, h); err != nil || HashChunk(data) != h {
 				t.Errorf("crash at step %d: %s references %s, which reads back as %v", n, id, h, err)
@@ -184,7 +181,7 @@ func checkReopened(t *testing.T, n int, dir string, acked map[string]*Manifest, 
 	if k := countTemp(t, dir); k != 0 {
 		t.Errorf("crash at step %d: %d .tmp files after reopen", n, k)
 	}
-	if res, err := s.Sweep(ctx, 0); err != nil || res.RemovedChunks != 0 || res.PrunedFingerprints != 0 {
+	if res, err := s.Sweep(ctx, 0); err != nil || res.RemovedChunks != 0 {
 		t.Errorf("crash at step %d: second sweep = %+v, %v; want nothing to do", n, res, err)
 	}
 }

@@ -17,8 +17,9 @@ import (
 // once by an earlier FileStore and never regenerated — there is
 // deliberately no flag to rewrite it, because changing it means failing
 // to open the stores already on disk. It holds two manifests that share
-// a chunk, their fingerprints, a garbled manifest, a garbled fingerprint
-// entry and a leftover .tmp from an interrupted write.
+// a chunk, a garbled manifest, a leftover .tmp from an interrupted write,
+// and an fp/ tree of dedup-index entries (one of them garbled) as stores
+// wrote before the index was derived from the manifests.
 
 // fixturePayloads are the chunk payloads of the fixture's contexts.
 var fixturePayloads = map[string][]byte{
@@ -67,18 +68,6 @@ func fixtureBeta() Manifest {
 	return fixtureManifest("fixture/beta", [2]string{"shared", "beta-l0c1"}, [2]string{"beta-t0", "beta-t1"})
 }
 
-// fixtureFingerprints are the fixture's readable dedup-index entries;
-// "0c01" points at a payload only the garbled context references.
-func fixtureFingerprints() map[string]Fingerprint {
-	fps := map[string]Fingerprint{}
-	for key, name := range map[string]string{
-		"0a01": "shared", "0a02": "alpha-l0c1", "0b02": "beta-l0c1", "0c01": "garbled-l0",
-	} {
-		fps[key] = Fingerprint{Hash: fixtureHash(name), Bytes: fixtureSize(name)}
-	}
-	return fps
-}
-
 // copyFixture copies testdata/filestore into a fresh directory.
 func copyFixture(t *testing.T) string {
 	t.Helper()
@@ -118,6 +107,9 @@ func TestFileStoreDiskFormatFixture(t *testing.T) {
 	if n := countTemp(t, dir); n != 0 {
 		t.Errorf("%d .tmp files survived open", n)
 	}
+	if _, err := os.Stat(filepath.Join(dir, "fp")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the fp/ tree survived open (stat: %v)", err)
+	}
 	ids, err := s.ListContexts(ctx)
 	if want := []string{"fixture/alpha", "fixture/beta", "fixture/garbled"}; err != nil || !reflect.DeepEqual(ids, want) {
 		t.Errorf("ListContexts = %v, %v; want %v", ids, err, want)
@@ -131,13 +123,11 @@ func TestFileStoreDiskFormatFixture(t *testing.T) {
 	if _, err := s.GetManifest(ctx, "fixture/garbled"); !errors.Is(err, ErrCorruptManifest) {
 		t.Errorf("GetManifest(garbled) = %v, want ErrCorruptManifest", err)
 	}
-	for key, want := range fixtureFingerprints() {
-		if got, err := s.GetFingerprint(ctx, key); err != nil || got != want {
-			t.Errorf("GetFingerprint(%s) = %+v, %v; want %+v", key, got, err, want)
+	// Its manifests name no producer, so they vouch for no payload.
+	for _, key := range []string{"0a01", "0a02", "0b02", "0c01", "0bad"} {
+		if _, err := s.GetFingerprint(ctx, key); !errors.Is(err, ErrNotFound) {
+			t.Errorf("GetFingerprint(%s) = %v, want ErrNotFound", key, err)
 		}
-	}
-	if _, err := s.GetFingerprint(ctx, "0bad"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("GetFingerprint(garbled) = %v, want ErrNotFound", err)
 	}
 	if u, err := s.Usage(ctx); err != nil || u != (Usage{Manifests: 3, Chunks: 9, ChunkBytes: 188}) {
 		t.Errorf("Usage = %+v, %v; want 3 manifests, 9 chunks, 188 bytes", u, err)
@@ -155,8 +145,7 @@ func TestFileStoreDiskFormatFixture(t *testing.T) {
 	}
 	wantRes := SweepResult{
 		ScannedChunks: 9, RemovedChunks: 2, ReclaimedBytes: 41,
-		RemovedHashes:      sortedHashes("garbled-l0", "garbled-t0"),
-		PrunedFingerprints: 2, // "0c01", whose payload went, and the garbled "0bad"
+		RemovedHashes: sortedHashes("garbled-l0", "garbled-t0"),
 	}
 	if !reflect.DeepEqual(res, wantRes) {
 		t.Errorf("Sweep = %+v, want %+v", res, wantRes)
@@ -174,22 +163,18 @@ func TestFileStoreDiskFormatFixture(t *testing.T) {
 	if err := fresh.PutManifest(ctx, alpha); err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.PutFingerprint(ctx, "0a01", fixtureFingerprints()["0a01"]); err != nil {
+	path := fresh.manifestPath(alpha.Meta.ContextID)
+	rel, _ := filepath.Rel(fresh.root, path)
+	got, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{fresh.manifestPath(alpha.Meta.ContextID), fresh.fpPath("0a01")} {
-		rel, _ := filepath.Rel(fresh.root, path)
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(filepath.Join("testdata", "filestore", rel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s written as\n%s\nfixture holds\n%s", rel, got, want)
-		}
+	want, err := os.ReadFile(filepath.Join("testdata", "filestore", rel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s written as\n%s\nfixture holds\n%s", rel, got, want)
 	}
 
 	// Manifest lookups are served from the index: with the file gone

@@ -17,24 +17,24 @@ import (
 //	root/chunks/ab/<hash>.bin   content-addressed payloads (fan-out by
 //	                            the hash's first byte)
 //	root/manifests/<id>.json    per-context manifests (name-encoded id)
-//	root/fp/ab/<key>.json       dedup-index entries
 //
-// Manifests are read once, at open, and payload refcounts derived from
-// them, which makes the refcounts crash-safe: a manifest either landed
-// (its rename is atomic) or did not. Chunk GC ages are file mtimes.
+// Manifests are read once, at open, and payload refcounts and the dedup
+// index derived from them, which makes both crash-safe: a manifest either
+// landed (its rename is atomic) or did not. Chunk GC ages are file mtimes.
 type FileStore struct {
 	*index
 	*fileBackend
 }
 
 // NewFileStore creates (if needed) and opens a store rooted at dir,
-// reaping the .tmp files of interrupted writes. A corrupt (truncated,
+// reaping the .tmp files of interrupted writes and the fp/ tree in which
+// older stores persisted the dedup index. A corrupt (truncated,
 // garbled) manifest surfaces as ErrCorruptManifest from GetManifest for
 // its context only, and blocks Sweep until that context is deleted.
 func NewFileStore(dir string) (*FileStore, error) {
 	b := &fileBackend{root: dir}
 	s := &FileStore{newIndex(b), b}
-	for _, sub := range []string{"chunks", "manifests", "fp"} {
+	for _, sub := range []string{"chunks", "manifests"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("storage: creating %s: %w", sub, err)
 		}
@@ -48,6 +48,12 @@ func NewFileStore(dir string) (*FileStore, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("storage: reaping .tmp files: %w", err)
+	}
+	// Older stores kept the dedup index in fp/; it is derived from the
+	// manifests instead.
+	fp := filepath.Join(dir, "fp")
+	if err := b.fsop("remove", fp, func() error { return os.RemoveAll(fp) }); err != nil {
+		return nil, fmt.Errorf("storage: reaping fp/: %w", err)
 	}
 	entries, err := os.ReadDir(filepath.Join(dir, "manifests"))
 	if err != nil {
@@ -63,7 +69,7 @@ func NewFileStore(dir string) (*FileStore, error) {
 			s.corrupt[id] = err
 		} else {
 			s.manifests[id] = m
-			s.retain(nil, m.AllHashes())
+			s.retain(Manifest{}, m)
 		}
 	}
 	return s, nil
@@ -104,10 +110,6 @@ func (b *fileBackend) manifestPath(id string) string {
 	return filepath.Join(b.root, "manifests", encodeID(id)+".json")
 }
 
-func (b *fileBackend) fpPath(key string) string {
-	return filepath.Join(b.root, "fp", key[:min(2, len(key))], key+".json")
-}
-
 // writeAtomic writes data to path via a .tmp sibling and rename.
 func (b *fileBackend) writeAtomic(path string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -122,20 +124,6 @@ func (b *fileBackend) writeAtomic(path string, data []byte) error {
 
 func (b *fileBackend) remove(path string) error {
 	return b.fsop("remove", path, func() error { return os.Remove(path) })
-}
-
-// each calls fn with the name of every file under dir at path(name), for
-// valid names only: foreign files and writes in flight are skipped.
-func (b *fileBackend) each(dir, ext string, valid func(string) error, path func(string) string, fn func(string)) error {
-	return filepath.WalkDir(filepath.Join(b.root, dir), func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		if name, ok := strings.CutSuffix(d.Name(), ext); ok && valid(name) == nil && p == path(name) {
-			fn(name)
-		}
-		return nil
-	})
 }
 
 func (b *fileBackend) putChunk(hash string, data []byte) error {
@@ -159,8 +147,18 @@ func (b *fileBackend) statChunk(hash string) (int64, time.Time, error) {
 
 func (b *fileBackend) removeChunk(hash string) error { return b.remove(b.chunkPath(hash)) }
 
+// eachChunk calls fn with every payload's hash; foreign files and writes
+// in flight are skipped.
 func (b *fileBackend) eachChunk(fn func(hash string)) error {
-	return b.each("chunks", ".bin", validateHash, b.chunkPath, fn)
+	return filepath.WalkDir(filepath.Join(b.root, "chunks"), func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		if hash, ok := strings.CutSuffix(d.Name(), ".bin"); ok && validateHash(hash) == nil && p == b.chunkPath(hash) {
+			fn(hash)
+		}
+		return nil
+	})
 }
 
 func (b *fileBackend) readManifest(id string) (Manifest, error) {
@@ -187,29 +185,3 @@ func (b *fileBackend) putManifest(m Manifest) error {
 }
 
 func (b *fileBackend) deleteManifest(id string) error { return b.remove(b.manifestPath(id)) }
-
-func (b *fileBackend) putFingerprint(key string, fp Fingerprint) error {
-	data, err := json.Marshal(fp)
-	if err != nil {
-		return err
-	}
-	return b.writeAtomic(b.fpPath(key), data)
-}
-
-func (b *fileBackend) getFingerprint(key string) (Fingerprint, error) {
-	data, err := os.ReadFile(b.fpPath(key))
-	if err != nil {
-		return Fingerprint{}, err
-	}
-	var fp Fingerprint
-	if err := json.Unmarshal(data, &fp); err != nil {
-		return Fingerprint{}, fmt.Errorf("fingerprint %s is garbled: %w", key, fs.ErrNotExist)
-	}
-	return fp, nil
-}
-
-func (b *fileBackend) removeFingerprint(key string) error { return b.remove(b.fpPath(key)) }
-
-func (b *fileBackend) eachFingerprint(fn func(key string)) error {
-	return b.each("fp", ".json", validateFingerprintKey, b.fpPath, fn)
-}

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -11,9 +13,9 @@ import (
 	"time"
 )
 
-// backend holds an index's payloads and fingerprints and persists its
-// manifests; the index's lock guards every call. Something absent is an
-// error wrapping fs.ErrNotExist, and so is a garbled fingerprint.
+// backend holds an index's payloads and persists its manifests; the
+// index's lock guards every call. Something absent is an error wrapping
+// fs.ErrNotExist.
 type backend interface {
 	putChunk(hash string, data []byte) error
 	touchChunk(hash string) error // freshens a stored payload's GC age
@@ -23,39 +25,56 @@ type backend interface {
 	eachChunk(fn func(hash string)) error
 	putManifest(m Manifest) error
 	deleteManifest(id string) error
-	putFingerprint(key string, fp Fingerprint) error
-	getFingerprint(key string) (Fingerprint, error)
-	removeFingerprint(key string) error
-	eachFingerprint(fn func(key string)) error
 }
 
 // index is the one implementation behind MemStore and FileStore: live
-// manifests, manifests found corrupt at open and payload refcounts, kept
-// by one set of rules over a backend that holds the bytes. Manifests are
-// written through and served from memory; payloads and fingerprints are
-// read from the backend on every lookup.
+// manifests, manifests found corrupt at open, payload refcounts and the
+// dedup index derived from the manifests, kept by one set of rules over a
+// backend that holds the bytes. Manifests are written through and served
+// from memory; payloads are read from the backend on every lookup.
 type index struct {
 	b         backend
 	mu        sync.RWMutex
 	manifests map[string]Manifest
 	corrupt   map[string]error // manifests that failed to decode at open
 	refs      map[string]int
+	fps       map[[sha256.Size]byte]indexed // by key digest
+}
+
+// indexed is one dedup-index entry and the number of live manifests that
+// vouch for it.
+type indexed struct {
+	Fingerprint
+	refs int
 }
 
 func newIndex(b backend) *index {
-	return &index{b: b, manifests: map[string]Manifest{}, corrupt: map[string]error{}, refs: map[string]int{}}
+	return &index{b: b, manifests: map[string]Manifest{}, corrupt: map[string]error{},
+		refs: map[string]int{}, fps: map[[sha256.Size]byte]indexed{}}
 }
 
-// retain moves one reference off every hash in released and onto every
-// hash in acquired — the one place payload refcounts change.
-func (x *index) retain(released, acquired []string) {
-	for _, h := range released {
+// retain moves one reference off every payload and dedup-index entry of
+// released and onto those of acquired — the one place the index's counts
+// change. A zero Manifest holds none.
+func (x *index) retain(released, acquired Manifest) {
+	for _, h := range released.AllHashes() {
 		if x.refs[h]--; x.refs[h] <= 0 {
 			delete(x.refs, h)
 		}
 	}
-	for _, h := range acquired {
+	for key := range released.fingerprints() {
+		if e := x.fps[key]; e.refs > 1 {
+			e.refs--
+			x.fps[key] = e
+		} else {
+			delete(x.fps, key)
+		}
+	}
+	for _, h := range acquired.AllHashes() {
 		x.refs[h]++
+	}
+	for key, fp := range acquired.fingerprints() {
+		x.fps[key] = indexed{fp, x.fps[key].refs + 1}
 	}
 }
 
@@ -111,7 +130,7 @@ func (x *index) PutManifest(_ context.Context, m Manifest) error {
 		return wrapErr(err)
 	}
 	delete(x.corrupt, id)
-	x.retain(x.manifests[id].AllHashes(), m.AllHashes())
+	x.retain(x.manifests[id], m)
 	x.manifests[id] = m
 	return nil
 }
@@ -143,7 +162,7 @@ func (x *index) DeleteContext(_ context.Context, contextID string) error {
 	if err := x.b.deleteManifest(contextID); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return wrapErr(err)
 	}
-	x.retain(m.AllHashes(), nil)
+	x.retain(m, Manifest{})
 	delete(x.manifests, contextID)
 	delete(x.corrupt, contextID)
 	return nil
@@ -159,32 +178,20 @@ func (x *index) ListContexts(_ context.Context) ([]string, error) {
 	return ids, nil
 }
 
-// PutFingerprint implements Store.
-func (x *index) PutFingerprint(_ context.Context, key string, fp Fingerprint) error {
-	if err := validateFingerprintKey(key); err != nil {
-		return err
-	}
-	if err := validateHash(fp.Hash); err != nil {
-		return err
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return wrapErr(x.b.putFingerprint(key, fp))
-}
-
-// GetFingerprint implements Store. A garbled entry reads as absent: the
-// publisher re-encodes, and Sweep reaps the entry.
+// GetFingerprint implements Store from the entries the live manifests
+// vouch for.
 func (x *index) GetFingerprint(_ context.Context, key string) (Fingerprint, error) {
-	if err := validateFingerprintKey(key); err != nil {
-		return Fingerprint{}, err
+	d, err := hex.DecodeString(key)
+	if err != nil || len(d) != sha256.Size {
+		return Fingerprint{}, fmt.Errorf("%w: fingerprint %q", ErrNotFound, key)
 	}
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	fp, err := x.b.getFingerprint(key)
-	if errors.Is(err, fs.ErrNotExist) {
+	e, ok := x.fps[[sha256.Size]byte(d)]
+	if !ok {
 		return Fingerprint{}, fmt.Errorf("%w: fingerprint %s", ErrNotFound, key)
 	}
-	return fp, wrapErr(err)
+	return e.Fingerprint, nil
 }
 
 // Sweep implements Store. It refuses to run while a corrupt manifest's
@@ -195,7 +202,7 @@ func (x *index) GetFingerprint(_ context.Context, key string) (Fingerprint, erro
 func (x *index) Sweep(_ context.Context, minAge time.Duration) (SweepResult, error) {
 	cutoff := time.Now().Add(-minAge)
 	var res SweepResult
-	var candidates, dead []string
+	var candidates []string
 	x.mu.RLock()
 	if ids := slices.Sorted(maps.Keys(x.corrupt)); len(ids) > 0 {
 		x.mu.RUnlock()
@@ -220,27 +227,6 @@ func (x *index) Sweep(_ context.Context, minAge time.Duration) (SweepResult, err
 		return res, fmt.Errorf("storage: sweeping chunks: %w", err)
 	}
 	slices.Sort(res.RemovedHashes)
-
-	x.mu.RLock()
-	err = x.b.eachFingerprint(func(key string) {
-		if fp, err := x.b.getFingerprint(key); err == nil && validateHash(fp.Hash) == nil {
-			if _, _, err := x.b.statChunk(fp.Hash); err == nil {
-				return
-			}
-		}
-		dead = append(dead, key)
-	})
-	x.mu.RUnlock()
-	x.mu.Lock()
-	for i := 0; i < len(dead) && err == nil; i++ {
-		if err = x.b.removeFingerprint(dead[i]); err == nil {
-			res.PrunedFingerprints++
-		}
-	}
-	x.mu.Unlock()
-	if err != nil {
-		return res, fmt.Errorf("storage: sweeping fingerprints: %w", err)
-	}
 	return res, nil
 }
 
@@ -293,14 +279,13 @@ type MemStore struct{ *index }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{newIndex(&memBackend{chunks: map[string]memChunk{}, fps: map[string]Fingerprint{}})}
+	return &MemStore{newIndex(&memBackend{chunks: map[string]memChunk{}})}
 }
 
-// memBackend keeps payloads and fingerprints in maps; the index's
-// manifests are the only copy there is.
+// memBackend keeps payloads in a map; the index's manifests are the only
+// copy there is.
 type memBackend struct {
 	chunks map[string]memChunk
-	fps    map[string]Fingerprint
 }
 
 type memChunk struct {
@@ -334,18 +319,15 @@ func (b *memBackend) getChunk(hash string) ([]byte, error) {
 
 func (b *memBackend) removeChunk(hash string) error { delete(b.chunks, hash); return nil }
 
-func (b *memBackend) eachChunk(fn func(hash string)) error { return each(b.chunks, fn) }
+func (b *memBackend) eachChunk(fn func(hash string)) error {
+	for hash := range b.chunks {
+		fn(hash)
+	}
+	return nil
+}
 
 func (b *memBackend) putManifest(Manifest) error  { return nil }
 func (b *memBackend) deleteManifest(string) error { return nil }
-
-func (b *memBackend) putFingerprint(key string, fp Fingerprint) error { b.fps[key] = fp; return nil }
-
-func (b *memBackend) getFingerprint(key string) (Fingerprint, error) { return lookup(b.fps, key) }
-
-func (b *memBackend) removeFingerprint(key string) error { delete(b.fps, key); return nil }
-
-func (b *memBackend) eachFingerprint(fn func(key string)) error { return each(b.fps, fn) }
 
 // lookup returns m[key], or fs.ErrNotExist when it is absent.
 func lookup[V any](m map[string]V, key string) (V, error) {
@@ -354,11 +336,4 @@ func lookup[V any](m map[string]V, key string) (V, error) {
 		return v, fs.ErrNotExist
 	}
 	return v, nil
-}
-
-func each[V any](m map[string]V, fn func(string)) error {
-	for k := range m {
-		fn(k)
-	}
-	return nil
 }

@@ -30,7 +30,7 @@ func NewLatencyStore(inner Store) *LatencyStore {
 // SetLatency changes the per-operation delays: read applies to lookups
 // (GetChunk, GetManifest, ListContexts, GetFingerprint, TouchChunk,
 // Usage), write to mutations (PutChunk, PutManifest, DeleteContext,
-// PutFingerprint, Sweep). Zero or negative heals that class.
+// Sweep). Zero or negative heals that class.
 func (l *LatencyStore) SetLatency(read, write time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -104,13 +104,6 @@ func (l *LatencyStore) ListContexts(ctx context.Context) ([]string, error) {
 		return nil, err
 	}
 	return l.inner.ListContexts(ctx)
-}
-
-func (l *LatencyStore) PutFingerprint(ctx context.Context, key string, fp Fingerprint) error {
-	if err := l.delay(ctx, true); err != nil {
-		return err
-	}
-	return l.inner.PutFingerprint(ctx, key, fp)
 }
 
 func (l *LatencyStore) GetFingerprint(ctx context.Context, key string) (Fingerprint, error) {

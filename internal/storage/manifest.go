@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"iter"
 )
 
 // Manifest is the per-context reference layer of the content-addressed
@@ -30,6 +32,32 @@ type Manifest struct {
 	// whole history, and the publisher's dedup fingerprints derive from
 	// these digests.
 	ChainDigests []string `json:"chain_digests,omitempty"`
+	// Producer is the digest of the codec and model that encoded every
+	// bitstream payload the manifest names. With the chain digests it
+	// keys the store's dedup index (FingerprintKey); a manifest without
+	// it vouches for no payload.
+	Producer string `json:"producer,omitempty"`
+}
+
+// fingerprints yields the dedup-index entry of every bitstream payload the
+// manifest vouches for, under its key's digest — none without a producer
+// and chain digests. The manifest must be valid.
+func (m Manifest) fingerprints() iter.Seq2[[sha256.Size]byte, Fingerprint] {
+	return func(yield func([sha256.Size]byte, Fingerprint) bool) {
+		if m.Producer == "" || len(m.ChainDigests) == 0 {
+			return
+		}
+		lo := 0
+		for c, n := range m.Meta.ChunkTokens {
+			for lv := 0; lv < m.Meta.Levels; lv++ {
+				fp := Fingerprint{Hash: m.Hashes[lv][c], Bytes: m.Meta.SizesBytes[lv][c]}
+				if !yield(fingerprintDigest(m.Producer, lv, c, lo, n, m.ChainDigests[c]), fp) {
+					return
+				}
+			}
+			lo += n
+		}
+	}
 }
 
 // levelRows returns every level the manifest must carry for its meta:

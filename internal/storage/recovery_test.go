@@ -167,25 +167,3 @@ func TestFileStoreCorruptManifestReplacedByPut(t *testing.T) {
 		t.Errorf("sweep after heal: %v", err)
 	}
 }
-
-func TestFileStoreCorruptFingerprintIsAdvisory(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-	s, _ := openWithContext(t, dir, "recov/fp")
-	payload := []byte("fp payload")
-	hash := HashChunk(payload)
-	if err := s.PutChunk(ctx, hash, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutFingerprint(ctx, "cafe01", Fingerprint{Hash: hash, Bytes: int64(len(payload))}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.fpPath("cafe01"), []byte("{truncated"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A garbled index entry reads as absent (the publisher just
-	// re-encodes); it must not fail the lookup path.
-	if _, err := s.GetFingerprint(ctx, "cafe01"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("corrupt fingerprint = %v, want ErrNotFound", err)
-	}
-}

@@ -11,7 +11,9 @@
 // adjust per-payload refcounts, and Sweep reclaims payloads no manifest
 // references any more. A grace age protects chunks uploaded by an
 // in-flight publish whose manifest has not landed yet; TouchChunk
-// freshens a reused payload's age for the same reason.
+// freshens a reused payload's age for the same reason. The publisher's
+// dedup index (GetFingerprint) is derived from the live manifests the
+// same way, and needs no sweep.
 //
 // Two stores are provided: an in-memory store (inference-server cache,
 // tests) and a filesystem store (the "dedicated storage server" of §3).
@@ -25,6 +27,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -125,25 +128,40 @@ func validateHash(hash string) error {
 	return nil
 }
 
-// validateFingerprintKey accepts the hex digests the publisher derives
-// from chunk identities; the bound keeps keys path-safe for FileStore.
-func validateFingerprintKey(key string) error {
-	if key == "" || len(key) > 128 || !lowerHex(key) {
-		return fmt.Errorf("storage: fingerprint key %q is not 1 to 128 lowercase hex digits", key)
-	}
-	return nil
-}
-
 func lowerHex(s string) bool { return strings.Trim(s, "0123456789abcdef") == "" }
 
 // Fingerprint is one entry of the publish-side dedup index: the bitstream
 // hash (and raw size) a previously encoded chunk identity produced.
 // Looking it up lets Publish skip re-encoding a chunk whose inputs it has
-// seen before; the entry is advisory — the publisher verifies the payload
-// still exists (TouchChunk) before trusting it.
+// seen before. The index is derived from the live manifests (see
+// Manifest.Producer), so an entry lives exactly as long as a manifest
+// references its chunk; the publisher still checks that every replica
+// holds the payload (TouchChunk) before trusting it.
 type Fingerprint struct {
-	Hash  string `json:"hash"`
-	Bytes int64  `json:"bytes"`
+	Hash  string
+	Bytes int64
+}
+
+// FingerprintKey derives the dedup-index key of one (chunk, level)
+// bitstream payload from everything it depends on: the producer digest
+// (codec and model), the level, the chunk's position and length, and the
+// chain digest of the token stream through it. It is the hex form of
+// fingerprintDigest.
+func FingerprintKey(producer string, level, chunk, lo, n int, chain string) string {
+	d := fingerprintDigest(producer, level, chunk, lo, n, chain)
+	return hex.EncodeToString(d[:])
+}
+
+// fingerprintDigest is built by hand, not with fmt, and allocates
+// nothing: the index derives one for every level payload of every
+// manifest it puts or drops.
+func fingerprintDigest(producer string, level, chunk, lo, n int, chain string) [sha256.Size]byte {
+	buf := append(make([]byte, 0, 256), "cachegen-fp-v2|"...)
+	buf = append(buf, producer...)
+	for _, v := range [...]int{level, chunk, lo, n} {
+		buf = strconv.AppendInt(append(buf, '|'), int64(v), 10)
+	}
+	return sha256.Sum256(append(append(buf, '|'), chain...))
 }
 
 // SweepResult accounts one garbage-collection sweep.
@@ -156,9 +174,6 @@ type SweepResult struct {
 	// RemovedHashes lists the deleted payloads' hashes so RAM tiers
 	// layered above the swept store can invalidate them.
 	RemovedHashes []string `json:"removed_hashes,omitempty"`
-	// PrunedFingerprints is the number of dedup-index entries dropped
-	// because their payload is gone.
-	PrunedFingerprints int `json:"pruned_fingerprints"`
 }
 
 // Add folds another sweep into this one (fleet aggregation).
@@ -167,7 +182,6 @@ func (r *SweepResult) Add(o SweepResult) {
 	r.RemovedChunks += o.RemovedChunks
 	r.ReclaimedBytes += o.ReclaimedBytes
 	r.RemovedHashes = append(r.RemovedHashes, o.RemovedHashes...)
-	r.PrunedFingerprints += o.PrunedFingerprints
 }
 
 // Usage snapshots a store's physical footprint. Because payloads are
@@ -213,14 +227,12 @@ type Store interface {
 	// ListContexts returns the stored context ids, sorted.
 	ListContexts(ctx context.Context) ([]string, error)
 
-	// PutFingerprint records one dedup-index entry; GetFingerprint looks
-	// one up (ErrNotFound when absent).
-	PutFingerprint(ctx context.Context, key string, fp Fingerprint) error
+	// GetFingerprint looks up a dedup-index entry (ErrNotFound when no
+	// live manifest vouches for the key).
 	GetFingerprint(ctx context.Context, key string) (Fingerprint, error)
 
 	// Sweep reclaims payloads referenced by no manifest whose GC age is at
-	// least minAge, and prunes dedup-index entries pointing at reclaimed
-	// payloads. The grace age protects chunks written or touched by a
+	// least minAge. The grace age protects chunks written or touched by a
 	// publish whose manifest has not landed yet.
 	Sweep(ctx context.Context, minAge time.Duration) (SweepResult, error)
 	// Usage reports the store's physical footprint.

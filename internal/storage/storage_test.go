@@ -3,8 +3,12 @@ package storage
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -23,11 +27,16 @@ func testMeta(id string) ContextMeta {
 
 // testManifest builds a manifest over synthetic payloads derived from the
 // context id and stores those payloads in s, so refcounts are realistic.
+// Its producer and chain digests make it vouch for its level payloads in
+// the dedup index.
 func testManifest(t *testing.T, s Store, id string) Manifest {
 	t.Helper()
 	ctx := context.Background()
 	meta := testMeta(id)
-	m := Manifest{Meta: meta, Hashes: map[int][]string{}}
+	m := Manifest{Meta: meta, Hashes: map[int][]string{}, Producer: "test-producer"}
+	for c := range meta.NumChunks() {
+		m.ChainDigests = append(m.ChainDigests, fmt.Sprintf("%s|chain%d", id, c))
+	}
 	for _, lv := range []int{0, 1, TextLevel} {
 		row := make([]string, meta.NumChunks())
 		for c := range row {
@@ -41,6 +50,26 @@ func testManifest(t *testing.T, s Store, id string) Manifest {
 		m.Hashes[lv] = row
 	}
 	return m
+}
+
+// checkFingerprints checks that s answers GetFingerprint for every level
+// payload of m when live, and for none of them otherwise.
+func checkFingerprints(t *testing.T, s Store, m Manifest, live bool) {
+	t.Helper()
+	n := 0
+	for d, want := range m.fingerprints() {
+		n++
+		got, err := s.GetFingerprint(context.Background(), hex.EncodeToString(d[:]))
+		if live && (err != nil || got != want) {
+			t.Errorf("%s: GetFingerprint = %+v, %v; want %+v", m.Meta.ContextID, got, err, want)
+		}
+		if !live && !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: GetFingerprint = %+v, %v; want ErrNotFound", m.Meta.ContextID, got, err)
+		}
+	}
+	if want := m.Meta.Levels * m.Meta.NumChunks(); n != want {
+		t.Errorf("%s vouches for %d payloads, want %d", m.Meta.ContextID, n, want)
+	}
 }
 
 // storeTest exercises a Store implementation through its full lifecycle.
@@ -103,14 +132,7 @@ func storeTest(t *testing.T, s Store) {
 		t.Errorf("ChunkHash = %q, %v", h, err)
 	}
 
-	// Fingerprint round trip.
-	fp := Fingerprint{Hash: hash, Bytes: int64(len(payload))}
-	if err := s.PutFingerprint(ctx, "ab12cd", fp); err != nil {
-		t.Fatalf("PutFingerprint: %v", err)
-	}
-	if got, err := s.GetFingerprint(ctx, "ab12cd"); err != nil || got != fp {
-		t.Errorf("GetFingerprint = %+v, %v", got, err)
-	}
+	checkFingerprints(t, s, m, true)
 
 	// Listing.
 	if err := s.PutManifest(ctx, testManifest(t, s, "ctx/b")); err != nil {
@@ -134,6 +156,7 @@ func storeTest(t *testing.T, s Store) {
 	if _, err := s.GetChunk(ctx, m.Hashes[0][0]); err != nil {
 		t.Errorf("payload reclaimed before sweep: %v", err)
 	}
+	checkFingerprints(t, s, m, false)
 	ids, _ = s.ListContexts(ctx)
 	if len(ids) != 1 {
 		t.Errorf("after delete ListContexts = %v", ids)
@@ -150,9 +173,6 @@ func storeTest(t *testing.T, s Store) {
 	bad.Meta.TokenCount = 1
 	if err := s.PutManifest(ctx, bad); err == nil {
 		t.Error("PutManifest accepted inconsistent token count")
-	}
-	if err := s.PutFingerprint(ctx, "../evil", fp); err == nil {
-		t.Error("PutFingerprint accepted path-escaping key")
 	}
 }
 
@@ -175,13 +195,10 @@ func sweepTest(t *testing.T, s Store) {
 	if err := s.PutManifest(ctx, b); err != nil {
 		t.Fatal(err)
 	}
-	// An orphan payload no manifest references, plus a fingerprint to it.
+	// An orphan payload no manifest references.
 	orphan := []byte("orphan payload")
 	orphanHash := HashChunk(orphan)
 	if err := s.PutChunk(ctx, orphanHash, orphan); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutFingerprint(ctx, "aaaa01", Fingerprint{Hash: orphanHash, Bytes: int64(len(orphan))}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -194,17 +211,14 @@ func sweepTest(t *testing.T, s Store) {
 		t.Errorf("grace sweep reclaimed %d young chunks", res.RemovedChunks)
 	}
 
-	// An immediate sweep reclaims the orphan (and its fingerprint) plus
-	// the three gc/b chunk-0 payloads orphaned when B adopted A's hashes.
+	// An immediate sweep reclaims the orphan plus the three gc/b chunk-0
+	// payloads orphaned when B adopted A's hashes.
 	res, err = s.Sweep(ctx, 0)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
 	if res.RemovedChunks != 4 || res.ReclaimedBytes < int64(len(orphan)) {
 		t.Errorf("sweep = %+v, want 4 chunks", res)
-	}
-	if res.PrunedFingerprints != 1 {
-		t.Errorf("sweep pruned %d fingerprints, want 1", res.PrunedFingerprints)
 	}
 	if _, err := s.GetChunk(ctx, orphanHash); !errors.Is(err, ErrNotFound) {
 		t.Error("orphan survived sweep")
@@ -336,6 +350,58 @@ func TestFileStorePersistsAcrossReopen(t *testing.T) {
 				t.Errorf("referenced chunk (lv %d, c %d) lost across reopen: %v", lv, c, err)
 			}
 		}
+	}
+}
+
+// The dedup index is derived from the live manifests: it answers for a
+// context's level payloads, forgets them at DeleteContext with no sweep
+// unless a live fork still names them, holds nothing for a manifest
+// without a producer, and answers the same from a reopened FileStore.
+func TestDedupIndexFollowsManifests(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	fst, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a Manifest
+	for _, s := range []Store{NewMemStore(), fst} {
+		a = testManifest(t, s, "dx/a")
+		fork := a.clone()
+		fork.Meta.ContextID = "dx/fork"
+		anon := testManifest(t, s, "dx/anon")
+		anon.Producer = ""
+		for _, m := range []Manifest{a, fork, anon} {
+			if err := s.PutManifest(ctx, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkFingerprints(t, s, a, true)
+		anon.Producer = a.Producer
+		checkFingerprints(t, s, anon, false)
+
+		if err := s.DeleteContext(ctx, "dx/a"); err != nil {
+			t.Fatal(err)
+		}
+		checkFingerprints(t, s, a, true) // the fork names every payload
+		if err := s.DeleteContext(ctx, "dx/fork"); err != nil {
+			t.Fatal(err)
+		}
+		checkFingerprints(t, s, a, false)
+	}
+
+	b := testManifest(t, fst, "dx/b")
+	if err := fst.PutManifest(ctx, b); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFingerprints(t, reopened, b, true)
+	checkFingerprints(t, reopened, a, false)
+	if _, err := os.Stat(filepath.Join(dir, "fp")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the store made an fp/ directory (stat: %v)", err)
 	}
 }
 

@@ -103,9 +103,9 @@ func TestPublishAllocs(t *testing.T) {
 		allocs float64 // per call, when last recorded
 		op     func()
 	}{
-		{"publish_cold", 5, 2345, func() { r.publish(t, storage.NewMemStore(), "bench", PublishOptions{KV: r.kv}) }},
-		{"publish_dedup_hit", 50, 811, r.dedupHit(t)},
-		{"append_turn_64tok", appendRuns, 243, func() {
+		{"publish_cold", 5, 2032, func() { r.publish(t, storage.NewMemStore(), "bench", PublishOptions{KV: r.kv}) }},
+		{"publish_dedup_hit", 50, 505, r.dedupHit(t)},
+		{"append_turn_64tok", appendRuns, 222, func() {
 			r.appendTurn(t, chats[0])
 			chats = chats[1:]
 		}},

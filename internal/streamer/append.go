@@ -28,7 +28,10 @@ import (
 //
 // The new manifest carries the real levels and the text rows only: rows an
 // older publisher stored under other levels (refinement streams) are
-// dropped, and the next Sweep reclaims their payloads.
+// dropped, and the next Sweep reclaims their payloads. It keeps the old
+// manifest's producer digest only when codec and model are the ones that
+// encoded its clean prefix; otherwise it carries none, and so vouches for
+// no payload in the store's dedup index.
 func Append(ctx context.Context, st storage.Store, codec *core.Codec, model *llm.Model,
 	contextID string, newTokens []llm.Token, opts PublishOptions) (storage.Manifest, *PublishStats, error) {
 
@@ -128,6 +131,9 @@ func Append(ctx context.Context, st storage.Store, codec *core.Codec, model *llm
 		},
 		Hashes:       map[int][]string{},
 		ChainDigests: append(append([]string{}, old.ChainDigests[:dirtyFrom]...), frag.chains...),
+	}
+	if old.Producer == frag.producer {
+		man.Producer = frag.producer
 	}
 	man.Meta.SizesBytes = make([][]int64, old.Meta.Levels)
 	for lv := 0; lv < old.Meta.Levels; lv++ {

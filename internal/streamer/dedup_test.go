@@ -3,8 +3,12 @@ package streamer
 import (
 	"context"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -70,8 +74,8 @@ func TestPublishDedupSharedPrefix(t *testing.T) {
 			}
 		}
 	}
-	// ...their encodes were skipped entirely (fingerprint index hits for
-	// every bitstream row of both shared chunks)...
+	// ...their encodes were skipped entirely (dedup-index hits for every
+	// bitstream row of both shared chunks)...
 	wantSkips := 2 * (payloadRows(s) - 1) // text rows don't go through the encoder
 	if statsB.EncodesSkipped != wantSkips {
 		t.Errorf("EncodesSkipped = %d, want %d", statsB.EncodesSkipped, wantSkips)
@@ -107,7 +111,7 @@ func TestPublishSameContextTwiceStoresNothingNew(t *testing.T) {
 	}
 	before, _ := store.Usage(ctx)
 	// Republishing under another id — and without the precomputed KV, so
-	// even CalculateKV is skippable work the fingerprints avoid.
+	// even CalculateKV is skippable work the dedup index avoids.
 	_, stats, err := Publish(ctx, store, s.codec, s.model, "dup-2", s.tokens, PublishOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -204,15 +208,13 @@ func TestAppendWithoutResidentKV(t *testing.T) {
 
 // slowPutStore is a MemStore whose PutChunk lets other goroutines run
 // before it lands — time for the publisher to look the next payload up and
-// encode it behind the write — and, from call failAt on, fails instead. It
-// records every fingerprint the publisher indexes.
+// encode it behind the write — and, from call failAt on, fails instead.
 type slowPutStore struct {
 	*storage.MemStore
-	failAt int // 1-based PutChunk call to start failing at; 0 = never
 
-	mu      sync.Mutex
-	puts    int
-	indexed []storage.Fingerprint
+	mu     sync.Mutex
+	failAt int // 1-based PutChunk call to start failing at; 0 = never
+	puts   int
 }
 
 var errPutFailed = errors.New("put failed")
@@ -231,18 +233,11 @@ func (s *slowPutStore) PutChunk(ctx context.Context, hash string, data []byte) e
 	return s.MemStore.PutChunk(ctx, hash, data)
 }
 
-func (s *slowPutStore) PutFingerprint(ctx context.Context, key string, fp storage.Fingerprint) error {
-	s.mu.Lock()
-	s.indexed = append(s.indexed, fp)
-	s.mu.Unlock()
-	return s.MemStore.PutFingerprint(ctx, key, fp)
-}
-
 // TestPublishBehindSlowStore: with payload writes running behind the next
 // encode, publish, append and a deduplicated republish leave the stats,
 // the manifests and the stored bytes a store that answers at once gets;
-// and a failed write fails the publish without its payload — or any later
-// one — being indexed by fingerprint.
+// and a failed write fails the publish without a manifest, so the dedup
+// index names none of its payloads and a retry encodes them all.
 func TestPublishBehindSlowStore(t *testing.T) {
 	s := newStack(t)
 	ctx := context.Background()
@@ -281,20 +276,132 @@ func TestPublishBehindSlowStore(t *testing.T) {
 		t.Fatal("script wrote no payload")
 	}
 
-	// Fail every write from the third on: the two payloads written before it
-	// are the only ones the index may name.
+	// Fail every write from the third on.
 	failing := &slowPutStore{MemStore: storage.NewMemStore(), failAt: 3}
 	_, _, err := Publish(ctx, failing, s.codec, s.model, "doomed", s.tokens[:80], PublishOptions{})
 	if !errors.Is(err, errPutFailed) {
 		t.Fatalf("publish over a failing store: %v", err)
 	}
-	if len(failing.indexed) > 2 {
-		t.Errorf("%d fingerprints indexed around a write that failed third", len(failing.indexed))
+	if ids, err := failing.ListContexts(ctx); err != nil || len(ids) != 0 {
+		t.Errorf("a failed publish left contexts %v (err %v)", ids, err)
 	}
-	for _, fp := range failing.indexed {
-		if ok, err := failing.TouchChunk(ctx, fp.Hash); err != nil || !ok {
-			t.Errorf("fingerprint indexed for payload %s, which was never stored (err %v)", fp.Hash, err)
+	failing.mu.Lock()
+	failing.failAt = 0
+	failing.mu.Unlock()
+	_, stats, err := Publish(ctx, failing, s.codec, s.model, "doomed", s.tokens[:80], PublishOptions{})
+	if err != nil || stats.EncodesSkipped != 0 {
+		t.Errorf("retry after a failed publish = %+v, %v; want every payload encoded", stats, err)
+	}
+}
+
+// indexedLevels returns, per chunk of m, how many of its level payloads
+// st's dedup index answers for with the manifest's hash and size.
+func indexedLevels(t *testing.T, st storage.Store, m storage.Manifest) []int {
+	t.Helper()
+	out := make([]int, m.Meta.NumChunks())
+	lo := 0
+	for c, n := range m.Meta.ChunkTokens {
+		for lv := 0; lv < m.Meta.Levels; lv++ {
+			key := storage.FingerprintKey(m.Producer, lv, c, lo, n, m.ChainDigests[c])
+			fp, err := st.GetFingerprint(context.Background(), key)
+			if err == nil && fp == (storage.Fingerprint{Hash: m.Hashes[lv][c], Bytes: m.Meta.SizesBytes[lv][c]}) {
+				out[c]++
+			} else if err != nil && !errors.Is(err, storage.ErrNotFound) {
+				t.Fatal(err)
+			}
 		}
+		lo += n
+	}
+	return out
+}
+
+// TestDedupIndexLivesWithManifests: on a FileStore, the dedup index is
+// what the live manifests vouch for. After a publish, a fork, two appends
+// and a sweep no fp/ tree exists; the index answers for every live chunk,
+// the same after a reopen; deleting the context forgets its own chunks at
+// once and keeps those the fork names; and republishing it re-encodes
+// the forgotten chunks while their uploads dedup by content hash.
+func TestDedupIndexLivesWithManifests(t *testing.T) {
+	s := newStack(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	st, err := storage.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Publish(ctx, st, s.codec, s.model, "chat", s.tokens[:200], PublishOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	fork, _, err := Publish(ctx, st, s.codec, s.model, "fork", s.tokens[:200], PublishOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chat storage.Manifest
+	for _, turn := range [][2]int{{200, 230}, {230, 250}} {
+		if chat, _, err = Append(ctx, st, s.codec, s.model, "chat", s.tokens[turn[0]:turn[1]], PublishOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Sweep(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fp")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the store has an fp/ tree (stat: %v)", err)
+	}
+	if chat.Producer == "" || chat.Producer != fork.Producer {
+		t.Fatalf("producers: chat %q, fork %q", chat.Producer, fork.Producer)
+	}
+
+	levels := s.codec.Config().Levels()
+	all := []int{levels, levels, levels, levels} // 250 tokens: chunks of 80, 80, 80, 10
+	reopened, err := storage.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, store := range map[string]storage.Store{"open": st, "reopened": reopened} {
+		if got := indexedLevels(t, store, chat); !reflect.DeepEqual(got, all) {
+			t.Errorf("%s store indexes %v of chat's level payloads, want %v", name, got, all)
+		}
+	}
+
+	if err := st.DeleteContext(ctx, "chat"); err != nil {
+		t.Fatal(err)
+	}
+	// Chunks 0 and 1 are the fork's too; the fork's chunk 2 holds 40
+	// tokens, not 80, so chat's is another chunk.
+	if got, want := indexedLevels(t, st, chat), []int{levels, levels, 0, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("after DeleteContext the index holds %v of chat's level payloads, want %v", got, want)
+	}
+	_, stats, err := Publish(ctx, st, s.codec, s.model, "chat", s.tokens[:250], PublishOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.EncodesSkipped != 2*levels || stats.PayloadsStored != 0 {
+		t.Errorf("republish = %+v, want %d encodes skipped and nothing stored", stats, 2*levels)
+	}
+}
+
+// An Append by another producer — here a model of the same name and
+// another seed — writes a manifest that vouches for no payload.
+func TestAppendUnderAnotherProducerVouchesForNothing(t *testing.T) {
+	s := newStack(t)
+	ctx := context.Background()
+	cfg := s.model.Config()
+	cfg.Seed++
+	other, err := llm.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, _, err := Append(ctx, s.store, s.codec, other, "ctx-1", s.tokens[:30], PublishOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Producer != "" {
+		t.Errorf("appended manifest names producer %q", man.Producer)
+	}
+	man.Producer = s.man.Producer
+	if got := indexedLevels(t, s.store, man); slices.ContainsFunc(got, func(n int) bool { return n != 0 }) {
+		t.Errorf("the index still answers for %v of the context's level payloads", got)
 	}
 }
 

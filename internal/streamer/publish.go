@@ -39,7 +39,8 @@ type PublishStats struct {
 	// BytesStored / BytesReused are the corresponding raw payload bytes.
 	BytesStored, BytesReused int64
 	// EncodesSkipped counts bitstream encodes avoided entirely because
-	// the fingerprint index recognised the chunk's inputs.
+	// the store's dedup index recognised the chunk's inputs: a live
+	// manifest already names a payload encoded from them.
 	EncodesSkipped int
 }
 
@@ -62,11 +63,14 @@ func (s *PublishStats) add(o PublishStats) {
 // bitstream hash, and writes the manifest mapping the context to its
 // payload references.
 //
-// Publish is manifest-diff-aware through the store's fingerprint index:
-// a chunk whose identity (codec fingerprint, model, position, token
-// prefix) was encoded before — by this context or any other — skips both
-// the encode and the upload, so contexts sharing prefixes (RAG document
-// pools, forked conversations) cost storage and CPU once.
+// Publish is manifest-diff-aware through the store's dedup index, which
+// the store derives from its live manifests (their producer digest and
+// chain digests): a chunk whose identity (codec, model, position, token
+// prefix) a live manifest already names — this context's or any other's
+// — skips both the encode and the upload, so contexts sharing prefixes
+// (RAG document pools, forked conversations) cost storage and CPU once.
+// A chunk only deleted contexts named is encoded again; its upload still
+// dedups by content hash.
 func Publish(ctx context.Context, st storage.Store, codec *core.Codec, model *llm.Model,
 	contextID string, tokens []llm.Token, opts PublishOptions) (storage.Manifest, *PublishStats, error) {
 
@@ -131,6 +135,7 @@ type publishJob struct {
 // chunkFragments is the engine's output: manifest/meta rows for the
 // encoded chunk range, positionally aligned from job.firstChunk.
 type chunkFragments struct {
+	producer    string // digest of the codec and model (see producerDigest)
 	chunkTokens []int
 	chains      []string
 	hashes      map[int][]string // level → per-chunk payload hashes
@@ -154,20 +159,25 @@ func (f *chunkFragments) manifest(contextID, modelName string, total, levels int
 	for lv := 0; lv < meta.Levels; lv++ {
 		meta.SizesBytes[lv] = f.sizes[lv]
 	}
-	return storage.Manifest{Meta: meta, Hashes: f.hashes, ChainDigests: f.chains}
+	return storage.Manifest{Meta: meta, Hashes: f.hashes, ChainDigests: f.chains, Producer: f.producer}
 }
 
-// modelFingerprint identifies the KV process: the same tokens under a
-// different model (or seed) must never dedup against each other.
-func modelFingerprint(model *llm.Model) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("cachegen-model-v1|%+v", model.Config())))
-	return hex.EncodeToString(sum[:])
+// producerDigest identifies what encodes a context's bitstreams: the
+// codec's trained bank and the KV process (the same tokens under a
+// different model or seed must never dedup against each other).
+func producerDigest(codec *core.Codec, model *llm.Model) (string, error) {
+	codecFP, err := codec.Fingerprint()
+	if err != nil {
+		return "", fmt.Errorf("streamer: %w", err)
+	}
+	sum := sha256.Sum256(fmt.Appendf(nil, "cachegen-producer-v1|%s|%+v", codecFP, model.Config()))
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // chainDigest extends a running digest of the token stream. KV values are
 // causal in the prefix (§5.1: self-attention), so a chunk's bitstream is
 // a pure function of (codec, model, position, this digest) — which is
-// exactly what the fingerprint index keys on.
+// exactly what the dedup index keys on (storage.FingerprintKey).
 func chainDigest(prev string, tokens []llm.Token) string {
 	h := sha256.New()
 	h.Write([]byte(prev))
@@ -179,18 +189,10 @@ func chainDigest(prev string, tokens []llm.Token) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// fingerprintKey derives the dedup-index key of one (chunk, level)
-// payload from everything its bitstream depends on.
-func fingerprintKey(codecFP, modelFP string, level, chunk, lo, n int, chain string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "cachegen-fp-v1|%s|%s|%d|%d|%d|%d|%s", codecFP, modelFP, level, chunk, lo, n, chain)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // encodeChunks runs the publish engine over the job's chunk range:
 // chunks are processed in parallel (bounded by the codec's worker
-// budget), each first consulting the fingerprint index to skip encoding,
-// then the store's content addressing to skip uploading.
+// budget), each first consulting the dedup index to skip encoding, then
+// the store's content addressing to skip uploading.
 func encodeChunks(ctx context.Context, st storage.Store, codec *core.Codec, model *llm.Model, job publishJob) (*chunkFragments, error) {
 	cfg := codec.Config()
 	offs := codec.SplitOffsets(job.total)
@@ -202,13 +204,13 @@ func encodeChunks(ctx context.Context, st storage.Store, codec *core.Codec, mode
 	if offs[job.firstChunk] != job.startOffset {
 		return nil, fmt.Errorf("streamer: chunk %d starts at %d, job says %d", job.firstChunk, offs[job.firstChunk], job.startOffset)
 	}
-	codecFP, err := codec.Fingerprint()
+	producer, err := producerDigest(codec, model)
 	if err != nil {
-		return nil, fmt.Errorf("streamer: %w", err)
+		return nil, err
 	}
-	modelFP := modelFingerprint(model)
 
 	frag := &chunkFragments{
+		producer:    producer,
 		chunkTokens: make([]int, span),
 		chains:      make([]string, span),
 		hashes:      map[int][]string{},
@@ -244,7 +246,7 @@ func encodeChunks(ctx context.Context, st storage.Store, codec *core.Codec, mode
 		go func(si int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			stats, err := encodeOneChunk(ctx, st, codec, model, job, frag, offs, si, codecFP, modelFP)
+			stats, err := encodeOneChunk(ctx, st, codec, job, frag, offs, si)
 			if err != nil {
 				errs[si] = err
 				return
@@ -263,13 +265,13 @@ func encodeChunks(ctx context.Context, st storage.Store, codec *core.Codec, mode
 	return frag, nil
 }
 
-// encodeOneChunk resolves every payload of one chunk: fingerprint-index
-// reuse, content-addressed upload dedup, or a fresh encode. A freshly
-// encoded payload's store round trips (touch, put, index) run behind the
-// next payload's lookup and encode, one payload at a time; the first error
-// in payload order wins, and nothing outlives the call.
-func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, model *llm.Model,
-	job publishJob, frag *chunkFragments, offs []int, si int, codecFP, modelFP string) (PublishStats, error) {
+// encodeOneChunk resolves every payload of one chunk: dedup-index reuse,
+// content-addressed upload dedup, or a fresh encode. A freshly encoded
+// payload's store round trips (touch, put) run behind the next payload's
+// lookup and encode, one payload at a time; the first error in payload
+// order wins, and nothing outlives the call.
+func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec,
+	job publishJob, frag *chunkFragments, offs []int, si int) (PublishStats, error) {
 
 	var stats PublishStats
 	i := job.firstChunk + si // absolute chunk index
@@ -284,10 +286,8 @@ func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, mo
 	}
 
 	// storePayload writes one resolved payload unless the store already
-	// holds the content, indexes it under key (text has none) and returns
-	// what that added to the stats. The index entry is written last: a
-	// payload whose upload failed is never findable by fingerprint.
-	storePayload := func(level int, key string, data []byte) (PublishStats, error) {
+	// holds the content and returns what that added to the stats.
+	storePayload := func(level int, data []byte) (PublishStats, error) {
 		var st1 PublishStats
 		hash := storage.HashChunk(data)
 		exists, err := st.TouchChunk(ctx, hash)
@@ -305,12 +305,6 @@ func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, mo
 			st1.BytesStored += int64(len(data))
 		}
 		record(level, hash, int64(len(data)))
-		if key != "" {
-			fp := storage.Fingerprint{Hash: hash, Bytes: int64(len(data))}
-			if err := st.PutFingerprint(ctx, key, fp); err != nil {
-				return st1, fmt.Errorf("streamer: indexing chunk %d level %d: %w", i, level, err)
-			}
-		}
 		return st1, nil
 	}
 
@@ -338,9 +332,9 @@ func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, mo
 		return err
 	}
 
-	// reusePayload adopts a fingerprint-index hit without re-encoding,
-	// provided the payload still exists on its placement nodes (a sweep
-	// may have reclaimed it since the index entry was written).
+	// reusePayload adopts a dedup-index hit without re-encoding, provided
+	// every placement node holds the payload (one that joined the ring
+	// since it was stored does not).
 	reusePayload := func(level int, fp storage.Fingerprint) (bool, error) {
 		exists, err := st.TouchChunk(ctx, fp.Hash)
 		if err != nil || !exists {
@@ -353,10 +347,10 @@ func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, mo
 		return true, nil
 	}
 
-	// encoded resolves one level's bitstream payload through the
-	// fingerprint index.
+	// encoded resolves one level's bitstream payload through the dedup
+	// index.
 	encoded := func(level int) error {
-		key := fingerprintKey(codecFP, modelFP, level, i, lo, n, chain)
+		key := storage.FingerprintKey(frag.producer, level, i, lo, n, chain)
 		if fp, err := st.GetFingerprint(ctx, key); err == nil {
 			ok, err := reusePayload(level, fp)
 			if err != nil {
@@ -367,7 +361,7 @@ func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, mo
 			}
 		}
 		// The context's KV, fetched lazily: if every bitstream payload is a
-		// fingerprint hit, it is never materialised. In place: the chunk's
+		// dedup-index hit, it is never materialised. In place: the chunk's
 		// rows are read where they lie in the context.
 		data, err := codec.EncodeChunkRange(job.kv(), lo, hi, i, lo, core.Level(level))
 		if err != nil {
@@ -379,7 +373,7 @@ func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, mo
 		stats.EncodedChunks = 1 // this chunk went through the encoder
 		storing = make(chan stored, 1)
 		go func(done chan<- stored) {
-			st1, err := storePayload(level, key, data)
+			st1, err := storePayload(level, data)
 			done <- stored{st1, err}
 		}(storing)
 		return nil
@@ -393,10 +387,10 @@ func encodeOneChunk(ctx context.Context, st storage.Store, codec *core.Codec, mo
 	if err := join(); err != nil {
 		return stats, err
 	}
-	// Token text needs no fingerprint indirection: serialising tokens is
+	// Token text needs no dedup-index indirection: serialising tokens is
 	// cheap, and the content address alone dedups the upload.
 	text := llm.EncodeTokens(job.suffixTokens[lo-job.startOffset : hi-job.startOffset])
-	st1, err := storePayload(storage.TextLevel, "", text)
+	st1, err := storePayload(storage.TextLevel, text)
 	stats.add(st1)
 	return stats, err
 }
