@@ -200,6 +200,17 @@ type gatedSource struct {
 	owner map[string]string // payload hash → context id
 	calls map[string]int
 	gates map[string]chan struct{}
+	// events, when set, receives every chunk request as it arrives and
+	// again once the wrapped source has answered it. It must be buffered
+	// for the whole test: sends block.
+	events chan chunkEvent
+}
+
+// chunkEvent is one chunk request a gatedSource saw: its context, and
+// whether the wrapped source has answered it.
+type chunkEvent struct {
+	context  string
+	answered bool
 }
 
 func newGatedSource(src streamer.ChunkSource) *gatedSource {
@@ -238,6 +249,9 @@ func (s *gatedSource) GetChunkData(ctx context.Context, hash string) ([]byte, er
 	s.calls[id]++
 	gate := s.gates[id]
 	s.mu.Unlock()
+	if s.events != nil {
+		s.events <- chunkEvent{context: id}
+	}
 	if gate != nil {
 		select {
 		case <-gate:
@@ -245,7 +259,108 @@ func (s *gatedSource) GetChunkData(ctx context.Context, hash string) ([]byte, er
 			return nil, ctx.Err()
 		}
 	}
-	return s.src.GetChunkData(ctx, hash)
+	data, err := s.src.GetChunkData(ctx, hash)
+	if err == nil && s.events != nil {
+		s.events <- chunkEvent{context: id, answered: true}
+	}
+	return data, err
+}
+
+// awaitChunks blocks until n chunk events for contextID with the given
+// answered flag have arrived, skipping every other event.
+func (s *gatedSource) awaitChunks(t *testing.T, contextID string, answered bool, n int) {
+	t.Helper()
+	timeout := time.After(10 * time.Second)
+	for n > 0 {
+		select {
+		case ev := <-s.events:
+			if ev.context == contextID && ev.answered == answered {
+				n--
+			}
+		case <-timeout:
+			t.Fatalf("context %s: %d chunk events (answered=%v) never arrived", contextID, n, answered)
+		}
+	}
+}
+
+// TestGatewayPrefetchOverlapsQueue: while the only decode slot is held,
+// a queued request's KV stream runs to the end, so its slot grant finds
+// the KV resident (PrefetchHit). With Prefetch off, the queued request
+// does not touch the source until the slot frees.
+func TestGatewayPrefetchOverlapsQueue(t *testing.T) {
+	r := newTestRing(t, 3)
+	held, queued, third := r.contexts[0], r.contexts[1], r.contexts[2]
+	chunks := r.tokens / 64 // newTestRing publishes 64-token chunks
+	for _, prefetch := range []bool{true, false} {
+		t.Run(fmt.Sprintf("prefetch=%v", prefetch), func(t *testing.T) {
+			gated := newGatedSource(r.pool)
+			// Room for every event the three requests send (two per chunk
+			// request, 6×chunks in all) with slack for a refetch.
+			gated.events = make(chan chunkEvent, 64)
+			gate := gated.block(held)
+			cfg := r.config(1, prefetch)
+			cfg.Source = gated
+			// One prefetch at a time: a prefetch holds its token until its
+			// fetch has handed over the KV, so a later request's first chunk
+			// request proves the earlier prefetch finished.
+			cfg.MaxPrefetch = 1
+			g, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			type outcome struct {
+				res *Result
+				err error
+			}
+			submit := func(tenant, contextID string) chan outcome {
+				done := make(chan outcome, 1)
+				go func() {
+					res, err := g.Submit(context.Background(), Request{Tenant: tenant, ContextID: contextID})
+					done <- outcome{res, err}
+				}()
+				return done
+			}
+			wait := func(tenant string, done chan outcome) *Result {
+				out := <-done
+				if out.err != nil {
+					t.Fatalf("%s: %v", tenant, out.err)
+				}
+				return out.res
+			}
+
+			// The holder takes the slot; its chunk requests park on the gate.
+			hdone := submit("holder", held)
+			gated.awaitChunks(t, held, false, 1)
+			qdone := submit("queued", queued)
+			var tdone chan outcome
+			if prefetch {
+				gated.awaitChunks(t, queued, true, chunks)
+				if st := g.Stats(); st.FreeSlots != 0 || st.QueueDepth != 1 {
+					t.Fatalf("queued request's chunks arrived with %d free slots, queue depth %d; want 0, 1", st.FreeSlots, st.QueueDepth)
+				}
+				tdone = submit("third", third)
+				gated.awaitChunks(t, third, false, 1)
+			} else {
+				waitFor(t, 10*time.Second, func() bool { return g.Stats().QueueDepth == 1 })
+				if n := gated.callCount(queued); n != 0 {
+					t.Fatalf("queued request issued %d chunk requests with Prefetch off", n)
+				}
+			}
+
+			close(gate)
+			wait("holder", hdone)
+			if res := wait("queued", qdone); res.PrefetchHit != prefetch {
+				t.Errorf("PrefetchHit = %v, want %v", res.PrefetchHit, prefetch)
+			}
+			if tdone != nil {
+				wait("third", tdone)
+			}
+			if n := gated.callCount(queued); n != chunks {
+				t.Errorf("queued request issued %d chunk requests, want %d", n, chunks)
+			}
+		})
+	}
 }
 
 // TestGatewayCancellation is the second acceptance scenario: a cancelled

@@ -46,7 +46,5 @@ func BenchmarkFigure19Heatmap(b *testing.B)         { benchExperiment(b, "F19") 
 func BenchmarkAppendixECost(b *testing.B)           { benchExperiment(b, "AE") }
 func BenchmarkX2GroupSizeAblation(b *testing.B)     { benchExperiment(b, "X2") }
 func BenchmarkX3ChunkLengthAblation(b *testing.B)   { benchExperiment(b, "X3") }
-func BenchmarkX4DeliveryCluster(b *testing.B)       { benchExperiment(b, "X4") }
-func BenchmarkX5ServingGateway(b *testing.B)        { benchExperiment(b, "X5") }
 func BenchmarkX6ContentStore(b *testing.B)          { benchExperiment(b, "X6") }
 func BenchmarkX10ChaosMatrix(b *testing.B)          { benchExperiment(b, "X10") }

@@ -75,7 +75,7 @@ type x10Outcome struct {
 
 // x10Run replays one scenario under one fault schedule on a fresh
 // 3-node fleet and verifies post-heal KV integrity.
-func x10Run(st *x5Stack, tr *workload.Trace, spec string) (*x10Outcome, error) {
+func x10Run(st *corpusStack, tr *workload.Trace, spec string) (*x10Outcome, error) {
 	// Publishes go through the in-process sharded store (the publish
 	// plane); serving goes through the pool over TCP (the plane the
 	// faults hit), whose dial backoff is cleared on heal so recovery is
@@ -100,7 +100,7 @@ func x10Run(st *x5Stack, tr *workload.Trace, spec string) (*x10Outcome, error) {
 		Model:       st.model,
 		Device:      llm.A40x4(),
 		Planner:     streamer.Planner{Adapt: true, DefaultLevel: 1, PriorBandwidth: netsim.Gbps(1)},
-		DecodeTime:  func(int, int) time.Duration { return x5DecodeCost },
+		DecodeTime:  func(int, int) time.Duration { return fixedDecodeCost },
 		Chaos:       counters,
 	})
 	if err != nil {
@@ -151,7 +151,7 @@ func x10Run(st *x5Stack, tr *workload.Trace, spec string) (*x10Outcome, error) {
 // expected content is reconstructed from the turns that actually landed
 // (token count is always a whole number of appends — the manifest write
 // is the atomic commit point).
-func x10Integrity(st *x5Stack, sharded *cluster.ShardedStore, pool *cluster.Pool, tr *workload.Trace) (string, error) {
+func x10Integrity(st *corpusStack, sharded *cluster.ShardedStore, pool *cluster.Pool, tr *workload.Trace) (string, error) {
 	ctx := context.Background()
 	specs := map[string]workload.ContextSpec{}
 	for _, c := range tr.ContextList {
@@ -262,7 +262,7 @@ func ChaosScenario(tr *workload.Trace, spec string) (*Report, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	st, err := newX5Stack()
+	st, err := newCorpusStack()
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +285,7 @@ func ChaosScenario(tr *workload.Trace, spec string) (*Report, error) {
 }
 
 func runX10Chaos(f *Fixture) ([]*Report, error) {
-	st, err := newX5Stack()
+	st, err := newCorpusStack()
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ func x6Tokens(rng *rand.Rand, n int) []llm.Token {
 }
 
 func runX6Dedup(f *Fixture) ([]*Report, error) {
-	s, err := newX4Stack()
+	s, err := newContextStack()
 	if err != nil {
 		return nil, err
 	}

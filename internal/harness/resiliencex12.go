@@ -51,7 +51,7 @@ type x12Fleet struct {
 	primary map[string]string // hash → primary node
 }
 
-func newX12Fleet(st *x5Stack, opts ...cluster.PoolOption) (*x12Fleet, error) {
+func newX12Fleet(st *corpusStack, opts ...cluster.PoolOption) (*x12Fleet, error) {
 	local, sharded, err := launchRing(3, 2, 0)
 	if err != nil {
 		return nil, err
@@ -144,7 +144,7 @@ type x12Recovery struct {
 // to it again — with the active prober, or with probing disabled so
 // only the passive machinery (breaker cooldown, request-path ordering)
 // could notice. No heal hook fires: the pool is on its own.
-func x12RecoveryCell(st *x5Stack, prober bool) (*x12Recovery, error) {
+func x12RecoveryCell(st *corpusStack, prober bool) (*x12Recovery, error) {
 	out := &x12Recovery{variant: "backoff-baseline", probe: -1}
 	cfg := resilience.Config{ProbeInterval: -1, BreakerCooldown: 250 * time.Millisecond}
 	if prober {
@@ -247,7 +247,7 @@ type x12Hedge struct {
 // that stalls (never errors) half the requests it sees, with hedging
 // on or off. The retry budget is opened wide so the cells compare the
 // mechanism, not the allowance.
-func x12HedgeCell(st *x5Stack, hedged bool) (*x12Hedge, error) {
+func x12HedgeCell(st *corpusStack, hedged bool) (*x12Hedge, error) {
 	cfg := resilience.Config{ProbeInterval: -1, RetryFraction: 1, RetryBurst: 64}
 	fl, err := newX12Fleet(st, cluster.WithResilience(cfg), cluster.WithHedging(hedged))
 	if err != nil {
@@ -333,7 +333,7 @@ type x12Containment struct {
 // budget must fund. The claim is the amplification bound: attempts ≤
 // requests·(1+fraction) + burst, with the overflow surfacing as fast
 // budget-denied failures, not extra network attempts.
-func x12ContainmentCell(st *x5Stack) (*x12Containment, error) {
+func x12ContainmentCell(st *corpusStack) (*x12Containment, error) {
 	cfg := resilience.Config{
 		ProbeInterval: -1,
 		DeadAfter:     1 << 20, // strikes stay "suspect": gray, not dead
@@ -405,7 +405,7 @@ func x12CheckContainment(c *x12Containment) error {
 // --- the experiment ---
 
 func runX12Resilience(*Fixture) ([]*Report, error) {
-	st, err := newX5Stack()
+	st, err := newCorpusStack()
 	if err != nil {
 		return nil, err
 	}

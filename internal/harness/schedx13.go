@@ -26,11 +26,11 @@ import (
 // against the greedy planner that can only pick encoding levels on the
 // fleet link. Three cells:
 //
-//   - the X5 arrival-rate sweep rerun over a *shared* data link that
-//     serializes transfers (offered load past its capacity queues), with
-//     the enforced claim: the scheduler's SLO attainment is never below
-//     the greedy baseline's, and stays high at the arrival rate where
-//     greedy collapses below 50%;
+//   - an arrival-rate sweep of a 2-tenant Poisson load over a *shared*
+//     data link that serializes transfers (offered load past its
+//     capacity queues), with the enforced claim: the scheduler's SLO
+//     attainment is never below the greedy baseline's, and stays high at
+//     the arrival rate where greedy collapses below 50%;
 //   - a source-coverage cell where one fetch plan mixes disk, remote and
 //     cross-region chunks, a repeat fetch serves from RAM, a peer
 //     gateway serves the decoded KV, and a starved link flips a
@@ -133,9 +133,9 @@ func x13Sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// x13Publish stores the X5 corpus (6 contexts, 3 × 64-token chunks) into
-// one store and returns the context ids.
-func x13Publish(s *x5Stack, st storage.Store) ([]string, error) {
+// x13Publish stores the sweep's corpus (6 contexts, 3 × 64-token chunks)
+// into one store and returns the context ids.
+func x13Publish(s *corpusStack, st storage.Store) ([]string, error) {
 	rng := rand.New(rand.NewSource(29))
 	ids := make([]string, 6)
 	for i := range ids {
@@ -181,7 +181,7 @@ func x13Prestage(st storage.Store, ids []string, cache streamer.PayloadCache) er
 
 // x13Arm runs one load point through one arm. Each run gets a fresh
 // store, link and gateway so arms never share queue state.
-func x13Arm(s *x5Stack, rate float64, withSched bool) (*gateway.LoadReport, error) {
+func x13Arm(s *corpusStack, rate float64, withSched bool) (*gateway.LoadReport, error) {
 	store := storage.NewMemStore()
 	ids, err := x13Publish(s, store)
 	if err != nil {
@@ -237,9 +237,9 @@ type x13Point struct {
 	sched  *gateway.LoadReport
 }
 
-// x13SweepCell reruns the X5 arrival-rate sweep over the shared link
-// with both arms at every rate.
-func x13SweepCell(s *x5Stack) ([]x13Point, error) {
+// x13SweepCell sweeps the arrival rate over the shared link with both
+// arms at every rate.
+func x13SweepCell(s *corpusStack) ([]x13Point, error) {
 	points := make([]x13Point, 0, len(x13Rates))
 	for _, rate := range x13Rates {
 		var p x13Point
@@ -316,7 +316,7 @@ type x13Stage struct {
 // region, a shared resident index for the peer tier, and a starved
 // bandwidth prior for the recompute flip.
 func x13CoverageCell() (*x13Coverage, error) {
-	st, err := newX4Stack()
+	st, err := newContextStack()
 	if err != nil {
 		return nil, err
 	}
@@ -545,7 +545,7 @@ type x13CliffRow struct {
 // local candidates → the plan keeps the stream and steers it with the
 // hysteresis band).
 func x13CliffCell() ([]x13CliffRow, error) {
-	st, err := newX4Stack()
+	st, err := newContextStack()
 	if err != nil {
 		return nil, err
 	}
@@ -595,7 +595,7 @@ func x13CliffCell() ([]x13CliffRow, error) {
 }
 
 func runX13Sched(f *Fixture) ([]*Report, error) {
-	s, err := newX5Stack()
+	s, err := newCorpusStack()
 	if err != nil {
 		return nil, err
 	}
@@ -620,7 +620,7 @@ func runX13Sched(f *Fixture) ([]*Report, error) {
 			{"greedy planner", p.greedy},
 			{"sched cost model", p.sched},
 		} {
-			p50, p99, slo, _ := x5Row(arm.rep)
+			p50, p99, slo, _ := loadRow(arm.rep)
 			sweep.AddRow(fmt.Sprintf("%.0f/s", p.rate), arm.name,
 				fmt.Sprintf("%d/%d", arm.rep.Completed, arm.rep.Submitted),
 				p50, p99, slo, x13Mix(arm.rep.Sources()))

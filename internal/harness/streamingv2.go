@@ -48,7 +48,7 @@ func x7Mix(decisions []streamer.ChunkDecision) string {
 // identity check on a static link and a traced run exercising the
 // mid-stream steering.
 func runX7StreamingV2(*Fixture) ([]*Report, error) {
-	s, err := newX4Stack()
+	s, err := newContextStack()
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +143,7 @@ func runX7StreamingV2(*Fixture) ([]*Report, error) {
 
 // serveLoopback launches one node over store on a loopback port and dials
 // it; done closes both. With cliff, the node's egress replays the cliff
-// cells' (X7, X11, X13) bandwidth cliff: 8 Mbps for 15 ms, then 0.2 Mbps.
+// cells' (X7, X13) bandwidth cliff: 8 Mbps for 15 ms, then 0.2 Mbps.
 func serveLoopback(store storage.Store, cliff bool) (client *transport.Client, done func(), err error) {
 	var opts []transport.ServerOption
 	if cliff {
@@ -173,7 +173,7 @@ func cliffPlanner() streamer.Planner {
 // cliffFetcher fetches from client with the cliff cells' frame settings:
 // 2 KiB DATA frames, a decision every two frames and an estimator window
 // of eight, so the steering reacts within the cliff.
-func (s *x4Stack) cliffFetcher(client *transport.Client, dev llm.Device, p streamer.Planner) *streamer.Fetcher {
+func (s *contextStack) cliffFetcher(client *transport.Client, dev llm.Device, p streamer.Planner) *streamer.Fetcher {
 	return &streamer.Fetcher{
 		Source: client, Codec: s.codec, Model: s.model, Device: dev, Planner: p,
 		FrameSize: 2 << 10, DecisionFrames: 2, EstimatorWindow: 8,
