@@ -1066,63 +1066,19 @@ func (c *Codec) SplitOffsets(tokens int) []int {
 // group-level parallelism inside EncodeChunk to do so alone.
 func (c *Codec) EncodeContext(kv *tensor.KV, lv Level) ([][]byte, error) {
 	offs := c.SplitOffsets(kv.Tokens)
-	jobs := make([]levelChunkJob, 0, len(offs)-1)
-	for i := 0; i+1 < len(offs); i++ {
-		jobs = append(jobs, levelChunkJob{chunk: i, lo: offs[i], hi: offs[i+1], lv: lv})
-	}
-	streams, err := c.encodeJobs(kv, jobs)
-	if err != nil {
-		return nil, err
-	}
-	return streams, nil
-}
-
-// EncodeAllLevels encodes every chunk of a context at every level —
-// the offline multi-version encoding the streamer adapts across (§5.3).
-// The result is indexed [level][chunk]. All (level, chunk) pairs encode
-// in parallel.
-func (c *Codec) EncodeAllLevels(kv *tensor.KV) ([][][]byte, error) {
-	offs := c.SplitOffsets(kv.Tokens)
-	nChunks := len(offs) - 1
-	var jobs []levelChunkJob
-	for lv := 0; lv < c.cfg.Levels(); lv++ {
-		for i := 0; i < nChunks; i++ {
-			jobs = append(jobs, levelChunkJob{chunk: i, lo: offs[i], hi: offs[i+1], lv: Level(lv)})
-		}
-	}
-	streams, err := c.encodeJobs(kv, jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][][]byte, c.cfg.Levels())
-	for lv := range out {
-		out[lv] = streams[lv*nChunks : (lv+1)*nChunks]
-	}
-	return out, nil
-}
-
-// levelChunkJob is one (chunk, level) encode of a context.
-type levelChunkJob struct {
-	chunk, lo, hi int
-	lv            Level
-}
-
-// encodeJobs runs a set of chunk encodes in parallel, bounded by the
-// codec's worker budget. Results are positionally aligned with jobs.
-func (c *Codec) encodeJobs(kv *tensor.KV, jobs []levelChunkJob) ([][]byte, error) {
-	out := make([][]byte, len(jobs))
-	errs := make([]error, len(jobs))
+	out := make([][]byte, len(offs)-1)
+	errs := make([]error, len(out))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, c.workers)
-	for ji, job := range jobs {
+	for i := range out {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(ji int, job levelChunkJob) {
+		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			// Encode the token range in place: no per-chunk tensor copy.
-			out[ji], errs[ji] = c.encodeChunkRange(kv, job.lo, job.hi, job.chunk, job.lo, job.lv)
-		}(ji, job)
+			out[i], errs[i] = c.encodeChunkRange(kv, offs[i], offs[i+1], i, offs[i], lv)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -128,8 +128,10 @@ func BenchmarkEncodeAllLevels(b *testing.B) {
 	b.SetBytes(kvBytes(kv))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := codec.EncodeAllLevels(kv); err != nil {
-			b.Fatal(err)
+		for lv := 0; lv < codec.Config().Levels(); lv++ {
+			if _, err := codec.EncodeContext(kv, Level(lv)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -178,22 +180,6 @@ func TestEncodeContextParallelMatchesSerial(t *testing.T) {
 		for i := range serial {
 			if string(serial[i]) != string(parallel[i]) {
 				t.Errorf("level %d chunk %d: parallel bitstream differs", lv, i)
-			}
-		}
-	}
-	// And EncodeAllLevels agrees with per-level EncodeContext.
-	all, err := codec.EncodeAllLevels(kv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lv := range all {
-		want, err := codec.EncodeContext(kv, Level(lv))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if string(all[lv][i]) != string(want[i]) {
-				t.Errorf("EncodeAllLevels level %d chunk %d differs", lv, i)
 			}
 		}
 	}

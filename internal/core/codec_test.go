@@ -456,14 +456,11 @@ func TestDecodeContextRejectsDisorder(t *testing.T) {
 func TestEncodeAllLevels(t *testing.T) {
 	codec, m := testCodec(t, smallConfig())
 	kv := m.CalculateKV(testTokens(21, 200))
-	all, err := codec.EncodeAllLevels(kv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != codec.Config().Levels() {
-		t.Fatalf("got %d levels", len(all))
-	}
-	for lv, chunks := range all {
+	for lv := 0; lv < codec.Config().Levels(); lv++ {
+		chunks, err := codec.EncodeContext(kv, Level(lv))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(chunks) != 2 {
 			t.Errorf("level %d: %d chunks, want 2", lv, len(chunks))
 		}

@@ -511,8 +511,10 @@ func TestSlotsIdleAfterErrors(t *testing.T) {
 	if _, err := broken.EncodeChunk(kv, 0, 0, 1); err == nil {
 		t.Fatal("encode with an out-of-alphabet clamp succeeded")
 	}
-	if _, err := broken.EncodeAllLevels(kv); err == nil {
-		t.Fatal("EncodeAllLevels with an out-of-alphabet clamp succeeded")
+	for lv := 0; lv < broken.cfg.Levels(); lv++ {
+		if _, err := broken.EncodeContext(kv, Level(lv)); err == nil {
+			t.Fatalf("EncodeContext at level %d with an out-of-alphabet clamp succeeded", lv)
+		}
 	}
 	if got := broken.slots.state(); got != (slotState{}) {
 		t.Errorf("after encode errors: %+v", got)

@@ -165,7 +165,8 @@ type Config struct {
 	// live, and repeat decisions pass a hysteresis band. The decision
 	// procedure and the meaning of a rung are the same either way. Nil
 	// keeps the Planner: the one-source front end, and the reference arm
-	// the scheduler is measured against.
+	// the scheduler is measured against. A scheduler serves one gateway:
+	// its bound slot tracker is the gateway's count of slot grants.
 	Sched *sched.Scheduler
 	// Recorder, when set, captures every submission (admitted or not) as
 	// a replayable workload arrival (cachegen-gateway -capture-trace).
@@ -235,15 +236,17 @@ type tenantQueue struct {
 // it from one goroutine per in-flight request (Workload.Run does).
 type Gateway struct {
 	cfg         Config
-	prefetchSem chan struct{}    // nil = unbounded
-	slots       *llm.SlotTracker // decode-slot occupancy (nil without Sched)
+	prefetchSem chan struct{} // nil = unbounded
 
-	// mu guards the scheduler state: queues, WRR accumulators, free
-	// slots, and the queued-depth bound admission reads.
-	mu        sync.Mutex
-	queues    map[string]*tenantQueue
-	order     []string // tenants in first-seen order (deterministic WRR)
-	freeSlots int
+	// mu guards the scheduler state: queues, WRR accumulators, the
+	// decode-slot grants, and the queued-depth bound admission reads.
+	mu     sync.Mutex
+	queues map[string]*tenantQueue
+	order  []string // tenants in first-seen order (deterministic WRR)
+	// slots is the one count of decode-slot grants. The gateway acquires
+	// and releases it only under mu, so freeLocked is exact there; the
+	// scheduler reads its occupancy lock-free to price recompute.
+	slots     *llm.SlotTracker
 	queued    int
 	maxQueued int
 	grantSeq  uint64
@@ -346,7 +349,7 @@ func (g *Gateway) register(reg *telemetry.Registry) {
 	reg.GaugeFunc("cachegen_gateway_free_slots", "idle decode slots", func() float64 {
 		g.mu.Lock()
 		defer g.mu.Unlock()
-		return float64(g.freeSlots)
+		return float64(g.freeLocked())
 	})
 }
 
@@ -366,15 +369,13 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("gateway: tenant %q has non-positive weight %d", t, w)
 		}
 	}
-	g := &Gateway{
-		cfg:       cfg,
-		queues:    map[string]*tenantQueue{},
-		freeSlots: cfg.Slots,
-	}
-	g.register(cfg.Telemetry)
+	g := &Gateway{cfg: cfg, queues: map[string]*tenantQueue{}}
 	if cfg.Sched != nil {
 		g.slots = cfg.Sched.BindSlots(cfg.Slots)
+	} else {
+		g.slots = llm.NewSlotTracker(cfg.Slots)
 	}
+	g.register(cfg.Telemetry)
 	bound := cfg.MaxPrefetch
 	if bound == 0 {
 		bound = 4 * cfg.Slots
@@ -531,21 +532,21 @@ func (g *Gateway) queueLocked(tenant string) *tenantQueue {
 // pick at a time. pickLocked returns requests already transitioned to
 // running, so every pick consumes a slot.
 func (g *Gateway) dispatchLocked() {
-	for g.freeSlots > 0 {
+	for g.freeLocked() > 0 {
 		p := g.pickLocked()
 		if p == nil {
 			return
 		}
 		g.queued--
-		g.freeSlots--
+		g.slots.Acquire()
 		g.grantSeq++
 		p.seq = g.grantSeq
-		if g.slots != nil {
-			g.slots.Acquire()
-		}
 		close(p.granted)
 	}
 }
+
+// freeLocked is the idle decode-slot count.
+func (g *Gateway) freeLocked() int { return g.slots.Total() - g.slots.Busy() }
 
 // pickLocked pops the next request under smooth weighted round-robin
 // across tenants with queued work (nginx-style: each pick every contender
@@ -605,11 +606,8 @@ func (g *Gateway) pickLocked() *pending {
 
 // releaseSlot returns a decode slot and immediately re-dispatches.
 func (g *Gateway) releaseSlot() {
-	if g.slots != nil {
-		g.slots.Release()
-	}
 	g.mu.Lock()
-	g.freeSlots++
+	g.slots.Release()
 	g.dispatchLocked()
 	g.mu.Unlock()
 }
@@ -627,7 +625,7 @@ func (g *Gateway) degradeStep(p *pending) int {
 	}
 	step := 0
 	g.mu.Lock()
-	queued, free := g.queued, g.freeSlots
+	queued, free := g.queued, g.freeLocked()
 	g.mu.Unlock()
 	if g.cfg.QueueLimit > 0 {
 		qfrac := float64(queued) / float64(g.cfg.QueueLimit)
@@ -882,7 +880,7 @@ type Stats struct {
 // Stats returns a snapshot of the gateway's counters.
 func (g *Gateway) Stats() Stats {
 	g.mu.Lock()
-	depth, maxDepth, free := g.queued, g.maxQueued, g.freeSlots
+	depth, maxDepth, free := g.queued, g.maxQueued, g.freeLocked()
 	g.mu.Unlock()
 	return Stats{
 		Admitted:      g.admitted.Load(),

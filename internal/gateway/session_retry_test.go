@@ -89,13 +89,17 @@ func TestSessionTurnRetryAfterMidTurnFailure(t *testing.T) {
 	if _, err := sess.Turn(ctx, opening); err != nil {
 		t.Fatal(err)
 	}
-	// A clean warm turn plus a cold fetch establish every pooled fleet
-	// connection up front, so the goroutine baseline below measures only
-	// what the failed turn itself spawns.
 	if _, err := sess.Turn(ctx, second); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.Submit(ctx, Request{Tenant: "warm", ContextID: "retry-ctx"}); err != nil {
+		t.Fatal(err)
+	}
+	// The pool dials a node the first time a fetch or a hedge picks it,
+	// and which nodes a fetch picks depends on timing. A fleet-wide call
+	// dials every node now, so the goroutine baseline below holds every
+	// pooled connection and measures only what the failed turn spawns.
+	if _, err := r.pool.Usage(ctx); err != nil {
 		t.Fatal(err)
 	}
 	baseline := runtime.NumGoroutine()

@@ -46,5 +46,4 @@ func BenchmarkFigure19Heatmap(b *testing.B)         { benchExperiment(b, "F19") 
 func BenchmarkAppendixECost(b *testing.B)           { benchExperiment(b, "AE") }
 func BenchmarkX2GroupSizeAblation(b *testing.B)     { benchExperiment(b, "X2") }
 func BenchmarkX3ChunkLengthAblation(b *testing.B)   { benchExperiment(b, "X3") }
-func BenchmarkX6ContentStore(b *testing.B)          { benchExperiment(b, "X6") }
 func BenchmarkX10ChaosMatrix(b *testing.B)          { benchExperiment(b, "X10") }

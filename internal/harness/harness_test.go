@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -129,13 +130,65 @@ func TestRunAndRunAll(t *testing.T) {
 	}
 }
 
-// The bands TestCalibrationHeadlineRatios enforces on the §7.2 headline
-// ratios, each wider than the paper's band for the synthetic substrate.
+// The bands TestCalibrationHeadlineRatios enforces on the §7.2
+// headlines, each wider than the paper's band for the synthetic substrate.
 const (
-	sizeVsQuantMin, sizeVsQuantMax = 3.0, 5.0 // paper: 3.5–4.3×
-	ttftVsQuantMin, ttftVsQuantMax = 2.0, 5.0 // paper: 3.2–3.7×
-	ttftVsTextMin, ttftVsTextMax   = 2.5, 6.5 // paper: 3.1–4.7×
+	sizeVsQuantMin, sizeVsQuantMax = 3.0, 5.0   // paper: 3.5–4.3×
+	ttftVsQuantMin, ttftVsQuantMax = 2.0, 5.0   // paper: 3.2–3.7×
+	ttftVsTextMin, ttftVsTextMax   = 2.5, 6.5   // paper: 3.1–4.7×
+	relAccMin, relAccMax           = 0.95, 1.00 // paper: ≤2% loss
 )
+
+// TestClaimsTableMatchesBands reads the README's claims table ("Headline
+// claims and what the tests enforce") and fails when a row's enforced
+// band or test differs from what the tests here enforce, or when a claim
+// is missing from the table or the table lists one they do not check.
+func TestClaimsTableMatchesBands(t *testing.T) {
+	const calib = "TestCalibrationHeadlineRatios"
+	ratio := func(lo, hi float64) string { return fmt.Sprintf("%.1f–%.1f×", lo, hi) }
+	want := map[string][2]string{ // claim → enforced band, test
+		"KV size vs 8-bit quantization": {ratio(sizeVsQuantMin, sizeVsQuantMax), calib},
+		"TTFT vs 8-bit quantization":    {ratio(ttftVsQuantMin, ttftVsQuantMax), calib},
+		"TTFT vs text context":          {ratio(ttftVsTextMin, ttftVsTextMax), calib},
+		"Accuracy at the default level": {fmt.Sprintf("%.2f–%.2f of baseline", relAccMin, relAccMax), calib},
+		"SLO violations (Figure 13)":    {"CacheGen ≤ quantization and ≤ no adaptation, at each SLO", "TestFigure13Shape"},
+	}
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n## Headline claims and what the tests enforce\n")
+	if !ok {
+		t.Fatal("README has no claims section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	got := map[string][2]string{}
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| ") || strings.HasPrefix(line, "| Claim |") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cells) != 4 {
+			t.Fatalf("claims row has %d cells, want 4: %s", len(cells), line)
+		}
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		got[cells[0]] = [2]string{cells[2], strings.Trim(cells[3], "`")}
+	}
+	for claim, w := range want {
+		if g, ok := got[claim]; !ok {
+			t.Errorf("README claims table lacks %q", claim)
+		} else if g != w {
+			t.Errorf("README claims table: %q enforced %q by %s, the tests enforce %q by %s", claim, g[0], g[1], w[0], w[1])
+		}
+	}
+	for claim := range got {
+		if _, ok := want[claim]; !ok {
+			t.Errorf("README claims table lists %q, which no test here checks", claim)
+		}
+	}
+}
 
 // TestCalibrationHeadlineRatios pins the reproduction's headline numbers
 // to the bands in the README's claims table ("Headline claims and what
@@ -157,7 +210,7 @@ func TestCalibrationHeadlineRatios(t *testing.T) {
 	// Quality: CacheGen's default level loses ≤2-3% accuracy.
 	qp := rig.QP
 	task := llm.Task{Name: "longchat", Metric: llm.MetricAccuracy, Baseline: 1.0}
-	if rel := task.Score(rig.LevelErr[defaultLevel], 0, qp); rel < 0.95 || rel > 1.0 {
+	if rel := task.Score(rig.LevelErr[defaultLevel], 0, qp); rel < relAccMin || rel > relAccMax {
 		t.Errorf("CacheGen relative accuracy %.3f, want ≈0.98", rel)
 	}
 	if rel := task.Score(rig.QuantErr[8], 0, qp); rel < 0.99 {

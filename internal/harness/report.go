@@ -98,7 +98,7 @@ var registry = map[string]Experiment{}
 var canonicalOrder = []string{
 	"T1", "T2", "F3", "F4", "F5", "F7", "F8", "F9", "F10",
 	"F11", "F12", "F13", "F14", "F15", "F16", "F17", "F18", "F19", "AE",
-	"X2", "X3", "X6", "X7", "X10", "X12", "X13",
+	"X2", "X3", "X7", "X10", "X12", "X13",
 }
 
 func register(id, paper string, run Runner) {

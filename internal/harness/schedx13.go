@@ -24,7 +24,7 @@ import (
 // pricing every chunk across all sources — RAM tier, colocated disk,
 // remote node, cross-region replica, GPU recompute, peer-resident KV —
 // against the greedy planner that can only pick encoding levels on the
-// fleet link. Three cells:
+// fleet link. Two cells:
 //
 //   - an arrival-rate sweep of a 2-tenant Poisson load over a *shared*
 //     data link that serializes transfers (offered load past its
@@ -35,10 +35,7 @@ import (
 //     cross-region chunks, a repeat fetch serves from RAM, a peer
 //     gateway serves the decoded KV, and a starved link flips a
 //     rung-overflow request to text recompute — with the mixed-source
-//     KV bit-for-bit identical to the request/response baseline;
-//   - the X7 bandwidth cliff rerun with a scheduler plan steering the
-//     frame-granularity streaming path (hysteresis active) instead of
-//     the bare planner.
+//     KV bit-for-bit identical to the request/response baseline.
 func init() {
 	register("X13", "Extension: unified fetch-vs-recompute economics (fleet-wide min-TTFT chunk scheduling)", runX13Sched)
 }
@@ -530,70 +527,6 @@ func x13MixInt(m map[string]int) string {
 	return x13Mix(c)
 }
 
-// x13CliffRow is one arm of the X7 bandwidth-cliff rerun.
-type x13CliffRow struct {
-	policy   string
-	load     time.Duration
-	bw       float64
-	switches int
-	cancels  int
-	mix      map[string]int
-}
-
-// x13CliffCell reruns the X7 cliff on the frame-granularity streaming
-// path, once with the bare planner and once with a scheduler plan (no
-// local candidates → the plan keeps the stream and steers it with the
-// hysteresis band).
-func x13CliffCell() ([]x13CliffRow, error) {
-	st, err := newContextStack()
-	if err != nil {
-		return nil, err
-	}
-	store := storage.NewMemStore()
-	ctx := context.Background()
-	if _, _, err := streamer.Publish(ctx, store, st.codec, st.model, "x13-cliff", st.tokens,
-		streamer.PublishOptions{KV: st.kv}); err != nil {
-		return nil, err
-	}
-	rows := make([]x13CliffRow, 0, 2)
-	for _, arm := range []string{"planner", "scheduler"} {
-		client, done, err := serveLoopback(store, true)
-		if err != nil {
-			return nil, err
-		}
-		f := st.cliffFetcher(client, x13Device(), cliffPlanner())
-		var plan *sched.Plan
-		var sc *sched.Scheduler
-		if arm == "scheduler" {
-			sc = sched.New(sched.Options{Signals: sched.Signals{BandwidthBPS: 8e6}})
-			plan = sc.NewPlan(sched.Request{
-				ContextID: "x13-cliff", SLO: 400 * time.Millisecond, DefaultLevel: 0,
-			})
-			f.Policy = plan
-		}
-		_, rep, err := f.Fetch(ctx, "x13-cliff")
-		if plan != nil {
-			sc.FinishPlan(plan, nil, rep)
-		}
-		done()
-		if err != nil {
-			return nil, fmt.Errorf("x13 cliff (%s): %w", arm, err)
-		}
-		if !rep.Streamed {
-			return nil, fmt.Errorf("x13 cliff (%s): fell off the streaming path", arm)
-		}
-		row := x13CliffRow{
-			policy: arm, load: rep.LoadTime, bw: rep.Bandwidth,
-			switches: rep.Switches, cancels: rep.Cancels, mix: map[string]int{},
-		}
-		for _, d := range rep.Decisions {
-			row.mix[d.Choice.String()]++
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 func runX13Sched(f *Fixture) ([]*Report, error) {
 	s, err := newCorpusStack()
 	if err != nil {
@@ -648,28 +581,5 @@ func runX13Sched(f *Fixture) ([]*Report, error) {
 	}
 	coverage.AddNote("mixed-source, RAM and peer KV are bit-for-bit identical to the request/response baseline (max |Δ| = 0); the recompute path matches the model's true KV exactly")
 
-	cliff, err := x13CliffCell()
-	if err != nil {
-		return nil, err
-	}
-	cliffRep := &Report{
-		ID:      "X13",
-		Title:   "Scheduler economics: X7 bandwidth cliff rerun (frame-granularity stream, 8→0.2 Mbps)",
-		Columns: []string{"Policy", "Load time", "Bandwidth est", "Switch/cancel", "Mix"},
-	}
-	for _, row := range cliff {
-		mix := ""
-		for lv, n := range row.mix {
-			if mix != "" {
-				mix += " "
-			}
-			mix += fmt.Sprintf("%s:%d", lv, n)
-		}
-		cliffRep.AddRow(row.policy, fmt.Sprintf("%.1f ms", row.load.Seconds()*1e3),
-			metrics.FormatBandwidth(row.bw),
-			fmt.Sprintf("%d/%d", row.switches, row.cancels), mix)
-	}
-	cliffRep.AddNote("with no local candidates the scheduler plan keeps the one-stream fast path and steers it mid-stream like the planner, with the %d%% hysteresis band damping estimator noise", int(100*sched.DefaultHysteresis))
-
-	return []*Report{sweep, coverage, cliffRep}, nil
+	return []*Report{sweep, coverage}, nil
 }

@@ -17,7 +17,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// The small live stacks the extension cells (X6, X7, X10, X12, X13) run
+// The small live stacks the extension cells (X7, X10, X12, X13) run
 // over loopback sockets: an in-process ring, two trained model/codec
 // pairs, and the report helpers they share. Their shapes, seeds and
 // corpora are fixed, so the cells' checks and rows stay comparable
@@ -131,14 +131,4 @@ func loadRow(rep *gateway.LoadReport) (p50, p99 string, slo string, thpt string)
 		fmt.Sprintf("%.1f ms", sum.P99*1e3),
 		fmt.Sprintf("%.0f%%", 100*rep.SLORate()),
 		fmt.Sprintf("%.0f/s", rep.Throughput())
-}
-
-// loadBreakdown renders a fetch report's load-time components: network
-// transfer vs codec decode (plus text recompute when present).
-func loadBreakdown(rep *streamer.FetchReport) string {
-	if rep.RecomputeTime > 0 {
-		return fmt.Sprintf("%.1f/%.1f/%.1f ms", rep.TransferTime.Seconds()*1e3,
-			rep.DecodeTime.Seconds()*1e3, rep.RecomputeTime.Seconds()*1e3)
-	}
-	return fmt.Sprintf("%.1f/%.1f ms", rep.TransferTime.Seconds()*1e3, rep.DecodeTime.Seconds()*1e3)
 }

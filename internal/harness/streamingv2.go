@@ -65,9 +65,14 @@ func runX7StreamingV2(*Fixture) ([]*Report, error) {
 		Columns: []string{"Path", "Link", "Load time", "Bandwidth est", "Switch/cancel", "Mix", "KV vs r/r"},
 	}
 
+	// 2 KiB DATA frames, a decision every two frames and an estimator
+	// window of eight, so the steering reacts within the cliff.
 	fetch := func(client *transport.Client, dev llm.Device, p streamer.Planner, disable bool) (*tensor.KV, *streamer.FetchReport, error) {
-		fch := s.cliffFetcher(client, dev, p)
-		fch.DisableStreaming = disable
+		fch := &streamer.Fetcher{
+			Source: client, Codec: s.codec, Model: s.model, Device: dev, Planner: p,
+			FrameSize: 2 << 10, DecisionFrames: 2, EstimatorWindow: 8,
+			DisableStreaming: disable,
+		}
 		return fch.Fetch(ctx, "x7-ctx")
 	}
 
@@ -112,6 +117,8 @@ func runX7StreamingV2(*Fixture) ([]*Report, error) {
 	// estimates, so degradation walks the encoding levels — where the
 	// mid-stream steering is visible.
 	slowDev := llm.Device{Name: "slow-prefill", FLOPS: 1e11, MemBW: 2.6e12, DecodeBW: 8e9}
+	// Adapt toward a 400 ms SLO from the cliff's 8 Mbps.
+	adaptive := streamer.Planner{Adapt: true, SLO: 400 * time.Millisecond, DefaultLevel: 0, PriorBandwidth: 8e6}
 	for _, mode := range []struct {
 		name    string
 		disable bool
@@ -123,7 +130,7 @@ func runX7StreamingV2(*Fixture) ([]*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, report, err := fetch(client, slowDev, cliffPlanner(), mode.disable)
+		_, report, err := fetch(client, slowDev, adaptive, mode.disable)
 		done()
 		if err != nil {
 			return nil, err
@@ -142,8 +149,8 @@ func runX7StreamingV2(*Fixture) ([]*Report, error) {
 }
 
 // serveLoopback launches one node over store on a loopback port and dials
-// it; done closes both. With cliff, the node's egress replays the cliff
-// cells' (X7, X13) bandwidth cliff: 8 Mbps for 15 ms, then 0.2 Mbps.
+// it; done closes both. With cliff, the node's egress replays X7's
+// bandwidth cliff: 8 Mbps for 15 ms, then 0.2 Mbps.
 func serveLoopback(store storage.Store, cliff bool) (client *transport.Client, done func(), err error) {
 	var opts []transport.ServerOption
 	if cliff {
@@ -163,19 +170,4 @@ func serveLoopback(store storage.Store, cliff bool) (client *transport.Client, d
 		return nil, nil, err
 	}
 	return client, func() { client.Close(); fl.Close() }, nil
-}
-
-// cliffPlanner adapts toward a 400 ms SLO from the cliff's 8 Mbps.
-func cliffPlanner() streamer.Planner {
-	return streamer.Planner{Adapt: true, SLO: 400 * time.Millisecond, DefaultLevel: 0, PriorBandwidth: 8e6}
-}
-
-// cliffFetcher fetches from client with the cliff cells' frame settings:
-// 2 KiB DATA frames, a decision every two frames and an estimator window
-// of eight, so the steering reacts within the cliff.
-func (s *contextStack) cliffFetcher(client *transport.Client, dev llm.Device, p streamer.Planner) *streamer.Fetcher {
-	return &streamer.Fetcher{
-		Source: client, Codec: s.codec, Model: s.model, Device: dev, Planner: p,
-		FrameSize: 2 << 10, DecisionFrames: 2, EstimatorWindow: 8,
-	}
 }

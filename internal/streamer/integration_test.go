@@ -264,7 +264,7 @@ func TestFetchMixedLevelsStillAssembles(t *testing.T) {
 	}
 }
 
-// TestFetchBesidePublisher loops EncodeAllLevels beside Fetch on a
+// TestFetchBesidePublisher encodes every level in a loop beside Fetch on a
 // 2-worker codec, where one load in flight leaves publish batches no slot:
 // between a fetch's BeginLoad and its End no publish block may start unless
 // its batch had outwaited the exemption, and the KV must be the one a fetch
@@ -292,9 +292,11 @@ func TestFetchBesidePublisher(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := s.codec.EncodeAllLevels(s.kv); err != nil {
-				published <- err
-				return
+			for lv := 0; lv < s.codec.Config().Levels(); lv++ {
+				if _, err := s.codec.EncodeContext(s.kv, core.Level(lv)); err != nil {
+					published <- err
+					return
+				}
 			}
 			rounds.Add(1)
 		}

@@ -25,8 +25,9 @@ type PublishOptions struct {
 
 // PublishStats accounts one publish or append against the
 // content-addressed store: how much was actually encoded and uploaded
-// versus adopted by reference. The dedup ratio experiments (X6) and the
-// gateway sessions read these.
+// versus adopted by reference. TestPublishDedupSharedPrefix pins them
+// for a shared prefix, and the publish-beside-read benchmark's writer
+// checks every publish and fork against them.
 type PublishStats struct {
 	// Chunks is the number of chunks the resulting manifest covers;
 	// EncodedChunks of them went through the engine this call, and
