@@ -96,7 +96,7 @@ func main() {
 	prefetch := flag.Bool("prefetch", true, "stream KV chunks while requests wait in the queue")
 	maxPrefetch := flag.Int("max-prefetch", 0, "concurrent background prefetch bound (0 = 4x slots, <0 = unbounded)")
 	pipelineDepth := flag.Int("pipeline-depth", 4, "chunk transfers in flight per request while decode proceeds in order")
-	probeInterval := flag.Duration("probe-interval", 250*time.Millisecond, "active health-probe cycle for suspect/dead nodes (<0 = probing disabled)")
+	probeInterval := flag.Duration("probe-interval", 250*time.Millisecond, "active health-probe cycle for suspect/dead nodes, a dead node's way back into routing (<=0 = 250ms)")
 	hedge := flag.Bool("hedge", true, "hedge chunk fetches to the next replica past the serving node's adaptive P99 latency")
 	degrade := flag.Bool("degrade", true, "step requests down quality levels (to text at the floor) under queue or SLO-budget pressure instead of shedding")
 	tenantsFlag := flag.String("tenants", "gold:4,silver:2,bronze:1", "tenant list as name:weight,... (weight = WRR share and traffic share)")
@@ -409,8 +409,8 @@ func main() {
 	log.Printf("pool: %d dials, %d failovers, %d open connections, %d requests / %d attempts (amplification %s)",
 		ps.Dials, ps.Failovers, ps.OpenConns, ps.Requests, ps.Attempts, amp)
 	rs := pool.Resilience().Stats()
-	log.Printf("resilience: %d probes (%d failed), %d recoveries, %d breaker opens, %d hedges (%d wins), retry tokens %.1f (%d spent, %d denied)",
-		rs.Probes, rs.ProbeFailures, rs.Recoveries, rs.BreakerOpens, rs.Hedges, rs.HedgeWins,
+	log.Printf("resilience: %d probes (%d failed), %d deaths, %d recoveries, %d hedges (%d wins), retry tokens %.1f (%d spent, %d denied)",
+		rs.Probes, rs.ProbeFailures, rs.Deaths, rs.Recoveries, rs.Hedges, rs.HedgeWins,
 		rs.RetryTokens, rs.RetriesSpent, rs.RetriesDenied)
 	if st.Degraded > 0 {
 		log.Printf("degradation ladder: %d requests served at reduced quality under pressure", st.Degraded)

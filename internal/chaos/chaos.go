@@ -44,7 +44,7 @@ const (
 	// Flaky makes a node probabilistically pathological per request: a
 	// seeded fraction of requests stall by a delay or sever the
 	// connection mid-request — the brown-out that hedged fetches,
-	// breakers and retry budgets exist for.
+	// health states and retry budgets exist for.
 	Flaky Class = "flaky"
 )
 

@@ -20,10 +20,10 @@ import (
 // hostage to the OS connect timeout.
 const dialTimeout = 5 * time.Second
 
-// ErrFleetUnavailable distinguishes "every replica is marked failed"
-// from an ordinary fetch error: the pool failed fast instead of
-// spinning through an attempt list it knows is dead. Callers match it
-// with errors.Is.
+// ErrFleetUnavailable distinguishes "no replica is routable" from an
+// ordinary fetch error: every candidate is marked dead (or, on a chunk
+// stream, already failed this position), so the pool failed fast
+// without a dial. Callers match it with errors.Is.
 var ErrFleetUnavailable = errors.New("every replica marked failed")
 
 // dial opens a connection to a node (its ring id is its address). It
@@ -46,10 +46,9 @@ func dial(ctx context.Context, addr string) (*transport.Client, error) {
 // concurrent use.
 //
 // Failure handling routes through a resilience.Manager: request and
-// dial outcomes feed a per-node health state machine whose circuit
-// breakers gate attempts (subsuming the old dial-backoff negative
-// cache), an active prober fast-paths healed nodes back into rotation,
-// chunk fetches hedge to a replica after the node's adaptive P99
+// dial outcomes feed a per-node health state machine, a dead node is
+// out of routing until the active prober (or Invalidate) brings it
+// back, chunk fetches hedge to a replica after the node's adaptive P99
 // delay, and all retries and hedges draw from one token-bucket retry
 // budget so the pool cannot storm a browning-out fleet.
 type Pool struct {
@@ -97,8 +96,8 @@ func WithRequestTimeout(d time.Duration) PoolOption {
 	return func(p *Pool) { p.reqTimeout = d }
 }
 
-// WithResilience tunes the pool's failure domain (probe cadence,
-// breaker cooldown, retry budget, hedge clamps). Zero fields default.
+// WithResilience tunes the pool's failure domain (dead threshold, probe
+// cadence, retry budget). Zero fields default.
 func WithResilience(cfg resilience.Config) PoolOption {
 	return func(p *Pool) { p.resCfg = cfg }
 }
@@ -112,7 +111,7 @@ func WithHedging(enabled bool) PoolOption {
 
 // WithTelemetry mirrors the pool's counters (dials, failovers, open
 // connections, attempts) and its resilience state (node health,
-// breakers, hedges, retry budget) into a live metrics registry as
+// hedges, retry budget) into a live metrics registry as
 // function gauges over the same atomics Stats() reads — one
 // accounting, two exposures. Nil reg is a no-op.
 func WithTelemetry(reg *telemetry.Registry) PoolOption {
@@ -135,8 +134,7 @@ func (p *Pool) attemptCtx(ctx context.Context, attemptsLeft int) (attempt contex
 }
 
 // NewPool returns a pool over the ring's nodes and starts its health
-// prober (disable by setting a negative ProbeInterval via
-// WithResilience). Close stops the prober.
+// prober. Close stops the prober.
 func NewPool(ring *Ring, opts ...PoolOption) *Pool {
 	p := &Pool{ring: ring, nodes: map[string]*poolNode{}, hedge: true}
 	for _, o := range opts {
@@ -179,8 +177,8 @@ func (p *Pool) probe(ctx context.Context, node string) error {
 	return err
 }
 
-// Resilience exposes the pool's failure domain (health states, breaker
-// and budget accounting) for harnesses and debug endpoints.
+// Resilience exposes the pool's failure domain (health states, budget
+// accounting) for harnesses and debug endpoints.
 func (p *Pool) Resilience() *resilience.Manager { return p.res }
 
 // PoolStats snapshots the pool's counters.
@@ -269,7 +267,7 @@ func (p *Pool) slot(node string) (*poolNode, error) {
 // dial honors ctx, so an abandoned request (a gateway deadline, say)
 // is not pinned for the full connect timeout by a node that blackholes
 // packets. Repeated dials to a dead node are prevented one level up:
-// its circuit breaker stops requests being routed here at all.
+// routing skips dead nodes.
 func (p *Pool) client(ctx context.Context, node string) (*transport.Client, error) {
 	n, err := p.slot(node)
 	if err != nil {
@@ -295,7 +293,7 @@ func (p *Pool) client(ctx context.Context, node string) (*transport.Client, erro
 }
 
 // Invalidate drops a node's cached connection and fast-paths it back
-// into rotation (breaker closed, state recovering), so the next
+// into rotation (state recovering), so the next
 // request redials immediately. Chaos healing calls this when a killed
 // node restarts or a partition lifts — the same shortcut the health
 // prober takes on its own when a probe to a dead node succeeds.
@@ -340,16 +338,14 @@ func keepConn(err error) bool {
 	return errors.As(err, &remote) || errors.Is(err, storage.ErrNotFound)
 }
 
-// tryNodes runs op against candidate nodes until one succeeds, routing
-// by health (healthy and recovering first, dead last), skipping nodes
-// whose breaker is open, discarding dead connections, and counting
-// failovers past the first attempt. Failing over past a transport
-// failure spends a retry-budget token; moving past a clean not-found
-// or a remote application error is free (the node answered — that is
-// replica semantics, not a retry). When every candidate is skipped the
-// call fails fast with ErrFleetUnavailable instead of burning the
-// attempt list, as it does when all candidates are dead and the
-// remaining deadline budget cannot fund even one attempt.
+// tryNodes runs op against the routable candidates until one succeeds,
+// in health order (healthy and recovering first, suspect next, dead
+// never), discarding dead connections and counting failovers past the
+// first attempt. Failing over past a transport failure spends a
+// retry-budget token; moving past a clean not-found or a remote
+// application error is free (the node answered — that is replica
+// semantics, not a retry). When every candidate is dead the call fails
+// fast with ErrFleetUnavailable.
 //
 // When notFoundIsFinal is set, a clean storage.ErrNotFound from a live
 // node is treated as authoritative and returned immediately instead of
@@ -362,17 +358,12 @@ func (p *Pool) tryNodes(ctx context.Context, nodes []string, what string, notFou
 	}
 	p.requests.Add(1)
 	p.res.OnRequest()
-	ordered, allDead := p.res.Order(nodes)
-	if allDead {
-		if rem, ok := resilience.Remaining(ctx); ok && rem < 2*resilience.AttemptFloor {
-			// Nothing is routable and the budget cannot fund a
-			// half-open trial: fail fast, distinguishably.
-			p.res.OnFastFail()
-			return fmt.Errorf("cluster: %s: %w", what, ErrFleetUnavailable)
-		}
+	ordered := p.res.Order(nodes)
+	if len(ordered) == 0 {
+		p.res.OnFastFail()
+		return fmt.Errorf("cluster: %s: %w", what, ErrFleetUnavailable)
 	}
 	var lastErr error
-	attempted := 0
 	lastWasFailure := false
 	for i, node := range ordered {
 		// A cancelled or expired request must not sweep the replica set:
@@ -381,19 +372,15 @@ func (p *Pool) tryNodes(ctx context.Context, nodes []string, what string, notFou
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("cluster: %s: %w", what, err)
 		}
-		if !p.res.Allow(node) {
-			continue
-		}
-		if attempted > 0 {
+		if i > 0 {
 			if lastWasFailure && !p.res.TryRetry() {
-				return fmt.Errorf("cluster: %s: retry budget exhausted after %d attempts: %w", what, attempted, lastErr)
+				return fmt.Errorf("cluster: %s: retry budget exhausted after %d attempts: %w", what, i, lastErr)
 			}
 			p.failovers.Add(1)
 			telemetry.Event(ctx, "failover",
 				telemetry.Attr{Key: "what", Value: what},
 				telemetry.Attr{Key: "node", Value: node})
 		}
-		attempted++
 		err := p.withNode(ctx, node, len(ordered)-i, op)
 		if err != nil {
 			if notFoundIsFinal && errors.Is(err, storage.ErrNotFound) {
@@ -411,11 +398,7 @@ func (p *Pool) tryNodes(ctx context.Context, nodes []string, what string, notFou
 		telemetry.Annotate(ctx, "node", node)
 		return nil
 	}
-	if attempted == 0 {
-		p.res.OnFastFail()
-		return fmt.Errorf("cluster: %s: %w", what, ErrFleetUnavailable)
-	}
-	return fmt.Errorf("cluster: %s failed on all %d replicas tried: %w", what, attempted, lastErr)
+	return fmt.Errorf("cluster: %s failed on all %d replicas tried: %w", what, len(ordered), lastErr)
 }
 
 // withNode runs one attempt against one node under the per-attempt
@@ -436,13 +419,16 @@ func (p *Pool) withNode(ctx context.Context, node string, attemptsLeft int, op f
 			// The node answered; the application-level error is not a
 			// health signal.
 			p.res.ReportSuccess(node, time.Since(start))
-		case budgeted && ctx.Err() == nil && attempt.Err() == context.DeadlineExceeded && c.Err() == nil && c.Abandoned() <= 1:
-			// The request's own budget set this deadline and ran out,
-			// which says nothing about the node. Keep the connection
-			// too: an abandoned wait consumes its late answer, so later
+		case (ctx.Err() != nil || budgeted && attempt.Err() == context.DeadlineExceeded) && c.Err() == nil && c.Abandoned() <= 1:
+			// The caller gave up (a hedge loser, a gateway deadline, a
+			// failed fetch cancelling its siblings), or the request's
+			// own budget set this deadline and ran out: neither says
+			// anything about the node. Keep the connection too — it is
+			// shared by every other round trip and stream to the node,
+			// and an abandoned wait consumes its late answer, so later
 			// round trips stay aligned. This attempt's wait must be the
 			// only one abandoned: a node still owing the answer to an
-			// earlier request is not just slow against one budget, and
+			// earlier request is not just slow against one caller, and
 			// keeping its connection would queue requests behind the
 			// backlog.
 		default:
@@ -505,27 +491,21 @@ func (p *Pool) GetChunkData(ctx context.Context, hash string) ([]byte, error) {
 // getChunkHedged is the first-wins duplicate fetch: the primary gets a
 // head start of its adaptive hedge delay; if it has not answered by
 // then (or fails outright), the same chunk-by-hash request goes to the
-// next live replica, and whichever answers first wins while the loser
-// is cancelled. handled=false falls back to the sequential path (cold
-// latency histogram, no live secondary, blocked primary).
+// next routable replica, and whichever answers first wins while the
+// loser is cancelled. handled=false falls back to the sequential path
+// (cold latency histogram, fewer than two routable replicas — where
+// tryNodes fails fast with ErrFleetUnavailable if there are none).
 func (p *Pool) getChunkHedged(parent context.Context, hash string, nodes []string) (data []byte, handled bool, err error) {
 	if parent.Err() != nil {
 		return nil, false, nil
 	}
-	ordered, _ := p.res.Order(nodes)
-	primary := ordered[0]
-	delay, warm := p.res.HedgeDelay(primary)
-	if !warm {
+	ordered := p.res.Order(nodes)
+	if len(ordered) < 2 {
 		return nil, false, nil
 	}
-	var secondary string
-	for _, n := range ordered[1:] {
-		if p.res.State(n) != resilience.Dead {
-			secondary = n
-			break
-		}
-	}
-	if secondary == "" || !p.res.Allow(primary) {
+	primary, secondary := ordered[0], ordered[1]
+	delay, warm := p.res.HedgeDelay(primary)
+	if !warm {
 		return nil, false, nil
 	}
 	p.requests.Add(1)
@@ -584,7 +564,7 @@ func (p *Pool) getChunkHedged(parent context.Context, hash string, nodes []strin
 				}
 			}
 		case <-timer.C:
-			if launched == 1 && p.res.Allow(secondary) && p.res.TryRetry() {
+			if launched == 1 && p.res.TryRetry() {
 				p.res.OnHedge()
 				telemetry.Event(parent, "hedge",
 					telemetry.Attr{Key: "what", Value: fmt.Sprintf("chunk %.12s…", hash)},

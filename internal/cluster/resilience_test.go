@@ -27,20 +27,17 @@ func restartNode(t *testing.T, n *clusterNode) {
 }
 
 // TestPoolFleetUnavailableFastFail is the fully-partitioned fleet
-// scenario: once every replica is marked dead, fetches fail fast with
-// the distinguishable ErrFleetUnavailable instead of spinning through
-// the whole attempt list, and batch fetches propagate it.
+// scenario: once every replica is marked dead, chunk fetches, manifest
+// fetches and chunk streams all fail fast with the distinguishable
+// ErrFleetUnavailable, without dialing a node — even one that has come
+// back but that neither the prober nor a heal hook has re-admitted.
 func TestPoolFleetUnavailableFastFail(t *testing.T) {
 	s := newClusterStack(t, 3, 2)
 	pool := NewPool(s.ring,
 		WithRequestTimeout(time.Second),
-		// One failure condemns a node, the breaker stays open for the
-		// whole test, and the prober is off so nothing resurrects them.
-		WithResilience(resilience.Config{
-			DeadAfter:       1,
-			BreakerCooldown: time.Hour,
-			ProbeInterval:   -1,
-		}))
+		// One failure condemns a node, and the prober's first cycle is
+		// an hour away, so nothing resurrects them.
+		WithResilience(resilience.Config{DeadAfter: 1, ProbeInterval: time.Hour}))
 	defer pool.Close()
 	ctx := context.Background()
 	hash := s.chunkHash(t, 0, 0)
@@ -54,52 +51,53 @@ func TestPoolFleetUnavailableFastFail(t *testing.T) {
 	if _, err := pool.GetManifest(ctx, testContextID); err == nil {
 		t.Fatal("manifest fetch succeeded on a fully-partitioned fleet")
 	}
-	if _, err := pool.GetBank(ctx); err == nil {
-		t.Fatal("bank fetch succeeded on a fully-partitioned fleet")
-	}
 	for _, n := range s.nodes {
 		if st := pool.Resilience().State(n.addr); st != resilience.Dead {
 			t.Fatalf("node %s = %v after fleet partition, want dead", n.addr, st)
 		}
 	}
-
-	// Now every replica is marked failed: requests fail fast and
-	// distinguishably, without burning a per-node attempt list.
-	start := time.Now()
-	_, err := pool.GetChunkData(ctx, hash)
-	if !errors.Is(err, ErrFleetUnavailable) {
-		t.Fatalf("chunk fetch on dead fleet = %v, want ErrFleetUnavailable", err)
+	// The nodes come back unannounced: a dial would now succeed and
+	// count, so a dial-free fast fail shows as Dials staying at zero.
+	for _, n := range s.nodes {
+		restartNode(t, n)
 	}
-	if took := time.Since(start); took > 200*time.Millisecond {
-		t.Errorf("fleet-unavailable fast fail took %v", took)
+
+	start := time.Now()
+	if _, err := pool.GetChunkData(ctx, hash); !errors.Is(err, ErrFleetUnavailable) {
+		t.Errorf("chunk fetch on dead fleet = %v, want ErrFleetUnavailable", err)
 	}
 	if _, err := pool.GetManifest(ctx, testContextID); !errors.Is(err, ErrFleetUnavailable) {
 		t.Errorf("manifest fetch on dead fleet = %v, want ErrFleetUnavailable", err)
 	}
-	if st := pool.Resilience().Stats(); st.FastFails == 0 {
-		t.Errorf("fast fails not accounted: %+v", st)
+	cs, err := pool.OpenChunkStream(ctx, transport.StreamRequest{
+		Chunks: []transport.StreamChunk{{Index: 0, Hashes: map[int]string{0: hash}}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// A near-exhausted deadline budget takes the same fast path even
-	// when a breaker trial would otherwise be admitted.
-	tight := resilience.WithBudget(ctx, time.Millisecond)
-	if _, err := pool.GetChunkData(tight, hash); !errors.Is(err, ErrFleetUnavailable) {
-		t.Errorf("tight-budget fetch on dead fleet = %v, want ErrFleetUnavailable", err)
+	defer cs.Close()
+	if _, err := cs.Recv(ctx); !errors.Is(err, ErrFleetUnavailable) {
+		t.Errorf("chunk stream on dead fleet = %v, want ErrFleetUnavailable", err)
+	}
+	if took := time.Since(start); took > 200*time.Millisecond {
+		t.Errorf("fleet-unavailable fast fails took %v", took)
+	}
+	if d := pool.Stats().Dials; d != 0 {
+		t.Errorf("%d dials to dead nodes, want 0", d)
+	}
+	if st := pool.Resilience().Stats(); st.FastFails != 3 {
+		t.Errorf("%d fast fails accounted, want 3", st.FastFails)
 	}
 }
 
-// TestPoolRecoversThroughInvalidate: the chaos-heal fast path still
-// works with breakers in front — Invalidate reopens routing to a node
-// whose breaker would otherwise stay open for the full cooldown.
+// TestPoolRecoversThroughInvalidate: the chaos-heal fast path —
+// Invalidate reopens routing to dead nodes that nothing else would bring
+// back before the prober's next cycle.
 func TestPoolRecoversThroughInvalidate(t *testing.T) {
 	s := newClusterStack(t, 3, 2)
 	pool := NewPool(s.ring,
 		WithRequestTimeout(time.Second),
-		WithResilience(resilience.Config{
-			DeadAfter:       1,
-			BreakerCooldown: time.Hour,
-			ProbeInterval:   -1,
-		}))
+		WithResilience(resilience.Config{DeadAfter: 1, ProbeInterval: time.Hour}))
 	defer pool.Close()
 	ctx := context.Background()
 
@@ -158,7 +156,7 @@ func slowManifestNode(t *testing.T, read time.Duration) (*Pool, string, *storage
 	node := ln.Addr().String()
 	ring := NewRing(1, 0)
 	ring.Add(node)
-	pool := NewPool(ring, WithRequestTimeout(time.Second), WithResilience(resilience.Config{ProbeInterval: -1}))
+	pool := NewPool(ring, WithRequestTimeout(time.Second), WithResilience(resilience.Config{ProbeInterval: time.Hour}))
 	t.Cleanup(func() { pool.Close() })
 	return pool, node, slow
 }
@@ -184,7 +182,7 @@ func awaitLateAnswers(t *testing.T, pool *Pool, node string) {
 // TestPoolBudgetExpiryIsNotANodeFailure: an attempt cut short by the
 // request's own nearly spent deadline budget says nothing about the node.
 // Three requests that each give up on a slow node before it answers
-// leave it healthy, its breaker closed and its one connection in place,
+// leave it healthy and its one connection in place,
 // and that connection answers the next request in order.
 func TestPoolBudgetExpiryIsNotANodeFailure(t *testing.T) {
 	ctx := context.Background()
@@ -199,8 +197,8 @@ func TestPoolBudgetExpiryIsNotANodeFailure(t *testing.T) {
 	if st := pool.Resilience().State(node); st != resilience.Healthy {
 		t.Errorf("node %v after three budget expiries, want healthy", st)
 	}
-	if n := pool.Resilience().Stats().BreakerOpens; n != 0 {
-		t.Errorf("%d breaker opens after three budget expiries, want 0", n)
+	if n := pool.Resilience().Stats().Deaths; n != 0 {
+		t.Errorf("%d deaths after three budget expiries, want 0", n)
 	}
 	slow.SetLatency(0, 0)
 	man, err := pool.GetManifest(ctx, "doc")
@@ -209,6 +207,47 @@ func TestPoolBudgetExpiryIsNotANodeFailure(t *testing.T) {
 	}
 	if d := pool.Stats().Dials; d != 1 {
 		t.Errorf("%d dials, want the one connection kept throughout", d)
+	}
+}
+
+// TestPoolCancelledCallerKeepsConnection: a caller that gives up (a
+// hedge loser, a gateway deadline, a failed fetch cancelling its
+// siblings) says nothing about the node, and must not close the one
+// connection the node's other callers are waiting on.
+func TestPoolCancelledCallerKeepsConnection(t *testing.T) {
+	pool, node, _ := slowManifestNode(t, 100*time.Millisecond)
+	cctx, cancel := context.WithCancel(context.Background())
+	errs := make(chan error, 2)
+	for _, ctx := range []context.Context{cctx, context.Background()} {
+		go func(ctx context.Context) {
+			_, err := pool.GetManifest(ctx, "doc")
+			errs <- err
+		}(ctx)
+	}
+	// Cancel once both round trips are likely on the one connection; the
+	// outcome must be the same at any timing, only the case under test
+	// (an abandoned wait beside a live one) needs both in flight.
+	time.Sleep(30 * time.Millisecond)
+	cancel()
+	var cancelled, served int
+	for i := 0; i < 2; i++ {
+		switch err := <-errs; {
+		case err == nil:
+			served++
+		case errors.Is(err, context.Canceled):
+			cancelled++
+		default:
+			t.Errorf("request beside a cancelled one: %v", err)
+		}
+	}
+	if cancelled != 1 || served != 1 {
+		t.Errorf("%d cancelled, %d served, want 1 and 1", cancelled, served)
+	}
+	if st := pool.Resilience().State(node); st != resilience.Healthy {
+		t.Errorf("node %v after a caller cancelled, want healthy", st)
+	}
+	if d := pool.Stats().Dials; d != 1 {
+		t.Errorf("%d dials, want the one shared connection kept", d)
 	}
 }
 

@@ -217,29 +217,19 @@ func (s *poolStream) openRun(ctx context.Context) (transport.ChunkStream, int, e
 	if !ok {
 		return nil, 0, fmt.Errorf("cluster: chunk %d has no payload at level %d", start, firstLevel)
 	}
-	// Candidate nodes for the first chunk, minus those that already
-	// failed serving this position, routed by health: a breaker-open
-	// node is only attempted when no live candidate remains (its
-	// half-open trial may still admit it).
-	candidates, _ := s.p.res.Order(s.p.ring.ChunkNodes(firstHash))
-	var primary, fallback string
-	for _, n := range candidates {
-		if failed[n] {
-			continue
-		}
-		if fallback == "" {
-			fallback = n
-		}
-		if s.p.res.Allow(n) {
+	// The first chunk's routable nodes in health order, minus those that
+	// already failed serving this position. None left fails fast, as
+	// tryNodes does: a dead node is never dialed.
+	var primary string
+	for _, n := range s.p.res.Order(s.p.ring.ChunkNodes(firstHash)) {
+		if !failed[n] {
 			primary = n
 			break
 		}
 	}
 	if primary == "" {
-		primary = fallback
-	}
-	if primary == "" {
-		return nil, 0, fmt.Errorf("cluster: no replicas left for chunk stream position %d", start)
+		s.p.res.OnFastFail()
+		return nil, 0, fmt.Errorf("cluster: chunk stream position %d: %w", start, ErrFleetUnavailable)
 	}
 
 	// Extend the run while the node holds the next chunk's payload at

@@ -250,16 +250,18 @@ func TestPoolStreamSwitchAndCancel(t *testing.T) {
 	}
 	ctx := context.Background()
 	// First frame: chunk 0 is in flight with ≥2 credit windows unsent, so
-	// chunks 1+ cannot have started. Cancel chunk 0 to text and switch
-	// the rest to level 1.
+	// chunks 1+ cannot have started. Switch the rest to level 1, then
+	// cancel chunk 0 to text — in that order: the 64-byte text restart
+	// finishes chunk 0 at once, and the server may start chunk 1 before a
+	// switch sent after the cancel arrives.
 	f, err := cs.Recv(ctx)
 	if err != nil || f.Pos != 0 || f.Level != 0 {
 		t.Fatalf("first frame = %+v, %v", f, err)
 	}
-	if err := cs.Cancel(0, storage.TextLevel); err != nil {
+	if err := cs.Switch(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := cs.Switch(1); err != nil {
+	if err := cs.Cancel(0, storage.TextLevel); err != nil {
 		t.Fatal(err)
 	}
 	got, levels := drainStrict(t, cs)

@@ -139,10 +139,44 @@ const (
 	relAccMin, relAccMax           = 0.95, 1.00 // paper: ≤2% loss
 )
 
-// TestClaimsTableMatchesBands reads the README's claims table ("Headline
-// claims and what the tests enforce") and fails when a row's enforced
-// band or test differs from what the tests here enforce, or when a claim
-// is missing from the table or the table lists one they do not check.
+// claimsRow is one row of the README's claims table ("Headline claims
+// and what the tests enforce"), cells trimmed, the test's backticks
+// dropped.
+type claimsRow struct{ paper, measured, enforced, test string }
+
+// readClaimsTable reads the README's claims table, keyed by claim.
+func readClaimsTable(t *testing.T) map[string]claimsRow {
+	t.Helper()
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n## Headline claims and what the tests enforce\n")
+	if !ok {
+		t.Fatal("README has no claims section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := map[string]claimsRow{}
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| ") || strings.HasPrefix(line, "| Claim |") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cells) != 5 {
+			t.Fatalf("claims row has %d cells, want 5: %s", len(cells), line)
+		}
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		rows[cells[0]] = claimsRow{cells[1], cells[2], cells[3], strings.Trim(cells[4], "`")}
+	}
+	return rows
+}
+
+// TestClaimsTableMatchesBands fails when a row of the README's claims
+// table names an enforced band or test that differs from what the tests
+// here enforce, or when a claim is missing from the table or the table
+// lists one they do not check.
 func TestClaimsTableMatchesBands(t *testing.T) {
 	const calib = "TestCalibrationHeadlineRatios"
 	ratio := func(lo, hi float64) string { return fmt.Sprintf("%.1f–%.1f×", lo, hi) }
@@ -153,34 +187,12 @@ func TestClaimsTableMatchesBands(t *testing.T) {
 		"Accuracy at the default level": {fmt.Sprintf("%.2f–%.2f of baseline", relAccMin, relAccMax), calib},
 		"SLO violations (Figure 13)":    {"CacheGen ≤ quantization and ≤ no adaptation, at each SLO", "TestFigure13Shape"},
 	}
-	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, section, ok := strings.Cut(string(readme), "\n## Headline claims and what the tests enforce\n")
-	if !ok {
-		t.Fatal("README has no claims section")
-	}
-	section, _, _ = strings.Cut(section, "\n## ")
-	got := map[string][2]string{}
-	for _, line := range strings.Split(section, "\n") {
-		if !strings.HasPrefix(line, "| ") || strings.HasPrefix(line, "| Claim |") {
-			continue
-		}
-		cells := strings.Split(strings.Trim(line, "|"), "|")
-		if len(cells) != 4 {
-			t.Fatalf("claims row has %d cells, want 4: %s", len(cells), line)
-		}
-		for i := range cells {
-			cells[i] = strings.TrimSpace(cells[i])
-		}
-		got[cells[0]] = [2]string{cells[2], strings.Trim(cells[3], "`")}
-	}
+	got := readClaimsTable(t)
 	for claim, w := range want {
 		if g, ok := got[claim]; !ok {
 			t.Errorf("README claims table lacks %q", claim)
-		} else if g != w {
-			t.Errorf("README claims table: %q enforced %q by %s, the tests enforce %q by %s", claim, g[0], g[1], w[0], w[1])
+		} else if g.enforced != w[0] || g.test != w[1] {
+			t.Errorf("README claims table: %q enforced %q by %s, the tests enforce %q by %s", claim, g.enforced, g.test, w[0], w[1])
 		}
 	}
 	for claim := range got {
@@ -192,7 +204,9 @@ func TestClaimsTableMatchesBands(t *testing.T) {
 
 // TestCalibrationHeadlineRatios pins the reproduction's headline numbers
 // to the bands in the README's claims table ("Headline claims and what
-// the tests enforce"), which lists each beside the paper's.
+// the tests enforce"), which lists each beside the paper's, and fails
+// when the table's Measured cell is not the number measured here at the
+// table's precision.
 func TestCalibrationHeadlineRatios(t *testing.T) {
 	f := testFixture(t)
 	rig, err := f.Rig(llm.Mistral7B())
@@ -210,8 +224,9 @@ func TestCalibrationHeadlineRatios(t *testing.T) {
 	// Quality: CacheGen's default level loses ≤2-3% accuracy.
 	qp := rig.QP
 	task := llm.Task{Name: "longchat", Metric: llm.MetricAccuracy, Baseline: 1.0}
-	if rel := task.Score(rig.LevelErr[defaultLevel], 0, qp); rel < relAccMin || rel > relAccMax {
-		t.Errorf("CacheGen relative accuracy %.3f, want ≈0.98", rel)
+	relAcc := task.Score(rig.LevelErr[defaultLevel], 0, qp)
+	if relAcc < relAccMin || relAcc > relAccMax {
+		t.Errorf("CacheGen relative accuracy %.3f, want ≈0.98", relAcc)
 	}
 	if rel := task.Score(rig.QuantErr[8], 0, qp); rel < 0.99 {
 		t.Errorf("8-bit quant relative accuracy %.3f, want ≈1.00", rel)
@@ -239,6 +254,18 @@ func TestCalibrationHeadlineRatios(t *testing.T) {
 	}
 	if vsQuant < ttftVsQuantMin || vsQuant > ttftVsQuantMax {
 		t.Errorf("TTFT vs quant = %.2fx, want ≈3.2-3.7x", vsQuant)
+	}
+
+	table := readClaimsTable(t)
+	for claim, measured := range map[string]string{
+		"KV size vs 8-bit quantization": fmt.Sprintf("%.1f×", ratio),
+		"TTFT vs 8-bit quantization":    fmt.Sprintf("%.1f×", vsQuant),
+		"TTFT vs text context":          fmt.Sprintf("%.1f×", vsText),
+		"Accuracy at the default level": fmt.Sprintf("%.2f of baseline", relAcc),
+	} {
+		if got := table[claim].measured; got != measured {
+			t.Errorf("README claims table: %q measured %q, the test measures %q", claim, got, measured)
+		}
 	}
 }
 

@@ -14,15 +14,14 @@ import (
 	"repro/internal/streamer"
 )
 
-// The resilience scenario (ISSUE 9): the fleet's failure domain —
-// health-probed membership, per-node circuit breakers, hedged chunk
-// fetches, and the shared retry budget — measured as three cells, each
-// pinning one claim:
+// The resilience scenario: the fleet's failure domain — health-probed
+// membership, hedged chunk fetches, and the shared retry budget —
+// measured as three cells, each pinning one claim:
 //
 //   - recovery: after a killed node heals, the active prober puts it
-//     back into rotation within a probe cycle, where the passive
-//     baseline (probing disabled, breaker cooldown only) leaves it
-//     sidelined indefinitely as long as its replicas stay healthy;
+//     back into rotation within a few probe cycles (routing sends a
+//     failed node no traffic while its replicas answer, so the prober
+//     or a heal hook is its only way back);
 //   - hedging: under a flaky node that stalls a fraction of requests,
 //     hedged first-wins duplicate fetches cut the P99 fetch latency to
 //     a small multiple of the healthy path, while the unhedged pool's
@@ -126,32 +125,25 @@ func (fl *x12Fleet) warm(rounds int) error {
 	return nil
 }
 
-// --- cell 1: post-heal recovery, active prober vs passive baseline ---
+// --- cell 1: post-heal recovery through the active prober ---
 
-// x12RecoveryWindow bounds how long a variant gets to notice healing.
+// x12RecoveryWindow bounds how long the pool gets to notice healing.
 const x12RecoveryWindow = 1200 * time.Millisecond
 
+// x12ProbeCycle is the recovery cell's prober cycle.
+const x12ProbeCycle = 15 * time.Millisecond
+
 type x12Recovery struct {
-	variant   string
-	probe     time.Duration // prober cycle (<0 disabled)
-	recovered bool          // back at full routing priority inside the window
-	elapsed   time.Duration // heal → routable (the window if it never happened)
-	probes    uint64        // active probes issued
+	elapsed time.Duration // heal → back at full routing priority
+	probes  uint64        // active probes issued
 }
 
 // x12RecoveryCell kills the busiest node, lets live traffic mark it
-// failed, restarts it, and measures how long the pool takes to route
-// to it again — with the active prober, or with probing disabled so
-// only the passive machinery (breaker cooldown, request-path ordering)
-// could notice. No heal hook fires: the pool is on its own.
-func x12RecoveryCell(st *corpusStack, prober bool) (*x12Recovery, error) {
-	out := &x12Recovery{variant: "backoff-baseline", probe: -1}
-	cfg := resilience.Config{ProbeInterval: -1, BreakerCooldown: 250 * time.Millisecond}
-	if prober {
-		out.variant = "active-prober"
-		out.probe = 15 * time.Millisecond
-		cfg = resilience.Config{ProbeInterval: out.probe, ProbeTimeout: 250 * time.Millisecond}
-	}
+// failed, restarts it, and measures how long the pool's prober takes
+// to put it back at full routing priority. No heal hook fires: the
+// pool is on its own.
+func x12RecoveryCell(st *corpusStack) (*x12Recovery, error) {
+	cfg := resilience.Config{ProbeInterval: x12ProbeCycle, ProbeTimeout: 250 * time.Millisecond}
 	fl, err := newX12Fleet(st, cluster.WithResilience(cfg), cluster.WithHedging(false))
 	if err != nil {
 		return nil, err
@@ -180,47 +172,30 @@ func x12RecoveryCell(st *corpusStack, prober bool) (*x12Recovery, error) {
 		return nil, err
 	}
 	healed := time.Now()
-	// Drive steady traffic at the victim's chunks — the baseline's only
-	// conceivable path back is the request plane, so give it requests.
-	deadline := healed.Add(x12RecoveryWindow)
-	for i := 0; time.Now().Before(deadline); i++ {
-		if res.State(victim) == resilience.Healthy {
-			out.recovered = true
-			out.elapsed = time.Since(healed)
-			break
+	// Keep live traffic on the victim's chunks while waiting: their
+	// replicas answer, so the requests themselves never route back to
+	// the victim.
+	for i := 0; res.State(victim) != resilience.Healthy; i++ {
+		if time.Since(healed) >= x12RecoveryWindow {
+			return nil, fmt.Errorf("X12 recovery: the prober did not re-admit the healed node within %v", x12RecoveryWindow)
 		}
 		if _, err := fl.pool.GetChunkData(ctx, chunks[i%len(chunks)]); err != nil {
 			return nil, fmt.Errorf("fetch after heal: %w", err)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if !out.recovered {
-		out.elapsed = x12RecoveryWindow
-	}
-	out.probes = res.Stats().Probes
-	return out, nil
+	return &x12Recovery{elapsed: time.Since(healed), probes: res.Stats().Probes}, nil
 }
 
 // x12CheckRecovery enforces the recovery claim: the prober puts the
-// healed node back well inside the window; the baseline never does
-// while its replicas stay healthy.
-func x12CheckRecovery(prober, baseline *x12Recovery) error {
-	if !prober.recovered {
-		return fmt.Errorf("X12 recovery: prober variant did not re-admit the healed node within %v", x12RecoveryWindow)
-	}
-	if prober.elapsed >= x12RecoveryWindow/4 {
+// healed node back well inside the window.
+func x12CheckRecovery(r *x12Recovery) error {
+	if r.elapsed >= x12RecoveryWindow/4 {
 		return fmt.Errorf("X12 recovery: prober took %v to re-admit the healed node, want < %v",
-			prober.elapsed, x12RecoveryWindow/4)
+			r.elapsed, x12RecoveryWindow/4)
 	}
-	if prober.probes == 0 {
-		return fmt.Errorf("X12 recovery: prober variant issued no probes")
-	}
-	if baseline.recovered {
-		return fmt.Errorf("X12 recovery: baseline re-admitted the node in %v without probes — the prober is not what found it",
-			baseline.elapsed)
-	}
-	if prober.elapsed >= baseline.elapsed {
-		return fmt.Errorf("X12 recovery: prober (%v) not faster than baseline (%v)", prober.elapsed, baseline.elapsed)
+	if r.probes == 0 {
+		return fmt.Errorf("X12 recovery: the node came back without a probe")
 	}
 	return nil
 }
@@ -248,7 +223,7 @@ type x12Hedge struct {
 // on or off. The retry budget is opened wide so the cells compare the
 // mechanism, not the allowance.
 func x12HedgeCell(st *corpusStack, hedged bool) (*x12Hedge, error) {
-	cfg := resilience.Config{ProbeInterval: -1, RetryFraction: 1, RetryBurst: 64}
+	cfg := resilience.Config{RetryFraction: 1, RetryBurst: 64}
 	fl, err := newX12Fleet(st, cluster.WithResilience(cfg), cluster.WithHedging(hedged))
 	if err != nil {
 		return nil, err
@@ -335,7 +310,6 @@ type x12Containment struct {
 // budget-denied failures, not extra network attempts.
 func x12ContainmentCell(st *corpusStack) (*x12Containment, error) {
 	cfg := resilience.Config{
-		ProbeInterval: -1,
 		DeadAfter:     1 << 20, // strikes stay "suspect": gray, not dead
 		RetryFraction: x12ContainFraction,
 		RetryBurst:    x12ContainBurst,
@@ -410,35 +384,20 @@ func runX12Resilience(*Fixture) ([]*Report, error) {
 		return nil, err
 	}
 
-	proberOut, err := x12RecoveryCell(st, true)
+	recov, err := x12RecoveryCell(st)
 	if err != nil {
 		return nil, err
 	}
-	baseOut, err := x12RecoveryCell(st, false)
-	if err != nil {
-		return nil, err
-	}
-	if err := x12CheckRecovery(proberOut, baseOut); err != nil {
+	if err := x12CheckRecovery(recov); err != nil {
 		return nil, err
 	}
 	recovery := &Report{
 		ID:      "X12",
 		Title:   "Resilience: post-heal recovery time (3 nodes, replication 2, victim killed then restarted, no heal hook)",
-		Columns: []string{"Variant", "Probe cycle", "Back in rotation", "Heal→routable", "Probes"},
+		Columns: []string{"Probe cycle", "Heal→routable", "Probes"},
 	}
-	for _, out := range []*x12Recovery{proberOut, baseOut} {
-		probe, routable := "off", fmt.Sprintf("%.0f ms", float64(out.elapsed)/1e6)
-		if out.probe > 0 {
-			probe = out.probe.String()
-		}
-		back := "yes"
-		if !out.recovered {
-			back = "no"
-			routable = fmt.Sprintf("> %.0f ms (window)", float64(x12RecoveryWindow)/1e6)
-		}
-		recovery.AddRow(out.variant, probe, back, routable, fmt.Sprintf("%d", out.probes))
-	}
-	recovery.AddNote("with probing disabled the healed node is never re-admitted while its replicas stay healthy: request-path ordering sends suspect nodes traffic only after the healthy candidates fail, so only the active prober (or an explicit heal hook) closes the loop")
+	recovery.AddRow(x12ProbeCycle.String(), fmt.Sprintf("%.0f ms", float64(recov.elapsed)/1e6), fmt.Sprintf("%d", recov.probes))
+	recovery.AddNote("routing sends a failed node traffic only after its healthy replicas fail, and a dead one none at all, so the active prober (or an explicit heal hook) is what closes the loop")
 
 	hedgedOut, err := x12HedgeCell(st, true)
 	if err != nil {

@@ -10,12 +10,12 @@ import (
 type ProbeFunc func(ctx context.Context, node string) error
 
 // StartProber launches the active health prober: every ProbeInterval
-// it probes each suspect and dead node, fast-pathing nodes that answer
-// back into rotation (dead → recovering with a closed breaker) instead
-// of waiting for a live request to wander into a half-open trial. At
-// most one prober runs per Manager; Close stops it.
+// it probes each suspect and dead node, putting nodes that answer back
+// into rotation (dead → recovering). Routing never tries a dead node,
+// so besides MarkRecovered the prober is a dead node's only way back.
+// At most one prober runs per Manager; Close stops it.
 func (m *Manager) StartProber(probe ProbeFunc) {
-	if probe == nil || m.cfg.ProbeInterval < 0 {
+	if probe == nil {
 		return
 	}
 	m.mu.Lock()

@@ -13,11 +13,9 @@
 // gateway:
 //
 //   - a per-node health state machine (healthy → suspect → dead →
-//     recovering → healthy) fed by request outcomes and driven forward
-//     by an active prober that fast-paths healed nodes back into
-//     rotation (subsuming the pool's old dial-backoff negative cache);
-//   - a per-node circuit breaker (closed/open/half-open) unifying dial
-//     and request failures;
+//     recovering → healthy) fed by request outcomes; a dead node is out
+//     of routing (Order drops it) until the active prober or a heal
+//     hook (MarkRecovered) brings it back;
 //   - a token-bucket retry budget bounding total request amplification;
 //   - per-node latency histograms whose upper quantile sets the
 //     adaptive hedge delay for first-wins duplicate chunk fetches;
@@ -43,12 +41,12 @@ const (
 	// Suspect nodes have failed recently but not enough to be written
 	// off; they are tried after healthy candidates.
 	Suspect
-	// Dead nodes failed past the threshold; their breaker is open and
-	// routing skips them until a probe (or breaker half-open trial)
-	// succeeds.
+	// Dead nodes failed past the threshold; routing skips them until a
+	// probe succeeds or a heal hook marks them recovered.
 	Dead
-	// Recovering nodes passed a probe after being dead; they take
-	// traffic again, and one real success promotes them to Healthy.
+	// Recovering nodes passed a probe or were marked recovered after
+	// failing; they take traffic again, and one real success promotes
+	// them to Healthy.
 	Recovering
 )
 
@@ -75,19 +73,13 @@ func (s NodeState) String() string {
 // request still unanswered past it is probably stuck, so a duplicate goes
 // to the next replica).
 type Config struct {
-	// DeadAfter consecutive failures demote → Dead and open the node's
-	// breaker. Default 3.
+	// DeadAfter consecutive failures demote → Dead. Default 3.
 	DeadAfter int
 	// ProbeInterval is the active prober's cycle; each cycle it probes
-	// every suspect and dead node. Default 250ms. Negative disables
-	// probing even if StartProber is called.
+	// every suspect and dead node. Default (and any value ≤ 0) 250ms.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe. Default 1s.
 	ProbeTimeout time.Duration
-	// BreakerCooldown is how long an open breaker blocks attempts
-	// before letting one half-open trial through. Default 1s (the old
-	// dial-backoff window).
-	BreakerCooldown time.Duration
 	// RetryFraction is how many retry-budget tokens each logical
 	// request earns; a retry or hedge spends one. Long-run request
 	// amplification is thus bounded by 1+RetryFraction. Default 0.25.
@@ -109,14 +101,11 @@ func (c Config) withDefaults() Config {
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 3
 	}
-	if c.ProbeInterval == 0 {
+	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 250 * time.Millisecond
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = time.Second
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
 	}
 	if c.RetryFraction <= 0 {
 		c.RetryFraction = 0.25
@@ -131,12 +120,11 @@ func (c Config) withDefaults() Config {
 type node struct {
 	mu    sync.Mutex
 	state NodeState
-	fails int // consecutive failures
-	br    Breaker
+	fails int                 // consecutive failures
 	lat   telemetry.Histogram // request latency, feeds the hedge delay
 }
 
-// Manager tracks every node's health, breaker, and latency, and owns
+// Manager tracks every node's health and latency, and owns
 // the shared retry budget and the active prober. Safe for concurrent
 // use; the zero value is not usable — call New.
 type Manager struct {
@@ -152,7 +140,7 @@ type Manager struct {
 	probes        atomic.Uint64
 	probeFailures atomic.Uint64
 	recoveries    atomic.Uint64
-	breakerOpens  atomic.Uint64
+	deaths        atomic.Uint64
 	hedges        atomic.Uint64
 	hedgeWins     atomic.Uint64
 	retriesSpent  atomic.Uint64
@@ -177,7 +165,6 @@ func (m *Manager) node(id string) *node {
 	n, ok := m.nodes[id]
 	if !ok {
 		n = &node{}
-		n.br.cooldown = m.cfg.BreakerCooldown
 		m.nodes[id] = n
 	}
 	return n
@@ -202,66 +189,51 @@ func (m *Manager) ReportSuccess(id string, d time.Duration) {
 		n.lat.ObserveDuration(d)
 	}
 	n.fails = 0
-	n.br.Success()
-	switch n.state {
-	case Suspect:
-		n.state = Healthy
-	case Dead, Recovering:
-		n.state = Healthy
+	if n.state == Dead {
 		m.recoveries.Add(1)
 	}
+	n.state = Healthy
 }
 
 // ReportFailure records a failed attempt (dial error or dead
-// transport) against id, advancing the state machine and opening the
-// breaker past the dead threshold.
+// transport) against id, advancing the state machine: past the dead
+// threshold the node leaves routing.
 func (m *Manager) ReportFailure(id string) {
 	n := m.node(id)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.fails++
-	wasOpen := n.br.State() == BreakerOpen
-	n.br.Failure()
 	switch {
+	case n.state == Dead:
+		// Already out of routing; a death counts once.
 	case n.state == Recovering || n.fails >= m.cfg.DeadAfter:
 		// A recovering node that fails again goes straight back to
 		// dead: the probe's good news was premature.
 		n.state = Dead
-		n.br.Trip()
-		if !wasOpen {
-			m.breakerOpens.Add(1)
-		}
+		m.deaths.Add(1)
 	case n.state == Healthy:
 		n.state = Suspect
 	}
 }
 
-// Allow reports whether routing may attempt id now: true for closed
-// breakers and for one half-open trial per cooldown on open ones.
-func (m *Manager) Allow(id string) bool {
-	n := m.node(id)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.br.Allow()
-}
-
 // MarkRecovered fast-paths id back into rotation on external heal
-// evidence (an operator action, a chaos heal hook): breaker closed,
-// state Recovering, so the next request tries it immediately.
+// evidence (an operator action, a chaos heal hook): state Recovering,
+// so the next request tries it immediately.
 func (m *Manager) MarkRecovered(id string) {
 	n := m.node(id)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.fails = 0
-	n.br.Reset()
+	if n.state == Dead {
+		m.recoveries.Add(1)
+	}
 	if n.state != Healthy {
 		n.state = Recovering
 	}
 }
 
 // probeSuccess records a successful active probe: a dead node becomes
-// recovering (routable again) with its breaker closed; a suspect node
-// is confirmed healthy.
+// recovering (routable again); a suspect node is confirmed healthy.
 func (m *Manager) probeSuccess(id string, d time.Duration) {
 	n := m.node(id)
 	n.mu.Lock()
@@ -270,7 +242,6 @@ func (m *Manager) probeSuccess(id string, d time.Duration) {
 		n.lat.ObserveDuration(d)
 	}
 	n.fails = 0
-	n.br.Reset()
 	switch n.state {
 	case Dead:
 		n.state = Recovering
@@ -280,32 +251,23 @@ func (m *Manager) probeSuccess(id string, d time.Duration) {
 	}
 }
 
-// Order returns nodes reordered for routing — healthy and recovering
-// first (original order preserved within a class), suspect next, dead
-// last — plus whether every candidate is dead.
-func (m *Manager) Order(nodes []string) (ordered []string, allDead bool) {
-	if len(nodes) < 2 {
-		if len(nodes) == 1 {
-			return nodes, m.State(nodes[0]) == Dead
-		}
-		return nodes, false
-	}
-	ordered = make([]string, 0, len(nodes))
-	var suspect, dead []string
+// Order returns the routable nodes — every one not Dead — in routing
+// preference: healthy and recovering first, suspect next, original
+// order preserved within a class. An empty result means no candidate
+// is routable.
+func (m *Manager) Order(nodes []string) []string {
+	ordered := make([]string, 0, len(nodes))
+	var suspect []string
 	for _, id := range nodes {
 		switch m.State(id) {
 		case Suspect:
 			suspect = append(suspect, id)
 		case Dead:
-			dead = append(dead, id)
 		default:
 			ordered = append(ordered, id)
 		}
 	}
-	allDead = len(dead) == len(nodes)
-	ordered = append(ordered, suspect...)
-	ordered = append(ordered, dead...)
-	return ordered, allDead
+	return append(ordered, suspect...)
 }
 
 // HedgeDelay returns the adaptive hedge delay for id — its latency
@@ -345,8 +307,8 @@ func (m *Manager) TryRetry() bool {
 func (m *Manager) OnHedge()    { m.hedges.Add(1) }
 func (m *Manager) OnHedgeWin() { m.hedgeWins.Add(1) }
 
-// OnFastFail accounts a request failed fast because every replica was
-// marked dead (the ErrFleetUnavailable path).
+// OnFastFail accounts a request failed fast because no replica was
+// routable (the ErrFleetUnavailable path).
 func (m *Manager) OnFastFail() { m.fastFails.Add(1) }
 
 // stateCounts tallies nodes by state.
@@ -366,32 +328,14 @@ func (m *Manager) stateCounts() map[NodeState]int {
 	return counts
 }
 
-// breakersOpen counts nodes whose breaker is currently open.
-func (m *Manager) breakersOpen() int {
-	m.mu.Lock()
-	recs := make([]*node, 0, len(m.nodes))
-	for _, n := range m.nodes {
-		recs = append(recs, n)
-	}
-	m.mu.Unlock()
-	open := 0
-	for _, n := range recs {
-		n.mu.Lock()
-		if n.br.State() == BreakerOpen {
-			open++
-		}
-		n.mu.Unlock()
-	}
-	return open
-}
-
 // Stats snapshots the manager's counters.
 type Stats struct {
 	Probes        uint64
 	ProbeFailures uint64
+	// Recoveries counts nodes leaving Dead, by any route; Deaths
+	// counts nodes entering it.
 	Recoveries    uint64
-	BreakerOpens  uint64
-	BreakersOpen  int
+	Deaths        uint64
 	Hedges        uint64
 	HedgeWins     uint64
 	RetriesSpent  uint64
@@ -406,8 +350,7 @@ func (m *Manager) Stats() Stats {
 		Probes:        m.probes.Load(),
 		ProbeFailures: m.probeFailures.Load(),
 		Recoveries:    m.recoveries.Load(),
-		BreakerOpens:  m.breakerOpens.Load(),
-		BreakersOpen:  m.breakersOpen(),
+		Deaths:        m.deaths.Load(),
 		Hedges:        m.hedges.Load(),
 		HedgeWins:     m.hedgeWins.Load(),
 		RetriesSpent:  m.retriesSpent.Load(),
@@ -429,11 +372,8 @@ func (m *Manager) Register(reg *telemetry.Registry) {
 			return float64(m.stateCounts()[s])
 		}, "state", s.String())
 	}
-	reg.GaugeFunc("cachegen_resilience_breakers_open", "nodes with an open circuit breaker", func() float64 {
-		return float64(m.breakersOpen())
-	})
-	reg.GaugeFunc("cachegen_resilience_breaker_opens_total", "circuit breakers tripped open", func() float64 {
-		return float64(m.breakerOpens.Load())
+	reg.GaugeFunc("cachegen_resilience_deaths_total", "nodes taken out of routing as dead", func() float64 {
+		return float64(m.deaths.Load())
 	})
 	reg.GaugeFunc("cachegen_resilience_probes_total", "active health probes issued", func() float64 {
 		return float64(m.probes.Load())
@@ -441,7 +381,7 @@ func (m *Manager) Register(reg *telemetry.Registry) {
 	reg.GaugeFunc("cachegen_resilience_probe_failures_total", "active health probes failed", func() float64 {
 		return float64(m.probeFailures.Load())
 	})
-	reg.GaugeFunc("cachegen_resilience_recoveries_total", "nodes brought back into rotation", func() float64 {
+	reg.GaugeFunc("cachegen_resilience_recoveries_total", "dead nodes brought back into rotation", func() float64 {
 		return float64(m.recoveries.Load())
 	})
 	reg.GaugeFunc("cachegen_resilience_hedges_total", "hedged duplicate chunk fetches issued", func() float64 {

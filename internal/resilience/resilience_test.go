@@ -3,10 +3,14 @@ package resilience
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// routable reports whether routing would try id.
+func routable(m *Manager, id string) bool { return len(m.Order([]string{id})) == 1 }
 
 func TestStateMachine(t *testing.T) {
 	m := New(Config{DeadAfter: 3})
@@ -27,15 +31,15 @@ func TestStateMachine(t *testing.T) {
 	if s := m.State("n1"); s != Dead {
 		t.Fatalf("after 3 failures = %v, want dead", s)
 	}
-	if m.Allow("n1") {
-		t.Fatal("dead node's breaker should block attempts inside the cooldown")
+	if routable(m, "n1") {
+		t.Fatal("dead node is still routed to")
 	}
 	// A probe success makes it routable again but not yet trusted.
 	m.probeSuccess("n1", time.Millisecond)
 	if s := m.State("n1"); s != Recovering {
 		t.Fatalf("after probe success = %v, want recovering", s)
 	}
-	if !m.Allow("n1") {
+	if !routable(m, "n1") {
 		t.Fatal("recovering node should be routable")
 	}
 	// One real success promotes; a failure would demote straight to dead.
@@ -51,39 +55,6 @@ func TestStateMachine(t *testing.T) {
 	m.ReportFailure("n1")
 	if s := m.State("n1"); s != Dead {
 		t.Fatalf("recovering node that failed = %v, want dead", s)
-	}
-}
-
-func TestBreakerHalfOpen(t *testing.T) {
-	b := NewBreaker(30 * time.Millisecond)
-	if !b.Allow() || b.State() != BreakerClosed {
-		t.Fatal("fresh breaker should be closed")
-	}
-	b.Trip()
-	if b.Allow() {
-		t.Fatal("open breaker inside cooldown should block")
-	}
-	time.Sleep(35 * time.Millisecond)
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("past cooldown = %v, want half-open", b.State())
-	}
-	if !b.Allow() {
-		t.Fatal("half-open should admit one trial")
-	}
-	if b.Allow() {
-		t.Fatal("second trial inside the window should be blocked")
-	}
-	b.Failure()
-	if b.Allow() {
-		t.Fatal("failed trial should re-open the breaker")
-	}
-	time.Sleep(35 * time.Millisecond)
-	if !b.Allow() {
-		t.Fatal("cooldown after failed trial should admit another")
-	}
-	b.Success()
-	if b.State() != BreakerClosed || !b.Allow() {
-		t.Fatal("successful trial should close the breaker")
 	}
 }
 
@@ -126,18 +97,12 @@ func TestOrder(t *testing.T) {
 		m.ReportFailure("dead")
 	}
 	m.ReportFailure("sus")
-	ordered, allDead := m.Order([]string{"dead", "a", "sus", "b"})
-	want := []string{"a", "b", "sus", "dead"}
-	for i := range want {
-		if ordered[i] != want[i] {
-			t.Fatalf("ordered = %v, want %v", ordered, want)
-		}
+	ordered := m.Order([]string{"dead", "a", "sus", "b"})
+	if want := []string{"a", "b", "sus"}; fmt.Sprint(ordered) != fmt.Sprint(want) {
+		t.Fatalf("ordered = %v, want %v", ordered, want)
 	}
-	if allDead {
-		t.Fatal("allDead with live nodes")
-	}
-	if _, allDead := m.Order([]string{"dead"}); !allDead {
-		t.Fatal("single dead node not reported allDead")
+	if ordered := m.Order([]string{"dead"}); len(ordered) != 0 {
+		t.Fatalf("single dead node ordered = %v, want none", ordered)
 	}
 }
 
@@ -201,7 +166,7 @@ func TestProberRecoversDeadNode(t *testing.T) {
 	if s := m.State("n1"); s != Recovering {
 		t.Fatalf("state after heal = %v, want recovering", s)
 	}
-	if !m.Allow("n1") {
+	if !routable(m, "n1") {
 		t.Fatal("recovered node should be routable")
 	}
 	st := m.Stats()
@@ -239,16 +204,45 @@ func TestAttemptTimeout(t *testing.T) {
 }
 
 func TestMarkRecoveredFastPath(t *testing.T) {
-	m := New(Config{DeadAfter: 1, BreakerCooldown: time.Hour})
+	m := New(Config{DeadAfter: 1})
 	m.ReportFailure("n1")
-	if m.Allow("n1") {
-		t.Fatal("dead node routable inside an hour-long cooldown")
+	if routable(m, "n1") {
+		t.Fatal("dead node routable before any heal evidence")
 	}
 	m.MarkRecovered("n1")
-	if !m.Allow("n1") {
+	if !routable(m, "n1") {
 		t.Fatal("MarkRecovered did not fast-path the node")
 	}
 	if s := m.State("n1"); s != Recovering {
 		t.Fatalf("state = %v, want recovering", s)
+	}
+}
+
+// TestRecoveryCountedOnce: a node leaving Dead is one recovery whichever
+// route it takes back, and entering Dead is one death.
+func TestRecoveryCountedOnce(t *testing.T) {
+	for name, heal := range map[string]func(m *Manager){
+		"probe then success": func(m *Manager) {
+			m.probeSuccess("n1", time.Millisecond)
+			m.ReportSuccess("n1", time.Millisecond)
+		},
+		"heal hook then success": func(m *Manager) {
+			m.MarkRecovered("n1")
+			m.ReportSuccess("n1", time.Millisecond)
+		},
+		"late success": func(m *Manager) {
+			m.ReportSuccess("n1", time.Millisecond)
+		},
+	} {
+		m := New(Config{DeadAfter: 1})
+		m.ReportFailure("n1")
+		m.ReportFailure("n1")
+		heal(m)
+		if s := m.State("n1"); s != Healthy {
+			t.Errorf("%s: state = %v, want healthy", name, s)
+		}
+		if st := m.Stats(); st.Recoveries != 1 || st.Deaths != 1 {
+			t.Errorf("%s: %d recoveries, %d deaths, want 1 and 1", name, st.Recoveries, st.Deaths)
+		}
 	}
 }

@@ -181,7 +181,7 @@ func (p *Plan) prime(chunks []streamer.ChunkInfo) {
 // nodeLatency estimates the round-trip to the healthiest node serving a
 // hash, and whether that node is in another region. An empty hash (bare
 // chunk metadata, e.g. simulation) prices at the same-region prior; a
-// hash whose every replica is dead or breaker-open is unreachable.
+// hash whose every replica is dead is unreachable.
 func (p *Plan) nodeLatency(hash string) (time.Duration, bool) {
 	sig := p.s.sig
 	if hash == "" || p.s.opt.Locator == nil {
@@ -191,30 +191,19 @@ func (p *Plan) nodeLatency(hash string) (time.Duration, bool) {
 	if len(nodes) == 0 {
 		return sig.RTT, false
 	}
-	res := p.s.opt.Resilience
-	if res != nil {
-		ordered, allDead := res.Order(nodes)
-		if allDead {
+	lat := sig.RTT
+	if res := p.s.opt.Resilience; res != nil {
+		if nodes = res.Order(nodes); len(nodes) == 0 {
 			return streamer.Unreachable, false
 		}
-		nodes = ordered
+		if hd, ok := res.HedgeDelay(nodes[0]); ok && hd > lat {
+			lat = hd
+		}
 	}
-	for _, nd := range nodes {
-		if res != nil && !res.Allow(nd) {
-			continue
-		}
-		lat := sig.RTT
-		if res != nil {
-			if hd, ok := res.HedgeDelay(nd); ok && hd > lat {
-				lat = hd
-			}
-		}
-		if reg, ok := p.s.opt.Regions[nd]; ok && p.s.opt.LocalRegion != "" && reg != p.s.opt.LocalRegion {
-			return lat + xRegionRTT, true
-		}
-		return lat, false
+	if reg, ok := p.s.opt.Regions[nodes[0]]; ok && p.s.opt.LocalRegion != "" && reg != p.s.opt.LocalRegion {
+		return lat + xRegionRTT, true
 	}
-	return streamer.Unreachable, false
+	return lat, false
 }
 
 // Choose prices chunk idx across every (configuration, source) pair and

@@ -5,7 +5,7 @@
 // from text, and a peer gateway holding the decoded KV resident — and
 // emits the minimum-TTFT source mix under the tenant's SLO, the
 // degradation ladder's rung, and live load signals (bandwidth estimate,
-// decode-slot occupancy, plan concurrency, per-node latency and breaker
+// decode-slot occupancy, plan concurrency, per-node latency and health
 // state from the resilience layer).
 //
 // The decision procedure itself is not here: Algorithm 1 lives once, in
@@ -99,8 +99,8 @@ type Options struct {
 	ID string
 	// Locator resolves chunk placement (typically the cluster ring).
 	Locator Locator
-	// Resilience supplies per-node health, breaker state and adaptive
-	// latency; nil means every node is healthy at the RTT prior.
+	// Resilience supplies per-node health and adaptive latency; nil
+	// means every node is healthy at the RTT prior.
 	Resilience *resilience.Manager
 	// Regions maps node ids to region labels; nodes in a region other
 	// than LocalRegion price as cross-region. Empty disables the tier.
