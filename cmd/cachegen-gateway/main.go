@@ -97,7 +97,7 @@ func main() {
 	maxPrefetch := flag.Int("max-prefetch", 0, "concurrent background prefetch bound (0 = 4x slots, <0 = unbounded)")
 	pipelineDepth := flag.Int("pipeline-depth", 4, "chunk transfers in flight per request while decode proceeds in order")
 	probeInterval := flag.Duration("probe-interval", 250*time.Millisecond, "active health-probe cycle for suspect/dead nodes, a dead node's way back into routing (<=0 = 250ms)")
-	hedge := flag.Bool("hedge", true, "hedge chunk fetches to the next replica past the serving node's adaptive P99 latency")
+	hedge := flag.Bool("hedge", true, "start a chunk fetch's failover to the next replica early, past the first node's adaptive P99 latency")
 	degrade := flag.Bool("degrade", true, "step requests down quality levels (to text at the floor) under queue or SLO-budget pressure instead of shedding")
 	tenantsFlag := flag.String("tenants", "gold:4,silver:2,bronze:1", "tenant list as name:weight,... (weight = WRR share and traffic share)")
 	bwTrace := flag.String("bandwidth-trace", "", "per-node egress bandwidth trace as RATE[:DUR],... (e.g. 200Mbps:1s,40Mbps); exercises mid-stream adaptation")

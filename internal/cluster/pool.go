@@ -45,12 +45,14 @@ func dial(ctx context.Context, addr string) (*transport.Client, error) {
 // streams from a fleet exactly as it would from one server. Safe for
 // concurrent use.
 //
-// Failure handling routes through a resilience.Manager: request and
-// dial outcomes feed a per-node health state machine, a dead node is
-// out of routing until the active prober (or Invalidate) brings it
-// back, chunk fetches hedge to a replica after the node's adaptive P99
-// delay, and all retries and hedges draw from one token-bucket retry
-// budget so the pool cannot storm a browning-out fleet.
+// Every single-answer fetch (manifest, chunk, bank) is one walk over
+// the key's replicas, tryNodes. Failure handling routes through a
+// resilience.Manager: request and dial outcomes feed a per-node health
+// state machine, a dead node is out of routing until the active prober
+// (or Invalidate) brings it back, a chunk fetch hedges — starts its
+// failover to the next replica early — after the first node's adaptive
+// P99 delay, and all failovers and hedges draw from one token-bucket
+// retry budget so the pool cannot storm a browning-out fleet.
 type Pool struct {
 	ring *Ring
 	// reqTimeout bounds each per-node attempt (dial + round trip). 0 =
@@ -71,7 +73,7 @@ type Pool struct {
 
 	dials     atomic.Uint64
 	failovers atomic.Uint64
-	requests  atomic.Uint64 // logical operations (one per tryNodes/hedged fetch)
+	requests  atomic.Uint64 // logical operations (one per tryNodes walk)
 	attempts  atomic.Uint64 // network attempts, including retries and hedges
 }
 
@@ -103,8 +105,10 @@ func WithResilience(cfg resilience.Config) PoolOption {
 }
 
 // WithHedging enables or disables hedged chunk fetches (default on):
-// a chunk request still unanswered past the serving node's adaptive
-// P99 latency is duplicated to the next replica, first answer wins.
+// a chunk request still unanswered past the first node's adaptive P99
+// latency starts its failover to the next replica without waiting for
+// the first to fail; first answer wins. A failover after a failure is
+// never counted as a hedge.
 func WithHedging(enabled bool) PoolOption {
 	return func(p *Pool) { p.hedge = enabled }
 }
@@ -338,82 +342,143 @@ func keepConn(err error) bool {
 	return errors.As(err, &remote) || errors.Is(err, storage.ErrNotFound)
 }
 
-// tryNodes runs op against the routable candidates until one succeeds,
-// in health order (healthy and recovering first, suspect next, dead
-// never), discarding dead connections and counting failovers past the
-// first attempt. Failing over past a transport failure spends a
-// retry-budget token; moving past a clean not-found or a remote
-// application error is free (the node answered — that is replica
-// semantics, not a retry). When every candidate is dead the call fails
-// fast with ErrFleetUnavailable.
+// tryNodes walks the routable candidates, in health order (healthy and
+// recovering first, suspect next, dead never), until one answers, and
+// returns op's value. Each attempt runs through withNode in its own
+// goroutine. Moving on after a failed attempt is a failover and counts
+// in Failovers; past a transport failure it spends a retry-budget
+// token, past a clean not-found or a remote application error it is
+// free (the node answered — that is replica semantics, not a retry).
+// When every candidate is dead the call fails fast with
+// ErrFleetUnavailable.
+//
+// A hedge is the next failover started early: with hedge set, the
+// first candidate's latency histogram warm and a second candidate
+// routable, a first attempt still unanswered past that node's adaptive
+// hedge delay starts the next candidate under a retry-budget token,
+// without waiting for the first to fail. The first answer wins and the
+// loser is cancelled. A hedge fires at most once per call, and only a
+// win by the timer-started attempt counts as a hedge win. When both
+// attempts of a race fail, the walk goes on down the list.
 //
 // When notFoundIsFinal is set, a clean storage.ErrNotFound from a live
 // node is treated as authoritative and returned immediately instead of
 // burning a round trip per replica (used for metadata, which is on
 // every node; chunk fetches do try replicas on not-found, since the
 // primary may have joined the ring after publish).
-func (p *Pool) tryNodes(ctx context.Context, nodes []string, what string, notFoundIsFinal bool, op func(ctx context.Context, c *transport.Client) error) error {
+func tryNodes[T any](ctx context.Context, p *Pool, nodes []string, what string, notFoundIsFinal, hedge bool, op func(ctx context.Context, c *transport.Client) (T, error)) (T, error) {
+	var zero T
 	if len(nodes) == 0 {
-		return fmt.Errorf("cluster: no nodes in ring for %s", what)
+		return zero, fmt.Errorf("cluster: no nodes in ring for %s", what)
 	}
 	p.requests.Add(1)
 	p.res.OnRequest()
 	ordered := p.res.Order(nodes)
 	if len(ordered) == 0 {
 		p.res.OnFastFail()
-		return fmt.Errorf("cluster: %s: %w", what, ErrFleetUnavailable)
+		return zero, fmt.Errorf("cluster: %s: %w", what, ErrFleetUnavailable)
 	}
-	var lastErr error
-	lastWasFailure := false
-	for i, node := range ordered {
-		// A cancelled or expired request must not sweep the replica set:
-		// each attempt costs a dial or a round trip the caller no longer
-		// wants.
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("cluster: %s: %w", what, err)
+	// A cancelled or expired request must not sweep the replica set:
+	// each attempt costs a dial or a round trip the caller no longer
+	// wants.
+	if err := ctx.Err(); err != nil {
+		return zero, fmt.Errorf("cluster: %s: %w", what, err)
+	}
+	var hedgeTimer <-chan time.Time
+	if hedge && len(ordered) > 1 {
+		if delay, warm := p.res.HedgeDelay(ordered[0]); warm {
+			t := time.NewTimer(delay)
+			defer t.Stop()
+			hedgeTimer = t.C
 		}
-		if i > 0 {
-			if lastWasFailure && !p.res.TryRetry() {
-				return fmt.Errorf("cluster: %s: retry budget exhausted after %d attempts: %w", what, i, lastErr)
+	}
+
+	walk, cancel := context.WithCancel(ctx)
+	defer cancel() // loser cancellation: the first answer wins below
+	type answer struct {
+		v      T
+		err    error
+		node   string
+		hedged bool
+	}
+	// One slot per candidate, so a cancelled loser's late send never
+	// blocks once the walk has returned.
+	answers := make(chan answer, len(ordered))
+	next, inflight := 0, 0
+	launch := func(hedged bool) {
+		node, left := ordered[next], len(ordered)-next
+		next++
+		inflight++
+		go func() {
+			v, err := withNode(walk, p, node, left, op)
+			answers <- answer{v, err, node, hedged}
+		}()
+	}
+	launch(false)
+	var lastErr error
+	for {
+		select {
+		case a := <-answers:
+			inflight--
+			if a.err == nil {
+				if a.hedged {
+					p.res.OnHedgeWin()
+				}
+				// Stamp the serving node on the request's span, so a trace
+				// shows which replica answered (last writer wins per key).
+				telemetry.Annotate(ctx, "node", a.node)
+				return a.v, nil
+			}
+			if notFoundIsFinal && errors.Is(a.err, storage.ErrNotFound) {
+				return zero, fmt.Errorf("cluster: %s: %w", what, a.err)
+			}
+			lastErr = fmt.Errorf("node %s: %w", a.node, a.err)
+			if ctx.Err() != nil {
+				return zero, lastErr
+			}
+			if inflight > 0 {
+				continue // the other side of a hedge race may still answer
+			}
+			if next == len(ordered) {
+				return zero, fmt.Errorf("cluster: %s failed on all %d replicas tried: %w", what, len(ordered), lastErr)
+			}
+			if !keepConn(a.err) && !p.res.TryRetry() {
+				return zero, fmt.Errorf("cluster: %s: retry budget exhausted after %d attempts: %w", what, next, lastErr)
 			}
 			p.failovers.Add(1)
 			telemetry.Event(ctx, "failover",
 				telemetry.Attr{Key: "what", Value: what},
-				telemetry.Attr{Key: "node", Value: node})
-		}
-		err := p.withNode(ctx, node, len(ordered)-i, op)
-		if err != nil {
-			if notFoundIsFinal && errors.Is(err, storage.ErrNotFound) {
-				return fmt.Errorf("cluster: %s: %w", what, err)
+				telemetry.Attr{Key: "node", Value: ordered[next]})
+			hedgeTimer = nil // the hedge belongs to the first attempt only
+			launch(false)
+		case <-hedgeTimer:
+			hedgeTimer = nil
+			if ctx.Err() == nil && p.res.TryRetry() {
+				p.res.OnHedge()
+				telemetry.Event(ctx, "hedge",
+					telemetry.Attr{Key: "what", Value: what},
+					telemetry.Attr{Key: "node", Value: ordered[next]})
+				launch(true)
 			}
-			lastErr = fmt.Errorf("node %s: %w", node, err)
-			lastWasFailure = !keepConn(err)
-			if ctx.Err() != nil {
-				return lastErr
-			}
-			continue
 		}
-		// Stamp the serving node on the request's span, so a trace shows
-		// which replica ultimately answered (last writer wins per key).
-		telemetry.Annotate(ctx, "node", node)
-		return nil
 	}
-	return fmt.Errorf("cluster: %s failed on all %d replicas tried: %w", what, len(ordered), lastErr)
 }
 
 // withNode runs one attempt against one node under the per-attempt
 // timeout, feeding the outcome to the health state machine and
 // discarding the connection on transport failures.
-func (p *Pool) withNode(ctx context.Context, node string, attemptsLeft int, op func(ctx context.Context, c *transport.Client) error) error {
+func withNode[T any](ctx context.Context, p *Pool, node string, attemptsLeft int, op func(ctx context.Context, c *transport.Client) (T, error)) (T, error) {
 	p.attempts.Add(1)
 	attempt, cancel, budgeted := p.attemptCtx(ctx, attemptsLeft)
 	defer cancel()
 	start := time.Now()
 	c, err := p.client(attempt, node)
 	if err != nil {
-		return err
+		var zero T
+		return zero, err
 	}
-	if err := op(attempt, c); err != nil {
+	v, err := op(attempt, c)
+	if err != nil {
 		switch {
 		case keepConn(err):
 			// The node answered; the application-level error is not a
@@ -441,191 +506,80 @@ func (p *Pool) withNode(ctx context.Context, node string, attemptsLeft int, op f
 				p.res.ReportFailure(node)
 			}
 		}
-		return err
+		return v, err
 	}
 	p.res.ReportSuccess(node, time.Since(start))
-	return nil
+	return v, nil
 }
 
 // GetManifest fetches a context's manifest. Manifests are replicated to
 // every node at publish time, so any node can answer; candidates are
 // tried in ring order from the context's hash, spreading manifest load.
 func (p *Pool) GetManifest(ctx context.Context, contextID string) (storage.Manifest, error) {
-	var man storage.Manifest
 	nodes := p.ring.Locate(manifestRingKey(contextID), p.ring.Len())
-	err := p.tryNodes(ctx, nodes, fmt.Sprintf("manifest %q", contextID), true, func(ctx context.Context, c *transport.Client) error {
-		m, err := c.GetManifest(ctx, contextID)
-		if err == nil {
-			man = m
-		}
-		return err
+	return tryNodes(ctx, p, nodes, fmt.Sprintf("manifest %q", contextID), true, false, func(ctx context.Context, c *transport.Client) (storage.Manifest, error) {
+		return c.GetManifest(ctx, contextID)
 	})
-	return man, err
 }
 
 // GetChunkData fetches one chunk payload by content hash, trying the
 // hash's primary node first and failing over to its replicas. A replica
 // is also tried on not-found (the primary may have joined after
 // publish). With hedging on and the primary's latency histogram warm,
-// a request unanswered past the primary's P99 is duplicated to the
-// next replica under the retry budget — first answer wins, the loser
-// is cancelled.
+// a request unanswered past the primary's P99 starts the failover to
+// the next replica early, under the retry budget — first answer wins,
+// the loser is cancelled.
 func (p *Pool) GetChunkData(ctx context.Context, hash string) ([]byte, error) {
-	nodes := p.ring.ChunkNodes(hash)
-	if p.hedge && len(nodes) > 1 {
-		if data, handled, err := p.getChunkHedged(ctx, hash, nodes); handled {
-			return data, err
-		}
-	}
-	var data []byte
-	err := p.tryNodes(ctx, nodes, fmt.Sprintf("chunk %.12s…", hash), false, func(ctx context.Context, c *transport.Client) error {
-		d, err := c.GetChunkData(ctx, hash)
-		if err == nil {
-			data = d
-		}
-		return err
+	return tryNodes(ctx, p, p.ring.ChunkNodes(hash), fmt.Sprintf("chunk %.12s…", hash), false, p.hedge, func(ctx context.Context, c *transport.Client) ([]byte, error) {
+		return c.GetChunkData(ctx, hash)
 	})
-	return data, err
-}
-
-// getChunkHedged is the first-wins duplicate fetch: the primary gets a
-// head start of its adaptive hedge delay; if it has not answered by
-// then (or fails outright), the same chunk-by-hash request goes to the
-// next routable replica, and whichever answers first wins while the
-// loser is cancelled. handled=false falls back to the sequential path
-// (cold latency histogram, fewer than two routable replicas — where
-// tryNodes fails fast with ErrFleetUnavailable if there are none).
-func (p *Pool) getChunkHedged(parent context.Context, hash string, nodes []string) (data []byte, handled bool, err error) {
-	if parent.Err() != nil {
-		return nil, false, nil
-	}
-	ordered := p.res.Order(nodes)
-	if len(ordered) < 2 {
-		return nil, false, nil
-	}
-	primary, secondary := ordered[0], ordered[1]
-	delay, warm := p.res.HedgeDelay(primary)
-	if !warm {
-		return nil, false, nil
-	}
-	p.requests.Add(1)
-	p.res.OnRequest()
-
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel() // loser cancellation: first answer wins below
-	type result struct {
-		data   []byte
-		err    error
-		node   string
-		hedged bool
-	}
-	ch := make(chan result, 2)
-	fetch := func(node string, hedged bool) {
-		var d []byte
-		err := p.withNode(ctx, node, 1, func(ctx context.Context, c *transport.Client) error {
-			b, err := c.GetChunkData(ctx, hash)
-			if err == nil {
-				d = b
-			}
-			return err
-		})
-		ch <- result{d, err, node, hedged}
-	}
-	go fetch(primary, false)
-	launched := 1
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	var firstErr error
-	for done := 0; done < launched; {
-		select {
-		case r := <-ch:
-			done++
-			if r.err == nil {
-				if r.hedged {
-					p.res.OnHedgeWin()
-				}
-				telemetry.Annotate(parent, "node", r.node)
-				return r.data, true, nil
-			}
-			if firstErr == nil || errors.Is(firstErr, context.Canceled) {
-				firstErr = r.err
-			}
-			if launched == 1 && parent.Err() == nil {
-				// The primary failed before the hedge fired: fail over
-				// now. Moving past an answer (not-found, remote error)
-				// is free; past a transport failure it spends a token.
-				if keepConn(r.err) || p.res.TryRetry() {
-					p.failovers.Add(1)
-					telemetry.Event(parent, "failover",
-						telemetry.Attr{Key: "what", Value: fmt.Sprintf("chunk %.12s…", hash)},
-						telemetry.Attr{Key: "node", Value: secondary})
-					launched++
-					go fetch(secondary, true)
-				}
-			}
-		case <-timer.C:
-			if launched == 1 && p.res.TryRetry() {
-				p.res.OnHedge()
-				telemetry.Event(parent, "hedge",
-					telemetry.Attr{Key: "what", Value: fmt.Sprintf("chunk %.12s…", hash)},
-					telemetry.Attr{Key: "node", Value: secondary})
-				launched++
-				go fetch(secondary, true)
-			}
-		case <-parent.Done():
-			// Outstanding fetches unwind via ctx; their sends land in
-			// the buffered channel.
-			return nil, true, fmt.Errorf("cluster: chunk %.12s…: %w", hash, parent.Err())
-		}
-	}
-	return nil, true, fmt.Errorf("cluster: chunk %.12s… failed on %d replicas tried: %w", hash, launched, firstErr)
 }
 
 // eachNode runs op against every ring node in parallel (one goroutine
-// per node over its reused connection) and returns the per-node errors,
-// positionally aligned with the returned node list. Fleet-wide admin
-// ops pay the slowest node, not the sum — with a per-attempt timeout, a
-// hung node costs reqTimeout once, concurrently with the healthy nodes'
-// work.
-func (p *Pool) eachNode(ctx context.Context, op func(ctx context.Context, c *transport.Client) error) ([]string, []error, error) {
+// per node over its reused connection) and returns the per-node values
+// and errors, positionally aligned with the returned node list.
+// Fleet-wide admin ops pay the slowest node, not the sum — with a
+// per-attempt timeout, a hung node costs reqTimeout once, concurrently
+// with the healthy nodes' work.
+func eachNode[T any](ctx context.Context, p *Pool, op func(ctx context.Context, c *transport.Client) (T, error)) ([]string, []T, []error, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	nodes := p.ring.Nodes()
+	vals := make([]T, len(nodes))
 	errs := make([]error, len(nodes))
 	var wg sync.WaitGroup
 	for i, node := range nodes {
 		wg.Add(1)
-		go func(i int, node string) {
+		go func() {
 			defer wg.Done()
-			errs[i] = p.withNode(ctx, node, 1, op)
-		}(i, node)
+			vals[i], errs[i] = withNode(ctx, p, node, 1, op)
+		}()
 	}
 	wg.Wait()
-	return nodes, errs, nil
+	return nodes, vals, errs, nil
 }
 
 // DeleteContext drops a context's manifest on every node (manifests are
 // replicated fleet-wide), releasing its payload references for each
 // node's sweeper. It succeeds if any node held the context.
 func (p *Pool) DeleteContext(ctx context.Context, contextID string) error {
-	found := atomic.Bool{}
-	nodes, errs, err := p.eachNode(ctx, func(ctx context.Context, c *transport.Client) error {
-		err := c.DeleteContext(ctx, contextID)
-		if err == nil {
-			found.Store(true)
-		}
-		return err
+	nodes, _, errs, err := eachNode(ctx, p, func(ctx context.Context, c *transport.Client) (struct{}, error) {
+		return struct{}{}, c.DeleteContext(ctx, contextID)
 	})
 	if err != nil {
 		return fmt.Errorf("cluster: delete %q: %w", contextID, err)
 	}
+	found := false
 	for i, err := range errs {
-		if err != nil && !errors.Is(err, storage.ErrNotFound) {
+		switch {
+		case err == nil:
+			found = true
+		case !errors.Is(err, storage.ErrNotFound):
 			return fmt.Errorf("cluster: delete %q: node %s: %w", contextID, nodes[i], err)
 		}
 	}
-	if !found.Load() {
+	if !found {
 		return fmt.Errorf("%w: context %q", storage.ErrNotFound, contextID)
 	}
 	return nil
@@ -636,19 +590,15 @@ func (p *Pool) DeleteContext(ctx context.Context, contextID string) error {
 // accountings. Nodes that cannot be reached contribute an error but do
 // not stop the remaining nodes from sweeping.
 func (p *Pool) Sweep(ctx context.Context, minAge time.Duration) (storage.SweepResult, error) {
-	var mu sync.Mutex
 	var agg storage.SweepResult
-	nodes, errs, err := p.eachNode(ctx, func(ctx context.Context, c *transport.Client) error {
-		res, err := c.Sweep(ctx, minAge)
-		if err == nil {
-			mu.Lock()
-			agg.Add(res)
-			mu.Unlock()
-		}
-		return err
+	nodes, results, errs, err := eachNode(ctx, p, func(ctx context.Context, c *transport.Client) (storage.SweepResult, error) {
+		return c.Sweep(ctx, minAge)
 	})
 	if err != nil {
 		return agg, fmt.Errorf("cluster: sweep: %w", err)
+	}
+	for _, r := range results {
+		agg.Add(r)
 	}
 	for i, err := range errs {
 		if err != nil {
@@ -661,19 +611,15 @@ func (p *Pool) Sweep(ctx context.Context, minAge time.Duration) (storage.SweepRe
 // Usage sums the fleet's physical footprint (replicas count as real
 // bytes).
 func (p *Pool) Usage(ctx context.Context) (storage.Usage, error) {
-	var mu sync.Mutex
 	var agg storage.Usage
-	nodes, errs, err := p.eachNode(ctx, func(ctx context.Context, c *transport.Client) error {
-		u, err := c.Usage(ctx)
-		if err == nil {
-			mu.Lock()
-			agg.Add(u)
-			mu.Unlock()
-		}
-		return err
+	nodes, usages, errs, err := eachNode(ctx, p, func(ctx context.Context, c *transport.Client) (storage.Usage, error) {
+		return c.Usage(ctx)
 	})
 	if err != nil {
 		return agg, fmt.Errorf("cluster: usage: %w", err)
+	}
+	for _, u := range usages {
+		agg.Add(u)
 	}
 	for i, err := range errs {
 		if err != nil {
@@ -685,13 +631,7 @@ func (p *Pool) Usage(ctx context.Context) (storage.Usage, error) {
 
 // GetBank fetches the codec model bank from any node that serves one.
 func (p *Pool) GetBank(ctx context.Context) ([]byte, error) {
-	var bank []byte
-	err := p.tryNodes(ctx, p.ring.Nodes(), "model bank", false, func(ctx context.Context, c *transport.Client) error {
-		b, err := c.GetBank(ctx)
-		if err == nil {
-			bank = b
-		}
-		return err
+	return tryNodes(ctx, p, p.ring.Nodes(), "model bank", false, false, func(ctx context.Context, c *transport.Client) ([]byte, error) {
+		return c.GetBank(ctx)
 	})
-	return bank, err
 }

@@ -271,3 +271,94 @@ func TestPoolHungNodeLeavesHealthy(t *testing.T) {
 		t.Errorf("%d dials, want the backlogged connection replaced", d)
 	}
 }
+
+// TestPoolHedgeAccounting pins how the replica walk counts a chunk
+// fetch whose primary misbehaves on a warm pool (every node's latency
+// histogram past the hedge warmup, every connection dialed). A
+// failover after a failure is never a hedge or a hedge win; a hedge is
+// counted when its timer starts the next replica, and wins only when
+// that replica answers first.
+func TestPoolHedgeAccounting(t *testing.T) {
+	cases := []struct {
+		name      string
+		sever     bool // sever every request, else stall it past the hedge delay
+		failovers uint64
+		hedges    uint64
+		wins      uint64
+	}{
+		{name: "sever", sever: true, failovers: 1},
+		{name: "stall", hedges: 1, wins: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newClusterStack(t, 3, 2)
+			pool := NewPool(s.ring,
+				WithRequestTimeout(2*time.Second),
+				WithResilience(resilience.Config{ProbeInterval: time.Hour}))
+			defer pool.Close()
+			ctx := context.Background()
+			res := pool.Resilience()
+			hash := s.chunkHash(t, 0, 0)
+			primary := s.ring.ChunkNodes(hash)[0]
+			for i := 0; i < 20; i++ {
+				if _, err := pool.Usage(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := pool.GetChunkData(ctx, hash); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, n := range s.nodes {
+				if _, warm := res.HedgeDelay(n.addr); !warm {
+					t.Fatalf("node %s not warm after 40 fetches", n.addr)
+				}
+			}
+			// Each case's precondition must not hang on loopback timing
+			// under load: a severed request fails long before the hedge
+			// delay (pinned at its ceiling), and a stalled one answers a
+			// second after it, long after the replica.
+			if tc.sever {
+				for i := 0; i < 100; i++ {
+					res.ReportSuccess(primary, time.Second)
+				}
+			}
+			delay, _ := res.HedgeDelay(primary)
+			ps0, rs0 := pool.Stats(), res.Stats()
+			if tc.sever {
+				s.node(primary).srv.SetFlaky(1, 0, 1, 1)
+			} else {
+				s.node(primary).srv.SetFlaky(1, delay+time.Second, 0, 1)
+			}
+			data, err := pool.GetChunkData(ctx, hash)
+			if err != nil || len(data) == 0 {
+				t.Fatalf("fetch beside a misbehaving primary = %d bytes, %v", len(data), err)
+			}
+			ps, rs := pool.Stats(), res.Stats()
+			if d := ps.Requests - ps0.Requests; d != 1 {
+				t.Errorf("%d requests, want 1", d)
+			}
+			if d := ps.Attempts - ps0.Attempts; d != 2 {
+				t.Errorf("%d attempts, want 2", d)
+			}
+			if d := ps.Failovers - ps0.Failovers; d != tc.failovers {
+				t.Errorf("%d failovers, want %d", d, tc.failovers)
+			}
+			if d := rs.Hedges - rs0.Hedges; d != tc.hedges {
+				t.Errorf("%d hedges, want %d (hedge delay %v)", d, tc.hedges, delay)
+			}
+			if d := rs.HedgeWins - rs0.HedgeWins; d != tc.wins {
+				t.Errorf("%d hedge wins, want %d", d, tc.wins)
+			}
+			if !tc.sever {
+				// The loser was cancelled, not failed: the stalled node
+				// stays healthy and keeps its connection.
+				if st := res.State(primary); st != resilience.Healthy {
+					t.Errorf("stalled primary %v after losing a hedge race, want healthy", st)
+				}
+				if d := ps.Dials - ps0.Dials; d != 0 {
+					t.Errorf("%d dials, want the loser's connection kept", d)
+				}
+			}
+		})
+	}
+}

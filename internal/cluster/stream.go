@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/storage"
@@ -192,69 +193,91 @@ func (s *poolStream) chunkLevelLocked(pos int) int {
 	return s.level
 }
 
+// resumeLocked resolves how the chunk at pos restarts: at its delivered
+// level from the bytes already held when it is mid-chunk and no cancel
+// re-pinned it to another level, otherwise fresh at its resolved level.
+// The restart level's payload hash is what routes the chunk, so openRun
+// and exhausted both key on it.
+func (s *poolStream) resumeLocked(pos int) (level int, offset int64) {
+	if s.received > 0 && s.haveCur {
+		if lv, ok := s.override[pos]; !ok || lv == s.curLevel {
+			return s.curLevel, s.received
+		}
+	}
+	return s.chunkLevelLocked(pos), 0
+}
+
 // openRun groups the longest feasible run of remaining chunks onto one
 // node and opens its stream, resuming the first chunk mid-payload when
-// bytes are already held.
+// bytes are already held. Candidates are the first chunk's routable
+// nodes in health order, minus those that already failed serving this
+// position; a failed dial or open marks its node and moves to the next.
+// None left fails fast, as tryNodes does: a dead node is never dialed.
 func (s *poolStream) openRun(ctx context.Context) (transport.ChunkStream, int, error) {
-	s.mu.Lock()
-	start := s.pos
-	// The first chunk resumes at its delivered level when mid-chunk and
-	// no cancel re-pinned it; otherwise it starts fresh at its resolved
-	// level.
-	firstLevel := s.chunkLevelLocked(start)
-	resume := int64(0)
-	if s.received > 0 && s.haveCur {
-		if lv, ok := s.override[start]; !ok || lv == s.curLevel {
-			firstLevel = s.curLevel
-			resume = s.received
-		}
-	}
-	failed := s.failed[start]
-	streamLevel := s.level
-	s.mu.Unlock()
+	for {
+		s.mu.Lock()
+		start := s.pos
+		firstLevel, resume := s.resumeLocked(start)
+		failed := s.failed[start]
+		streamLevel := s.level
+		s.mu.Unlock()
 
-	firstHash, ok := s.req.Chunks[start].Hashes[firstLevel]
-	if !ok {
-		return nil, 0, fmt.Errorf("cluster: chunk %d has no payload at level %d", start, firstLevel)
-	}
-	// The first chunk's routable nodes in health order, minus those that
-	// already failed serving this position. None left fails fast, as
-	// tryNodes does: a dead node is never dialed.
-	var primary string
-	for _, n := range s.p.res.Order(s.p.ring.ChunkNodes(firstHash)) {
-		if !failed[n] {
-			primary = n
-			break
-		}
-	}
-	if primary == "" {
-		s.p.res.OnFastFail()
-		return nil, 0, fmt.Errorf("cluster: chunk stream position %d: %w", start, ErrFleetUnavailable)
-	}
-
-	// Extend the run while the node holds the next chunk's payload at
-	// its would-be level.
-	s.mu.Lock()
-	end := start + 1
-	for ; end < len(s.req.Chunks); end++ {
-		hash, ok := s.req.Chunks[end].Hashes[s.chunkLevelLocked(end)]
+		firstHash, ok := s.req.Chunks[start].Hashes[firstLevel]
 		if !ok {
-			break
+			return nil, 0, fmt.Errorf("cluster: chunk %d has no payload at level %d", start, firstLevel)
 		}
-		holds := false
-		for _, n := range s.p.ring.ChunkNodes(hash) {
-			if n == primary {
-				holds = true
+		var node string
+		for _, n := range s.p.res.Order(s.p.ring.ChunkNodes(firstHash)) {
+			if !failed[n] {
+				node = n
 				break
 			}
 		}
-		if !holds {
+		if node == "" {
+			s.p.res.OnFastFail()
+			return nil, 0, fmt.Errorf("cluster: chunk stream position %d: %w", start, ErrFleetUnavailable)
+		}
+
+		chunks := s.runChunks(start, node, firstLevel, resume)
+		client, err := s.p.client(ctx, node)
+		if err == nil {
+			var sub transport.ChunkStream
+			sub, err = client.OpenChunkStream(ctx, transport.StreamRequest{
+				Chunks:    chunks,
+				Level:     streamLevel,
+				Window:    s.req.Window,
+				FrameSize: s.req.FrameSize,
+			})
+			if err == nil {
+				return s.install(sub, client, start, node)
+			}
+			s.p.discard(node, client)
+			if ctx.Err() == nil {
+				s.p.res.ReportFailure(node)
+			}
+		}
+		s.markFailed(start, node)
+		if ctx.Err() != nil || s.exhausted(start) {
+			return nil, 0, fmt.Errorf("cluster: opening chunk stream on %s: %w", node, err)
+		}
+	}
+}
+
+// runChunks builds the sub-request for the run starting at start on
+// node: the longest prefix of remaining chunks whose would-be-level
+// payloads node holds. The first chunk pins its level and resume
+// offset; later chunks inherit the stream level so a forwarded Switch
+// still applies to them. Cancel pins ride along per chunk.
+func (s *poolStream) runChunks(start int, node string, firstLevel int, resume int64) []transport.StreamChunk {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	end := start + 1
+	for ; end < len(s.req.Chunks); end++ {
+		hash, ok := s.req.Chunks[end].Hashes[s.chunkLevelLocked(end)]
+		if !ok || !slices.Contains(s.p.ring.ChunkNodes(hash), node) {
 			break
 		}
 	}
-	// Build the sub-request: the first chunk pins its level and resume
-	// offset; later chunks inherit the stream level so a forwarded
-	// Switch still applies to them. Cancel pins ride along per chunk.
 	chunks := make([]transport.StreamChunk, end-start)
 	for i := range chunks {
 		ch := s.req.Chunks[start+i]
@@ -266,36 +289,13 @@ func (s *poolStream) openRun(ctx context.Context) (transport.ChunkStream, int, e
 		}
 		chunks[i] = ch
 	}
-	pin := firstLevel
-	chunks[0].Level = &pin
+	chunks[0].Level = &firstLevel
 	chunks[0].Offset = resume
-	s.mu.Unlock()
+	return chunks
+}
 
-	client, err := s.p.client(ctx, primary)
-	if err != nil {
-		s.markFailed(start, primary)
-		if ctx.Err() == nil && !s.exhausted(start) {
-			return s.openRun(ctx) // next replica
-		}
-		return nil, 0, fmt.Errorf("cluster: opening chunk stream on %s: %w", primary, err)
-	}
-	sub, err := client.OpenChunkStream(ctx, transport.StreamRequest{
-		Chunks:    chunks,
-		Level:     streamLevel,
-		Window:    s.req.Window,
-		FrameSize: s.req.FrameSize,
-	})
-	if err != nil {
-		s.p.discard(primary, client)
-		if ctx.Err() == nil {
-			s.p.res.ReportFailure(primary)
-		}
-		s.markFailed(start, primary)
-		if ctx.Err() == nil && !s.exhausted(start) {
-			return s.openRun(ctx)
-		}
-		return nil, 0, fmt.Errorf("cluster: opening chunk stream on %s: %w", primary, err)
-	}
+// install makes sub the active run, unless Close raced the open.
+func (s *poolStream) install(sub transport.ChunkStream, client *transport.Client, start int, node string) (transport.ChunkStream, int, error) {
 	s.mu.Lock()
 	if s.closed {
 		// Close raced the open (it saw no sub to tear down); this sub
@@ -308,7 +308,7 @@ func (s *poolStream) openRun(ctx context.Context) (transport.ChunkStream, int, e
 	s.sub = sub
 	s.subClient = client
 	s.subBase = start
-	s.node = primary
+	s.node = node
 	s.mu.Unlock()
 	return sub, start, nil
 }
@@ -327,19 +327,11 @@ func (s *poolStream) markFailed(pos int, node string) {
 	m[node] = true
 }
 
-// exhausted reports whether every node that could serve pos has failed.
-// The level resolution mirrors openRun exactly: a mid-chunk resume keys
-// on the delivered level only when no cancel has re-pinned the chunk —
-// otherwise openRun will route by the pinned level's replica set, and
-// that is the set that must be exhausted.
+// exhausted reports whether every node that could serve pos — the
+// replica set of the payload openRun would route it by — has failed.
 func (s *poolStream) exhausted(pos int) bool {
 	s.mu.Lock()
-	level := s.chunkLevelLocked(pos)
-	if s.received > 0 && s.haveCur {
-		if lv, ok := s.override[pos]; !ok || lv == s.curLevel {
-			level = s.curLevel
-		}
-	}
+	level, _ := s.resumeLocked(pos)
 	failed := s.failed[pos]
 	s.mu.Unlock()
 	hash, ok := s.req.Chunks[pos].Hashes[level]

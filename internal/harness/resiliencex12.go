@@ -261,7 +261,8 @@ func x12HedgeCell(st *corpusStack, hedged bool) (*x12Hedge, error) {
 
 // x12CheckHedge enforces the tail claim: the unhedged pool's P99
 // absorbs the stall, the hedged pool's P99 stays well under it, and
-// hedges actually fired and won.
+// hedges actually fired and won — never more wins than hedges, since a
+// win is a hedge answering first.
 func x12CheckHedge(hedged, unhedged *x12Hedge) error {
 	stall := x12Stall.Seconds()
 	if unhedged.p99 < 0.8*stall {
@@ -276,6 +277,9 @@ func x12CheckHedge(hedged, unhedged *x12Hedge) error {
 	}
 	if hedged.hedges == 0 || hedged.wins == 0 {
 		return fmt.Errorf("X12 hedge: %d hedges, %d wins — the tail was cut by something else", hedged.hedges, hedged.wins)
+	}
+	if hedged.wins > hedged.hedges {
+		return fmt.Errorf("X12 hedge: %d wins from %d hedges — a win was counted for an attempt no hedge started", hedged.wins, hedged.hedges)
 	}
 	if unhedged.hedges != 0 {
 		return fmt.Errorf("X12 hedge: unhedged pool issued %d hedges", unhedged.hedges)
@@ -424,7 +428,7 @@ func runX12Resilience(*Fixture) ([]*Report, error) {
 			fmt.Sprintf("%.1f ms", out.p50*1e3), fmt.Sprintf("%.1f ms", out.p99*1e3),
 			fmt.Sprintf("%d", out.hedges), fmt.Sprintf("%d", out.wins))
 	}
-	hedge.AddNote("a fetch unanswered past the serving node's adaptive P99 is duplicated to the next replica, first answer wins; the stalled request is cancelled, so the flaky node's stalls never reach the caller's tail")
+	hedge.AddNote("a fetch unanswered past its first node's adaptive P99 starts its failover to the next replica early, first answer wins; the stalled request is cancelled, so the flaky node's stalls never reach the caller's tail")
 
 	contain, err := x12ContainmentCell(st)
 	if err != nil {

@@ -303,7 +303,9 @@ func (m *Manager) TryRetry() bool {
 	return false
 }
 
-// OnHedge / OnHedgeWin account hedged duplicate fetches.
+// OnHedge counts a hedged duplicate fetch started by the hedge timer;
+// OnHedgeWin counts one that answered first, so wins never exceed
+// hedges.
 func (m *Manager) OnHedge()    { m.hedges.Add(1) }
 func (m *Manager) OnHedgeWin() { m.hedgeWins.Add(1) }
 
