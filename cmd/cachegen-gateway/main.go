@@ -14,10 +14,7 @@
 // while either workload runs; -capture-trace writes the run back out as
 // a replayable trace file.
 //
-// Each request is priced by the fleet-wide min-TTFT chunk scheduler;
-// -peer-serve additionally registers completed fetches in a
-// resident-prefix index so peer gateways sharing it can serve decoded
-// KV directly.
+// Each request is priced by the fleet-wide min-TTFT chunk scheduler.
 //
 // Usage:
 //
@@ -113,7 +110,6 @@ func main() {
 	channels := flag.Int("channels", 32, "synthesised KV channels")
 	seed := flag.Int64("seed", 1, "workload seed")
 	traceFlag := flag.String("workload-trace", "", "replay a workload trace (scenario name or trace file) instead of the Poisson generator")
-	peerServe := flag.Bool("peer-serve", false, "register completed fetches in a resident-prefix index so gateways sharing it peer-serve decoded KV")
 	captureTrace := flag.String("capture-trace", "", "capture the live run as a replayable workload trace file (replay it with -workload-trace)")
 	chaosFlag := flag.String("chaos", "", "fault schedule armed at workload start, as class@offset[+heal][:param];... (e.g. \"kill@500ms+1s; corrupt@0s:0.25\")")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /debug metrics+pprof exposition on this address (e.g. :9100; empty = disabled)")
@@ -128,9 +124,13 @@ func main() {
 		return
 	}
 	if *demo {
-		// A short mixed-tenant burst: decoding real bitstreams costs tens
-		// of milliseconds of CPU per context, so the preset offers a load
-		// the prefetch pipeline can absorb while still queueing.
+		// A short mixed-tenant burst that still queues. The gateway prices
+		// recompute on llm.A40x4(), which on this toy model costs
+		// microseconds per chunk, so the scheduler serves nearly every
+		// chunk as text and decodes almost no bitstream: a run ends with a
+		// source mix such as "recompute 50" or "recompute 47, remote 2".
+		// ROADMAP item 3(b) is to price recompute the way the benchmark
+		// does.
 		*nodes, *replicas, *slots = 3, 2, 2
 		*rate, *requests = 18, 50
 		*tokens, *nContexts = 800, 2
@@ -285,19 +285,13 @@ func main() {
 
 	// The unified chunk scheduler prices every chunk across all sources,
 	// reading node health from the pool's resilience layer and placement
-	// from the ring. -peer-serve adds the resident-prefix index (in this
-	// single-gateway process it records; a fleet of gateways would share
-	// it to peer-serve each other's decoded KV).
-	schedOpt := sched.Options{
+	// from the ring.
+	schd := sched.New(sched.Options{
 		ID:         "gateway-0",
 		Locator:    ring,
 		Resilience: pool.Resilience(),
 		Telemetry:  reg,
-	}
-	if *peerServe {
-		schedOpt.Residents = sched.NewResidentIndex(0)
-	}
-	schd := sched.New(schedOpt)
+	})
 
 	gw, err := gateway.New(gateway.Config{
 		Slots:       *slots,
@@ -425,11 +419,7 @@ func main() {
 		for _, src := range srcs {
 			parts = append(parts, fmt.Sprintf("%s %d", src, sources[src]))
 		}
-		extra := ""
-		if r := schd.Residents(); r != nil {
-			extra = fmt.Sprintf("; %d contexts resident for peer serving", r.Len())
-		}
-		log.Printf("scheduler: chunks by source: %s%s", strings.Join(parts, ", "), extra)
+		log.Printf("scheduler: chunks by source: %s", strings.Join(parts, ", "))
 	}
 	if snap := counters.Snapshot(); !snap.Zero() {
 		log.Printf("chaos: %s", snap.String())

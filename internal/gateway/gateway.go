@@ -158,15 +158,15 @@ type Config struct {
 	PipelineDepth int
 
 	// Sched, when set, swaps the price table Algorithm 1 decides over:
-	// every request gets a sched.Plan pricing each chunk across all
-	// sources (payload cache, colocated disk, remote and cross-region
-	// fleet nodes, GPU recompute and peer-resident KV) instead of the
-	// Planner's one link, the decode-slot pool feeds the recompute cost
-	// live, and repeat decisions pass a hysteresis band. The decision
-	// procedure and the meaning of a rung are the same either way. Nil
-	// keeps the Planner: the one-source front end, and the reference arm
-	// the scheduler is measured against. A scheduler serves one gateway:
-	// its bound slot tracker is the gateway's count of slot grants.
+	// every request gets a sched.Plan pricing each chunk across all four
+	// sources (payload cache, colocated disk, remote fleet nodes and GPU
+	// recompute) instead of the Planner's one link, the decode-slot pool
+	// feeds the recompute cost live, and repeat decisions pass a
+	// hysteresis band. The decision procedure and the meaning of a rung
+	// are the same either way. Nil keeps the Planner: the one-source front
+	// end, and the reference arm the scheduler is measured against. A
+	// scheduler serves one gateway: its bound slot tracker is the
+	// gateway's count of slot grants.
 	Sched *sched.Scheduler
 	// Recorder, when set, captures every submission (admitted or not) as
 	// a replayable workload arrival (cachegen-gateway -capture-trace).
@@ -697,7 +697,6 @@ func (g *Gateway) fetcher(p *pending) *streamer.Fetcher {
 		f.Policy = p.plan
 		f.Local = g.cfg.Sched.Cache()
 		f.LocalStore = g.cfg.Sched.DiskStore()
-		f.Peers = g.cfg.Sched.PeerSource()
 	}
 	return f
 }
@@ -741,9 +740,8 @@ func (g *Gateway) runFetch(p *pending, background bool) {
 	kv, report, err := g.fetcher(p).FetchFrom(ctx, p.req.ContextID, p.req.Resident)
 	fsp.End()
 	if p.plan != nil {
-		// Close the plan: per-source delivery counters, the closing
-		// bandwidth estimate, and — on success — resident-index
-		// registration so peer gateways can serve this context's KV.
+		// Close the plan: per-source delivery counters and the closing
+		// bandwidth estimate.
 		g.cfg.Sched.FinishPlan(p.plan, kv, report)
 	}
 	p.fetched <- fetchOutcome{kv: kv, report: report, err: err}

@@ -86,7 +86,7 @@ type TenantReport struct {
 	// CorruptRejected counts payloads rejected on integrity grounds.
 	CorruptRejected int
 	// Sources counts delivered chunks per source class ("ram", "disk",
-	// "remote", "xregion", "recompute", "peer").
+	// "remote", "recompute").
 	Sources map[string]int64
 }
 

@@ -15,24 +15,18 @@ import (
 
 // TestGatewaySchedServes drives a scheduler-equipped gateway end to end:
 // cold fetches come off the fleet, repeat fetches hit the RAM payload
-// cache, per-source chunk counts surface in the Results, the decode-slot
-// tracker drains back to idle, and a fleet-shared resident index lets a
-// second gateway serve whole chunks from its peer.
+// cache, per-source chunk counts surface in the Results, and the
+// decode-slot tracker drains back to idle.
 func TestGatewaySchedServes(t *testing.T) {
 	r := newTestRing(t, 2)
-	residents := sched.NewResidentIndex(0)
-	mk := func(id string) (*Gateway, *sched.Scheduler) {
-		s := sched.New(sched.Options{ID: id, Residents: residents})
-		cfg := r.config(2, true)
-		cfg.Sched = s
-		g, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(g.Close)
-		return g, s
+	sA := sched.New(sched.Options{ID: "gw-a"})
+	cfg := r.config(2, true)
+	cfg.Sched = sA
+	gA, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	gA, sA := mk("gw-a")
+	defer gA.Close()
 
 	ctx := context.Background()
 	src := map[string]int{}
@@ -60,33 +54,10 @@ func TestGatewaySchedServes(t *testing.T) {
 	if sA.Slots() == nil || sA.Slots().Busy() != 0 {
 		t.Fatalf("decode-slot tracker did not drain: %+v", sA.Slots())
 	}
-	if residents.Len() == 0 {
-		t.Fatal("completed fetches did not register in the resident index")
-	}
-
-	// A second gateway sharing the resident index serves gw-a's contexts
-	// as peer transfers of already-decoded KV.
-	gB, _ := mk("gw-b")
-	res, err := gB.Submit(ctx, Request{Tenant: "t1", ContextID: r.contexts[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.KV == nil {
-		t.Fatal("peer-served request returned no KV")
-	}
-	peer := 0
-	for _, d := range res.Report.Decisions {
-		if streamer.DecisionSource(d) == streamer.SourcePeer {
-			peer++
-		}
-	}
-	if peer == 0 {
-		t.Fatalf("gw-b decisions %+v; want peer-served chunks", res.Report.Decisions)
-	}
 }
 
 // TestGatewaySchedKeepsStreamPath: with a scheduler plan and no local
-// candidate (a cold payload cache, no disk replica, no peers) the fetch
+// candidate (a cold payload cache, no disk replica) the fetch
 // keeps the fleet's one-stream path; once the RAM tier holds the
 // context, the plan routes its chunks through the per-chunk acquirer
 // instead.

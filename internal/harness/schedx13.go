@@ -20,22 +20,20 @@ import (
 	"repro/internal/workload"
 )
 
-// X13 is the scheduler economics experiment (ISSUE 10): one cost model
-// pricing every chunk across all sources — RAM tier, colocated disk,
-// remote node, cross-region replica, GPU recompute, peer-resident KV —
-// against the greedy planner that can only pick encoding levels on the
-// fleet link. Two cells:
+// X13 is the scheduler economics experiment: one cost model pricing
+// every chunk across all four sources — RAM tier, colocated disk, remote
+// node, GPU recompute — against the greedy planner that can only pick
+// encoding levels on the fleet link. Two cells:
 //
 //   - an arrival-rate sweep of a 2-tenant Poisson load over a *shared*
 //     data link that serializes transfers (offered load past its
 //     capacity queues), with the enforced claim: the scheduler's SLO
 //     attainment is never below the greedy baseline's, and stays high at
 //     the arrival rate where greedy collapses below 50%;
-//   - a source-coverage cell where one fetch plan mixes disk, remote and
-//     cross-region chunks, a repeat fetch serves from RAM, a peer
-//     gateway serves the decoded KV, and a starved link flips a
+//   - a source-coverage cell where one fetch plan mixes disk and remote
+//     chunks, a repeat fetch serves from RAM, and a starved link flips a
 //     rung-overflow request to text recompute — with the mixed-source
-//     KV bit-for-bit identical to the request/response baseline.
+//     and RAM KV bit-for-bit identical to the request/response baseline.
 func init() {
 	register("X13", "Extension: unified fetch-vs-recompute economics (fleet-wide min-TTFT chunk scheduling)", runX13Sched)
 }
@@ -297,7 +295,6 @@ type x13Coverage struct {
 
 	diffMix  float64 // mixed-source KV vs request/response baseline
 	diffRAM  float64 // RAM-tier repeat fetch vs the same baseline
-	diffPeer float64 // peer-served KV vs the same baseline
 	diffText float64 // recompute fetch vs the model's true KV
 }
 
@@ -308,9 +305,8 @@ type x13Stage struct {
 	load time.Duration
 }
 
-// x13CoverageCell drives the six source classes through real fetchers:
-// a 3-node fleet with one node colocated (disk tier), one in another
-// region, a shared resident index for the peer tier, and a starved
+// x13CoverageCell drives the four source classes through real fetchers:
+// a 3-node fleet with one node colocated (disk tier), and a starved
 // bandwidth prior for the recompute flip.
 func x13CoverageCell() (*x13Coverage, error) {
 	st, err := newContextStack()
@@ -333,9 +329,9 @@ func x13CoverageCell() (*x13Coverage, error) {
 
 	// Topology from the actual placement (node names are listen
 	// addresses, so placement re-rolls per run): the node owning chunk 0
-	// at level 1 is "colocated" — its store is the disk tier and it is
-	// the only same-region node, so every other owner prices
-	// cross-region. Replicas=1, so each chunk has one owner.
+	// at level 1 is "colocated" — its store is the disk tier — and every
+	// other owner serves over the fleet. Replicas=1, so each chunk has one
+	// owner.
 	owners := map[int]string{}
 	chunks := man.Meta.NumChunks()
 	for ci := 0; ci < chunks; ci++ {
@@ -360,22 +356,11 @@ func x13CoverageCell() (*x13Coverage, error) {
 	if !spread {
 		return nil, fmt.Errorf("x13: all %d chunks landed on one node; coverage cell needs spread", chunks)
 	}
-	regions := map[string]string{}
-	for _, nd := range ring.Nodes() {
-		regions[nd] = "east"
-	}
-	regions[diskNode] = "west"
-
-	residents := sched.NewResidentIndex(0)
-	mk := func(id string, opt sched.Options) *sched.Scheduler {
-		opt.ID = id
-		return sched.New(opt)
-	}
 	fetch := func(sc *sched.Scheduler, req sched.Request) (*tensor.KV, *streamer.FetchReport, error) {
 		p := sc.NewPlan(req)
 		f := &streamer.Fetcher{
 			Source: pool, Codec: st.codec, Model: st.model, Device: llm.A40x4(),
-			Policy: p, Local: sc.Cache(), LocalStore: sc.DiskStore(), Peers: sc.PeerSource(),
+			Policy: p, Local: sc.Cache(), LocalStore: sc.DiskStore(),
 			DisableStreaming: true,
 		}
 		kv, rep, err := f.Fetch(context.Background(), ctxID)
@@ -407,16 +392,13 @@ func x13CoverageCell() (*x13Coverage, error) {
 	pinned := sched.Request{ContextID: ctxID, DefaultLevel: 1}
 
 	// Stage 1 — cold mixed fetch: the colocated node's chunks come off
-	// disk, every other owner prices as a cross-region replica.
-	covA := mk("cov-a", sched.Options{
-		Locator: ring, Regions: regions, LocalRegion: "west",
-		DiskStore: fl.Node(diskNode).Store, Residents: residents,
-	})
+	// disk, and every other owner's come over the fleet.
+	covA := sched.New(sched.Options{ID: "cov-a", Locator: ring, DiskStore: fl.Node(diskNode).Store})
 	kv1, rep1, err := fetch(covA, pinned)
 	if err != nil {
 		return nil, fmt.Errorf("x13 cold mixed fetch: %w", err)
 	}
-	record("cold: disk+xregion", rep1)
+	record("cold: disk+remote", rep1)
 	if out.diffMix, err = kv1.MaxAbsDiff(kvRef); err != nil {
 		return nil, err
 	}
@@ -431,44 +413,17 @@ func x13CoverageCell() (*x13Coverage, error) {
 		return nil, err
 	}
 
-	// Stage 3 — same-region fleet: a gateway with placement but no local
-	// tiers and no resident index sees every owner as a healthy
-	// same-region node — the default remote path.
-	covD := mk("cov-d", sched.Options{Locator: ring})
-	kv3, rep3, err := fetch(covD, pinned)
-	if err != nil {
-		return nil, fmt.Errorf("x13 remote fetch: %w", err)
-	}
-	record("fleet: remote", rep3)
-	if diff, err := kv3.MaxAbsDiff(kvRef); err != nil {
-		return nil, err
-	} else if diff != 0 {
-		return nil, fmt.Errorf("x13: remote fetch diverged from the baseline (max |Δ| = %g)", diff)
-	}
-
-	// Stage 4 — peer transfer: a gateway sharing the resident index
-	// ships cov-a's decoded KV instead of touching the fleet.
-	covB := mk("cov-b", sched.Options{Residents: residents})
-	kv4, rep4, err := fetch(covB, pinned)
-	if err != nil {
-		return nil, fmt.Errorf("x13 peer fetch: %w", err)
-	}
-	record("peer: resident KV", rep4)
-	if out.diffPeer, err = kv4.MaxAbsDiff(kvRef); err != nil {
-		return nil, err
-	}
-
-	// Stage 5 — recompute: a rung-overflow request on a starved link
+	// Stage 3 — recompute: a rung-overflow request on a starved link
 	// (200 kbps observed) prices text cheaper than the coarsest level.
-	covC := mk("cov-c", sched.Options{})
+	covC := sched.New(sched.Options{ID: "cov-c"})
 	covC.ObserveBandwidth(2e5)
 	coarsest := core.Level(st.codec.Config().Levels() - 1)
-	kv5, rep5, err := fetch(covC, sched.Request{ContextID: ctxID, DefaultLevel: coarsest, Rung: 1})
+	kv3, rep3, err := fetch(covC, sched.Request{ContextID: ctxID, DefaultLevel: coarsest, Rung: 1})
 	if err != nil {
 		return nil, fmt.Errorf("x13 recompute fetch: %w", err)
 	}
-	record("starved: text recompute", rep5)
-	if out.diffText, err = kv5.MaxAbsDiff(st.kv); err != nil {
+	record("starved: text recompute", rep3)
+	if out.diffText, err = kv3.MaxAbsDiff(st.kv); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -478,15 +433,14 @@ func x13CoverageCell() (*x13Coverage, error) {
 // every source class, and exact KV identity on every path.
 func x13CheckCoverage(c *x13Coverage) error {
 	for _, src := range []string{
-		streamer.SourceRemote, streamer.SourceRAM, streamer.SourceDisk,
-		streamer.SourceXRegion, streamer.SourceRecompute, streamer.SourcePeer,
+		streamer.SourceRemote, streamer.SourceRAM, streamer.SourceDisk, streamer.SourceRecompute,
 	} {
 		if c.counts[src] == 0 {
 			return fmt.Errorf("x13: source class %q served no chunks (mix %v)", src, c.counts)
 		}
 	}
 	for name, diff := range map[string]float64{
-		"mixed-source": c.diffMix, "ram": c.diffRAM, "peer": c.diffPeer,
+		"mixed-source": c.diffMix, "ram": c.diffRAM,
 	} {
 		if diff != 0 {
 			return fmt.Errorf("x13: %s KV differs from the request/response baseline (max |Δ| = %g)", name, diff)
@@ -501,8 +455,7 @@ func x13CheckCoverage(c *x13Coverage) error {
 // x13Mix formats a per-source chunk mix compactly.
 func x13Mix(counts map[string]int64) string {
 	order := []string{
-		streamer.SourceRAM, streamer.SourceDisk, streamer.SourcePeer,
-		streamer.SourceRemote, streamer.SourceXRegion, streamer.SourceRecompute,
+		streamer.SourceRAM, streamer.SourceDisk, streamer.SourceRemote, streamer.SourceRecompute,
 	}
 	s := ""
 	for _, src := range order {
@@ -573,13 +526,13 @@ func runX13Sched(f *Fixture) ([]*Report, error) {
 	}
 	coverage := &Report{
 		ID:      "X13",
-		Title:   "Scheduler economics: every source class serves (3-node fleet, one colocated, rest cross-region, shared resident index)",
+		Title:   "Scheduler economics: every source class serves (3-node fleet, one node colocated)",
 		Columns: []string{"Stage", "Load time", "Source mix"},
 	}
 	for _, stage := range cov.stages {
 		coverage.AddRow(stage.name, fmt.Sprintf("%.1f ms", stage.load.Seconds()*1e3), x13MixInt(stage.mix))
 	}
-	coverage.AddNote("mixed-source, RAM and peer KV are bit-for-bit identical to the request/response baseline (max |Δ| = 0); the recompute path matches the model's true KV exactly")
+	coverage.AddNote("mixed-source and RAM KV are bit-for-bit identical to the request/response baseline (max |Δ| = 0); the recompute path matches the model's true KV exactly")
 
 	return []*Report{sweep, coverage}, nil
 }

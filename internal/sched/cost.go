@@ -12,19 +12,15 @@ import (
 // the resilience manager and the fetcher's estimator; these are the
 // priors used before any of them has a sample. Zero fields take defaults.
 //
-// The tiers that have no estimator of their own are priced by fixed
-// constants: a cross-region replica adds 30ms of round trip; the
-// gateway-to-gateway peer link runs at 10 Gbps with a 500µs round trip
-// (peer transfers move raw FP16 KV, not bitstreams, so the bigger payload
-// rides a faster, uncongested LAN); the local payload-cache copy runs at
-// 256 Gbps (effectively free, but never exactly zero so ties still order
-// by bytes); and the colocated-replica read runs at 16 Gbps with a 100µs
-// round trip.
+// The two local tiers have no estimator of their own and are priced by
+// fixed constants: the payload-cache copy runs at 256 Gbps (effectively
+// free, but never exactly zero so ties still order by bytes), and the
+// colocated-replica read runs at 16 Gbps with a 100µs round trip.
 type Signals struct {
 	// BandwidthBPS is the fleet-link prior used before any live estimate
 	// exists (default 1 Gbps).
 	BandwidthBPS float64
-	// RTT is the same-region per-request round trip (default 1ms). A
+	// RTT is the per-request round trip to a fleet node (default 1ms). A
 	// node's adaptive P99 latency from the resilience manager overrides
 	// it per node when available.
 	RTT time.Duration
@@ -32,9 +28,6 @@ type Signals struct {
 
 // Link shapes of the source classes without an estimator (see Signals).
 const (
-	xRegionRTT       = 30 * time.Millisecond
-	peerBandwidthBPS = 10e9
-	peerRTT          = 500 * time.Microsecond
 	ramBandwidthBPS  = 256e9
 	diskBandwidthBPS = 16e9
 	diskRTT          = 100 * time.Microsecond

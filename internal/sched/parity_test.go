@@ -10,12 +10,12 @@ import (
 )
 
 // TestPlanMatchesPlannerOnOneSource: with nothing but the fleet link to
-// price — no locator, cache contents, disk store, resident index or
-// slots, N_c pinned at 1, the same RTT, the same explicit throughput — a
-// Plan is the Planner, because both hand streamer.Decide a table of the
-// same prices. Swept over budget, throughput, chunk index, rung (0, caps,
-// overflow) and recompute shape (uniform, and growing with the prefix as
-// real prefill does).
+// price — no locator, cache contents, disk store or slots, N_c pinned
+// at 1, the same RTT, the same explicit throughput — a Plan is the
+// Planner, because both hand streamer.Decide a table of the same prices.
+// Swept over budget, throughput, chunk index, rung (0, caps, overflow)
+// and recompute shape (uniform, and growing with the prefix as real
+// prefill does).
 func TestPlanMatchesPlannerOnOneSource(t *testing.T) {
 	const rtt = 2 * time.Millisecond
 	sizes := []int64{100e6, 60e6, 30e6, 15e6}

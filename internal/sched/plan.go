@@ -13,7 +13,7 @@ import (
 
 // Request describes one fetch the scheduler is planning for.
 type Request struct {
-	// ContextID is the context being fetched (keys the resident index).
+	// ContextID is the context being fetched. No price reads it.
 	ContextID string
 	// SLO is the tenant's TTFT objective; zero pins quality at
 	// DefaultLevel (+Rung) and only the source choice floats.
@@ -31,7 +31,7 @@ type Request struct {
 // Plan prices every chunk of one request across all sources and lets
 // Algorithm 1 (streamer.Decide) pick the minimum-TTFT mix. It implements
 // streamer.PathPolicy: the Fetcher consults PlanPath once to learn
-// whether any chunk needs per-chunk delivery (a local or peer source),
+// whether any chunk needs per-chunk delivery (a RAM or disk source),
 // then Choose per chunk — repeatedly at streaming decision points, where
 // the hysteresis band suppresses re-plans until an estimate drifts.
 //
@@ -56,16 +56,13 @@ type Plan struct {
 
 	// Candidate tables, primed once per plan. Flat [chunk*levels+lv]
 	// layouts; streamer.Unreachable marks an absent candidate.
-	// Fixed-shape tiers (ram, disk, peer) are priced fully at prime time;
+	// Fixed-shape tiers (ram, disk) are priced fully at prime time;
 	// network tiers keep the per-node latency and are re-priced per
 	// decision against the live bandwidth estimate and concurrency.
 	ramCost  []time.Duration
 	diskCost []time.Duration
-	peerCost []time.Duration
 	remLat   []time.Duration
-	remX     []bool          // remLat candidate is cross-region
 	textLat  []time.Duration // [chunk] text-payload node latency
-	tokens   []int           // [chunk] token counts, for residency registration
 
 	last     []streamer.Choice // [chunk] previous decision
 	lastSet  []bool
@@ -82,14 +79,12 @@ var sourceLabels = [numSources]string{
 	Remote:    streamer.SourceRemote,
 	RAM:       streamer.SourceRAM,
 	Disk:      streamer.SourceDisk,
-	XRegion:   streamer.SourceXRegion,
 	Recompute: streamer.SourceRecompute,
-	Peer:      streamer.SourcePeer,
 }
 
 // PlanPath primes the candidate tables and tells the Fetcher whether the
 // streaming fast path is still usable: it is, unless some chunk has a
-// local or peer candidate that the one-stream fleet path couldn't serve.
+// RAM or disk candidate that the one-stream fleet path couldn't serve.
 func (p *Plan) PlanPath(chunks []streamer.ChunkInfo) streamer.PathHint {
 	if !p.primed {
 		p.prime(chunks)
@@ -101,8 +96,8 @@ func (p *Plan) PlanPath(chunks []streamer.ChunkInfo) streamer.PathHint {
 }
 
 // prime builds the per-chunk candidate tables from the annotated chunk
-// metadata, the payload cache, the colocated store, the resident index,
-// placement and the resilience manager's health view.
+// metadata, the payload cache, the colocated store, placement and the
+// resilience manager's health view.
 func (p *Plan) prime(chunks []streamer.ChunkInfo) {
 	n := len(chunks)
 	nl := 0
@@ -112,11 +107,8 @@ func (p *Plan) prime(chunks []streamer.ChunkInfo) {
 	p.n, p.levels = n, nl
 	p.ramCost = make([]time.Duration, n*nl)
 	p.diskCost = make([]time.Duration, n*nl)
-	p.peerCost = make([]time.Duration, n*nl)
 	p.remLat = make([]time.Duration, n*nl)
-	p.remX = make([]bool, n*nl)
 	p.textLat = make([]time.Duration, n)
-	p.tokens = make([]int, n)
 	p.last = make([]streamer.Choice, n)
 	p.lastSet = make([]bool, n)
 	p.counted = make([]bool, n)
@@ -126,26 +118,10 @@ func (p *Plan) prime(chunks []streamer.ChunkInfo) {
 	ctx := context.Background()
 	for ci := 0; ci < n; ci++ {
 		info := &chunks[ci]
-		p.tokens[ci] = info.Tokens
-
-		// Peer: a gateway with the decoded KV resident can ship finished
-		// FP16 rows. Quality never degrades — the resident copy serves a
-		// level only if its decode origin was that level or finer (text
-		// is lossless, finer than any level).
-		peerLevel, peerOK := -2, false
-		if s.opt.Residents != nil && info.Context != "" {
-			peerLevel, peerOK = s.opt.Residents.Lookup(info.Context, info.Index, s.opt.ID)
-		}
-		peerPrice := streamer.Unreachable
-		if peerOK {
-			peerPrice = peerRTT + netsim.TransferTime(info.KVBytes, peerBandwidthBPS)
-		}
-
 		for lv := 0; lv < nl; lv++ {
 			k := ci*nl + lv
 			p.ramCost[k] = streamer.Unreachable
 			p.diskCost[k] = streamer.Unreachable
-			p.peerCost[k] = streamer.Unreachable
 
 			var hash string
 			if lv < len(info.HashByLevel) {
@@ -163,13 +139,9 @@ func (p *Plan) prime(chunks []streamer.ChunkInfo) {
 					}
 				}
 			}
-			if peerOK && (peerLevel == LevelText || peerLevel <= lv) {
-				p.peerCost[k] = peerPrice
-				p.anyLocal = true
-			}
-			p.remLat[k], p.remX[k] = p.nodeLatency(hash)
+			p.remLat[k] = p.nodeLatency(hash)
 		}
-		p.textLat[ci], _ = p.nodeLatency(info.TextHash)
+		p.textLat[ci] = p.nodeLatency(info.TextHash)
 		if info.TextHash == "" && info.Context != "" {
 			// Annotated chunk published without a text payload: the
 			// recompute fallback has nothing to fetch.
@@ -179,31 +151,27 @@ func (p *Plan) prime(chunks []streamer.ChunkInfo) {
 }
 
 // nodeLatency estimates the round-trip to the healthiest node serving a
-// hash, and whether that node is in another region. An empty hash (bare
-// chunk metadata, e.g. simulation) prices at the same-region prior; a
-// hash whose every replica is dead is unreachable.
-func (p *Plan) nodeLatency(hash string) (time.Duration, bool) {
+// hash. An empty hash (bare chunk metadata, e.g. simulation) prices at
+// the RTT prior; a hash whose every replica is dead is unreachable.
+func (p *Plan) nodeLatency(hash string) time.Duration {
 	sig := p.s.sig
 	if hash == "" || p.s.opt.Locator == nil {
-		return sig.RTT, false
+		return sig.RTT
 	}
 	nodes := p.s.opt.Locator.ChunkNodes(hash)
 	if len(nodes) == 0 {
-		return sig.RTT, false
+		return sig.RTT
 	}
 	lat := sig.RTT
 	if res := p.s.opt.Resilience; res != nil {
 		if nodes = res.Order(nodes); len(nodes) == 0 {
-			return streamer.Unreachable, false
+			return streamer.Unreachable
 		}
 		if hd, ok := res.HedgeDelay(nodes[0]); ok && hd > lat {
 			lat = hd
 		}
 	}
-	if reg, ok := p.s.opt.Regions[nodes[0]]; ok && p.s.opt.LocalRegion != "" && reg != p.s.opt.LocalRegion {
-		return lat + xRegionRTT, true
-	}
-	return lat, false
+	return lat
 }
 
 // Choose prices chunk idx across every (configuration, source) pair and
@@ -290,14 +258,8 @@ func (p *prices) Price(ci, lv int) (time.Duration, string) {
 	if c := p.diskCost[k]; c < best {
 		best, src = c, Disk
 	}
-	if c := p.peerCost[k]; c < best {
-		best, src = c, Peer
-	}
 	if c := p.remote(ci, lv); c < best {
 		best, src = c, Remote
-		if p.remX[k] {
-			src = XRegion
-		}
 	}
 	if best == streamer.Unreachable {
 		src = Remote
@@ -328,8 +290,6 @@ func (p *prices) configCost(idx int, c streamer.Choice) time.Duration {
 		return p.ramCost[k]
 	case streamer.SourceDisk:
 		return p.diskCost[k]
-	case streamer.SourcePeer:
-		return p.peerCost[k]
 	default:
 		return p.remote(idx, lv)
 	}

@@ -1,19 +1,18 @@
 // Package sched implements the fleet-wide fetch-vs-recompute economics
 // of the gateway: one cost model that prices every chunk of a request
-// across all sources — the local RAM payload cache, a colocated disk
-// replica, a remote fleet node, a cross-region replica, GPU recompute
-// from text, and a peer gateway holding the decoded KV resident — and
-// emits the minimum-TTFT source mix under the tenant's SLO, the
-// degradation ladder's rung, and live load signals (bandwidth estimate,
-// decode-slot occupancy, plan concurrency, per-node latency and health
-// state from the resilience layer).
+// across the four sources that have a delivery path — the local RAM
+// payload cache, a colocated disk replica, a remote fleet node, and GPU
+// recompute from text — and emits the minimum-TTFT source mix under the
+// tenant's SLO, the degradation ladder's rung, and live load signals
+// (bandwidth estimate, decode-slot occupancy, plan concurrency, per-node
+// latency and health state from the resilience layer).
 //
 // The decision procedure itself is not here: Algorithm 1 lives once, in
-// streamer.Decide, and a Plan is the six-source price table it reads
+// streamer.Decide, and a Plan is the four-source price table it reads
 // (streamer.Prices) plus what is the scheduler's own — candidate tables
-// primed per request, live signals, the hysteresis band, telemetry and
-// residency. streamer.Planner hands the same procedure a one-link table,
-// which is why the two agree wherever only the fleet link can serve
+// primed per request, live signals, the hysteresis band and telemetry.
+// streamer.Planner hands the same procedure a one-link table, which is
+// why the two agree wherever only the fleet link can serve
 // (TestPlanMatchesPlannerOnOneSource). A Plan is a streamer.PathPolicy,
 // so the Fetcher drives it exactly as it drives the planner — including
 // mid-stream re-plans on the SWITCH and CANCEL machinery — while
@@ -37,20 +36,16 @@ import (
 type Source uint8
 
 const (
-	// Remote is a same-region fleet node (the default path).
+	// Remote is a fleet node (the default path).
 	Remote Source = iota
 	// RAM is the local payload cache.
 	RAM
 	// Disk is the colocated replica's store.
 	Disk
-	// XRegion is a fleet replica in another region.
-	XRegion
 	// Recompute is the text fallback: fetch tokens, re-prefill on GPU.
 	Recompute
-	// Peer is a gateway with the decoded KV resident.
-	Peer
 
-	numSources = 6
+	numSources = 4
 )
 
 // String returns the streamer's label for the source class.
@@ -68,12 +63,8 @@ func srcIndex(label string) Source {
 		return RAM
 	case streamer.SourceDisk:
 		return Disk
-	case streamer.SourceXRegion:
-		return XRegion
 	case streamer.SourceRecompute:
 		return Recompute
-	case streamer.SourcePeer:
-		return Peer
 	default:
 		return Remote
 	}
@@ -91,29 +82,21 @@ type Locator interface {
 const DefaultHysteresis = 0.15
 
 // Options configures a Scheduler. Everything is optional except that a
-// scheduler without a Locator prices all network chunks at the
-// same-region prior.
+// scheduler without a Locator prices all network chunks at the RTT
+// prior.
 type Options struct {
-	// ID identifies this gateway in the resident index (it never serves
-	// itself as a peer).
+	// ID names this gateway's scheduler. No price reads it.
 	ID string
 	// Locator resolves chunk placement (typically the cluster ring).
 	Locator Locator
 	// Resilience supplies per-node health and adaptive latency; nil
 	// means every node is healthy at the RTT prior.
 	Resilience *resilience.Manager
-	// Regions maps node ids to region labels; nodes in a region other
-	// than LocalRegion price as cross-region. Empty disables the tier.
-	Regions     map[string]string
-	LocalRegion string
 	// DiskStore is the colocated replica (this gateway's own ring node);
 	// chunks it holds price at the disk tier. Nil disables the tier.
 	DiskStore storage.Store
 	// CacheBytes caps the RAM payload cache (0 = 64 MiB).
 	CacheBytes int64
-	// Residents is the fleet-wide resident-prefix index, shared by every
-	// gateway in the fleet. Nil disables the peer tier.
-	Residents *ResidentIndex
 	// Signals seeds the cost model (zero fields take defaults).
 	Signals Signals
 	// Telemetry, when set, registers the cachegen_sched_* instruments.
@@ -153,7 +136,7 @@ func New(opt Options) *Scheduler {
 }
 
 // Register wires the scheduler's instruments into reg: per-source
-// delivery counters (cachegen_sched_source_total{source=...}, all six
+// delivery counters (cachegen_sched_source_total{source=...}, all four
 // classes pre-registered at zero so dashboards see the full set),
 // decision/re-plan counters and live gauges.
 func (s *Scheduler) Register(reg *telemetry.Registry) {
@@ -197,18 +180,6 @@ func (s *Scheduler) Cache() streamer.PayloadCache { return s.cache }
 // when the disk tier is disabled).
 func (s *Scheduler) DiskStore() storage.Store { return s.opt.DiskStore }
 
-// PeerSource returns the peer-transfer client for Fetcher.Peers (nil
-// when the peer tier is disabled).
-func (s *Scheduler) PeerSource() streamer.PeerSource {
-	if s.opt.Residents == nil {
-		return nil
-	}
-	return &peerClient{idx: s.opt.Residents, self: s.opt.ID}
-}
-
-// Residents returns the fleet resident-prefix index (nil if disabled).
-func (s *Scheduler) Residents() *ResidentIndex { return s.opt.Residents }
-
 // ObserveBandwidth folds a finished fetch's estimate into the
 // scheduler's prior for plans that start before their first measurement.
 func (s *Scheduler) ObserveBandwidth(bps float64) {
@@ -231,10 +202,10 @@ func (s *Scheduler) NewPlan(req Request) *Plan {
 
 // FinishPlan closes a plan: the in-flight count drops, the delivered
 // per-source chunk counts land on the cachegen_sched_source_total
-// counters, the fetch's closing bandwidth estimate folds into the
-// prior, and — when the fetch produced a complete fresh tensor — the
-// context registers in the resident index so peers can serve it.
-// kv and report may be nil (failed fetch). Idempotent per plan.
+// counters, and the fetch's closing bandwidth estimate folds into the
+// prior. report may be nil (failed fetch). No price reads kv; the
+// parameter stays for the callers that pass the fetched tensor.
+// Idempotent per plan.
 func (s *Scheduler) FinishPlan(p *Plan, kv *tensor.KV, report *streamer.FetchReport) {
 	if p == nil || p.done {
 		return
@@ -252,17 +223,4 @@ func (s *Scheduler) FinishPlan(p *Plan, kv *tensor.KV, report *streamer.FetchRep
 	if report.Bandwidth > 0 {
 		s.ObserveBandwidth(report.Bandwidth)
 	}
-	if s.opt.Residents == nil || kv == nil || !p.primed ||
-		report.ResidentTokens != 0 || len(report.Decisions) != p.n || p.n == 0 {
-		return
-	}
-	levels := make([]int, p.n)
-	for i, d := range report.Decisions {
-		if d.Choice.Text {
-			levels[i] = LevelText
-		} else {
-			levels[i] = int(d.Choice.Level)
-		}
-	}
-	s.opt.Residents.Register(p.req.ContextID, s.opt.ID, kv, levels, p.tokens)
 }

@@ -1,14 +1,12 @@
 package sched
 
 import (
-	"context"
 	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/streamer"
-	"repro/internal/tensor"
 )
 
 // annotatedChunks builds n chunks with delivery identity, one hash per
@@ -29,7 +27,6 @@ func annotatedChunks(n int, ctxID string, sizes []int64, text int64, rec time.Du
 			Index:        ci,
 			HashByLevel:  hashes,
 			TextHash:     fmt.Sprintf("t-%s-%d", ctxID, ci),
-			KVBytes:      4 * 4 * 8 * 2 * 2,
 		}
 	}
 	return out
@@ -201,7 +198,7 @@ func TestChooseAllocationFree(t *testing.T) {
 			}
 			return nil
 		}},
-		{"sched_plan_16chunk", 11, func() error { return planCycle(cycle, infos) }},
+		{"sched_plan_16chunk", 8, func() error { return planCycle(cycle, infos) }},
 		{"sched_decide_steady", 0, steadyChoose(infos)},
 	} {
 		allocs := testing.AllocsPerRun(200, func() {
@@ -238,75 +235,6 @@ func BenchmarkDecideSteady(b *testing.B) {
 		if err := op(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestResidentIndexPeerTransfer(t *testing.T) {
-	idx := NewResidentIndex(1 << 20)
-	kv := tensor.New(2, 8, 4)
-	for i := range kv.K {
-		kv.K[i] = float32(i)
-		kv.V[i] = float32(-i)
-	}
-	idx.Register("ctx", "gw-a", kv, []int{1, LevelText}, []int{4, 4})
-
-	if _, ok := idx.Lookup("ctx", 0, "gw-a"); ok {
-		t.Fatal("holder offered its own residency back as a peer")
-	}
-	lv, ok := idx.Lookup("ctx", 0, "gw-b")
-	if !ok || lv != 1 {
-		t.Fatalf("chunk 0 lookup = (%d,%v), want (1,true)", lv, ok)
-	}
-	if lv, _ := idx.Lookup("ctx", 1, "gw-b"); lv != LevelText {
-		t.Fatalf("chunk 1 lookup level = %d, want LevelText", lv)
-	}
-
-	pc := &peerClient{idx: idx, self: "gw-b"}
-	start := time.Now()
-	part, lv, err := pc.FetchResident(context.Background(), "ctx", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) < peerRTT {
-		t.Fatal("peer transfer returned before paying its modelled RTT")
-	}
-	if lv != LevelText || part.Tokens != 4 {
-		t.Fatalf("peer served (level=%d tokens=%d), want (LevelText, 4)", lv, part.Tokens)
-	}
-	want, err := kv.SliceTokens(4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff, err := part.MaxAbsDiff(want); err != nil || diff != 0 {
-		t.Fatalf("peer-served KV differs from the registered residency (diff=%v err=%v)", diff, err)
-	}
-
-	// Mutating the registered tensor must not leak into later transfers:
-	// the index owns a clone.
-	kv.K[0] = 1e9
-	part2, _, err := pc.FetchResident(context.Background(), "ctx", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if part2.K[0] == 1e9 {
-		t.Fatal("resident index aliases the registrant's tensor")
-	}
-}
-
-func TestResidentIndexEvictsAtCap(t *testing.T) {
-	one := tensor.New(1, 4, 4) // 2 kinds × 16 floats × 2 bytes = 64 B
-	idx := NewResidentIndex(2 * one.SizeBytesFP16())
-	for i := 0; i < 3; i++ {
-		idx.Register(fmt.Sprintf("ctx-%d", i), "gw-a", one, []int{0}, []int{4})
-	}
-	if idx.Len() != 2 {
-		t.Fatalf("index holds %d contexts past a 2-context cap", idx.Len())
-	}
-	if _, ok := idx.Lookup("ctx-0", 0, "gw-b"); ok {
-		t.Fatal("oldest residency survived eviction")
-	}
-	if _, ok := idx.Lookup("ctx-2", 0, "gw-b"); !ok {
-		t.Fatal("newest residency evicted")
 	}
 }
 

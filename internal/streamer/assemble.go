@@ -68,7 +68,6 @@ type chunkAsm struct {
 	parsed           *core.ParsedChunk
 	att              *laneAttempt // attempt chain; nil until a bitstream attempt begins
 	err              error        // the acquirer side's verdict on the attempt
-	adopted          bool         // landed as finished KV rows, nothing to decode
 	bytes, abandoned int64
 	d                delivery
 	ready, settled   chan struct{} // closed by finish, by the finalizer
@@ -301,23 +300,6 @@ func (a *assembler) parse(c *chunkAsm) error {
 	return nil
 }
 
-// adopt lands chunk c as finished KV rows — a peer gateway's resident
-// copy — instead of a payload to decode.
-func (a *assembler) adopt(c *chunkAsm, part *tensor.KV) {
-	if part.Tokens != a.infos[c.si].Tokens {
-		c.err = fmt.Errorf("peer served %d tokens, meta says %d", part.Tokens, a.infos[c.si].Tokens)
-		return
-	}
-	if err := a.dest.CopyTokensAt(a.offsets[c.si], part, 0, part.Tokens); err != nil {
-		c.err = fmt.Errorf("adopting peer KV: %w", err)
-		return
-	}
-	n := part.SizeBytesFP16()
-	a.count(c.level, n)
-	c.bytes += n
-	c.adopted = true
-}
-
 // finish hands a received chunk to the finalizer, which owns it from
 // here on.
 func (a *assembler) finish(c *chunkAsm, d delivery) {
@@ -425,7 +407,7 @@ func (a *assembler) settle(c *chunkAsm) error {
 func (a *assembler) join(c *chunkAsm) (time.Duration, error) {
 	c.att.waitChain()
 	switch {
-	case c.err != nil || c.adopted:
+	case c.err != nil:
 		return 0, c.err
 	case c.level != storage.TextLevel && c.parsed == nil:
 		// Every byte landed yet the container never parsed: the advertised

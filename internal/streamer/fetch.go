@@ -58,9 +58,8 @@ type Fetcher struct {
 	// engine (sched.Plan is one). The Fetcher then annotates chunk
 	// metadata with hashes and indices before planning, and honors the
 	// policy's per-chunk Choice.Source routing: "ram" via Local, "disk"
-	// via LocalStore, "peer" via Peers, anything else via Source. A
-	// PathPolicy additionally decides between the stream and the
-	// per-chunk acquirer.
+	// via LocalStore, anything else via Source. A PathPolicy additionally
+	// decides between the stream and the per-chunk acquirer.
 	Policy Policy
 	// Local is the gateway-local payload cache ("ram" source). When set,
 	// every bitstream payload either acquirer pulls from anywhere else is
@@ -70,9 +69,6 @@ type Fetcher struct {
 	// LocalStore is a colocated store replica readable without the
 	// network ("disk" source). Nil disables the tier.
 	LocalStore storage.Store
-	// Peers serves decoded KV from gateways holding the context resident
-	// ("peer" source). Nil disables the tier.
-	Peers PeerSource
 	// Start, if set, anchors the planner's elapsed-time budget (and the
 	// report's LoadTime) to an earlier instant than the Fetch call — a
 	// serving gateway sets it to the request's admission time so queueing
@@ -129,10 +125,9 @@ func (f *Fetcher) policy() Policy {
 }
 
 // annotateChunkInfos fills the delivery-identity fields a scheduling
-// policy prices sources with: per-level content hashes, the text hash,
-// the absolute index, and the raw KV size of each chunk.
+// policy prices sources with: per-level content hashes, the text hash
+// and the absolute index of each chunk.
 func (f *Fetcher) annotateChunkInfos(man storage.Manifest, contextID string, infos []ChunkInfo) {
-	layers, channels := f.Codec.Bank().Geometry()
 	for i := range infos {
 		infos[i].Context = contextID
 		infos[i].Index = i
@@ -146,8 +141,6 @@ func (f *Fetcher) annotateChunkInfos(man storage.Manifest, contextID string, inf
 		if h, err := man.ChunkHash(storage.TextLevel, i); err == nil {
 			infos[i].TextHash = h
 		}
-		// K and V planes, FP16.
-		infos[i].KVBytes = int64(infos[i].Tokens*layers*channels) * 2 * 2
 	}
 }
 
@@ -324,7 +317,7 @@ func (f *Fetcher) fetch(ctx context.Context, start time.Time, man storage.Manife
 	// A path-aware policy is consulted before any transfer: it primes its
 	// per-chunk source assignment from the annotated metadata and asks for
 	// the per-chunk acquirer when it routed chunks at sources the stream
-	// cannot serve (cache, colocated disk, peers).
+	// cannot serve (cache, colocated disk).
 	wantChunks := false
 	if pp, ok := f.policy().(PathPolicy); ok {
 		wantChunks = pp.PlanPath(suffixInfos) == PathChunks
@@ -335,7 +328,7 @@ func (f *Fetcher) fetch(ctx context.Context, start time.Time, man storage.Manife
 	if src, ok := f.Source.(StreamSource); ok && !f.DisableStreaming && !wantChunks {
 		err = f.acquireStream(a, src)
 	} else {
-		err = f.acquireChunks(a, contextID)
+		err = f.acquireChunks(a)
 	}
 	if err := a.wait(err); err != nil {
 		return nil, nil, err
@@ -345,10 +338,10 @@ func (f *Fetcher) fetch(ctx context.Context, start time.Time, man storage.Manife
 
 // acquireChunks is the per-chunk byte-acquirer: sequential planner
 // decisions, up to PipelineDepth GetChunkData transfers in flight, each
-// chunk routed at the source its choice names (RAM, colocated disk, a
-// peer's resident KV, the fleet). A transfer slot is released the moment
-// the wire is done, and the payload is fed to the assembler whole.
-func (f *Fetcher) acquireChunks(a *assembler, contextID string) error {
+// chunk routed at the source its choice names (RAM, colocated disk, the
+// fleet). A transfer slot is released the moment the wire is done, and
+// the payload is fed to the assembler whole.
+func (f *Fetcher) acquireChunks(a *assembler) error {
 	// The link estimate tracks the most recently *completed* network
 	// transfer — with overlapping transfers, completions can land out of
 	// chunk order, and the planner wants the freshest measurement.
@@ -387,22 +380,6 @@ func (f *Fetcher) acquireChunks(a *assembler, contextID string) error {
 		go func() {
 			defer wg.Done()
 			reqStart := time.Now()
-			if choice.Source == SourcePeer && f.Peers != nil {
-				if part, lvl, err := f.Peers.FetchResident(a.ctx, contextID, i); err == nil {
-					<-inflight
-					// The decision records what actually moved: the peer's
-					// resident quality (its original decode level) and the
-					// raw KV bytes of the transfer.
-					done, dc := time.Now(), levelChoice(lvl)
-					dc.Source = SourcePeer
-					c := a.begin(si, lvl, 0)
-					a.adopt(c, part)
-					a.finish(c, delivery{choice: dc, from: SourcePeer, start: reqStart, end: done, transfer: done.Sub(reqStart)})
-					return
-				}
-				// No peer holds the chunk anymore: fall through to the
-				// fleet at the planned level.
-			}
 			payload, from, err := f.fetchPayload(a.ctx, hash, choice)
 			<-inflight
 			if err != nil {
@@ -474,7 +451,7 @@ func (f *Fetcher) fetchPayload(ctx context.Context, hash string, choice Choice) 
 // link (and so informs the bandwidth estimate).
 func fromNetwork(source string) bool {
 	switch source {
-	case SourceRAM, SourceDisk, SourcePeer:
+	case SourceRAM, SourceDisk:
 		return false
 	}
 	return true

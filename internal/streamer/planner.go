@@ -9,7 +9,7 @@
 // price table — "what does chunk i cost at level lv by its cheapest
 // source, and as text" — with the request's side (SLO, default level,
 // degradation-ladder rung) passed as a value; Planner feeds it the
-// one-link table and sched.Plan the six-source one, so a rule changed
+// one-link table and sched.Plan the four-source one, so a rule changed
 // there changes on both paths. Simulate runs a request on the
 // virtual-time network simulator with the LLM cost model (the experiment
 // path). Fetcher is the live path, and it is one pipeline: a per-request
@@ -21,7 +21,7 @@
 // two thin byte-acquirers feed it: the stream receive loop
 // (stream_fetch.go: one server-push stream, frame-fed bandwidth
 // estimation, SWITCH/CANCEL mid-chunk) and the per-chunk issuer
-// (fetch.go: depth-bounded GetChunkData with RAM/disk/peer routing).
+// (fetch.go: depth-bounded GetChunkData with RAM/disk routing).
 package streamer
 
 import (
@@ -40,10 +40,10 @@ type Choice struct {
 	Text  bool
 	Level core.Level
 	// Source, when set, routes the chunk's delivery to a specific source
-	// class ("ram", "disk", "peer", …; see the Source* constants). The
-	// Planner never sets it — the fleet serves every chunk — but a
-	// scheduler policy uses it to steer individual chunks at the local
-	// payload cache, a colocated store, or a peer gateway's resident KV.
+	// class ("ram", "disk", "remote", "recompute"; see the Source*
+	// constants). The Planner never sets it — the fleet serves every chunk
+	// — but a scheduler policy uses it to steer individual chunks at the
+	// local payload cache or a colocated store.
 	// The Fetcher falls back to the fleet when the routed source misses.
 	Source string
 }
@@ -84,8 +84,8 @@ type ChunkInfo struct {
 	// TextHash is the content hash of the chunk's token-text payload
 	// ("" when the context was published without text).
 	TextHash string
-	// KVBytes is the decoded KV size of the chunk in FP16 — what a peer
-	// transfer of the finished tensor rows would move.
+	// KVBytes is the decoded KV size of the chunk in FP16. No price reads
+	// it, and the Fetcher leaves it zero.
 	KVBytes int64
 }
 

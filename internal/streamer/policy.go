@@ -1,18 +1,16 @@
 package streamer
 
 import (
-	"context"
 	"math"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/storage"
-	"repro/internal/tensor"
 )
 
 // Policy is the per-request decision engine a Fetcher consults for each
 // chunk. Both implementations — Planner, the one-link front end, and
-// sched.Plan, the six-source scheduler — decide through Decide below, so
+// sched.Plan, the four-source scheduler — decide through Decide below, so
 // Algorithm 1 exists once; they differ only in the price table they hand
 // it. Choose is called with the chunk index relative to the fetched
 // suffix, the time since the request started, and the live throughput
@@ -27,9 +25,8 @@ type Policy interface {
 // source", a configuration being a wire level: an encoding level, or
 // storage.TextLevel for the token text plus GPU recompute. The Planner's
 // table prices the one fleet link (RTT + N_c·size/bandwidth, plus
-// recompute for text); a sched.Plan's prices each chunk across RAM, disk,
-// peer, remote and cross-region candidates and scales recompute by
-// decode-slot occupancy. Unreachable prices a configuration nothing can
+// recompute for text); a sched.Plan's prices each chunk across RAM, disk
+// and remote candidates and scales recompute by decode-slot occupancy. Unreachable prices a configuration nothing can
 // deliver; the source label is the Choice.Source the Fetcher routes by
 // ("" = its default delivery).
 type Prices interface {
@@ -161,14 +158,14 @@ const (
 	PathAuto PathHint = iota
 	// PathChunks selects the per-chunk acquirer. A policy
 	// returns it when it routed chunks to sources the stream cannot serve
-	// — the local payload cache, a colocated store, or a peer's resident
-	// KV — which are only reachable at chunk granularity.
+	// — the local payload cache or a colocated store — which are only
+	// reachable at chunk granularity.
 	PathChunks
 )
 
 // PathPolicy is a Policy that inspects a request's chunk metadata before
 // any transfer. PlanPath is called once per fetch with the annotated
-// suffix chunks (hashes, indices and raw KV sizes filled in); the policy
+// suffix chunks (hashes and indices filled in); the policy
 // primes its per-chunk source assignment there and picks the delivery
 // path.
 type PathPolicy interface {
@@ -189,26 +186,14 @@ type PayloadCache interface {
 	Drop(hash string)
 }
 
-// PeerSource serves decoded KV rows for chunks another gateway in the
-// fleet already holds resident — the peer-transfer path. FetchResident
-// returns the chunk's KV slice and the encoding level it was originally
-// decoded at (storage.TextLevel for a lossless recompute origin), or an
-// error when no peer holds it. The returned tensor is the caller's to
-// keep.
-type PeerSource interface {
-	FetchResident(ctx context.Context, contextID string, chunk int) (*tensor.KV, int, error)
-}
-
 // Source-class labels a Choice (and the resulting ChunkDecision) can
 // carry. The empty string means the fetcher's default delivery: the
 // fleet for bitstream chunks, text+recompute for text chunks.
 const (
 	SourceRAM       = "ram"       // gateway-local payload cache
 	SourceDisk      = "disk"      // colocated store replica, no network
-	SourceRemote    = "remote"    // same-region ring node over the fleet
-	SourceXRegion   = "xregion"   // cross-region replica over the fleet
+	SourceRemote    = "remote"    // ring node over the fleet
 	SourceRecompute = "recompute" // text payload + GPU prefill
-	SourcePeer      = "peer"      // decoded KV resident on a peer gateway
 )
 
 // sourceLabel resolves a choice's delivered source class, inferring the

@@ -42,7 +42,7 @@ type ChunkDecision struct {
 	Compute    time.Duration // decode or recompute time
 	Throughput float64       // measured bits/s
 	// Source is the delivered source class ("ram", "disk", "remote",
-	// "xregion", "recompute", "peer"; see the Source* constants). Live
+	// "recompute"; see the Source* constants). Live
 	// fetches always fill it; simulation leaves it empty.
 	Source string
 }
