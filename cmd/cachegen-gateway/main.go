@@ -228,7 +228,7 @@ func main() {
 	// kill, restart, partition, slow or corrupt it mid-run.
 	fl := &chaos.LocalFleet{}
 	defer fl.Close()
-	stores, err := fl.LaunchNodes(*nodes, "127.0.0.1", 0, "", int64(*ramMB)<<20, reg, srvOpts...)
+	stores, err := fl.LaunchNodes(*nodes, int64(*ramMB)<<20, reg, srvOpts...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"net"
-	"path/filepath"
 	"slices"
 	"sync"
 	"time"
@@ -15,8 +14,8 @@ import (
 )
 
 // LocalFleet is a ready-made Target over in-process transport servers —
-// the one launcher of every local ring the harness and the CLIs run.
-// Launch builds each node the same way: its base store behind a
+// the one launcher of every local ring the harness and cachegen-gateway
+// run. Launch builds each node the same way: its base store behind a
 // storage.LatencyStore (the slow-disk shim, a passthrough at zero
 // latency), a storage.CachingStore RAM tier over that when it has a
 // budget, and a transport.Server over the result, listening on a fixed
@@ -81,27 +80,15 @@ func (f *LocalFleet) Launch(addr string, base storage.Store, cacheBytes int64, o
 	return n.LocalNode, nil
 }
 
-// LaunchNodes launches n nodes on host, node i on port portBase+i (or
-// on an ephemeral port when portBase is 0), each over a FileStore in
-// dir/node-NN (a MemStore when dir is empty) with a RAM tier of
-// cacheBytes registered in reg, served with opts. It returns the stores
-// the nodes serve by address, for cluster.NewShardedStore; on error the
-// nodes already launched keep running until Close.
-func (f *LocalFleet) LaunchNodes(n int, host string, portBase int, dir string, cacheBytes int64, reg *telemetry.Registry, opts ...transport.ServerOption) (map[string]storage.Store, error) {
+// LaunchNodes launches n nodes on ephemeral loopback ports, each over a
+// MemStore with a RAM tier of cacheBytes registered in reg, served with
+// opts. It returns the stores the nodes serve by address, for
+// cluster.NewShardedStore; on error the nodes already launched keep
+// running until Close.
+func (f *LocalFleet) LaunchNodes(n int, cacheBytes int64, reg *telemetry.Registry, opts ...transport.ServerOption) (map[string]storage.Store, error) {
 	stores := make(map[string]storage.Store, n)
 	for i := 0; i < n; i++ {
-		var base storage.Store = storage.NewMemStore()
-		if dir != "" {
-			var err error
-			if base, err = storage.NewFileStore(filepath.Join(dir, fmt.Sprintf("node-%02d", i))); err != nil {
-				return nil, err
-			}
-		}
-		port := 0
-		if portBase != 0 {
-			port = portBase + i
-		}
-		node, err := f.Launch(fmt.Sprintf("%s:%d", host, port), base, cacheBytes, opts...)
+		node, err := f.Launch("127.0.0.1:0", storage.NewMemStore(), cacheBytes, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("node %d: %w", i, err)
 		}

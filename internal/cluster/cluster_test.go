@@ -3,8 +3,10 @@ package cluster
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"math/rand"
 	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +23,7 @@ import (
 // over TCP.
 type clusterNode struct {
 	addr  string
+	dir   string // the FileStore's directory; empty over a MemStore
 	cache *storage.CachingStore
 	srv   *transport.Server
 }
@@ -42,20 +45,35 @@ type clusterStack struct {
 
 const testContextID = "ctx-cluster"
 
-func startNode(t *testing.T, cacheBytes int64) *clusterNode {
+// startNode serves a RAM tier of cacheBytes over a MemStore, or over a
+// FileStore in a fresh directory when onDisk is set.
+func startNode(t *testing.T, cacheBytes int64, onDisk bool) *clusterNode {
 	t.Helper()
-	cache := storage.NewCachingStore(storage.NewMemStore(), cacheBytes)
-	srv := transport.NewServer(cache)
+	n := &clusterNode{}
+	var base storage.Store = storage.NewMemStore()
+	if onDisk {
+		n.dir = t.TempDir()
+		disk, err := storage.NewFileStore(n.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base = disk
+	}
+	n.cache = storage.NewCachingStore(base, cacheBytes)
+	n.srv = transport.NewServer(n.cache)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return &clusterNode{addr: ln.Addr().String(), cache: cache, srv: srv}
+	go n.srv.Serve(ln)
+	t.Cleanup(func() { n.srv.Close() })
+	n.addr = ln.Addr().String()
+	return n
 }
 
-func newClusterStack(t *testing.T, nodeCount, replicas int) *clusterStack {
+// newClusterStack publishes the test context on a ring of nodeCount
+// nodes (see startNode for onDisk).
+func newClusterStack(t *testing.T, nodeCount, replicas int, onDisk bool) *clusterStack {
 	t.Helper()
 	model, err := llm.New(llm.Config{
 		Name: "ctest", Layers: 6, KVChannels: 16, Channels: 16,
@@ -113,7 +131,7 @@ func newClusterStack(t *testing.T, nodeCount, replicas int) *clusterStack {
 	s.ring = NewRing(replicas, 0)
 	stores := map[string]storage.Store{}
 	for i := 0; i < nodeCount; i++ {
-		n := startNode(t, 1<<20)
+		n := startNode(t, 1<<20, onDisk)
 		s.nodes = append(s.nodes, n)
 		stores[n.addr] = n.cache
 	}
@@ -187,7 +205,7 @@ func (k *killAfterChunk) GetChunkData(ctx context.Context, hash string) ([]byte,
 // bit-for-bit equal to a single-store fetch, and a warm RAM tier on the
 // repeated fetch.
 func TestClusterFailoverAndRAMTier(t *testing.T) {
-	s := newClusterStack(t, 4, 2)
+	s := newClusterStack(t, 4, 2, false)
 
 	// The context must actually be sharded: more than one distinct
 	// primary across its chunk payloads.
@@ -251,7 +269,7 @@ func TestClusterFailoverAndRAMTier(t *testing.T) {
 }
 
 func TestPoolManifestAndBankFailover(t *testing.T) {
-	s := newClusterStack(t, 3, 2)
+	s := newClusterStack(t, 3, 2, false)
 	// The per-attempt timeout lets failover move past a killed node even
 	// when the dial lands in its dead accept backlog (where a read would
 	// otherwise block until the caller's deadline).
@@ -294,7 +312,7 @@ func TestPoolManifestAndBankFailover(t *testing.T) {
 }
 
 func TestPoolAllReplicasDead(t *testing.T) {
-	s := newClusterStack(t, 3, 1) // replication 1: the primary is the only copy
+	s := newClusterStack(t, 3, 1, false) // replication 1: the primary is the only copy
 	pool := NewPool(s.ring, WithRequestTimeout(2*time.Second))
 	defer pool.Close()
 
@@ -309,7 +327,7 @@ func TestPoolAllReplicasDead(t *testing.T) {
 // TestPoolHonorsCancelledContext: an abandoned request must not sweep
 // the replica set or open connections on its way out.
 func TestPoolHonorsCancelledContext(t *testing.T) {
-	s := newClusterStack(t, 3, 2)
+	s := newClusterStack(t, 3, 2, false)
 	pool := NewPool(s.ring)
 	defer pool.Close()
 
@@ -335,7 +353,7 @@ func TestPoolHonorsCancelledContext(t *testing.T) {
 }
 
 func TestShardedStoreRoundTrip(t *testing.T) {
-	s := newClusterStack(t, 3, 2)
+	s := newClusterStack(t, 3, 2, false)
 	ctx := context.Background()
 
 	ids, err := s.sharded.ListContexts(ctx)
@@ -385,9 +403,15 @@ func TestShardedStoreRoundTrip(t *testing.T) {
 // scenario over a live multi-node ring: two contexts sharing a prefix
 // store shared payloads once per replica set; deleting one context and
 // sweeping the fleet reclaims exactly its unique payloads; the surviving
-// context still decodes bit-for-bit.
+// context still decodes bit-for-bit. It runs over MemStore nodes and over
+// FileStore nodes.
 func TestClusterDedupAndRefcountedGC(t *testing.T) {
-	s := newClusterStack(t, 4, 2)
+	t.Run("MemStore", func(t *testing.T) { testDedupAndRefcountedGC(t, false) })
+	t.Run("FileStore", func(t *testing.T) { testDedupAndRefcountedGC(t, true) })
+}
+
+func testDedupAndRefcountedGC(t *testing.T, onDisk bool) {
+	s := newClusterStack(t, 4, 2, onDisk)
 	ctx := context.Background()
 
 	// Publish a second context sharing the first 3 chunks (240 tokens).
@@ -488,5 +512,20 @@ func TestClusterDedupAndRefcountedGC(t *testing.T) {
 	}
 	if res2.RemovedChunks != 0 {
 		t.Errorf("second sweep reclaimed %d more chunks", res2.RemovedChunks)
+	}
+	// The dedup index is derived from the manifests: no node directory
+	// holds the fp/ tree older stores kept it in.
+	for _, n := range s.nodes {
+		if n.dir == "" {
+			continue
+		}
+		if err := filepath.WalkDir(n.dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && d.IsDir() && d.Name() == "fp" {
+				t.Errorf("node directory has an fp/ tree: %s", path)
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

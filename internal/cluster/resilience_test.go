@@ -32,7 +32,7 @@ func restartNode(t *testing.T, n *clusterNode) {
 // ErrFleetUnavailable, without dialing a node — even one that has come
 // back but that neither the prober nor a heal hook has re-admitted.
 func TestPoolFleetUnavailableFastFail(t *testing.T) {
-	s := newClusterStack(t, 3, 2)
+	s := newClusterStack(t, 3, 2, false)
 	pool := NewPool(s.ring,
 		WithRequestTimeout(time.Second),
 		// One failure condemns a node, and the prober's first cycle is
@@ -94,7 +94,7 @@ func TestPoolFleetUnavailableFastFail(t *testing.T) {
 // Invalidate reopens routing to dead nodes that nothing else would bring
 // back before the prober's next cycle.
 func TestPoolRecoversThroughInvalidate(t *testing.T) {
-	s := newClusterStack(t, 3, 2)
+	s := newClusterStack(t, 3, 2, false)
 	pool := NewPool(s.ring,
 		WithRequestTimeout(time.Second),
 		WithResilience(resilience.Config{DeadAfter: 1, ProbeInterval: time.Hour}))
@@ -291,7 +291,7 @@ func TestPoolHedgeAccounting(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newClusterStack(t, 3, 2)
+			s := newClusterStack(t, 3, 2, false)
 			pool := NewPool(s.ring,
 				WithRequestTimeout(2*time.Second),
 				WithResilience(resilience.Config{ProbeInterval: time.Hour}))

@@ -16,8 +16,8 @@ import (
 // KB; having them everywhere lets any node answer a client's first
 // request or a dedup-index lookup, and keeps every node's refcounts
 // complete). It is used wherever the node stores are reachable
-// in-process — the cachegen-cluster launcher, tests, and the harness —
-// while remote clients read through a Pool.
+// in-process — cachegen-gateway's local ring, the bench, tests, and the
+// harness — while remote clients read through a Pool.
 //
 // store_kv (§6) is unchanged for callers: streamer.Publish writes through
 // a ShardedStore exactly as it would through one FileStore.

@@ -29,7 +29,7 @@ func newStreamRig(t *testing.T, nodeCount, replicas, nChunks, sizeL0, sizeL1 int
 	rig := &streamRig{ring: NewRing(replicas, 0), payloads: map[int][][]byte{}}
 	stores := map[string]storage.Store{}
 	for i := 0; i < nodeCount; i++ {
-		n := startNode(t, 1<<20)
+		n := startNode(t, 1<<20, false)
 		rig.nodes = append(rig.nodes, n)
 		stores[n.addr] = n.cache
 	}

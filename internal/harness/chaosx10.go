@@ -37,10 +37,10 @@ func init() {
 const x10Seed = 1234
 
 // x10Faults is the fault axis: one schedule per fault class, phrased in
-// the same compact spec syntax the CLIs accept. Offsets are chosen to
-// land mid-replay for every scenario window (600-900 ms) and heal before
-// the window ends, so late arrivals observe the recovery, not just the
-// outage.
+// the same compact spec syntax cachegen-gateway's -chaos accepts.
+// Offsets are chosen to land mid-replay for every scenario window
+// (600-900 ms) and heal before the window ends, so late arrivals observe
+// the recovery, not just the outage.
 func x10Faults() []struct{ name, spec string } {
 	return []struct{ name, spec string }{
 		{"none", ""},
@@ -223,67 +223,6 @@ func x10Integrity(st *corpusStack, sharded *cluster.ShardedStore, pool *cluster.
 	return fmt.Sprintf("%d/%d bit-exact", len(ids), len(ids)), nil
 }
 
-// x10Columns is the cell layout shared by the X10 matrix and the
-// single-cell ChaosScenario report.
-func x10Columns() []string {
-	return []string{"Scenario", "Fault", "Done", "SLO met", "P50 TTFT", "P99 TTFT", "Failovers", "Fault record", "KV integrity"}
-}
-
-// x10Row formats one matrix cell.
-func x10Row(scenario, fault string, out *x10Outcome) []string {
-	rep := out.rep
-	p50, p99, slo := "-", "-", "-"
-	if rep.Completed > 0 {
-		sum := metrics.Summarize(metrics.Seconds(rep.AllTTFTs()))
-		p50 = fmt.Sprintf("%.1f ms", sum.P50()*1e3)
-		p99 = fmt.Sprintf("%.1f ms", sum.P99*1e3)
-		slo = fmt.Sprintf("%.0f%%", 100*rep.SLORate())
-	}
-	record := "-"
-	if !out.snap.Zero() {
-		record = out.snap.String()
-	}
-	return []string{scenario, fault,
-		fmt.Sprintf("%d/%d", rep.Completed, rep.Submitted),
-		slo, p50, p99,
-		fmt.Sprintf("%d", out.failovers),
-		record, out.integrity}
-}
-
-// ChaosScenario replays one workload trace under one chaos schedule —
-// a single cell of the X10 matrix, the entry point behind cachegen-exp's
-// -workload-trace/-chaos flags. The schedule spec may be empty (fault-
-// free replay); the chaos seed is the trace's, so one trace pins both
-// the arrival schedule and the fault victims.
-func ChaosScenario(tr *workload.Trace, spec string) (*Report, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("harness: chaos scenario needs a trace")
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	st, err := newCorpusStack()
-	if err != nil {
-		return nil, err
-	}
-	out, err := x10Run(st, tr, spec)
-	if err != nil {
-		return nil, err
-	}
-	faultName := "none"
-	if spec != "" {
-		faultName = spec
-	}
-	rep := &Report{
-		ID:      "X10",
-		Title:   fmt.Sprintf("Chaos scenario: %s under %q (3 nodes, replication 2, seed %d)", tr.TraceName, spec, tr.Seed),
-		Columns: x10Columns(),
-	}
-	rep.AddRow(x10Row(tr.TraceName, faultName, out)...)
-	rep.AddNote("KV integrity: after healing, every stored context's manifest hashes and decoded KV are compared bit-for-bit against an unfaulted reference publish of the same token content")
-	return rep, nil
-}
-
 func runX10Chaos(f *Fixture) ([]*Report, error) {
 	st, err := newCorpusStack()
 	if err != nil {
@@ -295,7 +234,7 @@ func runX10Chaos(f *Fixture) ([]*Report, error) {
 	matrix := &Report{
 		ID:      "X10",
 		Title:   "Chaos matrix: workload scenarios x fault classes (3 nodes, replication 2, seeded)",
-		Columns: x10Columns(),
+		Columns: []string{"Scenario", "Fault", "Done", "SLO met", "P50 TTFT", "P99 TTFT", "Failovers", "Fault record", "KV integrity"},
 	}
 	for _, name := range scenarios {
 		build := builders[name]
@@ -304,7 +243,23 @@ func runX10Chaos(f *Fixture) ([]*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("X10 %s/%s: %w", name, fault.name, err)
 			}
-			matrix.AddRow(x10Row(name, fault.name, out)...)
+			rep := out.rep
+			p50, p99, slo := "-", "-", "-"
+			if rep.Completed > 0 {
+				sum := metrics.Summarize(metrics.Seconds(rep.AllTTFTs()))
+				p50 = fmt.Sprintf("%.1f ms", sum.P50()*1e3)
+				p99 = fmt.Sprintf("%.1f ms", sum.P99*1e3)
+				slo = fmt.Sprintf("%.0f%%", 100*rep.SLORate())
+			}
+			record := "-"
+			if !out.snap.Zero() {
+				record = out.snap.String()
+			}
+			matrix.AddRow(name, fault.name,
+				fmt.Sprintf("%d/%d", rep.Completed, rep.Submitted),
+				slo, p50, p99,
+				fmt.Sprintf("%d", out.failovers),
+				record, out.integrity)
 		}
 	}
 	matrix.AddNote("each cell replays the scenario's seeded trace (seed %d) on a fresh fleet while the fault schedule fires against the arrival clock's t=0; faults heal mid-window, so tails mix outage and recovery", x10Seed)

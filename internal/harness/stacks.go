@@ -31,7 +31,7 @@ import (
 // served stores. The ring is the sharded store's.
 func launchRing(n, replicas int, cacheBytes int64) (*chaos.LocalFleet, *cluster.ShardedStore, error) {
 	fl := &chaos.LocalFleet{}
-	stores, err := fl.LaunchNodes(n, "127.0.0.1", 0, "", cacheBytes, nil)
+	stores, err := fl.LaunchNodes(n, cacheBytes, nil)
 	var sharded *cluster.ShardedStore
 	if err == nil {
 		sharded, err = cluster.NewShardedStore(cluster.NewRing(replicas, 0), stores)

@@ -68,10 +68,10 @@ func (s NodeState) String() string {
 // Config tunes the failure domain. The zero value means defaults.
 //
 // The rest is fixed: the first failure demotes a Healthy node to
-// Suspect; the hedge delay is a node's P99 latency, clamped to
-// [1ms, 250ms], and is trusted once the node has 16 latency samples (a
-// request still unanswered past it is probably stuck, so a duplicate goes
-// to the next replica).
+// Suspect; the hedge delay is a node's P99 latency, but never its
+// slowest sample, clamped to [1ms, 250ms], and is trusted once the node
+// has 16 latency samples (a request still unanswered past it is probably
+// stuck, so a duplicate goes to the next replica).
 type Config struct {
 	// DeadAfter consecutive failures demote → Dead. Default 3.
 	DeadAfter int
@@ -91,7 +91,6 @@ type Config struct {
 
 // The adaptive hedge delay (see Config).
 const (
-	hedgeQuantile = 0.99
 	minHedgeDelay = time.Millisecond
 	maxHedgeDelay = 250 * time.Millisecond
 	hedgeWarmup   = 16
@@ -272,13 +271,18 @@ func (m *Manager) Order(nodes []string) []string {
 
 // HedgeDelay returns the adaptive hedge delay for id — its latency
 // histogram's P99, clamped to [1ms, 250ms] — and whether enough samples
-// exist to trust it.
+// exist to trust it. Below about 150 samples the P99 is the slowest
+// sample, so one hiccup would set the delay until enough fast samples
+// dilute it; the quantile read is min(0.99, 1-1.5/n), whose rank
+// ceil(n-1.5) is at most n-1, so the slowest sample is never the answer.
 func (m *Manager) HedgeDelay(id string) (time.Duration, bool) {
 	n := m.node(id)
-	if n.lat.Count() < hedgeWarmup {
+	count := n.lat.Count()
+	if count < hedgeWarmup {
 		return 0, false
 	}
-	d := time.Duration(n.lat.Quantile(hedgeQuantile) * float64(time.Second))
+	q := min(0.99, 1-1.5/float64(count))
+	d := time.Duration(n.lat.Quantile(q) * float64(time.Second))
 	if d < minHedgeDelay {
 		d = minHedgeDelay
 	}

@@ -136,6 +136,24 @@ func TestHedgeDelay(t *testing.T) {
 	}
 }
 
+func TestHedgeDelayIgnoresOneOutlier(t *testing.T) {
+	m := New(Config{})
+	// One stall among 40 fast answers: the P99 of 41 samples is the
+	// stall itself, and a delay set by it would never hedge the node.
+	for i := 0; i < 40; i++ {
+		m.ReportSuccess("n", 2*time.Millisecond)
+	}
+	m.ReportSuccess("n", 200*time.Millisecond)
+	if d, _ := m.HedgeDelay("n"); d >= 10*time.Millisecond {
+		t.Fatalf("hedge delay %v after one 200ms outlier among 2ms samples, want near 2ms", d)
+	}
+	// Two slow samples are a tail, not an outlier: the delay follows.
+	m.ReportSuccess("n", 200*time.Millisecond)
+	if d, _ := m.HedgeDelay("n"); d < 100*time.Millisecond {
+		t.Fatalf("hedge delay %v after two 200ms samples among 40, want near 200ms", d)
+	}
+}
+
 func TestProberRecoversDeadNode(t *testing.T) {
 	m := New(Config{ProbeInterval: 5 * time.Millisecond, DeadAfter: 1})
 	defer m.Close()
