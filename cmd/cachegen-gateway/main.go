@@ -5,20 +5,20 @@
 // queueing across tenants, a fixed decode-slot pool, and KV prefetch
 // racing the queue. It prints per-tenant TTFT distributions (P50/P99),
 // SLO attainment, gateway counters, and the fleet's aggregate RAM-tier
-// stats, then exits.
+// stats, then exits. The defaults are a short mixed-tenant burst that
+// still queues.
 //
 // Instead of the Poisson generator, -workload-trace replays a named
-// scenario ("rag-burst", "agentic", "longdoc-qa", "flash-crowd") or a
-// JSON trace file; -chaos arms a fault schedule (node kills, partitions,
-// slow disks, bandwidth cliffs, wire corruption) against the live fleet
-// while either workload runs; -capture-trace writes the run back out as
-// a replayable trace file.
+// scenario ("rag-burst", "agentic", "longdoc-qa", "flash-crowd"); -chaos
+// arms a fault schedule (node kills, partitions, slow disks, bandwidth
+// cliffs, wire corruption) against the live fleet while either workload
+// runs. A run is a function of its flags and -seed.
 //
 // Each request is priced by the fleet-wide min-TTFT chunk scheduler.
 //
 // Usage:
 //
-//	cachegen-gateway -demo
+//	cachegen-gateway
 //	cachegen-gateway -nodes 4 -slots 4 -rate 300 -requests 200 \
 //	    -tenants gold:4,silver:2,bronze:1 -slo 150ms
 //	cachegen-gateway -workload-trace rag-burst -chaos "kill@150ms+450ms"
@@ -30,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,23 +97,21 @@ func main() {
 	degrade := flag.Bool("degrade", true, "step requests down quality levels (to text at the floor) under queue or SLO-budget pressure instead of shedding")
 	tenantsFlag := flag.String("tenants", "gold:4,silver:2,bronze:1", "tenant list as name:weight,... (weight = WRR share and traffic share)")
 	bwTrace := flag.String("bandwidth-trace", "", "per-node egress bandwidth trace as RATE[:DUR],... (e.g. 200Mbps:1s,40Mbps); exercises mid-stream adaptation")
-	rate := flag.Float64("rate", 200, "offered load in requests/second (open-loop Poisson)")
-	requests := flag.Int("requests", 120, "total requests to generate")
-	slo := flag.Duration("slo", 250*time.Millisecond, "per-request TTFT objective")
+	rate := flag.Float64("rate", 18, "offered load in requests/second (open-loop Poisson)")
+	requests := flag.Int("requests", 50, "total requests to generate")
+	slo := flag.Duration("slo", 500*time.Millisecond, "per-request TTFT objective")
 	deadline := flag.Duration("deadline", 0, "hard abandon time per request (0 = none)")
-	turns := flag.Int("turns", 1, "turns per session (>1 = multi-turn chat mix: warm turns reuse the previous turn's KV as a resident prefix)")
-	think := flag.Duration("think", 25*time.Millisecond, "mean think time between a session's turns (exponential)")
+	turns := flag.Int("turns", 2, "turns per session (>1 = multi-turn chat mix: warm turns reuse the previous turn's KV as a resident prefix)")
+	think := flag.Duration("think", 20*time.Millisecond, "mean think time between a session's turns (exponential)")
 	nContexts := flag.Int("contexts", 2, "published contexts per tenant")
-	tokens := flag.Int("tokens", 2000, "tokens per context")
+	tokens := flag.Int("tokens", 800, "tokens per context (with -workload-trace: per codec-bank training context)")
 	modelName := flag.String("model", "Mistral-7B", "model for the published contexts")
-	channels := flag.Int("channels", 32, "synthesised KV channels")
+	channels := flag.Int("channels", 16, "synthesised KV channels")
 	seed := flag.Int64("seed", 1, "workload seed")
-	traceFlag := flag.String("workload-trace", "", "replay a workload trace (scenario name or trace file) instead of the Poisson generator")
-	captureTrace := flag.String("capture-trace", "", "capture the live run as a replayable workload trace file (replay it with -workload-trace)")
+	traceFlag := flag.String("workload-trace", "", "replay a named workload scenario (rag-burst, agentic, longdoc-qa, flash-crowd) instead of the Poisson generator")
 	chaosFlag := flag.String("chaos", "", "fault schedule armed at workload start, as class@offset[+heal][:param];... (e.g. \"kill@500ms+1s; corrupt@0s:0.25\")")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /debug metrics+pprof exposition on this address (e.g. :9100; empty = disabled)")
 	traceOut := flag.String("trace-out", "", "write the request traces here at exit (.jsonl = JSON-lines, else Chrome trace_event JSON for Perfetto)")
-	demo := flag.Bool("demo", false, "run the preset mixed-tenant burst (small, fast) and exit")
 	version := flag.Bool("version", false, "print the version and exit")
 	flag.Parse()
 	log.SetFlags(0)
@@ -122,21 +119,6 @@ func main() {
 	if *version {
 		fmt.Println("cachegen-gateway " + telemetry.Version)
 		return
-	}
-	if *demo {
-		// A short mixed-tenant burst that still queues. The gateway prices
-		// recompute on llm.A40x4(), which on this toy model costs
-		// microseconds per chunk, so the scheduler serves nearly every
-		// chunk as text and decodes almost no bitstream: a run ends with a
-		// source mix such as "recompute 50" or "recompute 47, remote 2".
-		// ROADMAP item 3(b) is to price recompute the way the benchmark
-		// does.
-		*nodes, *replicas, *slots = 3, 2, 2
-		*rate, *requests = 18, 50
-		*tokens, *nContexts = 800, 2
-		*channels = 16
-		*slo = 500 * time.Millisecond
-		*turns, *think = 2, 20*time.Millisecond
 	}
 	if *nodes < 1 || *slots < 1 {
 		log.Fatal("-nodes and -slots must be at least 1")
@@ -171,18 +153,6 @@ func main() {
 	drill, err := chaos.NewDrill(*chaosFlag, *seed)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	// -capture-trace records every submission (and the published
-	// contexts) as a replayable workload trace, written at exit.
-	var rec *gateway.TraceRecorder
-	if *captureTrace != "" {
-		rec = gateway.NewTraceRecorder(strings.TrimSuffix(filepath.Base(*captureTrace), filepath.Ext(*captureTrace)))
-		if trace != nil {
-			for _, c := range trace.ContextList {
-				rec.RecordContext(c)
-			}
-		}
 	}
 
 	// Model, codec, bank — one per LLM (§5.2).
@@ -256,14 +226,6 @@ func main() {
 				if _, _, err := streamer.Publish(bg, sharded, codec, model, id, stack.Contexts[next].Tokens, streamer.PublishOptions{}); err != nil {
 					log.Fatal(err)
 				}
-				// Dataset contexts are not seed-reproducible; the captured
-				// spec preserves each context's id and exact length, so a
-				// replay offers the identical load shape over synthesised
-				// content, seeded by the context's dataset index (after
-				// the two training contexts).
-				rec.RecordContext(workload.ContextSpec{
-					ID: id, Tokens: len(stack.Contexts[next].Tokens), Seed: *seed + int64(2+next),
-				})
 				next++
 				p.ContextIDs = append(p.ContextIDs, id)
 			}
@@ -293,6 +255,11 @@ func main() {
 		Telemetry:  reg,
 	})
 
+	// Recompute is priced on llm.A40x4(), which on this toy model costs
+	// microseconds per chunk, so the scheduler serves nearly every chunk
+	// as text and decodes almost no bitstream: a default run ends with a
+	// source mix such as "recompute 50". ROADMAP item 3(b) is to price
+	// recompute the way the benchmark does.
 	gw, err := gateway.New(gateway.Config{
 		Slots:       *slots,
 		QueueLimit:  *queueLimit,
@@ -303,7 +270,6 @@ func main() {
 		PipelineDepth: *pipelineDepth,
 		Degrade:       *degrade,
 		Sched:         schd,
-		Recorder:      rec,
 		Source:        pool,
 		Codec:         codec,
 		Model:         model,
@@ -350,7 +316,7 @@ func main() {
 		if perr != nil {
 			log.Fatal(perr)
 		}
-		rep, err = gateway.Replay(bg, gw, poisson, gateway.ReplayOptions{Offered: *rate, Started: armChaos})
+		rep, err = gateway.Replay(bg, gw, poisson, gateway.ReplayOptions{Started: armChaos})
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -429,13 +395,5 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("wrote %d span records to %s (dropped %d beyond the ring)", tracer.Len(), *traceOut, tracer.Dropped())
-	}
-	if *captureTrace != "" {
-		ct := rec.Trace()
-		if err := ct.Save(*captureTrace); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("captured %d arrivals and %d contexts to %s (replay with -workload-trace %s)",
-			len(ct.ArrivalList), len(ct.ContextList), *captureTrace, *captureTrace)
 	}
 }

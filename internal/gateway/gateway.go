@@ -168,9 +168,6 @@ type Config struct {
 	// scheduler serves one gateway: its bound slot tracker is the
 	// gateway's count of slot grants.
 	Sched *sched.Scheduler
-	// Recorder, when set, captures every submission (admitted or not) as
-	// a replayable workload arrival (cachegen-gateway -capture-trace).
-	Recorder *TraceRecorder
 
 	// DecodeTime overrides the modelled slot-occupancy cost (context
 	// tokens, suffix tokens) → duration. Nil uses the llm cost model's
@@ -408,9 +405,6 @@ func (g *Gateway) Submit(ctx context.Context, req Request) (*Result, error) {
 	if req.SuffixTokens <= 0 {
 		req.SuffixTokens = DefaultSuffixTokens
 	}
-	// Capture before admission: a replayable trace reproduces the offered
-	// load, including submissions the queue bound turned away.
-	g.cfg.Recorder.Record(req, time.Now())
 	reqCtx, cancel := g.requestContext(ctx, req)
 	defer cancel()
 

@@ -578,7 +578,7 @@ func poissonRun(g *Gateway, rate float64, requests int, tenants []workload.Poiss
 	if err != nil {
 		return nil, err
 	}
-	return Replay(context.Background(), g, tr, ReplayOptions{Offered: rate})
+	return Replay(context.Background(), g, tr, ReplayOptions{})
 }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {

@@ -48,8 +48,6 @@ func (o *Outcomes) SLORate() float64 {
 
 // LoadReport aggregates one Replay run.
 type LoadReport struct {
-	// Offered is the configured arrival rate (sessions/s).
-	Offered float64
 	// Outcomes totals the run's turn requests. A session abandons its
 	// remaining turns after a failed turn.
 	Outcomes

@@ -21,9 +21,6 @@ type ReplayOptions struct {
 	// source publishes contexts or schedules agentic sessions; a source
 	// whose contexts are already published may omit it.
 	Publisher storage.Store
-	// Offered overrides the report's offered-rate field (sessions/s).
-	// 0 derives it from the schedule (arrivals over schedule length).
-	Offered float64
 	// Started, when set, is called once — after the trace's contexts are
 	// published, immediately before the first arrival is scheduled. It is
 	// the t=0 anchor a chaos schedule should start from, so fault offsets
@@ -31,8 +28,8 @@ type ReplayOptions struct {
 	Started func()
 }
 
-// Replay publishes the trace's contexts and replays its arrival
-// schedule against the gateway, blocking until every session resolves.
+// Replay validates the trace, publishes its contexts and replays its
+// arrival schedule against the gateway, blocking until every session resolves.
 // Arrival offsets are honoured against a shared t=0, so the same trace
 // produces the same submission sequence every run — and lines up with a
 // chaos schedule injected against the same instant. Cancelling ctx
@@ -47,12 +44,11 @@ func Replay(ctx context.Context, g *Gateway, tr *workload.Trace, opts ReplayOpti
 	if g == nil || tr == nil {
 		return nil, errors.New("gateway: replay needs a gateway and a trace")
 	}
-	arrivals := tr.ArrivalList
-	if len(arrivals) == 0 {
-		return nil, fmt.Errorf("gateway: trace %q has no arrivals", tr.TraceName)
+	if err := tr.Validate(); err != nil {
+		return nil, err
 	}
 	agentic := false
-	for _, a := range arrivals {
+	for _, a := range tr.ArrivalList {
 		if a.AppendTokens > 0 {
 			agentic = true
 			break
@@ -68,13 +64,7 @@ func Replay(ctx context.Context, g *Gateway, tr *workload.Trace, opts ReplayOpti
 		}
 	}
 
-	offered := opts.Offered
-	if offered == 0 {
-		if d := lastOffset(arrivals); d > 0 {
-			offered = float64(len(arrivals)) / d.Seconds()
-		}
-	}
-	rep := &LoadReport{Offered: offered, Tenants: map[string]*TenantReport{}}
+	rep := &LoadReport{Tenants: map[string]*TenantReport{}}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	if opts.Started != nil {
@@ -82,8 +72,8 @@ func Replay(ctx context.Context, g *Gateway, tr *workload.Trace, opts ReplayOpti
 	}
 	start := time.Now()
 
-	for _, a := range arrivals {
-		if !wait(ctx, a.At.D()-time.Since(start)) {
+	for _, a := range tr.ArrivalList {
+		if !wait(ctx, a.At-time.Since(start)) {
 			break
 		}
 		rep.Sessions++
@@ -112,15 +102,15 @@ func replayChat(ctx context.Context, g *Gateway, a workload.Arrival, rep *LoadRe
 	}
 	var resident *tensor.KV
 	for turn := 1; turn <= turns; turn++ {
-		if turn > 1 && !wait(ctx, expDuration(srng, a.ThinkTime.D())) {
+		if turn > 1 && !wait(ctx, workload.ExpDuration(srng, a.ThinkTime)) {
 			return
 		}
 		res, err := g.Submit(ctx, Request{
 			Tenant:       a.Tenant,
 			ContextID:    a.ContextID,
 			SuffixTokens: a.SuffixTokens,
-			SLO:          a.SLO.D(),
-			Deadline:     a.Deadline.D(),
+			SLO:          a.SLO,
+			Deadline:     a.Deadline,
 			Resident:     resident,
 		})
 		account(rep, mu, a.Tenant, turn, res, err)
@@ -142,8 +132,8 @@ func replayAgentic(ctx context.Context, g *Gateway, pub storage.Store, a workloa
 		account(rep, mu, a.Tenant, 1, nil, err)
 		return
 	}
-	s.SLO = a.SLO.D()
-	s.Deadline = a.Deadline.D()
+	s.SLO = a.SLO
+	s.Deadline = a.Deadline
 	s.SuffixTokens = a.SuffixTokens
 	srng := rand.New(rand.NewSource(a.Seed))
 	turns := a.Turns
@@ -151,7 +141,7 @@ func replayAgentic(ctx context.Context, g *Gateway, pub storage.Store, a workloa
 		turns = 2 // an agentic session needs at least one append turn
 	}
 	for turn := 1; turn <= turns; turn++ {
-		if turn > 1 && !wait(ctx, expDuration(srng, a.ThinkTime.D())) {
+		if turn > 1 && !wait(ctx, workload.ExpDuration(srng, a.ThinkTime)) {
 			return
 		}
 		tr, err := s.Turn(ctx, workload.TurnTokens(a.Seed, turn, a.AppendTokens))
@@ -196,12 +186,6 @@ func account(rep *LoadReport, mu *sync.Mutex, tenant string, turn int, res *Resu
 	}
 }
 
-// expDuration draws an exponential duration with the given mean, capped
-// at 5× the mean so one unlucky draw cannot stall a whole session.
-func expDuration(rng *rand.Rand, mean time.Duration) time.Duration {
-	return min(time.Duration(rng.ExpFloat64()*float64(mean)), 5*mean)
-}
-
 // wait sleeps for d, returning early (false) when ctx is done.
 func wait(ctx context.Context, d time.Duration) bool {
 	if d > 0 {
@@ -213,12 +197,4 @@ func wait(ctx context.Context, d time.Duration) bool {
 		}
 	}
 	return ctx.Err() == nil
-}
-
-// lastOffset returns the final arrival's offset.
-func lastOffset(as []workload.Arrival) time.Duration {
-	if len(as) == 0 {
-		return 0
-	}
-	return as[len(as)-1].At.D()
 }

@@ -32,9 +32,9 @@ func TestReplayTrace(t *testing.T) {
 		},
 		ArrivalList: []workload.Arrival{
 			{At: 0, Tenant: "t1", ContextID: "tr-a", Seed: 10},
-			{At: workload.Duration(5 * time.Millisecond), Tenant: "t2", ContextID: "tr-b", Seed: 11},
-			{At: workload.Duration(10 * time.Millisecond), Tenant: "t1", ContextID: "tr-a",
-				Turns: 3, ThinkTime: workload.Duration(time.Millisecond), Seed: 12},
+			{At: 5 * time.Millisecond, Tenant: "t2", ContextID: "tr-b", Seed: 11},
+			{At: 10 * time.Millisecond, Tenant: "t1", ContextID: "tr-a",
+				Turns: 3, ThinkTime: time.Millisecond, Seed: 12},
 		},
 	}
 	if err := tr.Validate(); err != nil {
@@ -174,7 +174,7 @@ func TestReplayCancelReturnsPromptly(t *testing.T) {
 	const seed, think = 16, 2 * time.Second
 	// The session's first think-time draw must outlast the test's bound,
 	// or the think-time case would pass by luck.
-	if d := expDuration(rand.New(rand.NewSource(seed)), think); d < 2*time.Second {
+	if d := workload.ExpDuration(rand.New(rand.NewSource(seed)), think); d < 2*time.Second {
 		t.Fatalf("seed %d draws a %v first think time; pick one over 2s", seed, d)
 	}
 	for _, c := range []struct {
@@ -183,11 +183,11 @@ func TestReplayCancelReturnsPromptly(t *testing.T) {
 	}{
 		{"arrival gap", []workload.Arrival{
 			{At: 0, Tenant: "t", ContextID: r.contexts[0], Seed: 1},
-			{At: workload.Duration(5 * time.Second), Tenant: "t", ContextID: r.contexts[0], Seed: 2},
+			{At: 5 * time.Second, Tenant: "t", ContextID: r.contexts[0], Seed: 2},
 		}},
 		{"think time", []workload.Arrival{
 			{At: 0, Tenant: "t", ContextID: r.contexts[0], Turns: 50,
-				ThinkTime: workload.Duration(think), Seed: seed},
+				ThinkTime: think, Seed: seed},
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -270,6 +270,32 @@ func TestReplayRequiresPublisher(t *testing.T) {
 	if _, err := Replay(context.Background(), g, tr, ReplayOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "publisher") {
 		t.Fatalf("Replay without publisher = %v, want publisher error", err)
+	}
+}
+
+// TestReplayRejectsInvalidTrace: Replay validates the trace before it
+// publishes anything, so a malformed trace leaves the store untouched.
+func TestReplayRejectsInvalidTrace(t *testing.T) {
+	r := newTestRing(t, 0)
+	g, err := New(r.config(1, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	tr := &workload.Trace{
+		TraceName:   "unsorted",
+		ContextList: []workload.ContextSpec{{ID: "inv-a", Tokens: 64, Seed: 1}},
+		ArrivalList: []workload.Arrival{
+			{At: 10 * time.Millisecond, Tenant: "t", ContextID: "inv-a"},
+			{At: 0, Tenant: "t", ContextID: "inv-a"},
+		},
+	}
+	if _, err := Replay(context.Background(), g, tr, ReplayOptions{Publisher: r.sharded}); err == nil ||
+		!strings.Contains(err.Error(), "not sorted") {
+		t.Fatalf("Replay of an unsorted trace = %v, want a validation error", err)
+	}
+	if _, err := r.sharded.GetManifest(context.Background(), "inv-a"); err == nil {
+		t.Fatal("an invalid trace published its context")
 	}
 }
 

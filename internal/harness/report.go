@@ -3,7 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -101,9 +101,15 @@ var canonicalOrder = []string{
 	"X2", "X3", "X7", "X10", "X12", "X13",
 }
 
+// register adds an experiment. It panics on a duplicate id and on an id
+// canonicalOrder leaves out, so a cell missing from the list fails every
+// harness test at init instead of never running.
 func register(id, paper string, run Runner) {
 	if _, dup := registry[id]; dup {
 		panic("harness: duplicate experiment id " + id)
+	}
+	if !slices.Contains(canonicalOrder, id) {
+		panic("harness: experiment id " + id + " is missing from canonicalOrder")
 	}
 	registry[id] = Experiment{ID: id, Paper: paper, Run: run}
 }
@@ -115,25 +121,6 @@ func Experiments() []Experiment {
 		if e, ok := registry[id]; ok {
 			out = append(out, e)
 		}
-	}
-	// Any experiment not in the canonical list (shouldn't happen) goes
-	// last, sorted, so it is never silently dropped.
-	var extra []string
-	for id := range registry {
-		found := false
-		for _, c := range canonicalOrder {
-			if c == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			extra = append(extra, id)
-		}
-	}
-	sort.Strings(extra)
-	for _, id := range extra {
-		out = append(out, registry[id])
 	}
 	return out
 }

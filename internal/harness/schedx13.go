@@ -222,7 +222,7 @@ func x13Arm(s *corpusStack, rate float64, withSched bool) (*gateway.LoadReport, 
 	if err != nil {
 		return nil, err
 	}
-	return gateway.Replay(context.Background(), g, tr, gateway.ReplayOptions{Offered: rate})
+	return gateway.Replay(context.Background(), g, tr, gateway.ReplayOptions{})
 }
 
 // x13Point is one swept arrival rate: both arms under identical load.

@@ -31,9 +31,7 @@ func RAGBurst(seed int64) *Trace {
 	rng := rand.New(rand.NewSource(seed))
 	t := &Trace{
 		TraceName: "rag-burst",
-		Description: fmt.Sprintf("%d contexts sharing a %d-token corpus prefix; %d requests in bursts",
-			contexts, prefixTokens, requests),
-		Seed: seed,
+		Seed:      seed,
 	}
 	corpus := fmt.Sprintf("rag-corpus-%d", seed)
 	for i := 0; i < contexts; i++ {
@@ -56,10 +54,10 @@ func RAGBurst(seed int64) *Trace {
 		for i := 0; i < n; i++ {
 			at := burstStart + time.Duration(rng.Int63n(int64(window)/int64(10*bursts)+1))
 			t.ArrivalList = append(t.ArrivalList, Arrival{
-				At:        Duration(at),
+				At:        at,
 				Tenant:    defaultTenants[rng.Intn(len(defaultTenants))],
 				ContextID: fmt.Sprintf("rag-%02d", rng.Intn(contexts)),
-				SLO:       Duration(slo),
+				SLO:       slo,
 				Seed:      rng.Int63(),
 			})
 		}
@@ -85,19 +83,17 @@ func Agentic(seed int64) *Trace {
 	rng := rand.New(rand.NewSource(seed))
 	t := &Trace{
 		TraceName: "agentic",
-		Description: fmt.Sprintf("%d tool-using sessions of %d turns, each appending %d tokens per turn",
-			requests, turns, appendTokens),
-		Seed: seed,
+		Seed:      seed,
 	}
 	for i := 0; i < requests; i++ {
 		at := time.Duration(float64(window) * float64(i) / float64(requests))
 		t.ArrivalList = append(t.ArrivalList, Arrival{
-			At:           Duration(at),
+			At:           at,
 			Tenant:       defaultTenants[rng.Intn(len(defaultTenants))],
 			ContextID:    fmt.Sprintf("agent-%02d", i),
-			SLO:          Duration(slo),
+			SLO:          slo,
 			Turns:        turns,
-			ThinkTime:    Duration(thinkTime),
+			ThinkTime:    thinkTime,
 			AppendTokens: appendTokens,
 			Seed:         rng.Int63(),
 		})
@@ -122,9 +118,7 @@ func LongDocQA(seed int64) *Trace {
 	rng := rand.New(rand.NewSource(seed))
 	t := &Trace{
 		TraceName: "longdoc-qa",
-		Description: fmt.Sprintf("%d documents of %d tokens queried %d times",
-			contexts, contextTokens, requests),
-		Seed: seed,
+		Seed:      seed,
 	}
 	for i := 0; i < contexts; i++ {
 		t.ContextList = append(t.ContextList, ContextSpec{
@@ -136,11 +130,11 @@ func LongDocQA(seed int64) *Trace {
 		at := time.Duration(float64(window)*float64(i)/float64(requests)) +
 			time.Duration(rng.Int63n(int64(window)/int64(4*requests)+1))
 		t.ArrivalList = append(t.ArrivalList, Arrival{
-			At:           Duration(at),
+			At:           at,
 			Tenant:       defaultTenants[rng.Intn(len(defaultTenants))],
 			ContextID:    fmt.Sprintf("doc-%02d", rng.Intn(contexts)),
 			SuffixTokens: suffixTokens,
-			SLO:          Duration(slo),
+			SLO:          slo,
 			Seed:         rng.Int63(),
 		})
 	}
@@ -162,9 +156,7 @@ func FlashCrowd(seed int64) *Trace {
 	rng := rand.New(rand.NewSource(seed))
 	t := &Trace{
 		TraceName: "flash-crowd",
-		Description: fmt.Sprintf("%d requests spiking on one %d-token context",
-			requests, contextTokens),
-		Seed: seed,
+		Seed:      seed,
 	}
 	t.ContextList = append(t.ContextList, ContextSpec{
 		ID: "hot-ctx", Tokens: contextTokens, Seed: rng.Int63(),
@@ -180,10 +172,10 @@ func FlashCrowd(seed int64) *Trace {
 			at = window/5 + time.Duration(rng.Int63n(int64(window)*4/5+1))
 		}
 		t.ArrivalList = append(t.ArrivalList, Arrival{
-			At:        Duration(at),
+			At:        at,
 			Tenant:    defaultTenants[rng.Intn(len(defaultTenants))],
 			ContextID: "hot-ctx",
-			SLO:       Duration(slo),
+			SLO:       slo,
 			Seed:      rng.Int63(),
 		})
 	}
@@ -249,32 +241,25 @@ func Poisson(rate float64, requests int, tenants []PoissonTenant, seed int64) (*
 	}
 	rng := rand.New(rand.NewSource(seed))
 	tr := &Trace{
-		TraceName:   "poisson",
-		Description: fmt.Sprintf("open-loop Poisson, %.0f arrivals/s, %d sessions", rate, requests),
-		Seed:        seed,
+		TraceName: "poisson",
+		Seed:      seed,
 	}
 	mean := time.Duration(float64(time.Second) / rate)
 	at := time.Duration(0)
 	for i := 0; i < requests; i++ {
 		if i > 0 {
-			// Exponential gap, capped at 5× the mean (one unlucky draw must
-			// not stall the run).
-			d := time.Duration(rng.ExpFloat64() * float64(mean))
-			if max := 5 * mean; d > max {
-				d = max
-			}
-			at += d
+			at += ExpDuration(rng, mean)
 		}
 		t := pickShare(rng, tenants, totalShare)
 		tr.ArrivalList = append(tr.ArrivalList, Arrival{
-			At:           Duration(at),
+			At:           at,
 			Tenant:       t.Name,
 			ContextID:    t.ContextIDs[rng.Intn(len(t.ContextIDs))],
 			SuffixTokens: t.SuffixTokens,
-			SLO:          Duration(t.SLO),
-			Deadline:     Duration(t.Deadline),
+			SLO:          t.SLO,
+			Deadline:     t.Deadline,
 			Turns:        t.Turns,
-			ThinkTime:    Duration(t.ThinkTime),
+			ThinkTime:    t.ThinkTime,
 			Seed:         rng.Int63(),
 		})
 	}
@@ -305,23 +290,16 @@ func Builders() map[string]func(seed int64) *Trace {
 	}
 }
 
-// Resolve turns a CLI trace argument into a trace: a builder name
-// ("rag-burst") builds the scenario with the given seed, anything
-// else is read as a trace file path. The seed only applies to builders —
-// a trace file is already materialised data.
-func Resolve(nameOrPath string, seed int64) (*Trace, error) {
-	if build, ok := Builders()[nameOrPath]; ok {
+// Resolve builds the named scenario with the given seed. An unknown
+// name's error lists the scenarios.
+func Resolve(name string, seed int64) (*Trace, error) {
+	if build, ok := Builders()[name]; ok {
 		return build(seed), nil
 	}
-	t, err := Load(nameOrPath)
-	if err != nil {
-		names := make([]string, 0, len(Builders()))
-		for name := range Builders() {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		return nil, fmt.Errorf("workload: %q is neither a scenario (%s) nor a readable trace file: %w",
-			nameOrPath, strings.Join(names, ", "), err)
+	names := make([]string, 0, len(Builders()))
+	for n := range Builders() {
+		names = append(names, n)
 	}
-	return t, nil
+	sort.Strings(names)
+	return nil, fmt.Errorf("workload: unknown scenario %q (want one of %s)", name, strings.Join(names, ", "))
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -95,7 +94,7 @@ func TestFlashCrowdShape(t *testing.T) {
 		if a.ContextID != tr.ContextList[0].ID {
 			t.Fatalf("arrival targets %q, want the hot context", a.ContextID)
 		}
-		if a.At.D() <= 140*time.Millisecond {
+		if a.At <= 140*time.Millisecond {
 			early++
 		}
 	}
@@ -104,44 +103,37 @@ func TestFlashCrowdShape(t *testing.T) {
 	}
 }
 
-// TestJSONRoundTrip: Save → Load reproduces the trace exactly, including
-// the human-readable duration encoding.
-func TestJSONRoundTrip(t *testing.T) {
-	orig := LongDocQA(5)
-	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := orig.Save(path); err != nil {
-		t.Fatal(err)
+// TestValidateRejectsBadTraces: malformed traces come back with
+// descriptive errors, not degenerate schedules.
+func TestValidateRejectsBadTraces(t *testing.T) {
+	arrival := func(at time.Duration, ctx string) Arrival {
+		return Arrival{At: at, Tenant: "a", ContextID: ctx}
 	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(orig, got) {
-		t.Fatal("trace changed across Save/Load round trip")
-	}
-}
-
-// TestParseRejectsBadTraces: malformed traces come back with descriptive
-// errors, not degenerate schedules.
-func TestParseRejectsBadTraces(t *testing.T) {
+	one := []Arrival{arrival(0, "c")}
 	cases := []struct {
-		name, json, want string
+		name  string
+		trace Trace
+		want  string
 	}{
-		{"no name", `{"arrivals":[{"at":"0s","tenant":"a","context_id":"c"}]}`, "no name"},
-		{"no arrivals", `{"name":"x"}`, "no arrivals"},
-		{"bare number duration", `{"name":"x","arrivals":[{"at":5,"tenant":"a","context_id":"c"}]}`, "duration"},
-		{"unitless duration", `{"name":"x","arrivals":[{"at":"5","tenant":"a","context_id":"c"}]}`, "duration"},
-		{"negative offset", `{"name":"x","arrivals":[{"at":"-1s","tenant":"a","context_id":"c"}]}`, "negative offset"},
-		{"missing tenant", `{"name":"x","arrivals":[{"at":"0s","context_id":"c"}]}`, "tenant"},
-		{"duplicate context", `{"name":"x","contexts":[{"id":"c","tokens":8},{"id":"c","tokens":8}],"arrivals":[{"at":"0s","tenant":"a","context_id":"c"}]}`, "duplicate"},
-		{"zero-token context", `{"name":"x","contexts":[{"id":"c","tokens":0}],"arrivals":[{"at":"0s","tenant":"a","context_id":"c"}]}`, "tokens"},
-		{"prefix exceeds tokens", `{"name":"x","contexts":[{"id":"c","tokens":8,"prefix_id":"p","prefix_tokens":9}],"arrivals":[{"at":"0s","tenant":"a","context_id":"c"}]}`, "prefix"},
-		{"unpublished context", `{"name":"x","contexts":[{"id":"c","tokens":8}],"arrivals":[{"at":"0s","tenant":"a","context_id":"other"}]}`, "unpublished"},
-		{"negative turns", `{"name":"x","arrivals":[{"at":"0s","tenant":"a","context_id":"c","turns":-1}]}`, "turn count"},
+		{"no name", Trace{ArrivalList: one}, "no name"},
+		{"no arrivals", Trace{TraceName: "x"}, "no arrivals"},
+		{"negative offset", Trace{TraceName: "x", ArrivalList: []Arrival{arrival(-time.Second, "c")}}, "negative offset"},
+		{"unsorted arrivals", Trace{TraceName: "x", ArrivalList: []Arrival{
+			arrival(20*time.Millisecond, "c"), arrival(5*time.Millisecond, "c")}}, "not sorted"},
+		{"missing tenant", Trace{TraceName: "x", ArrivalList: []Arrival{{ContextID: "c"}}}, "tenant"},
+		{"duplicate context", Trace{TraceName: "x", ArrivalList: one,
+			ContextList: []ContextSpec{{ID: "c", Tokens: 8}, {ID: "c", Tokens: 8}}}, "duplicate"},
+		{"zero-token context", Trace{TraceName: "x", ArrivalList: one,
+			ContextList: []ContextSpec{{ID: "c"}}}, "tokens"},
+		{"prefix exceeds tokens", Trace{TraceName: "x", ArrivalList: one,
+			ContextList: []ContextSpec{{ID: "c", Tokens: 8, PrefixID: "p", PrefixTokens: 9}}}, "prefix"},
+		{"unpublished context", Trace{TraceName: "x", ArrivalList: []Arrival{arrival(0, "other")},
+			ContextList: []ContextSpec{{ID: "c", Tokens: 8}}}, "unpublished"},
+		{"negative turns", Trace{TraceName: "x", ArrivalList: []Arrival{{Tenant: "a", ContextID: "c", Turns: -1}}}, "turn count"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse([]byte(tc.json))
+			err := tc.trace.Validate()
 			if err == nil {
 				t.Fatal("malformed trace accepted")
 			}
@@ -149,23 +141,6 @@ func TestParseRejectsBadTraces(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestParseSortsArrivals: a valid but unsorted file is sorted on load
-// rather than rejected (hand-written traces need not be pre-sorted).
-func TestParseSortsArrivals(t *testing.T) {
-	tr, err := Parse([]byte(`{"name":"x","arrivals":[
-		{"at":"20ms","tenant":"a","context_id":"c"},
-		{"at":"5ms","tenant":"b","context_id":"c"}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.ArrivalList[0].At.D() != 5*time.Millisecond {
-		t.Fatal("arrivals not sorted on parse")
-	}
-	if tr.Duration() != 20*time.Millisecond {
-		t.Fatalf("Duration = %v, want 20ms", tr.Duration())
 	}
 }
 
@@ -205,8 +180,8 @@ func TestPoissonBuilder(t *testing.T) {
 	}
 }
 
-// TestResolve: a builder name builds with the params, any other string
-// is a trace file path, and junk reports both interpretations.
+// TestResolve: a scenario name builds with the seed, and an unknown
+// name's error lists the scenarios.
 func TestResolve(t *testing.T) {
 	byName, err := Resolve("rag-burst", 9)
 	if err != nil {
@@ -216,21 +191,9 @@ func TestResolve(t *testing.T) {
 		t.Fatal("Resolve(\"rag-burst\") differs from RAGBurst")
 	}
 
-	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := Agentic(3).Save(path); err != nil {
-		t.Fatal(err)
-	}
-	byPath, err := Resolve(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if byPath.TraceName != "agentic" {
-		t.Fatalf("Resolve(%s) loaded trace %q", path, byPath.TraceName)
-	}
-
 	_, err = Resolve("no-such-scenario", 0)
 	if err == nil {
-		t.Fatal("junk trace argument accepted")
+		t.Fatal("unknown scenario accepted")
 	}
 	for _, want := range []string{"rag-burst", "flash-crowd", "no-such-scenario"} {
 		if !strings.Contains(err.Error(), want) {
